@@ -33,6 +33,7 @@ type t = {
   m_compile_errors : Reg.counter;
   m_written : Reg.counter;
   m_deleted : Reg.counter;
+  m_fs_errors : Reg.counter;
   m_latency : Reg.histogram;
 }
 
@@ -40,13 +41,26 @@ let composed_error_name = "_policy"
 
 (* --- error files ---------------------------------------------------------- *)
 
+(* No write to the tree is dropped silently: each failure is logged and
+   counted in policy.fs_errors, which the health probes judge Crit. *)
+let fs_failed errors what msg =
+  Reg.incr errors;
+  Logs.err (fun m -> m "policyd: %s: %s" what msg)
+
+let checked errors what = function
+  | Ok _ -> ()
+  | Error e -> fs_failed errors what (Vfs.Errno.message e)
+
 let set_error t name msg =
   let path = Path.child t.errors_dir name in
+  let what = Path.to_string path in
   match msg with
-  | Some e -> ignore (Fs.write_file t.fs ~cred:t.cred path e)
+  | Some e -> checked t.m_fs_errors what (Fs.write_file t.fs ~cred:t.cred path e)
   | None -> (
+      (* clearing an error that was never filed is not a failure *)
       match Fs.unlink t.fs ~cred:t.cred path with
-      | Ok () | Error _ -> ())
+      | Error Vfs.Errno.ENOENT -> ()
+      | r -> checked t.m_fs_errors what r)
 
 (* --- switch adoption ------------------------------------------------------ *)
 
@@ -68,8 +82,12 @@ let adopt_switch t switch =
 let create ?(dir = Y.Layout.policy_root) ~cred yfs =
   let fs = Y.Yanc_fs.fs yfs in
   let errors_dir = Path.child dir ".errors" in
-  ignore (Fs.mkdir_p fs ~cred dir);
-  ignore (Fs.mkdir_p fs ~cred errors_dir);
+  let telemetry = Y.Yanc_fs.telemetry yfs in
+  let reg = Telemetry.registry telemetry in
+  let m_fs_errors = Reg.counter reg "policy.fs_errors" in
+  List.iter
+    (fun d -> checked m_fs_errors (Path.to_string d) (Fs.mkdir_p fs ~cred d))
+    [ dir; errors_dir ];
   let notifier = Fsnotify.Notifier.create fs in
   let wd_dir =
     Fsnotify.Notifier.add_watch notifier dir
@@ -82,8 +100,6 @@ let create ?(dir = Y.Layout.policy_root) ~cred yfs =
       (Y.Layout.switches_dir ~root:(Y.Yanc_fs.root yfs))
       (Fsnotify.Notifier.mask Fsnotify.Event.[ Created; Deleted ])
   in
-  let telemetry = Y.Yanc_fs.telemetry yfs in
-  let reg = Telemetry.registry telemetry in
   let t =
     {
       yfs;
@@ -106,6 +122,7 @@ let create ?(dir = Y.Layout.policy_root) ~cred yfs =
       m_compile_errors = Reg.counter reg "policy.compile_errors";
       m_written = Reg.counter reg "policy.flows_written";
       m_deleted = Reg.counter reg "policy.flows_deleted";
+      m_fs_errors;
       m_latency = Reg.histogram reg "policy.compile.latency";
     }
   in
@@ -183,25 +200,46 @@ let recompile t =
 
 (* --- incremental install -------------------------------------------------- *)
 
-(* Longest common subsequence of two name arrays — the anchors of the
-   stable diff. Classic O(n·m) DP; callers guard the product. *)
-let lcs (a : string array) (b : string array) : SS.t =
-  let n = Array.length a and m = Array.length b in
-  let tbl = Array.make_matrix (n + 1) (m + 1) 0 in
-  for i = n - 1 downto 0 do
-    for j = m - 1 downto 0 do
-      tbl.(i).(j) <-
-        (if String.equal a.(i) b.(j) then 1 + tbl.(i + 1).(j + 1)
-         else max tbl.(i + 1).(j) tbl.(i).(j + 1))
-    done
+(* The anchors of the stable diff: a longest common subsequence of the
+   installed and desired name lists. Names are unique on both sides, so
+   it is a longest increasing subsequence of the installed names'
+   desired positions ([pos], -1 for a name no longer desired), found by
+   patience sorting in O(n log n). Returns the anchors' indexes into
+   [pos], in order. *)
+let lis (pos : int array) : int list =
+  let n = Array.length pos in
+  (* tails.(k): index into pos of the smallest tail of an increasing
+     run of length k + 1; pred.(i): the element before i in its run *)
+  let tails = Array.make n 0 and pred = Array.make n (-1) in
+  let len = ref 0 in
+  for i = 0 to n - 1 do
+    let p = pos.(i) in
+    if p >= 0 then begin
+      (* first k < len with pos.(tails.(k)) >= p *)
+      let lo = ref 0 and hi = ref !len in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if pos.(tails.(mid)) < p then lo := mid + 1 else hi := mid
+      done;
+      if !lo > 0 then pred.(i) <- tails.(!lo - 1);
+      tails.(!lo) <- i;
+      if !lo = !len then incr len
+    end
   done;
-  let rec walk i j acc =
-    if i >= n || j >= m then acc
-    else if String.equal a.(i) b.(j) then walk (i + 1) (j + 1) (SS.add a.(i) acc)
-    else if tbl.(i + 1).(j) >= tbl.(i).(j + 1) then walk (i + 1) j acc
-    else walk i (j + 1) acc
-  in
-  walk 0 0 SS.empty
+  let rec walk i acc = if i < 0 then acc else walk pred.(i) (i :: acc) in
+  if !len = 0 then [] else walk tails.(!len - 1) []
+
+let index_names names =
+  let idx = Hashtbl.create (Array.length names) in
+  Array.iteri (fun i name -> Hashtbl.replace idx name i) names;
+  idx
+
+let position idx name = Option.value (Hashtbl.find_opt idx name) ~default:(-1)
+
+let anchors_by idx old_names =
+  List.map (fun i -> old_names.(i)) (lis (Array.map (position idx) old_names))
+
+let anchors old_names new_names = anchors_by (index_names new_names) old_names
 
 let write_rule t ~switch ~state (r : Policy.Compile.flow_rule) ~priority =
   let flow =
@@ -230,7 +268,7 @@ let write_rule t ~switch ~state (r : Policy.Compile.flow_rule) ~priority =
   | Ok () ->
       Hashtbl.replace state r.name priority;
       Reg.incr t.m_written
-  | Error e -> Logs.err (fun m -> m "policyd: %s/%s: %s" switch r.name e)
+  | Error e -> fs_failed t.m_fs_errors (switch ^ "/" ^ r.name) e
 
 let reprioritize t ~switch ~state (r : Policy.Compile.flow_rule) ~priority =
   let dir = Y.Layout.flow ~root:(Y.Yanc_fs.root t.yfs) ~switch r.name in
@@ -241,12 +279,14 @@ let reprioritize t ~switch ~state (r : Policy.Compile.flow_rule) ~priority =
   | Ok _ ->
       Hashtbl.replace state r.name priority;
       Reg.incr t.m_written
-  | Error e -> Logs.err (fun m -> m "policyd: %s/%s: %s" switch r.name e)
+  | Error e -> fs_failed t.m_fs_errors (switch ^ "/" ^ r.name) e
 
 let delete_rule t ~switch ~state name =
   (match Y.Yanc_fs.delete_flow t.yfs ~cred:t.cred ~switch name with
   | Ok () -> Reg.incr t.m_deleted
-  | Error _ -> ());
+  | Error Vfs.Errno.ENOENT -> ()
+  | Error e ->
+      fs_failed t.m_fs_errors (switch ^ "/" ^ name) (Vfs.Errno.message e));
   Hashtbl.remove state name
 
 (* Renumber-all fallback: every desired rule at its canonical priority.
@@ -261,18 +301,11 @@ let install_canonical t ~switch ~state =
       | None -> write_rule t ~switch ~state r ~priority:r.priority)
     t.desired
 
-let max_lcs_product = 1_000_000
-
-let diff_install t switch =
+let diff_install t ~new_index switch =
   let state = adopt_switch t switch in
-  let new_names =
-    List.fold_left
-      (fun acc (r : Policy.Compile.flow_rule) -> SS.add r.name acc)
-      SS.empty t.desired
-  in
   (* deletions first: frees names and priorities *)
   Hashtbl.fold
-    (fun name _ acc -> if SS.mem name new_names then acc else name :: acc)
+    (fun name _ acc -> if Hashtbl.mem new_index name then acc else name :: acc)
     state []
   |> List.iter (fun name -> delete_rule t ~switch ~state name);
   (* the surviving installed rules, highest priority first *)
@@ -280,10 +313,6 @@ let diff_install t switch =
     Hashtbl.fold (fun name prio acc -> (name, prio) :: acc) state []
     |> List.sort (fun (n1, p1) (n2, p2) ->
            match compare p2 p1 with 0 -> String.compare n1 n2 | c -> c)
-  in
-  let old_arr = Array.of_list (List.map fst old_list) in
-  let new_arr =
-    Array.of_list (List.map (fun (r : Policy.Compile.flow_rule) -> r.name) t.desired)
   in
   let strictly_descending =
     let rec go = function
@@ -293,11 +322,10 @@ let diff_install t switch =
     go old_list
   in
   let anchors =
-    if
-      (not strictly_descending)
-      || Array.length old_arr * Array.length new_arr > max_lcs_product
-    then SS.empty
-    else lcs old_arr new_arr
+    if not strictly_descending then SS.empty
+    else
+      SS.of_list
+        (anchors_by new_index (Array.of_list (List.map fst old_list)))
   in
   (* Walk the desired list segment by segment: anchors keep their
      installed priority; the rules between two anchors spread into the
@@ -338,11 +366,18 @@ let diff_install t switch =
   | exception Fallback -> install_canonical t ~switch ~state
 
 let install t ~switches =
-  List.iter
-    (fun switch ->
-      Telemetry.Tracer.span t.tracer ~stage:"policy.diff" (fun () ->
-          diff_install t switch))
-    switches
+  if switches <> [] then begin
+    let new_index =
+      index_names
+        (Array.of_list
+           (List.map (fun (r : Policy.Compile.flow_rule) -> r.name) t.desired))
+    in
+    List.iter
+      (fun switch ->
+        Telemetry.Tracer.span t.tracer ~stage:"policy.diff" (fun () ->
+            diff_install t ~new_index switch))
+      switches
+  end
 
 (* --- the daemon ----------------------------------------------------------- *)
 
@@ -409,8 +444,9 @@ let status t =
     List.length (List.filter (fun (_, r) -> Result.is_error r) files)
   in
   Buffer.add_string buf
-    (Fmt.str "files %d\nrules %d\nerrors %d\nstate %s\n" (List.length files)
-       (List.length t.desired) errors
+    (Fmt.str "files %d\nrules %d\nerrors %d\nfs_errors %d\nstate %s\n"
+       (List.length files) (List.length t.desired) errors
+       (Reg.value t.m_fs_errors)
        (match t.last_error with None -> "ok" | Some _ -> "error"));
   (match t.last_error with
   | Some e -> Buffer.add_string buf (Fmt.str "last_error %s\n" e)

@@ -12,9 +12,10 @@
     [yancfs.flow_write]) and metered under [policy.*].
 
     Installation is an {e incremental diff}: rules are content-named,
-    so the differ aligns the installed list with the desired one (LCS
-    on names), keeps unchanged rules untouched — their files are never
-    rewritten, so no flow_mods reach the switch — and writes only the
+    so the differ aligns the installed list with the desired one (a
+    longest common subsequence of names, see {!anchors}), keeps
+    unchanged rules untouched — their files are never rewritten, so no
+    flow_mods reach the switch — and writes only the
     changed segment into the priority gaps the initial numbering left.
     A one-clause edit of a large policy is O(changed) commits, which
     [test_policy] and the [@bench-smoke] gate assert via the
@@ -23,7 +24,10 @@
     Malformed input never tears the engine down: a file that fails to
     parse (or a composition that fails to compile) reports into
     [/yanc/policy/.errors/<name>] and the [policy.compile_errors]
-    counter, while the last good rule set stays installed. *)
+    counter, while the last good rule set stays installed. A write the
+    engine cannot make (a flow, an [.errors/] file, its directories) is
+    logged and counted in [policy.fs_errors], which
+    {!Telemetry.Health} judges Crit. *)
 
 type t
 
@@ -42,13 +46,20 @@ val app : t -> App_intf.t
     queued events or a recompile is still owed. *)
 
 val status : t -> string
-(** The [/yanc/.proc/policy] report: file/rule/error counts, last
-    error, per-file parse state. *)
+(** The [/yanc/.proc/policy] report: file/rule/error counts,
+    [policy.fs_errors], last error, per-file parse state. *)
 
 val desired : t -> Policy.Compile.flow_rule list
 (** The rule set the engine currently wants installed (the last
     successful compile) — the "compiled policy" leg of the chaos
     harness's hardware ≡ filesystem ≡ policy invariant. *)
+
+val anchors : string array -> string array -> string list
+(** [anchors installed desired]: a longest common subsequence of two
+    name lists, each free of duplicates — the rules the incremental
+    diff leaves at their installed priority. A longest increasing
+    subsequence of the installed names' desired positions, in
+    O(n log n). *)
 
 val flow_prefix : string
 (** ["pol_"] — the namespace the engine owns inside each [flows/]

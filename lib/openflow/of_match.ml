@@ -56,56 +56,90 @@ let matches m (h : P.Headers.t) =
   && opt_field m.tp_src h.tp_src ~eq:Int.equal
   && opt_field m.tp_dst h.tp_dst ~eq:Int.equal
 
-let sub_opt a b ~eq =
+(* Field helpers specialised per type, so the pairwise scans of the
+   policy compiler make no closure calls. *)
+let sub_int (a : int option) b =
   match a, b with
   | None, _ -> true
   | Some _, None -> false
-  | Some x, Some y -> eq x y
+  | Some x, Some y -> x = y
+
+let sub_mac (a : P.Mac.t option) (b : P.Mac.t option) =
+  sub_int (a :> int option) (b :> int option)
+
+let sub_prefix a b =
+  match a, b with
+  | None, _ -> true
+  | Some _, None -> false
+  | Some x, Some y -> P.Ipv4_addr.Prefix.subsumes x y
 
 let subsumes a b =
-  sub_opt a.in_port b.in_port ~eq:Int.equal
-  && sub_opt a.dl_src b.dl_src ~eq:P.Mac.equal
-  && sub_opt a.dl_dst b.dl_dst ~eq:P.Mac.equal
-  && sub_opt a.dl_vlan b.dl_vlan ~eq:Int.equal
-  && sub_opt a.dl_vlan_pcp b.dl_vlan_pcp ~eq:Int.equal
-  && sub_opt a.dl_type b.dl_type ~eq:Int.equal
-  && sub_opt a.nw_src b.nw_src ~eq:P.Ipv4_addr.Prefix.subsumes
-  && sub_opt a.nw_dst b.nw_dst ~eq:P.Ipv4_addr.Prefix.subsumes
-  && sub_opt a.nw_proto b.nw_proto ~eq:Int.equal
-  && sub_opt a.nw_tos b.nw_tos ~eq:Int.equal
-  && sub_opt a.tp_src b.tp_src ~eq:Int.equal
-  && sub_opt a.tp_dst b.tp_dst ~eq:Int.equal
+  sub_int a.in_port b.in_port
+  && sub_mac a.dl_src b.dl_src
+  && sub_mac a.dl_dst b.dl_dst
+  && sub_int a.dl_vlan b.dl_vlan
+  && sub_int a.dl_vlan_pcp b.dl_vlan_pcp
+  && sub_int a.dl_type b.dl_type
+  && sub_prefix a.nw_src b.nw_src
+  && sub_prefix a.nw_dst b.nw_dst
+  && sub_int a.nw_proto b.nw_proto
+  && sub_int a.nw_tos b.nw_tos
+  && sub_int a.tp_src b.tp_src
+  && sub_int a.tp_dst b.tp_dst
 
-let meet_scalar a b ~eq =
+(* Two constraints on one field conflict when both are present and no
+   value satisfies both; prefixes conflict unless one nests in the
+   other. *)
+let clash_int (a : int option) b =
+  match a, b with Some x, Some y -> x <> y | _ -> false
+
+let clash_mac (a : P.Mac.t option) (b : P.Mac.t option) =
+  clash_int (a :> int option) (b :> int option)
+
+let clash_prefix a b =
   match a, b with
-  | None, x | x, None -> Ok x
-  | Some x, Some y -> if eq x y then Ok (Some x) else Error ()
+  | Some x, Some y -> not (P.Ipv4_addr.Prefix.overlaps x y)
+  | _ -> false
+
+let disjoint a b =
+  clash_int a.in_port b.in_port
+  || clash_mac a.dl_src b.dl_src
+  || clash_mac a.dl_dst b.dl_dst
+  || clash_int a.dl_vlan b.dl_vlan
+  || clash_int a.dl_vlan_pcp b.dl_vlan_pcp
+  || clash_int a.dl_type b.dl_type
+  || clash_prefix a.nw_src b.nw_src
+  || clash_prefix a.nw_dst b.nw_dst
+  || clash_int a.nw_proto b.nw_proto
+  || clash_int a.nw_tos b.nw_tos
+  || clash_int a.tp_src b.tp_src
+  || clash_int a.tp_dst b.tp_dst
+
+(* On non-disjoint inputs each field's meet is one of the two sides'
+   options, reused as is: only the result record is allocated. *)
+let meet_scalar a b = match a with None -> b | Some _ -> a
 
 let meet_prefix a b =
   match a, b with
-  | None, x | x, None -> Ok x
-  | Some x, Some y ->
-    if P.Ipv4_addr.Prefix.subsumes x y then Ok (Some y)
-    else if P.Ipv4_addr.Prefix.subsumes y x then Ok (Some x)
-    else Error ()
+  | None, x | x, None -> x
+  | Some x, Some y -> if P.Ipv4_addr.Prefix.subsumes x y then b else a
 
 let intersect a b =
-  let ( let* ) r f = match r with Ok v -> f v | Error () -> None in
-  let* in_port = meet_scalar a.in_port b.in_port ~eq:Int.equal in
-  let* dl_src = meet_scalar a.dl_src b.dl_src ~eq:P.Mac.equal in
-  let* dl_dst = meet_scalar a.dl_dst b.dl_dst ~eq:P.Mac.equal in
-  let* dl_vlan = meet_scalar a.dl_vlan b.dl_vlan ~eq:Int.equal in
-  let* dl_vlan_pcp = meet_scalar a.dl_vlan_pcp b.dl_vlan_pcp ~eq:Int.equal in
-  let* dl_type = meet_scalar a.dl_type b.dl_type ~eq:Int.equal in
-  let* nw_src = meet_prefix a.nw_src b.nw_src in
-  let* nw_dst = meet_prefix a.nw_dst b.nw_dst in
-  let* nw_proto = meet_scalar a.nw_proto b.nw_proto ~eq:Int.equal in
-  let* nw_tos = meet_scalar a.nw_tos b.nw_tos ~eq:Int.equal in
-  let* tp_src = meet_scalar a.tp_src b.tp_src ~eq:Int.equal in
-  let* tp_dst = meet_scalar a.tp_dst b.tp_dst ~eq:Int.equal in
-  Some
-    { in_port; dl_src; dl_dst; dl_vlan; dl_vlan_pcp; dl_type; nw_src; nw_dst;
-      nw_proto; nw_tos; tp_src; tp_dst }
+  if disjoint a b then None
+  else
+    Some
+      { in_port = meet_scalar a.in_port b.in_port;
+        dl_src = meet_scalar a.dl_src b.dl_src;
+        dl_dst = meet_scalar a.dl_dst b.dl_dst;
+        dl_vlan = meet_scalar a.dl_vlan b.dl_vlan;
+        dl_vlan_pcp = meet_scalar a.dl_vlan_pcp b.dl_vlan_pcp;
+        dl_type = meet_scalar a.dl_type b.dl_type;
+        nw_src = meet_prefix a.nw_src b.nw_src;
+        nw_dst = meet_prefix a.nw_dst b.nw_dst;
+        nw_proto = meet_scalar a.nw_proto b.nw_proto;
+        nw_tos = meet_scalar a.nw_tos b.nw_tos;
+        tp_src = meet_scalar a.tp_src b.tp_src;
+        tp_dst = meet_scalar a.tp_dst b.tp_dst }
 
 let count_some l = List.length (List.filter Fun.id l)
 
@@ -193,7 +227,63 @@ let of_fields fields =
       | Ok m -> set_field m name value)
     (Ok any) fields
 
-let equal a b = a = b
+let eq_int (a : int option) b =
+  match a, b with
+  | None, None -> true
+  | Some x, Some y -> x = y
+  | _ -> false
+
+let eq_mac (a : P.Mac.t option) (b : P.Mac.t option) =
+  eq_int (a :> int option) (b :> int option)
+
+let eq_prefix a b =
+  match a, b with
+  | None, None -> true
+  | Some x, Some y -> P.Ipv4_addr.Prefix.equal x y
+  | _ -> false
+
+let equal a b =
+  eq_int a.in_port b.in_port
+  && eq_mac a.dl_src b.dl_src
+  && eq_mac a.dl_dst b.dl_dst
+  && eq_int a.dl_vlan b.dl_vlan
+  && eq_int a.dl_vlan_pcp b.dl_vlan_pcp
+  && eq_int a.dl_type b.dl_type
+  && eq_prefix a.nw_src b.nw_src
+  && eq_prefix a.nw_dst b.nw_dst
+  && eq_int a.nw_proto b.nw_proto
+  && eq_int a.nw_tos b.nw_tos
+  && eq_int a.tp_src b.tp_src
+  && eq_int a.tp_dst b.tp_dst
+
+(* Mixes every field, absent distinct from present-with-0: the generic
+   [Hashtbl.hash] stops after ten meaningful words and never reaches a
+   field value of this twelve-option record. Allocation-free. *)
+let mix_int h (v : int option) =
+  match v with None -> h * 31 | Some v -> (h * 31) + 1 + v
+
+let mix_mac h (v : P.Mac.t option) = mix_int h (v :> int option)
+
+let mix_prefix h = function
+  | None -> h * 31
+  | Some (p : P.Ipv4_addr.Prefix.t) ->
+    (h * 31) + 1
+    + (Int32.to_int (P.Ipv4_addr.to_int32 p.base) land 0xffffffff)
+    + (p.bits lsl 32)
+
+let hash m =
+  let h = mix_int 17 m.in_port in
+  let h = mix_mac h m.dl_src in
+  let h = mix_mac h m.dl_dst in
+  let h = mix_int h m.dl_vlan in
+  let h = mix_int h m.dl_vlan_pcp in
+  let h = mix_int h m.dl_type in
+  let h = mix_prefix h m.nw_src in
+  let h = mix_prefix h m.nw_dst in
+  let h = mix_int h m.nw_proto in
+  let h = mix_int h m.nw_tos in
+  let h = mix_int h m.tp_src in
+  mix_int h m.tp_dst land max_int
 
 (* --- packed representation -------------------------------------------------- *)
 

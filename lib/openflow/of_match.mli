@@ -37,6 +37,10 @@ val intersect : t -> t -> t option
 (** The match hitting exactly the packets both hit; [None] when
     disjoint. *)
 
+val disjoint : t -> t -> bool
+(** [disjoint a b] iff [intersect a b = None]: some field carries two
+    constraints no packet satisfies together. Allocates nothing. *)
+
 val is_exact : t -> bool
 
 val specificity : t -> int
@@ -63,6 +67,10 @@ val set_field : t -> string -> string -> (t, string) result
 (** Parse and set one field by its file name. *)
 
 val equal : t -> t -> bool
+val hash : t -> int
+(** A hash over all twelve fields, consistent with {!equal}; for hash
+    tables keyed on matches. *)
+
 val pp : Format.formatter -> t -> unit
 
 (** {1 Packed representation}

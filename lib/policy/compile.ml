@@ -16,23 +16,31 @@ let check_rules n =
   if n > max_rules then
     raise (Too_big (Fmt.str "classifier exceeds %d rules" max_rules))
 
-let check_pairs a b =
-  if a * b > max_pairs then
-    raise
-      (Too_big (Fmt.str "cross-product exceeds %d rule pairs" max_pairs))
+let too_many_pairs () =
+  raise (Too_big (Fmt.str "cross-product exceeds %d rule pairs" max_pairs))
+
+let check_pairs a b = if a * b > max_pairs then too_many_pairs ()
+
+module MTbl = Hashtbl.Make (struct
+  type t = M.t
+
+  let equal = M.equal
+  let hash = M.hash
+end)
 
 (* Deduplicate exactly-equal matches keeping the first occurrence: a
-   later rule with an identical match is fully shadowed, so dropping it
+   later row with an identical match is fully shadowed, so dropping it
    preserves first-match semantics. O(n) and deterministic. *)
-let dedup_exact rules =
-  let seen = Hashtbl.create 64 in
+let dedup key rows =
+  let seen = MTbl.create (List.length rows) in
   List.filter
     (fun r ->
-      if Hashtbl.mem seen r.rmatch then false
+      let m = key r in
+      if MTbl.mem seen m then false
       else (
-        Hashtbl.add seen r.rmatch ();
+        MTbl.add seen m ();
         true))
-    rules
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Predicates → total boolean classifiers                             *)
@@ -56,15 +64,7 @@ let cross_bool f ca cb =
   check_rules (List.length rows);
   rows
 
-let bdedup rows =
-  let seen = Hashtbl.create 64 in
-  List.filter
-    (fun r ->
-      if Hashtbl.mem seen r.bmatch then false
-      else (
-        Hashtbl.add seen r.bmatch ();
-        true))
-    rows
+let bmatch r = r.bmatch
 
 let rec pred_compile (p : Ir.pred) : brule list =
   match p with
@@ -78,8 +78,8 @@ let rec pred_compile (p : Ir.pred) : brule list =
         ]
   | Not a ->
       List.map (fun r -> { r with verdict = not r.verdict }) (pred_compile a)
-  | And (a, b) -> bdedup (cross_bool ( && ) (pred_compile a) (pred_compile b))
-  | Or (a, b) -> bdedup (cross_bool ( || ) (pred_compile a) (pred_compile b))
+  | And (a, b) -> dedup bmatch (cross_bool ( && ) (pred_compile a) (pred_compile b))
+  | Or (a, b) -> dedup bmatch (cross_bool ( || ) (pred_compile a) (pred_compile b))
 
 (* ------------------------------------------------------------------ *)
 (* Pre-image of a match under a rewrite (the seq construction)        *)
@@ -140,21 +140,153 @@ let inv_apply (mods : Ir.mods) (m : M.t) : M.t option =
 (* Policies → total atom classifiers                                  *)
 (* ------------------------------------------------------------------ *)
 
-let cross_union (ca : classifier) (cb : classifier) : classifier =
-  check_pairs (List.length ca) (List.length cb);
-  let rows =
-    List.concat_map
-      (fun a ->
-        List.filter_map
-          (fun b ->
-            match M.intersect a.rmatch b.rmatch with
-            | Some m -> Some { rmatch = m; atoms = Ir.union a.atoms b.atoms }
-            | None -> None)
-          cb)
-      ca
+let rmatch r = r.rmatch
+
+(* Classifier atom lists are always normalized, so an empty side leaves
+   the other as it is. *)
+let union_atoms a b =
+  match (a, b) with [], x | x, [] -> x | _ -> Ir.union a b
+
+(* ------------------------------------------------------------------ *)
+(* Pruning pairwise scans by an exact-value key                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Exact-value keys: two matches whose keys on one field differ are
+   disjoint, and a match with a key is subsumed only by matches with
+   the same key or none. [None] leaves the field open; a prefix shorter
+   than /32 counts as open. *)
+let key_fields : (M.t -> int option) array =
+  let host = function
+    | Some { Packet.Ipv4_addr.Prefix.base; bits = 32 } ->
+        Some (Int32.to_int (Packet.Ipv4_addr.to_int32 base))
+    | _ -> None
   in
-  check_rules (List.length rows);
-  dedup_exact rows
+  [|
+    (fun m -> m.M.in_port);
+    (fun m -> (m.M.dl_src :> int option));
+    (fun m -> (m.M.dl_dst :> int option));
+    (fun m -> m.M.dl_vlan);
+    (fun m -> m.M.dl_vlan_pcp);
+    (fun m -> m.M.dl_type);
+    (fun m -> host m.M.nw_src);
+    (fun m -> host m.M.nw_dst);
+    (fun m -> m.M.nw_proto);
+    (fun m -> m.M.nw_tos);
+    (fun m -> m.M.tp_src);
+    (fun m -> m.M.tp_dst);
+  |]
+
+module ITbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash v = v land max_int
+end)
+
+let no_key (_ : M.t) : int option = None
+
+(* The key splitting [rules] into the most distinct values; [no_key]
+   when none splits them in two. *)
+let best_key (rules : classifier) =
+  let best = ref no_key and most = ref 1 in
+  Array.iter
+    (fun key ->
+      let seen = ITbl.create 16 in
+      List.iter
+        (fun r -> Option.iter (fun v -> ITbl.replace seen v ()) (key r.rmatch))
+        rules;
+      if ITbl.length seen > !most then (
+        best := key;
+        most := ITbl.length seen))
+    key_fields;
+  !best
+
+(* Rows filed under one key: each key value's rows, and the rows that
+   leave the key open, each list newest first. A match with key [v] can
+   only overlap the rows filed under [v] and the open ones. *)
+type 'a keyed = {
+  key : M.t -> int option;
+  by_value : 'a list ITbl.t;
+  mutable open_rows : 'a list;
+}
+
+let keyed key = { key; by_value = ITbl.create 64; open_rows = [] }
+
+let filed kx v = Option.value ~default:[] (ITbl.find_opt kx.by_value v)
+
+let file kx m x =
+  match kx.key m with
+  | Some v -> ITbl.replace kx.by_value v (x :: filed kx v)
+  | None -> kx.open_rows <- x :: kx.open_rows
+
+(* Below this many row pairs, testing each pair beats choosing a key. *)
+let index_min_pairs = 256
+
+(* Rows in lexicographic (row of ca, row of cb) order; [M.intersect]
+   rejects disjoint pairs without allocating. Each row of [ca] tests
+   only the rows of [cb] its [key] (by default the one best splitting
+   [cb]) leaves possible, merged back into [cb] order; the pair guard
+   counts the pairs tested. *)
+let cross_union ?key (ca : classifier) (cb : classifier) : classifier =
+  let na = List.length ca and nb = List.length cb in
+  let key =
+    if na * nb < index_min_pairs then no_key
+    else match key with Some k -> k | None -> best_key cb
+  in
+  let kx = keyed key in
+  List.iteri (fun i b -> file kx b.rmatch (i, b)) cb;
+  (* two lists in descending [cb] order, merged ascending onto acc *)
+  let rec merge acc xs ys =
+    match (xs, ys) with
+    | [], l | l, [] -> List.rev_append (List.map snd l) acc
+    | (i, x) :: xs', (j, _) :: _ when i > j -> merge (x :: acc) xs' ys
+    | _, (_, y) :: ys' -> merge (y :: acc) xs ys'
+  in
+  let candidates a =
+    match kx.key a.rmatch with
+    | None -> cb
+    | Some v -> merge [] (filed kx v) kx.open_rows
+  in
+  (* rows are deduplicated as they are made; [made] counts them all, as
+     the size guard did before deduplication *)
+  let seen = MTbl.create (na + nb) and rows = ref [] and made = ref 0 in
+  let tested = ref 0 in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun (b : rule) ->
+          incr tested;
+          match M.intersect a.rmatch b.rmatch with
+          | None -> ()
+          | Some m ->
+              incr made;
+              if not (MTbl.mem seen m) then (
+                MTbl.add seen m ();
+                rows := { rmatch = m; atoms = union_atoms a.atoms b.atoms } :: !rows))
+        (candidates a);
+      if !tested > max_pairs then too_many_pairs ())
+    ca;
+  check_rules !made;
+  List.rev !rows
+
+(* The operands of a [Par] chain, left to right, however it nests. *)
+let rec par_parts (p : Ir.t) acc =
+  match p with Par (p, q) -> par_parts p (par_parts q acc) | p -> p :: acc
+
+(* Cross-union the parts as a balanced tree rather than a left fold, so
+   each row is rebuilt O(log n) times instead of O(n). The output is the
+   fold's exactly: rows stay in lexicographic order over the parts'
+   row indexes under any association, intersection and [Ir.union] are
+   associative, and an intermediate dedup only drops rows whose
+   descendants would be dropped later as duplicates of an earlier
+   row's. *)
+let rec cross_parts ~key parts lo hi =
+  if hi - lo = 1 then parts.(lo)
+  else
+    let mid = (lo + hi) / 2 in
+    cross_union ~key
+      (cross_parts ~key parts lo mid)
+      (cross_parts ~key parts mid hi)
 
 let rec compile_exn (p : Ir.t) : classifier =
   match p with
@@ -172,7 +304,12 @@ let rec compile_exn (p : Ir.t) : classifier =
       | None ->
           raise
             (Too_big (Fmt.str "Mod holds non-rewrite action %a" A.pp a)))
-  | Par (p, q) -> cross_union (compile_exn p) (compile_exn q)
+  | Par _ ->
+      let parts = List.map compile_exn (par_parts p []) in
+      (* one key for the whole chain, chosen over all its rows *)
+      let key = best_key (List.concat parts) in
+      let parts = Array.of_list parts in
+      cross_parts ~key parts 0 (Array.length parts)
   | Ite (pr, p, q) ->
       let cp = compile_exn p and cq = compile_exn q in
       let rows =
@@ -189,7 +326,7 @@ let rec compile_exn (p : Ir.t) : classifier =
           (pred_compile pr)
       in
       check_rules (List.length rows);
-      dedup_exact rows
+      dedup rmatch rows
   | Seq (p, q) ->
       let cp = compile_exn p and cq = compile_exn q in
       let fragment { rmatch; atoms } =
@@ -221,24 +358,31 @@ let rec compile_exn (p : Ir.t) : classifier =
       in
       let rows = List.concat_map fragment cp in
       check_rules (List.length rows);
-      dedup_exact rows
+      dedup rmatch rows
 
-(* Full shadow elimination is O(n²); run it only on classifiers small
-   enough for that to be cheap — the cutoff is a fixed constant so
-   output stays deterministic. *)
+(* Full shadow elimination compares rule pairs (pruned by key, still
+   O(n²) in the worst case); run it only on classifiers small enough
+   for that to be cheap — the cutoff is a fixed constant so output
+   stays deterministic. *)
 let shadow_cutoff = 2000
 
 let shadow_elim rules =
   if List.length rules > shadow_cutoff then rules
   else
-    let rec go kept = function
-      | [] -> List.rev kept
-      | r :: rest ->
-          if List.exists (fun k -> M.subsumes k.rmatch r.rmatch) kept then
-            go kept rest
-          else go (r :: kept) rest
-    in
-    go [] rules
+    let kx = keyed (best_key rules) in
+    let shadows r k = M.subsumes k.rmatch r.rmatch in
+    List.filter
+      (fun r ->
+        let shadowed =
+          List.exists (shadows r) kx.open_rows
+          ||
+          match kx.key r.rmatch with
+          | Some v -> List.exists (shadows r) (filed kx v)
+          | None -> false
+        in
+        if not shadowed then file kx r.rmatch r;
+        not shadowed)
+      rules
 
 (* Forward redundancy: a rule may go when every later rule its packets
    could fall through to produces the same atoms — the seq/ite
@@ -256,24 +400,29 @@ let forward_elim rules =
     | last :: rev_front ->
         if not (M.equal last.rmatch M.any) then rules
         else
+          let kx = keyed (best_key rules) in
+          file kx last.rmatch last;
           List.fold_left
             (fun tail r ->
+              let agrees r' = M.disjoint r.rmatch r'.rmatch || r'.atoms = r.atoms in
               let redundant =
-                List.for_all
-                  (fun r' ->
-                    match M.intersect r.rmatch r'.rmatch with
-                    | None -> true
-                    | Some _ -> r'.atoms = r.atoms)
-                  tail
+                match kx.key r.rmatch with
+                | None -> List.for_all agrees tail
+                | Some v ->
+                    List.for_all agrees (filed kx v)
+                    && List.for_all agrees kx.open_rows
               in
-              if redundant then tail else r :: tail)
+              if redundant then tail
+              else (
+                file kx r.rmatch r;
+                r :: tail))
             [ last ] rev_front
 
 let compile p =
   match Ir.well_formed p with
   | Error e -> Error e
   | Ok () -> (
-      match forward_elim (shadow_elim (dedup_exact (compile_exn p))) with
+      match forward_elim (shadow_elim (dedup rmatch (compile_exn p))) with
       | rules -> Ok rules
       | exception Too_big e -> Error e)
 

@@ -11,6 +11,11 @@
     all three only compose correctly when both inputs are total and
     {!Openflow.Of_match.intersect} is exact, which it is.
 
+    A [par] chain is flattened and cross-unioned as a balanced tree; the
+    rows and their order are those of the left fold, so the output does
+    not depend on how the chain nests. Row pairs whose exact values
+    differ on one chosen field are skipped without testing.
+
     Correctness is stated against {!Interp.eval}:
     [classify (compile p) h = Interp.eval p h] for every packet [h] —
     the randomized property the test suite checks over 500+ cases. *)

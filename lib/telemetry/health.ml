@@ -29,6 +29,9 @@ let defaults =
     { name = "fs_errors"; series = "driver.fs_errors"; breach = Crit;
       limit = 0.;
       why = "driver-side file-system writes failed (state may be stale)" };
+    { name = "policy_fs_errors"; series = "policy.fs_errors"; breach = Crit;
+      limit = 0.;
+      why = "policyd file-system writes failed (flows or .errors/ stale)" };
     { name = "unowned_shards"; series = "cluster.unowned_shards";
       breach = Crit; limit = 0.;
       why = "switches no live node attaches (orphaned by a death)" };

@@ -687,6 +687,23 @@ let prop_intersect_packed =
       in
       List.for_all agrees [ ha; hb; h ])
 
+let prop_equal_hash =
+  QCheck.Test.make ~name:"equal is structural; equal matches hash alike"
+    ~count:1000
+    (QCheck.make QCheck.Gen.(pair match_gen match_gen))
+    (fun (a, b) ->
+      let copy o = Option.map Fun.id o in
+      let a' =
+        { a with
+          OF.Of_match.in_port = copy a.OF.Of_match.in_port;
+          dl_src = copy a.OF.Of_match.dl_src;
+          nw_dst = copy a.OF.Of_match.nw_dst;
+          tp_dst = copy a.OF.Of_match.tp_dst }
+      in
+      OF.Of_match.equal a b = (a = b)
+      && OF.Of_match.equal a a'
+      && OF.Of_match.hash a = OF.Of_match.hash a')
+
 let prop_subsumes_implies_matches =
   QCheck.Test.make ~name:"subsumption is sound for matching" ~count:300
     (QCheck.make QCheck.Gen.(pair match_gen (int_range 1 8))) (fun (mm, port) ->
@@ -720,7 +737,7 @@ let qcheck_cases =
     [ prop_match10_roundtrip; prop_match13_roundtrip;
       prop_subsumes_implies_matches; prop_decode_never_raises;
       prop_packed_agrees; prop_packed_agrees_raw; prop_subsumes_packed;
-      prop_intersect_packed ]
+      prop_intersect_packed; prop_equal_hash ]
 
 let () =
   Alcotest.run "openflow"

@@ -452,6 +452,132 @@ let test_prefix_pin_is_32_only () =
   Alcotest.(check bool) "realizable under /32" true (List.length rules >= 1)
 
 (* ------------------------------------------------------------------ *)
+(* Golden output: [Compile.render] digests recorded from the          *)
+(* left-fold compiler (each [|] step cross-unioned into the           *)
+(* accumulated classifier). The balanced cross-union and the match    *)
+(* hash must reproduce every byte.                                    *)
+(* ------------------------------------------------------------------ *)
+
+let render_digest p =
+  Digest.to_hex
+    (Digest.string
+       (match P.Compile.to_flows p with
+       | Ok rules -> P.Compile.render rules
+       | Error e -> "error:" ^ e))
+
+let golden_series =
+  [
+    (10, "be4aea1e57b96215e1daaf46beef603a");
+    (50, "b5a0c17d5fbddf41d7bf936e871e86b9");
+    (200, "915a1fb933e4d538bae7032618aa08f1");
+    (500, "9e03843004157e325cca6cf2eb034591");
+    (1000, "bea98a9585eb0067d9f9ab255667d987");
+    (2000, "85be96262f52fc6da19650dda9d2efc0");
+  ]
+
+(* First 8 hex digits of each digest of [gen_policy rng 3], 240 draws
+   from seed 0x601DE7. *)
+let golden_random =
+  [ "bb8c94a1";"bb8c94a1";"bb8c94a1";"32c77613";"bb8c94a1";"4397358d";"4d4207d6";"27f0708a";"c07b9759";"da009865";"bb8c94a1";"0d206a55";"bb8c94a1";"52d8873d";"44708e85";"bb8c94a1";"70b37cd5";"bb8c94a1";"7cc3e030";"af9bc26e";"6f4900b4";"bb8c94a1";"3c2535b0";"0788e1da";"bb8c94a1";"1c98531f";"b1f07649";"7bff70fd";"bb8c94a1";"bb8c94a1";"a43efb94";"6b29bba3";"bb8c94a1";"5419130e";"5eebb959";"bb8c94a1";"5b049593";"bb8c94a1";"e7faeb2c";"ed621251";"342c36f5";"2e1ffa82";"bb8c94a1";"503894bb";"bb8c94a1";"da009865";"4f57c5f7";"ea28ec86";"3c2535b0";"69fd9366";"503894bb";"bb8c94a1";"e6696710";"a70cece6";"b0450239";"bb8c94a1";"74555547";"9264427c";"3c2535b0";"bb8c94a1";"b916c9d3";"cd4a79fb";"996d4626";"da009865";"29a737b7";"41bb971e";"06143b1b";"fae75492";"b1bd555e";"af9bc26e";"a10d39e7";"31164324";"bb8c94a1";"77d6122b";"bb8c94a1";"b03f0df0";"342e74ac";"37e80302";"4462b3c7";"fcfbb04f";"bb8c94a1";"bb8c94a1";"0408b55c";"9e4a088d";"a3e2cafc";"fc28087f";"e7faeb2c";"bb8c94a1";"01291952";"bb8c94a1";"4e9e3d8d";"996d4626";"a7d164ff";"39ebe09f";"b9ef352e";"1c98531f";"c24fe3ec";"cb933270";"503894bb";"71b7093b";"c2f8e167";"da009865";"4e077805";"bb8c94a1";"2eac79ee";"fa77ae11";"bb8c94a1";"036717be";"bb8c94a1";"bb8c94a1";"da009865";"06029d98";"ee80b573";"da009865";"10588e9f";"c7aacc49";"bb8c94a1";"d4c7b3c1";"176bece5";"86c08bba";"fc8d20e8";"bb8c94a1";"e4834ff3";"fa77ae11";"fdcdb322";"bb8c94a1";"bb8c94a1";"bb8c94a1";"bb8c94a1";"99dde2d1";"bb8c94a1";"768d4b3a";"bb8c94a1";"8c8057d0";"55626b4a";"89257860";"bb8c94a1";"39ebe09f";"b7095d69";"30dabb5c";"35697bf4";"bb8c94a1";"b8d70a48";"da009865";"3135406e";"fc6b3df2";"5eebb959";"0689f431";"bb8c94a1";"a48fa0d1";"85d64d6e";"bb8c94a1";"932e0fdb";"a571e333";"86116e53";"b2d8599c";"1c98531f";"bb8c94a1";"bb8c94a1";"a571e333";"3c2535b0";"bb8c94a1";"bb8c94a1";"417c381c";"b7c44333";"75c29274";"48f088b4";"58948e72";"bb8c94a1";"7cca1b4f";"bb8c94a1";"eedb6b24";"da009865";"bb8c94a1";"a3c653d4";"1492a6c0";"f6716118";"c9a436e9";"0d48a8ef";"06143b1b";"a24c143b";"f6716118";"a59f396b";"1492a6c0";"69289fcb";"1407ce1f";"1c98531f";"0521b785";"bb8c94a1";"bb8c94a1";"e2a65ff3";"7bc7d3e9";"c4a5106f";"292b1b2c";"bb8c94a1";"fa77ae11";"bb8c94a1";"5eebb959";"bb8c94a1";"6f37c502";"bb8c94a1";"0521b785";"882b57d6";"1c98531f";"bb8c94a1";"3c2535b0";"bb8c94a1";"9677b1ee";"af9bc26e";"e7faeb2c";"bb8c94a1";"bd345481";"bb8c94a1";"d806880d";"bff738b3";"8d352871";"d1ee14f6";"bb8c94a1";"bb8c94a1";"a66174d1";"8d352871";"bb8c94a1";"9c1479d3";"bb8c94a1";"b3cc9389";"bb8c94a1";"af9bc26e";"06029d98";"da4d692c";"188aea04";"bb8c94a1";"3185d920";"8d352871";"95ffc56a";"bb8c94a1";"af322fe9";"0521b785";"5c3ba4e6";"820b4f21";"d1c947a6" ]
+
+(* The same for [|] chains of 2-10 [gen_policy rng 2] parts, nested to
+   the left as the engine composes files: 80 draws from seed
+   0x9A2C4A1. *)
+let golden_par_chains =
+  [ "c3f4379c";"9d4b9fb4";"bf18f343";"4018fb37";"b38fc2e2";"4758b35f";"98af29d7";"cd502996";"3aedd206";"22380b50";"837b4114";"2575d535";"a230ca9b";"fae053bf";"da1db002";"c8a661b8";"638ea13c";"b1c0e036";"a789bb60";"d3d7a744";"c403a75d";"05a1c4c7";"9fa8c569";"12e318ff";"3f0d3104";"ea971a95";"bb8c94a1";"a9944833";"0d855e94";"a7cae492";"0a804e39";"7d2a9246";"ad7d774c";"14742a2d";"948e51bf";"1315c2a3";"f7bf8f41";"80d43107";"a09a4709";"2c2d91b5";"82dfb367";"fe7aeeff";"6cb1f263";"57a0878f";"da5b7ba8";"bb8c94a1";"dee81368";"7d05b3b8";"e7faeb2c";"bb221291";"1bc805b5";"c600203b";"99d3e9ed";"504ca2a7";"5b79cf6d";"0462c1ae";"7218f8ac";"0122f4f2";"3c2535b0";"a971ed73";"cdd0bbc9";"80686b5d";"5acec59d";"40c547f0";"2c64f3cd";"71e798cf";"fc76fe25";"d07972cc";"7682449e";"093cb800";"061d957e";"14bf3a26";"9bb8db6f";"a48fa0d1";"95ec0721";"90b73abd";"a9752fc3";"722eb60b";"3e05bb57";"a8eb0988" ]
+
+let test_golden_series () =
+  List.iter
+    (fun (n, want) ->
+      Alcotest.(check string)
+        (Fmt.str "%d clauses" n) want
+        (render_digest (parse_ok (big_policy n))))
+    golden_series
+
+let check_golden ~what gen digests =
+  List.iteri
+    (fun i want ->
+      let p = gen () in
+      Alcotest.(check string)
+        (Fmt.str "%s %d: %s" what i (P.Syntax.to_string p))
+        want
+        (String.sub (render_digest p) 0 8))
+    digests
+
+let test_golden_random () =
+  let rng = Netsim.Prng.create ~seed:0x601DE7 in
+  check_golden ~what:"policy" (fun () -> gen_policy rng 3) golden_random;
+  let rng = Netsim.Prng.create ~seed:0x9A2C4A1 in
+  check_golden ~what:"par chain"
+    (fun () ->
+      let k = 2 + Netsim.Prng.below rng 9 in
+      match List.init k (fun _ -> gen_policy rng 2) with
+      | p :: rest -> List.fold_left (fun acc q -> P.Ir.Par (acc, q)) p rest
+      | [] -> assert false)
+    golden_par_chains
+
+(* ------------------------------------------------------------------ *)
+(* The diff's anchors against an O(n·m) LCS oracle                     *)
+(* ------------------------------------------------------------------ *)
+
+let lcs_length a b =
+  let n = Array.length a and m = Array.length b in
+  let tbl = Array.make_matrix (n + 1) (m + 1) 0 in
+  for i = n - 1 downto 0 do
+    for j = m - 1 downto 0 do
+      tbl.(i).(j) <-
+        (if String.equal a.(i) b.(j) then 1 + tbl.(i + 1).(j + 1)
+         else max tbl.(i + 1).(j) tbl.(i).(j + 1))
+    done
+  done;
+  tbl.(0).(0)
+
+let is_subsequence xs arr =
+  let rec go xs j =
+    match xs with
+    | [] -> true
+    | x :: rest ->
+        j < Array.length arr
+        && if String.equal x arr.(j) then go rest (j + 1) else go xs (j + 1)
+  in
+  go xs 0
+
+(* Name lists as the differ sees them: unique on each side, each a
+   random sample of one base order. Half the cases shuffle the desired
+   side (short LCS, many ties); half swap a few of its names (long LCS
+   with some disorder, as after an edit). *)
+let test_anchors_are_an_lcs () =
+  let rng = Netsim.Prng.create ~seed:0xA4C405 in
+  let sample base =
+    Array.of_list (List.filter (fun _ -> Netsim.Prng.below rng 4 > 0) base)
+  in
+  let swap a i j =
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  in
+  for case = 1 to 600 do
+    let base = List.init (Netsim.Prng.below rng 60) (Fmt.str "pol_%03d") in
+    let installed = sample base and desired = sample base in
+    let n = Array.length desired in
+    if case mod 2 = 0 then
+      for i = n - 1 downto 1 do
+        swap desired i (Netsim.Prng.below rng (i + 1))
+      done
+    else if n > 1 then
+      for _ = 1 to Netsim.Prng.below rng 4 do
+        swap desired (Netsim.Prng.below rng n) (Netsim.Prng.below rng n)
+      done;
+    let got = Apps.Policy_engine.anchors installed desired in
+    if not (is_subsequence got installed && is_subsequence got desired) then
+      Alcotest.failf "case %d: anchors are not a common subsequence" case;
+    Alcotest.(check int)
+      (Fmt.str "case %d: anchors are a longest common subsequence" case)
+      (lcs_length installed desired)
+      (List.length got)
+  done
+
+(* ------------------------------------------------------------------ *)
 (* The engine: policy files -> fsnotify -> recompile -> diffed        *)
 (* install through the commit queue.                                  *)
 (* ------------------------------------------------------------------ *)
@@ -725,6 +851,44 @@ let test_proc_policy_report () =
   Alcotest.(check bool) "lists files" true (has "files 2");
   Alcotest.(check bool) "flags the broken file" true (has "file broken error")
 
+let read_proc r path =
+  ok (Result.map_error Vfs.Errno.to_string (Vfs.Fs.read_file r.fs ~cred path))
+
+let test_engine_counts_fs_errors () =
+  (* a write policyd cannot make is counted, not dropped: with .errors/
+     replaced by a plain file, filing a parse error fails *)
+  let r = rig ~switches:1 () in
+  write_policy r "good" "filter dl_type = 0x0806 ; controller";
+  Alcotest.(check int) "no failures yet" 0 (counter r "policy.fs_errors");
+  ok
+    (Result.map_error Vfs.Errno.to_string
+       (Vfs.Fs.rmdir ~recursive:true r.fs ~cred Yancfs.Layout.policy_errors_dir));
+  ok
+    (Result.map_error Vfs.Errno.to_string
+       (Vfs.Fs.write_file r.fs ~cred Yancfs.Layout.policy_errors_dir "x"));
+  write_policy r "bad" "fwd(";
+  let failures = counter r "policy.fs_errors" in
+  Alcotest.(check bool)
+    (Fmt.str "failed .errors/ write counted (%d)" failures)
+    true (failures >= 1);
+  let proc = Yancfs.Layout.default_proc_root in
+  let report = read_proc r (Yancfs.Layout.proc_policy ~proc) in
+  Alcotest.(check bool)
+    "/yanc/.proc/policy shows the count" true
+    (List.mem
+       (Fmt.str "fs_errors %d" failures)
+       (String.split_on_char '\n' report));
+  let health = read_proc r (Yancfs.Layout.proc_health ~proc) in
+  Alcotest.(check bool)
+    "health is crit" true
+    (Telemetry.Health.status_of_render health = Some Telemetry.Health.Crit);
+  Alcotest.(check bool)
+    "the policy probe is the one breached" true
+    (List.exists
+       (fun l ->
+         String.length l > 21 && String.sub l 0 21 = "policy_fs_errors crit")
+       (String.split_on_char '\n' health))
+
 let () =
   Alcotest.run "policy"
     [
@@ -751,6 +915,12 @@ let () =
           Alcotest.test_case "only /32 prefixes pin restores" `Quick
             test_prefix_pin_is_32_only;
         ] );
+      ( "golden",
+        [
+          Alcotest.test_case "E22 series digests" `Quick test_golden_series;
+          Alcotest.test_case "seeded random policy digests" `Quick
+            test_golden_random;
+        ] );
       ( "engine",
         [
           Alcotest.test_case "install, compose, edit, uninstall" `Quick
@@ -765,5 +935,9 @@ let () =
             test_engine_incremental_commits;
           Alcotest.test_case "/yanc/.proc/policy report" `Quick
             test_proc_policy_report;
+          Alcotest.test_case "diff anchors are a longest common subsequence"
+            `Quick test_anchors_are_an_lcs;
+          Alcotest.test_case "failed writes count in policy.fs_errors" `Quick
+            test_engine_counts_fs_errors;
         ] );
     ]
