@@ -710,90 +710,64 @@ let ext_qos () =
     [ 1; 10; 100 ]
 
 (* ================================================================== *)
-(* E13 — the VFS dentry/attribute cache: every yanc operation is a path
-   lookup, so the OS trick of caching resolved paths (Linux's dcache)
-   applies directly. Cold vs warm component walks, the whole-stack
-   effect on a fastpath flow push, and what rename churn costs. *)
+(* E13 — path resolution. Every yanc operation is a path lookup. Each
+   directory's (name -> node) table is the dentry cache, as in Linux:
+   a lookup probes it once per component with one permission check.
+   The workload has the flow-setup path's shape: fresh flow
+   directories, each made with mkdir_p, filled with 12 files and read
+   back. Minor words per directory repeat exactly from run to run, so
+   the smoke gate judges them rather than wall time. *)
 (* ================================================================== *)
 
-let e13_dcache () =
-  let pa = Vfs.Path.of_string_exn in
-  section "E13a dcache: component walks per lookup, cold vs warm";
-  row "  %6s | %15s | %20s | %6s\n" "depth" "cold components"
-    "warm components/call" "ratio";
-  List.iter
-    (fun depth ->
-      let fs = Fs.create () in
-      let rec build path i =
-        if i > depth then path
-        else begin
-          let path = Vfs.Path.child path (Printf.sprintf "d%d" i) in
-          ignore (Fs.mkdir fs ~cred path);
-          build path (i + 1)
-        end
-      in
-      let file = Vfs.Path.child (build Vfs.Path.root 1) "f" in
-      ignore (Fs.write_file fs ~cred file "x");
-      let cost = Fs.cost fs in
-      Vfs.Cost.reset cost;
-      ignore (Fs.read_file fs ~cred file);
-      let cold = Vfs.Cost.components cost in
-      let warm_calls = 100 in
-      Vfs.Cost.reset cost;
-      for _ = 1 to warm_calls do
-        ignore (Fs.read_file fs ~cred file)
-      done;
-      let warm =
-        float_of_int (Vfs.Cost.components cost) /. float_of_int warm_calls
-      in
-      row "  %6d | %15d | %20.2f | %5.0fx\n" depth cold warm
-        (float_of_int cold /. Float.max warm 0.01))
-    [ 2; 4; 8; 16 ];
-  (* whole-stack effect: a fastpath batch is hundreds of lookups under
-     one crossing, so the cache shows up in walked components *)
-  section "E13b flow push (fastpath batch of 200): dcache on vs off";
-  let components_with enabled =
-    let fs, yfs = fresh_yancfs () in
-    Fs.set_dcache_enabled fs enabled;
-    let fp = Libyanc.Fastpath.create yfs in
-    let cost = Fs.cost fs in
-    Vfs.Cost.reset cost;
-    ignore
-      (Libyanc.Fastpath.push_flows fp
-         (List.init 200 (fun i -> "sw1", Printf.sprintf "f%d" i, sample_flow i)));
-    Vfs.Cost.components cost
-  in
-  let off = components_with false in
-  let on = components_with true in
-  row "  components walked: %6d (cache off) | %6d (cache on) | %.1fx fewer\n"
-    off on
-    (float_of_int off /. float_of_int (max 1 on));
-  (* rename churn: a moving namespace pays invalidations and re-walks *)
-  section "E13c rename churn: cache hit rate under namespace motion";
+let e13_files =
+  [ "match.in_port"; "match.dl_src"; "match.dl_dst"; "match.dl_type";
+    "match.nw_src"; "match.nw_dst"; "match.nw_proto"; "match.tp_dst";
+    "action.out"; "priority"; "idle_timeout"; "version" ]
+
+type e13 = {
+  e13_errors : int;
+  e13_words : float; (* minor words per directory *)
+  e13_components : float; (* path components walked per directory *)
+  e13_cpu_us : float; (* CPU microseconds per directory *)
+}
+
+let e13_flow_dirs ~dirs =
   let fs = Fs.create () in
-  ignore (Fs.mkdir_p fs ~cred (pa "/app/cfg"));
-  ignore (Fs.write_file fs ~cred (pa "/app/cfg/f") "x");
   let cost = Fs.cost fs in
-  let churn renames_per_lookup lookups =
-    Vfs.Cost.reset cost;
-    for i = 1 to lookups do
-      if renames_per_lookup > 0 && i mod renames_per_lookup = 0 then begin
-        ignore (Fs.rename fs ~cred ~src:(pa "/app") ~dst:(pa "/app2"));
-        ignore (Fs.rename fs ~cred ~src:(pa "/app2") ~dst:(pa "/app"))
-      end;
-      ignore (Fs.read_file fs ~cred (pa "/app/cfg/f"))
-    done;
-    ( Vfs.Cost.dentry_hits cost,
-      Vfs.Cost.dentry_misses cost,
-      Vfs.Cost.invalidations cost )
-  in
-  row "  %22s | %8s | %8s | %13s\n" "workload (1000 lookups)" "hits" "misses"
-    "invalidations";
-  List.iter
-    (fun (label, per) ->
-      let hits, misses, inv = churn per 1000 in
-      row "  %22s | %8d | %8d | %13d\n" label hits misses inv)
-    [ "no renames", 0; "rename every 100", 100; "rename every 10", 10 ]
+  let errors = ref 0 in
+  let check = function Ok _ -> () | Error _ -> incr errors in
+  let c0 = Vfs.Cost.components cost in
+  let t0 = Sys.time () in
+  let w0 = Gc.minor_words () in
+  for i = 0 to dirs - 1 do
+    let dir =
+      Vfs.Path.of_string_exn
+        (Printf.sprintf "/net/switches/sw%d/flows/g%d" (i mod 80) i)
+    in
+    check (Fs.mkdir_p fs ~cred dir);
+    List.iter
+      (fun f -> check (Fs.write_file fs ~cred (Vfs.Path.child dir f) "1"))
+      e13_files;
+    List.iter
+      (fun f -> check (Fs.read_file fs ~cred (Vfs.Path.child dir f)))
+      e13_files
+  done;
+  let words = Gc.minor_words () -. w0 in
+  let cpu = Sys.time () -. t0 in
+  let per x = x /. float_of_int dirs in
+  { e13_errors = !errors; e13_words = per words;
+    e13_components = per (float_of_int (Vfs.Cost.components cost - c0));
+    e13_cpu_us = per (cpu *. 1e6) }
+
+let e13_path_resolution () =
+  section
+    "E13 path resolution: 2,000 fresh flow dirs (mkdir_p + 12 writes + 12 \
+     reads each)";
+  let r = e13_flow_dirs ~dirs:2000 in
+  row
+    "  %d errors | %.0f minor words/dir | %.1f components/dir | %.1f CPU \
+     us/dir\n"
+    r.e13_errors r.e13_words r.e13_components r.e13_cpu_us
 
 (* ================================================================== *)
 (* E14 — event routing under fan-out: N watching apps x M switches.
@@ -960,25 +934,6 @@ let dispatch_fanout ~notifiers =
   let w0 = Gc.minor_words () in
   for i = 17 to 16 + flows do create i done;
   hooks, (Gc.minor_words () -. w0) /. float_of_int flows
-
-(* E13d — wall-clock for the same contrast. *)
-let e13_walltime () =
-  section "E13d wall time per warm lookup: dcache on vs off";
-  let fs_on = Fs.create () in
-  let fs_off = Fs.create () in
-  Fs.set_dcache_enabled fs_off false;
-  let file = Vfs.Path.of_string_exn "/d1/d2/d3/d4/f" in
-  List.iter
-    (fun fs ->
-      ignore (Fs.mkdir_p fs ~cred (Vfs.Path.of_string_exn "/d1/d2/d3/d4"));
-      ignore (Fs.write_file fs ~cred file "x"))
-    [ fs_on; fs_off ];
-  print_benchmarks "e13d"
-    (run_benchmarks
-       [ test "lookup/dcache_on" (fun () ->
-             ignore (Fs.read_file fs_on ~cred file));
-         test "lookup/dcache_off" (fun () ->
-             ignore (Fs.read_file fs_off ~cred file)) ])
 
 (* ================================================================== *)
 (* E16 — the telemetry layer: per-stage packet-in latency from the span
@@ -2285,29 +2240,20 @@ let e22_policy_compiler ?(json = None) () =
   | None -> ()
 
 let smoke () =
-  let fs = Fs.create () in
-  let dir = Vfs.Path.of_string_exn "/a/b/c/d/e" in
-  let file = Vfs.Path.child dir "f" in
-  ignore (Fs.mkdir_p fs ~cred dir);
-  ignore (Fs.write_file fs ~cred file "x");
-  let cost = Fs.cost fs in
-  Vfs.Cost.reset cost;
-  ignore (Fs.read_file fs ~cred file);
-  let cold = Vfs.Cost.components cost in
-  let warm_calls = 10 in
-  for _ = 1 to warm_calls do
-    ignore (Fs.read_file fs ~cred file)
-  done;
-  let warm = Vfs.Cost.components cost - cold in
+  (* The path-resolution gate (E13): allocation per fresh flow
+     directory, a count that repeats exactly. *)
+  let r = e13_flow_dirs ~dirs:2000 in
   Printf.printf
-    "bench-smoke: cold lookup = %d components, %d warm lookups = %d components\n"
-    cold warm_calls warm;
-  if warm * 5 > cold then begin
+    "bench-smoke: path resolution: %.0f minor words, %.1f components per \
+     flow dir (mkdir_p + 12 writes + 12 reads), %d errors\n"
+    r.e13_words r.e13_components r.e13_errors;
+  if r.e13_errors > 0 || r.e13_words > 8000. then begin
     Printf.printf
-      "bench-smoke: FAIL — warm lookups should walk >= 5x fewer components than cold\n";
+      "bench-smoke: FAIL — a fresh flow dir should cost <= 8,000 minor \
+       words with no errors\n";
     exit 1
   end;
-  Printf.printf "bench-smoke: ok (warm/cold ratio holds)\n";
+  Printf.printf "bench-smoke: ok (path resolution allocation holds)\n";
   (* The routing-index gate: a small E14 fan-out (40 apps x 8 switches)
      must visit >= 5x fewer watches per mutation than the linear
      reference. *)
@@ -2957,8 +2903,7 @@ let () =
   e9_reactive ();
   e6_views ();
   ablation_reactive_granularity ();
-  e13_dcache ();
-  e13_walltime ();
+  e13_path_resolution ();
   e14_routing ();
   e14_walltime ();
   e16_tracing ();

@@ -1,7 +1,7 @@
 (** The reference interpreter — the executable specification the
-    classifier compiler is proved against (ISSUE 10's test archetype:
-    same linear-spec discipline as the dcache/fsnotify/classifier
-    layers, at the semantic level).
+    classifier compiler is proved against: the same linear-spec
+    discipline as the fsnotify and classifier layers, at the semantic
+    level.
 
     [eval p h] is the denotation of policy [p] on the packet whose
     header view is [h]: the normalized set of {!Ir.atom}s it produces.

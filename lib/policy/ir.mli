@@ -8,8 +8,8 @@
     inside a [seq] chain and are discarded at top level. The reference
     interpreter ({!Interp.eval}) is the executable specification; the
     classifier compiler ({!Compile}) must agree with it on every packet
-    — the same linear-spec discipline the dcache, fsnotify and
-    classifier layers use, lifted to the semantic level. *)
+    — the same linear-spec discipline the fsnotify and classifier
+    layers use, lifted to the semantic level. *)
 
 (** {1 Predicates}
 

@@ -3,14 +3,8 @@ type t = {
   mutable crossings : int;
   mutable charged_ns : float;
   mutable suspended : int; (* depth of [suspended] nesting *)
-  (* name-lookup accounting (dcache instrumentation) *)
+  (* name-lookup accounting *)
   mutable components : int;
-  mutable dentry_hits : int;
-  mutable dentry_misses : int;
-  mutable negative_hits : int;
-  mutable attr_hits : int;
-  mutable attr_misses : int;
-  mutable invalidations : int;
   (* event-routing accounting (fsnotify instrumentation) *)
   mutable events_dispatched : int;
   mutable watches_visited : int;
@@ -20,10 +14,8 @@ type t = {
 
 let create ?(switch_cost_ns = 1000.) () =
   { switch_cost_ns; crossings = 0; charged_ns = 0.; suspended = 0;
-    components = 0; dentry_hits = 0; dentry_misses = 0; negative_hits = 0;
-    attr_hits = 0; attr_misses = 0; invalidations = 0;
-    events_dispatched = 0; watches_visited = 0; events_coalesced = 0;
-    overflows = 0 }
+    components = 0; events_dispatched = 0; watches_visited = 0;
+    events_coalesced = 0; overflows = 0 }
 
 let crossings t = t.crossings
 
@@ -43,31 +35,7 @@ let suspended t f =
    walking, not kernel crossings, and a libyanc batch still walks. *)
 let component_resolved t = t.components <- t.components + 1
 
-let dentry_hit t = t.dentry_hits <- t.dentry_hits + 1
-
-let dentry_miss t = t.dentry_misses <- t.dentry_misses + 1
-
-let negative_hit t = t.negative_hits <- t.negative_hits + 1
-
-let attr_hit t = t.attr_hits <- t.attr_hits + 1
-
-let attr_miss t = t.attr_misses <- t.attr_misses + 1
-
-let invalidated t n = t.invalidations <- t.invalidations + n
-
 let components t = t.components
-
-let dentry_hits t = t.dentry_hits
-
-let dentry_misses t = t.dentry_misses
-
-let negative_hits t = t.negative_hits
-
-let attr_hits t = t.attr_hits
-
-let attr_misses t = t.attr_misses
-
-let invalidations t = t.invalidations
 
 (* Event-routing work is counted like lookup work: it measures watches
    examined and events queued, not kernel crossings, so it is never gated
@@ -92,12 +60,6 @@ let reset t =
   t.crossings <- 0;
   t.charged_ns <- 0.;
   t.components <- 0;
-  t.dentry_hits <- 0;
-  t.dentry_misses <- 0;
-  t.negative_hits <- 0;
-  t.attr_hits <- 0;
-  t.attr_misses <- 0;
-  t.invalidations <- 0;
   t.events_dispatched <- 0;
   t.watches_visited <- 0;
   t.events_coalesced <- 0;
@@ -105,11 +67,9 @@ let reset t =
 
 let pp ppf t =
   Format.fprintf ppf
-    "%d crossings (%.1f us modelled), %d components walked, dcache %d/%d \
-     hit/miss (%d negative), %d invalidated, notify %d dispatched / %d \
-     watches visited / %d coalesced / %d overflow-dropped"
+    "%d crossings (%.1f us modelled), %d components walked, notify %d \
+     dispatched / %d watches visited / %d coalesced / %d overflow-dropped"
     t.crossings
     (t.charged_ns /. 1000.)
-    t.components (t.dentry_hits + t.negative_hits) t.dentry_misses
-    t.negative_hits t.invalidations t.events_dispatched t.watches_visited
-    t.events_coalesced t.overflows
+    t.components t.events_dispatched t.watches_visited t.events_coalesced
+    t.overflows

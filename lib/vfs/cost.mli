@@ -8,12 +8,9 @@
     benches can report both the crossing count and the modelled overhead
     of the file-system path versus the fastpath.
 
-    It also carries the {!Dcache} instrumentation: how many path
-    components were resolved by walking the tree, how often the dentry
-    and attribute caches hit, and how many cached entries were
-    invalidated by mutations. Lookup counters are {e not} gated by
-    {!suspended} — a libyanc batch still walks dentries even though it
-    crosses the kernel boundary once. *)
+    It also counts the path components {!Fs} resolution walks. That
+    counter is {e not} gated by {!suspended} — a libyanc batch still
+    walks dentries even though it crosses the kernel boundary once. *)
 
 type t
 
@@ -36,38 +33,20 @@ val suspended : t -> (unit -> 'a) -> 'a
     crossing, and by kernel-internal recursion (an op implemented in
     terms of other ops must not double-count). *)
 
-(** {1 Name-lookup / dcache counters}
+(** {1 Name-lookup counter}
 
-    Bumped by {!Fs} resolution and by {!Dcache}; read by benches. *)
+    Bumped by {!Fs} resolution; read by benches. *)
 
 val component_resolved : t -> unit
-(** One path component resolved the slow way (hash lookup in a
-    directory, plus the traversal permission check). *)
-
-val dentry_hit : t -> unit
-val dentry_miss : t -> unit
-val negative_hit : t -> unit
-(** A cached ENOENT answered without walking. *)
-
-val attr_hit : t -> unit
-val attr_miss : t -> unit
-(** Permission-decision (attribute) cache hits/misses. *)
-
-val invalidated : t -> int -> unit
-(** [n] cached entries dropped by a mutation. *)
+(** One path component resolved: a hash lookup in a directory plus
+    the traversal permission check. *)
 
 val components : t -> int
-val dentry_hits : t -> int
-val dentry_misses : t -> int
-val negative_hits : t -> int
-val attr_hits : t -> int
-val attr_misses : t -> int
-val invalidations : t -> int
 
 (** {1 Event-routing / fsnotify counters}
 
     Bumped by {!Fsnotify.Notifier} dispatch; read by benches and
-    [yancctl]. Like the lookup counters these are {e not} gated by
+    [yancctl]. Like the lookup counter these are {e not} gated by
     {!suspended}: they measure routing work, not kernel crossings. *)
 
 val event_dispatched : t -> unit

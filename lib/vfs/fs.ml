@@ -43,7 +43,6 @@ type t = {
   id : int;
   root : node;
   cost : Cost.t;
-  dcache : node Dcache.t;
   mutable now : float;
   mutable readonly : bool;
   mutable next_ino : int;
@@ -80,7 +79,7 @@ let create ?(cost = Cost.create ()) () =
       payload = P_dir (Hashtbl.create 16) }
   in
   incr next_id;
-  { id = !next_id; root; cost; dcache = Dcache.create cost; now = 0.;
+  { id = !next_id; root; cost; now = 0.;
     readonly = false; next_ino = 2; next_fd = 3;
     next_hook = 0; fds = Hashtbl.create 16; hooks = [];
     rmdir_policy = (fun _ -> false);
@@ -90,10 +89,6 @@ let create ?(cost = Cost.create ()) () =
 let cost t = t.cost
 
 let id t = t.id
-
-let set_dcache_enabled t b = Dcache.set_enabled t.dcache b
-
-let dcache_enabled t = Dcache.enabled t.dcache
 
 let time t = t.now
 
@@ -130,22 +125,12 @@ let set_symlink_policy t f = t.symlink_policy <- f
 
 (* --- permission checks --------------------------------------------------- *)
 
-(* The attribute side of the dcache: permission decisions are a pure
-   function of (inode attributes, credential, access), so they are
-   served from a per-ino cache that chmod/chown/set_acl invalidate. *)
-let node_allows t node cred access =
-  match Dcache.find_perm t.dcache ~ino:node.ino ~cred ~access with
-  | Some allowed -> allowed
-  | None ->
-    let allowed =
-      Acl.check ~acl:node.acl ~mode:node.mode ~owner:node.uid
-        ~group:node.gid cred access
-    in
-    Dcache.add_perm t.dcache ~ino:node.ino ~cred ~access allowed;
-    allowed
+let node_allows node cred access =
+  Acl.check ~acl:node.acl ~mode:node.mode ~owner:node.uid ~group:node.gid
+    cred access
 
-let require t node cred access =
-  if node_allows t node cred access then Ok () else Error Errno.EACCES
+let require node cred access =
+  if node_allows node cred access then Ok () else Error Errno.EACCES
 
 let require_owner node cred =
   if Cred.is_root cred || cred.Cred.uid = node.uid then Ok ()
@@ -155,54 +140,64 @@ let require_rw t = if t.readonly then Error Errno.EROFS else Ok ()
 
 (* --- path resolution ----------------------------------------------------- *)
 
-(* Walk from the root, following symlinks, requiring +x on every
-   traversed directory. Returns the node together with its canonical
-   (symlink-free) path.
+(* The first [n] components of [comps], reversed. *)
+let rev_prefix n comps =
+  let rec go acc n = function
+    | c :: rest when n > 0 -> go (c :: acc) (n - 1) rest
+    | _ -> acc
+  in
+  go [] n comps
 
-   The dentry cache is consulted first. Only symlink-free resolutions
-   are inserted, which keeps the cache sound under prefix invalidation
-   (mutation ops carry canonical paths, and a symlink-free key IS its
-   canonical path) and means a hit can return the queried path as the
-   canonical path unchanged. Both [Ok] and [ENOENT] (negative entries)
-   are cached; see {!Dcache}. *)
+(* Walk from the root, following symlinks and requiring +x on every
+   traversed directory: per component, one probe of the directory's
+   (name -> node) table and one permission check. Returns the node
+   together with its canonical (symlink-free) path.
+
+   Until the walk crosses a symlink the canonical path is the queried
+   path itself, so it is returned as is and nothing is accumulated:
+   [canon_rev] stays [None] and [depth] counts the components walked.
+   The first symlink builds the canonical prefix, and from there each
+   component is consed onto it. *)
 let resolve t cred ~follow_last path =
-  match Dcache.find t.dcache ~cred ~follow:follow_last path with
-  | Some (Ok node) -> Ok (node, path)
-  | Some (Error e) -> Error e
-  | None ->
-    let symlinked = ref false in
-    let rec walk node canon_rev comps budget =
-      match comps with
-      | [] -> Ok (node, List.rev canon_rev)
-      | name :: rest -> (
-        match node.payload with
-        | P_file _ | P_symlink _ -> Error Errno.ENOTDIR
-        | P_dir children ->
-          Cost.component_resolved t.cost;
-          let* () = require t node cred Perm.x_ok in
-          (match Hashtbl.find_opt children name with
+  let rec walk node canon_rev depth comps budget =
+    match comps with
+    | [] -> (
+      match canon_rev with
+      | None -> Ok (node, path)
+      | Some rev -> Ok (node, Path.of_components (List.rev rev)))
+    | name :: rest -> (
+      match node.payload with
+      | P_file _ | P_symlink _ -> Error Errno.ENOTDIR
+      | P_dir children -> (
+        Cost.component_resolved t.cost;
+        if not (node_allows node cred Perm.x_ok) then Error Errno.EACCES
+        else
+          match Hashtbl.find_opt children name with
           | None -> Error Errno.ENOENT
           | Some child -> (
             match child.payload with
-            | P_symlink target when rest <> [] || follow_last ->
+            | P_symlink target when follow_last || rest <> [] ->
               if budget = 0 then Error Errno.ELOOP
-              else begin
-                symlinked := true;
+              else
                 let* tpath = Path.of_string target in
-                let tcomps = Path.components tpath in
-                if String.length target > 0 && target.[0] = '/' then
-                  walk t.root [] (tcomps @ rest) (budget - 1)
-                else walk node canon_rev (tcomps @ rest) (budget - 1)
-              end
-            | _ -> walk child (name :: canon_rev) rest budget)))
-    in
-    let result = walk t.root [] (Path.components path) max_symlinks in
-    if not !symlinked then
-      Dcache.add t.dcache ~cred ~follow:follow_last path
-        (Result.map fst result);
-    (match result with
-    | Ok (node, canon) -> Ok (node, Path.of_components canon)
-    | Error _ as e -> e)
+                let comps = Path.components tpath @ rest in
+                if target.[0] = '/' then walk t.root (Some []) 0 comps (budget - 1)
+                else
+                  let here =
+                    match canon_rev with
+                    | Some rev -> rev
+                    | None -> rev_prefix depth (Path.components path)
+                  in
+                  walk node (Some here) 0 comps (budget - 1)
+            | _ ->
+              let canon_rev =
+                match canon_rev with
+                | None -> None
+                | Some rev -> Some (name :: rev)
+              in
+              walk child canon_rev (depth + 1) rest budget)))
+  in
+  walk t.root None 0 (Path.components path) max_symlinks
 
 (* Resolve the parent directory of [path] (following symlinks throughout,
    including a final symlink-to-directory in the parent position) and
@@ -254,13 +249,13 @@ let sys t = Cost.syscall t.cost
 let mkdir_raw ?(mode = 0o755) t ~cred path ~emit_op =
   let* () = require_rw t in
   let* pnode, pcanon, name = resolve_parent t cred path in
-  let* () = require t pnode cred Perm.x_ok in
+  let* () = require pnode cred Perm.x_ok in
   let* children = dir_children pnode in
   (* Lookup precedes the write check, as on Linux: an existing entry is
      EEXIST even when the parent is not writable by the caller. *)
   if Hashtbl.mem children name then Error Errno.EEXIST
   else
-    let* () = require t pnode cred Perm.w_ok in
+    let* () = require pnode cred Perm.w_ok in
     begin
     let node =
       fresh_node t ~mode ~uid:cred.Cred.uid ~gid:cred.Cred.gid
@@ -269,8 +264,6 @@ let mkdir_raw ?(mode = 0o755) t ~cred path ~emit_op =
     Hashtbl.replace children name node;
     pnode.mtime <- t.now;
     let canon = Path.child pcanon name in
-    (* Kills any negative entry for the new name. *)
-    Dcache.invalidate_prefix t.dcache canon;
     if emit_op then emit t (Op.Mkdir { path = canon; mode });
     Ok ()
   end
@@ -294,11 +287,11 @@ let mkdir_p ?mode t ~cred path =
 let create_file_raw ?(mode = 0o644) t ~cred path ~emit_op =
   let* () = require_rw t in
   let* pnode, pcanon, name = resolve_parent t cred path in
-  let* () = require t pnode cred Perm.x_ok in
+  let* () = require pnode cred Perm.x_ok in
   let* children = dir_children pnode in
   if Hashtbl.mem children name then Error Errno.EEXIST
   else
-    let* () = require t pnode cred Perm.w_ok in
+    let* () = require pnode cred Perm.w_ok in
     begin
     let node =
       fresh_node t ~mode ~uid:cred.Cred.uid ~gid:cred.Cred.gid
@@ -307,7 +300,6 @@ let create_file_raw ?(mode = 0o644) t ~cred path ~emit_op =
     Hashtbl.replace children name node;
     pnode.mtime <- t.now;
     let canon = Path.child pcanon name in
-    Dcache.invalidate_prefix t.dcache canon;
     if emit_op then emit t (Op.Create { path = canon; mode });
     Ok (node, canon)
   end
@@ -326,7 +318,7 @@ let file_data node =
 let read_file t ~cred path =
   sys t;
   let* node, _ = resolve t cred ~follow_last:true path in
-  let* () = require t node cred Perm.r_ok in
+  let* () = require node cred Perm.r_ok in
   match Hashtbl.find_opt t.generators node.ino with
   | Some gen ->
     (* Procfs semantics: content is produced by the kernel at read time;
@@ -371,7 +363,7 @@ let write_file_raw t ~cred path data ~emit_op =
   let* existing =
     match resolve t cred ~follow_last:true path with
     | Ok (node, canon) ->
-      let* () = require t node cred Perm.w_ok in
+      let* () = require node cred Perm.w_ok in
       let* f = file_data node in
       Ok (node, canon, f, true)
     | Error Errno.ENOENT ->
@@ -401,7 +393,7 @@ let append_file t ~cred path data =
   let* node, canon, f =
     match resolve t cred ~follow_last:true path with
     | Ok (node, canon) ->
-      let* () = require t node cred Perm.w_ok in
+      let* () = require node cred Perm.w_ok in
       let* f = file_data node in
       Ok (node, canon, f)
     | Error Errno.ENOENT ->
@@ -421,7 +413,7 @@ let truncate t ~cred path size =
   if size < 0 then Error Errno.EINVAL
   else
     let* node, canon = resolve t cred ~follow_last:true path in
-    let* () = require t node cred Perm.w_ok in
+    let* () = require node cred Perm.w_ok in
     let* f = file_data node in
     if size <= f.len then begin
       t.bytes_used <- t.bytes_used - (f.len - size);
@@ -446,8 +438,8 @@ let drop_node t node =
 let unlink_raw t ~cred path ~emit_op =
   let* () = require_rw t in
   let* pnode, pcanon, name = resolve_parent t cred path in
-  let* () = require t pnode cred Perm.w_ok in
-  let* () = require t pnode cred Perm.x_ok in
+  let* () = require pnode cred Perm.w_ok in
+  let* () = require pnode cred Perm.x_ok in
   let* children = dir_children pnode in
   match Hashtbl.find_opt children name with
   | None -> Error Errno.ENOENT
@@ -459,7 +451,6 @@ let unlink_raw t ~cred path ~emit_op =
       drop_node t node;
       pnode.mtime <- t.now;
       let canon = Path.child pcanon name in
-      Dcache.invalidate_prefix t.dcache canon;
       if emit_op then emit t (Op.Unlink { path = canon });
       Ok ())
 
@@ -470,19 +461,14 @@ let unlink t ~cred path =
 (* Depth-first removal; emits one op per removed entry so that both
    fsnotify watchers and distributed replicas see every deletion. *)
 let rec remove_tree t ~cred canon node ~emit_op =
-  (* Per-entry invalidation, not just one prefix sweep at the top: the
-     per-entry ops emitted below run hooks that may look paths up and
-     re-populate the cache with entries this very removal is about to
-     delete. *)
   match node.payload with
   | P_file _ | P_symlink _ ->
     drop_node t node;
-    Dcache.invalidate_prefix t.dcache canon;
     if emit_op then emit t (Op.Unlink { path = canon });
     Ok ()
   | P_dir children ->
-    let* () = require t node cred Perm.w_ok in
-    let* () = require t node cred Perm.x_ok in
+    let* () = require node cred Perm.w_ok in
+    let* () = require node cred Perm.x_ok in
     let entries =
       Hashtbl.fold (fun name child acc -> (name, child) :: acc) children []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b)
@@ -492,22 +478,18 @@ let rec remove_tree t ~cred canon node ~emit_op =
       | (name, child) :: rest ->
         let* () = remove_tree t ~cred (Path.child canon name) child ~emit_op in
         Hashtbl.remove children name;
-        (* Again after the parent-side removal: the emit above ran while
-           the entry was still linked. *)
-        Dcache.invalidate_prefix t.dcache (Path.child canon name);
         go rest
     in
     let* () = go entries in
     drop_node t node;
-    Dcache.invalidate_prefix t.dcache canon;
     if emit_op then emit t (Op.Rmdir { path = canon; recursive = false });
     Ok ()
 
 let rmdir_raw ?(recursive = false) t ~cred path ~emit_op =
   let* () = require_rw t in
   let* pnode, pcanon, name = resolve_parent t cred path in
-  let* () = require t pnode cred Perm.w_ok in
-  let* () = require t pnode cred Perm.x_ok in
+  let* () = require pnode cred Perm.w_ok in
+  let* () = require pnode cred Perm.x_ok in
   let* children = dir_children pnode in
   match Hashtbl.find_opt children name with
   | None -> Error Errno.ENOENT
@@ -520,7 +502,6 @@ let rmdir_raw ?(recursive = false) t ~cred path ~emit_op =
         Hashtbl.remove children name;
         drop_node t node;
         pnode.mtime <- t.now;
-        Dcache.invalidate_prefix t.dcache canon;
         if emit_op then emit t (Op.Rmdir { path = canon; recursive = false });
         Ok ()
       end
@@ -530,7 +511,6 @@ let rmdir_raw ?(recursive = false) t ~cred path ~emit_op =
         let* () = remove_tree t ~cred canon node ~emit_op in
         Hashtbl.remove children name;
         pnode.mtime <- t.now;
-        Dcache.invalidate_prefix t.dcache canon;
         Ok ())
 
 let rmdir ?recursive t ~cred path =
@@ -540,7 +520,7 @@ let rmdir ?recursive t ~cred path =
 let readdir t ~cred path =
   sys t;
   let* node, _ = resolve t cred ~follow_last:true path in
-  let* () = require t node cred Perm.r_ok in
+  let* () = require node cred Perm.r_ok in
   let* children = dir_children node in
   node.atime <- t.now;
   Ok (Hashtbl.fold (fun name _ acc -> name :: acc) children []
@@ -551,13 +531,13 @@ let symlink_raw t ~cred ~target path ~emit_op =
   if target = "" then Error Errno.EINVAL
   else
     let* pnode, pcanon, name = resolve_parent t cred path in
-    let* () = require t pnode cred Perm.x_ok in
+    let* () = require pnode cred Perm.x_ok in
     let* children = dir_children pnode in
     if Hashtbl.mem children name then Error Errno.EEXIST
     else if not (t.symlink_policy (Path.child pcanon name) ~target) then
       Error Errno.EINVAL
     else
-      let* () = require t pnode cred Perm.w_ok in
+      let* () = require pnode cred Perm.w_ok in
       begin
       let node =
         fresh_node t ~mode:0o777 ~uid:cred.Cred.uid ~gid:cred.Cred.gid
@@ -566,7 +546,6 @@ let symlink_raw t ~cred ~target path ~emit_op =
       Hashtbl.replace children name node;
       pnode.mtime <- t.now;
       let canon = Path.child pcanon name in
-      Dcache.invalidate_prefix t.dcache canon;
       if emit_op then emit t (Op.Symlink { path = canon; target });
       Ok ()
     end
@@ -585,16 +564,16 @@ let readlink t ~cred path =
 let rename_raw t ~cred ~src ~dst ~emit_op =
   let* () = require_rw t in
   let* spnode, spcanon, sname = resolve_parent t cred src in
-  let* () = require t spnode cred Perm.w_ok in
-  let* () = require t spnode cred Perm.x_ok in
+  let* () = require spnode cred Perm.w_ok in
+  let* () = require spnode cred Perm.x_ok in
   let* schildren = dir_children spnode in
   match Hashtbl.find_opt schildren sname with
   | None -> Error Errno.ENOENT
   | Some node ->
     let scanon = Path.child spcanon sname in
     let* dpnode, dpcanon, dname = resolve_parent t cred dst in
-    let* () = require t dpnode cred Perm.w_ok in
-    let* () = require t dpnode cred Perm.x_ok in
+    let* () = require dpnode cred Perm.w_ok in
+    let* () = require dpnode cred Perm.x_ok in
     let* dchildren = dir_children dpnode in
     let dcanon = Path.child dpcanon dname in
     if Path.equal scanon dcanon then Ok ()
@@ -626,10 +605,6 @@ let rename_raw t ~cred ~src ~dst ~emit_op =
       spnode.mtime <- t.now;
       dpnode.mtime <- t.now;
       node.ctime <- t.now;
-      (* The whole moved subtree changes names, and any negative entry
-         under the destination is now wrong. *)
-      Dcache.invalidate_prefix t.dcache scanon;
-      Dcache.invalidate_prefix t.dcache dcanon;
       if emit_op then emit t (Op.Rename { src = scanon; dst = dcanon });
       Ok ()
     end
@@ -656,8 +631,8 @@ let openfile ?(mode = 0o644) t ~cred path flags =
       Cost.suspended t.cost (fun () -> create_file_raw ~mode t ~cred path ~emit_op:true)
     | Error _ as e -> e
   in
-  let* () = if readable then require t node cred Perm.r_ok else Ok () in
-  let* () = if writable then require t node cred Perm.w_ok else Ok () in
+  let* () = if readable then require node cred Perm.r_ok else Ok () in
+  let* () = if writable then require node cred Perm.w_ok else Ok () in
   let* () =
     if writable then match node.payload with
       | P_dir _ -> Error Errno.EISDIR
@@ -769,10 +744,6 @@ let chmod t ~cred path mode =
   let* () = require_owner node cred in
   node.mode <- mode land 0o7777;
   node.ctime <- t.now;
-  (* Prefix, not just the node: a changed x-bit on a directory decides
-     traversal for everything cached below it. *)
-  Dcache.invalidate_prefix t.dcache canon;
-  Dcache.invalidate_attrs t.dcache ~ino:node.ino;
   emit t (Op.Chmod { path = canon; mode = node.mode });
   Ok ()
 
@@ -785,8 +756,6 @@ let chown t ~cred path ~uid ~gid =
     node.uid <- uid;
     node.gid <- gid;
     node.ctime <- t.now;
-    Dcache.invalidate_prefix t.dcache canon;
-    Dcache.invalidate_attrs t.dcache ~ino:node.ino;
     emit t (Op.Chown { path = canon; uid; gid });
     Ok ()
   end
@@ -794,7 +763,7 @@ let chown t ~cred path ~uid ~gid =
 let access t ~cred path a =
   sys t;
   let* node, _ = resolve t cred ~follow_last:true path in
-  require t node cred a
+  require node cred a
 
 let canonicalize t ~cred path =
   sys t;
@@ -809,7 +778,7 @@ let setxattr t ~cred path ~name ~value =
   if name = "" then Error Errno.EINVAL
   else
     let* node, canon = resolve t cred ~follow_last:true path in
-    let* () = require t node cred Perm.w_ok in
+    let* () = require node cred Perm.w_ok in
     node.xattrs <- (name, value) :: List.remove_assoc name node.xattrs;
     node.ctime <- t.now;
     emit t (Op.Set_xattr { path = canon; name; value });
@@ -818,7 +787,7 @@ let setxattr t ~cred path ~name ~value =
 let getxattr t ~cred path ~name =
   sys t;
   let* node, _ = resolve t cred ~follow_last:true path in
-  let* () = require t node cred Perm.r_ok in
+  let* () = require node cred Perm.r_ok in
   match List.assoc_opt name node.xattrs with
   | Some v -> Ok v
   | None -> Error Errno.ENOENT
@@ -826,14 +795,14 @@ let getxattr t ~cred path ~name =
 let listxattr t ~cred path =
   sys t;
   let* node, _ = resolve t cred ~follow_last:true path in
-  let* () = require t node cred Perm.r_ok in
+  let* () = require node cred Perm.r_ok in
   Ok (List.map fst node.xattrs |> List.sort String.compare)
 
 let removexattr t ~cred path ~name =
   sys t;
   let* () = require_rw t in
   let* node, canon = resolve t cred ~follow_last:true path in
-  let* () = require t node cred Perm.w_ok in
+  let* () = require node cred Perm.w_ok in
   if List.mem_assoc name node.xattrs then begin
     node.xattrs <- List.remove_assoc name node.xattrs;
     node.ctime <- t.now;
@@ -853,8 +822,6 @@ let set_acl t ~cred path acl =
     let* () = require_owner node cred in
     node.acl <- acl;
     node.ctime <- t.now;
-    Dcache.invalidate_prefix t.dcache canon;
-    Dcache.invalidate_attrs t.dcache ~ino:node.ino;
     emit t (Op.Set_acl { path = canon; acl });
     Ok ()
 
@@ -926,24 +893,18 @@ let replay_raw t op =
         | Error _ as e -> e)
       | Chmod { path; mode } -> (
         (* Attribute ops are applied inline here rather than through
-           [chmod] (replay must not re-check ownership), so they carry
-           their own cache invalidation — this is what keeps a replica's
-           dcache honest under [replay ~emit:false]. *)
+           [chmod]: replay must not re-check ownership. *)
         match resolve t cred ~follow_last:true path with
-        | Ok (node, canon) ->
+        | Ok (node, _) ->
           node.mode <- mode land 0o7777;
-          Dcache.invalidate_prefix t.dcache canon;
-          Dcache.invalidate_attrs t.dcache ~ino:node.ino;
           Ok ()
         | Error Errno.ENOENT -> Ok ()
         | Error _ as e -> Result.map (fun _ -> ()) e)
       | Chown { path; uid; gid } -> (
         match resolve t cred ~follow_last:true path with
-        | Ok (node, canon) ->
+        | Ok (node, _) ->
           node.uid <- uid;
           node.gid <- gid;
-          Dcache.invalidate_prefix t.dcache canon;
-          Dcache.invalidate_attrs t.dcache ~ino:node.ino;
           Ok ()
         | Error Errno.ENOENT -> Ok ()
         | Error _ as e -> Result.map (fun _ -> ()) e)
@@ -963,10 +924,8 @@ let replay_raw t op =
         | Error _ as e -> Result.map (fun _ -> ()) e)
       | Set_acl { path; acl } -> (
         match resolve t cred ~follow_last:true path with
-        | Ok (node, canon) ->
+        | Ok (node, _) ->
           node.acl <- acl;
-          Dcache.invalidate_prefix t.dcache canon;
-          Dcache.invalidate_attrs t.dcache ~ino:node.ino;
           Ok ()
         | Error Errno.ENOENT -> Ok ()
         | Error _ as e -> Result.map (fun _ -> ()) e))

@@ -47,20 +47,15 @@ val id : t -> int
 (** Unique per file system created in this process: a cheap hash key
     for tables that must not hash (or pin) the file system itself. *)
 
-(** {1 Dentry + attribute cache}
+(** {1 Path resolution}
 
-    Path resolution is served through a {!Dcache} — a dentry map with
-    negative entries plus per-inode cached permission decisions —
-    invalidated through the same mutation path that feeds the op
-    stream, including {!replay} on DFS replicas. The cache is
-    semantically invisible: every operation returns the same result and
-    emits the same ops with it on or off; only the counters on
-    {!Cost.t} differ. Enabled by default. *)
-
-val set_dcache_enabled : t -> bool -> unit
-(** Disabling also flushes, so re-enabling starts cold. *)
-
-val dcache_enabled : t -> bool
+    Every path is resolved by one walk from the root: per component, a
+    probe of the directory's (name -> node) table and a traversal
+    permission check. The per-directory tables are the dentry cache, as
+    in Linux; there is no full-path cache above them, so no mutation
+    has anything to invalidate. A walk that crosses no symlink returns
+    the queried path as the canonical one; ops and events carry
+    canonical paths. *)
 
 (** {1 Simulated time}
 

@@ -22,12 +22,6 @@ let register_probes ~telemetry ~fs ~net =
   gi "vfs.crossings" (fun () -> C.crossings cost);
   g "vfs.charged_ns" (fun () -> C.charged_ns cost);
   gi "vfs.components" (fun () -> C.components cost);
-  gi "vfs.dcache.hits" (fun () -> C.dentry_hits cost);
-  gi "vfs.dcache.misses" (fun () -> C.dentry_misses cost);
-  gi "vfs.dcache.negative_hits" (fun () -> C.negative_hits cost);
-  gi "vfs.dcache.attr_hits" (fun () -> C.attr_hits cost);
-  gi "vfs.dcache.attr_misses" (fun () -> C.attr_misses cost);
-  gi "vfs.dcache.invalidations" (fun () -> C.invalidations cost);
   (* Callbacks every mutation runs: the fan-out fsnotify's shared
      dispatcher keeps flat in fleet size. *)
   gi "vfs.hooks" (fun () -> Vfs.Fs.hooks fs);

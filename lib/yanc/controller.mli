@@ -39,8 +39,8 @@ val proc : t -> Yancfs.Procdir.t
 val scheduler : t -> Scheduler.t
 
 val cost : t -> Vfs.Cost.t
-(** The controller file system's cost model — kernel crossings, dcache
-    counters and the fsnotify routing counters (events dispatched,
+(** The controller file system's cost model — kernel crossings, path
+    components walked and the fsnotify routing counters (events dispatched,
     watches visited, coalesced, overflow-dropped) that [yancctl]
     surfaces. *)
 

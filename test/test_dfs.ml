@@ -376,30 +376,29 @@ let test_fsnotify_fires_on_replica () =
   Alcotest.(check bool) "watcher fired for a remote write" true
     (List.exists (fun (e : Fsnotify.Event.t) -> e.name = Some "f") events)
 
-let test_dcache_invalidated_by_replication () =
-  (* Replicated ops arrive via [Fs.replay ~emit:false] — they must
-     invalidate the replica's dentry/attribute cache exactly as local
-     mutations do, or warm replica reads serve stale state. *)
+let test_replica_reads_see_replayed_state () =
+  (* Replicated ops arrive via [Fs.replay ~emit:false]. Reads on the
+     replica before and after each replicated op must see the replayed
+     namespace and attributes. *)
   let c = Dfs.Cluster.create ~consistency:Dfs.Consistency.Sequential ~n:2 () in
   let origin = Dfs.Cluster.node c 0 in
   let remote = Dfs.Cluster.node c 1 in
   let alice = Vfs.Cred.make ~uid:100 ~gid:100 () in
   ok (Fs.mkdir origin ~cred (p "/d"));
   ok (Fs.write_file origin ~cred (p "/d/f") "v1");
-  (* warm the remote cache: positive, negative, and a permission decision *)
-  Alcotest.(check (option string)) "warm positive" (Some "v1") (read_on remote "/d/f");
-  Alcotest.(check (option string)) "warm negative" None (read_on remote "/d/g");
-  Alcotest.(check bool) "warm alice decision" true
+  Alcotest.(check (option string)) "positive read" (Some "v1") (read_on remote "/d/f");
+  Alcotest.(check (option string)) "negative read" None (read_on remote "/d/g");
+  Alcotest.(check bool) "alice reads" true
     (Result.is_ok (Fs.read_file remote ~cred:alice (p "/d/f")));
-  (* structural invalidation: replicated create kills the negative entry *)
+  (* a replicated create turns ENOENT into content *)
   ok (Fs.write_file origin ~cred (p "/d/g") "new");
-  Alcotest.(check (option string)) "negative expired" (Some "new")
+  Alcotest.(check (option string)) "created" (Some "new")
     (read_on remote "/d/g");
-  (* attribute invalidation: replicated chmod revokes the cached decision *)
+  (* a replicated chmod revokes alice's traversal *)
   ok (Fs.chmod origin ~cred (p "/d") 0o700);
   Alcotest.(check bool) "alice revoked on replica" true
     (Fs.read_file remote ~cred:alice (p "/d/f") = Error Vfs.Errno.EACCES);
-  (* prefix invalidation: replicated rename moves warm paths *)
+  (* a replicated rename moves the subtree *)
   ok (Fs.rename origin ~cred ~src:(p "/d") ~dst:(p "/e"));
   Alcotest.(check (option string)) "old prefix dead" None (read_on remote "/d/f");
   Alcotest.(check (option string)) "new prefix live" (Some "v1")
@@ -426,8 +425,8 @@ let () =
             test_xattr_consistency_relaxed;
           Alcotest.test_case "metrics" `Quick test_metrics;
           Alcotest.test_case "fsnotify on replica" `Quick test_fsnotify_fires_on_replica;
-          Alcotest.test_case "dcache invalidated by replication" `Quick
-            test_dcache_invalidated_by_replication ] );
+          Alcotest.test_case "replica reads see replayed state" `Quick
+            test_replica_reads_see_replayed_state ] );
       ( "distributed-controller",
         [ Alcotest.test_case "remote write reaches hardware" `Quick
             test_distributed_controller;
