@@ -220,8 +220,9 @@ let e4_fanout () =
   in
   print_benchmarks "e4" (run_benchmarks tests);
   (* zero-copy contrast *)
-  section "E4b  bulk data: event-directory copy vs libyanc shm ring (8.1)";
-  let ring = Libyanc.Shm_ring.create ~capacity:1024 in
+  section "E4b  bulk data: event-directory copy vs the pktin ring (8.1)";
+  let ring = Y.Pktin.create ~capacity:1024 ~telemetry:(Telemetry.create ()) () in
+  let consumer = Y.Pktin.subscribe ring ~name:"a" in
   let fs, yfs = fresh_yancfs () in
   ignore yfs;
   ignore (Y.Eventdir.subscribe fs ~cred ~root:net_root ~switch:"sw1" ~app:"a");
@@ -236,9 +237,12 @@ let e4_fanout () =
                   ~total_len:(String.length frame) ~data:frame);
              if !n mod 32 = 0 then
                ignore (Y.Eventdir.consume fs ~cred ~root:net_root ~switch:"sw1" ~app:"a"));
-         test "deliver/shm_ring_zero_copy" (fun () ->
-             ignore (Libyanc.Shm_ring.push ring frame);
-             ignore (Libyanc.Shm_ring.pop ring)) ])
+         test "deliver/pktin_zero_copy" (fun () ->
+             ignore
+               (Y.Pktin.publish ring ~switch:"sw1" ~in_port:1
+                  ~reason:OF.Of_types.No_match ~buffer_id:None
+                  ~total_len:(String.length frame) ~data:frame ~at:0.);
+             ignore (Y.Pktin.drain ring consumer ~max:1 ignore)) ])
 
 (* ================================================================== *)
 (* Ablation — fsnotify watch granularity (DESIGN.md): a watch per
@@ -303,7 +307,7 @@ let ablation_notify () =
 (* ================================================================== *)
 
 let ablation_lookup () =
-  section "ABL2 flow-table lookup: linear scan vs exact-match hash";
+  section "ABL2 flow-table lookup on exact-match tables: linear vs classifier";
   let header frame in_port = P.Headers.of_eth ~in_port frame in
   let mk_frame i =
     P.Builder.tcp_syn
@@ -329,14 +333,15 @@ let ablation_lookup () =
             test
               (Printf.sprintf "lookup/%s/%d_flows" label size)
               (fun () -> ignore (N.Flow_table.lookup t ~now:0. probe)))
-          [ "linear", N.Flow_table.Linear; "hash", N.Flow_table.Exact_hash ])
+          [ "linear", N.Flow_table.Linear;
+            "classifier", N.Flow_table.Classifier ])
       [ 10; 100; 1000 ]
   in
   print_benchmarks "abl2" (run_benchmarks tests)
 
 (* ================================================================== *)
 (* E15 — the tuple-space classifier (DESIGN.md): entries examined per
-   lookup and wall time, Linear vs Exact_hash vs Classifier, over a
+   lookup and wall time, Linear vs Classifier, over a
    mixed-mask rule set (per-MAC forwarding + /24 subnets + port ACLs +
    exact microflows) like a router-plus-ACL controller installs. *)
 (* ================================================================== *)
@@ -390,8 +395,7 @@ let e15_table strategy size =
   t
 
 let e15_strategies =
-  [ "linear", N.Flow_table.Linear; "hash", N.Flow_table.Exact_hash;
-    "classifier", N.Flow_table.Classifier ]
+  [ "linear", N.Flow_table.Linear; "classifier", N.Flow_table.Classifier ]
 
 let e15_classifier () =
   section "E15a classifier: entries examined per lookup over mixed-mask rules";

@@ -889,14 +889,13 @@ let datapath_arg =
     & opt
         (enum
            [ "linear", N.Flow_table.Linear;
-             "hash", N.Flow_table.Exact_hash;
              "classifier", N.Flow_table.Classifier ])
         N.Flow_table.Classifier
     & info [ "datapath" ] ~docv:"STRATEGY"
         ~doc:
           "Switch flow-table lookup strategy: classifier (tuple-space \
-           search with a microflow cache, the default), hash (exact-match \
-           fast path), or linear (the reference scan).")
+           search with a microflow cache, the default here) or linear \
+           (the reference scan, and the library and benchmark default).")
 
 let of13_arg =
   Arg.(value & flag & info [ "of13" ] ~doc:"Attach OpenFlow 1.3 drivers instead of 1.0.")

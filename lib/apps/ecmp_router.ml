@@ -6,10 +6,9 @@ let app_name = "ecmpd"
 
 type delivery = Ring | Eventdir
 
-type location = { switch : string; port : int }
+type location = Path_install.location = { switch : string; port : int }
 
-(* One next-hop option: out port here, peer switch, peer's in port. *)
-type hop = { out_port : int; peer : string; peer_in : int }
+type hop = Path_install.hop = { out_port : int; peer : string; peer_in : int }
 
 type t = {
   yfs : Y.Yanc_fs.t;
@@ -62,17 +61,7 @@ let adjacency t =
   match t.adj with
   | Some adj -> adj
   | None ->
-    let adj = Hashtbl.create 64 in
-    List.iter
-      (fun switch ->
-        List.iter
-          (fun port ->
-            match Y.Yanc_fs.peer_of t.yfs ~cred:t.cred ~switch ~port with
-            | Some (peer, peer_in) ->
-              Hashtbl.add adj switch { out_port = port; peer; peer_in }
-            | None -> ())
-          (Y.Yanc_fs.port_numbers t.yfs ~cred:t.cred switch))
-      (Y.Yanc_fs.switch_names t.yfs);
+    let adj = Path_install.adjacency t.yfs ~cred:t.cred in
     t.adj <- Some adj;
     adj
 
@@ -205,41 +194,16 @@ let lookup_host t mac =
 
 (* --- installation ------------------------------------------------------------ *)
 
-let install t ~headers ~ingress ~dst_loc ~buffer_id ~data ~hops =
+let install t ~headers ~ingress ~dst_loc ~buffer_id ~data hops =
   t.paths <- t.paths + 1;
   Telemetry.Registry.incr t.c_installs;
-  let exact = OF.Of_match.exact_of_headers headers in
-  (* (switch, in_port, out_port) per hop, final delivery last. *)
-  let flows =
-    let rec build sw in_port = function
-      | [] -> [ sw, in_port, dst_loc.port ]
-      | h :: rest -> (sw, in_port, h.out_port) :: build h.peer h.peer_in rest
-    in
-    build ingress.switch ingress.port hops
+  let name () =
+    t.flow_seq <- t.flow_seq + 1;
+    Printf.sprintf "ecmp%s-%d" t.tag t.flow_seq
   in
-  (* Last hop first, ingress last, so no packet races an absent rule. *)
-  List.iter
-    (fun (sw, in_port, out_port) ->
-      t.flow_seq <- t.flow_seq + 1;
-      let is_ingress_hop = sw = ingress.switch && in_port = ingress.port in
-      let flow =
-        { Y.Flowdir.default with
-          Y.Flowdir.of_match = { exact with OF.Of_match.in_port = Some in_port };
-          actions = [ OF.Action.Output (OF.Action.Physical out_port) ];
-          priority = t.priority;
-          idle_timeout = t.idle_timeout;
-          buffer_id = (if is_ingress_hop then buffer_id else None) }
-      in
-      let name = Printf.sprintf "ecmp%s-%d" t.tag t.flow_seq in
-      ignore (Y.Yanc_fs.create_flow t.yfs ~cred:t.cred ~switch:sw ~name flow);
-      (* Unbuffered ingress: push the original packet along too. *)
-      if is_ingress_hop && buffer_id = None then
-        ignore
-          (Y.Outdir.submit (fs t) ~cred:t.cred ~root:(root t) ~switch:sw
-             ~in_port
-             ~actions:[ OF.Action.Output (OF.Action.Physical out_port) ]
-             ~data ()))
-    (List.rev flows)
+  Path_install.install t.yfs ~cred:t.cred ~name ~priority:t.priority
+    ~idle_timeout:t.idle_timeout ~headers ~ingress ~dst_loc ~buffer_id ~data
+    hops
 
 let process t ~switch ~in_port ~buffer_id ~data frame =
   match frame.P.Eth.payload with
@@ -269,7 +233,7 @@ let process t ~switch ~in_port ~buffer_id ~data frame =
       let headers = P.Headers.of_eth ~in_port frame in
       let ingress = { switch; port = in_port } in
       if dst_loc.switch = switch then
-        install t ~headers ~ingress ~dst_loc ~buffer_id ~data ~hops:[]
+        install t ~headers ~ingress ~dst_loc ~buffer_id ~data []
       else begin
         let hash = OF.Of_match.Packed.(hash (of_headers headers)) in
         let attempt () = route t ~hash ~from_sw:switch ~dst_sw:dst_loc.switch in
@@ -282,7 +246,7 @@ let process t ~switch ~in_port ~buffer_id ~data frame =
             attempt ()
         in
         match hops with
-        | Some hops -> install t ~headers ~ingress ~dst_loc ~buffer_id ~data ~hops
+        | Some hops -> install t ~headers ~ingress ~dst_loc ~buffer_id ~data hops
         | None -> Telemetry.Registry.incr t.c_no_route
       end)
 

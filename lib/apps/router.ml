@@ -4,7 +4,7 @@ module OF = Openflow
 
 let app_name = "routerd"
 
-type location = { switch : string; port : int }
+type location = Path_install.location = { switch : string; port : int }
 
 type t = {
   yfs : Y.Yanc_fs.t;
@@ -27,21 +27,6 @@ let fs t = Y.Yanc_fs.fs t.yfs
 
 let root t = Y.Yanc_fs.root t.yfs
 
-(* Adjacency from the topology daemon's peer symlinks. *)
-let adjacency t =
-  let adj = Hashtbl.create 16 in
-  List.iter
-    (fun switch ->
-      List.iter
-        (fun port ->
-          match Y.Yanc_fs.peer_of t.yfs ~cred:t.cred ~switch ~port with
-          | Some (peer_sw, peer_port) ->
-            Hashtbl.add adj switch (port, peer_sw, peer_port)
-          | None -> ())
-        (Y.Yanc_fs.port_numbers t.yfs ~cred:t.cred switch))
-    (Y.Yanc_fs.switch_names t.yfs);
-  adj
-
 let edge_ports t switch =
   List.filter
     (fun port ->
@@ -52,12 +37,12 @@ let edge_ports t switch =
       | Error _ -> false)
     (Y.Yanc_fs.port_numbers t.yfs ~cred:t.cred switch)
 
-(* BFS shortest path; result is per-hop (switch, out_port, next_in_port),
-   excluding the final host port. *)
+(* BFS shortest path over the peer symlinks, as the hops leaving each
+   switch on the way. *)
 let path t ~from_sw ~to_sw =
   if from_sw = to_sw then Some []
   else begin
-    let adj = adjacency t in
+    let adj = Path_install.adjacency t.yfs ~cred:t.cred in
     let visited = Hashtbl.create 16 in
     let queue = Queue.create () in
     Hashtbl.replace visited from_sw None;
@@ -68,10 +53,10 @@ let path t ~from_sw ~to_sw =
       if sw = to_sw then found := true
       else
         List.iter
-          (fun (port, peer_sw, peer_port) ->
-            if not (Hashtbl.mem visited peer_sw) then begin
-              Hashtbl.replace visited peer_sw (Some (sw, port, peer_port));
-              Queue.push peer_sw queue
+          (fun (h : Path_install.hop) ->
+            if not (Hashtbl.mem visited h.peer) then begin
+              Hashtbl.replace visited h.peer (Some (sw, h));
+              Queue.push h.peer queue
             end)
           (Hashtbl.find_all adj sw)
     done;
@@ -81,8 +66,7 @@ let path t ~from_sw ~to_sw =
       let rec back sw acc =
         match Hashtbl.find visited sw with
         | None -> acc
-        | Some (prev, out_port, in_port) ->
-          back prev ((prev, out_port, in_port) :: acc)
+        | Some (prev, h) -> back prev (h :: acc)
       in
       Some (back to_sw [])
     end
@@ -149,39 +133,13 @@ let install_path t ~headers ~ingress ~dst_loc ~buffer_id ~data =
     broadcast t ~ingress:(Some ingress) ~data ~buffer_id
   | Some hops ->
     t.paths <- t.paths + 1;
-    let exact = OF.Of_match.exact_of_headers headers in
-    (* Last hop first, ingress last, so no packet races an absent rule. *)
-    let flows =
-      (* (switch, in_port, out_port) per hop, then the final delivery. *)
-      let rec build in_port = function
-        | [] -> [ dst_loc.switch, in_port, dst_loc.port ]
-        | (sw, out_port, next_in) :: rest ->
-          (sw, in_port, out_port) :: build next_in rest
-      in
-      build ingress.port hops
+    let name () =
+      t.flow_seq <- t.flow_seq + 1;
+      Printf.sprintf "path-%d" t.flow_seq
     in
-    List.iter
-      (fun (sw, in_port, out_port) ->
-        t.flow_seq <- t.flow_seq + 1;
-        let is_ingress_hop = sw = ingress.switch && in_port = ingress.port in
-        let flow =
-          { Y.Flowdir.default with
-            Y.Flowdir.of_match = { exact with OF.Of_match.in_port = Some in_port };
-            actions = [ OF.Action.Output (OF.Action.Physical out_port) ];
-            priority = t.priority;
-            idle_timeout = t.idle_timeout;
-            buffer_id = (if is_ingress_hop then buffer_id else None) }
-        in
-        let name = Printf.sprintf "path-%d" t.flow_seq in
-        ignore (Y.Yanc_fs.create_flow t.yfs ~cred:t.cred ~switch:sw ~name flow);
-        (* Unbuffered ingress: push the original packet along too. *)
-        if is_ingress_hop && buffer_id = None then
-          ignore
-            (Y.Outdir.submit (fs t) ~cred:t.cred ~root:(root t) ~switch:sw
-               ~in_port
-               ~actions:[ OF.Action.Output (OF.Action.Physical out_port) ]
-               ~data ()))
-      (List.rev flows)
+    Path_install.install t.yfs ~cred:t.cred ~name ~priority:t.priority
+      ~idle_timeout:t.idle_timeout ~headers ~ingress ~dst_loc ~buffer_id ~data
+      hops
 
 let handle_frame t ~switch (ev : Y.Eventdir.event) =
   match Y.Eventdir.frame_of ev with

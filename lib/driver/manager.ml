@@ -10,60 +10,11 @@ type attachment = {
   ctl_end : Netsim.Control_channel.endpoint;
 }
 
-(* A lazy binary min-heap of (due, dpid) wake-up timers. Entries are
-   never removed — a popped entry whose switch is already runnable, or
+(* Wake-up timers: a min-heap of (due, dpid). Entries are never
+   removed — a popped entry whose switch is already runnable, or
    detached, is a spurious wake costing one hash lookup. Laziness keeps
    push/pop O(log n) with no handle bookkeeping. *)
-module Timers = struct
-  type t = { mutable a : (float * int64) array; mutable n : int }
-
-  let create () = { a = Array.make 64 (infinity, 0L); n = 0 }
-
-  let size h = h.n
-
-  let swap h i j =
-    let x = h.a.(i) in
-    h.a.(i) <- h.a.(j);
-    h.a.(j) <- x
-
-  let push h due dpid =
-    if h.n = Array.length h.a then begin
-      let b = Array.make (2 * h.n) (infinity, 0L) in
-      Array.blit h.a 0 b 0 h.n;
-      h.a <- b
-    end;
-    h.a.(h.n) <- (due, dpid);
-    let i = ref h.n in
-    h.n <- h.n + 1;
-    while !i > 0 && fst h.a.((!i - 1) / 2) > fst h.a.(!i) do
-      let p = (!i - 1) / 2 in
-      swap h p !i;
-      i := p
-    done
-
-  let peek h = if h.n = 0 then None else Some h.a.(0)
-
-  let pop h =
-    if h.n = 0 then None
-    else begin
-      let top = h.a.(0) in
-      h.n <- h.n - 1;
-      h.a.(0) <- h.a.(h.n);
-      let i = ref 0 and sifting = ref true in
-      while !sifting do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let s = ref !i in
-        if l < h.n && fst h.a.(l) < fst h.a.(!s) then s := l;
-        if r < h.n && fst h.a.(r) < fst h.a.(!s) then s := r;
-        if !s = !i then sifting := false
-        else begin
-          swap h !i !s;
-          i := !s
-        end
-      done;
-      Some top
-    end
-end
+let due_lt ((a : float), (_ : int64)) ((b : float), (_ : int64)) = a < b
 
 type t = {
   yfs : Yancfs.Yanc_fs.t;
@@ -76,7 +27,7 @@ type t = {
      touches only these — the fleet can be 8k switches wide and a quiet
      tick costs O(runnable), not O(attached). *)
   runnable : (int64, unit) Hashtbl.t;
-  timers : Timers.t;
+  timers : (float * int64) Netsim.Heap.t;
   c_steps : Telemetry.Registry.counter;
   c_stepped : Telemetry.Registry.counter;
 }
@@ -86,7 +37,7 @@ let create ?(tuning = Driver_intf.default_tuning) ?(seed = 0x5EED) ~yfs ~net ()
   let reg = Telemetry.registry (Yancfs.Yanc_fs.telemetry yfs) in
   let t =
     { yfs; net; tuning; seed; attachments = Hashtbl.create 16;
-      runnable = Hashtbl.create 16; timers = Timers.create ();
+      runnable = Hashtbl.create 16; timers = Netsim.Heap.create ~lt:due_lt;
       c_steps = Telemetry.Registry.counter reg "driver.mgr.steps";
       c_stepped = Telemetry.Registry.counter reg "driver.mgr.stepped" }
   in
@@ -95,7 +46,7 @@ let create ?(tuning = Driver_intf.default_tuning) ?(seed = 0x5EED) ~yfs ~net ()
   Telemetry.Registry.gauge reg "driver.mgr.runnable" (fun () ->
       float_of_int (Hashtbl.length t.runnable));
   Telemetry.Registry.gauge reg "driver.mgr.timers" (fun () ->
-      float_of_int (Timers.size t.timers));
+      float_of_int (Netsim.Heap.length t.timers));
   t
 
 let detach t ~dpid =
@@ -169,9 +120,9 @@ let step t ~now =
   Telemetry.Registry.incr t.c_steps;
   (* Promote every due timer onto the runnable set. *)
   let rec promote () =
-    match Timers.peek t.timers with
+    match Netsim.Heap.peek t.timers with
     | Some (due, _) when due <= now -> (
-      match Timers.pop t.timers with
+      match Netsim.Heap.pop t.timers with
       | Some (_, dpid) ->
         if Hashtbl.mem t.attachments dpid then
           Hashtbl.replace t.runnable dpid ();
@@ -221,7 +172,7 @@ let step t ~now =
         else begin
           let due = due_of a ~now in
           if due <= now then Hashtbl.replace t.runnable dpid ()
-          else if due < infinity then Timers.push t.timers due dpid
+          else if due < infinity then Netsim.Heap.push t.timers (due, dpid)
         end)
     work
 

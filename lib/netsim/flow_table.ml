@@ -53,7 +53,7 @@ module Cost = struct
       t.micro_misses t.invalidations
 end
 
-type strategy = Linear | Exact_hash | Classifier
+type strategy = Linear | Classifier
 
 type entry = {
   of_match : Of_match.t;
@@ -100,7 +100,6 @@ let micro_cap = 8192
 
 type store =
   | Linear_s of { mutable entries : entry list }
-  | Exact_s of { mutable wildcard : entry list; exact : entry Packed.Tbl.t }
   | Classifier_s of classifier
 
 type t = {
@@ -120,7 +119,6 @@ let create ?(strategy = Linear) ?cost () =
   let store =
     match strategy with
     | Linear -> Linear_s { entries = [] }
-    | Exact_hash -> Exact_s { wildcard = []; exact = Packed.Tbl.create 64 }
     | Classifier ->
       Classifier_s
         { subtables = []; by_mask = Packed.Tbl.create 16;
@@ -133,10 +131,6 @@ let strategy t = t.strategy
 let timed t = t.timed
 
 let cost t = t.cost
-
-let is_hashable t (m : Of_match.t) =
-  t.strategy = Exact_hash && Of_match.is_exact m
-  && m.dl_vlan_pcp <> None = (m.dl_vlan <> None)
 
 (* Descending priority; equal priorities keep FIFO install order (the
    new entry carries the largest [seq], and goes after its peers). *)
@@ -345,16 +339,6 @@ let add t ~now ~of_match ~priority ~actions ?(cookie = 0L) ?(idle_timeout = 0)
     s.entries <-
       insert_sorted entry
         (List.filter (fun e -> not (same_rule e (of_match, priority))) s.entries)
-  | Exact_s s ->
-    if is_hashable t of_match then
-      Packed.Tbl.replace s.exact (Of_match.pack_rule of_match).Packed.value
-        entry
-    else
-      s.wildcard <-
-        insert_sorted entry
-          (List.filter
-             (fun e -> not (same_rule e (of_match, priority)))
-             s.wildcard)
   | Classifier_s cls -> cls_add cls t.cost entry
 
 let modify t ~of_match ~actions =
@@ -368,14 +352,6 @@ let modify t ~of_match ~actions =
   in
   (match t.store with
   | Linear_s s -> s.entries <- List.map update s.entries
-  | Exact_s s ->
-    s.wildcard <- List.map update s.wildcard;
-    let key = (Of_match.pack_rule of_match).Packed.value in
-    (match Packed.Tbl.find_opt s.exact key with
-    | Some e when Of_match.equal e.of_match of_match ->
-      incr count;
-      Packed.Tbl.replace s.exact key { e with actions }
-    | Some _ | None -> ())
   | Classifier_s cls ->
     let r = Of_match.pack_rule of_match in
     (match Packed.Tbl.find_opt cls.by_mask r.Packed.mask with
@@ -410,16 +386,6 @@ let delete ?(strict = false) ?priority t ~of_match =
       let removed, kept = List.partition doomed s.entries in
       s.entries <- kept;
       removed
-    | Exact_s s ->
-      let removed, kept = List.partition doomed s.wildcard in
-      s.wildcard <- kept;
-      let dead =
-        Packed.Tbl.fold
-          (fun k e acc -> if doomed e then (k, e) :: acc else acc)
-          s.exact []
-      in
-      List.iter (fun (k, _) -> Packed.Tbl.remove s.exact k) dead;
-      removed @ List.map snd dead
     | Classifier_s cls ->
       let removed =
         if strict then cls_remove_strict cls ~of_match ~priority
@@ -447,24 +413,6 @@ let lookup t ~now headers =
   cost.lookups <- cost.lookups + 1;
   match t.store with
   | Linear_s s -> linear_find cost ~now s.entries headers
-  | Exact_s s -> begin
-    let exact_hit =
-      match Packed.Tbl.find_opt s.exact (Packed.of_headers headers) with
-      | Some e ->
-        cost.entries_examined <- cost.entries_examined + 1;
-        if expired e ~now then None else Some e
-      | None -> None
-    in
-    let wildcard_hit () = linear_find cost ~now s.wildcard headers in
-    match exact_hit with
-    | Some e -> begin
-      (* A wildcard entry of strictly higher priority still wins. *)
-      match wildcard_hit () with
-      | Some w when w.priority > e.priority -> Some w
-      | Some _ | None -> Some e
-    end
-    | None -> wildcard_hit ()
-  end
   | Classifier_s cls -> cls_lookup cls cost ~now (Packed.of_headers headers)
 
 let hit entry ~now ~bytes =
@@ -482,16 +430,6 @@ let expire t ~now =
         let removed, kept = List.partition dead s.entries in
         s.entries <- kept;
         removed
-      | Exact_s s ->
-        let removed, kept = List.partition dead s.wildcard in
-        s.wildcard <- kept;
-        let doomed =
-          Packed.Tbl.fold
-            (fun k e acc -> if dead e then (k, e) :: acc else acc)
-            s.exact []
-        in
-        List.iter (fun (k, _) -> Packed.Tbl.remove s.exact k) doomed;
-        removed @ List.map snd doomed
       | Classifier_s cls ->
         let removed = cls_remove_if cls dead in
         if removed <> [] then invalidate cls t.cost;
@@ -501,7 +439,6 @@ let entries t =
   let all =
     match t.store with
     | Linear_s s -> s.entries
-    | Exact_s s -> Packed.Tbl.fold (fun _ e acc -> e :: acc) s.exact s.wildcard
     | Classifier_s cls ->
       List.concat_map
         (fun st -> Packed.Tbl.fold (fun _ es acc -> es @ acc) st.buckets [])
@@ -519,6 +456,5 @@ let is_expired = expired
 let length t =
   match t.store with
   | Linear_s s -> List.length s.entries
-  | Exact_s s -> List.length s.wildcard + Packed.Tbl.length s.exact
   | Classifier_s cls ->
     List.fold_left (fun acc st -> acc + st.s_count) 0 cls.subtables

@@ -1,19 +1,17 @@
 (** One OpenFlow flow table: priority-ordered wildcard matching with
     per-entry counters and idle/hard timeouts.
 
-    Three lookup strategies are provided so the cost of wildcard
-    classification can be measured (an ablation bench): [Linear] scans
-    the priority-sorted entry list; [Exact_hash] additionally keeps
-    fully-specified entries in a hash table keyed by the packed packet
-    12-tuple, falling back to the scan for wildcard entries;
-    [Classifier] is OVS-style tuple-space search — entries are
+    Two lookup strategies are provided: [Linear] scans the
+    priority-sorted entry list; [Classifier] is OVS-style tuple-space
+    search — entries are
     partitioned into subtables by their wildcard mask, each subtable a
     hash table from the masked packed tuple to its entries, walked in
     descending max-priority order with pruning, and fronted by an
     exact-match microflow cache so steady-state forwarding is one hash
-    probe. All strategies implement identical OpenFlow semantics;
-    [Linear] is the executable specification the others are tested
-    against. *)
+    probe. Both implement identical OpenFlow semantics; [Linear] is the
+    executable specification the classifier is tested against, and the
+    default — on the small exact-match tables of a flow-setup storm it
+    is also the faster of the two (bench ABL2). *)
 
 (** Datapath lookup counters — the flow-table analogue of {!Vfs.Cost}.
     One {!t} per switch (shared by all its tables, see
@@ -53,7 +51,7 @@ module Cost : sig
   val pp : Format.formatter -> t -> unit
 end
 
-type strategy = Linear | Exact_hash | Classifier
+type strategy = Linear | Classifier
 
 type entry = {
   of_match : Openflow.Of_match.t;

@@ -6,75 +6,15 @@ type link_state = { peer : endpoint; latency : float; mutable up : bool }
 
 type event = { at : float; seq : int; dst : endpoint; frame : P.Eth.t }
 
-(* A small binary min-heap on (at, seq) so same-time events stay FIFO. *)
-module Heap = struct
-  type t = { mutable data : event array; mutable len : int }
-
-  let dummy =
-    { at = 0.; seq = 0; dst = Hst ""; frame =
-        P.Eth.make ~src:P.Mac.zero ~dst:P.Mac.zero (P.Eth.Raw (0, "")) }
-
-  let create () = { data = Array.make 64 dummy; len = 0 }
-
-  let lt a b = a.at < b.at || (a.at = b.at && a.seq < b.seq)
-
-  let push h e =
-    if h.len = Array.length h.data then begin
-      let bigger = Array.make (2 * h.len) dummy in
-      Array.blit h.data 0 bigger 0 h.len;
-      h.data <- bigger
-    end;
-    h.data.(h.len) <- e;
-    h.len <- h.len + 1;
-    let i = ref (h.len - 1) in
-    while
-      !i > 0
-      &&
-      let parent = (!i - 1) / 2 in
-      lt h.data.(!i) h.data.(parent)
-    do
-      let parent = (!i - 1) / 2 in
-      let tmp = h.data.(!i) in
-      h.data.(!i) <- h.data.(parent);
-      h.data.(parent) <- tmp;
-      i := parent
-    done
-
-  let peek h = if h.len = 0 then None else Some h.data.(0)
-
-  let pop h =
-    if h.len = 0 then None
-    else begin
-      let top = h.data.(0) in
-      h.len <- h.len - 1;
-      h.data.(0) <- h.data.(h.len);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1
-        and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.len && lt h.data.(l) h.data.(!smallest) then smallest := l;
-        if r < h.len && lt h.data.(r) h.data.(!smallest) then smallest := r;
-        if !smallest = !i then continue := false
-        else begin
-          let tmp = h.data.(!i) in
-          h.data.(!i) <- h.data.(!smallest);
-          h.data.(!smallest) <- tmp;
-          i := !smallest
-        end
-      done;
-      Some top
-    end
-
-  let length h = h.len
-end
+(* Same-instant events stay FIFO: ties on [at] break on [seq]. *)
+let event_lt (a : event) (b : event) =
+  a.at < b.at || (a.at = b.at && a.seq < b.seq)
 
 type t = {
   default_latency : float;
   mutable now : float;
   mutable seq : int;
-  heap : Heap.t;
+  heap : event Heap.t;
   switches : (int64, Sim_switch.t) Hashtbl.t;
   hosts : (string, Sim_host.t) Hashtbl.t;
   links : (endpoint, link_state) Hashtbl.t;
@@ -84,7 +24,7 @@ type t = {
 }
 
 let create ?(default_latency = 1e-4) () =
-  { default_latency; now = 0.; seq = 0; heap = Heap.create ();
+  { default_latency; now = 0.; seq = 0; heap = Heap.create ~lt:event_lt;
     switches = Hashtbl.create 16; hosts = Hashtbl.create 16;
     links = Hashtbl.create 32; sinks = Hashtbl.create 16; delivered = 0;
     dropped = 0 }

@@ -972,16 +972,6 @@ let fold ?(follow = false) t ~cred path ~init f =
   fold_nodes t ~cred ~follow path ~init (fun acc canon node ->
       f acc canon (stat_of_node node))
 
-let walk t ~cred path visit =
-  sys t;
-  let* () =
-    Result.map ignore
-      (fold_nodes t ~cred ~follow:false path ~init:() (fun () canon node ->
-           visit canon (stat_of_node node);
-           ((), `Continue)))
-  in
-  Ok ()
-
 let tree t ~cred path =
   sys t;
   let* entries =

@@ -244,14 +244,7 @@ val fold :
     symlinks are never followed, so the traversal is a finite tree even
     with symlink cycles. Children are visited in sorted name order.
     Costs exactly one kernel crossing regardless of subtree size.
-    {!walk} and {!tree} are implemented on this. *)
-
-val walk :
-  t -> cred:Cred.t -> Path.t ->
-  (Path.t -> stat -> unit) -> (unit, Errno.t) result
-(** [fold] without accumulator or early stop: depth-first pre-order
-    traversal (does not follow symlinks), calling the visitor on every
-    object under and including the given path. *)
+    {!tree} is implemented on this. *)
 
 val tree : t -> cred:Cred.t -> Path.t -> (string, Errno.t) result
 (** An ASCII rendering of the subtree, in the style of tree(1) — used to

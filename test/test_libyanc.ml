@@ -1,5 +1,6 @@
-(* Tests for libyanc (paper §8.1): the shared-memory fastpath and the
-   zero-copy ring. The key invariant: the fastpath produces exactly the
+(* Tests for libyanc (paper §8.1): the shared-memory fastpath. The
+   zero-copy packet-in ring is {!Yancfs.Pktin}, tested in test_yancfs.
+   The key invariant: the fastpath produces exactly the
    same file-system state as the slow path, at a fraction of the kernel
    crossings. *)
 
@@ -60,16 +61,15 @@ let test_fastpath_state_identical_to_slow_path () =
        (Libyanc.Fastpath.push_flows fp
           (List.map (fun (name, flow) -> "sw1", name, flow) flows)));
   let dump fs =
-    let out = ref [] in
-    ok
-      (Fs.walk fs ~cred (Y.Layout.default_root) (fun path st ->
-           let content =
-             if st.Fs.kind = Fs.File then
-               match Fs.read_file fs ~cred path with Ok v -> v | Error _ -> ""
-             else ""
-           in
-           out := (Vfs.Path.to_string path, content) :: !out));
-    List.rev !out
+    List.rev
+      (ok
+         (Fs.fold fs ~cred Y.Layout.default_root ~init:[] (fun acc path st ->
+              let content =
+                if st.Fs.kind = Fs.File then
+                  match Fs.read_file fs ~cred path with Ok v -> v | Error _ -> ""
+                else ""
+              in
+              (Vfs.Path.to_string path, content) :: acc, `Continue)))
   in
   Alcotest.(check (list (pair string string))) "identical trees" (dump fs_slow)
     (dump fs_fast)
@@ -121,71 +121,6 @@ let test_fastpath_slow_path_cost_contrast () =
   ok (Libyanc.Fastpath.create_flow fp ~switch:"sw1" ~name:"fast" (sample_flow 2));
   Alcotest.(check int) "fastpath is one" 1 (Vfs.Cost.crossings cost)
 
-(* --- shm ring ------------------------------------------------------------------- *)
-
-let test_ring_fifo () =
-  let ring = Libyanc.Shm_ring.create ~capacity:4 in
-  Alcotest.(check bool) "push 1" true (Libyanc.Shm_ring.push ring "a");
-  Alcotest.(check bool) "push 2" true (Libyanc.Shm_ring.push ring "b");
-  Alcotest.(check (option string)) "pop fifo" (Some "a") (Libyanc.Shm_ring.pop ring);
-  Alcotest.(check bool) "push 3" true (Libyanc.Shm_ring.push ring "c");
-  Alcotest.(check (list string)) "drain order" [ "b"; "c" ]
-    (Libyanc.Shm_ring.pop_all ring);
-  Alcotest.(check (option string)) "empty" None (Libyanc.Shm_ring.pop ring)
-
-let test_ring_bounded () =
-  let ring = Libyanc.Shm_ring.create ~capacity:2 in
-  ignore (Libyanc.Shm_ring.push ring 1);
-  ignore (Libyanc.Shm_ring.push ring 2);
-  Alcotest.(check bool) "full rejects" false (Libyanc.Shm_ring.push ring 3);
-  Alcotest.(check int) "drop counted" 1 (Libyanc.Shm_ring.dropped ring);
-  ignore (Libyanc.Shm_ring.pop ring);
-  Alcotest.(check bool) "space again" true (Libyanc.Shm_ring.push ring 3);
-  Alcotest.(check int) "pushed total" 3 (Libyanc.Shm_ring.pushed ring)
-
-let test_ring_wraparound () =
-  let ring = Libyanc.Shm_ring.create ~capacity:3 in
-  for round = 0 to 9 do
-    Alcotest.(check bool) "push" true (Libyanc.Shm_ring.push ring round);
-    Alcotest.(check (option int)) "pop" (Some round) (Libyanc.Shm_ring.pop ring)
-  done;
-  Alcotest.(check int) "length settles" 0 (Libyanc.Shm_ring.length ring)
-
-let test_ring_zero_copy () =
-  (* References, not copies: the consumer receives the producer's exact
-     buffer. *)
-  let ring = Libyanc.Shm_ring.create ~capacity:2 in
-  let buffer = Bytes.of_string "packet-payload" in
-  ignore (Libyanc.Shm_ring.push ring buffer);
-  match Libyanc.Shm_ring.pop ring with
-  | Some received -> Alcotest.(check bool) "same physical buffer" true (received == buffer)
-  | None -> Alcotest.fail "lost the buffer"
-
-let prop_ring_preserves_order =
-  QCheck.Test.make ~name:"ring preserves FIFO order under mixed ops" ~count:200
-    QCheck.(list (int_bound 1))
-    (fun script ->
-      let ring = Libyanc.Shm_ring.create ~capacity:8 in
-      let reference = Queue.create () in
-      let next = ref 0 in
-      List.for_all
-        (fun op ->
-          if op = 0 then begin
-            let v = !next in
-            incr next;
-            let pushed = Libyanc.Shm_ring.push ring v in
-            if pushed then Queue.push v reference;
-            true
-          end
-          else
-            match Libyanc.Shm_ring.pop ring, Queue.take_opt reference with
-            | Some a, Some b -> a = b
-            | None, None -> true
-            | _ -> false)
-        script)
-
-let qcheck_cases = List.map QCheck_alcotest.to_alcotest [ prop_ring_preserves_order ]
-
 let () =
   Alcotest.run "libyanc"
     [ ( "fastpath",
@@ -196,10 +131,4 @@ let () =
           Alcotest.test_case "atomic create" `Quick test_fastpath_create_flow;
           Alcotest.test_case "bulk delete/read" `Quick test_fastpath_delete_and_read;
           Alcotest.test_case "cost contrast" `Quick
-            test_fastpath_slow_path_cost_contrast ] );
-      ( "shm-ring",
-        [ Alcotest.test_case "fifo" `Quick test_ring_fifo;
-          Alcotest.test_case "bounded" `Quick test_ring_bounded;
-          Alcotest.test_case "wraparound" `Quick test_ring_wraparound;
-          Alcotest.test_case "zero copy" `Quick test_ring_zero_copy ] );
-      "properties", qcheck_cases ]
+            test_fastpath_slow_path_cost_contrast ] ) ]

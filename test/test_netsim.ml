@@ -28,7 +28,6 @@ let add ?(priority = 100) ?(idle = 0) ?(hard = 0) ?(notify = false) t of_match
 
 let all_strategies =
   [ N.Flow_table.Linear, "linear";
-    N.Flow_table.Exact_hash, "hash";
     N.Flow_table.Classifier, "classifier" ]
 
 let test_table_priority () =
@@ -112,8 +111,8 @@ let test_table_expired_skipped_in_lookup () =
         { OF.Of_match.any with OF.Of_match.tp_dst = Some 80 }
         [ OF.Action.Output (OF.Action.Physical 1) ];
       add ~priority:10 t OF.Of_match.any [ OF.Action.Output (OF.Action.Physical 9) ];
-      (* an exact-match rule with a hard timeout, to cover the Exact_hash
-         fast path and the classifier's microflow cache *)
+      (* an exact-match rule with a hard timeout, to cover the
+         classifier's microflow cache *)
       add ~priority:300 ~hard:3 t
         (OF.Of_match.exact_of_headers (headers ~in_port:1 ()))
         [ OF.Action.Output (OF.Action.Physical 2) ];
@@ -446,37 +445,39 @@ let test_pipeline_equivalence () =
   in
   Alcotest.(check bool) "final pipelines identical" true (ta = tb)
 
+(* Priorities repeat and may descend, so the same match lands at two
+   priorities and exact rules tie wildcard ones, in both install orders. *)
 let prop_strategies_agree =
-  QCheck.Test.make ~name:"lookup strategies agree" ~count:200
+  QCheck.Test.make ~name:"lookup strategies agree" ~count:500
     (QCheck.make
        QCheck.Gen.(
          pair (int_range 1 4)
-           (list_size (int_range 0 12) (pair (int_range 1 4) (int_range 0 3)))))
+           (list_size (int_range 0 12)
+              (triple (int_range 1 4) (int_range 0 3) (int_range 0 3)))))
     (fun (port, rules) ->
-      let linear = table ~strategy:N.Flow_table.Linear () in
-      let hashed = table ~strategy:N.Flow_table.Exact_hash () in
-      let cls = table ~strategy:N.Flow_table.Classifier () in
-      List.iteri
-        (fun i (in_port, kind) ->
-          let of_match =
-            match kind with
-            | 0 -> OF.Of_match.any
-            | 1 -> { OF.Of_match.any with OF.Of_match.in_port = Some in_port }
-            | 2 -> { OF.Of_match.any with OF.Of_match.tp_dst = Some 80 }
-            | _ -> OF.Of_match.exact_of_headers (headers ~in_port ())
-          in
-          let actions = [ OF.Action.Output (OF.Action.Physical i) ] in
-          add ~priority:(10 * i) linear of_match actions;
-          add ~priority:(10 * i) hashed of_match actions;
-          add ~priority:(10 * i) cls of_match actions)
-        rules;
+      let build strategy =
+        let t = table ~strategy () in
+        List.iteri
+          (fun i (in_port, kind, prio) ->
+            let of_match =
+              match kind with
+              | 0 -> OF.Of_match.any
+              | 1 -> { OF.Of_match.any with OF.Of_match.in_port = Some in_port }
+              | 2 -> { OF.Of_match.any with OF.Of_match.tp_dst = Some 80 }
+              | _ -> OF.Of_match.exact_of_headers (headers ~in_port ())
+            in
+            add ~priority:(10 * prio) t of_match
+              [ OF.Action.Output (OF.Action.Physical i) ])
+          rules;
+        t
+      in
       let h = headers ~in_port:port () in
       let result t =
         Option.map
           (fun e -> e.N.Flow_table.priority, e.N.Flow_table.actions)
           (N.Flow_table.lookup t ~now:0. h)
       in
-      result linear = result hashed && result linear = result cls)
+      result (build N.Flow_table.Linear) = result (build N.Flow_table.Classifier))
 
 (* --- switch ---------------------------------------------------------------------- *)
 
@@ -1138,7 +1139,44 @@ let test_agent_flow_removed_notification () =
   in
   Alcotest.(check bool) "flow_removed delivered" true removed
 
-let qcheck_cases = List.map QCheck_alcotest.to_alcotest [ prop_strategies_agree ]
+(* The event queue's order: [at] first, FIFO [seq] among equal [at]. A
+   random push/pop interleaving must pop exactly what a sorted reference
+   list says is least, so pops are minima, each element pops once, and
+   equal instants pop in push order. *)
+type ev = { at : float; seq : int }
+
+let ev_lt a b = a.at < b.at || (a.at = b.at && a.seq < b.seq)
+
+let prop_heap_order =
+  QCheck.Test.make ~name:"heap pops least, each once" ~count:300
+    QCheck.(list (option (int_range 0 5)))
+    (fun script ->
+      let h = N.Heap.create ~lt:ev_lt in
+      let reference = ref [] and next_seq = ref 0 in
+      let pop_matches () =
+        match N.Heap.pop h, !reference with
+        | None, [] -> true
+        | Some e, least :: rest when e == least ->
+          reference := rest;
+          true
+        | _ -> false
+      in
+      List.for_all
+        (function
+          | Some at ->
+            let e = { at = float_of_int at; seq = !next_seq } in
+            incr next_seq;
+            N.Heap.push h e;
+            reference :=
+              List.merge (fun a b -> if ev_lt a b then -1 else 1) [ e ] !reference;
+            true
+          | None -> pop_matches ())
+        (* then drain what is left *)
+        (script @ List.init (List.length script) (fun _ -> None))
+      && N.Heap.length h = 0)
+
+let qcheck_cases =
+  List.map QCheck_alcotest.to_alcotest [ prop_strategies_agree; prop_heap_order ]
 
 let () =
   Alcotest.run "netsim"

@@ -225,16 +225,14 @@ let run_script fs script =
     script
 
 let dump fs =
-  let out = ref [] in
-  ignore
-    (Fs.walk fs ~cred Path.root (fun path st ->
+  Result.value ~default:[]
+    (Fs.fold fs ~cred Path.root ~init:[] (fun acc path st ->
          let content =
            if st.Fs.kind = Fs.File then
              match Fs.read_file fs ~cred path with Ok v -> v | Error _ -> ""
            else "<dir>"
          in
-         out := (Path.to_string path, content) :: !out));
-  !out
+         (Path.to_string path, content) :: acc, `Continue))
 
 let prop_replication_deterministic =
   QCheck.Test.make ~name:"op-stream replication reproduces arbitrary trees"

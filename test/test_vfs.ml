@@ -491,12 +491,15 @@ let test_walk () =
   check_ok "mk" (Fs.mkdir_p fs ~cred (p "/a/b"));
   check_ok "w1" (Fs.write_file fs ~cred (p "/a/f1") "");
   check_ok "w2" (Fs.write_file fs ~cred (p "/a/b/f2") "");
-  let visited = ref [] in
-  check_ok "walk"
-    (Fs.walk fs ~cred (p "/a") (fun path _ -> visited := Path.to_string path :: !visited));
-  Alcotest.(check (list string)) "pre-order"
-    [ "/a"; "/a/b"; "/a/b/f2"; "/a/f1" ]
-    (List.rev !visited)
+  match
+    Fs.fold fs ~cred (p "/a") ~init:[] (fun acc path _ ->
+        Path.to_string path :: acc, `Continue)
+  with
+  | Ok visited ->
+    Alcotest.(check (list string)) "pre-order"
+      [ "/a"; "/a/b"; "/a/b/f2"; "/a/f1" ]
+      (List.rev visited)
+  | Error e -> Alcotest.failf "fold: %s" (Vfs.Errno.to_string e)
 
 let contains hay needle =
   let nl = String.length needle

@@ -401,6 +401,56 @@ let test_pktin_pool_steady_state () =
   Alcotest.(check bool) "acquires served by reuse" true
     (Netsim.Pool.reused pool >= 400)
 
+(* References, not copies: the drained record carries the publisher's
+   exact string. *)
+let test_pktin_zero_copy () =
+  let r = ring () in
+  let c = Y.Pktin.subscribe r ~name:"app" in
+  let frame = String.init 64 Char.chr in
+  ignore (push ~data:frame r);
+  let same = ref false in
+  ignore (Y.Pktin.drain r c ~max:1 (fun rec_ -> same := rec_.Y.Pktin.data == frame));
+  Alcotest.(check bool) "same physical string" true !same
+
+(* A random publish/drain script against a reference queue: a full ring
+   drops its oldest event and the consumer counts it as an overrun. *)
+let prop_pktin_matches_queue =
+  QCheck.Test.make ~name:"random script vs reference queue" ~count:200
+    QCheck.(list (pair bool (int_range 1 5)))
+    (fun script ->
+      let cap = 4 in
+      let r = ring ~capacity:cap () in
+      let c = Y.Pktin.subscribe r ~name:"app" in
+      let reference = Queue.create () in
+      let lost = ref 0 in
+      List.iteri
+        (fun i (publish, batch) ->
+          if publish then begin
+            ignore (push ~data:(string_of_int i) r);
+            Queue.push (string_of_int i) reference;
+            if Queue.length reference > cap then begin
+              ignore (Queue.pop reference);
+              incr lost
+            end
+          end
+          else begin
+            let seen = ref [] in
+            ignore
+              (Y.Pktin.drain r c ~max:batch (fun rec_ ->
+                   seen := rec_.Y.Pktin.data :: !seen));
+            let expected =
+              List.init (min batch (Queue.length reference)) (fun _ ->
+                  Queue.pop reference)
+            in
+            if List.rev !seen <> expected then
+              QCheck.Test.fail_reportf "step %d: drained %s, expected %s" i
+                (String.concat "," (List.rev !seen))
+                (String.concat "," expected)
+          end)
+        script;
+      Y.Pktin.pending r c = Queue.length reference
+      && Y.Pktin.overruns c = !lost)
+
 (* --- event buffers (paper §3.5) --------------------------------------------------------- *)
 
 let publish fs ~switch data =
@@ -609,7 +659,9 @@ let () =
             test_pktin_two_consumers_recycle;
           Alcotest.test_case "overflow lapping" `Quick test_pktin_overflow;
           Alcotest.test_case "steady state allocates zero" `Quick
-            test_pktin_pool_steady_state ] );
+            test_pktin_pool_steady_state;
+          Alcotest.test_case "zero copy" `Quick test_pktin_zero_copy;
+          QCheck_alcotest.to_alcotest prop_pktin_matches_queue ] );
       ( "events",
         [ Alcotest.test_case "fan-out to private buffers" `Quick test_eventdir_fanout;
           Alcotest.test_case "fifo ordering" `Quick test_eventdir_ordering;
