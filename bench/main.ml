@@ -18,6 +18,16 @@ module Fs = Vfs.Fs
 
 let cred = Vfs.Cred.root
 
+(* Every count is a registry counter: read it by name. *)
+let count reg name =
+  Telemetry.Registry.value (Telemetry.Registry.counter reg name)
+
+let fs_count fs name = count (Fs.registry fs) name
+
+(* The §8.1 cost model: one modelled user/kernel round trip, µs-scale
+   (the right order of magnitude for a FUSE-mediated call). *)
+let crossing_us = 1.
+
 let net_root = Y.Layout.default_root
 
 let section title =
@@ -101,28 +111,26 @@ let e8_crossings () =
     (fun n ->
       (* slow path *)
       let fs, yfs = fresh_yancfs ~switches:n () in
-      let cost = Fs.cost fs in
-      Vfs.Cost.reset cost;
+      let c0 = fs_count fs "vfs.crossings" in
       for i = 1 to n do
         ignore
           (Y.Yanc_fs.create_flow yfs ~cred
              ~switch:(Y.Yanc_fs.switch_name_of_dpid (Int64.of_int i))
              ~name:"f" (sample_flow i))
       done;
-      let slow = Vfs.Cost.crossings cost in
-      let slow_us = Vfs.Cost.charged_ns cost /. 1000. in
+      let slow = fs_count fs "vfs.crossings" - c0 in
+      let slow_us = float_of_int slow *. crossing_us in
       (* fastpath *)
       let fs2, yfs2 = fresh_yancfs ~switches:n () in
-      let cost2 = Fs.cost fs2 in
-      Vfs.Cost.reset cost2;
+      let c0 = fs_count fs2 "vfs.crossings" in
       let fp = Libyanc.Fastpath.create yfs2 in
       ignore
         (Libyanc.Fastpath.push_flows fp
            (List.init n (fun i ->
                 ( Y.Yanc_fs.switch_name_of_dpid (Int64.of_int (i + 1)),
                   "f", sample_flow i ))));
-      let fast = Vfs.Cost.crossings cost2 in
-      let fast_us = Vfs.Cost.charged_ns cost2 /. 1000. in
+      let fast = fs_count fs2 "vfs.crossings" - c0 in
+      let fast_us = float_of_int fast *. crossing_us in
       row "  %8d | %16d | %12.1f | %18d | %12.1f | %5dx\n" n slow slow_us fast
         fast_us
         (slow / max 1 fast))
@@ -493,7 +501,15 @@ let e7_dfs () =
         (Y.Yanc_fs.add_switch yfs0 ~name:"sw1" ~dpid:1L ~protocol:"openflow10"
            ~n_buffers:0 ~n_tables:1 ~capabilities:[] ~actions:[]);
       Dfs.Cluster.flush c;
-      let before = Dfs.Cluster.metrics c in
+      (* The replication stream reports into replica 0's registry. *)
+      let reg = Fs.registry (Dfs.Cluster.node c 0) in
+      let blocked () =
+        Option.get
+          (Telemetry.Registry.find (Telemetry.Registry.snapshot reg)
+             "dfs.writer_blocked_s")
+      in
+      let blocked0 = blocked () in
+      let replicated0 = count reg "dfs.ops_replicated" in
       for i = 1 to flows do
         ignore
           (Y.Yanc_fs.create_flow yfs0 ~cred ~switch:"sw1"
@@ -514,15 +530,14 @@ let e7_dfs () =
         Dfs.Cluster.advance c 0.1;
         staleness := !staleness +. 0.1
       done;
-      let m = Dfs.Cluster.metrics c in
       let stall =
-        (m.Dfs.Cluster.writer_blocked_s -. before.Dfs.Cluster.writer_blocked_s)
-        /. float_of_int m.Dfs.Cluster.ops_originated
+        (blocked () -. blocked0)
+        /. float_of_int (count reg "dfs.ops_originated")
       in
       row "  %-26s | %11.3f ms | %13.1f s | %14d\n"
         (Dfs.Consistency.to_string consistency)
         (stall *. 1000.) !staleness
-        (m.Dfs.Cluster.ops_replicated - before.Dfs.Cluster.ops_replicated))
+        (count reg "dfs.ops_replicated" - replicated0))
     [ Dfs.Consistency.Sequential;
       Dfs.Consistency.nfs;
       Dfs.Consistency.Eventual { propagation_s = 10. } ]
@@ -544,19 +559,19 @@ let e9_reactive () =
       Yanc.Controller.add_app ctl (Apps.Topology.app topo);
       Yanc.Controller.add_app ctl (Apps.Router.app router);
       Yanc.Controller.run_for ctl 3.0;
-      let cost = Fs.cost (Yanc.Controller.fs ctl) in
+      let fs = Yanc.Controller.fs ctl in
       let net = built.N.Topo_gen.net in
       let h = Option.get (N.Network.host net "h1") in
       let last = List.length built.N.Topo_gen.host_names in
       let ping seq =
-        let before = Vfs.Cost.crossings cost in
+        let before = fs_count fs "vfs.crossings" in
         N.Network.send_from_host net "h1"
           (N.Sim_host.ping h ~now:(N.Network.now net)
              ~dst:(N.Topo_gen.host_ip last) ~seq);
         ignore
           (Yanc.Controller.run_until ctl (fun () ->
                List.length (N.Sim_host.ping_results h) >= seq));
-        Vfs.Cost.crossings cost - before
+        fs_count fs "vfs.crossings" - before
       in
       let first = ping 1 in
       let second = ping 2 in
@@ -737,10 +752,9 @@ type e13 = {
 
 let e13_flow_dirs ~dirs =
   let fs = Fs.create () in
-  let cost = Fs.cost fs in
   let errors = ref 0 in
   let check = function Ok _ -> () | Error _ -> incr errors in
-  let c0 = Vfs.Cost.components cost in
+  let c0 = fs_count fs "vfs.components" in
   let t0 = Sys.time () in
   let w0 = Gc.minor_words () in
   for i = 0 to dirs - 1 do
@@ -760,7 +774,7 @@ let e13_flow_dirs ~dirs =
   let cpu = Sys.time () -. t0 in
   let per x = x /. float_of_int dirs in
   { e13_errors = !errors; e13_words = per words;
-    e13_components = per (float_of_int (Vfs.Cost.components cost - c0));
+    e13_components = per (float_of_int (fs_count fs "vfs.components" - c0));
     e13_cpu_us = per (cpu *. 1e6) }
 
 let e13_path_resolution () =
@@ -844,12 +858,13 @@ let e14_storm fs yfs ~switches ~rounds ~drain_every notifiers =
 
 let e14_run ~backend ~apps ~switches ~rounds =
   let fs, yfs, notifiers = e14_world ~backend ~apps ~switches () in
-  let cost = Fs.cost fs in
-  Vfs.Cost.reset cost;
+  let v0 = fs_count fs "fsnotify.watches_visited"
+  and d0 = fs_count fs "fsnotify.events_dispatched"
+  and c0 = fs_count fs "fsnotify.events_coalesced" in
   let muts = e14_storm fs yfs ~switches ~rounds ~drain_every:5 notifiers in
-  let visited = Vfs.Cost.watches_visited cost in
-  let dispatched = Vfs.Cost.events_dispatched cost in
-  let coalesced = Vfs.Cost.events_coalesced cost in
+  let visited = fs_count fs "fsnotify.watches_visited" - v0 in
+  let dispatched = fs_count fs "fsnotify.events_dispatched" - d0 in
+  let coalesced = fs_count fs "fsnotify.events_coalesced" - c0 in
   List.iter Fsnotify.Notifier.close notifiers;
   muts, visited, dispatched, coalesced
 
@@ -1244,10 +1259,9 @@ let e18_counter yfs name =
    the O(dirty) shape is visible without wall-clock noise. *)
 let e18_commit_rounds yfs mgr ~dirty ~rounds =
   let fs = Y.Yanc_fs.fs yfs in
-  let cost = Fs.cost fs in
   let batches0 = e18_counter yfs "driver.commit.batches" in
   let keys0 = e18_counter yfs "driver.commit.keys" in
-  let c0 = Vfs.Cost.crossings cost in
+  let c0 = fs_count fs "vfs.crossings" in
   let t0 = Sys.time () in
   for r = 1 to rounds do
     for j = 1 to dirty do
@@ -1262,7 +1276,7 @@ let e18_commit_rounds yfs mgr ~dirty ~rounds =
     Driver.Manager.run_control mgr ~now:1.
   done;
   let wall = (Sys.time () -. t0) /. float_of_int rounds in
-  ( (Vfs.Cost.crossings cost - c0) / rounds,
+  ( (fs_count fs "vfs.crossings" - c0) / rounds,
     wall,
     e18_counter yfs "driver.commit.batches" - batches0,
     e18_counter yfs "driver.commit.keys" - keys0 )
@@ -1481,8 +1495,7 @@ let e19_delivery ?(events = 10_000) ?(switches = 80) () =
   let fs, yfs = fresh_yancfs ~switches () in
   let ring = Y.Yanc_fs.pktin yfs in
   let consumer = Y.Pktin.subscribe ring ~name:"bench" in
-  let cost = Fs.cost fs in
-  Vfs.Cost.reset cost;
+  let c0 = fs_count fs "vfs.crossings" in
   let handled = ref 0 in
   let t0 = Sys.time () in
   for i = 0 to events - 1 do
@@ -1495,7 +1508,7 @@ let e19_delivery ?(events = 10_000) ?(switches = 80) () =
   done;
   handled := !handled + Y.Pktin.drain ring consumer ~max:events (fun _ -> ());
   let ring_wall = Sys.time () -. t0 in
-  let ring_crossings = Vfs.Cost.crossings cost in
+  let ring_crossings = fs_count fs "vfs.crossings" - c0 in
   assert (!handled = events);
   (* eventdir side: the same stream through per-event files *)
   let fs2, _yfs2 = fresh_yancfs ~switches () in
@@ -1504,8 +1517,7 @@ let e19_delivery ?(events = 10_000) ?(switches = 80) () =
       (Y.Eventdir.subscribe fs2 ~cred ~root:net_root
          ~switch:(Printf.sprintf "sw%d" i) ~app:"bench")
   done;
-  let cost2 = Fs.cost fs2 in
-  Vfs.Cost.reset cost2;
+  let c0 = fs_count fs2 "vfs.crossings" in
   let consumed = ref 0 in
   let t1 = Sys.time () in
   for i = 0 to events - 1 do
@@ -1530,7 +1542,7 @@ let e19_delivery ?(events = 10_000) ?(switches = 80) () =
              ~switch:(Printf.sprintf "sw%d" s) ~app:"bench")
   done;
   let ed_wall = Sys.time () -. t1 in
-  let ed_crossings = Vfs.Cost.crossings cost2 in
+  let ed_crossings = fs_count fs2 "vfs.crossings" - c0 in
   assert (!consumed = events);
   ( float_of_int events /. (if ring_wall > 0. then ring_wall else epsilon_float),
     float_of_int events /. (if ed_wall > 0. then ed_wall else epsilon_float),
@@ -1760,7 +1772,8 @@ let e20_storm ?(seed = 0xC1A57E) ?(rate = 4000.) ~arrivals ~n ~k () =
     c_max_busy_s = List.fold_left max 0. busy;
     c_sum_busy_s = List.fold_left ( +. ) 0. busy;
     c_converged = Yanc.Cluster.converged c;
-    c_ops_synced = Dfs.Cluster.ops_synced (Yanc.Cluster.dfs c);
+    c_ops_synced =
+      fs_count (Dfs.Cluster.node (Yanc.Cluster.dfs c) 0) "dfs.ops_synced";
     c_per_node = per_node }
 
 (* Takeover: storm briefly so the fleet carries installed state, kill

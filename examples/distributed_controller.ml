@@ -86,10 +86,13 @@ let () =
     (String.concat "; " (Y.Yanc_fs.flow_names yfs_a ~cred "sw1"));
   Driver.Manager.run_control mgr ~now:7.;
 
-  (* the replication counters through the telemetry registry — the same
+  (* the replication counters live in replica 0's registry — the same
      dfs.* series a full controller serves at /yanc/.proc/metrics *)
-  let reg = Telemetry.Registry.create () in
-  Dfs.Cluster.register cluster reg;
-  Printf.printf "\ncluster metrics (the registry's dfs.* series):\n%s"
-    (Telemetry.Registry.render (Telemetry.Registry.snapshot reg));
+  let reg = Vfs.Fs.registry (Dfs.Cluster.node cluster 0) in
+  Printf.printf "\ncluster metrics (the registry's dfs.* series):\n";
+  List.iter
+    (fun (name, v) ->
+      if String.starts_with ~prefix:"dfs." name then
+        Printf.printf "%s %s\n" name (Telemetry.Registry.render_value v))
+    (Telemetry.Registry.entries (Telemetry.Registry.snapshot reg));
   print_endline "distributed_controller done."

@@ -22,11 +22,14 @@ let () =
   Printf.printf "  %d fabric links discovered (ground truth: 32)\n"
     (List.length (Apps.Topology.links topo));
 
-  let cost = Vfs.Fs.cost (Yanc.Controller.fs ctl) in
+  let reg = Vfs.Fs.registry (Yanc.Controller.fs ctl) in
+  let counter name =
+    Telemetry.Registry.value (Telemetry.Registry.counter reg name)
+  in
   let ping src dst_n =
     let h = Option.get (N.Network.host built.net src) in
     let seq = List.length (N.Sim_host.ping_results h) + 1 in
-    let crossings_before = Vfs.Cost.crossings cost in
+    let crossings_before = counter "vfs.crossings" in
     N.Network.send_from_host built.net src
       (N.Sim_host.ping h ~now:(N.Network.now built.net)
          ~dst:(N.Topo_gen.host_ip dst_n) ~seq);
@@ -42,7 +45,7 @@ let () =
     Printf.printf "  %-4s -> h%-2d : %-4s rtt=%6.2f ms  syscalls=%d\n" src dst_n
       (if ok then "ok" else "FAIL")
       (rtt *. 1000.)
-      (Vfs.Cost.crossings cost - crossings_before)
+      (counter "vfs.crossings" - crossings_before)
   in
 
   Printf.printf "\nfirst packets (reactive path setup through packet-ins):\n";
@@ -64,6 +67,12 @@ let () =
   let r = Shell.Pipeline.run sh "ls /net/hosts | wc -l" in
   Printf.printf "hosts published under /net/hosts: %s" r.Shell.Pipeline.out;
 
+  Printf.printf "file-system counters:";
+  List.iter
+    (fun name -> Printf.printf " %s=%d" name (counter name))
+    [ "vfs.crossings"; "vfs.components"; "fsnotify.events_dispatched";
+      "fsnotify.watches_visited" ];
+  print_newline ();
   let delivered, dropped = N.Network.stats built.net in
   Printf.printf "data plane: %d frames delivered, %d dropped\n" delivered dropped;
   print_endline "reactive_router done."

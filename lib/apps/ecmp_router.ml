@@ -36,6 +36,7 @@ type t = {
   c_unknown : Telemetry.Registry.counter;
   c_no_route : Telemetry.Registry.counter;
   c_transit : Telemetry.Registry.counter;
+  fs_errors : Telemetry.Registry.counter;
 }
 
 let create ?(cred = Vfs.Cred.root) ?(delivery = Ring) ?(tag = "")
@@ -49,7 +50,8 @@ let create ?(cred = Vfs.Cred.root) ?(delivery = Ring) ?(tag = "")
     c_installs = Telemetry.Registry.counter reg "app.ecmpd.installs";
     c_unknown = Telemetry.Registry.counter reg "app.ecmpd.unknown_dst";
     c_no_route = Telemetry.Registry.counter reg "app.ecmpd.no_route";
-    c_transit = Telemetry.Registry.counter reg "app.ecmpd.transit_miss" }
+    c_transit = Telemetry.Registry.counter reg "app.ecmpd.transit_miss";
+    fs_errors = Path_install.fs_errors yfs }
 
 let fs t = Y.Yanc_fs.fs t.yfs
 
@@ -201,9 +203,9 @@ let install t ~headers ~ingress ~dst_loc ~buffer_id ~data hops =
     t.flow_seq <- t.flow_seq + 1;
     Printf.sprintf "ecmp%s-%d" t.tag t.flow_seq
   in
-  Path_install.install t.yfs ~cred:t.cred ~name ~priority:t.priority
-    ~idle_timeout:t.idle_timeout ~headers ~ingress ~dst_loc ~buffer_id ~data
-    hops
+  Path_install.install t.yfs ~cred:t.cred ~fs_errors:t.fs_errors ~name
+    ~priority:t.priority ~idle_timeout:t.idle_timeout ~headers ~ingress
+    ~dst_loc ~buffer_id ~data hops
 
 let process t ~switch ~in_port ~buffer_id ~data frame =
   match frame.P.Eth.payload with

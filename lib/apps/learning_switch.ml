@@ -11,11 +11,13 @@ type t = {
   tables : (string, (P.Mac.t, int) Hashtbl.t) Hashtbl.t;
   subscribed : (string, unit) Hashtbl.t;
   mutable flow_seq : int;
+  fs_errors : Telemetry.Registry.counter;
 }
 
 let create ?(cred = Vfs.Cred.root) ?(idle_timeout = 60) yfs =
   { yfs; cred; idle_timeout; tables = Hashtbl.create 16;
-    subscribed = Hashtbl.create 16; flow_seq = 0 }
+    subscribed = Hashtbl.create 16; flow_seq = 0;
+    fs_errors = Path_install.fs_errors yfs }
 
 let fs t = Y.Yanc_fs.fs t.yfs
 
@@ -40,7 +42,8 @@ let install_flow t ~switch ~dst ~out_port ~buffer_id =
       idle_timeout = t.idle_timeout;
       buffer_id }
   in
-  ignore (Y.Yanc_fs.create_flow t.yfs ~cred:t.cred ~switch ~name flow)
+  Path_install.checked t.fs_errors ~switch "flow"
+    (Y.Yanc_fs.create_flow t.yfs ~cred:t.cred ~switch ~name flow)
 
 let handle_frame t ~switch (ev : Y.Eventdir.event) =
   match Y.Eventdir.frame_of ev with

@@ -16,12 +16,13 @@ type t = {
   subscribed : (string, unit) Hashtbl.t;
   mutable paths : int;
   mutable flow_seq : int;
+  fs_errors : Telemetry.Registry.counter;
 }
 
 let create ?(cred = Vfs.Cred.root) ?(idle_timeout = 30) ?(priority = 200) yfs =
   { yfs; cred; idle_timeout; priority; hosts = Hashtbl.create 64;
     ips = Hashtbl.create 64; subscribed = Hashtbl.create 16; paths = 0;
-    flow_seq = 0 }
+    flow_seq = 0; fs_errors = Path_install.fs_errors yfs }
 
 let fs t = Y.Yanc_fs.fs t.yfs
 
@@ -137,9 +138,9 @@ let install_path t ~headers ~ingress ~dst_loc ~buffer_id ~data =
       t.flow_seq <- t.flow_seq + 1;
       Printf.sprintf "path-%d" t.flow_seq
     in
-    Path_install.install t.yfs ~cred:t.cred ~name ~priority:t.priority
-      ~idle_timeout:t.idle_timeout ~headers ~ingress ~dst_loc ~buffer_id ~data
-      hops
+    Path_install.install t.yfs ~cred:t.cred ~fs_errors:t.fs_errors ~name
+      ~priority:t.priority ~idle_timeout:t.idle_timeout ~headers ~ingress
+      ~dst_loc ~buffer_id ~data hops
 
 let handle_frame t ~switch (ev : Y.Eventdir.event) =
   match Y.Eventdir.frame_of ev with

@@ -1,4 +1,5 @@
 module Fs = Vfs.Fs
+module Reg = Telemetry.Registry
 
 type op_state =
   | Queued   (* in [queue], awaiting its visibility time *)
@@ -71,12 +72,15 @@ type t = {
   mutable probe_xattrs : bool;
   replay_busy : float array;       (* CPU seconds each replica spent
                                       applying peers' ops *)
-  mutable ops_originated : int;
-  mutable ops_replicated : int;
-  mutable ops_coalesced : int;
-  mutable emits_elided : int;
-  mutable ops_synced : int;
-  mutable ops_dropped : int;
+  (* The replication stream's [dfs.*] counters, on replica 0's
+     registry: one seat, so a rollup over every replica's registry
+     never double-counts the shared stream. *)
+  ops_originated : Reg.counter;
+  ops_replicated : Reg.counter;
+  ops_coalesced : Reg.counter;
+  emits_elided : Reg.counter;
+  ops_synced : Reg.counter;
+  ops_dropped : Reg.counter;
   mutable writer_blocked_s : float;
   mutable max_queue : int;
 }
@@ -92,8 +96,8 @@ let apply ?(emit = true) ?trace t target op =
       t.applying <- false;
       t.replay_busy.(target) <- t.replay_busy.(target) +. (Sys.time () -. t0))
     (fun () ->
-      t.ops_replicated <- t.ops_replicated + 1;
-      if not emit then t.emits_elided <- t.emits_elided + 1;
+      Reg.incr t.ops_replicated;
+      if not emit then Reg.incr t.emits_elided;
       let replay () = ignore (Fs.replay ~emit t.replicas.(target) op) in
       match trace with
       | None -> replay ()
@@ -144,7 +148,7 @@ let coalesce_into t (p : pending_op) =
         if q.state = Queued then begin
           q.state <- Dead;
           t.queued_live <- t.queued_live - 1;
-          t.ops_coalesced <- t.ops_coalesced + 1
+          Reg.incr t.ops_coalesced
         end)
       prior;
     Hashtbl.replace cands key [ p ]
@@ -157,7 +161,7 @@ let coalesce_into t (p : pending_op) =
       | Some c when c.state = Queued ->
         c.state <- Dead;
         t.queued_live <- t.queued_live - 1;
-        t.ops_coalesced <- t.ops_coalesced + 1;
+        Reg.incr t.ops_coalesced;
         Hashtbl.remove t.creates.(p.target) key
       | _ -> ()
     end;
@@ -209,7 +213,7 @@ let effective_consistency t ~origin path =
         | None -> t.consistency
         | Some p -> (
           match
-            Vfs.Cost.suspended (Fs.cost fs) (fun () ->
+            Fs.suspended fs (fun () ->
                 Fs.getxattr fs ~cred:Vfs.Cred.root p ~name:consistency_xattr)
           with
           | Ok v -> (
@@ -241,7 +245,7 @@ let iter_targets t ~origin op f =
 
 let on_origin_op t origin op =
   if not t.applying then begin
-    t.ops_originated <- t.ops_originated + 1;
+    Reg.incr t.ops_originated;
     (* Capture the ambient trace (if the origin's controller is inside
        one) so it rides the op to every target replica. *)
     let trace =
@@ -284,8 +288,13 @@ let on_origin_op t origin op =
     | _ -> forward ()
   end
 
+let pending t =
+  t.queued_live + Array.fold_left (fun acc s -> acc + List.length s) 0 t.stash
+
 let make ~consistency ~rtt replicas =
   let n = Array.length replicas in
+  let registry = Fs.registry replicas.(0) in
+  let counter name = Reg.counter registry ("dfs." ^ name) in
   let t =
     { consistency; rtt; replicas; clock = 0.;
       queue = Queue.create (); queued_live = 0;
@@ -298,11 +307,21 @@ let make ~consistency ~rtt replicas =
       trace_tracer = None; trace_key_of = None;
       last_fwd_trace = 0; last_apply = Array.make n 0;
       probe_xattrs = true; replay_busy = Array.make n 0.;
-      ops_originated = 0; ops_replicated = 0;
-      ops_coalesced = 0; emits_elided = 0; ops_synced = 0; ops_dropped = 0;
+      ops_originated = counter "ops_originated";
+      ops_replicated = counter "ops_replicated";
+      ops_coalesced = counter "ops_coalesced";
+      emits_elided = counter "emits_elided";
+      ops_synced = counter "ops_synced";
+      ops_dropped = counter "ops_dropped";
       writer_blocked_s = 0.; max_queue = 0 }
   in
   Array.iteri (fun i fs -> ignore (Fs.subscribe fs (on_origin_op t i))) replicas;
+  (* Sampled state, not counts: gauges beside the counters. *)
+  let gauge name f = Reg.gauge registry ("dfs." ^ name) f in
+  gauge "writer_blocked_s" (fun () -> t.writer_blocked_s);
+  gauge "max_queue" (fun () -> float_of_int t.max_queue);
+  gauge "pending" (fun () -> float_of_int (pending t));
+  gauge "nodes" (fun () -> float_of_int n);
   t
 
 let create ?(consistency = Consistency.nfs) ?(rtt = 0.001) ~n () =
@@ -370,9 +389,6 @@ let advance t dt =
 
 let flush t = drain t ~all:true
 
-let pending t =
-  t.queued_live + Array.fold_left (fun acc s -> acc + List.length s) 0 t.stash
-
 let stashed t i = List.length t.stash.(i)
 
 let converged t = pending t = 0
@@ -410,8 +426,6 @@ let set_tracing t hooks =
     t.trace_tracer <- Some tracer;
     t.trace_key_of <- Some key_of
 
-let emits_elided t = t.emits_elided
-
 let set_prefix_consistency t prefixes = t.prefix_consistency <- prefixes
 
 let set_xattr_probing t b = t.probe_xattrs <- b
@@ -427,35 +441,35 @@ let sync_subtree t ~from_ ~to_ path =
   let fs = t.replicas.(from_) in
   let cred = Vfs.Cred.root in
   let put op =
-    t.ops_synced <- t.ops_synced + 1;
+    Reg.incr t.ops_synced;
     apply t to_ op
   in
   let copy p (st : Fs.stat) =
     match st.kind with
     | Fs.Dir -> put (Vfs.Op.Mkdir { path = p; mode = st.mode })
     | Fs.File -> (
-      match Vfs.Cost.suspended (Fs.cost fs) (fun () -> Fs.read_file fs ~cred p) with
+      match Fs.suspended fs (fun () -> Fs.read_file fs ~cred p) with
       | Error _ -> ()
       | Ok data ->
         put (Vfs.Op.Create { path = p; mode = st.mode });
         put (Vfs.Op.Truncate { path = p; size = 0 });
         if data <> "" then put (Vfs.Op.Write { path = p; off = 0; data }))
     | Fs.Symlink -> (
-      match Vfs.Cost.suspended (Fs.cost fs) (fun () -> Fs.readlink fs ~cred p) with
+      match Fs.suspended fs (fun () -> Fs.readlink fs ~cred p) with
       | Error _ -> ()
       | Ok target ->
         put (Vfs.Op.Unlink { path = p });
         put (Vfs.Op.Symlink { path = p; target }))
   in
-  let before = t.ops_synced in
+  let before = Reg.value t.ops_synced in
   (match
-     Vfs.Cost.suspended (Fs.cost fs) (fun () ->
+     Fs.suspended fs (fun () ->
          Fs.fold fs ~cred path ~init:() (fun () p st ->
              copy p st;
              ((), `Continue)))
    with
   | Ok () | Error _ -> ());
-  t.ops_synced - before
+  Reg.value t.ops_synced - before
 
 (* A killed node's not-yet-visible ops never left the box: drop them
    from the queue (the op-log tail that died with the process). *)
@@ -469,39 +483,5 @@ let drop_origin_pending t origin =
         incr dropped
       end)
     t.queue;
-  t.ops_dropped <- t.ops_dropped + !dropped;
+  Reg.add t.ops_dropped !dropped;
   !dropped
-
-let ops_synced t = t.ops_synced
-
-let ops_dropped t = t.ops_dropped
-
-type metrics = {
-  ops_originated : int;
-  ops_replicated : int;
-  ops_coalesced : int;
-  emits_elided : int;
-  writer_blocked_s : float;
-  max_queue : int;
-}
-
-let metrics (t : t) =
-  { ops_originated = t.ops_originated;
-    ops_replicated = t.ops_replicated;
-    ops_coalesced = t.ops_coalesced;
-    emits_elided = t.emits_elided;
-    writer_blocked_s = t.writer_blocked_s;
-    max_queue = t.max_queue }
-
-let register (t : t) registry =
-  let g name f = Telemetry.Registry.gauge registry ("dfs." ^ name) f in
-  let gi name f = g name (fun () -> float_of_int (f ())) in
-  gi "ops_originated" (fun () -> t.ops_originated);
-  gi "ops_replicated" (fun () -> t.ops_replicated);
-  gi "ops_coalesced" (fun () -> t.ops_coalesced);
-  gi "ops_synced" (fun () -> t.ops_synced);
-  gi "ops_dropped" (fun () -> t.ops_dropped);
-  g "writer_blocked_s" (fun () -> t.writer_blocked_s);
-  gi "max_queue" (fun () -> t.max_queue);
-  gi "pending" (fun () -> pending t);
-  gi "nodes" (fun () -> size t)

@@ -15,25 +15,28 @@
 
 type t
 
-type metrics = {
-  ops_originated : int;
-  ops_replicated : int;
-  ops_coalesced : int;
-      (** queued content ops superseded by a later write to the same
-          path before their visibility time (last-write-wins) *)
-  emits_elided : int;
-      (** replicated ops replayed with notification suppressed because
-          a later op of the same drain run covers them (see
-          {!set_emit_class}) *)
-  writer_blocked_s : float;
-      (** total time writers stalled (Sequential rounds) *)
-  max_queue : int;  (** high-water mark of pending replications *)
-}
+(** {1 Counters}
+
+    The replication stream reports into replica 0's
+    {!Vfs.Fs.registry} — one seat, so a rollup over every replica's
+    registry never double-counts it. Counters:
+    - [dfs.ops_originated], [dfs.ops_replicated];
+    - [dfs.ops_coalesced]: queued ops superseded by a later write to
+      the same path before their visibility time (last-write-wins);
+    - [dfs.emits_elided]: replicated ops replayed with notification
+      suppressed because a later op of the same drain run covers them
+      (see {!set_emit_class});
+    - [dfs.ops_synced] ({!sync_subtree}), [dfs.ops_dropped]
+      ({!drop_origin_pending}).
+
+    Gauges, sampled state: [dfs.writer_blocked_s] (total time writers
+    stalled in Sequential rounds), [dfs.max_queue] (high-water mark of
+    pending replications), [dfs.pending] and [dfs.nodes]. *)
 
 val create :
   ?consistency:Consistency.t -> ?rtt:float -> n:int -> unit -> t
 (** [n] replicas (default consistency {!Consistency.nfs}, rtt 1 ms).
-    Each replica is a fresh file system. *)
+    Each replica is a fresh file system with its own registry. *)
 
 val of_replicas : ?consistency:Consistency.t -> ?rtt:float -> Vfs.Fs.t list -> t
 (** Wrap existing file systems (e.g. ones that already host /net). *)
@@ -103,10 +106,6 @@ val set_emit_class : t -> (Vfs.Op.t -> string option) option -> unit
     same-(target, class) run. [None] from the policy (or no policy, the
     default) means the op always notifies. *)
 
-val emits_elided : t -> int
-(** Replicated ops whose notification was suppressed by the batching
-    policy. *)
-
 val set_tracing :
   t ->
   ((int -> Telemetry.Tracer.t option) * (Vfs.Op.t -> string option)) option ->
@@ -144,15 +143,3 @@ val drop_origin_pending : t -> int -> int
 val replay_busy_s : t -> int -> float
 (** CPU seconds replica [i] has spent applying ops from peers (replay +
     sync) — the replication share of a node's busy time. *)
-
-val ops_synced : t -> int
-
-val ops_dropped : t -> int
-
-val metrics : t -> metrics
-
-val register : t -> Telemetry.Registry.t -> unit
-(** Publish the replication counters as [dfs.*] gauges (ops originated,
-    replicated and coalesced, writer stall time, queue high-water mark,
-    live pending count, node count) — the cluster's seat in the
-    controller's unified registry. *)

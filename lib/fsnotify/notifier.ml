@@ -1,4 +1,5 @@
 module Path = Vfs.Path
+module Reg = Telemetry.Registry
 
 type mask = int
 
@@ -26,6 +27,12 @@ type t = {
   mutable coalesced : int;
   mutable overflows : int;
   mutable on_wake : (unit -> unit) option;
+  (* The file system's [fsnotify.*] counters, shared by every notifier
+     on its registry. Routing work, not kernel crossings: never gated
+     by [Vfs.Fs.suspended]. *)
+  events_dispatched : Reg.counter;
+  events_coalesced : Reg.counter;
+  overflows_dropped : Reg.counter;
 }
 
 (* Where a notifier's watches live, and so how mutations reach it. *)
@@ -44,13 +51,10 @@ and dispatcher = {
   mutable members : int;
 }
 
-let cost t = Vfs.Fs.cost t.fs
-
 let overflow_event =
   { Event.wd = -1; kind = Event.Overflow; path = Path.root; name = None }
 
 let enqueue t (ev : Event.t) =
-  let c = cost t in
   let coalesces =
     ev.kind = Event.Modified
     &&
@@ -65,11 +69,11 @@ let enqueue t (ev : Event.t) =
        inotify merges back-to-back IN_MODIFY. Never merges across an
        intervening event on another path or watch. *)
     t.coalesced <- t.coalesced + 1;
-    Vfs.Cost.event_coalesced c
+    Reg.incr t.events_coalesced
   end
   else if t.overflowed then begin
     t.overflows <- t.overflows + 1;
-    Vfs.Cost.overflow_dropped c
+    Reg.incr t.overflows_dropped
   end
   else if Queue.length t.queue >= t.queue_limit - 1 then begin
     (* The final slot is reserved for the sentinel, so the queue never
@@ -77,28 +81,29 @@ let enqueue t (ev : Event.t) =
        inotify drops the event that would not fit. *)
     t.overflowed <- true;
     t.overflows <- t.overflows + 1;
-    Vfs.Cost.overflow_dropped c;
+    Reg.incr t.overflows_dropped;
     Queue.push overflow_event t.queue;
     t.last <- Some overflow_event
   end
   else begin
     Queue.push ev t.queue;
     t.last <- Some ev;
-    Vfs.Cost.event_dispatched c;
+    Reg.incr t.events_dispatched;
     match t.on_wake with Some f -> f () | None -> ()
   end
 
 (* The events one mutation raises, as (notifier, phase, event) triples:
    a rename raises its Moved_from (phase 0) before its Moved_to (1).
-   [route] finds the candidate watches of a path, of any owner. *)
-let route_op cost ~route (op : Vfs.Op.t) =
+   [route] finds the candidate watches of a path, of any owner; the
+   number it examined is added to [visited]. *)
+let route_op visited ~route (op : Vfs.Op.t) =
   let acc = ref [] in
   let deliver phase (kind : Event.kind) path =
     (* A change to [path] is reported to watches on its parent directory
        (child event, with [name]), to watches on the object itself, and
        to recursive watches on any ancestor. *)
-    let selfs, childs, visited = route path in
-    Vfs.Cost.visit_watches cost visited;
+    let selfs, childs, n_visited = route path in
+    Reg.add visited n_visited;
     if selfs <> [] || childs <> [] then begin
       let add (w : t Routing.watch) kind name =
         if mask_mem kind w.mask then
@@ -146,6 +151,9 @@ let serve = function
   | evs ->
     List.iter (fun (t, _, ev) -> enqueue t ev) (List.sort serve_order evs)
 
+let watches_visited fs =
+  Reg.counter (Vfs.Fs.registry fs) "fsnotify.watches_visited"
+
 (* The dispatcher new Indexed notifiers join, per file system. Weakly
    keyed: an entry never keeps its file system alive. *)
 module By_fs = Ephemeron.K1.Make (struct
@@ -165,11 +173,11 @@ let join fs =
       (* No dispatcher yet, or another hook was subscribed after it:
          start one at the tail, so every notifier keeps its creation
          position among the file system's subscribers. *)
-      let index = Routing.create () and cost = Vfs.Fs.cost fs in
+      let index = Routing.create () and visited = watches_visited fs in
       let hook =
         Vfs.Fs.subscribe fs (fun op ->
             if Routing.count index > 0 then
-              serve (route_op cost ~route:(Routing.route index) op))
+              serve (route_op visited ~route:(Routing.route index) op))
       in
       let d = { index; hook; members = 0 } in
       By_fs.replace dispatchers fs d;
@@ -192,21 +200,25 @@ let next_seq = ref 0
 
 let create ?(backend = Indexed) ?(queue_limit = 16384) fs =
   incr next_seq;
+  let reg = Vfs.Fs.registry fs in
   let t =
     { fs; seq = !next_seq; queue_limit; queue = Queue.create ();
       source = Detached; next_wd = 1; last = None; overflowed = false;
-      coalesced = 0; overflows = 0; on_wake = None }
+      coalesced = 0; overflows = 0; on_wake = None;
+      events_dispatched = Reg.counter reg "fsnotify.events_dispatched";
+      events_coalesced = Reg.counter reg "fsnotify.events_coalesced";
+      overflows_dropped = Reg.counter reg "fsnotify.overflows" }
   in
   (t.source <-
      match backend with
      | Indexed -> Shared (join fs, Hashtbl.create 8)
      | Linear ->
-       let cost = Vfs.Fs.cost fs in
+       let visited = watches_visited fs in
        Scan
          ( Vfs.Fs.subscribe fs (fun op ->
                match t.source with
                | Scan (_, (_ :: _ as ws)) ->
-                 serve (route_op cost ~route:(Routing.route_linear ws) op)
+                 serve (route_op visited ~route:(Routing.route_linear ws) op)
                | _ -> ()),
            [] ));
   t
@@ -244,7 +256,7 @@ let rm_watch t wd =
   | Detached -> ()
 
 let read_events ?max t =
-  Vfs.Cost.syscall (Vfs.Fs.cost t.fs);
+  Vfs.Fs.syscall t.fs;
   let n =
     match max with
     | None -> Queue.length t.queue

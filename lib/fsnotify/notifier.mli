@@ -87,7 +87,7 @@ val read_events : ?max:int -> t -> Event.t list
 (** Drain pending events, oldest first; at most [max] of them when
     given, leaving the rest queued for the next call — the batched
     drain watch-driven daemons use to bound their per-tick work. Counts
-    as one kernel crossing against the file system's cost model. *)
+    as one kernel crossing ({!Vfs.Fs.syscall}). *)
 
 val pending : t -> int
 
@@ -110,4 +110,6 @@ val register_metrics : t -> prefix:string -> Telemetry.Registry.t -> unit
 (** Publish this notifier's live queue depth and lifetime
     coalesced/overflow counts as gauges named
     [fsnotify.<prefix>.{pending,coalesced,overflows}] — the per-consumer
-    view beside the global dispatch counters {!Vfs.Cost} keeps. *)
+    view beside the file system's registry counters
+    [fsnotify.{events_dispatched,watches_visited,events_coalesced,overflows}],
+    which every notifier on it bumps. *)

@@ -8,20 +8,18 @@ type t = {
 
 let create ?(cred = Vfs.Cred.root) yfs = { yfs; cred; saved = 0 }
 
-let cost t = Vfs.Fs.cost (Y.Yanc_fs.fs t.yfs)
-
 (* One crossing for the whole thunk. [suspended] freezes the shared
    counter, so the specific helpers below account their own savings
    explicitly. *)
-let batch t f =
-  let c = cost t in
-  Vfs.Cost.syscall c;
-  Vfs.Cost.suspended c (fun () -> f t.yfs)
+let one_crossing t f =
+  let fs = Y.Yanc_fs.fs t.yfs in
+  Vfs.Fs.syscall fs;
+  Vfs.Fs.suspended fs f
+
+let batch t f = one_crossing t (fun () -> f t.yfs)
 
 let create_flow t ~switch ~name flow =
-  let c = cost t in
-  Vfs.Cost.syscall c;
-  Vfs.Cost.suspended c (fun () ->
+  one_crossing t (fun () ->
       (* Slow path: mkdir + one write per field file + version. *)
       let field_count =
         2 (* mkdir + version *)
@@ -32,9 +30,7 @@ let create_flow t ~switch ~name flow =
       Y.Yanc_fs.create_flow t.yfs ~cred:t.cred ~switch ~name flow)
 
 let push_flows t triples =
-  let c = cost t in
-  Vfs.Cost.syscall c;
-  Vfs.Cost.suspended c (fun () ->
+  one_crossing t (fun () ->
       List.fold_left
         (fun acc (switch, name, flow) ->
           match acc with
@@ -56,9 +52,7 @@ let push_flows t triples =
         (Ok 0) triples)
 
 let delete_flows t pairs =
-  let c = cost t in
-  Vfs.Cost.syscall c;
-  Vfs.Cost.suspended c (fun () ->
+  one_crossing t (fun () ->
       List.fold_left
         (fun acc (switch, name) ->
           match acc with
@@ -71,9 +65,7 @@ let delete_flows t pairs =
         (Ok ()) pairs)
 
 let read_flow_counters t ~switch =
-  let c = cost t in
-  Vfs.Cost.syscall c;
-  Vfs.Cost.suspended c (fun () ->
+  one_crossing t (fun () ->
       let fs = Y.Yanc_fs.fs t.yfs in
       let root = Y.Yanc_fs.root t.yfs in
       let ( let* ) = Result.bind in

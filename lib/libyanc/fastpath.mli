@@ -7,8 +7,8 @@
     thousands of nodes will result in tens of thousands of context
     switches". The fastpath maps the file system once per batch: the
     whole batch of logical operations is performed inside a single
-    modelled crossing ({!Vfs.Cost.suspended} around the batch, one
-    {!Vfs.Cost.syscall} charged). The resulting file-system state is
+    modelled crossing ({!Vfs.Fs.suspended} around the batch, one
+    {!Vfs.Fs.syscall} charged). The resulting file-system state is
     bit-identical to the slow path, so drivers and fsnotify behave the
     same. *)
 

@@ -44,13 +44,6 @@ module Cost = struct
     t.micro_hits <- 0;
     t.micro_misses <- 0;
     t.invalidations <- 0
-
-  let pp ppf t =
-    Format.fprintf ppf
-      "%d lookups / %d entries examined, %d subtables visited, microflow \
-       %d/%d hit/miss, %d invalidations"
-      t.lookups t.entries_examined t.subtables_visited t.micro_hits
-      t.micro_misses t.invalidations
 end
 
 type strategy = Linear | Classifier

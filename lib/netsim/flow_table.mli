@@ -13,7 +13,7 @@
     default — on the small exact-match tables of a flow-setup storm it
     is also the faster of the two (bench ABL2). *)
 
-(** Datapath lookup counters — the flow-table analogue of {!Vfs.Cost}.
+(** Datapath lookup counters: per-switch simulated-hardware state.
     One {!t} per switch (shared by all its tables, see
     {!Sim_switch.datapath_cost}); {!Network.datapath_cost} aggregates
     them per network. Benches gate on these rather than wall time where
@@ -48,7 +48,6 @@ module Cost : sig
   (** Add a switch's counters into an aggregate. *)
 
   val reset : t -> unit
-  val pp : Format.formatter -> t -> unit
 end
 
 type strategy = Linear | Classifier

@@ -32,6 +32,9 @@ let defaults =
     { name = "policy_fs_errors"; series = "policy.fs_errors"; breach = Crit;
       limit = 0.;
       why = "policyd file-system writes failed (flows or .errors/ stale)" };
+    { name = "app_fs_errors"; series = "app.fs_errors"; breach = Crit;
+      limit = 0.;
+      why = "a daemon's flow or packet-out writes failed (paths missing)" };
     { name = "unowned_shards"; series = "cluster.unowned_shards";
       breach = Crit; limit = 0.;
       why = "switches no live node attaches (orphaned by a death)" };

@@ -7,11 +7,13 @@
     - {e counters}: monotonically increasing integers owned by the
       registry. [counter] returns a handle; {!incr}/{!add} on a handle
       are plain field mutations — the record path allocates nothing.
-    - {e gauges}: sampled on demand from a callback. This is how the
-      pre-existing cost structs ({!Vfs.Cost}, [Flow_table.Cost],
-      [Dfs.Cluster.metrics]) join the registry without rewriting their
-      hot paths: they keep their mutable fields, the registry samples
-      them at snapshot time.
+      Every count is one: a component fetches its handles once at
+      create and bumps them in place, so there is no second counter
+      store to sample.
+    - {e gauges}: sampled on demand from a callback, for state rather
+      than counts — queue depths, high-water marks, stall times, sums
+      over per-object simulated hardware ([Flow_table.Cost] per
+      switch).
     - {e histograms}: log₂-bucketed latency distributions (bucket [i]
       holds observations in [[2^i, 2^{i+1})] nanoseconds). {!observe}
       mutates a preallocated bucket array — no allocation per record.

@@ -39,10 +39,18 @@ type fd = int
 
 type hook = int
 
+module Reg = Telemetry.Registry
+
 type t = {
   id : int;
   root : node;
-  cost : Cost.t;
+  registry : Reg.t;
+  (* Every public call is one modelled kernel crossing (paper §8.1),
+     except inside [suspended]; every path component resolution is
+     counted, suspended or not. *)
+  crossings : Reg.counter;
+  components : Reg.counter;
+  mutable suspended : int; (* depth of [suspended] nesting *)
   mutable now : float;
   mutable readonly : bool;
   mutable next_ino : int;
@@ -72,21 +80,39 @@ let fresh_node t ~mode ~uid ~gid payload =
 
 let next_id = ref 0
 
-let create ?(cost = Cost.create ()) () =
+let create ?(registry = Reg.create ()) () =
   let root =
     { ino = 1; mode = 0o755; uid = 0; gid = 0; atime = 0.; mtime = 0.;
       ctime = 0.; xattrs = []; acl = Acl.empty;
       payload = P_dir (Hashtbl.create 16) }
   in
   incr next_id;
-  { id = !next_id; root; cost; now = 0.;
-    readonly = false; next_ino = 2; next_fd = 3;
-    next_hook = 0; fds = Hashtbl.create 16; hooks = [];
-    rmdir_policy = (fun _ -> false);
-    symlink_policy = (fun _ ~target:_ -> true);
-    objects = 1; bytes_used = 0; generators = Hashtbl.create 8 }
+  let t =
+    { id = !next_id; root; registry;
+      crossings = Reg.counter registry "vfs.crossings";
+      components = Reg.counter registry "vfs.components";
+      suspended = 0; now = 0.;
+      readonly = false; next_ino = 2; next_fd = 3;
+      next_hook = 0; fds = Hashtbl.create 16; hooks = [];
+      rmdir_policy = (fun _ -> false);
+      symlink_policy = (fun _ ~target:_ -> true);
+      objects = 1; bytes_used = 0; generators = Hashtbl.create 8 }
+  in
+  let gauge name f = Reg.gauge registry name (fun () -> float_of_int (f ())) in
+  (* Callbacks every mutation runs: the fan-out fsnotify's shared
+     dispatcher keeps flat in fleet size. *)
+  gauge "vfs.hooks" (fun () -> List.length t.hooks);
+  gauge "fs.objects" (fun () -> t.objects);
+  gauge "fs.bytes" (fun () -> t.bytes_used);
+  t
 
-let cost t = t.cost
+let registry t = t.registry
+
+let syscall t = if t.suspended = 0 then Reg.incr t.crossings
+
+let suspended t f =
+  t.suspended <- t.suspended + 1;
+  Fun.protect ~finally:(fun () -> t.suspended <- t.suspended - 1) f
 
 let id t = t.id
 
@@ -169,7 +195,7 @@ let resolve t cred ~follow_last path =
       match node.payload with
       | P_file _ | P_symlink _ -> Error Errno.ENOTDIR
       | P_dir children -> (
-        Cost.component_resolved t.cost;
+        Reg.incr t.components;
         if not (node_allows node cred Perm.x_ok) then Error Errno.EACCES
         else
           match Hashtbl.find_opt children name with
@@ -244,8 +270,6 @@ let stat_of_node node =
 
 (* --- mutations ------------------------------------------------------------ *)
 
-let sys t = Cost.syscall t.cost
-
 let mkdir_raw ?(mode = 0o755) t ~cred path ~emit_op =
   let* () = require_rw t in
   let* pnode, pcanon, name = resolve_parent t cred path in
@@ -269,7 +293,7 @@ let mkdir_raw ?(mode = 0o755) t ~cred path ~emit_op =
   end
 
 let mkdir ?mode t ~cred path =
-  sys t;
+  syscall t;
   mkdir_raw ?mode t ~cred path ~emit_op:true
 
 let mkdir_p ?mode t ~cred path =
@@ -277,7 +301,7 @@ let mkdir_p ?mode t ~cred path =
     | [] -> Ok ()
     | c :: rest ->
       let p = Path.child prefix c in
-      sys t;
+      syscall t;
       (match mkdir_raw ?mode t ~cred p ~emit_op:true with
       | Ok () | Error Errno.EEXIST -> go p rest
       | Error _ as e -> e)
@@ -305,7 +329,7 @@ let create_file_raw ?(mode = 0o644) t ~cred path ~emit_op =
   end
 
 let create_file ?mode t ~cred path =
-  sys t;
+  syscall t;
   let* _ = create_file_raw ?mode t ~cred path ~emit_op:true in
   Ok ()
 
@@ -316,7 +340,7 @@ let file_data node =
   | P_symlink _ -> Error Errno.EINVAL
 
 let read_file t ~cred path =
-  sys t;
+  syscall t;
   let* node, _ = resolve t cred ~follow_last:true path in
   let* () = require node cred Perm.r_ok in
   match Hashtbl.find_opt t.generators node.ino with
@@ -384,11 +408,11 @@ let write_file_raw t ~cred path data ~emit_op =
   Ok ()
 
 let write_file t ~cred path data =
-  sys t;
+  syscall t;
   write_file_raw t ~cred path data ~emit_op:true
 
 let append_file t ~cred path data =
-  sys t;
+  syscall t;
   let* () = require_rw t in
   let* node, canon, f =
     match resolve t cred ~follow_last:true path with
@@ -408,7 +432,7 @@ let append_file t ~cred path data =
   Ok ()
 
 let truncate t ~cred path size =
-  sys t;
+  syscall t;
   let* () = require_rw t in
   if size < 0 then Error Errno.EINVAL
   else
@@ -455,7 +479,7 @@ let unlink_raw t ~cred path ~emit_op =
       Ok ())
 
 let unlink t ~cred path =
-  sys t;
+  syscall t;
   unlink_raw t ~cred path ~emit_op:true
 
 (* Depth-first removal; emits one op per removed entry so that both
@@ -514,11 +538,11 @@ let rmdir_raw ?(recursive = false) t ~cred path ~emit_op =
         Ok ())
 
 let rmdir ?recursive t ~cred path =
-  sys t;
+  syscall t;
   rmdir_raw ?recursive t ~cred path ~emit_op:true
 
 let readdir t ~cred path =
-  sys t;
+  syscall t;
   let* node, _ = resolve t cred ~follow_last:true path in
   let* () = require node cred Perm.r_ok in
   let* children = dir_children node in
@@ -551,11 +575,11 @@ let symlink_raw t ~cred ~target path ~emit_op =
     end
 
 let symlink t ~cred ~target path =
-  sys t;
+  syscall t;
   symlink_raw t ~cred ~target path ~emit_op:true
 
 let readlink t ~cred path =
-  sys t;
+  syscall t;
   let* node, _ = resolve t cred ~follow_last:false path in
   match node.payload with
   | P_symlink target -> Ok target
@@ -610,7 +634,7 @@ let rename_raw t ~cred ~src ~dst ~emit_op =
     end
 
 let rename t ~cred ~src ~dst =
-  sys t;
+  syscall t;
   rename_raw t ~cred ~src ~dst ~emit_op:true
 
 (* --- fds ------------------------------------------------------------------ *)
@@ -618,7 +642,7 @@ let rename t ~cred ~src ~dst =
 type open_flag = O_rdonly | O_wronly | O_rdwr | O_creat | O_trunc | O_append | O_excl
 
 let openfile ?(mode = 0o644) t ~cred path flags =
-  sys t;
+  syscall t;
   let has f = List.mem f flags in
   let readable = has O_rdonly || has O_rdwr || not (has O_wronly) in
   let writable = has O_wronly || has O_rdwr || has O_append in
@@ -628,7 +652,7 @@ let openfile ?(mode = 0o644) t ~cred path flags =
       if has O_creat && has O_excl then Error Errno.EEXIST
       else Ok (node, canon)
     | Error Errno.ENOENT when has O_creat ->
-      Cost.suspended t.cost (fun () -> create_file_raw ~mode t ~cred path ~emit_op:true)
+      suspended t (fun () -> create_file_raw ~mode t ~cred path ~emit_op:true)
     | Error _ as e -> e
   in
   let* () = if readable then require node cred Perm.r_ok else Ok () in
@@ -665,13 +689,13 @@ let lookup_fd t fd =
   | Some o -> Ok o
 
 let close t fd =
-  sys t;
+  syscall t;
   let* _ = lookup_fd t fd in
   Hashtbl.remove t.fds fd;
   Ok ()
 
 let pread t fd ~off ~len =
-  sys t;
+  syscall t;
   let* o = lookup_fd t fd in
   if not o.readable then Error Errno.EBADF
   else if off < 0 || len < 0 then Error Errno.EINVAL
@@ -682,7 +706,7 @@ let pread t fd ~off ~len =
     else Ok (Bytes.sub_string f.bytes off (min len (f.len - off)))
 
 let pwrite t fd ~off data =
-  sys t;
+  syscall t;
   let* o = lookup_fd t fd in
   if not o.writable then Error Errno.EBADF
   else if off < 0 then Error Errno.EINVAL
@@ -701,12 +725,12 @@ let fd_path t fd =
 (* --- metadata ------------------------------------------------------------- *)
 
 let stat t ~cred path =
-  sys t;
+  syscall t;
   let* node, _ = resolve t cred ~follow_last:true path in
   Ok (stat_of_node node)
 
 let lstat t ~cred path =
-  sys t;
+  syscall t;
   let* node, _ = resolve t cred ~follow_last:false path in
   Ok (stat_of_node node)
 
@@ -719,26 +743,26 @@ let kind_of_raw t ~cred ~follow path =
     | P_symlink _ -> Symlink)
 
 let kind_of ?(follow = true) t ~cred path =
-  sys t;
+  syscall t;
   kind_of_raw t ~cred ~follow path
 
 (* The bool forms are sugar over [kind_of] and conflate every failure —
    EACCES looks like ENOENT. Callers that must tell the difference use
    [kind_of] directly. *)
 let exists t ~cred path =
-  Cost.suspended t.cost (fun () ->
+  suspended t (fun () ->
       match kind_of_raw t ~cred ~follow:true path with
       | Ok _ -> true
       | Error _ -> false)
 
 let is_dir t ~cred path =
-  Cost.suspended t.cost (fun () ->
+  suspended t (fun () ->
       match kind_of_raw t ~cred ~follow:true path with
       | Ok Dir -> true
       | Ok _ | Error _ -> false)
 
 let chmod t ~cred path mode =
-  sys t;
+  syscall t;
   let* () = require_rw t in
   let* node, canon = resolve t cred ~follow_last:true path in
   let* () = require_owner node cred in
@@ -748,7 +772,7 @@ let chmod t ~cred path mode =
   Ok ()
 
 let chown t ~cred path ~uid ~gid =
-  sys t;
+  syscall t;
   let* () = require_rw t in
   let* node, canon = resolve t cred ~follow_last:true path in
   if not (Cred.is_root cred) then Error Errno.EPERM
@@ -761,19 +785,19 @@ let chown t ~cred path ~uid ~gid =
   end
 
 let access t ~cred path a =
-  sys t;
+  syscall t;
   let* node, _ = resolve t cred ~follow_last:true path in
   require node cred a
 
 let canonicalize t ~cred path =
-  sys t;
+  syscall t;
   let* _, canon = resolve t cred ~follow_last:true path in
   Ok canon
 
 (* --- xattrs --------------------------------------------------------------- *)
 
 let setxattr t ~cred path ~name ~value =
-  sys t;
+  syscall t;
   let* () = require_rw t in
   if name = "" then Error Errno.EINVAL
   else
@@ -785,7 +809,7 @@ let setxattr t ~cred path ~name ~value =
     Ok ()
 
 let getxattr t ~cred path ~name =
-  sys t;
+  syscall t;
   let* node, _ = resolve t cred ~follow_last:true path in
   let* () = require node cred Perm.r_ok in
   match List.assoc_opt name node.xattrs with
@@ -793,13 +817,13 @@ let getxattr t ~cred path ~name =
   | None -> Error Errno.ENOENT
 
 let listxattr t ~cred path =
-  sys t;
+  syscall t;
   let* node, _ = resolve t cred ~follow_last:true path in
   let* () = require node cred Perm.r_ok in
   Ok (List.map fst node.xattrs |> List.sort String.compare)
 
 let removexattr t ~cred path ~name =
-  sys t;
+  syscall t;
   let* () = require_rw t in
   let* node, canon = resolve t cred ~follow_last:true path in
   let* () = require node cred Perm.w_ok in
@@ -814,7 +838,7 @@ let removexattr t ~cred path ~name =
 (* --- acls ----------------------------------------------------------------- *)
 
 let set_acl t ~cred path acl =
-  sys t;
+  syscall t;
   let* () = require_rw t in
   if not (Acl.validate acl) then Error Errno.EINVAL
   else
@@ -826,7 +850,7 @@ let set_acl t ~cred path acl =
     Ok ()
 
 let get_acl t ~cred path =
-  sys t;
+  syscall t;
   let* node, _ = resolve t cred ~follow_last:true path in
   Ok node.acl
 
@@ -834,7 +858,7 @@ let get_acl t ~cred path =
 
 let replay_raw t op =
   let cred = Cred.root in
-  Cost.suspended t.cost (fun () ->
+  suspended t (fun () ->
       match (op : Op.t) with
       | Mkdir { path; mode } -> (
         match mkdir_raw ~mode t ~cred path ~emit_op:false with
@@ -968,12 +992,12 @@ let fold_nodes t ~cred ~follow path ~init f =
   Ok (go init canon start)
 
 let fold ?(follow = false) t ~cred path ~init f =
-  sys t;
+  syscall t;
   fold_nodes t ~cred ~follow path ~init (fun acc canon node ->
       f acc canon (stat_of_node node))
 
 let tree t ~cred path =
-  sys t;
+  syscall t;
   let* entries =
     fold_nodes t ~cred ~follow:true path ~init:[] (fun acc canon node ->
         let name =

@@ -11,9 +11,10 @@
       subscribers. {!Fsnotify} and the distributed-FS layer are both
       implemented purely as subscribers, mirroring how inotify and
       network file systems hook the Linux VFS;
-    - a {b kernel-crossing cost model} ({!cost}): every public call
-      counts as one syscall, so the §8.1 overhead argument can be
-      measured (see {!Cost} and the [Libyanc] fastpath).
+    - a {b kernel-crossing cost model} ({!syscall}): every public call
+      counts as one syscall in the [vfs.crossings] counter of the file
+      system's {!registry}, so the §8.1 overhead argument can be
+      measured against the [Libyanc] fastpath.
 
     All operations take an explicit credential and return
     [('a, Errno.t) result]; nothing raises on I/O failure. *)
@@ -37,11 +38,34 @@ type stat = {
 
 type fd
 
-val create : ?cost:Cost.t -> unit -> t
+val create : ?registry:Telemetry.Registry.t -> unit -> t
 (** A fresh file system containing only the root directory (mode 0o755,
-    owned by root). *)
+    owned by root), reporting into [registry] (default: a fresh one).
+    The file system owns the registry a controller over it shares:
+    its counts are registry counters bumped in place —
+    [vfs.crossings] and [vfs.components] here, the [fsnotify.*]
+    dispatch counters from every {!Fsnotify} notifier on it — and it
+    publishes the gauges [vfs.hooks], [fs.objects] and [fs.bytes]. *)
 
-val cost : t -> Cost.t
+val registry : t -> Telemetry.Registry.t
+
+(** {1 Kernel crossings (paper §8.1)}
+
+    Every public call models one user→kernel context switch. The
+    paper's concern is that "writing flow entries to thousands of nodes
+    will result in tens of thousands of context switches"; libyanc's
+    fastpath exists to remove them. *)
+
+val syscall : t -> unit
+(** Count one crossing in [vfs.crossings], unless inside {!suspended}. *)
+
+val suspended : t -> (unit -> 'a) -> 'a
+(** Run a function with crossing accounting disabled — a [Libyanc]
+    batch, where many logical operations share one crossing, and
+    kernel-internal recursion (an op implemented in terms of other ops
+    must not double-count). Path components walked and fsnotify work
+    are still counted: they measure dentry walking and event routing,
+    not crossings. *)
 
 val id : t -> int
 (** Unique per file system created in this process: a cheap hash key

@@ -478,9 +478,6 @@ let create ?(consistency = Dfs.Consistency.Eventual { propagation_s = 0.05 })
              Some (node_tracer nodes.(i))
            else None),
          trace_key_of_op ));
-  (* The replication stream's own counters live on node 0's registry
-     (one seat, so the rollup never double-counts the shared DFS). *)
-  Dfs.Cluster.register dfs (node_registry nodes.(0));
   Array.iter
     (fun node ->
       let reg = node_registry node in

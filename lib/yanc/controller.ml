@@ -10,27 +10,15 @@ type t = {
   proc : Yancfs.Procdir.t;
 }
 
-(* The pre-existing cost structs keep their mutable fields and hot
-   paths; the registry samples them as gauges, so /yanc/.proc/metrics
-   is one namespace without a second counter surface. *)
-let register_probes ~telemetry ~fs ~net =
+(* The netsim's datapath and link counters are per-switch and
+   per-link simulated-hardware state; the registry samples their
+   fleet-wide sums as gauges, beside the counters the file system,
+   fsnotify and the drivers bump in place. *)
+let register_probes ~telemetry ~net =
   let reg = Telemetry.registry telemetry in
-  let g name f = Telemetry.Registry.gauge reg name f in
-  let gi name f = g name (fun () -> float_of_int (f ())) in
-  let cost = Vfs.Fs.cost fs in
-  let module C = Vfs.Cost in
-  gi "vfs.crossings" (fun () -> C.crossings cost);
-  g "vfs.charged_ns" (fun () -> C.charged_ns cost);
-  gi "vfs.components" (fun () -> C.components cost);
-  (* Callbacks every mutation runs: the fan-out fsnotify's shared
-     dispatcher keeps flat in fleet size. *)
-  gi "vfs.hooks" (fun () -> Vfs.Fs.hooks fs);
-  gi "fsnotify.events_dispatched" (fun () -> C.events_dispatched cost);
-  gi "fsnotify.watches_visited" (fun () -> C.watches_visited cost);
-  gi "fsnotify.events_coalesced" (fun () -> C.events_coalesced cost);
-  gi "fsnotify.overflows" (fun () -> C.overflows cost);
-  gi "fs.objects" (fun () -> fst (Vfs.Fs.size_info fs));
-  gi "fs.bytes" (fun () -> snd (Vfs.Fs.size_info fs));
+  let gi name f =
+    Telemetry.Registry.gauge reg name (fun () -> float_of_int (f ()))
+  in
   let module FC = Netsim.Flow_table.Cost in
   let dp f () = f (Netsim.Network.datapath_cost net) in
   gi "datapath.lookups" (dp FC.lookups);
@@ -44,13 +32,23 @@ let register_probes ~telemetry ~fs ~net =
 
 let create ?root ?proc_root ?fs:fs_opt ?telemetry ?tracing ?tuning ?seed ~net
     () =
-  let telemetry =
-    match telemetry with Some t -> t | None -> Telemetry.create ?tracing ()
+  (* One registry: the file system's, which its counters live in. *)
+  let fs =
+    match fs_opt, telemetry with
+    | Some fs, _ -> fs
+    | None, Some tele -> Vfs.Fs.create ~registry:(Telemetry.registry tele) ()
+    | None, None -> Vfs.Fs.create ()
   in
-  let fs = match fs_opt with Some fs -> fs | None -> Vfs.Fs.create () in
+  let telemetry =
+    match telemetry with
+    | None -> Telemetry.create ~registry:(Vfs.Fs.registry fs) ?tracing ()
+    | Some tele when Telemetry.registry tele == Vfs.Fs.registry fs -> tele
+    | Some _ ->
+      invalid_arg "Controller.create: ~fs and ~telemetry use two registries"
+  in
   let yfs = Yancfs.Yanc_fs.create ?root ~telemetry fs in
   let proc = Yancfs.Procdir.mount ?proc:proc_root ~fs ~telemetry () in
-  register_probes ~telemetry ~fs ~net;
+  register_probes ~telemetry ~net;
   let manager = Driver.Manager.create ?tuning ?seed ~yfs ~net () in
   (* Liveness as registry series, so the health probes can judge the
      fleet from a snapshot alone. *)
@@ -67,8 +65,6 @@ let create ?root ?proc_root ?fs:fs_opt ?telemetry ?tracing ?tuning ?seed ~net
     telemetry; proc }
 
 let fs t = t.fs
-
-let cost t = Vfs.Fs.cost t.fs
 
 let datapath_cost t = Netsim.Network.datapath_cost t.net
 

@@ -18,11 +18,14 @@ val create :
   ?telemetry:Telemetry.t -> ?tracing:bool ->
   ?tuning:Driver.Driver_intf.tuning -> ?seed:int ->
   net:Netsim.Network.t -> unit -> t
-(** Builds the telemetry hub (tracing on unless [tracing:false], both
-    ignored when a custom [telemetry] is passed), threads it through
-    the file system, drivers, agents and scheduler, registers gauges
-    sampling every pre-existing counter surface ({!Vfs.Cost}, datapath,
-    fsnotify, network) plus driver liveness
+(** Builds the telemetry hub over the file system's registry
+    ({!Vfs.Fs.registry} of [fs]; without [fs], a fresh file system over
+    the hub's registry — the two never report into different
+    registries, and passing both with different registries raises
+    [Invalid_argument]). Tracing is on unless [tracing:false], ignored
+    when a custom [telemetry] is passed. Threads the hub through the
+    drivers, agents and scheduler, registers gauges sampling the
+    netsim's datapath and link counters plus driver liveness
     ([driver.attached_switches]/[driver.dead_switches], the health
     probes' inputs), and mounts the [/yanc/.proc] subtree (override
     with [proc_root] — cluster nodes mount theirs at
@@ -37,12 +40,6 @@ val telemetry : t -> Telemetry.t
 val proc : t -> Yancfs.Procdir.t
 
 val scheduler : t -> Scheduler.t
-
-val cost : t -> Vfs.Cost.t
-(** The controller file system's cost model — kernel crossings, path
-    components walked and the fsnotify routing counters (events dispatched,
-    watches visited, coalesced, overflow-dropped) that [yancctl]
-    surfaces. *)
 
 val datapath_cost : t -> Netsim.Flow_table.Cost.t
 (** Aggregated switch datapath lookup counters (classifier subtables

@@ -138,7 +138,7 @@ let attach fs ~root =
   (* The hook's own FS calls are kernel-internal: they must not count as
      application syscalls in the §8.1 cost model. *)
   Fs.subscribe fs (fun op ->
-      Vfs.Cost.suspended (Fs.cost fs) @@ fun () ->
+      Fs.suspended fs @@ fun () ->
       match op with
       | Vfs.Op.Mkdir { path; _ } ->
         let kind = classify ~root path in

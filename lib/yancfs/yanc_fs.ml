@@ -28,11 +28,12 @@ let ensure_dir fs ~cred path =
 
 let create ?(root = Layout.default_root) ?telemetry base =
   let telemetry =
-    (* A bare Yanc_fs (tests, benches) gets its own quiet instance; the
-       controller passes the shared one with tracing on. *)
+    (* A bare Yanc_fs (tests, benches) gets a quiet instance over its
+       file system's registry; the controller passes the shared one
+       with tracing on. *)
     match telemetry with
     | Some t -> t
-    | None -> Telemetry.create ~tracing:false ()
+    | None -> Telemetry.create ~registry:(Fs.registry base) ~tracing:false ()
   in
   ignore (Fs.mkdir_p base ~cred:Vfs.Cred.root root);
   ignore (Schema.attach base ~root);

@@ -11,8 +11,10 @@ val create : ?root:Vfs.Path.t -> ?telemetry:Telemetry.t -> Vfs.Fs.t -> t
     attach schema semantics. Idempotent over an existing tree.
     [telemetry] is the observability hub the flow-write path (and every
     component reached through this handle — drivers, agents) reports
-    into; when omitted a private instance with tracing disabled is
-    created, so standalone use costs nothing. *)
+    into; when omitted, an instance with tracing disabled is created
+    over the file system's registry ({!Vfs.Fs.registry}), so
+    standalone use costs nothing and still reports into the same
+    namespace as the file system. *)
 
 val fs : t -> Vfs.Fs.t
 val root : t -> Vfs.Path.t

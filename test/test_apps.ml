@@ -503,12 +503,12 @@ let ecmp_provision ctl built =
 
 (* Two leaves, [spines] equal-cost paths between them, two hosts per
    leaf — the minimal ECMP fabric. *)
-let ecmp_rig ?delivery ?(spines = 2) () =
+let ecmp_rig ?delivery ?cred ?(spines = 2) () =
   let built = N.Topo_gen.clos ~spines ~leaves:2 ~hosts_per_leaf:2 () in
   let ctl = controller built in
   Yanc.Controller.run_for ctl 0.5;
   ecmp_provision ctl built;
-  let d = Apps.Ecmp_router.create ?delivery (Yanc.Controller.yfs ctl) in
+  let d = Apps.Ecmp_router.create ?delivery ?cred (Yanc.Controller.yfs ctl) in
   Yanc.Controller.add_app ctl (Apps.Ecmp_router.app d);
   (built, ctl, d)
 
@@ -542,6 +542,7 @@ let test_ecmp_installs_path () =
     (List.length (ecmp_flows ctl "sw1") + List.length (ecmp_flows ctl "sw2"));
   Alcotest.(check bool) "both endpoints tracked" true
     (Apps.Ecmp_router.hosts_tracked d >= 4);
+  Alcotest.(check int) "no failed writes" 0 (ecmp_counter ctl "app.fs_errors");
   (* the same 12-tuple now forwards in hardware: no new packet-in for
      the forward direction (the delivered SYN may provoke the reverse
      path, nothing more) *)
@@ -592,6 +593,33 @@ let test_ecmp_unknown_dst_drops () =
   Alcotest.(check bool) "unknown destination counted" true
     (ecmp_counter ctl "app.ecmpd.unknown_dst" >= 1)
 
+(* A daemon whose credential cannot write the switches' flows/
+   directories: every write of the path it routes fails, each failure
+   is counted in app.fs_errors, and the health probes judge it Crit. *)
+let test_ecmp_failed_writes_counted () =
+  let user = Vfs.Cred.make ~uid:1000 ~gid:1000 () in
+  let built, ctl, d = ecmp_rig ~cred:user () in
+  let net = built.N.Topo_gen.net in
+  N.Network.send_from_host net "h1" [ ecmp_syn ~src:1 ~dst:3 ~sport:10001 () ];
+  Yanc.Controller.run_for ctl 0.5;
+  Alcotest.(check bool) "a path was routed" true
+    (Apps.Ecmp_router.paths_installed d >= 1);
+  Alcotest.(check (list string)) "nothing written on the source leaf" []
+    (ecmp_flows ctl "sw3");
+  (* leaf, spine and leaf flows, plus the unbuffered ingress's
+     packet-out *)
+  Alcotest.(check int) "every failed write counted" 4
+    (ecmp_counter ctl "app.fs_errors");
+  let reg = Telemetry.registry (Yanc.Controller.telemetry ctl) in
+  let verdicts = Telemetry.Health.evaluate (Telemetry.Registry.snapshot reg) in
+  Alcotest.(check bool) "health is Crit" true
+    (Telemetry.Health.worst verdicts = Telemetry.Health.Crit);
+  Alcotest.(check bool) "the app_fs_errors probe fired" true
+    (List.exists
+       (fun (v : Telemetry.Health.verdict) ->
+         v.probe.name = "app_fs_errors" && v.level = Telemetry.Health.Crit)
+       verdicts)
+
 let test_ecmp_eventdir_mode () =
   let built, ctl, d = ecmp_rig ~delivery:Apps.Ecmp_router.Eventdir () in
   let net = built.N.Topo_gen.net in
@@ -626,7 +654,9 @@ let () =
           Alcotest.test_case "unknown dst drops" `Quick
             test_ecmp_unknown_dst_drops;
           Alcotest.test_case "eventdir delivery" `Quick
-            test_ecmp_eventdir_mode ] );
+            test_ecmp_eventdir_mode;
+          Alcotest.test_case "failed writes counted" `Quick
+            test_ecmp_failed_writes_counted ] );
       ( "daemons",
         [ Alcotest.test_case "arp proxy" `Quick test_arp_daemon_proxy;
           Alcotest.test_case "dhcp" `Quick test_dhcp_daemon ] );

@@ -283,12 +283,12 @@ let test_dfs_coalesces_rewrites () =
   ok (Fs.write_file a ~cred path "v2");
   ok (Fs.write_file a ~cred path "v3");
   Dfs.Cluster.flush c;
-  let m = Dfs.Cluster.metrics c in
   (* v1's whole-file write makes its queued [Create] redundant; then
      rewrites 2 and 3 each emit truncate+write, and each truncate kills
      the still-queued content ops of the previous rewrite *)
   Alcotest.(check int) "superseded ops never replicated" 4
-    m.Dfs.Cluster.ops_coalesced;
+    (Telemetry.Registry.value
+       (Telemetry.Registry.counter (Fs.registry a) "dfs.ops_coalesced"));
   (match Fs.read_file (Dfs.Cluster.node c 1) ~cred path with
   | Ok v -> Alcotest.(check string) "replica has final content" "v3" v
   | Error e -> Alcotest.failf "replica read: %s" (Vfs.Errno.to_string e));

@@ -14,6 +14,18 @@ let ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpected errno %s" (Vfs.Errno.to_string e)
 
+(* A [dfs.*] series of the replication stream, which reports into
+   replica 0's registry. *)
+let dfs_series c name =
+  let reg = Fs.registry (Dfs.Cluster.node c 0) in
+  match
+    Telemetry.Registry.find (Telemetry.Registry.snapshot reg) ("dfs." ^ name)
+  with
+  | Some v -> v
+  | None -> Alcotest.failf "missing series dfs.%s" name
+
+let dfs_count c name = int_of_float (dfs_series c name)
+
 let read_on node path =
   match Fs.read_file node ~cred (p path) with
   | Ok v -> Some v
@@ -35,11 +47,11 @@ let test_sequential_writer_blocks () =
     Dfs.Cluster.create ~consistency:Dfs.Consistency.Sequential ~rtt:0.002 ~n:4 ()
   in
   ok (Fs.write_file (Dfs.Cluster.node c 0) ~cred (p "/f") "x");
-  let m = Dfs.Cluster.metrics c in
   (* one create + one write op, each stalls 3 RTTs (3 other replicas) *)
   Alcotest.(check bool) "writer paid replication rounds" true
-    (m.Dfs.Cluster.writer_blocked_s >= 0.012 -. 1e-9);
-  Alcotest.(check int) "replicated to 3 peers per op" 6 m.Dfs.Cluster.ops_replicated
+    (dfs_series c "writer_blocked_s" >= 0.012 -. 1e-9);
+  Alcotest.(check int) "replicated to 3 peers per op" 6
+    (dfs_count c "ops_replicated")
 
 let test_close_to_open_staleness_window () =
   let c = Dfs.Cluster.create ~consistency:Dfs.Consistency.nfs ~n:2 () in
@@ -352,15 +364,14 @@ let test_metrics () =
   for i = 1 to 5 do
     ok (Fs.write_file (Dfs.Cluster.node c 0) ~cred (p (Printf.sprintf "/f%d" i)) "x")
   done;
-  let m = Dfs.Cluster.metrics c in
   (* 5 files x (create + write) = 10 origin ops *)
-  Alcotest.(check int) "ops originated" 10 m.Dfs.Cluster.ops_originated;
-  Alcotest.(check bool) "queue high-water" true (m.Dfs.Cluster.max_queue >= 10);
+  Alcotest.(check int) "ops originated" 10 (dfs_count c "ops_originated");
+  Alcotest.(check bool) "queue high-water" true (dfs_count c "max_queue" >= 10);
   Dfs.Cluster.flush c;
-  let m2 = Dfs.Cluster.metrics c in
   (* each fresh file's [Create] is made redundant by its whole-file
      [Write] (replay creates on ENOENT), so only the 5 writes travel *)
-  Alcotest.(check int) "replicated to both peers" 10 m2.Dfs.Cluster.ops_replicated
+  Alcotest.(check int) "replicated to both peers" 10
+    (dfs_count c "ops_replicated")
 
 let test_fsnotify_fires_on_replica () =
   (* The property the distributed driver depends on: watchers on a

@@ -17,6 +17,10 @@ let ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpected errno %s" (Vfs.Errno.to_string e)
 
+(* A counter of the file system's registry. *)
+let counter fs name =
+  Telemetry.Registry.value (Telemetry.Registry.counter (Fs.registry fs) name)
+
 let kinds evs = List.map (fun (e : E.t) -> E.kind_to_string e.kind) evs
 
 let strings evs = List.map (Format.asprintf "%a" E.pp) evs
@@ -148,7 +152,7 @@ let test_queue_overflow () =
     (E.kind_to_string (List.nth evs 4).E.kind);
   Alcotest.(check int) "dropped events counted" 16 (N.overflows n);
   Alcotest.(check int) "dropped events in cost model" 16
-    (Vfs.Cost.overflows (Fs.cost fs));
+    (counter fs "fsnotify.overflows");
   (* after the sentinel is read, delivery resumes *)
   ok (Fs.create_file fs ~cred (p "/d/after"));
   Alcotest.(check (list string)) "resumes after drain" [ "created" ]
@@ -175,10 +179,9 @@ let test_two_notifiers_independent () =
 
 let test_read_events_charges_syscall () =
   let fs, n = setup () in
-  let c = Fs.cost fs in
-  Vfs.Cost.reset c;
+  let c0 = counter fs "vfs.crossings" in
   ignore (N.read_events n);
-  Alcotest.(check int) "one crossing" 1 (Vfs.Cost.crossings c)
+  Alcotest.(check int) "one crossing" 1 (counter fs "vfs.crossings" - c0)
 
 (* --- coalescing --------------------------------------------------------- *)
 
@@ -196,7 +199,7 @@ let test_coalesce_repeated_writes () =
     (kinds (N.read_events n));
   Alcotest.(check int) "coalesced counter" 9 (N.coalesced n);
   Alcotest.(check int) "cost counter agrees" 9
-    (Vfs.Cost.events_coalesced (Fs.cost fs))
+    (counter fs "fsnotify.events_coalesced")
 
 let test_coalesce_interleaving_boundary () =
   let fs, n = setup () in
@@ -285,9 +288,9 @@ let test_indexed_visits_few_watches () =
       ok (Fs.mkdir fs ~cred (p (Printf.sprintf "/d%d" i)));
       ignore (N.add_watch n (p (Printf.sprintf "/d%d" i)) N.all)
     done;
-    Vfs.Cost.reset (Fs.cost fs);
+    let v0 = counter fs "fsnotify.watches_visited" in
     ok (Fs.write_file fs ~cred (p "/d50/f") "x");
-    Vfs.Cost.watches_visited (Fs.cost fs)
+    counter fs "fsnotify.watches_visited" - v0
   in
   (* write_file is create + write: two mutations *)
   Alcotest.(check int) "linear scans everything" 200 (visited N.Linear);
@@ -560,7 +563,7 @@ let test_many_notifiers_equivalence () =
   done;
   Alcotest.(check (list int)) "same global wake order" linear.wakes
     shared.wakes;
-  let visited fs = Vfs.Cost.watches_visited (Fs.cost fs) in
+  let visited fs = counter fs "fsnotify.watches_visited" in
   Alcotest.(check int) "shared dispatcher visits what the private ones do"
     (Array.fold_left (fun acc fs -> acc + visited fs) 0 own)
     (visited shared_fs);
@@ -635,13 +638,12 @@ let test_detach_leaves_shared_trie () =
   Driver.Manager.run_control mgr ~now:0.;
   let hooks = Fs.hooks fs in
   let visits_of switch =
-    let c = Fs.cost fs in
-    let v0 = Vfs.Cost.watches_visited c in
+    let v0 = counter fs "fsnotify.watches_visited" in
     let flows =
       Yancfs.Layout.flows_dir ~root:Yancfs.Layout.default_root switch
     in
     ok (Fs.write_file fs ~cred (Path.child flows "probe") "x");
-    Vfs.Cost.watches_visited c - v0
+    counter fs "fsnotify.watches_visited" - v0
   in
   Alcotest.(check bool) "sw1's driver watches its flows" true
     (visits_of "sw1" > 0);

@@ -272,10 +272,15 @@ let test_cost_accounting_visible () =
      hundreds of syscalls. *)
   let built = N.Topo_gen.linear 2 in
   let ctl, _, _ = full_stack built in
-  let c = Fs.cost (Yanc.Controller.fs ctl) in
-  let before = Vfs.Cost.crossings c in
+  let crossings () =
+    Telemetry.Registry.value
+      (Telemetry.Registry.counter
+         (Fs.registry (Yanc.Controller.fs ctl))
+         "vfs.crossings")
+  in
+  let before = crossings () in
   Alcotest.(check bool) "ping" true (ping ctl built.net ~src:"h1" ~dst_n:2);
-  let spent = Vfs.Cost.crossings c - before in
+  let spent = crossings () - before in
   Alcotest.(check bool) "reactive setup costs many crossings" true (spent > 50)
 
 let () =

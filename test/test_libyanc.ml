@@ -28,11 +28,14 @@ let sample_flow i =
     actions = [ OF.Action.Output (OF.Action.Physical ((i mod 4) + 1)) ];
     priority = i }
 
+let crossings fs =
+  Telemetry.Registry.value
+    (Telemetry.Registry.counter (Fs.registry fs) "vfs.crossings")
+
 let test_fastpath_one_crossing_per_batch () =
   let fs, yfs = setup () in
   let fp = Libyanc.Fastpath.create yfs in
-  let cost = Fs.cost fs in
-  Vfs.Cost.reset cost;
+  let c0 = crossings fs in
   (match
      Libyanc.Fastpath.push_flows fp
        (List.init 100 (fun i -> "sw1", Printf.sprintf "f%d" i, sample_flow i))
@@ -40,7 +43,7 @@ let test_fastpath_one_crossing_per_batch () =
   | Ok 100 -> ()
   | Ok n -> Alcotest.failf "wrote %d" n
   | Error e -> Alcotest.failf "push: %s" (Vfs.Errno.to_string e));
-  Alcotest.(check int) "100 flows, ONE crossing" 1 (Vfs.Cost.crossings cost);
+  Alcotest.(check int) "100 flows, ONE crossing" 1 (crossings fs - c0);
   Alcotest.(check int) "all present" 100
     (List.length (Y.Yanc_fs.flow_names yfs ~cred "sw1"));
   Alcotest.(check bool) "saved crossings accounted" true
@@ -77,10 +80,9 @@ let test_fastpath_state_identical_to_slow_path () =
 let test_fastpath_create_flow () =
   let fs, yfs = setup () in
   let fp = Libyanc.Fastpath.create yfs in
-  let cost = Fs.cost fs in
-  Vfs.Cost.reset cost;
+  let c0 = crossings fs in
   ok (Libyanc.Fastpath.create_flow fp ~switch:"sw1" ~name:"one" (sample_flow 1));
-  Alcotest.(check int) "one crossing" 1 (Vfs.Cost.crossings cost);
+  Alcotest.(check int) "one crossing" 1 (crossings fs - c0);
   (* the flow is a normal committed flow *)
   match Y.Yanc_fs.read_flow yfs ~cred ~switch:"sw1" "one" with
   | Ok flow -> Alcotest.(check int) "committed" 1 flow.Y.Flowdir.version
@@ -98,10 +100,9 @@ let test_fastpath_delete_and_read () =
     (Y.Flowdir.write_counters fs ~cred
        (Y.Layout.flow ~root:Y.Layout.default_root ~switch:"sw1" "a")
        ~packets:5L ~bytes:500L ~duration_s:1);
-  let cost = Fs.cost fs in
-  Vfs.Cost.reset cost;
+  let c0 = crossings fs in
   let counters = ok (Libyanc.Fastpath.read_flow_counters fp ~switch:"sw1") in
-  Alcotest.(check int) "bulk read = one crossing" 1 (Vfs.Cost.crossings cost);
+  Alcotest.(check int) "bulk read = one crossing" 1 (crossings fs - c0);
   Alcotest.(check (list (triple string int64 int64))) "counters" [ "a", 5L, 500L ]
     counters;
   ok (Libyanc.Fastpath.delete_flows fp [ "sw1", "a"; "sw1", "b"; "sw1", "ghost" ]);
@@ -111,15 +112,14 @@ let test_fastpath_slow_path_cost_contrast () =
   (* The §8.1 claim in miniature: per-flow slow-path crossings are an
      order of magnitude above fastpath crossings. *)
   let fs, yfs = setup () in
-  let cost = Fs.cost fs in
-  Vfs.Cost.reset cost;
+  let c0 = crossings fs in
   ok (Y.Yanc_fs.create_flow yfs ~cred ~switch:"sw1" ~name:"slow" (sample_flow 1));
-  let slow = Vfs.Cost.crossings cost in
+  let slow = crossings fs - c0 in
   Alcotest.(check bool) "slow path is many syscalls" true (slow >= 8);
-  Vfs.Cost.reset cost;
+  let c0 = crossings fs in
   let fp = Libyanc.Fastpath.create yfs in
   ok (Libyanc.Fastpath.create_flow fp ~switch:"sw1" ~name:"fast" (sample_flow 2));
-  Alcotest.(check int) "fastpath is one" 1 (Vfs.Cost.crossings cost)
+  Alcotest.(check int) "fastpath is one" 1 (crossings fs - c0)
 
 let () =
   Alcotest.run "libyanc"

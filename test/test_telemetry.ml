@@ -297,8 +297,7 @@ let test_dfs_counters_join_the_registry () =
   (* On a clustered deployment the replication counters report into the
      same namespace as everything else. *)
   let cluster = Dfs.Cluster.create ~n:3 () in
-  let reg = T.Registry.create () in
-  Dfs.Cluster.register cluster reg;
+  let reg = Fs.registry (Dfs.Cluster.node cluster 0) in
   ignore
     (Fs.write_file (Dfs.Cluster.node cluster 0) ~cred
        (Vfs.Path.of_string_exn "/x") "1");
@@ -313,6 +312,54 @@ let test_dfs_counters_join_the_registry () =
   Alcotest.(check bool) "writes originate" true (get "dfs.ops_originated" > 0.);
   Alcotest.(check bool) "writes replicate" true (get "dfs.ops_replicated" > 0.);
   Alcotest.(check (float 0.)) "converged" 0. (get "dfs.pending")
+
+(* The file system owns the registry: a controller built over a given
+   file system reports that file system's counters, not a copy. *)
+let test_controller_over_fs_shares_its_registry () =
+  let built = N.Topo_gen.linear 2 in
+  let x = Fs.create () in
+  let ctl = Yanc.Controller.create ~fs:x ~net:built.N.Topo_gen.net () in
+  Yanc.Controller.attach_switches ctl;
+  Yanc.Controller.run_for ctl 0.5;
+  let crossings = T.Registry.counter (Fs.registry x) "vfs.crossings" in
+  Alcotest.(check bool) "the run crossed the kernel" true
+    (T.Registry.value crossings > 0);
+  let reg = T.registry (Yanc.Controller.telemetry ctl) in
+  Alcotest.(check bool) "one registry" true (reg == Fs.registry x);
+  Alcotest.(check (option (float 0.)))
+    "controller reports x's vfs.crossings"
+    (Some (float_of_int (T.Registry.value crossings)))
+    (T.Registry.find (T.Registry.snapshot reg) "vfs.crossings");
+  Alcotest.check_raises "a hub over another registry is refused"
+    (Invalid_argument
+       "Controller.create: ~fs and ~telemetry use two registries")
+    (fun () ->
+      ignore
+        (Yanc.Controller.create ~fs:x ~telemetry:(T.create ())
+           ~net:built.N.Topo_gen.net ()))
+
+(* Without a telemetry hub, a yancfs mount reports into its file
+   system's registry rather than a private one. *)
+let test_bare_yancfs_reports_vfs_series () =
+  let fs = Fs.create () in
+  let yfs = Yancfs.Yanc_fs.create fs in
+  ignore
+    (Yancfs.Yanc_fs.add_switch yfs ~name:"sw1" ~dpid:1L ~protocol:"openflow10"
+       ~n_buffers:0 ~n_tables:1 ~capabilities:[] ~actions:[]);
+  let snap = T.Registry.snapshot (T.registry (Yancfs.Yanc_fs.telemetry yfs)) in
+  let value name =
+    T.Registry.value (T.Registry.counter (Fs.registry fs) name)
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " counted") true (value name > 0);
+      Alcotest.(check (option (float 0.)))
+        (name ^ " in the yancfs snapshot")
+        (Some (float_of_int (value name)))
+        (T.Registry.find snap name))
+    [ "vfs.crossings"; "vfs.components" ];
+  Alcotest.(check (option (float 0.))) "the schema hook gauged" (Some 1.)
+    (T.Registry.find snap "vfs.hooks")
 
 let test_scheduler_accounting () =
   let built = N.Topo_gen.linear 2 in
@@ -332,6 +379,217 @@ let test_scheduler_accounting () =
     Alcotest.(check bool) "runtime non-negative" true
       (s.Yanc.Scheduler.runtime_ns >= 0)
   | l -> Alcotest.failf "expected one app, got %d" (List.length l)
+
+(* --- series-name goldens ------------------------------------------------------ *)
+
+(* The series names /yanc/.proc/metrics exports are an interface:
+   bench/suite reads them by name, and a renamed or dropped series
+   reads there as a silent 0. Both lists were recorded from the live
+   files; a change to either must be deliberate. *)
+
+let metric_names body =
+  String.split_on_char '\n' body
+  |> List.filter_map (fun l ->
+         match String.index_opt l ' ' with
+         | Some i -> Some (String.sub l 0 i)
+         | None -> None)
+
+let golden_provision yfs net =
+  let sw = Yancfs.Yanc_fs.switch_name_of_dpid in
+  List.iter
+    (fun (a, b) ->
+      match (a, b) with
+      | N.Network.Sw (d1, p1), N.Network.Sw (d2, p2) ->
+        ignore
+          (Yancfs.Yanc_fs.set_peer yfs ~cred ~switch:(sw d1) ~port:p1
+             ~peer:(Some (sw d2, p2)));
+        ignore
+          (Yancfs.Yanc_fs.set_peer yfs ~cred ~switch:(sw d2) ~port:p2
+             ~peer:(Some (sw d1, p1)))
+      | N.Network.Sw (d, p), N.Network.Hst h
+      | N.Network.Hst h, N.Network.Sw (d, p) ->
+        let i = int_of_string (String.sub h 1 (String.length h - 1)) in
+        ignore
+          (Yancfs.Yanc_fs.upsert_host yfs ~cred ~name:h
+             ~mac:(N.Topo_gen.host_mac i) ~ip:(Some (N.Topo_gen.host_ip i))
+             ~attached_to:(sw d, p) ())
+      | N.Network.Hst _, N.Network.Hst _ -> ())
+    (N.Network.link_endpoints net)
+
+(* A short k=4 ecmpd storm (with policyd started, so its series show)
+   on one controller: 200 arrivals at the default workload profile. *)
+let storm_series () =
+  let built = N.Topo_gen.fat_tree ~k:4 () in
+  let net = built.N.Topo_gen.net in
+  let ctl = Yanc.Controller.create ~net () in
+  Yanc.Controller.attach_switches ctl;
+  Yanc.Controller.run_for ctl 0.6;
+  let yfs = Yanc.Controller.yfs ctl in
+  golden_provision yfs net;
+  Yanc.Controller.add_app ctl
+    (Apps.Ecmp_router.app (Apps.Ecmp_router.create yfs));
+  ignore (Yanc.Controller.add_policy_engine ctl);
+  let wl =
+    N.Workload.create ~start:(N.Network.now net) ~seed:0x5E41E5
+      ~hosts:(List.length built.N.Topo_gen.host_names) ()
+  in
+  let injected = ref 0 in
+  while !injected < 200 do
+    injected :=
+      !injected + N.Workload.inject_until wl ~net ~upto:(N.Network.now net);
+    Yanc.Controller.step ctl;
+    N.Network.run net;
+    if N.Network.pending_events net = 0 then N.Network.advance_idle net 0.005
+  done;
+  Yanc.Controller.run_for ~tick:0.005 ctl 0.25;
+  Alcotest.(check bool) "the storm installed paths" true
+    (T.Registry.value
+       (T.Registry.counter (T.registry (Yanc.Controller.telemetry ctl))
+          "app.ecmpd.installs")
+    > 0);
+  metric_names (read_proc ctl "metrics")
+
+let cluster_series () =
+  let built = N.Topo_gen.fat_tree ~k:4 () in
+  let c = Yanc.Cluster.create ~n:2 ~net:built.N.Topo_gen.net () in
+  Yanc.Cluster.run_for ~tick:0.02 c 1.0;
+  match
+    Fs.read_file
+      (Yanc.Controller.fs (Yanc.Cluster.controller c 0))
+      ~cred
+      (Vfs.Path.of_string_exn "/yanc/cluster/.proc/metrics")
+  with
+  | Ok s -> metric_names s
+  | Error e -> Alcotest.failf "read rollup: %s" (Vfs.Errno.message e)
+
+(* Per-switch series differ only in the dpid: compare them as one. *)
+let fold_switches names =
+  let is_digit c = c >= '0' && c <= '9' in
+  let fold part =
+    let n = String.length part in
+    if n > 2 && String.sub part 0 2 = "sw"
+       && String.for_all is_digit (String.sub part 2 (n - 2))
+    then "sw<n>"
+    else part
+  in
+  List.map
+    (fun name ->
+      String.concat "." (List.map fold (String.split_on_char '.' name)))
+    names
+  |> List.sort_uniq compare
+
+let storm_golden =
+  [ "app.ecmpd.events"; "app.ecmpd.installs"; "app.ecmpd.no_route";
+    "app.ecmpd.transit_miss"; "app.ecmpd.unknown_dst"; "app.fs_errors";
+    "blackbox.recorded"; "datapath.entries_examined";
+    "datapath.invalidations"; "datapath.lookups"; "datapath.microflow_hits";
+    "datapath.microflow_misses"; "datapath.subtables_visited";
+    "driver.attached_switches"; "driver.commit.adds"; "driver.commit.batches";
+    "driver.commit.coalesced"; "driver.commit.deletes"; "driver.commit.keys";
+    "driver.commit.latency.count"; "driver.commit.latency.max";
+    "driver.commit.latency.p50"; "driver.commit.latency.p99";
+    "driver.commit.sweeps"; "driver.dead_switches"; "driver.disconnects";
+    "driver.fs_errors"; "driver.keepalives_sent"; "driver.mgr.attached";
+    "driver.mgr.runnable"; "driver.mgr.stepped"; "driver.mgr.steps";
+    "driver.mgr.timers"; "driver.pktin.batch.count"; "driver.pktin.batch.max";
+    "driver.pktin.batch.p50"; "driver.pktin.batch.p99";
+    "driver.pktin.drained"; "driver.pktin.dropped"; "driver.pktin.published";
+    "driver.resync_deletes"; "driver.resync_installs"; "driver.resyncs";
+    "driver.retries"; "driver.sw<n>.commit.pending"; "driver.sw<n>.status";
+    "fs.bytes"; "fs.objects"; "fsnotify.driver.sw<n>.coalesced";
+    "fsnotify.driver.sw<n>.overflows"; "fsnotify.driver.sw<n>.pending";
+    "fsnotify.events_coalesced"; "fsnotify.events_dispatched";
+    "fsnotify.overflows"; "fsnotify.watches_visited"; "net.frames_delivered";
+    "net.frames_dropped"; "netsim.pool.pktin.allocated";
+    "netsim.pool.pktin.free"; "netsim.pool.pktin.in_use";
+    "netsim.pool.pktin.reused"; "policy.compile.latency.count";
+    "policy.compile.latency.max"; "policy.compile.latency.p50";
+    "policy.compile.latency.p99"; "policy.compile_errors"; "policy.files";
+    "policy.flows_deleted"; "policy.flows_written"; "policy.fs_errors";
+    "policy.recompiles"; "policy.rules"; "rounds.app.ecmpd.count";
+    "rounds.app.ecmpd.max"; "rounds.app.ecmpd.p50"; "rounds.app.ecmpd.p99";
+    "rounds.driver.flow_mod.count"; "rounds.driver.flow_mod.max";
+    "rounds.driver.flow_mod.p50"; "rounds.driver.flow_mod.p99";
+    "rounds.driver.packet_in.count"; "rounds.driver.packet_in.max";
+    "rounds.driver.packet_in.p50"; "rounds.driver.packet_in.p99";
+    "rounds.sched.wake.count"; "rounds.sched.wake.max";
+    "rounds.sched.wake.p50"; "rounds.sched.wake.p99";
+    "rounds.switch.install.count"; "rounds.switch.install.max";
+    "rounds.switch.install.p50"; "rounds.switch.install.p99";
+    "rounds.yancfs.flow_write.count"; "rounds.yancfs.flow_write.max";
+    "rounds.yancfs.flow_write.p50"; "rounds.yancfs.flow_write.p99";
+    "sched.ecmpd.iterations"; "sched.ecmpd.runtime_ns";
+    "sched.policyd.iterations"; "sched.policyd.runtime_ns";
+    "trace.app.ecmpd.count"; "trace.app.ecmpd.max"; "trace.app.ecmpd.p50";
+    "trace.app.ecmpd.p99"; "trace.driver.flow_mod.count";
+    "trace.driver.flow_mod.max"; "trace.driver.flow_mod.p50";
+    "trace.driver.flow_mod.p99"; "trace.driver.packet_in.count";
+    "trace.driver.packet_in.max"; "trace.driver.packet_in.p50";
+    "trace.driver.packet_in.p99"; "trace.dropped"; "trace.sched.wake.count";
+    "trace.sched.wake.max"; "trace.sched.wake.p50"; "trace.sched.wake.p99";
+    "trace.spans_recorded"; "trace.switch.install.count";
+    "trace.switch.install.max"; "trace.switch.install.p50";
+    "trace.switch.install.p99"; "trace.yancfs.flow_write.count";
+    "trace.yancfs.flow_write.max"; "trace.yancfs.flow_write.p50";
+    "trace.yancfs.flow_write.p99"; "vfs.components"; "vfs.crossings";
+    "vfs.hooks" ]
+
+let cluster_golden =
+  [ "blackbox.recorded"; "cluster.live_nodes"; "cluster.members_seen";
+    "cluster.nodes"; "cluster.takeovers"; "cluster.unowned_shards";
+    "datapath.entries_examined"; "datapath.invalidations"; "datapath.lookups";
+    "datapath.microflow_hits"; "datapath.microflow_misses";
+    "datapath.subtables_visited"; "dfs.emits_elided"; "dfs.max_queue";
+    "dfs.nodes"; "dfs.ops_coalesced"; "dfs.ops_dropped"; "dfs.ops_originated";
+    "dfs.ops_replicated"; "dfs.ops_synced"; "dfs.pending";
+    "dfs.writer_blocked_s"; "driver.attached_switches"; "driver.commit.adds";
+    "driver.commit.batches"; "driver.commit.coalesced";
+    "driver.commit.deletes"; "driver.commit.keys";
+    "driver.commit.latency.count"; "driver.commit.latency.max";
+    "driver.commit.latency.p50"; "driver.commit.latency.p99";
+    "driver.commit.sweeps"; "driver.dead_switches"; "driver.disconnects";
+    "driver.fs_errors"; "driver.keepalives_sent"; "driver.mgr.attached";
+    "driver.mgr.runnable"; "driver.mgr.stepped"; "driver.mgr.steps";
+    "driver.mgr.timers"; "driver.pktin.batch.count"; "driver.pktin.batch.max";
+    "driver.pktin.batch.p50"; "driver.pktin.batch.p99";
+    "driver.pktin.drained"; "driver.pktin.dropped"; "driver.pktin.published";
+    "driver.resync_deletes"; "driver.resync_installs"; "driver.resyncs";
+    "driver.retries"; "driver.sw<n>.commit.pending"; "driver.sw<n>.status";
+    "fs.bytes"; "fs.objects"; "fsnotify.driver.sw<n>.coalesced";
+    "fsnotify.driver.sw<n>.overflows"; "fsnotify.driver.sw<n>.pending";
+    "fsnotify.events_coalesced"; "fsnotify.events_dispatched";
+    "fsnotify.overflows"; "fsnotify.watches_visited"; "net.frames_delivered";
+    "net.frames_dropped"; "netsim.pool.pktin.allocated";
+    "netsim.pool.pktin.free"; "netsim.pool.pktin.in_use";
+    "netsim.pool.pktin.reused"; "trace.dropped"; "trace.spans_recorded";
+    "vfs.components"; "vfs.crossings"; "vfs.hooks" ]
+
+(* Every registry series bench/suite/workloads.ml reads (its two dead
+   [vfs.dcache.*] reads aside). *)
+let suite_reads =
+  [ "app.ecmpd.installs"; "app.ecmpd.no_route"; "app.ecmpd.unknown_dst";
+    "datapath.entries_examined"; "datapath.lookups"; "datapath.microflow_hits";
+    "datapath.microflow_misses"; "dfs.ops_coalesced"; "dfs.ops_replicated";
+    "driver.commit.adds"; "driver.commit.batches"; "driver.commit.deletes";
+    "driver.commit.keys"; "driver.fs_errors"; "driver.mgr.stepped";
+    "driver.pktin.dropped"; "driver.pktin.published";
+    "fsnotify.events_coalesced"; "fsnotify.events_dispatched";
+    "fsnotify.watches_visited"; "policy.compile_errors";
+    "rounds.switch.install.max"; "vfs.components"; "vfs.crossings" ]
+
+let test_series_goldens () =
+  let storm = fold_switches (storm_series ()) in
+  let cluster = fold_switches (cluster_series ()) in
+  Alcotest.(check (list string)) "storm /yanc/.proc/metrics" storm_golden storm;
+  Alcotest.(check (list string))
+    "/yanc/cluster/.proc/metrics" cluster_golden cluster;
+  List.iter
+    (fun name ->
+      Alcotest.(check bool)
+        (Printf.sprintf "golden carries %s" name)
+        true
+        (List.mem name storm_golden || List.mem name cluster_golden))
+    suite_reads
 
 (* --- percentile quantization contract -------------------------------------- *)
 
@@ -577,5 +835,11 @@ let () =
           Alcotest.test_case "dfs counters join the registry" `Quick
             test_dfs_counters_join_the_registry;
           Alcotest.test_case "scheduler accounting" `Quick
-            test_scheduler_accounting ] );
+            test_scheduler_accounting;
+          Alcotest.test_case "controller shares its fs registry" `Quick
+            test_controller_over_fs_shares_its_registry;
+          Alcotest.test_case "bare yancfs reports vfs series" `Quick
+            test_bare_yancfs_reports_vfs_series;
+          Alcotest.test_case "series-name goldens" `Quick
+            test_series_goldens ] );
     ]

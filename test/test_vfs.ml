@@ -463,26 +463,27 @@ let test_symlink_policy () =
 
 (* --- cost model -------------------------------------------------------------------- *)
 
+let crossings fs =
+  Telemetry.Registry.value
+    (Telemetry.Registry.counter (Fs.registry fs) "vfs.crossings")
+
 let test_cost_counting () =
   let fs = fresh () in
-  let c = Fs.cost fs in
-  Vfs.Cost.reset c;
+  let c0 = crossings fs in
   check_ok "mk" (Fs.mkdir fs ~cred (p "/d"));
   check_ok "w" (Fs.write_file fs ~cred (p "/d/f") "x");
   ignore (check_ok "r" (Fs.read_file fs ~cred (p "/d/f")));
-  Alcotest.(check int) "three syscalls" 3 (Vfs.Cost.crossings c);
-  Alcotest.(check bool) "cost charged" true (Vfs.Cost.charged_ns c > 0.)
+  Alcotest.(check int) "three syscalls" 3 (crossings fs - c0)
 
 let test_cost_suspended () =
   let fs = fresh () in
-  let c = Fs.cost fs in
-  Vfs.Cost.reset c;
-  Vfs.Cost.suspended c (fun () ->
+  let c0 = crossings fs in
+  Fs.suspended fs (fun () ->
       check_ok "mk" (Fs.mkdir fs ~cred (p "/d"));
       check_ok "w" (Fs.write_file fs ~cred (p "/d/f") "x"));
-  Alcotest.(check int) "free inside suspension" 0 (Vfs.Cost.crossings c);
-  Vfs.Cost.syscall c;
-  Alcotest.(check int) "counting resumes" 1 (Vfs.Cost.crossings c)
+  Alcotest.(check int) "free inside suspension" 0 (crossings fs - c0);
+  Fs.syscall fs;
+  Alcotest.(check int) "counting resumes" 1 (crossings fs - c0)
 
 (* --- walk / tree --------------------------------------------------------------------- *)
 
