@@ -18,15 +18,14 @@ module Fs = Vfs.Fs
 
 let cred = Vfs.Cred.root
 
-(* Every count is a registry counter: read it by name. *)
+(* Every count is a registry counter: read it by name from a snapshot,
+   so a misspelled or unregistered series fails instead of reading 0. *)
 let count reg name =
-  Telemetry.Registry.value (Telemetry.Registry.counter reg name)
+  match Telemetry.Registry.find (Telemetry.Registry.snapshot reg) name with
+  | Some v -> int_of_float v
+  | None -> failwith ("no registry series " ^ name)
 
 let fs_count fs name = count (Fs.registry fs) name
-
-(* The §8.1 cost model: one modelled user/kernel round trip, µs-scale
-   (the right order of magnitude for a FUSE-mediated call). *)
-let crossing_us = 1.
 
 let net_root = Y.Layout.default_root
 
@@ -105,8 +104,8 @@ let sample_flow i =
 let e8_crossings () =
   section
     "E8a  crossings: push one flow to each of N switches (paper 8.1)";
-  row "  %8s | %16s | %12s | %18s | %12s | %6s\n" "switches" "fs-path syscalls"
-    "fs-path us" "fastpath syscalls" "fastpath us" "ratio";
+  row "  %8s | %16s | %18s | %6s\n" "switches" "fs-path syscalls"
+    "fastpath syscalls" "ratio";
   List.iter
     (fun n ->
       (* slow path *)
@@ -119,7 +118,6 @@ let e8_crossings () =
              ~name:"f" (sample_flow i))
       done;
       let slow = fs_count fs "vfs.crossings" - c0 in
-      let slow_us = float_of_int slow *. crossing_us in
       (* fastpath *)
       let fs2, yfs2 = fresh_yancfs ~switches:n () in
       let c0 = fs_count fs2 "vfs.crossings" in
@@ -130,10 +128,7 @@ let e8_crossings () =
                 ( Y.Yanc_fs.switch_name_of_dpid (Int64.of_int (i + 1)),
                   "f", sample_flow i ))));
       let fast = fs_count fs2 "vfs.crossings" - c0 in
-      let fast_us = float_of_int fast *. crossing_us in
-      row "  %8d | %16d | %12.1f | %18d | %12.1f | %5dx\n" n slow slow_us fast
-        fast_us
-        (slow / max 1 fast))
+      row "  %8d | %16d | %18d | %5dx\n" n slow fast (slow / max 1 fast))
     [ 10; 100; 1000 ]
 
 (* E8b — wall-clock for the same contrast. *)
@@ -963,10 +958,10 @@ let dispatch_fanout ~notifiers =
    discovery, then a ping sweep from h1 so the router keeps installing
    fresh paths (each one: packet-in -> wake -> app -> flow write ->
    flow-mod -> install). Returns the controller and the host wall time. *)
-let e16_workload ?telemetry ?tuning ~pings () =
+let e16_workload ?tracing ?tuning ~pings () =
   let built = N.Topo_gen.linear 4 in
   let ctl =
-    Yanc.Controller.create ?telemetry ?tuning ~net:built.N.Topo_gen.net ()
+    Yanc.Controller.create ?tracing ?tuning ~net:built.N.Topo_gen.net ()
   in
   Yanc.Controller.attach_switches ctl;
   let yfs = Yanc.Controller.yfs ctl in
@@ -1021,8 +1016,7 @@ let e16_tracing () =
     !m
   in
   let off =
-    best (fun () ->
-        e16_workload ~telemetry:(Telemetry.create ~tracing:false ()) ~pings:12 ())
+    best (fun () -> e16_workload ~tracing:false ~pings:12 ())
   in
   let on = best (fun () -> e16_workload ~pings:12 ()) in
   row "  tracer off %.4fs, on %.4fs (%+.1f%%)\n" off on
@@ -1248,10 +1242,7 @@ let e18_rig ~flows () =
   yfs, mgr
 
 let e18_counter yfs name =
-  Telemetry.Registry.value
-    (Telemetry.Registry.counter
-       (Telemetry.registry (Y.Yanc_fs.telemetry yfs))
-       name)
+  count (Telemetry.registry (Y.Yanc_fs.telemetry yfs)) name
 
 (* [rounds] x: touch [dirty] flows (action rewrite, identity kept),
    one control-loop turn. Returns (crossings per round, batches,
@@ -1339,8 +1330,7 @@ let e19_tuning =
     Driver.Driver_intf.stats_interval = 0. }
 
 let e19_counter ctl name =
-  let reg = Telemetry.registry (Yanc.Controller.telemetry ctl) in
-  Telemetry.Registry.value (Telemetry.Registry.counter reg name)
+  count (Telemetry.registry (Yanc.Controller.telemetry ctl)) name
 
 (* Provision the fabric inventory straight into the FS: peer symlinks
    for every inter-switch link, /net/hosts entries with attachment
@@ -2121,10 +2111,7 @@ let e22_compile_point n =
   (n, !best, List.length !rules)
 
 let e22_counter ctl name =
-  Telemetry.Registry.value
-    (Telemetry.Registry.counter
-       (Telemetry.registry (Yanc.Controller.telemetry ctl))
-       name)
+  count (Telemetry.registry (Yanc.Controller.telemetry ctl)) name
 
 (* Full install vs one-clause edit of the same policy, billed at the
    dirty-flow commit queue (adds + deletes actually encoded). *)
@@ -2381,14 +2368,12 @@ let smoke () =
      minor words with the tracer on within 1.10x of off — because the
      sweep runs ~25 ms and timer jitter swamps a 5% wall margin. Wall
      time is printed, not gated. *)
-  let sweep ?telemetry () =
+  let sweep ?tracing () =
     let words0 = Gc.minor_words () in
-    let ctl, wall = e16_workload ?telemetry ~pings:6 () in
+    let ctl, wall = e16_workload ?tracing ~pings:6 () in
     (ctl, wall, Gc.minor_words () -. words0)
   in
-  let _, wall_off, words_off =
-    sweep ~telemetry:(Telemetry.create ~tracing:false ()) ()
-  in
+  let _, wall_off, words_off = sweep ~tracing:false () in
   let ctl_on, wall_on, words_on = sweep () in
   Printf.printf
     "bench-smoke: tracing off %.4fs %.0f words, on %.4fs %.0f words (%+.1f%% \

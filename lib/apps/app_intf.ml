@@ -25,3 +25,21 @@ let daemon ?pending ~name run = { name; schedule = Daemon; run; pending }
 let cron ~name ~period run = { name; schedule = Cron period; run; pending = None }
 
 let oneshot ~name run = { name; schedule = Oneshot; run; pending = None }
+
+(* No write to the tree is dropped silently: each failure is counted in
+   the app's fs_errors counter, which the health probes judge Crit, and
+   logged as "<who>: <what>: <reason>". *)
+let fs_failed errors who what msg =
+  Telemetry.Registry.incr errors;
+  Logs.err (fun m -> m "%s: %s: %s" who what msg)
+
+let checked errors who what = function
+  | Ok _ -> ()
+  | Error e -> fs_failed errors who what (Vfs.Errno.message e)
+
+(* The app.fs_errors counter of the mount's registry, shared by the
+   daemons that install flows. Fetch it once at create. *)
+let fs_errors yfs =
+  Telemetry.Registry.counter
+    (Telemetry.registry (Yancfs.Yanc_fs.telemetry yfs))
+    "app.fs_errors"

@@ -51,7 +51,7 @@ let create ?(cred = Vfs.Cred.root) ?(delivery = Ring) ?(tag = "")
     c_unknown = Telemetry.Registry.counter reg "app.ecmpd.unknown_dst";
     c_no_route = Telemetry.Registry.counter reg "app.ecmpd.no_route";
     c_transit = Telemetry.Registry.counter reg "app.ecmpd.transit_miss";
-    fs_errors = Path_install.fs_errors yfs }
+    fs_errors = App_intf.fs_errors yfs }
 
 let fs t = Y.Yanc_fs.fs t.yfs
 

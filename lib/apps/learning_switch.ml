@@ -17,7 +17,7 @@ type t = {
 let create ?(cred = Vfs.Cred.root) ?(idle_timeout = 60) yfs =
   { yfs; cred; idle_timeout; tables = Hashtbl.create 16;
     subscribed = Hashtbl.create 16; flow_seq = 0;
-    fs_errors = Path_install.fs_errors yfs }
+    fs_errors = App_intf.fs_errors yfs }
 
 let fs t = Y.Yanc_fs.fs t.yfs
 
@@ -42,7 +42,7 @@ let install_flow t ~switch ~dst ~out_port ~buffer_id =
       idle_timeout = t.idle_timeout;
       buffer_id }
   in
-  Path_install.checked t.fs_errors ~switch "flow"
+  App_intf.checked t.fs_errors switch "flow"
     (Y.Yanc_fs.create_flow t.yfs ~cred:t.cred ~switch ~name flow)
 
 let handle_frame t ~switch (ev : Y.Eventdir.event) =

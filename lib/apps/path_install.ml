@@ -19,17 +19,6 @@ let adjacency yfs ~cred =
     (Y.Yanc_fs.switch_names yfs);
   adj
 
-let fs_errors yfs =
-  Telemetry.Registry.counter
-    (Telemetry.registry (Y.Yanc_fs.telemetry yfs))
-    "app.fs_errors"
-
-let checked fs_errors ~switch what = function
-  | Ok _ -> ()
-  | Error e ->
-    Telemetry.Registry.incr fs_errors;
-    Logs.err (fun m -> m "%s on %s: %s" what switch (Vfs.Errno.message e))
-
 let install yfs ~cred ~fs_errors ~name ~priority ~idle_timeout ~headers
     ~ingress ~dst_loc ~buffer_id ~data hops =
   let exact = OF.Of_match.exact_of_headers headers in
@@ -53,11 +42,11 @@ let install yfs ~cred ~fs_errors ~name ~priority ~idle_timeout ~headers
           idle_timeout;
           buffer_id = (if is_ingress_hop then buffer_id else None) }
       in
-      checked fs_errors ~switch:sw "flow"
+      App_intf.checked fs_errors sw "flow"
         (Y.Yanc_fs.create_flow yfs ~cred ~switch:sw ~name:(name ()) flow);
       (* Unbuffered ingress: push the original packet along too. *)
       if is_ingress_hop && buffer_id = None then
-        checked fs_errors ~switch:sw "packet-out"
+        App_intf.checked fs_errors sw "packet-out"
           (Y.Outdir.submit (Y.Yanc_fs.fs yfs) ~cred ~root:(Y.Yanc_fs.root yfs)
              ~switch:sw ~in_port
              ~actions:[ OF.Action.Output (OF.Action.Physical out_port) ]

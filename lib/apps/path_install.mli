@@ -14,18 +14,6 @@ val adjacency :
 (** The fabric as the topology daemon's [peer] symlinks describe it:
     every switch's links, one binding per port. *)
 
-val fs_errors : Yancfs.Yanc_fs.t -> Telemetry.Registry.counter
-(** The [app.fs_errors] counter of the mount's registry, shared by
-    every daemon that installs flows: a failed flow or packet-out write
-    is logged and counted there, never dropped silently, and the health
-    probes judge it Crit. Fetch it once at create. *)
-
-val checked :
-  Telemetry.Registry.counter -> switch:string -> string ->
-  ('a, Vfs.Errno.t) result -> unit
-(** [checked fs_errors ~switch what r]: count an [Error] in
-    [fs_errors] and log it, naming [what] was written on [switch]. *)
-
 val install :
   Yancfs.Yanc_fs.t -> cred:Vfs.Cred.t -> fs_errors:Telemetry.Registry.counter ->
   name:(unit -> string) ->
@@ -37,4 +25,5 @@ val install :
     so no packet races an absent rule. [name] is called once per flow,
     in install order. The ingress hop releases [buffer_id]; when the
     ingress is unbuffered the packet itself is sent along as a
-    packet-out. A failed write is counted in [fs_errors]. *)
+    packet-out. A failed write is logged and counted in [fs_errors]
+    ({!App_intf.fs_errors}). *)

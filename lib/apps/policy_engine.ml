@@ -41,15 +41,10 @@ let composed_error_name = "_policy"
 
 (* --- error files ---------------------------------------------------------- *)
 
-(* No write to the tree is dropped silently: each failure is logged and
-   counted in policy.fs_errors, which the health probes judge Crit. *)
-let fs_failed errors what msg =
-  Reg.incr errors;
-  Logs.err (fun m -> m "policyd: %s: %s" what msg)
+(* Failed writes are counted in policy.fs_errors. *)
+let fs_failed errors what msg = App_intf.fs_failed errors "policyd" what msg
 
-let checked errors what = function
-  | Ok _ -> ()
-  | Error e -> fs_failed errors what (Vfs.Errno.message e)
+let checked errors what r = App_intf.checked errors "policyd" what r
 
 let set_error t name msg =
   let path = Path.child t.errors_dir name in

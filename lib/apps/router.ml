@@ -22,7 +22,7 @@ type t = {
 let create ?(cred = Vfs.Cred.root) ?(idle_timeout = 30) ?(priority = 200) yfs =
   { yfs; cred; idle_timeout; priority; hosts = Hashtbl.create 64;
     ips = Hashtbl.create 64; subscribed = Hashtbl.create 16; paths = 0;
-    flow_seq = 0; fs_errors = Path_install.fs_errors yfs }
+    flow_seq = 0; fs_errors = App_intf.fs_errors yfs }
 
 let fs t = Y.Yanc_fs.fs t.yfs
 

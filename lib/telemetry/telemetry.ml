@@ -16,10 +16,8 @@ type t = { registry : Registry.t; tracer : Tracer.t; blackbox : Blackbox.t }
 
 (* [registry] defaults to a fresh one; a controller passes the registry
    its file system owns, so both report into one namespace. *)
-let create ?registry ?(tracing = true) ?capacity ?blackbox_capacity () =
-  let registry =
-    match registry with Some r -> r | None -> Registry.create ()
-  in
+let create ?(registry = Registry.create ()) ?(tracing = true) ?capacity
+    ?blackbox_capacity () =
   let tracer = Tracer.create ?capacity registry in
   Tracer.set_enabled tracer tracing;
   (* The tracer's own health is part of the registry. *)

@@ -80,7 +80,8 @@ let fresh_node t ~mode ~uid ~gid payload =
 
 let next_id = ref 0
 
-let create ?(registry = Reg.create ()) () =
+let create () =
+  let registry = Reg.create () in
   let root =
     { ino = 1; mode = 0o755; uid = 0; gid = 0; atime = 0.; mtime = 0.;
       ctime = 0.; xattrs = []; acl = Acl.empty;

@@ -38,9 +38,9 @@ type stat = {
 
 type fd
 
-val create : ?registry:Telemetry.Registry.t -> unit -> t
+val create : unit -> t
 (** A fresh file system containing only the root directory (mode 0o755,
-    owned by root), reporting into [registry] (default: a fresh one).
+    owned by root), with a fresh registry ({!registry}).
     The file system owns the registry a controller over it shares:
     its counts are registry counters bumped in place —
     [vfs.crossings] and [vfs.components] here, the [fsnotify.*]

@@ -30,21 +30,11 @@ let register_probes ~telemetry ~net =
   gi "net.frames_delivered" (fun () -> fst (Netsim.Network.stats net));
   gi "net.frames_dropped" (fun () -> snd (Netsim.Network.stats net))
 
-let create ?root ?proc_root ?fs:fs_opt ?telemetry ?tracing ?tuning ?seed ~net
-    () =
+let create ?root ?proc_root ?(fs = Vfs.Fs.create ()) ?tracing ?tuning ?seed
+    ~net () =
   (* One registry: the file system's, which its counters live in. *)
-  let fs =
-    match fs_opt, telemetry with
-    | Some fs, _ -> fs
-    | None, Some tele -> Vfs.Fs.create ~registry:(Telemetry.registry tele) ()
-    | None, None -> Vfs.Fs.create ()
-  in
   let telemetry =
-    match telemetry with
-    | None -> Telemetry.create ~registry:(Vfs.Fs.registry fs) ?tracing ()
-    | Some tele when Telemetry.registry tele == Vfs.Fs.registry fs -> tele
-    | Some _ ->
-      invalid_arg "Controller.create: ~fs and ~telemetry use two registries"
+    Telemetry.create ~registry:(Vfs.Fs.registry fs) ?tracing ()
   in
   let yfs = Yancfs.Yanc_fs.create ?root ~telemetry fs in
   let proc = Yancfs.Procdir.mount ?proc:proc_root ~fs ~telemetry () in

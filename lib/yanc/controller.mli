@@ -15,15 +15,13 @@ type t
 
 val create :
   ?root:Vfs.Path.t -> ?proc_root:Vfs.Path.t -> ?fs:Vfs.Fs.t ->
-  ?telemetry:Telemetry.t -> ?tracing:bool ->
+  ?tracing:bool ->
   ?tuning:Driver.Driver_intf.tuning -> ?seed:int ->
   net:Netsim.Network.t -> unit -> t
 (** Builds the telemetry hub over the file system's registry
-    ({!Vfs.Fs.registry} of [fs]; without [fs], a fresh file system over
-    the hub's registry — the two never report into different
-    registries, and passing both with different registries raises
-    [Invalid_argument]). Tracing is on unless [tracing:false], ignored
-    when a custom [telemetry] is passed. Threads the hub through the
+    ({!Vfs.Fs.registry} of [fs], default a fresh file system), so the
+    two always report into one registry. Tracing is on unless
+    [tracing:false]. Threads the hub through the
     drivers, agents and scheduler, registers gauges sampling the
     netsim's datapath and link counters plus driver liveness
     ([driver.attached_switches]/[driver.dead_switches], the health

@@ -522,9 +522,12 @@ let ecmp_flows ctl switch =
     (fun n -> String.length n >= 5 && String.sub n 0 5 = "ecmp-")
     (Y.Yanc_fs.flow_names (Yanc.Controller.yfs ctl) ~cred switch)
 
+(* Read from a snapshot, so a missing series fails instead of reading 0. *)
 let ecmp_counter ctl name =
   let reg = Telemetry.registry (Yanc.Controller.telemetry ctl) in
-  Telemetry.Registry.value (Telemetry.Registry.counter reg name)
+  match Telemetry.Registry.find (Telemetry.Registry.snapshot reg) name with
+  | Some v -> int_of_float v
+  | None -> Alcotest.failf "no registry series %s" name
 
 (* dpids in a clos: spines first, then leaves. *)
 let test_ecmp_installs_path () =

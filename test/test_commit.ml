@@ -286,9 +286,11 @@ let test_dfs_coalesces_rewrites () =
   (* v1's whole-file write makes its queued [Create] redundant; then
      rewrites 2 and 3 each emit truncate+write, and each truncate kills
      the still-queued content ops of the previous rewrite *)
-  Alcotest.(check int) "superseded ops never replicated" 4
-    (Telemetry.Registry.value
-       (Telemetry.Registry.counter (Fs.registry a) "dfs.ops_coalesced"));
+  Alcotest.(check (option (float 0.))) "superseded ops never replicated"
+    (Some 4.)
+    (Telemetry.Registry.find
+       (Telemetry.Registry.snapshot (Fs.registry a))
+       "dfs.ops_coalesced");
   (match Fs.read_file (Dfs.Cluster.node c 1) ~cred path with
   | Ok v -> Alcotest.(check string) "replica has final content" "v3" v
   | Error e -> Alcotest.failf "replica read: %s" (Vfs.Errno.to_string e));

@@ -17,9 +17,13 @@ let ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpected errno %s" (Vfs.Errno.to_string e)
 
-(* A counter of the file system's registry. *)
+(* A counter of the file system's registry, read from a snapshot so a
+   missing name fails instead of reading 0. *)
 let counter fs name =
-  Telemetry.Registry.value (Telemetry.Registry.counter (Fs.registry fs) name)
+  let snap = Telemetry.Registry.snapshot (Fs.registry fs) in
+  match Telemetry.Registry.find snap name with
+  | Some v -> int_of_float v
+  | None -> Alcotest.failf "no registry series %s" name
 
 let kinds evs = List.map (fun (e : E.t) -> E.kind_to_string e.kind) evs
 

@@ -273,10 +273,12 @@ let test_cost_accounting_visible () =
   let built = N.Topo_gen.linear 2 in
   let ctl, _, _ = full_stack built in
   let crossings () =
-    Telemetry.Registry.value
-      (Telemetry.Registry.counter
-         (Fs.registry (Yanc.Controller.fs ctl))
-         "vfs.crossings")
+    let reg = Fs.registry (Yanc.Controller.fs ctl) in
+    match
+      Telemetry.Registry.find (Telemetry.Registry.snapshot reg) "vfs.crossings"
+    with
+    | Some v -> int_of_float v
+    | None -> Alcotest.fail "no vfs.crossings series"
   in
   let before = crossings () in
   Alcotest.(check bool) "ping" true (ping ctl built.net ~src:"h1" ~dst_n:2);

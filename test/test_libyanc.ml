@@ -28,9 +28,12 @@ let sample_flow i =
     actions = [ OF.Action.Output (OF.Action.Physical ((i mod 4) + 1)) ];
     priority = i }
 
+(* Read from a snapshot, so a missing series fails instead of reading 0. *)
 let crossings fs =
-  Telemetry.Registry.value
-    (Telemetry.Registry.counter (Fs.registry fs) "vfs.crossings")
+  let snap = Telemetry.Registry.snapshot (Fs.registry fs) in
+  match Telemetry.Registry.find snap "vfs.crossings" with
+  | Some v -> int_of_float v
+  | None -> Alcotest.fail "no vfs.crossings series"
 
 let test_fastpath_one_crossing_per_batch () =
   let fs, yfs = setup () in

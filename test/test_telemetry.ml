@@ -321,22 +321,16 @@ let test_controller_over_fs_shares_its_registry () =
   let ctl = Yanc.Controller.create ~fs:x ~net:built.N.Topo_gen.net () in
   Yanc.Controller.attach_switches ctl;
   Yanc.Controller.run_for ctl 0.5;
-  let crossings = T.Registry.counter (Fs.registry x) "vfs.crossings" in
+  let crossings =
+    T.Registry.find (T.Registry.snapshot (Fs.registry x)) "vfs.crossings"
+  in
   Alcotest.(check bool) "the run crossed the kernel" true
-    (T.Registry.value crossings > 0);
+    (Option.value crossings ~default:0. > 0.);
   let reg = T.registry (Yanc.Controller.telemetry ctl) in
   Alcotest.(check bool) "one registry" true (reg == Fs.registry x);
   Alcotest.(check (option (float 0.)))
-    "controller reports x's vfs.crossings"
-    (Some (float_of_int (T.Registry.value crossings)))
-    (T.Registry.find (T.Registry.snapshot reg) "vfs.crossings");
-  Alcotest.check_raises "a hub over another registry is refused"
-    (Invalid_argument
-       "Controller.create: ~fs and ~telemetry use two registries")
-    (fun () ->
-      ignore
-        (Yanc.Controller.create ~fs:x ~telemetry:(T.create ())
-           ~net:built.N.Topo_gen.net ()))
+    "controller reports x's vfs.crossings" crossings
+    (T.Registry.find (T.Registry.snapshot reg) "vfs.crossings")
 
 (* Without a telemetry hub, a yancfs mount reports into its file
    system's registry rather than a private one. *)
@@ -347,16 +341,14 @@ let test_bare_yancfs_reports_vfs_series () =
     (Yancfs.Yanc_fs.add_switch yfs ~name:"sw1" ~dpid:1L ~protocol:"openflow10"
        ~n_buffers:0 ~n_tables:1 ~capabilities:[] ~actions:[]);
   let snap = T.Registry.snapshot (T.registry (Yancfs.Yanc_fs.telemetry yfs)) in
-  let value name =
-    T.Registry.value (T.Registry.counter (Fs.registry fs) name)
-  in
+  let fs_snap = T.Registry.snapshot (Fs.registry fs) in
   List.iter
     (fun name ->
-      Alcotest.(check bool) (name ^ " counted") true (value name > 0);
+      let counted = T.Registry.find fs_snap name in
+      Alcotest.(check bool) (name ^ " counted") true
+        (Option.value counted ~default:0. > 0.);
       Alcotest.(check (option (float 0.)))
-        (name ^ " in the yancfs snapshot")
-        (Some (float_of_int (value name)))
-        (T.Registry.find snap name))
+        (name ^ " in the yancfs snapshot") counted (T.Registry.find snap name))
     [ "vfs.crossings"; "vfs.components" ];
   Alcotest.(check (option (float 0.))) "the schema hook gauged" (Some 1.)
     (T.Registry.find snap "vfs.hooks")

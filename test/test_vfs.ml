@@ -463,9 +463,12 @@ let test_symlink_policy () =
 
 (* --- cost model -------------------------------------------------------------------- *)
 
+(* Read from a snapshot, so a missing series fails instead of reading 0. *)
 let crossings fs =
-  Telemetry.Registry.value
-    (Telemetry.Registry.counter (Fs.registry fs) "vfs.crossings")
+  let snap = Telemetry.Registry.snapshot (Fs.registry fs) in
+  match Telemetry.Registry.find snap "vfs.crossings" with
+  | Some v -> int_of_float v
+  | None -> Alcotest.fail "no vfs.crossings series"
 
 let test_cost_counting () =
   let fs = fresh () in
