@@ -44,10 +44,6 @@ val app : t -> App_intf.t
 
 val run : t -> now:float -> unit
 
-val refresh_topology : t -> unit
-(** Drop the cached adjacency and next-hop tables (they rebuild lazily;
-    a failed route also triggers one rebuild automatically). *)
-
 val paths_installed : t -> int
 
 val hosts_tracked : t -> int

@@ -4,6 +4,12 @@ type endpoint = Sw of int64 * int | Hst of string
 
 type link_state = { peer : endpoint; latency : float; mutable up : bool }
 
+(* Every link's one-way latency: 100 µs. *)
+let link_latency = 1e-4
+
+(* [run]/[run_until] stop after this many steps even if events remain. *)
+let max_events = 1_000_000
+
 type event = { at : float; seq : int; dst : endpoint; frame : P.Eth.t }
 
 (* Same-instant events stay FIFO: ties on [at] break on [seq]. *)
@@ -11,7 +17,6 @@ let event_lt (a : event) (b : event) =
   a.at < b.at || (a.at = b.at && a.seq < b.seq)
 
 type t = {
-  default_latency : float;
   mutable now : float;
   mutable seq : int;
   heap : event Heap.t;
@@ -23,8 +28,8 @@ type t = {
   mutable dropped : int;
 }
 
-let create ?(default_latency = 1e-4) () =
-  { default_latency; now = 0.; seq = 0; heap = Heap.create ~lt:event_lt;
+let create () =
+  { now = 0.; seq = 0; heap = Heap.create ~lt:event_lt;
     switches = Hashtbl.create 16; hosts = Hashtbl.create 16;
     links = Hashtbl.create 32; sinks = Hashtbl.create 16; delivered = 0;
     dropped = 0 }
@@ -71,12 +76,11 @@ let set_carrier t ep down =
     | None -> ()
     | Some sw -> Sim_switch.set_link_down sw port down)
 
-let link ?latency t a b =
-  let latency = Option.value latency ~default:t.default_latency in
+let link t a b =
   ensure_port t a;
   ensure_port t b;
-  Hashtbl.replace t.links a { peer = b; latency; up = true };
-  Hashtbl.replace t.links b { peer = a; latency; up = true };
+  Hashtbl.replace t.links a { peer = b; latency = link_latency; up = true };
+  Hashtbl.replace t.links b { peer = a; latency = link_latency; up = true };
   set_carrier t a false;
   set_carrier t b false
 
@@ -192,13 +196,13 @@ let step t =
     drain ();
     true
 
-let run ?(max_events = 1_000_000) t =
+let run t =
   let budget = ref max_events in
   while !budget > 0 && step t do
     decr budget
   done
 
-let run_until ?(max_events = 1_000_000) t pred =
+let run_until t pred =
   let budget = ref max_events in
   let ok = ref (pred ()) in
   while (not !ok) && !budget > 0 && step t do

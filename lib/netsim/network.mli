@@ -11,9 +11,8 @@ type endpoint =
   | Sw of int64 * int     (** (dpid, port) *)
   | Hst of string         (** a host's single NIC *)
 
-val create : ?default_latency:float -> unit -> t
-(** [default_latency] (default 1e-4, i.e. 100 µs) applies to links
-    created without an explicit latency. *)
+val create : unit -> t
+(** Every link has a one-way latency of 100 µs. *)
 
 val now : t -> float
 
@@ -31,7 +30,7 @@ val datapath_cost : t -> Flow_table.Cost.t
 (** A fresh aggregate of every switch's datapath lookup counters (a
     snapshot — later lookups are not reflected in the returned value). *)
 
-val link : ?latency:float -> t -> endpoint -> endpoint -> unit
+val link : t -> endpoint -> endpoint -> unit
 (** Connect two endpoints with a bidirectional link. Linking a switch
     port that does not exist yet creates it. *)
 
@@ -66,12 +65,12 @@ val step : t -> bool
 (** Process all events at the next scheduled time; false when the queue
     is empty. Flow timeouts are processed as time advances. *)
 
-val run : ?max_events:int -> t -> unit
-(** Drain the event queue (bounded by [max_events], default 1_000_000). *)
+val run : t -> unit
+(** Drain the event queue (bounded at 1,000,000 steps). *)
 
-val run_until : ?max_events:int -> t -> (unit -> bool) -> bool
-(** Step until the predicate holds or the queue empties; returns whether
-    the predicate held. *)
+val run_until : t -> (unit -> bool) -> bool
+(** Step until the predicate holds or the queue empties (bounded at
+    1,000,000 steps); returns whether the predicate held. *)
 
 val advance_idle : t -> float -> unit
 (** Advance the clock by [dt] even with no events pending (drives

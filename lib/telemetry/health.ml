@@ -35,6 +35,9 @@ let defaults =
     { name = "app_fs_errors"; series = "app.fs_errors"; breach = Crit;
       limit = 0.;
       why = "a daemon's flow or packet-out writes failed (paths missing)" };
+    { name = "cluster_fs_errors"; series = "cluster.fs_errors";
+      breach = Crit; limit = 0.;
+      why = "a lease, shard claim or cluster record write failed" };
     { name = "unowned_shards"; series = "cluster.unowned_shards";
       breach = Crit; limit = 0.;
       why = "switches no live node attaches (orphaned by a death)" };

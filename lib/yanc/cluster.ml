@@ -36,6 +36,7 @@ type node = {
   mutable next_renew : float;
   mutable last_members : string list;  (* membership at last full audit *)
   mutable takeovers : int;          (* shards claimed after boot *)
+  fs_errors : Telemetry.Registry.counter;  (* cluster.fs_errors *)
 }
 
 type t = {
@@ -43,9 +44,6 @@ type t = {
   net : Netsim.Network.t;
   nodes : node array;
   dpids : int64 list;
-  lease_ttl : float;
-  renew_every : float;
-  reconcile_every : float;
   factor : int;
   version : Controller.version;
   (* dpid -> replica indexes, rebuilt on membership change; consulted by
@@ -70,6 +68,14 @@ type t = {
 
 let cred = Vfs.Cred.root
 
+(* Leases last [lease_ttl] seconds and are renewed every [renew_every];
+   membership and ownership are re-derived every [reconcile_every]. *)
+let lease_ttl = 1.0
+
+let renew_every = 0.25
+
+let reconcile_every = 0.1
+
 let node_name i = Printf.sprintf "n%d" i
 
 let node_tracer node = Telemetry.tracer (Controller.telemetry node.ctl)
@@ -87,16 +93,30 @@ let index_of_name name =
 
 (* --- file-system records ------------------------------------------------------ *)
 
-let write_file fs path data =
-  ignore (Vfs.Fs.mkdir_p fs ~cred (Option.get (Vfs.Path.parent path)));
-  ignore (Vfs.Fs.write_file fs ~cred path data)
+(* A failed coordination write (lease, shard claim, black box, proc
+   mount) is logged and counted in [cluster.fs_errors], which the
+   cluster_fs_errors health probe judges Crit: a lease that stops
+   renewing silently would look like a dead node to every peer. *)
+let fs_checked node path = function
+  | Ok () -> ()
+  | Error e ->
+    Telemetry.Registry.incr node.fs_errors;
+    Logs.warn (fun m ->
+        m "cluster[%s]: fs write failed (%s): %s" node.name
+          (Vfs.Path.to_string path) (Vfs.Errno.message e))
 
-let renew_lease t node ~now =
+let write_file node path data =
   let fs = Controller.fs node.ctl in
-  write_file fs
+  fs_checked node path
+    (Result.bind
+       (Vfs.Fs.mkdir_p fs ~cred (Option.get (Vfs.Path.parent path)))
+       (fun () -> Vfs.Fs.write_file fs ~cred path data))
+
+let renew_lease node ~now =
+  write_file node
     (Yancfs.Layout.cluster_lease node.name)
-    (Printf.sprintf "%.6f\n" (now +. t.lease_ttl));
-  node.next_renew <- now +. t.renew_every
+    (Printf.sprintf "%.6f\n" (now +. lease_ttl));
+  node.next_renew <- now +. renew_every
 
 (* The membership as node [i] sees it: every member whose lease, read
    from this node's replica, has not expired. *)
@@ -125,8 +145,8 @@ let shard_record_of t i dpid =
     | [ owner ] -> Some (owner, [ owner ])
     | _ -> None)
 
-let write_shard_record _t node dpid ~reps =
-  write_file (Controller.fs node.ctl)
+let write_shard_record node dpid ~reps =
+  write_file node
     (Yancfs.Layout.cluster_shard dpid)
     (Printf.sprintf "%s %s\n" node.name (String.concat "," reps))
 
@@ -272,7 +292,7 @@ let claim t node dpid ~members ~now =
                      sw_path))
           | None -> ())
       reps;
-    write_shard_record t node dpid ~reps;
+    write_shard_record node dpid ~reps;
     if takeover then begin
       node.takeovers <- node.takeovers + 1;
       match prev_owner with
@@ -306,7 +326,7 @@ let claim t node dpid ~members ~now =
 let dump_blackbox node ~reason ~now =
   let bb = Telemetry.blackbox (Controller.telemetry node.ctl) in
   let data = Telemetry.Blackbox.dump bb ~reason ~now in
-  write_file (Controller.fs node.ctl)
+  write_file node
     (Yancfs.Layout.blackbox_dump ~node:node.name (Telemetry.Blackbox.dumps bb))
     data
 
@@ -414,7 +434,7 @@ let mount_rollup t =
   let proc = Yancfs.Layout.cluster_proc_root in
   Array.iter
     (fun node ->
-      ignore (Vfs.Fs.mkdir_p (Controller.fs node.ctl) ~cred proc);
+      fs_checked node proc (Vfs.Fs.mkdir_p (Controller.fs node.ctl) ~cred proc);
       Yancfs.Procdir.add_file (Controller.proc node.ctl)
         (Yancfs.Layout.proc_metrics ~proc)
         (fun () -> Telemetry.Registry.render (rollup_snapshot t));
@@ -428,7 +448,6 @@ let mount_rollup t =
 (* --- construction ------------------------------------------------------------- *)
 
 let create ?(consistency = Dfs.Consistency.Eventual { propagation_s = 0.05 })
-    ?(lease_ttl = 1.0) ?(renew_every = 0.25) ?(reconcile_every = 0.1)
     ?(replication_factor = 2) ?(version = Controller.V10) ?tracing ?tuning
     ?(seed = 9) ~n ~net () =
   let n = max 1 n in
@@ -451,10 +470,14 @@ let create ?(consistency = Dfs.Consistency.Eventual { propagation_s = 0.05 })
             ?tracing ?tuning ~seed:(seed + (i * 7919)) ~net ()
         in
         { index = i; name; ctl; alive = true; busy_s = 0.;
-          next_renew = neg_infinity; last_members = []; takeovers = 0 })
+          next_renew = neg_infinity; last_members = []; takeovers = 0;
+          fs_errors =
+            Telemetry.Registry.counter
+              (Telemetry.registry (Controller.telemetry ctl))
+              "cluster.fs_errors" })
   in
   let t =
-    { dfs; net; nodes; dpids; lease_ttl; renew_every; reconcile_every;
+    { dfs; net; nodes; dpids;
       factor = min replication_factor n; version;
       shard_routes = Hashtbl.create 256;
       shard_owners = Hashtbl.create 256; route_members = [];
@@ -489,7 +512,7 @@ let create ?(consistency = Dfs.Consistency.Eventual { propagation_s = 0.05 })
   (* Seed every lease before the first reconcile so boot assigns shards
      against the full membership instead of a thundering claim-all. *)
   let now = Netsim.Network.now net in
-  Array.iter (fun node -> renew_lease t node ~now) nodes;
+  Array.iter (fun node -> renew_lease node ~now) nodes;
   mount_rollup t;
   t
 
@@ -535,7 +558,7 @@ let sync_dfs_clock t =
 let step ?(tick = 0.005) t =
   let now = Netsim.Network.now t.net in
   let reconcile_due = now >= t.next_reconcile in
-  if reconcile_due then t.next_reconcile <- now +. t.reconcile_every;
+  if reconcile_due then t.next_reconcile <- now +. reconcile_every;
   Array.iter
     (fun node ->
       if node.alive then begin
@@ -543,7 +566,7 @@ let step ?(tick = 0.005) t =
         let tracer = node_tracer node in
         if now >= node.next_renew then
           Telemetry.Tracer.span tracer ~stage:"cluster.lease_renew"
-            (fun () -> renew_lease t node ~now);
+            (fun () -> renew_lease node ~now);
         if reconcile_due then
           Telemetry.Tracer.span tracer ~stage:"cluster.reconcile"
             (fun () -> reconcile t node ~now);

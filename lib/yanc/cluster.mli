@@ -26,21 +26,19 @@ type t
 
 val create :
   ?consistency:Dfs.Consistency.t ->
-  ?lease_ttl:float ->
-  ?renew_every:float ->
-  ?reconcile_every:float ->
   ?replication_factor:int ->
   ?version:Controller.version ->
   ?tracing:bool ->
   ?tuning:Driver.Driver_intf.tuning ->
   ?seed:int ->
   n:int -> net:Netsim.Network.t -> unit -> t
-(** Defaults: flow-state consistency [Eventual 0.05 s]; lease TTL 1 s
-    renewed every 0.25 s; reconcile every 0.1 s; replication factor 2
+(** Defaults: flow-state consistency [Eventual 0.05 s]; replication
+    factor 2
     (clamped to [n]); tracing on ([tracing:false] builds every node's
     telemetry with the tracer off — the overhead-bench baseline).
     Every node's lease is seeded before the first beat so boot assigns
-    shards against the full membership. Drive it with
+    shards against the full membership. Leases last 1 s and are renewed
+    every 0.25 s; reconcile runs every 0.1 s. Drive it with
     {!run_for}/{!run_until}; ownership (attach/handshake) settles
     within the first reconcile beats.
 
@@ -54,7 +52,9 @@ val create :
     each claim after a death feeds the [cluster.takeover.latency]
     histogram (measured from the dead lease's recorded expiry); and
     every replica mounts the fleet rollup at [/yanc/cluster/.proc]
-    (merged [metrics], cluster [health]). *)
+    (merged [metrics], cluster [health]). A failed coordination write
+    (lease, shard claim, black box, proc mount) is logged and counted in
+    that node's [cluster.fs_errors], which health judges Crit. *)
 
 val dfs : t -> Dfs.Cluster.t
 val net : t -> Netsim.Network.t

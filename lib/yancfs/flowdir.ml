@@ -20,7 +20,7 @@ let default =
 
 let ( let* ) = Result.bind
 
-let write ?(bump_version = true) fs ~cred path t =
+let write fs ~cred path t =
   let put name value = Fs.write_file fs ~cred (Path.child path name) value in
   (* Remove stale match/action files so a narrower rewrite wins. *)
   let* existing = Fs.readdir fs ~cred path in
@@ -60,9 +60,7 @@ let write ?(bump_version = true) fs ~cred path t =
     | Some id -> put "buffer_id" (Int32.to_string id)
     | None -> Ok ()
   in
-  if bump_version then
-    put Layout.version_file (string_of_int (t.version + 1))
-  else Ok ()
+  put Layout.version_file (string_of_int (t.version + 1))
 
 let parse_int_file name content =
   match int_of_string_opt (String.trim content) with
@@ -136,13 +134,12 @@ let read fs ~cred path =
     let* actions = Action.of_fields (List.rev action_fields) in
     Ok { flat with actions }
 
-let update ?(bump_version = true) fs ~cred path f =
+let update fs ~cred path f =
   let* current = read fs ~cred path in
   let next = f current in
-  match write ~bump_version fs ~cred path next with
+  match write fs ~cred path next with
   | Error e -> Error (Vfs.Errno.message e)
-  | Ok () ->
-    Ok (if bump_version then { next with version = next.version + 1 } else next)
+  | Ok () -> Ok { next with version = next.version + 1 }
 
 let read_version fs ~cred path =
   match Fs.read_file fs ~cred (Path.child path Layout.version_file) with

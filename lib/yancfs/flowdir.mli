@@ -27,18 +27,15 @@ val default : t
     version 0. *)
 
 val write :
-  ?bump_version:bool -> Vfs.Fs.t -> cred:Vfs.Cred.t -> Vfs.Path.t -> t ->
-  (unit, Vfs.Errno.t) result
+  Vfs.Fs.t -> cred:Vfs.Cred.t -> Vfs.Path.t -> t -> (unit, Vfs.Errno.t) result
 (** Materialize the flow under an existing flow directory: write all
-    field files and finally (unless [bump_version] is [false]) write the
-    incremented version — the commit point. *)
+    field files and finally the incremented version — the commit
+    point. *)
 
 val update :
-  ?bump_version:bool -> Vfs.Fs.t -> cred:Vfs.Cred.t -> Vfs.Path.t ->
-  (t -> t) -> (t, string) result
+  Vfs.Fs.t -> cred:Vfs.Cred.t -> Vfs.Path.t -> (t -> t) -> (t, string) result
 (** Read-modify-write in one step: parse the directory, apply [f], and
-    commit the result ({!write}, which bumps [version] unless
-    [bump_version] is [false]). Returns the flow as committed — i.e.
+    commit the result ({!write}, which bumps [version]). Returns the flow as committed — i.e.
     with the bumped version — so callers can cache it. This is the
     upsert building block: apps that want create-or-update write
     [match create_flow ... with Error EEXIST -> update ... | r -> r]

@@ -262,6 +262,43 @@ let test_kill_one_of_two_takeover () =
   Alcotest.(check bool) "survivor recorded takeovers" true
     (Yanc.Cluster.takeovers c 0 >= List.length orphaned)
 
+(* A coordination write that fails is counted, not dropped: with node
+   1's replica read-only its next lease renewal fails, bumps its
+   cluster.fs_errors counter, and the fleet health report goes crit. *)
+let test_failed_lease_write_counted () =
+  let _built, c = boot () in
+  let errors () =
+    Telemetry.Registry.find
+      (Telemetry.Registry.snapshot
+         (Telemetry.registry
+            (Yanc.Controller.telemetry (Yanc.Cluster.controller c 1))))
+      "cluster.fs_errors"
+  in
+  Alcotest.(check (option (float 0.))) "no errors while writable" (Some 0.)
+    (errors ());
+  Vfs.Fs.set_readonly (Dfs.Cluster.node (Yanc.Cluster.dfs c) 1) true;
+  (* one renew interval (0.25 s) and change *)
+  Yanc.Cluster.run_for ~tick:0.02 c 0.3;
+  Alcotest.(check bool) "the failed renewal was counted" true
+    (match errors () with Some v -> v >= 1. | None -> false);
+  match
+    Vfs.Fs.read_file
+      (Yanc.Controller.fs (Yanc.Cluster.controller c 0))
+      ~cred
+      (Y.Layout.proc_health ~proc:Y.Layout.cluster_proc_root)
+  with
+  | Error e -> Alcotest.failf "cluster health: %s" (Vfs.Errno.to_string e)
+  | Ok report ->
+    Alcotest.(check bool) "health is crit" true
+      (Telemetry.Health.status_of_render report = Some Telemetry.Health.Crit);
+    Alcotest.(check bool) "the cluster_fs_errors probe fired" true
+      (List.exists
+         (fun line ->
+           match String.split_on_char ' ' line with
+           | "cluster_fs_errors" :: "crit" :: _ -> true
+           | _ -> false)
+         (String.split_on_char '\n' report))
+
 let test_sync_subtree_antientropy () =
   let c = Dfs.Cluster.create ~consistency:Dfs.Consistency.Sequential ~n:3 () in
   (* route everything under /data to replica 1 only, leaving 2 stale *)
@@ -525,7 +562,9 @@ let () =
           Alcotest.test_case "kill one of two: takeover converges" `Quick
             test_kill_one_of_two_takeover;
           Alcotest.test_case "sync_subtree anti-entropy" `Quick
-            test_sync_subtree_antientropy ] );
+            test_sync_subtree_antientropy;
+          Alcotest.test_case "failed lease write is counted" `Quick
+            test_failed_lease_write_counted ] );
       ( "observability",
         [ Alcotest.test_case "one trace spans two rings" `Quick
             test_one_trace_two_rings;

@@ -527,7 +527,8 @@ let storm_golden =
     "vfs.hooks" ]
 
 let cluster_golden =
-  [ "blackbox.recorded"; "cluster.live_nodes"; "cluster.members_seen";
+  [ "blackbox.recorded"; "cluster.fs_errors"; "cluster.live_nodes";
+    "cluster.members_seen";
     "cluster.nodes"; "cluster.takeovers"; "cluster.unowned_shards";
     "datapath.entries_examined"; "datapath.invalidations"; "datapath.lookups";
     "datapath.microflow_hits"; "datapath.microflow_misses";
