@@ -174,12 +174,11 @@ let print_link_status ctl =
 
 (* --- commands ---------------------------------------------------------------------- *)
 
-let read_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let content = really_input_string ic len in
-  close_in ic;
-  content
+let read_host_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
 
 let run_cmd config_file topo datapath of13 apps duration execs pings stats =
   setup_logs ();
@@ -188,7 +187,7 @@ let run_cmd config_file topo datapath of13 apps duration execs pings stats =
     match config_file with
     | None -> Ok topo, of13, apps, duration, []
     | Some path -> (
-      match Yanc.Config.parse (read_file path) with
+      match Yanc.Config.parse (read_host_file path) with
       | Error e ->
         Printf.eprintf "yancctl: %s: %s\n" path e;
         exit 2
@@ -746,11 +745,7 @@ let shell_cmd topo datapath of13 apps script_file lines =
   let code = ref 0 in
   (match script_file with
   | Some path ->
-    let ic = open_in path in
-    let len = in_channel_length ic in
-    let content = really_input_string ic len in
-    close_in ic;
-    let r = Shell.Pipeline.run_script env content in
+    let r = Shell.Pipeline.run_script env (read_host_file path) in
     print_string r.Shell.Pipeline.out;
     prerr_string r.Shell.Pipeline.err;
     code := r.Shell.Pipeline.code
@@ -772,12 +767,6 @@ let demo_policy =
    filter dl_type = 0x0806 ; controller\n\
    | filter dl_type = 0x0800 && tp_dst = 80 ; fwd(1)\n\
    | filter dl_type = 0x0800 && tp_dst = 53 ; fwd(2)\n"
-
-let read_host_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 let policy_check text =
   match Policy.Syntax.parse text with

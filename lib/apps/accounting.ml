@@ -37,5 +37,7 @@ let run_to_dir yfs ~cred ~dir ~now =
     (Ok ()) (collect yfs ~cred)
 
 let app yfs ~cred ~dir ~period =
+  let fs_errors = App_intf.fs_errors yfs in
   App_intf.cron ~name:"accounting" ~period (fun ~now ->
-      ignore (run_to_dir yfs ~cred ~dir ~now))
+      App_intf.checked fs_errors "accounting" (Vfs.Path.to_string dir)
+        (run_to_dir yfs ~cred ~dir ~now))

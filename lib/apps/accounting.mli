@@ -7,12 +7,9 @@ type usage = { switch : string; packets : int64; bytes : int64; flows : int }
 
 val collect : Yancfs.Yanc_fs.t -> cred:Vfs.Cred.t -> usage list
 
-val run_to_dir :
-  Yancfs.Yanc_fs.t -> cred:Vfs.Cred.t -> dir:Vfs.Path.t -> now:float ->
-  (unit, Vfs.Errno.t) result
-(** Append one CSV line ([time,packets,bytes,flows]) per switch to
-    [<dir>/<switch>.csv]. *)
-
 val app :
   Yancfs.Yanc_fs.t -> cred:Vfs.Cred.t -> dir:Vfs.Path.t -> period:float ->
   App_intf.t
+(** Every [period], append one CSV line ([time,packets,bytes,flows]) per
+    switch to [<dir>/<switch>.csv]. A failed append is counted in
+    [app.fs_errors]. *)

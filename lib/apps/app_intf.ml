@@ -43,3 +43,39 @@ let fs_errors yfs =
   Telemetry.Registry.counter
     (Telemetry.registry (Yancfs.Yanc_fs.telemetry yfs))
     "app.fs_errors"
+
+(* The one packet-in subscription (paper §3.5): an app's private event
+   buffer under every switch it drains. A failed subscribe is counted
+   and retried on the next drain. *)
+module Packet_in = struct
+  module Y = Yancfs
+
+  type t = {
+    yfs : Y.Yanc_fs.t;
+    cred : Vfs.Cred.t;
+    app : string;
+    subscribed : (string, unit) Hashtbl.t;
+    fs_errors : Telemetry.Registry.counter;
+  }
+
+  let create yfs ~cred ~app =
+    { yfs; cred; app; subscribed = Hashtbl.create 16; fs_errors = fs_errors yfs }
+
+  let subscribe t ~switch =
+    if not (Hashtbl.mem t.subscribed switch) then begin
+      let r =
+        Y.Eventdir.subscribe (Y.Yanc_fs.fs t.yfs) ~cred:t.cred
+          ~root:(Y.Yanc_fs.root t.yfs) ~switch ~app:t.app
+      in
+      if Result.is_ok r then Hashtbl.replace t.subscribed switch ();
+      checked t.fs_errors t.app ("subscribe " ^ switch) r
+    end
+
+  (* Apply [f] to each pending event of [switch], oldest first, removing
+     them from the buffer. *)
+  let drain t ~switch f =
+    subscribe t ~switch;
+    List.iter f
+      (Y.Eventdir.consume (Y.Yanc_fs.fs t.yfs) ~cred:t.cred
+         ~root:(Y.Yanc_fs.root t.yfs) ~switch ~app:t.app)
+end

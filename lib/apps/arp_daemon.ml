@@ -7,12 +7,14 @@ let app_name = "arpd"
 type t = {
   yfs : Y.Yanc_fs.t;
   cred : Vfs.Cred.t;
-  subscribed : (string, unit) Hashtbl.t;
+  events : App_intf.Packet_in.t;
   mutable replies : int;
+  fs_errors : Telemetry.Registry.counter;
 }
 
 let create ?(cred = Vfs.Cred.root) yfs =
-  { yfs; cred; subscribed = Hashtbl.create 16; replies = 0 }
+  { yfs; cred; events = App_intf.Packet_in.create yfs ~cred ~app:app_name;
+    replies = 0; fs_errors = App_intf.fs_errors yfs }
 
 let fs t = Y.Yanc_fs.fs t.yfs
 
@@ -37,7 +39,7 @@ let handle t ~switch (ev : Y.Eventdir.event) =
       | None -> ()
       | Some reply ->
         t.replies <- t.replies + 1;
-        ignore
+        App_intf.checked t.fs_errors switch "packet-out"
           (Y.Outdir.submit (fs t) ~cred:t.cred ~root:(root t) ~switch
              ~actions:[ OF.Action.Output (OF.Action.Physical ev.in_port) ]
              ~data:(P.Eth.to_wire reply) ())))
@@ -45,18 +47,7 @@ let handle t ~switch (ev : Y.Eventdir.event) =
 
 let run t ~now:_ =
   List.iter
-    (fun switch ->
-      if not (Hashtbl.mem t.subscribed switch) then begin
-        match
-          Y.Eventdir.subscribe (fs t) ~cred:t.cred ~root:(root t) ~switch
-            ~app:app_name
-        with
-        | Ok () -> Hashtbl.replace t.subscribed switch ()
-        | Error _ -> ()
-      end;
-      List.iter (handle t ~switch)
-        (Y.Eventdir.consume (fs t) ~cred:t.cred ~root:(root t) ~switch
-           ~app:app_name))
+    (fun switch -> App_intf.Packet_in.drain t.events ~switch (handle t ~switch))
     (Y.Yanc_fs.switch_names t.yfs)
 
 let app t = App_intf.daemon ~name:app_name (fun ~now -> run t ~now)

@@ -128,8 +128,10 @@ let run_to_file yfs ~cred ~out =
   Ok (List.length (List.filter (fun f -> f.severity <> `Info) findings))
 
 let app yfs ~cred ~out ~period =
+  let fs_errors = App_intf.fs_errors yfs in
   App_intf.cron ~name:"auditor" ~period (fun ~now:_ ->
-      ignore (run_to_file yfs ~cred ~out))
+      App_intf.checked fs_errors "auditor" (Vfs.Path.to_string out)
+        (run_to_file yfs ~cred ~out))
 
 let watched_app yfs ~cred ~out ~period =
   (* A full audit walks the whole tree; gate the cron behind one
@@ -141,9 +143,11 @@ let watched_app yfs ~cred ~out ~period =
        (Y.Layout.switches_dir ~root:(Y.Yanc_fs.root yfs))
        Fsnotify.Notifier.all);
   let audited_once = ref false in
+  let fs_errors = App_intf.fs_errors yfs in
   App_intf.cron ~name:"auditor" ~period (fun ~now:_ ->
       let changed = Fsnotify.Notifier.read_events notifier <> [] in
       if changed || not !audited_once then begin
         audited_once := true;
-        ignore (run_to_file yfs ~cred ~out)
+        App_intf.checked fs_errors "auditor" (Vfs.Path.to_string out)
+          (run_to_file yfs ~cred ~out)
       end)

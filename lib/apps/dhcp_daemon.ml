@@ -12,7 +12,8 @@ type t = {
   mutable pool : P.Ipv4_addr.t list;
   leased : (P.Mac.t, P.Ipv4_addr.t) Hashtbl.t;
   offered : (P.Mac.t, P.Ipv4_addr.t) Hashtbl.t;
-  subscribed : (string, unit) Hashtbl.t;
+  events : App_intf.Packet_in.t;
+  fs_errors : Telemetry.Registry.counter;
 }
 
 let default_ip = Option.get (P.Ipv4_addr.of_string "10.0.255.254")
@@ -20,7 +21,9 @@ let default_ip = Option.get (P.Ipv4_addr.of_string "10.0.255.254")
 let create ?(cred = Vfs.Cred.root) ?(server_ip = default_ip)
     ?(server_mac = P.Mac.of_int 0x02ffffffff01) ~pool yfs =
   { yfs; cred; server_ip; server_mac; pool; leased = Hashtbl.create 32;
-    offered = Hashtbl.create 32; subscribed = Hashtbl.create 16 }
+    offered = Hashtbl.create 32;
+    events = App_intf.Packet_in.create yfs ~cred ~app:app_name;
+    fs_errors = App_intf.fs_errors yfs }
 
 let fs t = Y.Yanc_fs.fs t.yfs
 
@@ -58,7 +61,7 @@ let handle t ~switch (ev : Y.Eventdir.event) =
           P.Eth.Ipv4 { P.Ipv4.payload = P.Ipv4.Udp { P.Udp.payload = P.Udp.Dhcp dhcp; _ }; _ };
         _ } -> (
     let send reply =
-      ignore
+      App_intf.checked t.fs_errors switch "packet-out"
         (Y.Outdir.submit (fs t) ~cred:t.cred ~root:(root t) ~switch
            ~actions:[ OF.Action.Output (OF.Action.Physical ev.in_port) ]
            ~data:(P.Eth.to_wire (reply_frame t ~dhcp:reply)) ())
@@ -83,7 +86,7 @@ let handle t ~switch (ev : Y.Eventdir.event) =
         Hashtbl.remove t.offered dhcp.chaddr;
         Hashtbl.replace t.leased dhcp.chaddr ip;
         let name = Printf.sprintf "host-%012x" (P.Mac.to_int dhcp.chaddr) in
-        ignore
+        App_intf.checked t.fs_errors name "host"
           (Y.Yanc_fs.upsert_host t.yfs ~cred:t.cred ~name ~mac:dhcp.chaddr
              ~ip:(Some ip) ());
         send
@@ -104,18 +107,7 @@ let handle t ~switch (ev : Y.Eventdir.event) =
 
 let run t ~now:_ =
   List.iter
-    (fun switch ->
-      if not (Hashtbl.mem t.subscribed switch) then begin
-        match
-          Y.Eventdir.subscribe (fs t) ~cred:t.cred ~root:(root t) ~switch
-            ~app:app_name
-        with
-        | Ok () -> Hashtbl.replace t.subscribed switch ()
-        | Error _ -> ()
-      end;
-      List.iter (handle t ~switch)
-        (Y.Eventdir.consume (fs t) ~cred:t.cred ~root:(root t) ~switch
-           ~app:app_name))
+    (fun switch -> App_intf.Packet_in.drain t.events ~switch (handle t ~switch))
     (Y.Yanc_fs.switch_names t.yfs)
 
 let app t = App_intf.daemon ~name:app_name (fun ~now -> run t ~now)

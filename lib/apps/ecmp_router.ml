@@ -21,7 +21,7 @@ type t = {
   priority : int;
   batch : int;
   hosts : (P.Mac.t, location) Hashtbl.t;
-  subscribed : (string, unit) Hashtbl.t;       (* Eventdir mode *)
+  events : App_intf.Packet_in.t;               (* Eventdir mode *)
   mutable ring : Y.Pktin.consumer option;      (* Ring mode, lazy *)
   (* Topology caches, built lazily from the peer symlinks and rebuilt
      once when a route comes up empty (links changed underneath us). *)
@@ -43,7 +43,8 @@ let create ?(cred = Vfs.Cred.root) ?(delivery = Ring) ?(tag = "")
     ?(idle_timeout = 30) ?(priority = 300) ?(batch = 512) yfs =
   let reg = Telemetry.registry (Y.Yanc_fs.telemetry yfs) in
   { yfs; cred; delivery; tag; idle_timeout; priority; batch;
-    hosts = Hashtbl.create 256; subscribed = Hashtbl.create 16; ring = None;
+    hosts = Hashtbl.create 256;
+    events = App_intf.Packet_in.create yfs ~cred ~app:app_name; ring = None;
     adj = None; nexthops = Hashtbl.create 64; salts = Hashtbl.create 64;
     hosts_loaded = false; paths = 0; flow_seq = 0;
     c_events = Telemetry.Registry.counter reg "app.ecmpd.events";
@@ -52,10 +53,6 @@ let create ?(cred = Vfs.Cred.root) ?(delivery = Ring) ?(tag = "")
     c_no_route = Telemetry.Registry.counter reg "app.ecmpd.no_route";
     c_transit = Telemetry.Registry.counter reg "app.ecmpd.transit_miss";
     fs_errors = App_intf.fs_errors yfs }
-
-let fs t = Y.Yanc_fs.fs t.yfs
-
-let root t = Y.Yanc_fs.root t.yfs
 
 (* --- topology ---------------------------------------------------------------- *)
 
@@ -71,49 +68,13 @@ let refresh_topology t =
   t.adj <- None;
   Hashtbl.reset t.nexthops
 
-(* All equal-cost next hops toward [dst_sw], for every switch: one
-   reverse BFS from the destination, then each switch keeps the ports
-   whose peer is strictly one step closer. Cached per destination
-   switch — a fat-tree storm reuses it for every flow to that edge. *)
+(* Cached per destination switch — a fat-tree storm reuses the table
+   for every flow to that edge. *)
 let nexthop_table t ~dst_sw =
   match Hashtbl.find_opt t.nexthops dst_sw with
   | Some table -> table
   | None ->
-    let adj = adjacency t in
-    let dist = Hashtbl.create 64 in
-    Hashtbl.replace dist dst_sw 0;
-    let q = Queue.create () in
-    Queue.push dst_sw q;
-    while not (Queue.is_empty q) do
-      let sw = Queue.pop q in
-      let d = Hashtbl.find dist sw in
-      List.iter
-        (fun h ->
-          if not (Hashtbl.mem dist h.peer) then begin
-            Hashtbl.replace dist h.peer (d + 1);
-            Queue.push h.peer q
-          end)
-        (Hashtbl.find_all adj sw)
-    done;
-    let table = Hashtbl.create 64 in
-    Hashtbl.iter
-      (fun sw d ->
-        if d > 0 then begin
-          let hops =
-            List.filter
-              (fun h ->
-                match Hashtbl.find_opt dist h.peer with
-                | Some pd -> pd = d - 1
-                | None -> false)
-              (Hashtbl.find_all adj sw)
-            (* [find_all] order is insertion-dependent; sort so the hash
-               always indexes the same candidate list. *)
-            |> List.sort (fun a b -> compare a.out_port b.out_port)
-            |> Array.of_list
-          in
-          Hashtbl.replace table sw hops
-        end)
-      dist;
+    let table = Path_install.next_hops (adjacency t) ~dst_sw in
     Hashtbl.replace t.nexthops dst_sw table;
     table
 
@@ -179,7 +140,7 @@ let learn t ~switch ~in_port frame =
     if Y.Yanc_fs.peer_of t.yfs ~cred:t.cred ~switch ~port:in_port = None then begin
       Hashtbl.replace t.hosts mac { switch; port = in_port };
       let name = Printf.sprintf "host-%012x" (P.Mac.to_int mac) in
-      ignore
+      App_intf.checked t.fs_errors name "host"
         (Y.Yanc_fs.upsert_host t.yfs ~cred:t.cred ~name ~mac ~ip:None
            ~attached_to:(switch, in_port) ())
     end
@@ -289,17 +250,7 @@ let handle_eventdir t ~switch (ev : Y.Eventdir.event) =
 let run_eventdir t =
   List.iter
     (fun switch ->
-      if not (Hashtbl.mem t.subscribed switch) then begin
-        match
-          Y.Eventdir.subscribe (fs t) ~cred:t.cred ~root:(root t) ~switch
-            ~app:app_name
-        with
-        | Ok () -> Hashtbl.replace t.subscribed switch ()
-        | Error _ -> ()
-      end;
-      List.iter (handle_eventdir t ~switch)
-        (Y.Eventdir.consume (fs t) ~cred:t.cred ~root:(root t) ~switch
-           ~app:app_name))
+      App_intf.Packet_in.drain t.events ~switch (handle_eventdir t ~switch))
     (Y.Yanc_fs.switch_names t.yfs)
 
 let run t ~now:_ =

@@ -85,21 +85,9 @@ let push yfs ~cred specs =
       List.fold_left
         (fun acc switch ->
           let* count = acc in
-          let result =
-            match Y.Yanc_fs.create_flow yfs ~cred ~switch ~name:spec.name spec.flow with
-            | Ok () -> Ok ()
-            | Error Vfs.Errno.EEXIST ->
-              (* Update in place, preserving the version chain. *)
-              let dir =
-                Y.Layout.flow ~root:(Y.Yanc_fs.root yfs) ~switch spec.name
-              in
-              Result.map ignore
-                (Y.Flowdir.update (Y.Yanc_fs.fs yfs) ~cred dir
-                   (fun old ->
-                     { spec.flow with Y.Flowdir.version = old.Y.Flowdir.version }))
-            | Error e -> Error (Vfs.Errno.message e)
-          in
-          match result with
+          match
+            Y.Yanc_fs.upsert_flow yfs ~cred ~switch ~name:spec.name spec.flow
+          with
           | Ok () -> Ok (count + 1)
           | Error e ->
             Error (Printf.sprintf "%s/%s: %s" switch spec.name e))

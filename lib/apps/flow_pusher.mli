@@ -15,8 +15,6 @@ type spec = {
   flow : Yancfs.Flowdir.t;
 }
 
-val parse_line : string -> (spec, string) result
-
 val parse : string -> (spec list, string) result
 (** Parse a whole config (blank lines and [#] comments skipped). The
     error names the offending line. *)

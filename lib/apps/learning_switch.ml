@@ -9,14 +9,14 @@ type t = {
   cred : Vfs.Cred.t;
   idle_timeout : int;
   tables : (string, (P.Mac.t, int) Hashtbl.t) Hashtbl.t;
-  subscribed : (string, unit) Hashtbl.t;
+  events : App_intf.Packet_in.t;
   mutable flow_seq : int;
   fs_errors : Telemetry.Registry.counter;
 }
 
 let create ?(cred = Vfs.Cred.root) ?(idle_timeout = 60) yfs =
   { yfs; cred; idle_timeout; tables = Hashtbl.create 16;
-    subscribed = Hashtbl.create 16; flow_seq = 0;
+    events = App_intf.Packet_in.create yfs ~cred ~app:app_name; flow_seq = 0;
     fs_errors = App_intf.fs_errors yfs }
 
 let fs t = Y.Yanc_fs.fs t.yfs
@@ -64,13 +64,13 @@ let handle_frame t ~switch (ev : Y.Eventdir.event) =
           install_flow t ~switch ~dst ~out_port ~buffer_id:ev.buffer_id;
           (* An unbuffered capture still needs the packet delivered. *)
           if ev.buffer_id = None then
-            ignore
+            App_intf.checked t.fs_errors switch "packet-out"
               (Y.Outdir.submit (fs t) ~cred:t.cred ~root:(root t) ~switch
                  ~in_port:ev.in_port
                  ~actions:[ OF.Action.Output (OF.Action.Physical out_port) ]
                  ~data:ev.data ())
         | Some _ | None ->
-          ignore
+          App_intf.checked t.fs_errors switch "packet-out"
             (Y.Outdir.submit (fs t) ~cred:t.cred ~root:(root t) ~switch
                ?buffer_id:ev.buffer_id ~in_port:ev.in_port
                ~actions:[ OF.Action.Output OF.Action.Flood ]
@@ -87,18 +87,7 @@ let handle_packet_in t ~switch (ev : Y.Eventdir.event) =
 let run t ~now:_ =
   List.iter
     (fun switch ->
-      if not (Hashtbl.mem t.subscribed switch) then begin
-        match
-          Y.Eventdir.subscribe (fs t) ~cred:t.cred ~root:(root t) ~switch
-            ~app:app_name
-        with
-        | Ok () -> Hashtbl.replace t.subscribed switch ()
-        | Error _ -> ()
-      end;
-      List.iter
-        (handle_packet_in t ~switch)
-        (Y.Eventdir.consume (fs t) ~cred:t.cred ~root:(root t) ~switch
-           ~app:app_name))
+      App_intf.Packet_in.drain t.events ~switch (handle_packet_in t ~switch))
     (Y.Yanc_fs.switch_names t.yfs)
 
 let app t = App_intf.daemon ~name:app_name (fun ~now -> run t ~now)

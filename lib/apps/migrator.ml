@@ -20,20 +20,9 @@ let copy_one yfs ~cred ~src ~dst ~port_map ~target name =
         version = 0;
         buffer_id = None }
     in
-    let result =
-      match Y.Yanc_fs.create_flow yfs ~cred ~switch:dst ~name:target flow with
-      | Ok () -> Ok ()
-      | Error Vfs.Errno.EEXIST ->
-        (* Update in place, preserving the version chain. *)
-        let dir = Y.Layout.flow ~root:(Y.Yanc_fs.root yfs) ~switch:dst target in
-        Result.map ignore
-          (Y.Flowdir.update (Y.Yanc_fs.fs yfs) ~cred dir
-             (fun old -> { flow with Y.Flowdir.version = old.Y.Flowdir.version }))
-      | Error e -> Error (Vfs.Errno.message e)
-    in
-    (match result with
-    | Ok () -> Ok ()
-    | Error e -> Error (Printf.sprintf "%s/%s: %s" dst target e))
+    Result.map_error
+      (Printf.sprintf "%s/%s: %s" dst target)
+      (Y.Yanc_fs.upsert_flow yfs ~cred ~switch:dst ~name:target flow)
 
 let copy_flows yfs ~cred ~src ~dst ?(port_map = Fun.id) ?(rename = Fun.id) () =
   let flows = Y.Yanc_fs.flow_names yfs ~cred src in
@@ -51,8 +40,11 @@ let move_flows yfs ~cred ~src ~dst ?port_map () =
   match copy_flows yfs ~cred ~src ~dst ?port_map () with
   | Error _ as e -> e
   | Ok count ->
+    let fs_errors = App_intf.fs_errors yfs in
     List.iter
-      (fun name -> ignore (Y.Yanc_fs.delete_flow yfs ~cred ~switch:src name))
+      (fun name ->
+        App_intf.checked fs_errors "migrator" (src ^ "/" ^ name)
+          (Y.Yanc_fs.delete_flow yfs ~cred ~switch:src name))
       (Y.Yanc_fs.flow_names yfs ~cred src);
     Ok count
 
@@ -61,60 +53,3 @@ let oneshot yfs ~cred ~src ~dst =
       match move_flows yfs ~cred ~src ~dst () with
       | Ok n -> Logs.info (fun m -> m "migrator: moved %d flows %s -> %s" n src dst)
       | Error e -> Logs.err (fun m -> m "migrator: %s" e))
-
-let mirror yfs ~cred ~src ~dst ?(port_map = Fun.id) ?(batch = 256) () =
-  (* LIME live migration: keep [dst] converging on [src] while traffic
-     still runs — one recursive watch on the source flow tree, per-flow
-     incremental copies/deletes driven by the routed events. Writes go
-     only to [dst], so the mirror never feeds itself. *)
-  let fs = Y.Yanc_fs.fs yfs in
-  let flows_dir = Y.Layout.flows_dir ~root:(Y.Yanc_fs.root yfs) src in
-  let notifier = Fsnotify.Notifier.create fs in
-  ignore
-    (Fsnotify.Notifier.add_watch ~recursive:true notifier flows_dir
-       (Fsnotify.Notifier.mask
-          Fsnotify.Event.
-            [ Created; Modified; Deleted; Moved_from; Moved_to; Overflow ]));
-  let sync_flow name =
-    (* Existence check on the one dirty flow, not a listing of all of
-       them — the mirror stays O(dirty) per drain like the driver. *)
-    if
-      Vfs.Fs.exists fs ~cred
-        (Y.Layout.flow ~root:(Y.Yanc_fs.root yfs) ~switch:src name)
-    then (
-      match copy_one yfs ~cred ~src ~dst ~port_map ~target:name name with
-      | Ok () -> ()
-      | Error e -> Logs.err (fun m -> m "migrator-mirror: %s" e))
-    else ignore (Y.Yanc_fs.delete_flow yfs ~cred ~switch:dst name)
-  in
-  let resync () =
-    (* Events were lost: converge from a full listing. *)
-    let src_flows = Y.Yanc_fs.flow_name_set yfs ~cred src in
-    Y.Yanc_fs.Name_set.iter sync_flow src_flows;
-    List.iter
-      (fun name ->
-        if not (Y.Yanc_fs.Name_set.mem name src_flows) then
-          ignore (Y.Yanc_fs.delete_flow yfs ~cred ~switch:dst name))
-      (Y.Yanc_fs.flow_names yfs ~cred dst)
-  in
-  App_intf.daemon
-    ~name:(Printf.sprintf "migrator-mirror:%s->%s" src dst)
-    ~pending:(fun () -> Fsnotify.Notifier.pending notifier > 0)
-    (fun ~now:_ ->
-      let evs = Fsnotify.Notifier.read_events ~max:batch notifier in
-      if evs <> [] then
-        if List.exists (fun (e : Fsnotify.Event.t) -> e.kind = Fsnotify.Event.Overflow) evs
-        then resync ()
-        else begin
-          let dirty = Hashtbl.create 8 in
-          List.iter
-            (fun (e : Fsnotify.Event.t) ->
-              match Vfs.Path.strip_prefix ~prefix:flows_dir e.path with
-              | Some rest -> (
-                match Vfs.Path.components rest with
-                | flow :: _ -> Hashtbl.replace dirty flow ()
-                | [] -> ())
-              | None -> ())
-            evs;
-          Hashtbl.iter (fun flow () -> sync_flow flow) dirty
-        end)

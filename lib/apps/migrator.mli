@@ -17,15 +17,8 @@ val copy_flows :
 val move_flows :
   Yancfs.Yanc_fs.t -> cred:Vfs.Cred.t -> src:string -> dst:string ->
   ?port_map:(int -> int) -> unit -> (int, string) result
+(** {!copy_flows}, then delete the source flows. A failed delete is
+    counted in [app.fs_errors]. *)
 
 val oneshot :
   Yancfs.Yanc_fs.t -> cred:Vfs.Cred.t -> src:string -> dst:string -> App_intf.t
-
-val mirror :
-  Yancfs.Yanc_fs.t -> cred:Vfs.Cred.t -> src:string -> dst:string ->
-  ?port_map:(int -> int) -> ?batch:int -> unit -> App_intf.t
-(** Live migration: a daemon holding one recursive watch on [src]'s flow
-    tree that incrementally copies changed flows to [dst] (and deletes
-    removed ones), draining at most [batch] (default 256) events per
-    tick. An overflow triggers a full listing-based resync. The daemon
-    is skipped by the scheduler while no source events are pending. *)

@@ -1,7 +1,8 @@
 (** Exact-match path installation through the flow directories — the
     one installer behind {!Router} (routerd) and {!Ecmp_router}
-    (ecmpd). The daemons differ in how they pick a path; installing it
-    is the same job. *)
+    (ecmpd) — and the one next-hop table they and the big-switch view
+    route over. The daemons differ in how they pick a path; finding the
+    candidates and installing one is the same job. *)
 
 type location = { switch : string; port : int }
 
@@ -13,6 +14,15 @@ val adjacency :
   Yancfs.Yanc_fs.t -> cred:Vfs.Cred.t -> (string, hop) Hashtbl.t
 (** The fabric as the topology daemon's [peer] symlinks describe it:
     every switch's links, one binding per port. *)
+
+val next_hops :
+  (string, hop) Hashtbl.t -> dst_sw:string -> (string, hop array) Hashtbl.t
+(** All equal-cost next hops toward [dst_sw] from every switch that
+    reaches it: the links whose peer is one step closer, sorted by
+    [out_port]. [dst_sw] itself has no entry. The BFS runs from
+    [dst_sw] over each switch's own links, so it assumes links are
+    symmetric, as the topology daemon writes them; then following any
+    hop from a switch reaches [dst_sw] in its BFS hop count. *)
 
 val install :
   Yancfs.Yanc_fs.t -> cred:Vfs.Cred.t -> fs_errors:Telemetry.Registry.counter ->

@@ -245,21 +245,7 @@ let write_rule t ~switch ~state (r : Policy.Compile.flow_rule) ~priority =
       priority;
     }
   in
-  let result =
-    match
-      Y.Yanc_fs.create_flow t.yfs ~cred:t.cred ~switch ~name:r.name flow
-    with
-    | Ok () -> Ok ()
-    | Error Vfs.Errno.EEXIST ->
-        let dir =
-          Y.Layout.flow ~root:(Y.Yanc_fs.root t.yfs) ~switch r.name
-        in
-        Result.map ignore
-          (Y.Flowdir.update t.fs ~cred:t.cred dir (fun old ->
-               { flow with Y.Flowdir.version = old.Y.Flowdir.version }))
-    | Error e -> Error (Vfs.Errno.message e)
-  in
-  match result with
+  match Y.Yanc_fs.upsert_flow t.yfs ~cred:t.cred ~switch ~name:r.name flow with
   | Ok () ->
       Hashtbl.replace state r.name priority;
       Reg.incr t.m_written

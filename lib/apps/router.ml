@@ -13,7 +13,7 @@ type t = {
   priority : int;
   hosts : (P.Mac.t, location) Hashtbl.t;
   ips : (P.Ipv4_addr.t, P.Mac.t) Hashtbl.t;
-  subscribed : (string, unit) Hashtbl.t;
+  events : App_intf.Packet_in.t;
   mutable paths : int;
   mutable flow_seq : int;
   fs_errors : Telemetry.Registry.counter;
@@ -21,7 +21,8 @@ type t = {
 
 let create ?(cred = Vfs.Cred.root) ?(idle_timeout = 30) ?(priority = 200) yfs =
   { yfs; cred; idle_timeout; priority; hosts = Hashtbl.create 64;
-    ips = Hashtbl.create 64; subscribed = Hashtbl.create 16; paths = 0;
+    ips = Hashtbl.create 64;
+    events = App_intf.Packet_in.create yfs ~cred ~app:app_name; paths = 0;
     flow_seq = 0; fs_errors = App_intf.fs_errors yfs }
 
 let fs t = Y.Yanc_fs.fs t.yfs
@@ -38,39 +39,23 @@ let edge_ports t switch =
       | Error _ -> false)
     (Y.Yanc_fs.port_numbers t.yfs ~cred:t.cred switch)
 
-(* BFS shortest path over the peer symlinks, as the hops leaving each
-   switch on the way. *)
+(* A shortest path over the peer symlinks, as the hops leaving each
+   switch on the way: the lowest-port next hop at every switch. *)
 let path t ~from_sw ~to_sw =
   if from_sw = to_sw then Some []
   else begin
-    let adj = Path_install.adjacency t.yfs ~cred:t.cred in
-    let visited = Hashtbl.create 16 in
-    let queue = Queue.create () in
-    Hashtbl.replace visited from_sw None;
-    Queue.push from_sw queue;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty queue) do
-      let sw = Queue.pop queue in
-      if sw = to_sw then found := true
+    let table =
+      Path_install.next_hops (Path_install.adjacency t.yfs ~cred:t.cred)
+        ~dst_sw:to_sw
+    in
+    let rec walk sw acc =
+      if sw = to_sw then Some (List.rev acc)
       else
-        List.iter
-          (fun (h : Path_install.hop) ->
-            if not (Hashtbl.mem visited h.peer) then begin
-              Hashtbl.replace visited h.peer (Some (sw, h));
-              Queue.push h.peer queue
-            end)
-          (Hashtbl.find_all adj sw)
-    done;
-    if not !found then None
-    else begin
-      (* Walk back from the destination. *)
-      let rec back sw acc =
-        match Hashtbl.find visited sw with
-        | None -> acc
-        | Some (prev, h) -> back prev (h :: acc)
-      in
-      Some (back to_sw [])
-    end
+        match Hashtbl.find_opt table sw with
+        | None | Some [||] -> None
+        | Some hops -> walk hops.(0).Path_install.peer (hops.(0) :: acc)
+    in
+    walk from_sw []
   end
 
 let learn t ~switch ~in_port frame =
@@ -92,7 +77,7 @@ let learn t ~switch ~in_port frame =
         let name =
           Printf.sprintf "host-%012x" (P.Mac.to_int mac)
         in
-        ignore
+        App_intf.checked t.fs_errors name "host"
           (Y.Yanc_fs.upsert_host t.yfs ~cred:t.cred ~name ~mac ~ip
              ~attached_to:(switch, in_port) ())
       end
@@ -119,7 +104,7 @@ let broadcast t ~ingress ~data ~buffer_id =
           | Some { switch = isw; _ }, Some id when isw = switch -> Some id
           | _ -> None
         in
-        ignore
+        App_intf.checked t.fs_errors switch "packet-out"
           (Y.Outdir.submit (fs t) ~cred:t.cred ~root:(root t) ~switch
              ?buffer_id ~actions
              ~data:(if buffer_id = None then data else "")
@@ -173,18 +158,7 @@ let handle t ~switch (ev : Y.Eventdir.event) =
 
 let run t ~now:_ =
   List.iter
-    (fun switch ->
-      if not (Hashtbl.mem t.subscribed switch) then begin
-        match
-          Y.Eventdir.subscribe (fs t) ~cred:t.cred ~root:(root t) ~switch
-            ~app:app_name
-        with
-        | Ok () -> Hashtbl.replace t.subscribed switch ()
-        | Error _ -> ()
-      end;
-      List.iter (handle t ~switch)
-        (Y.Eventdir.consume (fs t) ~cred:t.cred ~root:(root t) ~switch
-           ~app:app_name))
+    (fun switch -> App_intf.Packet_in.drain t.events ~switch (handle t ~switch))
     (Y.Yanc_fs.switch_names t.yfs)
 
 let app t = App_intf.daemon ~name:app_name (fun ~now -> run t ~now)

@@ -10,15 +10,19 @@ type t = {
   probe_interval : float;
   ttl : float;
   mutable last_probe : float;
-  prepared : (string, unit) Hashtbl.t; (* switches with flow+buffer set up *)
+  prepared : (string, unit) Hashtbl.t; (* switches with the LLDP flow *)
+  events : App_intf.Packet_in.t;
   last_seen : (string * int, float * (string * int)) Hashtbl.t;
       (* (rx switch, rx port) -> (time, (tx switch, tx port)) *)
+  fs_errors : Telemetry.Registry.counter;
 }
 
 let create ?(probe_interval = 1.0) ?ttl ?(cred = Vfs.Cred.root) yfs =
   let ttl = Option.value ttl ~default:(3. *. probe_interval) in
   { yfs; cred; probe_interval; ttl; last_probe = neg_infinity;
-    prepared = Hashtbl.create 16; last_seen = Hashtbl.create 64 }
+    prepared = Hashtbl.create 16;
+    events = App_intf.Packet_in.create yfs ~cred ~app:app_name;
+    last_seen = Hashtbl.create 64; fs_errors = App_intf.fs_errors yfs }
 
 let fs t = Y.Yanc_fs.fs t.yfs
 
@@ -32,24 +36,13 @@ let lldp_flow =
     priority = 0xffff }
 
 let prepare_switch t switch =
-  if not (Hashtbl.mem t.prepared switch) then begin
-    let ok_flow =
-      match
-        Y.Yanc_fs.create_flow t.yfs ~cred:t.cred ~switch ~name:"lldp" lldp_flow
-      with
-      | Ok () | Error Vfs.Errno.EEXIST -> true
-      | Error _ -> false
-    in
-    let ok_buf =
-      match
-        Y.Eventdir.subscribe (fs t) ~cred:t.cred ~root:(root t) ~switch
-          ~app:app_name
-      with
-      | Ok () -> true
-      | Error _ -> false
-    in
-    if ok_flow && ok_buf then Hashtbl.replace t.prepared switch ()
-  end
+  if not (Hashtbl.mem t.prepared switch) then
+    match
+      Y.Yanc_fs.create_flow t.yfs ~cred:t.cred ~switch ~name:"lldp" lldp_flow
+    with
+    | Ok () | Error Vfs.Errno.EEXIST -> Hashtbl.replace t.prepared switch ()
+    | Error e ->
+      App_intf.fs_failed t.fs_errors switch "lldp flow" (Vfs.Errno.message e)
 
 let probe t switch =
   match Y.Yanc_fs.switch_dpid t.yfs switch with
@@ -64,16 +57,19 @@ let probe t switch =
             let frame =
               P.Builder.lldp ~src_mac:info.hw_addr ~dpid ~port:port_no
             in
-            ignore
+            App_intf.checked t.fs_errors switch "lldp probe"
               (Y.Outdir.submit (fs t) ~cred:t.cred ~root:(root t) ~switch
                  ~actions:[ OF.Action.Output (OF.Action.Physical port_no) ]
                  ~data:(P.Eth.to_wire frame) ())
           end)
       (Y.Yanc_fs.port_numbers t.yfs ~cred:t.cred switch)
 
+let set_peer t ~switch ~port peer =
+  App_intf.checked t.fs_errors switch "peer"
+    (Y.Yanc_fs.set_peer t.yfs ~cred:t.cred ~switch ~port ~peer)
+
 let handle_events t ~now switch =
-  List.iter
-    (fun (ev : Y.Eventdir.event) ->
+  App_intf.Packet_in.drain t.events ~switch (fun (ev : Y.Eventdir.event) ->
       match Y.Eventdir.frame_of ev with
       | Some { P.Eth.payload = P.Eth.Lldp lldp; _ } ->
         let tx_switch = Y.Yanc_fs.switch_name_of_dpid lldp.chassis_id in
@@ -83,12 +79,8 @@ let handle_events t ~now switch =
         Hashtbl.replace t.last_seen key (now, fresh);
         (match previous with
         | Some (_, old) when old = fresh -> () (* unchanged: refresh only *)
-        | Some _ | None ->
-          ignore
-            (Y.Yanc_fs.set_peer t.yfs ~cred:t.cred ~switch ~port:ev.in_port
-               ~peer:(Some fresh)))
+        | Some _ | None -> set_peer t ~switch ~port:ev.in_port (Some fresh))
       | Some _ | None -> ())
-    (Y.Eventdir.consume (fs t) ~cred:t.cred ~root:(root t) ~switch ~app:app_name)
 
 let expire t ~now =
   let dead =
@@ -99,7 +91,7 @@ let expire t ~now =
   List.iter
     (fun ((switch, port) as key) ->
       Hashtbl.remove t.last_seen key;
-      ignore (Y.Yanc_fs.set_peer t.yfs ~cred:t.cred ~switch ~port ~peer:None))
+      set_peer t ~switch ~port None)
     dead
 
 let run t ~now =
@@ -115,13 +107,9 @@ let run t ~now =
 let app t = App_intf.daemon ~name:app_name (fun ~now -> run t ~now)
 
 let links t =
-  let all =
-    Y.Yanc_fs.switch_names t.yfs
-    |> List.concat_map (fun switch ->
-           Y.Yanc_fs.port_numbers t.yfs ~cred:t.cred switch
-           |> List.filter_map (fun port ->
-                  Option.map
-                    (fun peer -> (switch, port), peer)
-                    (Y.Yanc_fs.peer_of t.yfs ~cred:t.cred ~switch ~port)))
-  in
-  List.filter (fun (a, b) -> a <= b) all
+  Hashtbl.fold
+    (fun switch (h : Path_install.hop) acc ->
+      let a = switch, h.out_port and b = h.peer, h.peer_in in
+      if a <= b then (a, b) :: acc else acc)
+    (Path_install.adjacency t.yfs ~cred:t.cred) []
+  |> List.sort compare

@@ -46,7 +46,6 @@ module Make (P : Driver_intf.PROTOCOL) = struct
     mutable ports_dirty : bool;
     mutable spool_dirty : bool;
     mutable last_stats : float;
-    mutable installed : int;
     (* Event-directory subscribers exist (checked at most once per step
        while false): when none do, packet-ins skip the per-event file
        writes entirely and ride the {!Y.Pktin} ring alone. *)
@@ -216,7 +215,7 @@ module Make (P : Driver_intf.PROTOCOL) = struct
         next_xid = 1l; switch_name = None; connected = false;
         commits = Commit_queue.create ();
         ports_dirty = false; spool_dirty = false;
-        last_stats = 0.; installed = 0;
+        last_stats = 0.;
         eventdir_subs = false; steps = 0; subs_checked_step = -1;
         status = Driver_intf.Handshaking; last_rx = neg_infinity;
         next_keepalive = neg_infinity; echo_outstanding = None;
@@ -266,8 +265,6 @@ module Make (P : Driver_intf.PROTOCOL) = struct
     { Driver_intf.disconnects = t.c_disconnects; retries = t.c_retries;
       resyncs = t.c_resyncs; resync_installs = t.c_resync_installs;
       resync_deletes = t.c_resync_deletes; keepalives_sent = t.c_keepalives }
-
-  let flows_installed t = t.installed
 
   let root t = Y.Yanc_fs.root t.yfs
 
@@ -402,7 +399,6 @@ module Make (P : Driver_intf.PROTOCOL) = struct
       (fun (flow_name, (flow : Y.Flowdir.t)) ->
         if not (on_switch flow) then begin
           send t (P.flow_add ~xid:(xid t) flow);
-          t.installed <- t.installed + 1;
           t.c_resync_installs <- t.c_resync_installs + 1;
           Telemetry.Registry.incr t.m_resync_installs
         end;
@@ -583,7 +579,6 @@ module Make (P : Driver_intf.PROTOCOL) = struct
     (* The agent resumes by xid when it installs the entry. *)
     Telemetry.Tracer.stamp tracer (Netsim.Of_agent.trace_key_xid add_xid);
     Telemetry.Tracer.clear tracer;
-    t.installed <- t.installed + 1;
     (* The buffer reference is one-shot. *)
     (if flow.buffer_id <> None then
        let bpath = Vfs.Path.child dir "buffer_id" in

@@ -56,9 +56,6 @@ module Make (P : Driver_intf.PROTOCOL) : sig
 
   val link_counters : t -> Driver_intf.link_counters
 
-  val flows_installed : t -> int
-  (** Flow-mod adds sent so far (bench instrumentation). *)
-
   val detach : t -> unit
   (** Stop watching the file system (the switch directory stays). *)
 

@@ -79,17 +79,10 @@ let read_flow_counters t ~switch =
         (List.filter_map
            (fun flow ->
              t.saved <- t.saved + 2;
-             let counters = Y.Layout.flow_counters ~root ~switch flow in
-             let read file =
-               match
-                 Vfs.Fs.read_file fs ~cred:t.cred (Vfs.Path.child counters file)
-               with
-               | Ok v -> Int64.of_string_opt (String.trim v)
-               | Error _ -> None
-             in
-             match read "packets", read "bytes" with
-             | Some p, Some b -> Some (flow, p, b)
-             | _ -> None)
+             Option.map
+               (fun (p, b) -> flow, p, b)
+               (Y.Flowdir.read_counters fs ~cred:t.cred
+                  (Y.Layout.flow ~root ~switch flow)))
            flows))
 
 let crossings_saved t = t.saved

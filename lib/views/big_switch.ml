@@ -1,7 +1,8 @@
 module Y = Yancfs
 module P = Packet
 module OF = Openflow
-module Fs = Vfs.Fs
+module App_intf = Apps.App_intf
+module Path_install = Apps.Path_install
 
 type compiled = { version : int; installed : (string * string) list }
 (* per view flow: master (switch, flow name) pairs *)
@@ -14,13 +15,16 @@ type t = {
   switch_name : string;
   mutable vports : (int * (string * int)) list;
   synced : (string, compiled) Hashtbl.t;
-  subscribed : (string, unit) Hashtbl.t;
+  events : App_intf.Packet_in.t;
   mutable compiled_count : int;
+  fs_errors : Telemetry.Registry.counter;
 }
 
 let ( let* ) = Result.bind
 
-let buffer_app t = "bigsw-" ^ t.view
+let who t = "bigswitch-" ^ t.view
+
+let checked t what r = App_intf.checked t.fs_errors (who t) what r
 
 let create ?(cred = Vfs.Cred.root) ?(switch_name = "big0") ~master ~view () =
   let* view_fs = Y.Yanc_fs.in_view master ~cred view in
@@ -31,8 +35,9 @@ let create ?(cred = Vfs.Cred.root) ?(switch_name = "big0") ~master ~view () =
   in
   Ok
     { master; view_fs; cred; view; switch_name; vports = [];
-      synced = Hashtbl.create 32; subscribed = Hashtbl.create 16;
-      compiled_count = 0 }
+      synced = Hashtbl.create 32;
+      events = App_intf.Packet_in.create master ~cred ~app:("bigsw-" ^ view);
+      compiled_count = 0; fs_errors = App_intf.fs_errors master }
 
 let view_fs t = t.view_fs
 
@@ -57,7 +62,7 @@ let refresh_ports t =
     (fun (vport, (switch, port)) ->
       match Y.Yanc_fs.read_port t.master ~cred:t.cred ~switch port with
       | Ok info ->
-        ignore
+        checked t (Printf.sprintf "vport %d" vport)
           (Y.Yanc_fs.set_port t.view_fs ~switch:t.switch_name
              { info with
                Openflow.Of_types.Port_info.port_no = vport;
@@ -70,38 +75,17 @@ let real_of_vport t vport = List.assoc_opt vport t.vports
 let vport_of_real t real =
   List.find_map (fun (v, r) -> if r = real then Some v else None) t.vports
 
-(* Next-hop port from every switch toward [target] over peer links. *)
+(* One next hop from every switch toward [target] over peer links: the
+   lowest-port one of the equal-cost candidates. *)
 let routes_to t target =
-  let adj = Hashtbl.create 16 in
-  List.iter
-    (fun switch ->
-      List.iter
-        (fun port ->
-          match Y.Yanc_fs.peer_of t.master ~cred:t.cred ~switch ~port with
-          | Some (psw, _) -> Hashtbl.add adj switch (port, psw)
-          | None -> ())
-        (Y.Yanc_fs.port_numbers t.master ~cred:t.cred switch))
-    (Y.Yanc_fs.switch_names t.master);
-  (* BFS outward from the target; record, per reached switch, the port
-     leading back toward the target. *)
-  let next_hop = Hashtbl.create 16 in
-  let visited = Hashtbl.create 16 in
-  Hashtbl.replace visited target ();
-  let queue = Queue.create () in
-  Queue.push target queue;
-  while not (Queue.is_empty queue) do
-    let sw = Queue.pop queue in
-    (* For every switch with a link into [sw], set its next hop. *)
-    Hashtbl.iter
-      (fun from_sw (port, to_sw) ->
-        if to_sw = sw && not (Hashtbl.mem visited from_sw) then begin
-          Hashtbl.replace visited from_sw ();
-          Hashtbl.replace next_hop from_sw port;
-          Queue.push from_sw queue
-        end)
-      adj
-  done;
-  next_hop
+  let table =
+    Path_install.next_hops (Path_install.adjacency t.master ~cred:t.cred)
+      ~dst_sw:target
+  in
+  fun sw ->
+    match Hashtbl.find_opt table sw with
+    | None | Some [||] -> None
+    | Some hops -> Some hops.(0)
 
 (* --- flow compilation --------------------------------------------------------- *)
 
@@ -118,30 +102,26 @@ let split_actions actions =
 let master_flow_name t vname sw = Printf.sprintf "v.%s.%s.%s" t.view vname sw
 
 let install_master_flow t ~switch ~name flow =
-  let result =
-    match Y.Yanc_fs.create_flow t.master ~cred:t.cred ~switch ~name flow with
-    | Ok () -> Ok ()
-    | Error Vfs.Errno.EEXIST ->
-      (* Update in place, preserving the version chain. *)
-      let dir = Y.Layout.flow ~root:(Y.Yanc_fs.root t.master) ~switch name in
-      Result.map ignore
-        (Y.Flowdir.update (Y.Yanc_fs.fs t.master) ~cred:t.cred dir
-           (fun old -> { flow with Y.Flowdir.version = old.Y.Flowdir.version }))
-    | Error e -> Error (Vfs.Errno.message e)
-  in
-  match result with Ok () -> true | Error _ -> false
+  match Y.Yanc_fs.upsert_flow t.master ~cred:t.cred ~switch ~name flow with
+  | Ok () -> true
+  | Error e ->
+    App_intf.fs_failed t.fs_errors (who t) (switch ^ "/" ^ name) e;
+    false
 
 let remove_installed t installed =
   List.iter
     (fun (switch, name) ->
-      ignore (Y.Yanc_fs.delete_flow t.master ~cred:t.cred ~switch name))
+      match Y.Yanc_fs.delete_flow t.master ~cred:t.cred ~switch name with
+      | Error Vfs.Errno.ENOENT -> () (* already gone, e.g. timed out *)
+      | r -> checked t (switch ^ "/" ^ name) r)
     installed
 
 let compile_flow t vname (flow : Y.Flowdir.t) =
   let vfs = Y.Yanc_fs.fs t.view_fs in
   let vdir = Y.Layout.flow ~root:(Y.Yanc_fs.root t.view_fs) ~switch:t.switch_name vname in
   let fail msg =
-    ignore (Y.Flowdir.set_error vfs ~cred:t.cred vdir (Some msg));
+    checked t (vname ^ " error")
+      (Y.Flowdir.set_error vfs ~cred:t.cred vdir (Some msg));
     []
   in
   if List.exists (function OF.Action.Enqueue _ -> true | _ -> false) flow.actions
@@ -206,12 +186,9 @@ let compile_flow t vname (flow : Y.Flowdir.t) =
             let rec walk sw acc =
               if sw = egress_sw then List.rev (sw :: acc)
               else
-                match Hashtbl.find_opt next_hop sw with
+                match next_hop sw with
                 | None -> List.rev (sw :: acc) (* unreachable: egress only *)
-                | Some port -> (
-                  match Y.Yanc_fs.peer_of t.master ~cred:t.cred ~switch:sw ~port with
-                  | Some (nsw, _) -> walk nsw (sw :: acc)
-                  | None -> List.rev (sw :: acc))
+                | Some (h : Path_install.hop) -> walk h.peer (sw :: acc)
             in
             walk isw []
         in
@@ -222,8 +199,8 @@ let compile_flow t vname (flow : Y.Flowdir.t) =
                 rewrites @ other
                 @ [ OF.Action.Output (OF.Action.Physical egress_port) ]
               else
-                match Hashtbl.find_opt next_hop sw with
-                | Some port -> [ OF.Action.Output (OF.Action.Physical port) ]
+                match next_hop sw with
+                | Some h -> [ OF.Action.Output (OF.Action.Physical h.out_port) ]
                 | None -> []
             in
             if actions = [] then None
@@ -269,10 +246,12 @@ let sync_flows_down t =
           | None -> ());
           match Y.Yanc_fs.read_flow t.view_fs ~cred:t.cred ~switch:t.switch_name vname with
           | Error msg ->
-            ignore (Y.Flowdir.set_error vfs ~cred:t.cred vdir (Some msg));
+            checked t (vname ^ " error")
+              (Y.Flowdir.set_error vfs ~cred:t.cred vdir (Some msg));
             Hashtbl.replace t.synced vname { version; installed = [] }
           | Ok flow ->
-            ignore (Y.Flowdir.set_error vfs ~cred:t.cred vdir None);
+            checked t (vname ^ " error")
+              (Y.Flowdir.set_error vfs ~cred:t.cred vdir None);
             let installed = compile_flow t vname flow in
             if installed <> [] then t.compiled_count <- t.compiled_count + 1;
             Hashtbl.replace t.synced vname { version; installed }
@@ -296,16 +275,7 @@ let sync_flows_down t =
 let sync_events_up t =
   List.iter
     (fun switch ->
-      if not (Hashtbl.mem t.subscribed switch) then begin
-        match
-          Y.Eventdir.subscribe (Y.Yanc_fs.fs t.master) ~cred:t.cred
-            ~root:(Y.Yanc_fs.root t.master) ~switch ~app:(buffer_app t)
-        with
-        | Ok () -> Hashtbl.replace t.subscribed switch ()
-        | Error _ -> ()
-      end;
-      List.iter
-        (fun (ev : Y.Eventdir.event) ->
+      App_intf.Packet_in.drain t.events ~switch (fun (ev : Y.Eventdir.event) ->
           match vport_of_real t (switch, ev.in_port) with
           | None -> () (* interior port: not visible on the big switch *)
           | Some vport ->
@@ -313,35 +283,26 @@ let sync_events_up t =
               (Y.Eventdir.publish (Y.Yanc_fs.fs t.view_fs)
                  ~root:(Y.Yanc_fs.root t.view_fs) ~switch:t.switch_name
                  ~in_port:vport ~reason:ev.reason ~buffer_id:None
-                 ~total_len:ev.total_len ~data:ev.data))
-        (Y.Eventdir.consume (Y.Yanc_fs.fs t.master) ~cred:t.cred
-           ~root:(Y.Yanc_fs.root t.master) ~switch ~app:(buffer_app t)))
+                 ~total_len:ev.total_len ~data:ev.data)))
     (Y.Yanc_fs.switch_names t.master)
 
 let sync_packet_out t =
   List.iter
     (fun (req : Y.Outdir.request) ->
+      let forward (sw, port) =
+        checked t (sw ^ " packet-out")
+          (Y.Outdir.submit (Y.Yanc_fs.fs t.master) ~cred:t.cred
+             ~root:(Y.Yanc_fs.root t.master) ~switch:sw
+             ~actions:[ OF.Action.Output (OF.Action.Physical port) ]
+             ~data:req.data ())
+      in
       List.iter
         (fun action ->
           match action with
-          | OF.Action.Output (OF.Action.Physical v) -> (
-            match real_of_vport t v with
-            | Some (sw, port) ->
-              ignore
-                (Y.Outdir.submit (Y.Yanc_fs.fs t.master) ~cred:t.cred
-                   ~root:(Y.Yanc_fs.root t.master) ~switch:sw
-                   ~actions:[ OF.Action.Output (OF.Action.Physical port) ]
-                   ~data:req.data ())
-            | None -> ())
+          | OF.Action.Output (OF.Action.Physical v) ->
+            Option.iter forward (real_of_vport t v)
           | OF.Action.Output (OF.Action.Flood | OF.Action.All) ->
-            List.iter
-              (fun (_, (sw, port)) ->
-                ignore
-                  (Y.Outdir.submit (Y.Yanc_fs.fs t.master) ~cred:t.cred
-                     ~root:(Y.Yanc_fs.root t.master) ~switch:sw
-                     ~actions:[ OF.Action.Output (OF.Action.Physical port) ]
-                     ~data:req.data ()))
-              t.vports
+            List.iter (fun (_, real) -> forward real) t.vports
           | _ -> ())
         req.actions)
     (Y.Outdir.consume (Y.Yanc_fs.fs t.view_fs) ~root:(Y.Yanc_fs.root t.view_fs)
@@ -356,23 +317,18 @@ let sync_counters_up t =
     (fun vname c ->
       match List.rev c.installed with
       | [] -> ()
-      | (egress_sw, mname) :: _ ->
-        let counters =
-          Y.Layout.flow_counters ~root:(Y.Yanc_fs.root t.master)
-            ~switch:egress_sw mname
-        in
-        let read file =
-          match Fs.read_file mfs ~cred:t.cred (Vfs.Path.child counters file) with
-          | Ok v -> Int64.of_string_opt (String.trim v)
-          | Error _ -> None
-        in
-        (match read "packets", read "bytes" with
-        | Some packets, Some bytes ->
-          ignore
+      | (egress_sw, mname) :: _ -> (
+        match
+          Y.Flowdir.read_counters mfs ~cred:t.cred
+            (Y.Layout.flow ~root:(Y.Yanc_fs.root t.master) ~switch:egress_sw
+               mname)
+        with
+        | Some (packets, bytes) ->
+          checked t (vname ^ " counters")
             (Y.Flowdir.write_counters (Y.Yanc_fs.fs t.view_fs) ~cred:t.cred
                (Y.Layout.flow ~root:vroot ~switch:t.switch_name vname)
                ~packets ~bytes ~duration_s:0)
-        | _ -> ()))
+        | None -> ()))
     t.synced
 
 let run t ~now:_ =
@@ -383,6 +339,6 @@ let run t ~now:_ =
   sync_counters_up t
 
 let app t =
-  Apps.App_intf.daemon ~name:("bigswitch-" ^ t.view) (fun ~now -> run t ~now)
+  App_intf.daemon ~name:(who t) (fun ~now -> run t ~now)
 
 let flows_compiled t = t.compiled_count

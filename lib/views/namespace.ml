@@ -7,9 +7,11 @@ let provision master ~view ~owner =
   let* vyfs = Y.Yanc_fs.in_view master ~cred:Vfs.Cred.root view in
   let fs = Y.Yanc_fs.fs master in
   let vroot = Y.Yanc_fs.root vyfs in
+  let fs_errors = Apps.App_intf.fs_errors master in
   let* () =
     Fs.fold fs ~cred:Vfs.Cred.root vroot ~init:() (fun () path _ ->
-        ignore
+        Apps.App_intf.checked fs_errors ("namespace-" ^ view)
+          (Vfs.Path.to_string path)
           (Fs.chown fs ~cred:Vfs.Cred.root path ~uid:owner.Vfs.Cred.uid
              ~gid:owner.Vfs.Cred.gid);
         ((), `Continue))

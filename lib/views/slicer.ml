@@ -1,7 +1,7 @@
 module Y = Yancfs
 module P = Packet
 module OF = Openflow
-module Fs = Vfs.Fs
+module App_intf = Apps.App_intf
 
 type config = {
   view : string;
@@ -16,13 +16,17 @@ type t = {
   cred : Vfs.Cred.t;
   config : config;
   synced : (string * string, int) Hashtbl.t; (* (switch, view flow) -> version *)
+  events : App_intf.Packet_in.t;
   mutable accepted : int;
   mutable rejected : int;
+  fs_errors : Telemetry.Registry.counter;
 }
 
 let ( let* ) = Result.bind
 
-let buffer_app t = "slice-" ^ t.config.view
+let who t = "slicer-" ^ t.config.view
+
+let checked t what r = App_intf.checked t.fs_errors (who t) what r
 
 let allowed_ports t switch =
   match List.assoc_opt switch t.config.switches with
@@ -36,7 +40,7 @@ let mirror_switch t switch ports =
   (match Y.Yanc_fs.switch_dpid t.master switch with
   | None -> ()
   | Some dpid ->
-    ignore
+    checked t switch
       (Y.Yanc_fs.add_switch t.view_fs ~name:switch ~dpid
          ~protocol:
            (Option.value (Y.Yanc_fs.switch_protocol t.master switch)
@@ -46,18 +50,19 @@ let mirror_switch t switch ports =
   List.iter
     (fun port ->
       match Y.Yanc_fs.read_port t.master ~cred:t.cred ~switch port with
-      | Ok info -> ignore (Y.Yanc_fs.set_port t.view_fs ~switch info)
+      | Ok info ->
+        checked t (switch ^ " port") (Y.Yanc_fs.set_port t.view_fs ~switch info)
       | Error _ -> ())
     ports;
-  ignore
-    (Y.Eventdir.subscribe (Y.Yanc_fs.fs t.master) ~cred:t.cred
-       ~root:(Y.Yanc_fs.root t.master) ~switch ~app:(buffer_app t))
+  App_intf.Packet_in.subscribe t.events ~switch
 
 let create ?(cred = Vfs.Cred.root) ~master config =
   let* view_fs = Y.Yanc_fs.in_view master ~cred config.view in
   let t =
-    { master; view_fs; cred; config; synced = Hashtbl.create 64; accepted = 0;
-      rejected = 0 }
+    { master; view_fs; cred; config; synced = Hashtbl.create 64;
+      events =
+        App_intf.Packet_in.create master ~cred ~app:("slice-" ^ config.view);
+      accepted = 0; rejected = 0; fs_errors = App_intf.fs_errors master }
   in
   List.iter (fun (sw, ports) -> mirror_switch t sw ports) config.switches;
   Ok t
@@ -85,7 +90,7 @@ let mirror_topology t =
             | Some _ | None -> None
           in
           if wanted <> view_peer then
-            ignore
+            checked t (switch ^ " peer")
               (Y.Yanc_fs.set_peer t.view_fs ~cred:t.cred ~switch ~port
                  ~peer:wanted))
         ports)
@@ -131,24 +136,24 @@ let sync_flow_down t switch view_flow =
     in
     if stale then begin
       Hashtbl.replace t.synced key version;
-      match Y.Yanc_fs.read_flow t.view_fs ~cred:t.cred ~switch view_flow with
-      | Error msg ->
+      let set_error msg =
+        checked t (switch ^ "/" ^ view_flow ^ " error")
+          (Y.Flowdir.set_error vfs ~cred:t.cred vdir msg)
+      in
+      let reject msg =
         t.rejected <- t.rejected + 1;
-        ignore (Y.Flowdir.set_error vfs ~cred:t.cred vdir (Some msg))
+        set_error (Some msg)
+      in
+      match Y.Yanc_fs.read_flow t.view_fs ~cred:t.cred ~switch view_flow with
+      | Error msg -> reject msg
       | Ok flow -> (
         let enforced = OF.Of_match.intersect flow.of_match t.config.flowspace in
         let actions = translate_actions t switch flow.actions in
         match enforced, actions with
-        | None, _ ->
-          t.rejected <- t.rejected + 1;
-          ignore
-            (Y.Flowdir.set_error vfs ~cred:t.cred vdir
-               (Some "match outside the slice flowspace"))
-        | _, Error e ->
-          t.rejected <- t.rejected + 1;
-          ignore (Y.Flowdir.set_error vfs ~cred:t.cred vdir (Some e))
+        | None, _ -> reject "match outside the slice flowspace"
+        | _, Error e -> reject e
         | Some of_match, Ok actions ->
-          ignore (Y.Flowdir.set_error vfs ~cred:t.cred vdir None);
+          set_error None;
           t.accepted <- t.accepted + 1;
           let target = master_flow_name t view_flow in
           let mflow =
@@ -159,24 +164,13 @@ let sync_flow_down t switch view_flow =
               version = 0;
               buffer_id = None }
           in
-          let result =
-            match
-              Y.Yanc_fs.create_flow t.master ~cred:t.cred ~switch ~name:target
-                mflow
-            with
-            | Ok () -> Ok ()
-            | Error Vfs.Errno.EEXIST ->
-              (* Update in place, preserving the version chain. *)
-              let mdir =
-                Y.Layout.flow ~root:(Y.Yanc_fs.root t.master) ~switch target
-              in
-              Result.map ignore
-                (Y.Flowdir.update (Y.Yanc_fs.fs t.master) ~cred:t.cred mdir
-                   (fun old ->
-                     { mflow with Y.Flowdir.version = old.Y.Flowdir.version }))
-            | Error e -> Error (Vfs.Errno.message e)
-          in
-          ignore result)
+          match
+            Y.Yanc_fs.upsert_flow t.master ~cred:t.cred ~switch ~name:target
+              mflow
+          with
+          | Ok () -> ()
+          | Error e ->
+            App_intf.fs_failed t.fs_errors (who t) (switch ^ "/" ^ target) e)
     end
 
 let sync_deletions t switch =
@@ -190,17 +184,16 @@ let sync_deletions t switch =
   List.iter
     (fun name ->
       Hashtbl.remove t.synced (switch, name);
-      ignore
-        (Y.Yanc_fs.delete_flow t.master ~cred:t.cred ~switch
-           (master_flow_name t name)))
+      let target = master_flow_name t name in
+      match Y.Yanc_fs.delete_flow t.master ~cred:t.cred ~switch target with
+      | Error Vfs.Errno.ENOENT -> () (* already gone, e.g. timed out *)
+      | r -> checked t (switch ^ "/" ^ target) r)
     gone
 
 (* --- upward sync ------------------------------------------------------------------ *)
 
 let sync_events_up t switch =
-  let master_fs = Y.Yanc_fs.fs t.master in
-  List.iter
-    (fun (ev : Y.Eventdir.event) ->
+  App_intf.Packet_in.drain t.events ~switch (fun (ev : Y.Eventdir.event) ->
       if in_slice t switch ev.in_port then begin
         match Y.Eventdir.frame_of ev with
         | None -> ()
@@ -213,8 +206,6 @@ let sync_events_up t switch =
                  ~reason:ev.reason ~buffer_id:None ~total_len:ev.total_len
                  ~data:ev.data)
       end)
-    (Y.Eventdir.consume master_fs ~cred:t.cred ~root:(Y.Yanc_fs.root t.master)
-       ~switch ~app:(buffer_app t))
 
 let sync_counters_up t switch =
   let mroot = Y.Yanc_fs.root t.master in
@@ -223,23 +214,17 @@ let sync_counters_up t switch =
   let vfs = Y.Yanc_fs.fs t.view_fs in
   Hashtbl.iter
     (fun (sw, name) _ ->
-      if sw = switch then begin
-        let mcounters =
-          Y.Layout.flow_counters ~root:mroot ~switch (master_flow_name t name)
-        in
-        let read file =
-          match Fs.read_file mfs ~cred:t.cred (Vfs.Path.child mcounters file) with
-          | Ok v -> Int64.of_string_opt (String.trim v)
-          | Error _ -> None
-        in
-        match read "packets", read "bytes" with
-        | Some packets, Some bytes ->
-          ignore
+      if sw = switch then
+        match
+          Y.Flowdir.read_counters mfs ~cred:t.cred
+            (Y.Layout.flow ~root:mroot ~switch (master_flow_name t name))
+        with
+        | Some (packets, bytes) ->
+          checked t (switch ^ "/" ^ name ^ " counters")
             (Y.Flowdir.write_counters vfs ~cred:t.cred
                (Y.Layout.flow ~root:vroot ~switch name)
                ~packets ~bytes ~duration_s:0)
-        | _ -> ()
-      end)
+        | None -> ())
     t.synced
 
 let sync_packet_out t switch =
@@ -248,7 +233,7 @@ let sync_packet_out t switch =
       match translate_actions t switch req.actions with
       | Error _ -> () (* dropped: tenant tried to leave the slice *)
       | Ok actions ->
-        ignore
+        checked t (switch ^ " packet-out")
           (Y.Outdir.submit (Y.Yanc_fs.fs t.master) ~cred:t.cred
              ~root:(Y.Yanc_fs.root t.master) ~switch ?in_port:req.in_port
              ~actions ~data:req.data ()))
@@ -268,7 +253,7 @@ let run t ~now:_ =
     (sliced_switches t)
 
 let app t =
-  Apps.App_intf.daemon ~name:("slicer-" ^ t.config.view) (fun ~now -> run t ~now)
+  App_intf.daemon ~name:(who t) (fun ~now -> run t ~now)
 
 let flows_accepted t = t.accepted
 

@@ -146,6 +146,17 @@ let read_version fs ~cred path =
   | Ok v -> int_of_string_opt (String.trim v)
   | Error _ -> None
 
+let read_counters fs ~cred path =
+  let counters = Path.child path "counters" in
+  let read file =
+    match Fs.read_file fs ~cred (Path.child counters file) with
+    | Ok v -> Int64.of_string_opt (String.trim v)
+    | Error _ -> None
+  in
+  match read "packets", read "bytes" with
+  | Some packets, Some bytes -> Some (packets, bytes)
+  | _ -> None
+
 let write_counters fs ~cred path ~packets ~bytes ~duration_s =
   let counters = Path.child path "counters" in
   let* () =

@@ -36,10 +36,9 @@ val update :
   Vfs.Fs.t -> cred:Vfs.Cred.t -> Vfs.Path.t -> (t -> t) -> (t, string) result
 (** Read-modify-write in one step: parse the directory, apply [f], and
     commit the result ({!write}, which bumps [version]). Returns the flow as committed — i.e.
-    with the bumped version — so callers can cache it. This is the
-    upsert building block: apps that want create-or-update write
-    [match create_flow ... with Error EEXIST -> update ... | r -> r]
-    instead of hand-rolling read_version/write sequences. *)
+    with the bumped version — so callers can cache it. Apps that want
+    create-or-update call {!Yanc_fs.upsert_flow}, which is built on
+    this. *)
 
 val read : Vfs.Fs.t -> cred:Vfs.Cred.t -> Vfs.Path.t -> (t, string) result
 (** Parse a flow directory. Unparseable or unknown files make the whole
@@ -49,6 +48,11 @@ val read : Vfs.Fs.t -> cred:Vfs.Cred.t -> Vfs.Path.t -> (t, string) result
 val read_version : Vfs.Fs.t -> cred:Vfs.Cred.t -> Vfs.Path.t -> int option
 (** Fast path for the driver's change scan: just the version file
     ([None] when absent/invalid — i.e. not yet committed). *)
+
+val read_counters :
+  Vfs.Fs.t -> cred:Vfs.Cred.t -> Vfs.Path.t -> (int64 * int64) option
+(** [counters/packets] and [counters/bytes] of the flow directory;
+    [None] until the driver has reported both. *)
 
 val write_counters :
   Vfs.Fs.t -> cred:Vfs.Cred.t -> Vfs.Path.t ->

@@ -16,8 +16,6 @@ let switch ~root name = Path.child (switches_dir ~root) name
 
 let switch_attr ~root name attr = Path.child (switch ~root name) attr
 
-let switch_counters ~root name = Path.child (switch ~root name) "counters"
-
 let switch_status ~root name = switch_attr ~root name "status"
 
 let flows_dir ~root name = Path.child (switch ~root name) "flows"
@@ -142,5 +140,3 @@ let error_file = "error"
 let config_port_down = "config.port_down"
 
 let state_link_down = "state.link_down"
-
-let peer_link = "peer"

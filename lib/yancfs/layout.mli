@@ -35,8 +35,6 @@ val switch : root:Vfs.Path.t -> string -> Vfs.Path.t
 val switch_attr : root:Vfs.Path.t -> string -> string -> Vfs.Path.t
 (** e.g. [switch_attr ~root "sw1" "id"]. *)
 
-val switch_counters : root:Vfs.Path.t -> string -> Vfs.Path.t
-
 val switch_status : root:Vfs.Path.t -> string -> Vfs.Path.t
 (** The driver-owned connection state file:
     [handshaking|connected|degraded|reconnecting|dead]. *)
@@ -48,8 +46,6 @@ val flow_counters : root:Vfs.Path.t -> switch:string -> string -> Vfs.Path.t
 
 val ports_dir : root:Vfs.Path.t -> string -> Vfs.Path.t
 val port : root:Vfs.Path.t -> switch:string -> int -> Vfs.Path.t
-val port_name : int -> string
-(** ["port_2"] for 2 — the paper's naming. *)
 
 val port_no_of_name : string -> int option
 val port_attr : root:Vfs.Path.t -> switch:string -> port:int -> string -> Vfs.Path.t
@@ -91,20 +87,12 @@ val trace_key_flow : switch:string -> string -> string
     through {!Dfs.Cluster}, so every node reads cluster state the same
     way it reads network state. *)
 
-val cluster_root : Vfs.Path.t
-(** [/yanc/cluster] *)
-
 val cluster_nodes_dir : Vfs.Path.t
 (** [/yanc/cluster/nodes] — one entry per member. *)
-
-val cluster_node : string -> Vfs.Path.t
 
 val cluster_lease : string -> Vfs.Path.t
 (** [/yanc/cluster/nodes/<node>/lease] — expiry timestamp (sim clock);
     a member is alive while its lease is unexpired. *)
-
-val cluster_shards_dir : Vfs.Path.t
-(** [/yanc/cluster/shards] — claim records, one file per dpid. *)
 
 val cluster_shard : int64 -> Vfs.Path.t
 (** [/yanc/cluster/shards/<dpid>] — "owner replica,replica" as written
@@ -187,4 +175,3 @@ val cookie_file : string
 val error_file : string
 val config_port_down : string
 val state_link_down : string
-val peer_link : string

@@ -92,6 +92,7 @@ let enclosing_root ~root path =
     in
     Some (Path.append root (Path.of_components (go [] (Path.components rel))))
 
+(* Kinds whose directories delete recursively on a plain rmdir. *)
 let is_removable_object = function
   | Switch | Host | Flow | Port | Event_buffer | Event -> true
   | Root -> true (* a view directory *)

@@ -41,10 +41,6 @@ val classify : root:Vfs.Path.t -> Vfs.Path.t -> kind
 val enclosing_root : root:Vfs.Path.t -> Vfs.Path.t -> Vfs.Path.t option
 (** The innermost yanc root (master or view) containing the path. *)
 
-val is_removable_object : kind -> bool
-(** Kinds whose directories delete recursively on a plain rmdir:
-    switches, hosts, flows, ports, views, event buffers and events. *)
-
 val attach : Vfs.Fs.t -> root:Vfs.Path.t -> Vfs.Fs.hook
 (** Install the semantics; the returned hook can be unsubscribed to
     detach the auto-creation behaviour (policies stay). *)

@@ -102,15 +102,6 @@ let set_switch_status t ~switch status =
 
 let switch_status t name = read_attr t ~cred:Vfs.Cred.root name "status"
 
-let write_switch_counters t ~switch counters =
-  let cred = Vfs.Cred.root in
-  let dir = Layout.switch_counters ~root:t.root switch in
-  List.fold_left
-    (fun acc (name, value) ->
-      let* () = acc in
-      Fs.write_file t.fs ~cred (Path.child dir name) (Int64.to_string value))
-    (Ok ()) counters
-
 (* --- ports ------------------------------------------------------------------- *)
 
 let bool_file v = if v then "1" else "0"
@@ -208,6 +199,16 @@ let create_flow t ~cred ~switch ~name flow =
       (* Hand the trace to whichever driver reconciles this directory. *)
       Telemetry.Tracer.stamp tracer (Layout.trace_key_flow ~switch name);
       Ok ())
+
+let upsert_flow t ~cred ~switch ~name flow =
+  match create_flow t ~cred ~switch ~name flow with
+  | Ok () -> Ok ()
+  | Error Vfs.Errno.EEXIST ->
+    (* Update in place, preserving the version chain. *)
+    Result.map ignore
+      (Flowdir.update t.fs ~cred (Layout.flow ~root:t.root ~switch name)
+         (fun old -> { flow with Flowdir.version = old.Flowdir.version }))
+  | Error e -> Error (Vfs.Errno.message e)
 
 let flow_names t ~cred switch =
   match Fs.readdir t.fs ~cred (Layout.flows_dir ~root:t.root switch) with

@@ -60,9 +60,6 @@ val set_switch_status :
 
 val switch_status : t -> string -> string option
 
-val write_switch_counters :
-  t -> switch:string -> (string * int64) list -> (unit, Vfs.Errno.t) result
-
 (** {1 Ports} *)
 
 val set_port :
@@ -102,6 +99,13 @@ val create_flow :
   t -> cred:Vfs.Cred.t -> switch:string -> name:string -> Flowdir.t ->
   (unit, Vfs.Errno.t) result
 (** mkdir the flow directory and commit the fields ({!Flowdir.write}). *)
+
+val upsert_flow :
+  t -> cred:Vfs.Cred.t -> switch:string -> name:string -> Flowdir.t ->
+  (unit, string) result
+(** Create the flow, or, when it exists ([EEXIST]), commit [flow] over
+    it with {!Flowdir.update}, which continues the old version chain.
+    The error is the failing errno's message or the unparseable file. *)
 
 val flow_names : t -> cred:Vfs.Cred.t -> string -> string list
 

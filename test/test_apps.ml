@@ -523,11 +523,22 @@ let ecmp_flows ctl switch =
     (Y.Yanc_fs.flow_names (Yanc.Controller.yfs ctl) ~cred switch)
 
 (* Read from a snapshot, so a missing series fails instead of reading 0. *)
-let ecmp_counter ctl name =
+let registry_counter ctl name =
   let reg = Telemetry.registry (Yanc.Controller.telemetry ctl) in
   match Telemetry.Registry.find (Telemetry.Registry.snapshot reg) name with
   | Some v -> int_of_float v
   | None -> Alcotest.failf "no registry series %s" name
+
+let check_fs_errors_crit ctl =
+  let reg = Telemetry.registry (Yanc.Controller.telemetry ctl) in
+  let verdicts = Telemetry.Health.evaluate (Telemetry.Registry.snapshot reg) in
+  Alcotest.(check bool) "health is Crit" true
+    (Telemetry.Health.worst verdicts = Telemetry.Health.Crit);
+  Alcotest.(check bool) "the app_fs_errors probe fired" true
+    (List.exists
+       (fun (v : Telemetry.Health.verdict) ->
+         v.probe.name = "app_fs_errors" && v.level = Telemetry.Health.Crit)
+       verdicts)
 
 (* dpids in a clos: spines first, then leaves. *)
 let test_ecmp_installs_path () =
@@ -545,7 +556,7 @@ let test_ecmp_installs_path () =
     (List.length (ecmp_flows ctl "sw1") + List.length (ecmp_flows ctl "sw2"));
   Alcotest.(check bool) "both endpoints tracked" true
     (Apps.Ecmp_router.hosts_tracked d >= 4);
-  Alcotest.(check int) "no failed writes" 0 (ecmp_counter ctl "app.fs_errors");
+  Alcotest.(check int) "no failed writes" 0 (registry_counter ctl "app.fs_errors");
   (* the same 12-tuple now forwards in hardware: no new packet-in for
      the forward direction (the delivered SYN may provoke the reverse
      path, nothing more) *)
@@ -594,7 +605,7 @@ let test_ecmp_unknown_dst_drops () =
   Yanc.Controller.run_for ctl 0.5;
   Alcotest.(check int) "nothing installed" 0 (Apps.Ecmp_router.paths_installed d);
   Alcotest.(check bool) "unknown destination counted" true
-    (ecmp_counter ctl "app.ecmpd.unknown_dst" >= 1)
+    (registry_counter ctl "app.ecmpd.unknown_dst" >= 1)
 
 (* A daemon whose credential cannot write the switches' flows/
    directories: every write of the path it routes fails, each failure
@@ -609,19 +620,104 @@ let test_ecmp_failed_writes_counted () =
     (Apps.Ecmp_router.paths_installed d >= 1);
   Alcotest.(check (list string)) "nothing written on the source leaf" []
     (ecmp_flows ctl "sw3");
-  (* leaf, spine and leaf flows, plus the unbuffered ingress's
-     packet-out *)
-  Alcotest.(check int) "every failed write counted" 4
-    (ecmp_counter ctl "app.fs_errors");
-  let reg = Telemetry.registry (Yanc.Controller.telemetry ctl) in
-  let verdicts = Telemetry.Health.evaluate (Telemetry.Registry.snapshot reg) in
-  Alcotest.(check bool) "health is Crit" true
-    (Telemetry.Health.worst verdicts = Telemetry.Health.Crit);
-  Alcotest.(check bool) "the app_fs_errors probe fired" true
-    (List.exists
-       (fun (v : Telemetry.Health.verdict) ->
-         v.probe.name = "app_fs_errors" && v.level = Telemetry.Health.Crit)
-       verdicts)
+  (* the learned source host's record, leaf, spine and leaf flows, plus
+     the unbuffered ingress's packet-out *)
+  Alcotest.(check int) "every failed write counted" 5
+    (registry_counter ctl "app.fs_errors");
+  check_fs_errors_crit ctl
+
+(* On a read-only tree routerd's packet-in subscribe fails: each attempt
+   is counted and judged Crit, and the next drain retries it. *)
+let test_router_subscribe_failure_counted () =
+  let ctl = controller (N.Topo_gen.linear 1) in
+  Yanc.Controller.run_for ctl 0.5;
+  let fs = Yanc.Controller.fs ctl in
+  let app = Apps.Router.app (Apps.Router.create (Yanc.Controller.yfs ctl)) in
+  Fs.set_readonly fs true;
+  app.run ~now:1.0;
+  app.run ~now:2.0;
+  Alcotest.(check int) "each failed subscribe counted" 2
+    (registry_counter ctl "app.fs_errors");
+  check_fs_errors_crit ctl;
+  Fs.set_readonly fs false;
+  app.run ~now:3.0;
+  Alcotest.(check (list string)) "retried once writable" [ Apps.Router.app_name ]
+    (Y.Eventdir.subscribers fs ~root:net_root ~switch:"sw1");
+  Alcotest.(check int) "no further failures" 2 (registry_counter ctl "app.fs_errors")
+
+(* An LLDP packet-in that would link two ports arrives while the tree is
+   read-only: the failed peer symlink write is counted. *)
+let test_topology_set_peer_failure_counted () =
+  let ctl = controller (N.Topo_gen.linear 2) in
+  Yanc.Controller.run_for ctl 0.5;
+  let fs = Yanc.Controller.fs ctl in
+  let app = Apps.Topology.app (Apps.Topology.create (Yanc.Controller.yfs ctl)) in
+  app.run ~now:1.0;
+  let lldp = P.Builder.lldp ~src_mac:(P.Mac.of_int 1) ~dpid:1L ~port:1 in
+  let data = P.Eth.to_wire lldp in
+  ignore
+    (Y.Eventdir.publish fs ~root:net_root ~switch:"sw2" ~in_port:1
+       ~reason:OF.Of_types.No_match ~buffer_id:None
+       ~total_len:(String.length data) ~data);
+  Fs.set_readonly fs true;
+  app.run ~now:1.5;
+  Alcotest.(check int) "failed peer write counted" 1
+    (registry_counter ctl "app.fs_errors");
+  Alcotest.(check (option (pair string int))) "no link recorded" None
+    (Y.Yanc_fs.peer_of (Yanc.Controller.yfs ctl) ~cred ~switch:"sw2" ~port:1)
+
+(* Walking any next hop from every switch of a k=4 fat tree reaches
+   every other switch in exactly the BFS hop count. *)
+let test_next_hops_fat_tree () =
+  let built = N.Topo_gen.fat_tree ~k:4 () in
+  let ctl = controller built in
+  Yanc.Controller.run_for ctl 0.5;
+  ecmp_provision ctl built;
+  let yfs = Yanc.Controller.yfs ctl in
+  let adj = Apps.Path_install.adjacency yfs ~cred in
+  let switches = Y.Yanc_fs.switch_names yfs in
+  Alcotest.(check int) "20 switches" 20 (List.length switches);
+  let hop_counts src =
+    let dist = Hashtbl.create 32 in
+    Hashtbl.replace dist src 0;
+    let q = Queue.create () in
+    Queue.push src q;
+    while not (Queue.is_empty q) do
+      let sw = Queue.pop q in
+      List.iter
+        (fun (h : Apps.Path_install.hop) ->
+          if not (Hashtbl.mem dist h.peer) then begin
+            Hashtbl.replace dist h.peer (Hashtbl.find dist sw + 1);
+            Queue.push h.peer q
+          end)
+        (Hashtbl.find_all adj sw)
+    done;
+    dist
+  in
+  let hops_from = List.map (fun src -> src, hop_counts src) switches in
+  List.iter
+    (fun dst ->
+      let table = Apps.Path_install.next_hops adj ~dst_sw:dst in
+      List.iter
+        (fun (src, dist) ->
+          if src <> dst then
+            (* pick 0 takes the lowest port everywhere, pick 1 the next *)
+            List.iter
+              (fun pick ->
+                let rec walk sw n =
+                  if sw = dst || n > List.length switches then n
+                  else
+                    match Hashtbl.find_opt table sw with
+                    | None | Some [||] -> -1
+                    | Some hops ->
+                      walk hops.(pick mod Array.length hops).peer (n + 1)
+                in
+                Alcotest.(check int)
+                  (Printf.sprintf "%s -> %s, pick %d" src dst pick)
+                  (Hashtbl.find dist dst) (walk src 0))
+              [ 0; 1 ])
+        hops_from)
+    switches
 
 let test_ecmp_eventdir_mode () =
   let built, ctl, d = ecmp_rig ~delivery:Apps.Ecmp_router.Eventdir () in
@@ -638,7 +734,9 @@ let () =
     [ ( "topology",
         [ Alcotest.test_case "linear" `Quick test_topology_linear;
           Alcotest.test_case "fat tree" `Quick test_topology_fat_tree;
-          Alcotest.test_case "failure expiry" `Quick test_topology_link_failure_expiry ] );
+          Alcotest.test_case "failure expiry" `Quick test_topology_link_failure_expiry;
+          Alcotest.test_case "failed peer write counted" `Quick
+            test_topology_set_peer_failure_counted ] );
       ( "flow-pusher",
         [ Alcotest.test_case "parse" `Quick test_pusher_parse;
           Alcotest.test_case "parse errors" `Quick test_pusher_parse_errors;
@@ -648,7 +746,11 @@ let () =
       ( "router",
         [ Alcotest.test_case "linear path" `Quick test_router_linear;
           Alcotest.test_case "ring" `Quick test_router_ring;
-          Alcotest.test_case "hardware repeat" `Quick test_router_hardware_after_setup ] );
+          Alcotest.test_case "hardware repeat" `Quick test_router_hardware_after_setup;
+          Alcotest.test_case "failed subscribe counted" `Quick
+            test_router_subscribe_failure_counted;
+          Alcotest.test_case "next hops on a k=4 fat tree" `Quick
+            test_next_hops_fat_tree ] );
       ( "ecmp",
         [ Alcotest.test_case "installs a multi-hop path" `Quick
             test_ecmp_installs_path;

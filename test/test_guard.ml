@@ -1,0 +1,166 @@
+(* A grep-style guard over the sources of lib/apps and lib/views: each
+   job has one mechanism there, and no write result is dropped with
+   [ignore].
+
+   - Only App_intf (its Packet_in module) touches Eventdir.subscribe and
+     Eventdir.consume.
+   - Only policyd's reprioritize calls Flowdir.update; every other
+     create-or-update goes through Yanc_fs.upsert_flow.
+   - [ignore (...)] never wraps a packet-out, peer, host, flow or
+     counter write; those results go to App_intf.checked. *)
+
+let dirs = [ "../lib/apps"; "../lib/views" ]
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Blank out comments (nested, as OCaml has them), keeping newlines so
+   offsets still map to the original lines. *)
+let strip_comments src =
+  let b = Bytes.of_string src in
+  let n = Bytes.length b in
+  let rec go i depth =
+    if i >= n then ()
+    else if i + 1 < n && Bytes.get b i = '(' && Bytes.get b (i + 1) = '*' then begin
+      Bytes.fill b i 2 ' ';
+      go (i + 2) (depth + 1)
+    end
+    else if depth > 0 && i + 1 < n && Bytes.get b i = '*' && Bytes.get b (i + 1) = ')'
+    then begin
+      Bytes.fill b i 2 ' ';
+      go (i + 2) (depth - 1)
+    end
+    else begin
+      if depth > 0 && Bytes.get b i <> '\n' then Bytes.set b i ' ';
+      go (i + 1) depth
+    end
+  in
+  go 0 0;
+  Bytes.to_string b
+
+let sources () =
+  List.concat_map
+    (fun dir ->
+      Sys.readdir dir |> Array.to_list |> List.sort compare
+      |> List.filter (fun f -> Filename.check_suffix f ".ml")
+      |> List.map (fun f ->
+             let path = Filename.concat dir f in
+             f, strip_comments (read_file path)))
+    dirs
+
+let line_of src pos =
+  let n = ref 1 in
+  String.iteri (fun i c -> if i < pos && c = '\n' then incr n) src;
+  !n
+
+(* Every offset at which [needle] occurs in [src]. *)
+let occurrences src needle =
+  let len = String.length needle in
+  let rec go from acc =
+    if from + len > String.length src then List.rev acc
+    else if String.sub src from len = needle then go (from + len) (from :: acc)
+    else go (from + 1) acc
+  in
+  go 0 []
+
+(* The top-level definition enclosing [pos]: the name after the last
+   column-0 [let] before it. *)
+let enclosing_definition src pos =
+  let start = ref None in
+  List.iter
+    (fun i -> if i < pos && (i = 0 || src.[i - 1] = '\n') then start := Some i)
+    (occurrences src "let ");
+  match !start with
+  | None -> ""
+  | Some i ->
+    let name_at j =
+      let stop =
+        Option.value (String.index_from_opt src j ' ') ~default:(String.length src)
+      in
+      String.sub src j (stop - j)
+    in
+    let first = name_at (i + 4) in
+    if first = "rec" then name_at (i + 8) else first
+
+let is_ident_char c =
+  match c with
+  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '.' | '\'' -> true
+  | _ -> false
+
+let is_space c = c = ' ' || c = '\n' || c = '\t' || c = '\r'
+
+(* The dotted identifier that [ignore (] applies, if [pos] starts one. *)
+let ignored_call src pos =
+  let n = String.length src in
+  let rec skip i = if i < n && is_space src.[i] then skip (i + 1) else i in
+  let i = skip (pos + String.length "ignore") in
+  if i < n && src.[i] = '(' then begin
+    let j = skip (i + 1) in
+    let k = ref j in
+    while !k < n && is_ident_char src.[!k] do incr k done;
+    if !k > j then Some (String.sub src j (!k - j)) else None
+  end
+  else None
+
+let violations ~matching ~allowed =
+  List.concat_map
+    (fun (file, src) ->
+      List.filter_map
+        (fun pos ->
+          if allowed file (enclosing_definition src pos) then None
+          else Some (Printf.sprintf "%s:%d" file (line_of src pos)))
+        (List.concat_map (occurrences src) matching))
+    (sources ())
+
+let check_none what found =
+  Alcotest.(check (list string)) what [] found
+
+let test_packet_in () =
+  check_none "Eventdir.subscribe/consume outside App_intf"
+    (violations
+       ~matching:[ "Eventdir.subscribe"; "Eventdir.consume" ]
+       ~allowed:(fun file _ -> file = "app_intf.ml"));
+  (* The scan must see the one sanctioned use, or it proves nothing. *)
+  Alcotest.(check bool) "App_intf subscribes" true
+    (List.exists
+       (fun (file, src) ->
+         file = "app_intf.ml" && occurrences src "Eventdir.subscribe" <> [])
+       (sources ()))
+
+let test_flow_update () =
+  check_none "Flowdir.update outside policyd's reprioritize"
+    (violations ~matching:[ "Flowdir.update" ] ~allowed:(fun file def ->
+         file = "policy_engine.ml" && def = "reprioritize"))
+
+let unchecked_writes =
+  [ "Outdir.submit"; "set_peer"; "upsert_host"; "delete_flow"; "set_error";
+    "write_counters"; "create_flow" ]
+
+let test_ignored_writes () =
+  let found =
+    List.concat_map
+      (fun (file, src) ->
+        List.filter_map
+          (fun pos ->
+            let word_start = pos = 0 || not (is_ident_char src.[pos - 1]) in
+            match ignored_call src pos with
+            | Some call
+              when word_start
+                   && List.exists
+                        (fun w ->
+                          call = w || String.ends_with ~suffix:("." ^ w) call)
+                        unchecked_writes ->
+              Some (Printf.sprintf "%s:%d: ignore (%s" file (line_of src pos) call)
+            | Some _ | None -> None)
+          (occurrences src "ignore"))
+      (sources ())
+  in
+  check_none "write results dropped with ignore" found
+
+let () =
+  Alcotest.run "guard"
+    [ ( "one mechanism",
+        [ Alcotest.test_case "packet-in subscription" `Quick test_packet_in;
+          Alcotest.test_case "flow upsert" `Quick test_flow_update ] );
+      ( "checked writes",
+        [ Alcotest.test_case "no ignored write results" `Quick
+            test_ignored_writes ] ) ]

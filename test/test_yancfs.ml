@@ -292,6 +292,10 @@ let test_flow_counters_and_error () =
   ok (Y.Flowdir.write_counters fs ~cred dir ~packets:10L ~bytes:640L ~duration_s:5);
   Alcotest.(check string) "packets file" "10"
     (String.trim (ok (Fs.read_file fs ~cred (Path.child (Path.child dir "counters") "packets"))));
+  Alcotest.(check (option (pair int64 int64))) "read back" (Some (10L, 640L))
+    (Y.Flowdir.read_counters fs ~cred dir);
+  Alcotest.(check (option (pair int64 int64))) "not yet reported" None
+    (Y.Flowdir.read_counters fs ~cred (Y.Layout.flow ~root:net ~switch:"sw1" "g"));
   ok (Y.Flowdir.set_error fs ~cred dir (Some "boom"));
   Alcotest.(check string) "error file" "boom"
     (ok (Fs.read_file fs ~cred (Path.child dir "error")));
@@ -299,6 +303,39 @@ let test_flow_counters_and_error () =
   Alcotest.(check bool) "error cleared" false
     (Fs.exists fs ~cred (Path.child dir "error"));
   ok (Y.Flowdir.set_error fs ~cred dir None)
+
+(* upsert_flow over an existing flow continues its version chain, and
+   the driver reprograms the rule from the committed update. *)
+let test_upsert_flow () =
+  let built = Netsim.Topo_gen.linear ~hosts_per_switch:2 1 in
+  let fs, yfs = setup () in
+  let mgr = Driver.Manager.create ~yfs ~net:built.Netsim.Topo_gen.net () in
+  Driver.Manager.attach mgr ~dpid:1L ~version:Driver.Manager.V10;
+  Driver.Manager.run_control mgr ~now:0.;
+  let sw = Option.get (Netsim.Network.switch built.Netsim.Topo_gen.net 1L) in
+  let out port =
+    { Y.Flowdir.default with
+      Y.Flowdir.actions = [ OF.Action.Output (OF.Action.Physical port) ];
+      priority = 10 }
+  in
+  let hardware () =
+    match Netsim.Sim_switch.table sw 0 with
+    | Some t ->
+      List.map (fun e -> e.Netsim.Flow_table.actions) (Netsim.Flow_table.entries t)
+    | None -> []
+  in
+  let dir = Y.Layout.flow ~root:net ~switch:"sw1" "f" in
+  ok_s (Y.Yanc_fs.upsert_flow yfs ~cred ~switch:"sw1" ~name:"f" (out 1));
+  Driver.Manager.run_control mgr ~now:1.;
+  let created = Option.get (Y.Flowdir.read_version fs ~cred dir) in
+  Alcotest.(check bool) "created rule installed" true
+    (hardware () = [ (out 1).actions ]);
+  ok_s (Y.Yanc_fs.upsert_flow yfs ~cred ~switch:"sw1" ~name:"f" (out 2));
+  Alcotest.(check (option int)) "version continues from the old value"
+    (Some (created + 1)) (Y.Flowdir.read_version fs ~cred dir);
+  Driver.Manager.run_control mgr ~now:2.;
+  Alcotest.(check bool) "update installed in place of the old rule" true
+    (hardware () = [ (out 2).actions ])
 
 (* --- packet-in fast path (ring) --------------------------------------------------- *)
 
@@ -649,7 +686,9 @@ let () =
           Alcotest.test_case "version protocol" `Quick test_flowdir_version_readback;
           Alcotest.test_case "rewrite drops stale fields" `Quick
             test_flowdir_rewrite_removes_stale_fields;
-          Alcotest.test_case "counters and error" `Quick test_flow_counters_and_error ] );
+          Alcotest.test_case "counters and error" `Quick test_flow_counters_and_error;
+          Alcotest.test_case "upsert continues the version chain" `Quick
+            test_upsert_flow ] );
       ( "pktin-ring",
         [ Alcotest.test_case "publish/drain roundtrip" `Quick
             test_pktin_roundtrip;
