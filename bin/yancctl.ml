@@ -174,6 +174,14 @@ let print_link_status ctl =
 
 (* --- commands ---------------------------------------------------------------------- *)
 
+(* One shell line against the live tree, its output echoed; the exit
+   code. *)
+let shell env line =
+  let r = Shell.Pipeline.run env line in
+  print_string r.Shell.Pipeline.out;
+  prerr_string r.Shell.Pipeline.err;
+  r.Shell.Pipeline.code
+
 let read_host_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -216,9 +224,7 @@ let run_cmd config_file topo datapath of13 apps duration execs pings stats =
   List.iter
     (fun line ->
       Printf.printf "$ %s\n" line;
-      let r = Shell.Pipeline.run env line in
-      print_string r.Shell.Pipeline.out;
-      prerr_string r.Shell.Pipeline.err)
+      ignore (shell env line))
     execs;
   if stats then
     print_metrics ctl
@@ -293,53 +299,61 @@ let top_cmd topo datapath of13 apps duration =
   (* The registry itself, read the way any application would read it:
      cat(1) on the proc file, through the shell. *)
   let env = Shell.Env.create (Yanc.Controller.fs ctl) in
-  let r = Shell.Pipeline.run env "cat /yanc/.proc/metrics" in
-  print_string r.Shell.Pipeline.out;
-  prerr_string r.Shell.Pipeline.err;
+  let code = shell env "cat /yanc/.proc/metrics" in
   if any_dead then begin
     Printf.eprintf "yancctl: top: switch control channel dead\n";
     1
   end
-  else r.Shell.Pipeline.code
+  else code
 
 (* --- cluster: sharded multi-node controller status ----------------------------- *)
 
-let cluster_cmd topo datapath of13 nodes kill duration =
-  setup_logs ();
-  let built = topo datapath in
+let boot_cluster ~built ~of13 ~nodes =
   let c =
     Yanc.Cluster.create
       ~version:(if of13 then Yanc.Controller.V13 else Yanc.Controller.V10)
       ~n:nodes ~net:built.N.Topo_gen.net ()
   in
-  let settled =
-    Yanc.Cluster.run_until ~tick:0.01 c (fun () -> Yanc.Cluster.converged c)
-  in
-  (match kill with
+  if
+    not
+      (Yanc.Cluster.run_until ~tick:0.01 c (fun () -> Yanc.Cluster.converged c))
+  then Printf.eprintf "yancctl: cluster boot did not converge\n";
+  c
+
+(* [--kill i]: the name of the node killed; an out-of-range index is
+   reported and kills nothing. *)
+let kill_node c ~cmd = function
+  | None -> None
   | Some i when i >= 0 && i < Yanc.Cluster.size c ->
     Yanc.Cluster.kill c i;
-    (* survivors need the lease to expire before they take over *)
-    ignore
-      (Yanc.Cluster.run_until ~tick:0.01 c (fun () ->
-           Yanc.Cluster.converged c))
+    Some (Yanc.Cluster.name_of c i)
   | Some i ->
-    Printf.eprintf "yancctl: cluster: no node %d (have %d)\n" i
-      (Yanc.Cluster.size c)
-  | None -> ());
+    Printf.eprintf "yancctl: %s: no node %d (have %d)\n" cmd i
+      (Yanc.Cluster.size c);
+    None
+
+(* Survivors need the dead lease to expire before they take over. *)
+let await_takeover c =
+  ignore
+    (Yanc.Cluster.run_until ~tick:0.01 c (fun () -> Yanc.Cluster.converged c))
+
+let first_live c =
+  match Yanc.Cluster.live_indexes c with i :: _ -> i | [] -> 0
+
+let cluster_cmd topo datapath of13 nodes kill duration =
+  setup_logs ();
+  let built = topo datapath in
+  let c = boot_cluster ~built ~of13 ~nodes in
+  if kill_node c ~cmd:"cluster" kill <> None then await_takeover c;
   Yanc.Cluster.run_for ~tick:0.01 c duration;
   let now = N.Network.now (Yanc.Cluster.net c) in
-  let dfs = Yanc.Cluster.dfs c in
-  let dpids = built.N.Topo_gen.dpids in
   Printf.printf "cluster: %d node(s), %d switches, %.2fs simulated\n\n"
-    (Yanc.Cluster.size c) (List.length dpids) now;
+    (Yanc.Cluster.size c) (List.length built.N.Topo_gen.dpids) now;
   Printf.printf "%-8s %-6s %10s %9s %9s %10s\n" "NODE" "STATE" "LEASE_S"
     "SWITCHES" "INSTALLS" "TAKEOVERS";
-  (* Leases as the survivors see them: read from the first live node's
-     replica, the same files the reconcile beat derives membership from. *)
-  let viewer =
-    match Yanc.Cluster.live_indexes c with i :: _ -> i | [] -> 0
-  in
-  let fs = Dfs.Cluster.node dfs viewer in
+  (* Leases and the fsck as the survivors see them: files on the first
+     live node's replica, the ones the reconcile beat reads. *)
+  let fs = Yanc.Controller.fs (Yanc.Cluster.controller c (first_live c)) in
   List.iter
     (fun i ->
       let name = Yanc.Cluster.name_of c i in
@@ -369,55 +383,55 @@ let cluster_cmd topo datapath of13 nodes kill duration =
         (Yanc.Cluster.node_installs c i)
         (Yanc.Cluster.takeovers c i))
     (List.init (Yanc.Cluster.size c) Fun.id);
-  let unowned = Yanc.Cluster.unowned c in
-  Printf.printf "\nshards: %d owned, %d unowned%s\n"
-    (List.length dpids - List.length unowned)
-    (List.length unowned)
-    (if unowned = [] then ""
-     else
-       Printf.sprintf " (%s)"
-         (String.concat ", " (List.map Int64.to_string unowned)));
-  if not settled then
-    Printf.eprintf "yancctl: cluster: boot did not converge\n";
-  if unowned <> [] || not settled then 1 else 0
+  match
+    Vfs.Fs.read_file fs ~cred:Vfs.Cred.root
+      (Yancfs.Layout.proc_fsck ~proc:Yancfs.Layout.cluster_proc_root)
+  with
+  | Error e ->
+    Printf.eprintf "yancctl: cluster: fsck: %s\n" (Vfs.Errno.message e);
+    1
+  | Ok report when String.starts_with ~prefix:"status ok\n" report ->
+    (* the summary is the report's second line *)
+    print_newline ();
+    print_endline (List.nth (String.split_on_char '\n' report) 1);
+    0
+  | Ok report ->
+    print_newline ();
+    print_string report;
+    1
 
 (* --- observability: cluster trace, health, blackbox ---------------------------- *)
 
-let boot_cluster ~built ~of13 ~nodes =
-  let c =
-    Yanc.Cluster.create
-      ~version:(if of13 then Yanc.Controller.V13 else Yanc.Controller.V10)
-      ~n:nodes ~net:built.N.Topo_gen.net ()
-  in
-  if
-    not
-      (Yanc.Cluster.run_until ~tick:0.01 c (fun () -> Yanc.Cluster.converged c))
-  then Printf.eprintf "yancctl: cluster boot did not converge\n";
-  c
+(* [--node name]: its index; an unknown name is reported with the node
+   list. *)
+let find_node c ~cmd name =
+  let all = List.init (Yanc.Cluster.size c) Fun.id in
+  let found = List.find_opt (fun i -> Yanc.Cluster.name_of c i = name) all in
+  if found = None then begin
+    Printf.eprintf "yancctl: %s: no node %S\nnodes:\n" cmd name;
+    List.iter
+      (fun i ->
+        Printf.eprintf "  %s (%s)\n" (Yanc.Cluster.name_of c i)
+          (if Yanc.Cluster.alive c i then "live" else "dead"))
+      all
+  end;
+  found
 
-let node_index_of_name c name =
-  let rec go i =
-    if i >= Yanc.Cluster.size c then None
-    else if Yanc.Cluster.name_of c i = name then Some i
-    else go (i + 1)
-  in
-  go 0
-
-let list_nodes c =
-  Printf.eprintf "nodes:\n";
-  List.iter
-    (fun i ->
-      Printf.eprintf "  %s (%s)\n" (Yanc.Cluster.name_of c i)
-        (if Yanc.Cluster.alive c i then "live" else "dead"))
-    (List.init (Yanc.Cluster.size c) Fun.id)
+(* Print a file read through [fs]: 0, or the errno on stderr and 1. *)
+let print_file ~cmd fs path =
+  match Vfs.Fs.read_file fs ~cred:Vfs.Cred.root path with
+  | Ok data ->
+    print_string data;
+    0
+  | Error e ->
+    Printf.eprintf "yancctl: %s: %s\n" cmd (Vfs.Errno.message e);
+    1
 
 (* A node's proc files are generators on its own replica — read them
    through that node's fs, exactly where its processes would. *)
-let read_node_proc c i file =
+let print_node_proc ~cmd c i file =
   let proc = Yancfs.Layout.node_proc_root (Yanc.Cluster.name_of c i) in
-  Vfs.Fs.read_file
-    (Yanc.Controller.fs (Yanc.Cluster.controller c i))
-    ~cred:Vfs.Cred.root (file ~proc)
+  print_file ~cmd (Yanc.Controller.fs (Yanc.Cluster.controller c i)) (file ~proc)
 
 (* One cross-node write, traced from the client side: create a flow on
    node 0's replica for a switch owned elsewhere, so the span tree
@@ -460,10 +474,12 @@ let traced_cross_write c built =
             Printf.eprintf "yancctl: trace: create_flow: %s\n"
               (Vfs.Errno.message e)))
 
-(* The per-stage table over the fleet: merged rollup entries, so a
-   stage's p99 is the percentile of the union of every node's spans. *)
-let print_cluster_stage_table c =
-  let entries = Telemetry.Registry.entries (Yanc.Cluster.rollup_snapshot c) in
+(* The per-stage table from a registry snapshot's flattened
+   [trace.<stage>.count/p50/p99/max] series, ordered by p50 (as the
+   pipeline ran). Over a cluster it is the merged rollup, so a stage's
+   p99 is the percentile of the union of every node's spans. *)
+let print_stage_table snapshot =
+  let entries = Telemetry.Registry.entries snapshot in
   let has_suffix s suf =
     let ls = String.length s and lf = String.length suf in
     ls > lf && String.sub s (ls - lf) lf = suf
@@ -503,21 +519,16 @@ let trace_cluster built ~of13 ~nodes ~duration ~node_name =
   traced_cross_write c built;
   Yanc.Cluster.run_for ~tick:0.01 c (max 0.5 duration);
   let cat_pipe i =
-    match read_node_proc c i Yancfs.Layout.proc_trace_pipe with
-    | Ok data -> print_string data
-    | Error e -> Printf.eprintf "yancctl: trace: %s\n" (Vfs.Errno.message e)
+    ignore (print_node_proc ~cmd:"trace" c i Yancfs.Layout.proc_trace_pipe)
   in
   match node_name with
   | Some name -> (
-    match node_index_of_name c name with
-    | None ->
-      Printf.eprintf "yancctl: trace: no node %S\n" name;
-      list_nodes c;
-      2
+    match find_node c ~cmd:"trace" name with
+    | None -> 2
     | Some i ->
       cat_pipe i;
       print_newline ();
-      print_cluster_stage_table c;
+      print_stage_table (Yanc.Cluster.rollup_snapshot c);
       0)
   | None ->
     List.iter
@@ -526,7 +537,7 @@ let trace_cluster built ~of13 ~nodes ~duration ~node_name =
         cat_pipe i)
       (Yanc.Cluster.live_indexes c);
     print_newline ();
-    print_cluster_stage_table c;
+    print_stage_table (Yanc.Cluster.rollup_snapshot c);
     0
 
 let trace_cmd topo datapath of13 apps duration pings pipe nodes node_name =
@@ -540,39 +551,12 @@ let trace_cmd topo datapath of13 apps duration pings pipe nodes node_name =
   List.iter (do_ping ctl topo) pings;
   (if pipe then begin
      let env = Shell.Env.create (Yanc.Controller.fs ctl) in
-     let r = Shell.Pipeline.run env "cat /yanc/.proc/trace_pipe" in
-     print_string r.Shell.Pipeline.out;
-     prerr_string r.Shell.Pipeline.err;
+     ignore (shell env "cat /yanc/.proc/trace_pipe");
      print_newline ()
    end);
-  let reg = Telemetry.registry (Yanc.Controller.telemetry ctl) in
-  let stages =
-    List.filter_map
-      (fun (name, h) ->
-        if String.length name > 6 && String.sub name 0 6 = "trace." then
-          Some (String.sub name 6 (String.length name - 6), h)
-        else None)
-      (Telemetry.Registry.histograms reg)
-  in
-  (* Mean end-to-end latency orders the stages as the pipeline ran. *)
-  let mean h =
-    if Telemetry.Registry.hist_count h = 0 then 0.
-    else
-      Telemetry.Registry.percentile h 0.5
-  in
-  let stages =
-    List.sort (fun (_, a) (_, b) -> compare (mean a) (mean b)) stages
-  in
-  Printf.printf "%-20s %8s %12s %12s %12s\n" "STAGE" "SPANS" "P50_MS"
-    "P99_MS" "MAX_MS";
-  List.iter
-    (fun (stage, h) ->
-      Printf.printf "%-20s %8d %12.4f %12.4f %12.4f\n" stage
-        (Telemetry.Registry.hist_count h)
-        (Telemetry.Registry.percentile h 0.5 *. 1e3)
-        (Telemetry.Registry.percentile h 0.99 *. 1e3)
-        (Telemetry.Registry.hist_max h *. 1e3))
-    stages;
+  print_stage_table
+    (Telemetry.Registry.snapshot
+       (Telemetry.registry (Yanc.Controller.telemetry ctl)));
   0
   end
 
@@ -589,66 +573,54 @@ let finish_health report =
 let health_cmd topo datapath of13 apps nodes kill duration watch =
   setup_logs ();
   let built = topo datapath in
-  if nodes > 1 then begin
-    let c = boot_cluster ~built ~of13 ~nodes in
-    let read_health () =
-      match Yanc.Cluster.live_indexes c with
-      | [] -> "status crit\nlive_nodes crit value=0 limit=1 series=cluster.live_nodes\n"
-      | i :: _ -> (
-        let fs = Yanc.Controller.fs (Yanc.Cluster.controller c i) in
-        match
-          Vfs.Fs.read_file fs ~cred:Vfs.Cred.root
-            (Yancfs.Layout.proc_health
-               ~proc:Yancfs.Layout.cluster_proc_root)
-        with
-        | Ok data -> data
-        | Error e ->
-          Printf.sprintf "status crit\nhealth_file crit value=na limit=0 series=%s\n"
-            (Vfs.Errno.message e))
-    in
+  let read_health fs ~proc =
+    match
+      Vfs.Fs.read_file fs ~cred:Vfs.Cred.root (Yancfs.Layout.proc_health ~proc)
+    with
+    | Ok data -> data
+    | Error e ->
+      Printf.sprintf "status crit\nhealth_file crit value=na limit=0 series=%s\n"
+        (Vfs.Errno.message e)
+  in
+  (* [--watch] prints the report at four evenly spaced points before the
+     final one *)
+  let run_watching run now read =
     let steps = if watch then 5 else 1 in
     for s = 1 to steps do
-      Yanc.Cluster.run_for ~tick:0.01 c (duration /. float_of_int steps);
+      run (duration /. float_of_int steps);
       if watch && s < steps then begin
-        Printf.printf "--- t=%.2f\n" (N.Network.now (Yanc.Cluster.net c));
-        print_string (read_health ())
+        Printf.printf "--- t=%.2f\n" (now ());
+        print_string (read ())
       end
-    done;
-    (match kill with
-    | Some i when i >= 0 && i < Yanc.Cluster.size c ->
-      (* kill and judge immediately: the pre-takeover window is exactly
-         what the probe table must catch (unowned shards -> crit) *)
-      Yanc.Cluster.kill c i;
-      Printf.printf "--- killed %s (pre-takeover)\n" (Yanc.Cluster.name_of c i)
-    | Some i ->
-      Printf.eprintf "yancctl: health: no node %d (have %d)\n" i
-        (Yanc.Cluster.size c)
-    | None -> ());
-    if watch then Printf.printf "--- t=%.2f\n" (N.Network.now (Yanc.Cluster.net c));
-    finish_health (read_health ())
+    done
+  in
+  if nodes > 1 then begin
+    let c = boot_cluster ~built ~of13 ~nodes in
+    let now () = N.Network.now (Yanc.Cluster.net c) in
+    let read () =
+      match Yanc.Cluster.live_indexes c with
+      | [] -> "status crit\nlive_nodes crit value=0 limit=1 series=cluster.live_nodes\n"
+      | i :: _ ->
+        read_health
+          (Yanc.Controller.fs (Yanc.Cluster.controller c i))
+          ~proc:Yancfs.Layout.cluster_proc_root
+    in
+    run_watching (Yanc.Cluster.run_for ~tick:0.01 c) now read;
+    (* kill and judge immediately: the pre-takeover window is exactly
+       what the probe table must catch (unowned shards -> crit) *)
+    Option.iter
+      (Printf.printf "--- killed %s (pre-takeover)\n")
+      (kill_node c ~cmd:"health" kill);
+    if watch then Printf.printf "--- t=%.2f\n" (now ());
+    finish_health (read ())
   end
   else begin
     let ctl = build ~topo:built ~of13 ~apps in
-    let read_health () =
-      match
-        Vfs.Fs.read_file (Yanc.Controller.fs ctl) ~cred:Vfs.Cred.root
-          (Yancfs.Layout.proc_health
-             ~proc:Yancfs.Layout.default_proc_root)
-      with
-      | Ok data -> data
-      | Error e ->
-        Printf.sprintf "status crit\nhealth_file crit value=na limit=0 series=%s\n"
-          (Vfs.Errno.message e)
+    let read () =
+      read_health (Yanc.Controller.fs ctl) ~proc:Yancfs.Layout.default_proc_root
     in
-    let steps = if watch then 5 else 1 in
-    for s = 1 to steps do
-      Yanc.Controller.run_for ctl (duration /. float_of_int steps);
-      if watch && s < steps then begin
-        Printf.printf "--- t=%.2f\n" (Yanc.Controller.now ctl);
-        print_string (read_health ())
-      end
-    done;
-    finish_health (read_health ())
+    run_watching (Yanc.Controller.run_for ctl) (fun () -> Yanc.Controller.now ctl) read;
+    finish_health (read ())
   end
 
 (* --- blackbox: the flight recorder, live window or replicated dumps ------------- *)
@@ -661,52 +633,25 @@ let blackbox_cmd topo datapath of13 nodes kill duration node_name =
     let c = boot_cluster ~built ~of13 ~nodes in
     traced_cross_write c built;
     Yanc.Cluster.run_for ~tick:0.01 c duration;
-    (match kill with
-    | Some i when i >= 0 && i < Yanc.Cluster.size c ->
-      Yanc.Cluster.kill c i;
-      (* survivors detect the death, dump their boxes, take over *)
-      ignore
-        (Yanc.Cluster.run_until ~tick:0.01 c (fun () ->
-             Yanc.Cluster.converged c))
-    | Some i ->
-      Printf.eprintf "yancctl: blackbox: no node %d (have %d)\n" i
-        (Yanc.Cluster.size c)
-    | None -> ());
+    (* survivors detect the death, dump their boxes, take over *)
+    if kill_node c ~cmd:"blackbox" kill <> None then await_takeover c;
     match node_name with
     | Some name -> (
-      match node_index_of_name c name with
-      | None ->
-        Printf.eprintf "yancctl: blackbox: no node %S\n" name;
-        list_nodes c;
-        2
-      | Some i -> (
-        match read_node_proc c i Yancfs.Layout.proc_blackbox with
-        | Ok data ->
-          print_string data;
-          0
-        | Error e ->
-          Printf.eprintf "yancctl: blackbox: %s\n" (Vfs.Errno.message e);
-          1))
+      match find_node c ~cmd:"blackbox" name with
+      | None -> 2
+      | Some i -> print_node_proc ~cmd:"blackbox" c i Yancfs.Layout.proc_blackbox)
     | None -> (
       (* post-mortems are replicated files — read them off a survivor *)
-      let viewer =
-        match Yanc.Cluster.live_indexes c with i :: _ -> i | [] -> 0
-      in
-      let fs = Yanc.Controller.fs (Yanc.Cluster.controller c viewer) in
+      let fs = Yanc.Controller.fs (Yanc.Cluster.controller c (first_live c)) in
       let cred = Vfs.Cred.root in
       match Vfs.Fs.readdir fs ~cred Yancfs.Layout.blackbox_dumps_dir with
       | Ok (_ :: _ as dumps) ->
         List.iter
           (fun name ->
             Printf.printf "# /yanc/blackbox/%s\n" name;
-            match
-              Vfs.Fs.read_file fs ~cred
-                (Vfs.Path.child Yancfs.Layout.blackbox_dumps_dir name)
-            with
-            | Ok data -> print_string data
-            | Error e ->
-              Printf.eprintf "yancctl: blackbox: %s: %s\n" name
-                (Vfs.Errno.message e))
+            ignore
+              (print_file ~cmd:("blackbox: " ^ name) fs
+                 (Vfs.Path.child Yancfs.Layout.blackbox_dumps_dir name)))
           dumps;
         0
       | Ok [] | Error _ ->
@@ -715,26 +660,15 @@ let blackbox_cmd topo datapath of13 nodes kill duration node_name =
           (fun i ->
             Printf.printf "# node %s (live window)\n"
               (Yanc.Cluster.name_of c i);
-            match read_node_proc c i Yancfs.Layout.proc_blackbox with
-            | Ok data -> print_string data
-            | Error e ->
-              Printf.eprintf "yancctl: blackbox: %s\n" (Vfs.Errno.message e))
+            ignore (print_node_proc ~cmd:"blackbox" c i Yancfs.Layout.proc_blackbox))
           (Yanc.Cluster.live_indexes c);
         0)
   end
   else begin
     let ctl = build ~topo:built ~of13 ~apps:[ "topology"; "router" ] in
     Yanc.Controller.run_for ctl duration;
-    match
-      Vfs.Fs.read_file (Yanc.Controller.fs ctl) ~cred:Vfs.Cred.root
-        (Yancfs.Layout.proc_blackbox ~proc:Yancfs.Layout.default_proc_root)
-    with
-    | Ok data ->
-      print_string data;
-      0
-    | Error e ->
-      Printf.eprintf "yancctl: blackbox: %s\n" (Vfs.Errno.message e);
-      1
+    print_file ~cmd:"blackbox" (Yanc.Controller.fs ctl)
+      (Yancfs.Layout.proc_blackbox ~proc:Yancfs.Layout.default_proc_root)
   end
 
 let shell_cmd topo datapath of13 apps script_file lines =
@@ -752,10 +686,8 @@ let shell_cmd topo datapath of13 apps script_file lines =
   | None -> ());
   List.iter
     (fun line ->
-      let r = Shell.Pipeline.run env line in
-      print_string r.Shell.Pipeline.out;
-      prerr_string r.Shell.Pipeline.err;
-      if r.Shell.Pipeline.code <> 0 then code := r.Shell.Pipeline.code)
+      let c = shell env line in
+      if c <> 0 then code := c)
     lines;
   Yanc.Controller.run_for ctl 0.5;
   !code
@@ -843,20 +775,9 @@ let policy_cmd action file topo datapath of13 duration =
       print_string proc_report;
       print_string "--- compiled rules (installed on every switch)\n";
       print_string (Policy.Compile.render (Apps.Policy_engine.desired eng));
-      let yfs = Yanc.Controller.yfs ctl in
-      List.iter
-        (fun swname ->
-          let n =
-            Yancfs.Yanc_fs.flow_name_set yfs ~cred swname
-            |> Yancfs.Yanc_fs.Name_set.filter (fun name ->
-                   let p = Apps.Policy_engine.flow_prefix in
-                   String.length name > String.length p
-                   && String.sub name 0 (String.length p) = p)
-            |> Yancfs.Yanc_fs.Name_set.cardinal
-          in
-          Printf.printf "%s: %d policy flows installed\n" swname n)
-        (Yancfs.Yanc_fs.switch_names yfs);
-      0
+      print_string "--- /yanc/.proc/fsck\n";
+      print_file ~cmd:"policy: fsck" fs
+        (Yancfs.Layout.proc_fsck ~proc:Yancfs.Layout.default_proc_root)
   end
 
 (* --- cmdliner wiring ------------------------------------------------------------------ *)

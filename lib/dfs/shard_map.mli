@@ -7,9 +7,6 @@
     a departed node's switches land on their runner-ups, a joined
     node takes only the switches it now wins. *)
 
-val score : member:string -> dpid:int64 -> int64
-(** The rendezvous weight of [member] for [dpid] (exposed for tests). *)
-
 val owner : members:string list -> dpid:int64 -> string option
 (** The member with the highest weight for [dpid]; [None] iff
     [members] is empty. Member-list order is irrelevant. *)

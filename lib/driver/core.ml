@@ -697,7 +697,8 @@ module Make (P : Driver_intf.PROTOCOL) = struct
           send t
             (P.packet_out ~xid:(xid t) ~buffer_id:req.buffer_id
                ~in_port:req.in_port ~actions:req.actions ~data:req.data))
-        (Y.Outdir.consume (fs t) ~root:(root t) ~switch:name)
+        (Y.Outdir.consume (fs t) ~root:(root t) ~switch:name
+           ~on_error:(fun e -> fs_checked t ~what:"packet-out rmdir" (Error e)))
 
   (* Bounded drain: a flow-mod storm is spread over successive steps
      instead of monopolizing one; dirty state persists, and events

@@ -83,7 +83,6 @@ let attach t ~dpid ~version =
     let agent =
       Netsim.Of_agent.create ~telemetry:(Yancfs.Yanc_fs.telemetry t.yfs)
         ~keepalive_interval:t.tuning.Driver_intf.keepalive_interval
-        ~liveness_timeout:t.tuning.Driver_intf.liveness_timeout
         ~version:agent_version ~switch:sw ~endpoint:sw_end ~network:t.net ()
     in
     let seed = driver_seed t dpid in

@@ -275,12 +275,6 @@ let pending t = Queue.length t.queue
 
 let set_wakeup t f = t.on_wake <- Some f
 
-let has_watches t =
-  match t.source with
-  | Shared (_, by_wd) -> Hashtbl.length by_wd > 0
-  | Scan (_, ws) -> ws <> []
-  | Detached -> false
-
 let coalesced t = t.coalesced
 
 let overflows t = t.overflows

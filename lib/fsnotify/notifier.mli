@@ -53,8 +53,6 @@ val all : mask
 (** Every kind except [Overflow] (overflow sentinels are delivered
     unconditionally). *)
 
-val mask_mem : Event.kind -> mask -> bool
-
 type backend =
   | Indexed  (** the file system's shared dispatcher; the default *)
   | Linear   (** the reference: a private hook and a full scan of this
@@ -96,9 +94,6 @@ val set_wakeup : t -> (unit -> unit) -> unit
     coalesces or overflow drops — the queue already held something
     then). Lets a scheduler park a consumer until its notifier has
     something to read instead of polling [pending]. *)
-
-val has_watches : t -> bool
-(** Whether any watch is live; always false once closed. *)
 
 val coalesced : t -> int
 (** Events merged into their predecessor over this notifier's lifetime. *)

@@ -9,17 +9,13 @@ type t = {
   network : Network.t;
   framing : OF.Framing.t;
   mutable next_xid : int32;
-  mutable handled : int;
   telemetry : Telemetry.t;
-  (* Keepalive + liveness: the firmware half of connection survival.
-     [keepalive_interval = 0.] disables both (the default for bare
-     agents built in tests; the driver manager turns them on). *)
+  (* Keepalive: the firmware half of connection survival.
+     [keepalive_interval = 0.] disables it (the default for bare agents
+     built in tests; the driver manager turns it on). *)
   keepalive_interval : float;
-  liveness_timeout : float;
-  mutable last_rx : float;
   mutable next_keepalive : float;
   mutable seen_generation : int;
-  mutable peer_alive : bool;
   mutable keepalives : int;
 }
 
@@ -63,24 +59,18 @@ let port_status t reason info =
 
 let trace_key_xid xid = Printf.sprintf "xid:%ld" xid
 
-let create ?telemetry ?(keepalive_interval = 0.) ?liveness_timeout ~version
+let create ?telemetry ?(keepalive_interval = 0.) ~version
     ~switch ~endpoint ~network () =
   let telemetry =
     match telemetry with
     | Some t -> t
     | None -> Telemetry.create ~tracing:false ()
   in
-  let liveness_timeout =
-    match liveness_timeout with
-    | Some s -> s
-    | None -> 3. *. keepalive_interval
-  in
   let t =
     { version; switch; endpoint; network; framing = OF.Framing.create ();
-      next_xid = 0x10000l; handled = 0; telemetry; keepalive_interval;
-      liveness_timeout; last_rx = neg_infinity; next_keepalive = neg_infinity;
-      seen_generation = Control_channel.generation endpoint;
-      peer_alive = true; keepalives = 0 }
+      next_xid = 0x10000l; telemetry; keepalive_interval;
+      next_keepalive = neg_infinity;
+      seen_generation = Control_channel.generation endpoint; keepalives = 0 }
   in
   Network.set_controller_sink network (Sim_switch.dpid switch)
     (packet_in_of_effect t);
@@ -293,7 +283,7 @@ let expire t ~now =
       end)
     expired
 
-(* --- keepalive / liveness ----------------------------------------------------- *)
+(* --- keepalive ----------------------------------------------------------------- *)
 
 let send_echo_request t =
   t.keepalives <- t.keepalives + 1;
@@ -301,39 +291,30 @@ let send_echo_request t =
   | V10 -> send10 t (OF.Of10.Echo_request "ka")
   | V13 -> send13 t (OF.Of13.Echo_request "ka")
 
-let keepalive t ~now ~received =
+let keepalive t ~now =
   (* A reconnected channel is a fresh byte stream: whatever the framer
      held belonged to the old connection. *)
   let gen = Control_channel.generation t.endpoint in
   if gen <> t.seen_generation then begin
     t.seen_generation <- gen;
-    OF.Framing.reset t.framing;
-    t.last_rx <- now;
-    t.peer_alive <- true
-  end;
-  if received then begin
-    t.last_rx <- now;
-    t.peer_alive <- true
+    OF.Framing.reset t.framing
   end;
   if t.keepalive_interval > 0. && Control_channel.connected t.endpoint then begin
-    if t.last_rx = neg_infinity then t.last_rx <- now;
     if t.next_keepalive = neg_infinity then
       t.next_keepalive <- now +. t.keepalive_interval
     else if now >= t.next_keepalive then begin
       send_echo_request t;
       t.next_keepalive <- now +. t.keepalive_interval
-    end;
-    if now -. t.last_rx > t.liveness_timeout then t.peer_alive <- false
+    end
   end
 
 let step t ~now =
   Control_channel.poll t.endpoint;
   let chunks = Control_channel.recv_all t.endpoint in
-  keepalive t ~now ~received:(chunks <> []);
+  keepalive t ~now;
   List.iter (OF.Framing.push t.framing) chunks;
   List.iter
     (fun raw ->
-      t.handled <- t.handled + 1;
       match t.version with
       | V10 -> (
         match OF.Of10.decode raw with
@@ -362,9 +343,5 @@ let next_due t ~now =
   in
   if Sim_switch.has_timed_flows t.switch then min now keepalive_at
   else keepalive_at
-
-let messages_handled t = t.handled
-
-let peer_alive t = t.peer_alive
 
 let keepalives_sent t = t.keepalives

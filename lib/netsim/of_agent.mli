@@ -16,7 +16,7 @@ type t
 
 val create :
   ?telemetry:Telemetry.t -> ?keepalive_interval:float ->
-  ?liveness_timeout:float -> version:version -> switch:Sim_switch.t ->
+  version:version -> switch:Sim_switch.t ->
   endpoint:Control_channel.endpoint -> network:Network.t -> unit -> t
 (** Registers the agent as the switch's controller sink in [network] and
     subscribes to port-change notifications. With [telemetry], each
@@ -25,10 +25,8 @@ val create :
     packet-in→install pipeline.
 
     [keepalive_interval] (default 0 = disabled) makes the agent send
-    echo-requests on the sim clock and track controller liveness with
-    [liveness_timeout] (default 3x the interval) — see {!peer_alive}.
-    Installed flows survive a dead controller either way (fail-secure):
-    the agent only reports, it never clears state. *)
+    echo-requests on the sim clock. Installed flows survive a dead
+    controller (fail-secure): the agent never clears state. *)
 
 val trace_key_xid : int32 -> string
 (** ["xid:<n>"] — the correlation key the controller-side driver stamps
@@ -42,7 +40,7 @@ val step : t -> now:float -> unit
     expiry, emitting flow-removed messages for entries installed with
     [notify_removal]. Also fires due scripted channel faults, resets
     framing when the channel generation changed (a reconnect), and runs
-    the keepalive/liveness machinery when enabled. *)
+    the keepalive when enabled. *)
 
 val next_due : t -> now:float -> float
 (** Earliest sim time at which {!step} would do something without new
@@ -50,11 +48,5 @@ val next_due : t -> now:float -> float
     installed flow carries a timeout (expiry sweeps run per tick).
     [infinity] for a fully quiescent agent — combine with
     {!Control_channel.next_activity} of its endpoint to park it. *)
-
-val messages_handled : t -> int
-
-val peer_alive : t -> bool
-(** False once nothing has been received for [liveness_timeout] (only
-    meaningful with keepalives enabled); true again on any receipt. *)
 
 val keepalives_sent : t -> int

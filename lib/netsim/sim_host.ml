@@ -16,22 +16,19 @@ type t = {
   mutable udp_seen : (int * string) list;
   mutable tcp_ok : (int * int) list;
   mutable dhcp_xid : int32 option;
-  mutable frames_seen : int;
   mutable next_xid : int32;
 }
 
 let create ?ip ~name ~mac () =
   { name; mac; ip; arp = Hashtbl.create 16; listening = [];
     awaiting_arp = []; in_flight = []; results = []; udp_seen = [];
-    tcp_ok = []; dhcp_xid = None; frames_seen = 0; next_xid = 1l }
+    tcp_ok = []; dhcp_xid = None; next_xid = 1l }
 
 let name t = t.name
 
 let mac t = t.mac
 
 let ip t = t.ip
-
-let set_ip t addr = t.ip <- Some addr
 
 let arp_cache t =
   Hashtbl.fold (fun ip mac acc -> (ip, mac) :: acc) t.arp []
@@ -70,10 +67,6 @@ let dhcp_discover t ~now:_ =
                dst_port = P.Dhcp.server_port;
                payload = P.Udp.Dhcp dhcp })))
 
-let send_udp t ~dst_ip ~dst_mac ~src_port ~dst_port data =
-  P.Builder.udp ~src_mac:t.mac ~dst_mac ~src_ip:(my_ip t) ~dst_ip ~src_port
-    ~dst_port data
-
 let tcp_connect t ~dst_ip ~dst_mac ~src_port ~dst_port =
   P.Builder.tcp_syn ~src_mac:t.mac ~dst_mac ~src_ip:(my_ip t) ~dst_ip ~src_port
     ~dst_port
@@ -83,8 +76,6 @@ let ping_results t = List.rev t.results
 let received_udp t = List.rev t.udp_seen
 
 let tcp_established t = List.rev t.tcp_ok
-
-let frames_seen t = t.frames_seen
 
 let learn t ip mac = Hashtbl.replace t.arp ip mac
 
@@ -187,8 +178,7 @@ let handle_tcp t (ip : P.Ipv4.t) (tcp : P.Tcp.t) =
 
 let receive t ~now (frame : P.Eth.t) =
   if not (addressed_to_us t frame) then []
-  else begin
-    t.frames_seen <- t.frames_seen + 1;
+  else
     match frame.payload with
     | P.Eth.Arp arp -> handle_arp t frame arp
     | P.Eth.Ipv4 ip -> begin
@@ -211,4 +201,3 @@ let receive t ~now (frame : P.Eth.t) =
         | P.Ipv4.Raw _ -> []
     end
     | P.Eth.Lldp _ | P.Eth.Raw _ -> []
-  end

@@ -16,7 +16,6 @@ val create : ?ip:Packet.Ipv4_addr.t -> name:string -> mac:Packet.Mac.t -> unit -
 val name : t -> string
 val mac : t -> Packet.Mac.t
 val ip : t -> Packet.Ipv4_addr.t option
-val set_ip : t -> Packet.Ipv4_addr.t -> unit
 
 val arp_cache : t -> (Packet.Ipv4_addr.t * Packet.Mac.t) list
 
@@ -32,10 +31,6 @@ val ping : t -> now:float -> dst:Packet.Ipv4_addr.t -> seq:int -> Packet.Eth.t l
 val arp_probe : t -> target:Packet.Ipv4_addr.t -> Packet.Eth.t
 
 val dhcp_discover : t -> now:float -> Packet.Eth.t
-
-val send_udp :
-  t -> dst_ip:Packet.Ipv4_addr.t -> dst_mac:Packet.Mac.t ->
-  src_port:int -> dst_port:int -> string -> Packet.Eth.t
 
 val tcp_connect :
   t -> dst_ip:Packet.Ipv4_addr.t -> dst_mac:Packet.Mac.t ->
@@ -60,5 +55,3 @@ val received_udp : t -> (int * string) list
 val tcp_established : t -> (int * int) list
 (** (local_port, remote_port) pairs for completed handshakes, as
     initiator or responder. *)
-
-val frames_seen : t -> int

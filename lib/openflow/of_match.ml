@@ -157,10 +157,6 @@ let is_exact m =
   && (match m.nw_dst with Some p -> p.P.Ipv4_addr.Prefix.bits = 32 | None -> false)
   && m.nw_proto <> None && m.tp_src <> None && m.tp_dst <> None
 
-let field_names =
-  [ "in_port"; "dl_src"; "dl_dst"; "dl_vlan"; "dl_vlan_pcp"; "dl_type";
-    "nw_src"; "nw_dst"; "nw_proto"; "nw_tos"; "tp_src"; "tp_dst" ]
-
 let to_fields m =
   List.filter_map Fun.id
     [ Option.map (fun v -> "in_port", string_of_int v) m.in_port;

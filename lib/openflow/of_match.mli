@@ -54,8 +54,6 @@ val specificity : t -> int
     [nw_proto], [nw_tos], [tp_src], [tp_dst]. IP fields take CIDR
     notation; MAC fields the colon form; [dl_type] hex ([0x0800]). *)
 
-val field_names : string list
-
 val to_fields : t -> (string * string) list
 (** Only the present fields, in canonical order. *)
 

@@ -24,8 +24,6 @@ let ethertype t =
   | Lldp _ -> Lldp.ethertype
   | Raw (ty, _) -> ty
 
-let with_vlan t vlan = { t with vlan }
-
 let payload_wire t =
   match t.payload with
   | Arp x -> Arp.to_wire x

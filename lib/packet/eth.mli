@@ -23,8 +23,6 @@ val ethertype : t -> int
 (** The ethertype of the payload (inner type when a VLAN tag is
     present). *)
 
-val with_vlan : t -> vlan option -> t
-
 val to_wire : t -> string
 val of_wire : string -> t option
 

@@ -7,8 +7,6 @@ let protocol = 17
 let payload_wire t =
   match t.payload with Dhcp d -> Dhcp.to_wire d | Data s -> s
 
-let payload_length t = String.length (payload_wire t)
-
 let to_wire t =
   let body = payload_wire t in
   let w = Wire.W.create ~size:(8 + String.length body) () in

@@ -11,6 +11,5 @@ val protocol : int
 val to_wire : t -> string
 val of_wire : string -> t option
 
-val payload_length : t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -86,9 +86,6 @@ val override : mods -> mods -> mods
 val apply_mods : mods -> Packet.Headers.t -> Packet.Headers.t
 (** [apply_mods (override a b) h = apply_mods b (apply_mods a h)]. *)
 
-val mods_to_actions : mods -> Openflow.Action.t list
-(** The [Set_*] actions in canonical field order. *)
-
 val mods_count : mods -> int
 (** Number of fields set. *)
 
@@ -115,5 +112,4 @@ val norm : atom list -> atom list
 val union : atom list -> atom list -> atom list
 (** Set union of two normalized lists. *)
 
-val pp_atom : Format.formatter -> atom -> unit
 val pp_atoms : Format.formatter -> atom list -> unit

@@ -373,8 +373,3 @@ let to_string p =
   let buf = Buffer.create 256 in
   pp_policy 0 buf p;
   Buffer.contents buf
-
-let pred_to_string p =
-  let buf = Buffer.create 64 in
-  pp_pred 0 buf p;
-  Buffer.contents buf

@@ -33,5 +33,3 @@ val to_string : Ir.t -> string
     [if] branches always parenthesized. [parse (to_string p)]
     reconstructs [p] up to the representation of multi-field [Test]s
     (printed as [&&]-conjunctions of single-field tests). *)
-
-val pred_to_string : Ir.pred -> string

@@ -23,9 +23,6 @@ type t = entry list
 val empty : t
 (** No extended entries; the mode bits alone decide. *)
 
-val of_mode : int -> t
-(** The minimal ACL equivalent to a mode: user_obj/group_obj/other. *)
-
 val check :
   acl:t -> mode:int -> owner:int -> group:int -> Cred.t -> Perm.access -> bool
 (** Combined ACL + mode check. With an [empty] acl this is exactly

@@ -305,8 +305,10 @@ let sync_packet_out t =
             List.iter (fun (_, real) -> forward real) t.vports
           | _ -> ())
         req.actions)
-    (Y.Outdir.consume (Y.Yanc_fs.fs t.view_fs) ~root:(Y.Yanc_fs.root t.view_fs)
-       ~switch:t.switch_name)
+    (Y.Outdir.consume (Y.Yanc_fs.fs t.view_fs)
+       ~root:(Y.Yanc_fs.root t.view_fs) ~switch:t.switch_name
+       ~on_error:(fun e ->
+         checked t (t.switch_name ^ " packet-out rmdir") (Error e)))
 
 (* Every packet of a virtual flow crosses its egress hop exactly once,
    so the egress-switch rule carries the true counters. *)

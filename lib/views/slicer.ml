@@ -237,8 +237,9 @@ let sync_packet_out t switch =
           (Y.Outdir.submit (Y.Yanc_fs.fs t.master) ~cred:t.cred
              ~root:(Y.Yanc_fs.root t.master) ~switch ?in_port:req.in_port
              ~actions ~data:req.data ()))
-    (Y.Outdir.consume (Y.Yanc_fs.fs t.view_fs) ~root:(Y.Yanc_fs.root t.view_fs)
-       ~switch)
+    (Y.Outdir.consume (Y.Yanc_fs.fs t.view_fs)
+       ~root:(Y.Yanc_fs.root t.view_fs) ~switch
+       ~on_error:(fun e -> checked t (switch ^ " packet-out rmdir") (Error e)))
 
 let run t ~now:_ =
   mirror_topology t;

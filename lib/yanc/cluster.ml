@@ -410,6 +410,20 @@ let owner_index t dpid =
 let unowned t =
   List.filter (fun dpid -> owner_index t dpid = None) t.dpids
 
+(* Every shard judged against its owner's replica; a shard no live
+   node attaches is its own class. *)
+let shards t =
+  let now = Netsim.Network.now t.net in
+  List.filter_map
+    (fun dpid ->
+      match owner_index t dpid, Netsim.Network.switch t.net dpid with
+      | None, _ -> Some (Audit.Unowned (Yancfs.Yanc_fs.switch_name_of_dpid dpid))
+      | Some i, Some sw ->
+        let yfs = Controller.yfs t.nodes.(i).ctl in
+        Some (Audit.Owned (t.nodes.(i).name, Audit.switch yfs sw ~now ~desired:None))
+      | Some _, None -> None)
+    t.dpids
+
 (* The fleet-wide snapshot behind /yanc/cluster/.proc/metrics: every
    live node's registry merged (counters summed, log₂ histograms merged
    bucket-wise — they compose exactly, so the rolled-up p99 is the
@@ -428,8 +442,8 @@ let rollup_snapshot t =
     :: ("cluster.unowned_shards", float_of_int (List.length (unowned t)))
     :: Telemetry.Registry.entries merged)
 
-(* Mounted on every replica, so `cat /yanc/cluster/.proc/metrics` on
-   any node answers for the whole fleet. *)
+(* Mounted on every replica, so `cat /yanc/cluster/.proc/metrics` (or
+   health, or fsck) on any node answers for the whole fleet. *)
 let mount_rollup t =
   let proc = Yancfs.Layout.cluster_proc_root in
   Array.iter
@@ -442,7 +456,10 @@ let mount_rollup t =
         (Yancfs.Layout.proc_health ~proc)
         (fun () ->
           Telemetry.Health.render
-            (Telemetry.Health.evaluate (rollup_snapshot t))))
+            (Telemetry.Health.evaluate (rollup_snapshot t)));
+      Yancfs.Procdir.add_file (Controller.proc node.ctl)
+        (Yancfs.Layout.proc_fsck ~proc)
+        (fun () -> Audit.render_shards (shards t)))
     t.nodes
 
 (* --- construction ------------------------------------------------------------- *)
@@ -533,8 +550,6 @@ let add_app t make =
 
 let busy_s t i = t.nodes.(i).busy_s +. Dfs.Cluster.replay_busy_s t.dfs i
 
-let step_busy_s t i = t.nodes.(i).busy_s
-
 let takeovers t i = t.nodes.(i).takeovers
 
 let counter_value t i name =
@@ -609,15 +624,6 @@ let kill t i =
     Dfs.Cluster.set_partitioned t.dfs i true
   end
 
-(* Preserve every survivor's recent past — called by harnesses when a
-   chaos invariant is violated, before recovery (or the next storm)
-   overwrites the evidence. *)
-let dump_blackboxes t ~reason =
-  let now = Netsim.Network.now t.net in
-  Array.iter
-    (fun node -> if node.alive then dump_blackbox node ~reason ~now)
-    t.nodes
-
 (* --- invariants --------------------------------------------------------------- *)
 
 (* Replication quiet modulo permanently dead nodes' stashes. *)
@@ -630,45 +636,7 @@ let replication_quiet t =
   in
   Dfs.Cluster.pending t.dfs - dead_stash = 0
 
-(* Rule SETS, not lists: two flow files with the same (match, priority)
-   — e.g. the same host pair routed by two nodes from different
-   table-miss points — collapse to one hardware entry, because an
-   OpenFlow add with an identical match and priority replaces. *)
-let sorted_rules l = List.sort_uniq compare l
-
-let fs_rules t i swname =
-  let yfs = Controller.yfs t.nodes.(i).ctl in
-  List.filter_map
-    (fun fname ->
-      match Yancfs.Yanc_fs.read_flow yfs ~cred ~switch:swname fname with
-      | Ok (f : Yancfs.Flowdir.t) -> Some (f.of_match, f.priority)
-      | Error _ -> None)
-    (Yancfs.Yanc_fs.flow_names yfs ~cred swname)
-
-let hw_rules sw ~now =
-  List.map
-    (fun ((_, e) : int * Netsim.Flow_table.entry) -> (e.of_match, e.priority))
-    (Netsim.Sim_switch.flow_stats sw ~now ~of_match:Openflow.Of_match.any ())
-
-(* Switches whose hardware table differs from their owner's replica:
-   (dpid, fs rule count, hw rule count). Empty = hardware ≡ filesystem,
-   judged per shard against the node that owns it. *)
-let divergent t =
-  let now = Netsim.Network.now t.net in
-  List.filter_map
-    (fun dpid ->
-      match owner_index t dpid with
-      | None -> Some (dpid, -1, -1)
-      | Some i -> (
-        match Netsim.Network.switch t.net dpid with
-        | None -> None
-        | Some sw ->
-          let swname = Yancfs.Yanc_fs.switch_name_of_dpid dpid in
-          let fsr = sorted_rules (fs_rules t i swname) in
-          let hwr = sorted_rules (hw_rules sw ~now) in
-          if fsr = hwr then None
-          else Some (dpid, List.length fsr, List.length hwr)))
-    t.dpids
+let divergent t = List.filter (fun s -> not (Audit.shard_ok s)) (shards t)
 
 let statuses_connected t =
   Array.for_all

@@ -52,9 +52,10 @@ val create :
     each claim after a death feeds the [cluster.takeover.latency]
     histogram (measured from the dead lease's recorded expiry); and
     every replica mounts the fleet rollup at [/yanc/cluster/.proc]
-    (merged [metrics], cluster [health]). A failed coordination write
-    (lease, shard claim, black box, proc mount) is logged and counted in
-    that node's [cluster.fs_errors], which health judges Crit. *)
+    (merged [metrics], cluster [health], the per-shard [fsck]). A
+    failed coordination write (lease, shard claim, black box, proc
+    mount) is logged and counted in that node's [cluster.fs_errors],
+    which health judges Crit. *)
 
 val dfs : t -> Dfs.Cluster.t
 val net : t -> Netsim.Network.t
@@ -81,12 +82,6 @@ val kill : t -> int -> unit
     op-log tail, partition its replica. Its switches stay frozen until
     lease expiry hands them to survivors. *)
 
-val dump_blackboxes : t -> reason:string -> unit
-(** Dump every live node's flight recorder to
-    [/yanc/blackbox/<node>-<n>] — what a harness calls on a violated
-    chaos invariant, before recovery overwrites the evidence. (Takeover
-    detection dumps automatically.) *)
-
 val rollup_snapshot : t -> Telemetry.Registry.snapshot
 (** The fleet-wide merged snapshot served at
     [/yanc/cluster/.proc/metrics]: live nodes' registries merged
@@ -97,13 +92,12 @@ val rollup_snapshot : t -> Telemetry.Registry.snapshot
 (** {1 Accounting} *)
 
 val busy_s : t -> int -> float
-(** CPU seconds node [i] has consumed: its own loop ({!step_busy_s})
+(** CPU seconds node [i] has consumed: its own loop
     plus its replica's replay share ({!Dfs.Cluster.replay_busy_s}).
     Nodes run on separate machines in the deployment this simulates,
     so cluster throughput is judged against [max_i busy_s] — the
     critical path — while the whole simulation shares one process. *)
 
-val step_busy_s : t -> int -> float
 val takeovers : t -> int -> int
 (** Shards this node claimed after boot (takeover work, not initial
     assignment). *)
@@ -121,16 +115,15 @@ val owner_index : t -> int64 -> int option
 val unowned : t -> int64 list
 (** Switches no live node attaches — empty once ownership has settled. *)
 
-val replication_quiet : t -> bool
-(** No replication pending, not counting dead nodes' stashes. *)
+val shards : t -> Audit.shard list
+(** Every switch as a shard: [Unowned], or [Owned] by the live node
+    attaching it and judged by {!Audit.switch} against that node's
+    replica. [/yanc/cluster/.proc/fsck] serves
+    {!Audit.render_shards} of this. *)
 
-val divergent : t -> (int64 * int * int) list
-(** Switches whose hardware table differs from their owner's replica
-    [(dpid, fs rules, hw rules)], compared as distinct (match,
-    priority) sets — duplicate flow files with one (match, priority)
-    collapse to one hardware entry, since an OpenFlow add with an
-    identical match and priority replaces. Unowned switches report
-    [(-1, -1)]. Empty = hardware ≡ filesystem. *)
+val divergent : t -> Audit.shard list
+(** The {!shards} that are not ok. Empty = every shard owned and
+    hardware ≡ filesystem. *)
 
 val converged : t -> bool
 (** Every shard owned, every live driver Connected, replication quiet,

@@ -8,6 +8,7 @@ type t = {
   scheduler : Scheduler.t;
   telemetry : Telemetry.t;
   proc : Yancfs.Procdir.t;
+  mutable policy : Apps.Policy_engine.t option;
 }
 
 (* The netsim's datapath and link counters are per-switch and
@@ -30,6 +31,14 @@ let register_probes ~telemetry ~net =
   gi "net.frames_delivered" (fun () -> fst (Netsim.Network.stats net));
   gi "net.frames_dropped" (fun () -> snd (Netsim.Network.stats net))
 
+(* The switches this controller drives, judged against its tree — and
+   against the compiled policy once an engine runs. *)
+let audit t =
+  let now = Netsim.Network.now t.net in
+  let desired = Option.map Apps.Policy_engine.desired t.policy in
+  List.filter_map (Netsim.Network.switch t.net) (Driver.Manager.attached t.manager)
+  |> List.map (fun sw -> Audit.switch t.yfs sw ~now ~desired)
+
 let create ?root ?proc_root ?(fs = Vfs.Fs.create ()) ?tracing ?tuning ?seed
     ~net () =
   (* One registry: the file system's, which its counters live in. *)
@@ -51,8 +60,14 @@ let create ?root ?proc_root ?(fs = Vfs.Fs.create ()) ?tracing ?tuning ?seed
            (List.filter
               (fun (_, s) -> s = Driver.Driver_intf.Dead)
               (Driver.Manager.statuses manager))));
-  { fs; yfs; net; manager; scheduler = Scheduler.create ~telemetry ();
-    telemetry; proc }
+  let t =
+    { fs; yfs; net; manager; scheduler = Scheduler.create ~telemetry ();
+      telemetry; proc; policy = None }
+  in
+  Yancfs.Procdir.add_file proc
+    (Yancfs.Layout.proc_fsck ~proc:(Yancfs.Procdir.root proc))
+    (fun () -> Audit.render (audit t));
+  t
 
 let fs t = t.fs
 
@@ -136,6 +151,7 @@ let add_app t app =
 let add_policy_engine ?dir t =
   let engine = Apps.Policy_engine.create ?dir ~cred:Vfs.Cred.root t.yfs in
   add_app t (Apps.Policy_engine.app engine);
+  t.policy <- Some engine;
   Yancfs.Procdir.add_file t.proc
     (Yancfs.Layout.proc_policy ~proc:(Yancfs.Procdir.root t.proc))
     (fun () -> Apps.Policy_engine.status engine);

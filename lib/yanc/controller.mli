@@ -27,9 +27,15 @@ val create :
     ([driver.attached_switches]/[driver.dead_switches], the health
     probes' inputs), and mounts the [/yanc/.proc] subtree (override
     with [proc_root] — cluster nodes mount theirs at
-    [/yanc/nodes/<name>/.proc]) on the controller's VFS. [tuning] and
+    [/yanc/nodes/<name>/.proc]) on the controller's VFS, including
+    [fsck], which renders {!audit} at read time. [tuning] and
     [seed] set the drivers' keepalive/backoff policy (see
     {!Driver.Manager.create}). *)
+
+val audit : t -> Audit.report list
+(** The network fsck ({!Audit.switch}) over every attached switch, at
+    the network's clock, with the policy leg once {!add_policy_engine}
+    has run. [/yanc/.proc/fsck] serves {!Audit.render} of this. *)
 
 val fs : t -> Vfs.Fs.t
 

@@ -113,6 +113,8 @@ let proc_health ~proc = Path.child proc "health"
 
 let proc_blackbox ~proc = Path.child proc "blackbox"
 
+let proc_fsck ~proc = Path.child proc "fsck"
+
 let proc_apps_dir ~proc = Path.child proc "apps"
 
 let proc_app ~proc name = Path.child (proc_apps_dir ~proc) name

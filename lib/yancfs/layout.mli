@@ -158,6 +158,11 @@ val proc_blackbox : proc:Vfs.Path.t -> Vfs.Path.t
 (** [<proc>/blackbox] — the live flight-recorder window; non-consuming
     (unlike [trace_pipe]). *)
 
+val proc_fsck : proc:Vfs.Path.t -> Vfs.Path.t
+(** [<proc>/fsck] — the hardware ≡ file system ≡ policy report
+    ([Yanc.Audit]), computed at read time: per switch under a
+    controller's proc root, per shard under {!cluster_proc_root}. *)
+
 val proc_apps_dir : proc:Vfs.Path.t -> Vfs.Path.t
 val proc_app : proc:Vfs.Path.t -> string -> Vfs.Path.t
 val proc_app_stat : proc:Vfs.Path.t -> string -> Vfs.Path.t

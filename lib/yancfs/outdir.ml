@@ -66,10 +66,12 @@ let read_request fs ~cred dir seq =
           actions;
           data = Option.value (get "data") ~default:"" })
 
-let consume fs ~root ~switch =
+(* A request goes out only once its removal succeeds: one whose rmdir
+   fails stays in the spool and is retried whole on a later drain, so
+   no drainer, old or new, can send it twice. *)
+let consume fs ~root ~switch ~on_error =
   let cred = Vfs.Cred.root in
-  let spool = Layout.packet_out_dir ~root switch in
-  match Fs.readdir fs ~cred spool with
+  match Fs.readdir fs ~cred (Layout.packet_out_dir ~root switch) with
   | Error _ -> []
   | Ok names ->
     let seqs = List.filter_map int_of_string_opt names |> List.sort compare in
@@ -77,8 +79,9 @@ let consume fs ~root ~switch =
       (fun seq ->
         let dir = Layout.packet_out ~root ~switch seq in
         let req = read_request fs ~cred dir seq in
-        ignore (Fs.rmdir ~recursive:true fs ~cred dir);
-        req)
+        match Fs.rmdir ~recursive:true fs ~cred dir with
+        | Ok () -> req
+        | Error e -> on_error e; None)
       seqs
 
 let pending fs ~root ~switch =

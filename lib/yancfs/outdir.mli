@@ -19,8 +19,11 @@ val submit :
 (** Queue a packet-out; returns its sequence number. *)
 
 val consume :
-  Vfs.Fs.t -> root:Vfs.Path.t -> switch:string -> request list
+  Vfs.Fs.t -> root:Vfs.Path.t -> switch:string ->
+  on_error:(Vfs.Errno.t -> unit) -> request list
 (** Driver-side: drain all pending requests (removing them), oldest
-    first. Malformed requests are removed and skipped. *)
+    first. Malformed requests are removed and skipped. A request whose
+    removal fails goes to [on_error] and is not returned; it stays in
+    the spool and a later drain returns it once its removal succeeds. *)
 
 val pending : Vfs.Fs.t -> root:Vfs.Path.t -> switch:string -> int

@@ -12,6 +12,7 @@
     ├── trace_pipe            # completed spans; consumed on read
     ├── health                # Telemetry.Health probe report (status line first)
     ├── blackbox              # flight-recorder window; NOT consumed on read
+    ├── fsck                  # hardware ≡ FS ≡ policy (status line first)
     ├── apps/<name>/stat      # one line per scheduler entry
     └── switches/<dpid>/stat  # per-switch driver + datapath state
     v}

@@ -9,15 +9,15 @@
    (the clean-room reconnect), and the run must converge:
 
    - every driver back to [Connected], with at least one resync;
-   - per switch, hardware flow table ≡ committed file-system flows
-     (compared as sorted (match, priority) sets, lookup-side expiry
-     applied);
+   - per switch, hardware flow table ≡ committed file-system flows,
+     judged by {!Yanc.Audit} (full committed tuples, lookup-side
+     expiry applied);
    - when a [policy] pair is given, the policy engine runs too: the
      first text is installed before the turbulence, the second is
      written mid-workload so the recompile + diffed install races the
-     faults, and afterwards every switch's [pol_*] flows must equal
-     the engine's compiled desired rules (which, with the invariant
-     above, gives hardware ≡ file system ≡ compiled policy);
+     faults, and afterwards the same audit checks every switch's
+     [pol_*] flows against the engine's compiled desired rules, giving
+     hardware ≡ file system ≡ compiled policy;
    - applications still making progress (no wedged scheduler entry);
    - no unbounded chunk build-up in either channel direction.
 
@@ -81,21 +81,6 @@ type outcome = {
 }
 
 let flow_name i = Printf.sprintf "chaos_%02d" i
-
-let sorted_rules l = List.sort_uniq compare l
-
-let fs_rules yfs swname =
-  List.filter_map
-    (fun fname ->
-      match Y.Yanc_fs.read_flow yfs ~cred ~switch:swname fname with
-      | Ok (f : Y.Flowdir.t) -> Some (f.of_match, f.priority)
-      | Error _ -> None)
-    (Y.Yanc_fs.flow_names yfs ~cred swname)
-
-let hw_rules sw ~now =
-  List.map
-    (fun ((_, e) : int * N.Flow_table.entry) -> (e.of_match, e.priority))
-    (N.Sim_switch.flow_stats sw ~now ~of_match:OF.Of_match.any ())
 
 let app_iterations ctl name =
   match List.assoc_opt name (Yanc.Scheduler.stats (Yanc.Controller.scheduler ctl))
@@ -252,57 +237,19 @@ let run ?(switches = 3) ?(flows = 9) ?policy ~seed profile =
             (D.Manager.statuses mgr)));
   (* one settle beat so the last resync's repairs reach hardware *)
   Yanc.Controller.run_for ~tick:0.02 ctl 0.5;
-  (* Invariant 1: per switch, hardware ≡ file system. *)
-  let now = Yanc.Controller.now ctl in
-  List.iter2
-    (fun dpid swname ->
-      let sw =
-        match N.Network.switch net dpid with
-        | Some sw -> sw
-        | None -> fail "dpid %Ld vanished from the network" dpid
-      in
-      let fs = sorted_rules (fs_rules yfs swname) in
-      let hw = sorted_rules (hw_rules sw ~now) in
-      if fs <> hw then
-        fail "%s diverged after convergence: fs has %d rules, hardware %d"
-          swname (List.length fs) (List.length hw))
-    dpids names;
-  (* Invariant 1b: the compiled policy survived the turbulence — every
-     switch's pol_* flows are exactly the engine's desired rules.
-     Together with invariant 1 this closes the chain
-     hardware ≡ file system ≡ compiled policy. *)
+  (* Invariant 1: per switch, hardware ≡ file system ≡ compiled policy
+     (the pol_* leg runs when the policy engine does), by the network
+     fsck. *)
   (match engine with
-  | None -> ()
-  | Some eng ->
-    let want =
-      sorted_rules
-        (List.map
-           (fun (d : Policy.Compile.flow_rule) ->
-             (d.name, d.of_match, d.actions))
-           (Apps.Policy_engine.desired eng))
-    in
-    if want = [] then fail "policy compiled to no rules";
-    List.iter
-      (fun swname ->
-        let got =
-          List.filter_map
-            (fun fname ->
-              let p = Apps.Policy_engine.flow_prefix in
-              if
-                String.length fname > String.length p
-                && String.sub fname 0 (String.length p) = p
-              then
-                match Y.Yanc_fs.read_flow yfs ~cred ~switch:swname fname with
-                | Ok (f : Y.Flowdir.t) -> Some (fname, f.of_match, f.actions)
-                | Error e -> fail "read policy flow %s/%s: %s" swname fname e
-              else None)
-            (Y.Yanc_fs.flow_names yfs ~cred swname)
-          |> sorted_rules
-        in
-        if got <> want then
-          fail "%s: policy flows diverged (%d in fs, %d desired)" swname
-            (List.length got) (List.length want))
-      names);
+  | Some eng when Apps.Policy_engine.desired eng = [] ->
+    fail "policy compiled to no rules"
+  | _ -> ());
+  let reports = Yanc.Controller.audit ctl in
+  if List.length reports <> List.length dpids then
+    fail "fsck judged %d of %d switches" (List.length reports)
+      (List.length dpids);
+  if not (List.for_all Yanc.Audit.ok reports) then
+    fail "diverged after convergence:\n%s" (Yanc.Audit.render reports);
   (* Invariant 2: the application kept running through the failures. *)
   let iterations_end = app_iterations ctl Apps.Topology.app_name in
   if iterations_end <= iterations_mid then

@@ -349,16 +349,11 @@ let test_migrator () =
     (Y.Yanc_fs.flow_names yfs ~cred "sw2");
   Yanc.Controller.run_for ctl 0.3;
   (* hardware followed the move *)
-  let flows dpid =
-    match N.Network.switch built.net dpid with
-    | Some sw -> (
-      match N.Sim_switch.table sw 0 with
-      | Some t -> N.Flow_table.length t
-      | None -> -1)
-    | None -> -1
-  in
-  Alcotest.(check int) "sw1 hardware empty" 0 (flows 1L);
-  Alcotest.(check int) "sw2 hardware has both" 2 (flows 2L)
+  Alcotest.(check (list (triple string bool int))) "sw1 empty, sw2 has both"
+    [ ("sw1", true, 0); ("sw2", true, 2) ]
+    (List.map
+       (fun (r : Yanc.Audit.report) -> (r.switch, Yanc.Audit.ok r, r.hw_rules))
+       (Yanc.Controller.audit ctl))
 
 let test_migrator_port_map () =
   let built = N.Topo_gen.linear 2 in
@@ -729,6 +724,30 @@ let test_ecmp_eventdir_mode () =
   Alcotest.(check int) "destination leaf programmed" 1
     (List.length (ecmp_flows ctl "sw4"))
 
+(* --- the network fsck, served as a file --------------------------------------- *)
+
+(* One code path: on a converged k=4 ECMP storm, `cat /yanc/.proc/fsck`
+   prints exactly the render of the library call. (The cluster file is
+   checked the same way in test_cluster.) *)
+let test_fsck_file_is_the_library_call () =
+  let built = N.Topo_gen.fat_tree ~k:4 () in
+  let ctl = controller built in
+  Yanc.Controller.run_for ctl 0.5;
+  ecmp_provision ctl built;
+  let d = Apps.Ecmp_router.create (Yanc.Controller.yfs ctl) in
+  Yanc.Controller.add_app ctl (Apps.Ecmp_router.app d);
+  for src = 1 to 16 do
+    N.Network.send_from_host built.net (Printf.sprintf "h%d" src)
+      [ ecmp_syn ~src ~dst:((src + 7) mod 16 + 1) ~sport:(40000 + src) () ]
+  done;
+  Yanc.Controller.run_for ctl 1.0;
+  Alcotest.(check bool) "storm routed" true (Apps.Ecmp_router.paths_installed d >= 16);
+  let sh = Shell.Env.create (Yanc.Controller.fs ctl) in
+  let file = (Shell.Pipeline.run sh "cat /yanc/.proc/fsck").Shell.Pipeline.out in
+  Alcotest.(check string) "cat = render (audit)"
+    (Yanc.Audit.render (Yanc.Controller.audit ctl)) file;
+  Alcotest.(check bool) "converged" true (String.starts_with ~prefix:"status ok\n" file)
+
 let () =
   Alcotest.run "apps"
     [ ( "topology",
@@ -762,6 +781,9 @@ let () =
             test_ecmp_eventdir_mode;
           Alcotest.test_case "failed writes counted" `Quick
             test_ecmp_failed_writes_counted ] );
+      ( "fsck",
+        [ Alcotest.test_case "proc file = library call" `Quick
+            test_fsck_file_is_the_library_call ] );
       ( "daemons",
         [ Alcotest.test_case "arp proxy" `Quick test_arp_daemon_proxy;
           Alcotest.test_case "dhcp" `Quick test_dhcp_daemon ] );

@@ -122,11 +122,8 @@ let rig ?(tuning = Chaos.fast_tuning) ?(seed = 7) () =
   let dpid = List.hd (D.Manager.attached mgr) in
   (ctl, mgr, dpid, Option.get (D.Manager.switch_name mgr ~dpid))
 
-let hw_rule_count ctl dpid =
-  let sw = Option.get (N.Network.switch (Yanc.Controller.net ctl) dpid) in
-  List.length
-    (N.Sim_switch.flow_stats sw ~now:(Yanc.Controller.now ctl)
-       ~of_match:OF.Of_match.any ())
+(* The rig's one switch, judged by the network fsck. *)
+let fsck ctl = List.hd (Yanc.Controller.audit ctl)
 
 let counters mgr dpid = Option.get (D.Manager.link_counters mgr ~dpid)
 
@@ -146,7 +143,7 @@ let test_disconnect_recovery () =
   in
   Alcotest.(check bool) "create doomed" true (ok = Ok ());
   Yanc.Controller.run_for ~tick:0.02 ctl 0.3;
-  Alcotest.(check int) "both flows on hardware" 2 (hw_rule_count ctl dpid);
+  Alcotest.(check int) "both flows on hardware" 2 (fsck ctl).hw_rules;
   Alcotest.(check (option string))
     "status file says connected" (Some "connected")
     (Y.Yanc_fs.switch_status yfs swname);
@@ -170,21 +167,13 @@ let test_disconnect_recovery () =
   let c = counters mgr dpid in
   Alcotest.(check bool) "disconnect counted" true (c.D.Driver_intf.disconnects >= 1);
   Alcotest.(check bool) "resync counted" true (c.D.Driver_intf.resyncs >= 1);
-  Alcotest.(check int) "hardware back in sync (keep + fresh)" 2
-    (hw_rule_count ctl dpid);
-  let sw = Option.get (N.Network.switch (Yanc.Controller.net ctl) dpid) in
-  let rules =
-    List.map
-      (fun ((_, e) : int * N.Flow_table.entry) ->
-        (e.of_match.OF.Of_match.tp_dst, e.priority))
-      (N.Sim_switch.flow_stats sw ~now:(Yanc.Controller.now ctl)
-         ~of_match:OF.Of_match.any ())
-    |> List.sort compare
-  in
-  Alcotest.(check (list (pair (option int) int)))
-    "exactly the committed rules survive"
-    [ (Some 80, 50); (Some 8080, 70) ]
-    rules;
+  (* the files hold keep and fresh, and hardware holds exactly them *)
+  Alcotest.(check (list string)) "committed flows" [ "fresh"; "keep" ]
+    (List.sort compare (Y.Yanc_fs.flow_names yfs ~cred swname));
+  let report = fsck ctl in
+  Alcotest.(check (triple bool int int)) "exactly the committed rules survive"
+    (true, 0, 2)
+    (Yanc.Audit.ok report, List.length report.invalid, report.hw_rules);
   Alcotest.(check (option string))
     "status file back to connected" (Some "connected")
     (Y.Yanc_fs.switch_status yfs swname)
@@ -207,7 +196,7 @@ let test_resync_deletes_strays () =
        ~priority:999
        ~actions:[ OF.Action.Output (OF.Action.Physical 1) ]
        ());
-  Alcotest.(check int) "stray present" 2 (hw_rule_count ctl dpid);
+  Alcotest.(check int) "stray present" 1 (List.length (fsck ctl).hw_only);
   let _sw_end, ctl_end = Option.get (D.Manager.channel mgr ~dpid) in
   CC.disconnect ctl_end;
   let recovered =
@@ -217,7 +206,8 @@ let test_resync_deletes_strays () =
   in
   Alcotest.(check bool) "driver recovered" true recovered;
   Yanc.Controller.run_for ~tick:0.02 ctl 0.3;
-  Alcotest.(check int) "stray deleted by resync" 1 (hw_rule_count ctl dpid);
+  Alcotest.(check (pair bool int)) "stray deleted by resync" (true, 1)
+    (Yanc.Audit.ok (fsck ctl), (fsck ctl).hw_rules);
   Alcotest.(check bool) "stray delete counted" true
     ((counters mgr dpid).D.Driver_intf.resync_deletes >= 1)
 

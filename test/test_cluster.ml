@@ -201,19 +201,34 @@ let test_cross_node_flow_reaches_owner_hardware () =
   (match Y.Yanc_fs.create_flow yfs0 ~cred ~switch:swname ~name:"xnode" flow with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "create_flow: %s" (Vfs.Errno.to_string e));
-  (* replication (0.05 s visibility) + owner's commit + install *)
-  Alcotest.(check bool) "flow reached the owner's hardware" true
-    (Yanc.Cluster.run_until ~tick:0.02 c (fun () ->
-         match N.Network.switch built.N.Topo_gen.net dpid with
-         | None -> false
-         | Some sw ->
-           List.exists
-             (fun ((_, e) : int * N.Flow_table.entry) -> e.priority = 77)
-             (N.Sim_switch.flow_stats sw
-                ~now:(N.Network.now built.N.Topo_gen.net)
-                ~of_match:Openflow.Of_match.any ())));
-  Alcotest.(check bool) "still converged" true
-    (Yanc.Cluster.run_until ~tick:0.02 c (fun () -> Yanc.Cluster.converged c))
+  (* replication (0.05 s visibility) + owner's commit + install: until
+     then replication is not quiet, so converged means installed *)
+  Alcotest.(check bool) "converged again" true
+    (Yanc.Cluster.run_until ~tick:0.02 c (fun () -> Yanc.Cluster.converged c));
+  (* the owner's replica holds the priority-77 flow as its one rule,
+     and its shard is ok: the rule is on the owner's hardware *)
+  let owner = Yanc.Cluster.controller c (Option.get (Yanc.Cluster.owner_index c dpid)) in
+  Alcotest.(check bool) "owner's replica holds the flow" true
+    (Result.map (fun (f : Y.Flowdir.t) -> f.priority)
+       (Y.Yanc_fs.read_flow (Yanc.Controller.yfs owner) ~cred ~switch:swname "xnode")
+    = Ok 77);
+  let shards = Yanc.Cluster.shards c in
+  Alcotest.(check bool) "flow on the owner's hardware" true
+    (List.exists
+       (function
+         | Yanc.Audit.Owned (_, r) ->
+           r.switch = swname && Yanc.Audit.ok r && r.invalid = []
+           && r.fs_rules = 1 && r.hw_rules = 1
+         | Yanc.Audit.Unowned _ -> false)
+       shards);
+  (* every replica's fsck file prints exactly the library's verdict *)
+  List.iter
+    (fun i ->
+      let sh = Shell.Env.create (Yanc.Controller.fs (Yanc.Cluster.controller c i)) in
+      let r = Shell.Pipeline.run sh "cat /yanc/cluster/.proc/fsck" in
+      Alcotest.(check string) "cat = render_shards" (Yanc.Audit.render_shards shards)
+        r.Shell.Pipeline.out)
+    [ 0; 1 ]
 
 let test_kill_one_of_two_takeover () =
   let built, c = boot () in

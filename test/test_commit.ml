@@ -42,23 +42,16 @@ let counter r name =
        (Telemetry.registry (Y.Yanc_fs.telemetry r.yfs))
        name)
 
-let switch_rules r =
-  match N.Sim_switch.table r.sw 0 with
-  | Some t ->
-    List.sort_uniq compare
-      (List.map
-         (fun (e : N.Flow_table.entry) -> (e.of_match, e.priority))
-         (N.Flow_table.entries t))
-  | None -> []
+(* Hardware ≡ committed files, by the network fsck. *)
+let audit r = Yanc.Audit.switch r.yfs r.sw ~now:(N.Network.now r.net) ~desired:None
 
-let fs_rules r =
-  List.sort_uniq compare
-    (List.filter_map
-       (fun name ->
-         match Y.Yanc_fs.read_flow r.yfs ~cred ~switch:"sw1" name with
-         | Ok (f : Y.Flowdir.t) -> Some (f.of_match, f.priority)
-         | Error _ -> None)
-       (Y.Yanc_fs.flow_names r.yfs ~cred "sw1"))
+let check_fsck r =
+  let report = audit r in
+  if not (Yanc.Audit.ok report) then
+    Alcotest.failf "hardware <> files:\n%s" (Yanc.Audit.render [ report ])
+
+let hardware r =
+  List.map snd (N.Sim_switch.flow_stats r.sw ~of_match:OF.Of_match.any ())
 
 let flow ?(tp_dst = 80) ?(priority = 100) () =
   { Y.Flowdir.default with
@@ -90,9 +83,8 @@ let test_burst_coalesces_to_one_flow_mod () =
     (counter r "driver.commit.adds" - adds0);
   Alcotest.(check bool) "marks coalesced" true
     (counter r "driver.commit.coalesced" > coalesced0);
-  match switch_rules r with
-  | [ (_, priority) ] ->
-    Alcotest.(check int) "last write wins" 108 priority
+  match hardware r with
+  | [ e ] -> Alcotest.(check int) "last write wins" 108 e.N.Flow_table.priority
   | l -> Alcotest.failf "expected 1 hardware rule, got %d" (List.length l)
 
 (* Interleaved write/delete/re-add inside one tick converges on the
@@ -116,9 +108,9 @@ let test_delete_readd_one_tick_converges () =
   ok (Y.Yanc_fs.delete_flow r.yfs ~cred ~switch:"sw1" "b");
   step r;
   step r;
-  Alcotest.(check bool) "hardware == files" true (switch_rules r = fs_rules r);
-  match switch_rules r with
-  | [ (m, 7) ] ->
+  check_fsck r;
+  match hardware r with
+  | [ { N.Flow_table.of_match = m; priority = 7; _ } ] ->
     Alcotest.(check (option int)) "re-added identity" (Some 2)
       m.OF.Of_match.tp_dst
   | l -> Alcotest.failf "expected rule [tp_dst=2 pri=7], got %d" (List.length l)
@@ -136,8 +128,8 @@ let test_rename_survives_batch () =
        ~dst:(flow_dir r "new"));
   step r;
   step r;
-  Alcotest.(check bool) "hardware == files" true (switch_rules r = fs_rules r);
-  Alcotest.(check int) "exactly one rule" 1 (List.length (switch_rules r))
+  check_fsck r;
+  Alcotest.(check int) "exactly one rule" 1 (audit r).hw_rules
 
 (* The deleted-then-reused match: flow A changes identity M1→M2 while
    new flow B takes over M1, all in one batch. Batched deletes-first
@@ -162,8 +154,43 @@ let test_match_takeover_in_one_batch () =
        (flow ~tp_dst:1 ~priority:10 ()));
   step r;
   step r;
-  Alcotest.(check bool) "hardware == files" true (switch_rules r = fs_rules r);
-  Alcotest.(check int) "both rules present" 2 (List.length (switch_rules r))
+  check_fsck r;
+  Alcotest.(check int) "both rules present" 2 (audit r).hw_rules
+
+(* The fsck compares the full committed tuple: a hardware rule with the
+   right (match, priority) but other actions is a divergence, though the
+   (match, priority) sets the older checks compared are equal. *)
+let test_fsck_sees_wrong_actions () =
+  let r = rig () in
+  let f = flow ~tp_dst:7 ~priority:30 () in
+  ok (Y.Yanc_fs.create_flow r.yfs ~cred ~switch:"sw1" ~name:"f" f);
+  step r;
+  check_fsck r;
+  ignore
+    (N.Sim_switch.flow_add r.sw ~now:1. ~of_match:f.of_match ~priority:30
+       ~actions:[ OF.Action.Output (OF.Action.Physical 2) ] ());
+  let report = audit r in
+  Alcotest.(check bool) "fsck: diverged" false (Yanc.Audit.ok report);
+  Alcotest.(check (pair int int)) "one rule on each side only" (1, 1)
+    (List.length report.fs_only, List.length report.hw_only);
+  Alcotest.(check bool) "(match, priority) sets equal" true
+    (List.map (fun (e : N.Flow_table.entry) -> (e.of_match, e.priority)) (hardware r)
+    = [ (f.of_match, f.priority) ])
+
+(* A flow directory that does not parse is listed as invalid; hardware
+   rightly lacks it, so it alone is no divergence. *)
+let test_fsck_lists_invalid_flow () =
+  let r = rig () in
+  ok (Y.Yanc_fs.create_flow r.yfs ~cred ~switch:"sw1" ~name:"good" (flow ()));
+  ok (Fs.mkdir (Y.Yanc_fs.fs r.yfs) ~cred (flow_dir r "bad"));
+  ok
+    (Fs.write_file (Y.Yanc_fs.fs r.yfs) ~cred (Path.child (flow_dir r "bad") "priority") "x");
+  step r;
+  let report = audit r in
+  Alcotest.(check (list string)) "listed as invalid" [ "bad" ]
+    (List.map fst report.invalid);
+  Alcotest.(check bool) "not diverged" true (Yanc.Audit.ok report);
+  Alcotest.(check int) "the good flow installed" 1 report.hw_rules
 
 (* FS write failures surface in driver.fs_errors instead of vanishing:
    make the flow's error file unwritable by replacing it with a
@@ -238,10 +265,9 @@ let prop_converges_to_fs ops =
   List.iter (apply_op r) ops;
   step r;
   step r;
-  let hw = switch_rules r and fs = fs_rules r in
-  if hw <> fs then
-    QCheck.Test.fail_reportf "diverged: hardware %d rules, files %d rules"
-      (List.length hw) (List.length fs);
+  let report = audit r in
+  if not (Yanc.Audit.ok report) then
+    QCheck.Test.fail_reportf "diverged:\n%s" (Yanc.Audit.render [ report ]);
   true
 
 let test_qcheck_convergence =
@@ -340,12 +366,9 @@ let test_dfs_replica_driver_commits_o_dirty () =
     (value "driver.commit.adds" - adds0);
   Alcotest.(check int) "no sweep needed" 0 (value "driver.commit.sweeps" - sweeps0);
   let sw = Option.get (N.Network.switch built.net 1L) in
-  let rules =
-    match N.Sim_switch.table sw 0 with
-    | Some t -> N.Flow_table.entries t
-    | None -> []
-  in
-  Alcotest.(check int) "rule on hardware" 1 (List.length rules)
+  let report = Yanc.Audit.switch yfs_b sw ~now:1. ~desired:None in
+  Alcotest.(check (pair bool int)) "rule on hardware" (true, 1)
+    (Yanc.Audit.ok report, report.hw_rules)
 
 let () =
   Alcotest.run "commit"
@@ -359,6 +382,11 @@ let () =
           Alcotest.test_case "match takeover in one batch" `Quick
             test_match_takeover_in_one_batch;
           test_qcheck_convergence ] );
+      ( "fsck",
+        [ Alcotest.test_case "wrong actions diverge" `Quick
+            test_fsck_sees_wrong_actions;
+          Alcotest.test_case "invalid flow listed" `Quick
+            test_fsck_lists_invalid_flow ] );
       ( "queue",
         [ Alcotest.test_case "mark/take/sweep semantics" `Quick
             test_queue_semantics ] );

@@ -173,10 +173,8 @@ let test_distributed_controller () =
   (* replication delivered it to node A, whose driver programs hardware *)
   Driver.Manager.run_control mgr ~now:1.;
   let sw = Option.get (Netsim.Network.switch built.net 1L) in
-  (match Netsim.Sim_switch.table sw 0 with
-  | Some t -> Alcotest.(check int) "hardware programmed from remote write" 1
-                (Netsim.Flow_table.length t)
-  | None -> Alcotest.fail "no table");
+  Alcotest.(check int) "hardware programmed from remote write" 1
+    (Yanc.Audit.switch yfs_a sw ~now:1. ~desired:None).hw_rules;
   (* and the data plane works *)
   let h1 = Option.get (Netsim.Network.host built.net "h1") in
   Netsim.Network.send_from_host built.net "h1"
@@ -349,15 +347,14 @@ let test_kandoo_style_device_local_control () =
         match.nw_proto=6 match.tp_dst=23 action.0.out=drop");
   Driver.Manager.run_control mgr ~now:1.;
   let sw = Option.get (Netsim.Network.switch built.net 1L) in
-  let has_override =
-    match Netsim.Sim_switch.table sw 0 with
-    | Some t ->
-      List.exists
-        (fun (e : Netsim.Flow_table.entry) -> e.priority = 60000)
-        (Netsim.Flow_table.entries t)
-    | None -> false
-  in
-  Alcotest.(check bool) "global override programmed on the device" true has_override
+  (* the committed override has priority 60000, and hardware holds
+     every committed rule *)
+  let report = Yanc.Audit.switch device_yfs sw ~now:1. ~desired:None in
+  Alcotest.(check bool) "global override programmed on the device" true
+    (Result.map (fun (f : Y.Flowdir.t) -> f.priority)
+       (Y.Yanc_fs.read_flow device_yfs ~cred ~switch:"sw1" "global-override")
+     = Ok 60000
+    && report.invalid = [] && Yanc.Audit.ok report && report.hw_rules >= 1)
 
 let test_metrics () =
   let c = Dfs.Cluster.create ~consistency:Dfs.Consistency.nfs ~n:3 () in

@@ -40,9 +40,7 @@ let rig ?(version = Driver.Manager.V10) ?miss_send_len () =
 let step ?(now = 1.) r = Driver.Manager.run_control r.mgr ~now
 
 let switch_flows r =
-  match N.Sim_switch.table r.sw 0 with
-  | Some t -> N.Flow_table.entries t
-  | None -> []
+  List.map snd (N.Sim_switch.flow_stats r.sw ~table_id:0 ~of_match:OF.Of_match.any ())
 
 let test_handshake_builds_switch_dir () =
   let r = rig () in
@@ -176,26 +174,51 @@ let test_packet_in_published_to_buffers () =
   | Some { Packet.Eth.payload = Packet.Eth.Arp _; _ } -> ()
   | _ -> Alcotest.fail "expected the host's ARP probe"
 
-let test_packet_out_spool () =
-  let r = rig () in
-  let h2 = Option.get (N.Network.host r.net "h2") in
+let submit_packet_out r payload =
   let frame =
     Packet.Builder.udp
       ~src_mac:(Packet.Mac.of_int 0x02ffff)
-      ~dst_mac:(N.Sim_host.mac h2)
+      ~dst_mac:(N.Sim_host.mac (Option.get (N.Network.host r.net "h2")))
       ~src_ip:(N.Topo_gen.host_ip 9) ~dst_ip:(N.Topo_gen.host_ip 2)
-      ~src_port:9999 ~dst_port:1234 "hello-h2"
+      ~src_port:9999 ~dst_port:1234 payload
   in
   ok
     (Result.map ignore
        (Y.Outdir.submit r.fs ~cred ~root:net_root ~switch:"sw1"
           ~actions:[ OF.Action.Output (OF.Action.Physical 2) ]
-          ~data:(Packet.Eth.to_wire frame) ()));
+          ~data:(Packet.Eth.to_wire frame) ()))
+
+let drain r =
   step r;
   N.Network.run r.net;
-  Alcotest.(check (list (pair int string))) "delivered via packet-out"
-    [ 1234, "hello-h2" ]
-    (N.Sim_host.received_udp h2)
+  List.map snd (N.Sim_host.received_udp (Option.get (N.Network.host r.net "h2")))
+
+let test_packet_out_spool () =
+  let r = rig () in
+  submit_packet_out r "hello-h2";
+  Alcotest.(check (list string)) "delivered via packet-out" [ "hello-h2" ] (drain r)
+
+(* A request whose rmdir fails stays in the spool and is not sent: the
+   failure is counted, and a later drain sends it once its removal
+   succeeds. *)
+let test_packet_out_sent_once () =
+  let r = rig () in
+  let errors () =
+    Telemetry.Registry.value
+      (Telemetry.Registry.counter
+         (Telemetry.registry (Y.Yanc_fs.telemetry r.yfs)) "driver.fs_errors")
+  in
+  let errors0 = errors () in
+  submit_packet_out r "once";
+  Fs.set_readonly r.fs true;
+  ignore (drain r);
+  Fs.set_readonly r.fs false;
+  Alcotest.(check bool) "failed rmdir counted" true (errors () > errors0);
+  (* a second request dirties the spool: the next drain sends both *)
+  submit_packet_out r "next";
+  Alcotest.(check (list string)) "each frame arrives once" [ "once"; "next" ] (drain r);
+  Alcotest.(check int) "spool drained" 0
+    (Y.Outdir.pending r.fs ~root:net_root ~switch:"sw1")
 
 let test_counters_synced () =
   let r = rig () in
@@ -451,6 +474,8 @@ let () =
           Alcotest.test_case "packet-in fan-out" `Quick
             test_packet_in_published_to_buffers;
           Alcotest.test_case "packet-out spool" `Quick test_packet_out_spool;
+          Alcotest.test_case "packet-out sent once" `Quick
+            test_packet_out_sent_once;
           Alcotest.test_case "counters" `Quick test_counters_synced ] );
       ( "lifecycle",
         [ Alcotest.test_case "live upgrade" `Quick test_live_upgrade_preserves_flows;

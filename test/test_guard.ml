@@ -1,13 +1,18 @@
-(* A grep-style guard over the sources of lib/apps and lib/views: each
-   job has one mechanism there, and no write result is dropped with
-   [ignore].
+(* A grep-style guard over the sources of lib/: each job has one
+   mechanism, and no write result is dropped with [ignore].
+
+   Over lib/apps and lib/views:
 
    - Only App_intf (its Packet_in module) touches Eventdir.subscribe and
      Eventdir.consume.
    - Only policyd's reprioritize calls Flowdir.update; every other
      create-or-update goes through Yanc_fs.upsert_flow.
    - [ignore (...)] never wraps a packet-out, peer, host, flow or
-     counter write; those results go to App_intf.checked. *)
+     counter write; those results go to App_intf.checked.
+
+   Over all of lib/:
+   - Only lib/netsim and Yanc.Audit read a hardware flow table, so
+     "hardware ≡ file system" is judged in one place. *)
 
 let dirs = [ "../lib/apps"; "../lib/views" ]
 
@@ -37,15 +42,18 @@ let strip_comments src =
   go 0 0;
   Bytes.to_string b
 
-let sources () =
-  List.concat_map
-    (fun dir ->
-      Sys.readdir dir |> Array.to_list |> List.sort compare
-      |> List.filter (fun f -> Filename.check_suffix f ".ml")
-      |> List.map (fun f ->
-             let path = Filename.concat dir f in
-             f, strip_comments (read_file path)))
-    dirs
+let rec ml_files dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.concat_map (fun f ->
+         let path = Filename.concat dir f in
+         if Sys.is_directory path then ml_files path
+         else if Filename.check_suffix f ".ml" then [ path ]
+         else [])
+
+(* (path, source with comments blanked) of every .ml under [dirs]. *)
+let sources ?(dirs = dirs) () =
+  List.concat_map ml_files dirs
+  |> List.map (fun path -> (path, strip_comments (read_file path)))
 
 let line_of src pos =
   let n = ref 1 in
@@ -101,15 +109,19 @@ let ignored_call src pos =
   end
   else None
 
-let violations ~matching ~allowed =
+(* [allowed] sees the file's path and the enclosing top-level
+   definition. *)
+let violations ?dirs ~matching ~allowed () =
   List.concat_map
-    (fun (file, src) ->
+    (fun (path, src) ->
       List.filter_map
         (fun pos ->
-          if allowed file (enclosing_definition src pos) then None
-          else Some (Printf.sprintf "%s:%d" file (line_of src pos)))
+          if allowed path (enclosing_definition src pos) then None
+          else Some (Printf.sprintf "%s:%d" path (line_of src pos)))
         (List.concat_map (occurrences src) matching))
-    (sources ())
+    (sources ?dirs ())
+
+let is file path = Filename.basename path = file
 
 let check_none what found =
   Alcotest.(check (list string)) what [] found
@@ -118,18 +130,18 @@ let test_packet_in () =
   check_none "Eventdir.subscribe/consume outside App_intf"
     (violations
        ~matching:[ "Eventdir.subscribe"; "Eventdir.consume" ]
-       ~allowed:(fun file _ -> file = "app_intf.ml"));
+       ~allowed:(fun path _ -> is "app_intf.ml" path) ());
   (* The scan must see the one sanctioned use, or it proves nothing. *)
   Alcotest.(check bool) "App_intf subscribes" true
     (List.exists
-       (fun (file, src) ->
-         file = "app_intf.ml" && occurrences src "Eventdir.subscribe" <> [])
+       (fun (path, src) ->
+         is "app_intf.ml" path && occurrences src "Eventdir.subscribe" <> [])
        (sources ()))
 
 let test_flow_update () =
   check_none "Flowdir.update outside policyd's reprioritize"
-    (violations ~matching:[ "Flowdir.update" ] ~allowed:(fun file def ->
-         file = "policy_engine.ml" && def = "reprioritize"))
+    (violations ~matching:[ "Flowdir.update" ] ~allowed:(fun path def ->
+         is "policy_engine.ml" path && def = "reprioritize") ())
 
 let unchecked_writes =
   [ "Outdir.submit"; "set_peer"; "upsert_host"; "delete_flow"; "set_error";
@@ -156,11 +168,30 @@ let test_ignored_writes () =
   in
   check_none "write results dropped with ignore" found
 
+let test_hardware_reads () =
+  let audit = "../lib/yanc/audit.ml" in
+  let reads =
+    violations ~dirs:[ "../lib" ]
+      ~matching:
+        [ "Sim_switch.flow_stats"; "Sim_switch.table"; "Flow_table.entries" ]
+  in
+  check_none "hardware table read outside lib/netsim and Audit"
+    (reads
+       ~allowed:(fun path _ ->
+         String.starts_with ~prefix:"../lib/netsim/" path || path = audit)
+       ());
+  (* The scan must see Audit's read, or it proves nothing. *)
+  Alcotest.(check bool) "Audit reads the hardware" true
+    (reads ~allowed:(fun path _ -> path <> audit) () <> [])
+
 let () =
   Alcotest.run "guard"
     [ ( "one mechanism",
         [ Alcotest.test_case "packet-in subscription" `Quick test_packet_in;
           Alcotest.test_case "flow upsert" `Quick test_flow_update ] );
+      ( "hardware reads",
+        [ Alcotest.test_case "only netsim and Audit" `Quick
+            test_hardware_reads ] );
       ( "checked writes",
         [ Alcotest.test_case "no ignored write results" `Quick
             test_ignored_writes ] ) ]

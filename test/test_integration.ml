@@ -167,23 +167,21 @@ let test_middlebox_migration_cp () =
   in
   Alcotest.(check int) "cp ok" 0 r.Shell.Pipeline.code;
   Yanc.Controller.run_for ctl 0.3;
-  (* both switches now enforce the rule in hardware *)
-  let entries dpid =
-    match N.Network.switch built.net dpid with
-    | Some sw -> (
-      match N.Sim_switch.table sw 0 with
-      | Some t -> N.Flow_table.entries t
-      | None -> [])
-    | None -> []
+  (* both switches now enforce exactly the committed rule in hardware *)
+  let fsck () =
+    List.map
+      (fun (r : Yanc.Audit.report) -> (r.switch, Yanc.Audit.ok r, r.hw_rules))
+      (Yanc.Controller.audit ctl)
   in
-  Alcotest.(check int) "sw1 enforces" 1 (List.length (entries 1L));
-  Alcotest.(check int) "sw2 enforces after cp" 1 (List.length (entries 2L));
+  let rules = Alcotest.(list (triple string bool int)) in
+  Alcotest.(check rules) "sw1 and sw2 enforce after cp"
+    [ ("sw1", true, 1); ("sw2", true, 1) ] (fsck ());
   (* drain the original: rm -r the flow dir *)
   let r2 = Shell.Pipeline.run sh "rm -r /net/switches/sw1/flows/fw-drop-telnet" in
   Alcotest.(check int) "rm ok" 0 r2.Shell.Pipeline.code;
   Yanc.Controller.run_for ctl 0.3;
-  Alcotest.(check int) "sw1 drained" 0 (List.length (entries 1L));
-  Alcotest.(check int) "sw2 keeps serving" 1 (List.length (entries 2L))
+  Alcotest.(check rules) "sw1 drained, sw2 keeps serving"
+    [ ("sw1", true, 0); ("sw2", true, 1) ] (fsck ())
 
 let test_multi_app_coexistence () =
   (* §2: multiple black-box applications on one network, with defined

@@ -617,78 +617,17 @@ let pol_flows r switch =
          String.length n > 4 && String.sub n 0 4 = "pol_")
   |> Yancfs.Yanc_fs.Name_set.elements
 
-(* The convergence invariant: each switch's pol_* flows in the file
-   system are exactly the desired rules (same names, each with the
+(* The convergence invariant, by the network fsck: each switch's pol_*
+   flows are exactly the desired rules (same names, each with the
    desired match and actions, file priorities in the desired order),
-   and the hardware table holds exactly the same (match, actions) set
-   in the policy priority band. *)
+   and hardware holds exactly the committed flows. *)
 let assert_converged ?(msg = "") r =
-  let desired = Apps.Policy_engine.desired r.eng in
-  let by_name =
-    List.map (fun (d : P.Compile.flow_rule) -> (d.name, d)) desired
-  in
-  List.iter
-    (fun switch ->
-      let installed = pol_flows r switch in
-      Alcotest.(check (list string))
-        (Fmt.str "%s%s: flow files = desired rules" msg switch)
-        (List.sort compare (List.map fst by_name))
-        (List.sort compare installed);
-      let flows =
-        List.map
-          (fun name ->
-            ( name,
-              ok
-                (Yancfs.Yanc_fs.read_flow (Yanc.Controller.yfs r.ctl) ~cred
-                   ~switch name) ))
-          installed
-      in
-      List.iter
-        (fun (name, (f : Yancfs.Flowdir.t)) ->
-          let d = List.assoc name by_name in
-          Alcotest.(check bool)
-            (Fmt.str "%s%s/%s match+actions" msg switch name)
-            true
-            (M.equal f.of_match d.of_match && f.actions = d.actions))
-        flows;
-      (* file priorities realize the desired order *)
-      let order_of_files =
-        List.sort
-          (fun (_, (a : Yancfs.Flowdir.t)) (_, b) ->
-            compare b.priority a.priority)
-          flows
-        |> List.map fst
-      in
-      Alcotest.(check (list string))
-        (Fmt.str "%s%s: priority order" msg switch)
-        (List.map (fun (d : P.Compile.flow_rule) -> d.name) desired)
-        order_of_files;
-      (* hardware agrees *)
-      let dpid = Option.get (Yancfs.Yanc_fs.switch_dpid (Yanc.Controller.yfs r.ctl) switch) in
-      let sw = Option.get (Netsim.Network.switch r.net dpid) in
-      let hw =
-        match Netsim.Sim_switch.table sw 0 with
-        | None -> []
-        | Some t ->
-            List.filter_map
-              (fun (e : Netsim.Flow_table.entry) ->
-                if e.priority > P.Compile.priority_floor
-                   && e.priority < P.Compile.priority_base
-                then Some (e.of_match, e.actions)
-                else None)
-              (Netsim.Flow_table.entries t)
-      in
-      let want =
-        List.map (fun (d : P.Compile.flow_rule) -> (d.of_match, d.actions)) desired
-      in
-      Alcotest.(check int)
-        (Fmt.str "%s%s: hardware rule count" msg switch)
-        (List.length want) (List.length hw);
-      Alcotest.(check bool)
-        (Fmt.str "%s%s: hardware rules" msg switch)
-        true
-        (List.sort compare hw = List.sort compare want))
-    (Yancfs.Yanc_fs.switch_names (Yanc.Controller.yfs r.ctl))
+  let reports = Yanc.Controller.audit r.ctl in
+  Alcotest.(check int) (msg ^ "every switch judged")
+    (List.length (Yancfs.Yanc_fs.switch_names (Yanc.Controller.yfs r.ctl)))
+    (List.length reports);
+  if not (List.for_all Yanc.Audit.ok reports) then
+    Alcotest.failf "%sfsck:\n%s" msg (Yanc.Audit.render reports)
 
 let test_engine_install_and_update () =
   let r = rig () in
@@ -732,6 +671,36 @@ let test_engine_late_switch () =
   Alcotest.(check bool)
     "late switch has the policy" true
     (pol_flows r sw77 <> [])
+
+(* The fsck's policy leg names each way the pol_* flows can drift from
+   the compiled rules: a desired rule without a flow directory, a
+   pol_* directory nothing desires, and priorities out of the desired
+   order. *)
+let test_fsck_policy_leg () =
+  let r = rig ~switches:1 () in
+  write_policy r "p"
+    "filter dl_type = 0x0800 ; fwd(1) | filter dl_type = 0x0806 ; controller";
+  assert_converged r;
+  let names =
+    List.map (fun (d : P.Compile.flow_rule) -> d.name) (Apps.Policy_engine.desired r.eng)
+  in
+  Alcotest.(check bool) "at least three rules" true (List.length names >= 3);
+  let yfs = Yanc.Controller.yfs r.ctl in
+  let dir = Yancfs.Layout.flow ~root:(Yancfs.Yanc_fs.root yfs) ~switch:"sw1" in
+  (* no step in between: the engine gets no chance to repair *)
+  ok (Result.map_error Vfs.Errno.to_string
+        (Yancfs.Yanc_fs.delete_flow yfs ~cred ~switch:"sw1" (List.hd names)));
+  ok (Result.map_error Vfs.Errno.to_string
+        (Yancfs.Yanc_fs.create_flow yfs ~cred ~switch:"sw1" ~name:"pol_bogus"
+           Yancfs.Flowdir.default));
+  let last = List.nth names (List.length names - 1) in
+  ok (Result.map ignore
+        (Yancfs.Flowdir.update r.fs ~cred (dir last) (fun f ->
+             { f with priority = 65000 })));
+  let faults = List.concat_map (fun (x : Yanc.Audit.report) -> x.policy) in
+  Alcotest.(check bool) "missing, extra and misordered" true
+    (faults (Yanc.Controller.audit r.ctl)
+    = Yanc.Audit.[ Missing (List.hd names); Extra "pol_bogus"; Misordered ])
 
 let read_errors r name =
   Vfs.Fs.read_file r.fs ~cred (Yancfs.Layout.policy_error name)
@@ -927,6 +896,8 @@ let () =
             test_engine_install_and_update;
           Alcotest.test_case "late switch gets the policy" `Quick
             test_engine_late_switch;
+          Alcotest.test_case "fsck names policy drift" `Quick
+            test_fsck_policy_leg;
           Alcotest.test_case "malformed files do not tear it down" `Quick
             test_engine_survives_malformed;
           Alcotest.test_case "unrealizable compose keeps last good" `Quick

@@ -102,9 +102,9 @@ let test_driver_recovers_from_notify_overflow () =
          Y.Flowdir.actions = [ OF.Action.Output OF.Action.Flood ] });
   Driver.Manager.run_control mgr ~now:1.;
   let sw = Option.get (N.Network.switch built.net 1L) in
-  match N.Sim_switch.table sw 0 with
-  | Some t -> Alcotest.(check int) "flow programmed despite overflow" 1 (N.Flow_table.length t)
-  | None -> Alcotest.fail "no table"
+  let report = Yanc.Audit.switch yfs sw ~now:1. ~desired:None in
+  Alcotest.(check (pair bool int)) "flow programmed despite overflow" (true, 1)
+    (Yanc.Audit.ok report, report.hw_rules)
 
 (* --- conflicting distributed writes ----------------------------------------------- *)
 

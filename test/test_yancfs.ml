@@ -318,24 +318,26 @@ let test_upsert_flow () =
       Y.Flowdir.actions = [ OF.Action.Output (OF.Action.Physical port) ];
       priority = 10 }
   in
-  let hardware () =
-    match Netsim.Sim_switch.table sw 0 with
-    | Some t ->
-      List.map (fun e -> e.Netsim.Flow_table.actions) (Netsim.Flow_table.entries t)
-    | None -> []
+  (* hardware holds exactly the one committed rule, and that rule's
+     actions are [(out port).actions] *)
+  let installed port =
+    let r = Yanc.Audit.switch yfs sw ~now:1. ~desired:None in
+    Yanc.Audit.ok r && r.invalid = [] && r.hw_rules = 1
+    && Result.map (fun (f : Y.Flowdir.t) -> f.actions)
+         (Y.Yanc_fs.read_flow yfs ~cred ~switch:"sw1" "f")
+       = Ok (out port).actions
   in
   let dir = Y.Layout.flow ~root:net ~switch:"sw1" "f" in
   ok_s (Y.Yanc_fs.upsert_flow yfs ~cred ~switch:"sw1" ~name:"f" (out 1));
   Driver.Manager.run_control mgr ~now:1.;
   let created = Option.get (Y.Flowdir.read_version fs ~cred dir) in
-  Alcotest.(check bool) "created rule installed" true
-    (hardware () = [ (out 1).actions ]);
+  Alcotest.(check bool) "created rule installed" true (installed 1);
   ok_s (Y.Yanc_fs.upsert_flow yfs ~cred ~switch:"sw1" ~name:"f" (out 2));
   Alcotest.(check (option int)) "version continues from the old value"
     (Some (created + 1)) (Y.Flowdir.read_version fs ~cred dir);
   Driver.Manager.run_control mgr ~now:2.;
   Alcotest.(check bool) "update installed in place of the old rule" true
-    (hardware () = [ (out 2).actions ])
+    (installed 2)
 
 (* --- packet-in fast path (ring) --------------------------------------------------- *)
 
@@ -556,7 +558,10 @@ let test_outdir_roundtrip () =
          ~actions:[ OF.Action.Output (OF.Action.Physical 1) ] ~data:"" ())
   in
   Alcotest.(check int) "pending" 2 (Y.Outdir.pending fs ~root:net ~switch:"sw1");
-  (match Y.Outdir.consume fs ~root:net ~switch:"sw1" with
+  (match
+     Y.Outdir.consume fs ~root:net ~switch:"sw1"
+       ~on_error:(fun e -> Alcotest.fail (Vfs.Errno.message e))
+   with
   | [ r1; r2 ] ->
     Alcotest.(check int) "order" seq1 r1.Y.Outdir.seq;
     Alcotest.(check (option int)) "in_port" (Some 2) r1.Y.Outdir.in_port;
