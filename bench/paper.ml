@@ -440,24 +440,14 @@ let ext_qos () =
 
 let e_wire_volume () =
   section "AUX  control-channel bytes per operation (driver wire cost)";
-  let fm10 =
-    String.length
-      (OF.Of10.encode ~xid:1l
-         (OF.Of10.Flow_mod
-            { of_match = (sample_flow 1).Y.Flowdir.of_match; cookie = 0L;
-              command = OF.Of10.Add; idle_timeout = 0; hard_timeout = 0;
-              priority = 1; buffer_id = None; notify_removal = false;
-              actions = (sample_flow 1).Y.Flowdir.actions }))
+  let flow_mod =
+    OF.Msg.Flow_mod
+      { table_id = 0; of_match = (sample_flow 1).Y.Flowdir.of_match;
+        cookie = 0L; command = OF.Msg.Add; idle_timeout = 0; hard_timeout = 0;
+        priority = 1; buffer_id = None; notify_removal = false;
+        actions = (sample_flow 1).Y.Flowdir.actions }
   in
-  let fm13 =
-    String.length
-      (OF.Of13.encode ~xid:1l
-         (OF.Of13.Flow_mod
-            { table_id = 0; of_match = (sample_flow 1).Y.Flowdir.of_match;
-              cookie = 0L; command = OF.Of13.Add; idle_timeout = 0;
-              hard_timeout = 0; priority = 1; buffer_id = None;
-              notify_removal = false;
-              instructions = [ OF.Of13.Apply_actions (sample_flow 1).Y.Flowdir.actions ] }))
-  in
+  let size dialect = String.length (OF.Dialect.encode dialect ~xid:1l flow_mod) in
+  let fm10 = size OF.Dialect.V10 and fm13 = size OF.Dialect.V13 in
   row "  flow_mod wire size: OF1.0 = %d bytes (fixed match), OF1.3 = %d bytes (OXM)\n"
     fm10 fm13

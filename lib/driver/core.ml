@@ -1,5 +1,6 @@
 module Y = Yancfs
 module OF = Openflow
+module Msg = Openflow.Msg
 
 (* Hardware rule identity, (match, priority), as a hashtable key. The
    polymorphic [Hashtbl.hash] samples only the first few scalar nodes of
@@ -21,922 +22,932 @@ end
 
 module Id_tbl = Hashtbl.Make (Rule_id)
 
-module Make (P : Driver_intf.PROTOCOL) = struct
-  (* [ino] is the flow directory's inode at install time: a directory
-     deleted and re-created under the same name is a different object
-     with a fresh version chain, and the inode is what tells the two
-     apart when the new chain's counter sits at or below the cached
-     one. *)
-  type flow_cache_entry = { flow : Y.Flowdir.t; ino : int }
+(* [ino] is the flow directory's inode at install time: a directory
+   deleted and re-created under the same name is a different object
+   with a fresh version chain, and the inode is what tells the two
+   apart when the new chain's counter sits at or below the cached
+   one. *)
+type flow_cache_entry = { flow : Y.Flowdir.t; ino : int }
 
-  type t = {
-    yfs : Y.Yanc_fs.t;
-    telemetry : Telemetry.t;
-    endpoint : Netsim.Control_channel.endpoint;
-    framing : OF.Framing.t;
-    notifier : Fsnotify.Notifier.t;
-    stats_interval : float;
-    tuning : Driver_intf.tuning;
-    backoff : Backoff.t;
-    mutable next_xid : int32;
-    mutable switch_name : string option;
-    mutable connected : bool;
-    (* Dirty flow keys, coalesced and flushed one batch per step. *)
-    commits : Commit_queue.t;
-    mutable ports_dirty : bool;
-    mutable spool_dirty : bool;
-    mutable last_stats : float;
-    (* Event-directory subscribers exist (checked at most once per step
-       while false): when none do, packet-ins skip the per-event file
-       writes entirely and ride the {!Y.Pktin} ring alone. *)
-    mutable eventdir_subs : bool;
-    mutable steps : int;
-    mutable subs_checked_step : int;
-    (* --- connection survival ------------------------------------------- *)
-    mutable status : Driver_intf.status;
-    mutable last_rx : float;          (* last byte received (-inf = never) *)
-    mutable next_keepalive : float;
-    mutable echo_outstanding : (int32 * float) option;
-    mutable seen_generation : int;    (* channel generation last synced to *)
-    mutable next_attempt : float;     (* next handshake (re)send *)
-    mutable episode_retries : int;    (* attempts in the current outage *)
-    mutable handshakes : int;         (* hello+features sends, ever *)
-    mutable resyncing : bool;
-    mutable resync_sent : float;
-    mutable was_connected : bool;     (* completed a handshake before *)
-    mutable c_disconnects : int;
-    mutable c_retries : int;
-    mutable c_resyncs : int;
-    mutable c_resync_installs : int;
-    mutable c_resync_deletes : int;
-    mutable c_keepalives : int;
-    (* registry series shared by every driver (one namespace) *)
-    m_disconnects : Telemetry.Registry.counter;
-    m_retries : Telemetry.Registry.counter;
-    m_resyncs : Telemetry.Registry.counter;
-    m_resync_installs : Telemetry.Registry.counter;
-    m_resync_deletes : Telemetry.Registry.counter;
-    m_keepalives : Telemetry.Registry.counter;
-    m_fs_errors : Telemetry.Registry.counter;
-    m_commit_batches : Telemetry.Registry.counter;
-    m_commit_keys : Telemetry.Registry.counter;
-    m_commit_coalesced : Telemetry.Registry.counter;
-    m_commit_adds : Telemetry.Registry.counter;
-    m_commit_deletes : Telemetry.Registry.counter;
-    m_commit_sweeps : Telemetry.Registry.counter;
-    m_commit_latency : Telemetry.Registry.histogram;
-    (* Last committed configuration per flow directory name. *)
-    cache : (string, flow_cache_entry) Hashtbl.t;
-    (* Reverse index over [cache]: hardware rule identity back to the
-       directory names claiming it, so stats replies and flow-removed
-       events resolve in O(1) instead of folding the whole cache. A
-       list because nothing stops two flow files from committing the
-       same (match, priority) — hardware holds one entry, the head is
-       the name whose actions it carries (most recently installed). *)
-    by_match : string list Id_tbl.t;
-    (* config.port_down value last pushed to hardware, per port. *)
-    pushed_admin : (int, bool) Hashtbl.t;
-  }
+type t = {
+  yfs : Y.Yanc_fs.t;
+  telemetry : Telemetry.t;
+  endpoint : Netsim.Control_channel.endpoint;
+  framing : OF.Framing.t;
+  notifier : Fsnotify.Notifier.t;
+  dialect : OF.Dialect.t;
+  tuning : Driver_intf.tuning;
+  backoff : Backoff.t;
+  mutable next_xid : int32;
+  mutable switch_name : string option;
+  mutable connected : bool;
+  (* Dirty flow keys, coalesced and flushed one batch per step. *)
+  commits : Commit_queue.t;
+  mutable ports_dirty : bool;
+  mutable spool_dirty : bool;
+  mutable last_stats : float;
+  (* Event-directory subscribers exist (checked at most once per step
+     while false): when none do, packet-ins skip the per-event file
+     writes entirely and ride the {!Y.Pktin} ring alone. *)
+  mutable eventdir_subs : bool;
+  mutable steps : int;
+  mutable subs_checked_step : int;
+  (* --- connection survival ------------------------------------------- *)
+  mutable status : Driver_intf.status;
+  mutable last_rx : float;          (* last byte received (-inf = never) *)
+  mutable next_keepalive : float;
+  mutable echo_outstanding : (int32 * float) option;
+  mutable seen_generation : int;    (* channel generation last synced to *)
+  mutable next_attempt : float;     (* next handshake (re)send *)
+  mutable episode_retries : int;    (* attempts in the current outage *)
+  mutable handshakes : int;         (* hello+features sends, ever *)
+  mutable resyncing : bool;
+  mutable resync_sent : float;
+  mutable was_connected : bool;     (* completed a handshake before *)
+  mutable c_disconnects : int;
+  mutable c_retries : int;
+  mutable c_resyncs : int;
+  mutable c_resync_installs : int;
+  mutable c_resync_deletes : int;
+  mutable c_keepalives : int;
+  (* registry series shared by every driver (one namespace) *)
+  m_disconnects : Telemetry.Registry.counter;
+  m_retries : Telemetry.Registry.counter;
+  m_resyncs : Telemetry.Registry.counter;
+  m_resync_installs : Telemetry.Registry.counter;
+  m_resync_deletes : Telemetry.Registry.counter;
+  m_keepalives : Telemetry.Registry.counter;
+  m_fs_errors : Telemetry.Registry.counter;
+  m_commit_batches : Telemetry.Registry.counter;
+  m_commit_keys : Telemetry.Registry.counter;
+  m_commit_coalesced : Telemetry.Registry.counter;
+  m_commit_adds : Telemetry.Registry.counter;
+  m_commit_deletes : Telemetry.Registry.counter;
+  m_commit_sweeps : Telemetry.Registry.counter;
+  m_commit_latency : Telemetry.Registry.histogram;
+  (* Last committed configuration per flow directory name. *)
+  cache : (string, flow_cache_entry) Hashtbl.t;
+  (* Reverse index over [cache]: hardware rule identity back to the
+     directory names claiming it, so stats replies and flow-removed
+     events resolve in O(1) instead of folding the whole cache. A
+     list because nothing stops two flow files from committing the
+     same (match, priority) — hardware holds one entry, the head is
+     the name whose actions it carries (most recently installed). *)
+  by_match : string list Id_tbl.t;
+  (* config.port_down value last pushed to hardware, per port. *)
+  pushed_admin : (int, bool) Hashtbl.t;
+}
 
-  let xid t =
-    let x = t.next_xid in
-    t.next_xid <- Int32.add x 1l;
-    x
+let fresh_xid t =
+  let x = t.next_xid in
+  t.next_xid <- Int32.add x 1l;
+  x
 
-  let send t bytes = Netsim.Control_channel.send t.endpoint bytes
+(* A reply reuses its request's [xid]; a request takes a fresh one. *)
+let send t ?xid msg =
+  let xid = match xid with Some x -> x | None -> fresh_xid t in
+  Netsim.Control_channel.send t.endpoint (OF.Dialect.encode t.dialect ~xid msg)
 
-  (* Every driver-side file-system write goes through here: failures
-     used to vanish in [ignore]; now they land in the shared
-     [driver.fs_errors] counter (and the log) so a filled-up or
-     misbehaving tree is visible instead of silent. *)
-  let bb_now t = Telemetry.Tracer.now (Telemetry.tracer t.telemetry)
+let protocol t = OF.Dialect.name t.dialect
 
-  let bb_who t = match t.switch_name with Some n -> n | None -> P.name
+(* Flows go to table 0: the file-system schema is table-free. *)
+let flow_add (flow : Y.Flowdir.t) =
+  Msg.Flow_mod
+    { table_id = 0; of_match = flow.of_match; cookie = flow.cookie;
+      command = Msg.Add; idle_timeout = flow.idle_timeout;
+      hard_timeout = flow.hard_timeout; priority = flow.priority;
+      buffer_id = flow.buffer_id;
+      notify_removal = flow.idle_timeout > 0 || flow.hard_timeout > 0;
+      actions = flow.actions }
 
-  let fs_checked t ~what = function
-    | Ok _ -> ()
-    | Error e ->
-      Telemetry.Registry.incr t.m_fs_errors;
+(* DELETE_STRICT: a rule's identity is (match, priority), and a
+   wildcard delete would take out siblings sharing the match. *)
+let flow_delete_strict ~priority of_match =
+  Msg.Flow_mod
+    { table_id = 0; of_match; cookie = 0L; command = Msg.Delete_strict;
+      idle_timeout = 0; hard_timeout = 0; priority; buffer_id = None;
+      notify_removal = false; actions = [] }
+
+let flow_stats_request =
+  Msg.Stats_request
+    (Msg.Flow_stats_req { table_id = None; of_match = OF.Of_match.any })
+
+(* Every driver-side file-system write goes through here: failures
+   used to vanish in [ignore]; now they land in the shared
+   [driver.fs_errors] counter (and the log) so a filled-up or
+   misbehaving tree is visible instead of silent. *)
+let bb_now t = Telemetry.Tracer.now (Telemetry.tracer t.telemetry)
+
+let bb_who t = match t.switch_name with Some n -> n | None -> protocol t
+
+let fs_checked t ~what = function
+  | Ok _ -> ()
+  | Error e ->
+    Telemetry.Registry.incr t.m_fs_errors;
+    Telemetry.Blackbox.fault
+      (Telemetry.blackbox t.telemetry)
+      ~at:(bb_now t) ~who:(bb_who t)
+      ~what:(Printf.sprintf "fs write failed (%s): %s" what
+               (Vfs.Errno.message e));
+    Logs.warn (fun m ->
+        m "driver[%s]: fs write failed (%s): %s" (protocol t) what
+          (Vfs.Errno.message e))
+
+(* Every control-channel transition lands in the flight recorder —
+   the status history is exactly what a takeover post-mortem reads. *)
+let set_status t status =
+  if t.status <> status then begin
+    let prev = t.status in
+    t.status <- status;
+    Telemetry.Blackbox.status
+      (Telemetry.blackbox t.telemetry)
+      ~at:(bb_now t) ~who:(bb_who t)
+      ~from_:(Driver_intf.status_to_string prev)
+      ~to_:(Driver_intf.status_to_string status);
+    match t.switch_name with
+    | Some name ->
+      fs_checked t ~what:"switch status"
+        (Y.Yanc_fs.set_switch_status t.yfs ~switch:name
+           (Driver_intf.status_to_string status))
+    | None -> ()
+  end
+
+let idx_add t id flow_name =
+  let others =
+    match Id_tbl.find_opt t.by_match id with
+    | Some names -> List.filter (fun n -> not (String.equal n flow_name)) names
+    | None -> []
+  in
+  Id_tbl.replace t.by_match id (flow_name :: others)
+
+let idx_remove t id flow_name =
+  match Id_tbl.find_opt t.by_match id with
+  | None -> ()
+  | Some names -> (
+    match List.filter (fun n -> not (String.equal n flow_name)) names with
+    | [] -> Id_tbl.remove t.by_match id
+    | rest -> Id_tbl.replace t.by_match id rest)
+
+(* The name whose hardware entry [id] currently is (or should be). *)
+let claimant t id =
+  match Id_tbl.find_opt t.by_match id with
+  | Some (name :: _) -> Some name
+  | Some [] | None -> None
+
+let cache_set t flow_name ~ino (flow : Y.Flowdir.t) =
+  (match Hashtbl.find_opt t.cache flow_name with
+  | Some { flow = old; _ } ->
+    idx_remove t (old.of_match, old.priority) flow_name
+  | None -> ());
+  Hashtbl.replace t.cache flow_name { flow; ino };
+  idx_add t (flow.of_match, flow.priority) flow_name
+
+let cache_remove t flow_name =
+  match Hashtbl.find_opt t.cache flow_name with
+  | None -> ()
+  | Some { flow; _ } ->
+    Hashtbl.remove t.cache flow_name;
+    idx_remove t (flow.of_match, flow.priority) flow_name
+
+let send_handshake t =
+  OF.Framing.reset t.framing;
+  t.seen_generation <- Netsim.Control_channel.generation t.endpoint;
+  send t Msg.Hello;
+  send t Msg.Features_request;
+  if t.handshakes > 0 then begin
+    t.c_retries <- t.c_retries + 1;
+    Telemetry.Registry.incr t.m_retries
+  end;
+  t.handshakes <- t.handshakes + 1
+
+let create ?wake ?(tuning = Driver_intf.default_tuning) ?(seed = 0x5EED)
+    ~dialect ~yfs ~endpoint () =
+  let telemetry = Y.Yanc_fs.telemetry yfs in
+  let reg = Telemetry.registry telemetry in
+  let prng = Netsim.Prng.create ~seed in
+  let t =
+    { yfs; telemetry; endpoint;
+      framing = OF.Framing.create ();
+      notifier = Fsnotify.Notifier.create (Y.Yanc_fs.fs yfs);
+      dialect; tuning;
+      backoff =
+        Backoff.create ~base:tuning.Driver_intf.backoff_base
+          ~cap:tuning.Driver_intf.backoff_cap
+          ~jitter:tuning.Driver_intf.backoff_jitter ~prng ();
+      next_xid = 1l; switch_name = None; connected = false;
+      commits = Commit_queue.create ();
+      ports_dirty = false; spool_dirty = false;
+      last_stats = 0.;
+      eventdir_subs = false; steps = 0; subs_checked_step = -1;
+      status = Driver_intf.Handshaking; last_rx = neg_infinity;
+      next_keepalive = neg_infinity; echo_outstanding = None;
+      seen_generation = Netsim.Control_channel.generation endpoint;
+      next_attempt = neg_infinity; episode_retries = 0; handshakes = 0;
+      resyncing = false; resync_sent = neg_infinity; was_connected = false;
+      c_disconnects = 0; c_retries = 0; c_resyncs = 0;
+      c_resync_installs = 0; c_resync_deletes = 0; c_keepalives = 0;
+      m_disconnects = Telemetry.Registry.counter reg "driver.disconnects";
+      m_retries = Telemetry.Registry.counter reg "driver.retries";
+      m_resyncs = Telemetry.Registry.counter reg "driver.resyncs";
+      m_resync_installs =
+        Telemetry.Registry.counter reg "driver.resync_installs";
+      m_resync_deletes =
+        Telemetry.Registry.counter reg "driver.resync_deletes";
+      m_keepalives = Telemetry.Registry.counter reg "driver.keepalives_sent";
+      m_fs_errors = Telemetry.Registry.counter reg "driver.fs_errors";
+      m_commit_batches = Telemetry.Registry.counter reg "driver.commit.batches";
+      m_commit_keys = Telemetry.Registry.counter reg "driver.commit.keys";
+      m_commit_coalesced =
+        Telemetry.Registry.counter reg "driver.commit.coalesced";
+      m_commit_adds = Telemetry.Registry.counter reg "driver.commit.adds";
+      m_commit_deletes = Telemetry.Registry.counter reg "driver.commit.deletes";
+      m_commit_sweeps = Telemetry.Registry.counter reg "driver.commit.sweeps";
+      m_commit_latency =
+        Telemetry.Registry.histogram reg "driver.commit.latency";
+      cache = Hashtbl.create 64;
+      by_match = Id_tbl.create 64;
+      pushed_admin = Hashtbl.create 8 }
+  in
+  (* File-system activity (app flow writes, spool entries, admin port
+     flips) must un-park a sleeping driver just like channel bytes
+     do. *)
+  (match wake with
+  | Some f -> Fsnotify.Notifier.set_wakeup t.notifier f
+  | None -> ());
+  send_handshake t;
+  t
+
+let switch_name t = t.switch_name
+
+let connected t = t.connected
+
+let status t = t.status
+
+let link_counters t =
+  { Driver_intf.disconnects = t.c_disconnects; retries = t.c_retries;
+    resyncs = t.c_resyncs; resync_installs = t.c_resync_installs;
+    resync_deletes = t.c_resync_deletes; keepalives_sent = t.c_keepalives }
+
+let root t = Y.Yanc_fs.root t.yfs
+
+let fs t = Y.Yanc_fs.fs t.yfs
+
+let cred = Vfs.Cred.root
+
+(* --- switch-to-controller events ---------------------------------------- *)
+
+let set_ports t ~name ports =
+  List.iter
+    (fun p ->
+      fs_checked t ~what:"port dir" (Y.Yanc_fs.set_port t.yfs ~switch:name p))
+    ports
+
+let on_features t ~now (f : Msg.features) =
+  let name = Y.Yanc_fs.switch_name_of_dpid f.datapath_id in
+  t.switch_name <- Some name;
+  fs_checked t ~what:"switch dir"
+    (Y.Yanc_fs.add_switch t.yfs ~name ~dpid:f.datapath_id ~protocol:(protocol t)
+       ~n_buffers:f.n_buffers ~n_tables:f.n_tables
+       ~capabilities:(OF.Of_types.Capabilities.to_list f.capabilities)
+       ~actions:
+         [ "output"; "set_dl_src"; "set_dl_dst"; "set_vlan"; "set_vlan_pcp";
+           "strip_vlan"; "set_nw_src"; "set_nw_dst"; "set_nw_tos";
+           "set_tp_src"; "set_tp_dst" ]);
+  (* Ports come once: in the features reply, or (when the dialect
+     reports them separately) in answer to one port-desc request. *)
+  (match f.ports with
+  | Some ports -> set_ports t ~name ports
+  | None -> send t (Msg.Stats_request Msg.Port_desc_req));
+  if not t.was_connected then begin
+    (* Watch the parts of the switch directory the driver reacts to.
+       Watches survive reconnects; adding them again on every
+       re-handshake would double-deliver each event. *)
+    let watch path =
+      ignore
+        (Fsnotify.Notifier.add_watch ~recursive:true t.notifier path
+           Fsnotify.Notifier.all)
+    in
+    watch (Y.Layout.flows_dir ~root:(root t) name);
+    watch (Y.Layout.ports_dir ~root:(root t) name);
+    watch (Y.Layout.packet_out_dir ~root:(root t) name);
+    Fsnotify.Notifier.register_metrics t.notifier
+      ~prefix:(Printf.sprintf "driver.%s" name)
+      (Telemetry.registry t.telemetry);
+    Telemetry.Registry.gauge
+      (Telemetry.registry t.telemetry)
+      (Printf.sprintf "driver.%s.status" name)
+      (fun () ->
+        match t.status with
+        | Driver_intf.Handshaking -> 0.
+        | Driver_intf.Connected -> 1.
+        | Driver_intf.Degraded -> 2.
+        | Driver_intf.Reconnecting -> 3.
+        | Driver_intf.Dead -> 4.);
+    Telemetry.Registry.gauge
+      (Telemetry.registry t.telemetry)
+      (Printf.sprintf "driver.%s.commit.pending" name)
+      (fun () -> float_of_int (Commit_queue.pending t.commits))
+  end;
+  t.connected <- true;
+  set_status t Driver_intf.Connected;
+  Backoff.reset t.backoff;
+  t.episode_retries <- 0;
+  t.next_attempt <- neg_infinity;
+  t.next_keepalive <- neg_infinity;
+  t.echo_outstanding <- None;
+  t.last_rx <- now;
+  if t.was_connected then begin
+    (* Re-handshake after an outage: the switch kept its table while
+       we were gone (fail secure) and the file system kept changing.
+       Ask the switch what it actually holds, then diff in resync. *)
+    t.resyncing <- true;
+    t.resync_sent <- now;
+    send t flow_stats_request
+  end;
+  t.was_connected <- true;
+  (* Pick up anything written before the handshake finished. The cold
+     pickup has no per-key trail to replay, so it is a sweep — the
+     last full-scan path besides resync. *)
+  Commit_queue.mark_sweep t.commits;
+  t.ports_dirty <- true;
+  t.spool_dirty <- true
+
+let find_flow_by_match t of_match priority =
+  claimant t (of_match, priority)
+
+(* After a re-handshake the switch's table and the file system may
+   have drifted apart: flows committed during the outage were never
+   installed, and rules the switch still carries may have been
+   deleted from the tree. The switch's own report (the first
+   flow_stats reply after reconnect) is diffed against the committed
+   flow directories — strays are removed with strict deletes so a
+   same-match rule at another priority survives, gaps re-installed.
+   Buffer references are dropped on re-install: they name packets in
+   a buffer pool that did not survive the outage. *)
+let resync t ~name (stats : OF.Of_types.Flow_stats.t list) =
+  t.resyncing <- false;
+  t.c_resyncs <- t.c_resyncs + 1;
+  Telemetry.Registry.incr t.m_resyncs;
+  let fs_flows =
+    List.filter_map
+      (fun flow_name ->
+        match Y.Yanc_fs.read_flow t.yfs ~cred ~switch:name flow_name with
+        | Ok (flow : Y.Flowdir.t) ->
+          Some (flow_name, { flow with buffer_id = None })
+        | Error _ -> None)
+      (Y.Yanc_fs.flow_names t.yfs ~cred name)
+  in
+  (* Both sides keyed once by rule identity: O(stats + flows). *)
+  let committed = Id_tbl.create 64 and on_switch = Id_tbl.create 64 in
+  List.iter
+    (fun (_, (f : Y.Flowdir.t)) ->
+      Id_tbl.replace committed (f.of_match, f.priority) ())
+    fs_flows;
+  List.iter
+    (fun (s : OF.Of_types.Flow_stats.t) ->
+      Id_tbl.replace on_switch (s.of_match, s.priority) ())
+    stats;
+  List.iter
+    (fun (s : OF.Of_types.Flow_stats.t) ->
+      if not (Id_tbl.mem committed (s.of_match, s.priority)) then begin
+        send t (flow_delete_strict ~priority:s.priority s.of_match);
+        t.c_resync_deletes <- t.c_resync_deletes + 1;
+        Telemetry.Registry.incr t.m_resync_deletes
+      end)
+    stats;
+  List.iter
+    (fun (flow_name, (flow : Y.Flowdir.t)) ->
+      if not (Id_tbl.mem on_switch (flow.of_match, flow.priority)) then begin
+        send t (flow_add flow);
+        t.c_resync_installs <- t.c_resync_installs + 1;
+        Telemetry.Registry.incr t.m_resync_installs
+      end;
+      let dir = Y.Layout.flow ~root:(root t) ~switch:name flow_name in
+      let ino =
+        match Vfs.Fs.stat (fs t) ~cred dir with
+        | Ok st -> st.Vfs.Fs.ino
+        | Error _ -> -1
+      in
+      cache_set t flow_name ~ino flow)
+    fs_flows
+
+let on_message t ~now ~xid (msg : Msg.t) =
+  match msg with
+  | Msg.Error_msg _ ->
+    Logs.warn (fun m -> m "driver[%s]: switch %a" (protocol t) Msg.pp msg)
+  | Msg.Echo_request data -> send t ~xid (Msg.Echo_reply data)
+  | Msg.Echo_reply _ ->
+    (* Any reply proves the peer is processing our requests. *)
+    t.echo_outstanding <- None
+  | Msg.Features_reply f -> on_features t ~now f
+  | Msg.Stats_reply (Msg.Port_desc_rep ports) -> (
+    match t.switch_name with
+    | None -> ()
+    | Some name -> set_ports t ~name ports)
+  | Msg.Packet_in { buffer_id; total_len; in_port; reason; data } -> (
+    match t.switch_name with
+    | None -> ()
+    | Some name ->
+      (* The packet-in is where a request enters the controller: mint
+         its trace here, publish under a span, and let consumers pick
+         the trace up by sequence number. The pooled ring is always
+         fed (it is free when nobody subscribed); the per-event file
+         directories are only written when some application actually
+         reads them — rechecked at most once a step while negative,
+         so a storm with ring-only consumers never pays the eventdir
+         fan-out, and a late [Eventdir.subscribe] is noticed on the
+         next step. *)
+      if (not t.eventdir_subs) && t.subs_checked_step <> t.steps then begin
+        t.subs_checked_step <- t.steps;
+        t.eventdir_subs <-
+          Y.Eventdir.subscribers (fs t) ~root:(root t) ~switch:name <> []
+      end;
+      let tracer = Telemetry.tracer t.telemetry in
+      ignore (Telemetry.Tracer.fresh tracer);
+      Telemetry.Tracer.span tracer ~stage:"driver.packet_in" (fun () ->
+          ignore
+            (Y.Pktin.publish (Y.Yanc_fs.pktin t.yfs) ~switch:name ~in_port
+               ~reason ~buffer_id ~total_len ~data ~at:now);
+          if t.eventdir_subs then
+            let written =
+              Y.Eventdir.publish ~telemetry:t.telemetry (fs t) ~root:(root t)
+                ~switch:name ~in_port ~reason ~buffer_id ~total_len ~data
+            in
+            (* All subscribers gone: stop paying for the readdir until
+               someone shows up again. *)
+            if written = 0 then t.eventdir_subs <- false);
+      Telemetry.Tracer.clear tracer)
+  | Msg.Port_status (reason, port) -> (
+    match t.switch_name with
+    | None -> ()
+    | Some name -> (
+      match reason with
+      | OF.Of_types.Port_delete ->
+        fs_checked t ~what:"port removal"
+          (Y.Yanc_fs.remove_port t.yfs ~switch:name port.port_no)
+      | OF.Of_types.Port_add | OF.Of_types.Port_modify ->
+        fs_checked t ~what:"port dir"
+          (Y.Yanc_fs.set_port t.yfs ~switch:name port)))
+  | Msg.Flow_removed { of_match; priority; _ } -> (
+    match t.switch_name with
+    | None -> ()
+    | Some name -> (
+      match find_flow_by_match t of_match priority with
+      | None -> ()
+      | Some flow_name ->
+        cache_remove t flow_name;
+        fs_checked t ~what:"flow dir removal"
+          (Y.Yanc_fs.delete_flow t.yfs ~cred ~switch:name flow_name)))
+  | Msg.Stats_reply (Msg.Flow_stats_rep entries) -> (
+    match t.switch_name with
+    | None -> ()
+    | Some name ->
+      let stats = List.map snd entries in
+      if t.resyncing then resync t ~name stats;
+      List.iter
+        (fun (s : OF.Of_types.Flow_stats.t) ->
+          match find_flow_by_match t s.of_match s.priority with
+          | None -> ()
+          | Some flow_name ->
+            fs_checked t ~what:"flow counters"
+              (Y.Flowdir.write_counters (fs t) ~cred
+                 (Y.Layout.flow ~root:(root t) ~switch:name flow_name)
+                 ~packets:s.packets ~bytes:s.bytes ~duration_s:s.duration_s))
+        stats)
+  | Msg.Stats_reply (Msg.Port_stats_rep stats) -> (
+    match t.switch_name with
+    | None -> ()
+    | Some name ->
+      List.iter
+        (fun (s : OF.Of_types.Port_stats.t) ->
+          fs_checked t ~what:"port counters"
+            (Y.Yanc_fs.write_port_counters t.yfs ~switch:name
+               ~port:s.port_no s))
+        stats)
+  | Msg.Hello | Msg.Features_request | Msg.Flow_mod _ | Msg.Packet_out _
+  | Msg.Port_mod _ | Msg.Stats_request _ | Msg.Barrier_request
+  | Msg.Barrier_reply -> ()
+
+(* --- file system to switch ------------------------------------------------ *)
+
+(* Resolve one dirty flow key against the commit cache, appending the
+   required hardware work to [deletes]/[adds]. Pure bookkeeping plus
+   directory reads; the wire traffic happens in [send_plan], which
+   orders every delete before any add — a renamed flow directory is a
+   deletion plus an addition of the same rule, and deleting by match
+   after the re-add would wipe the new entry. *)
+(* Retire [flow_name]'s claim on hardware identity [id] and schedule
+   the strict delete. Whether another file still claims the identity
+   is decided in [send_plan], after the whole batch has resolved. *)
+let delete_entry t ~deletes flow_name id =
+  idx_remove t id flow_name;
+  deletes := id :: !deletes
+
+let resolve_key t ~switch ~deletes ~adds flow_name =
+  let dir = Y.Layout.flow ~root:(root t) ~switch flow_name in
+  match Vfs.Fs.stat (fs t) ~cred dir with
+  | Error _ -> (
+    (* Directory gone: delete the hardware entry we committed for it
+       (an uncommitted or unknown name needs nothing). *)
+    match Hashtbl.find_opt t.cache flow_name with
+    | Some { flow; _ } ->
+      cache_remove t flow_name;
+      delete_entry t ~deletes flow_name (flow.of_match, flow.priority)
+    | None -> ())
+  | Ok st -> (
+    match Y.Flowdir.read_version (fs t) ~cred dir with
+    | None -> () (* not committed yet *)
+    | Some version ->
+      let cached = Hashtbl.find_opt t.cache flow_name in
+      (* The version file alone can lie: delete + re-create inside one
+         tick restarts the chain below the cached counter. The inode
+         disambiguates — a re-created directory is a new object, and
+         whatever it commits is news regardless of the number. *)
+      let stale =
+        match cached with
+        | Some { flow; ino } -> flow.version < version || ino <> st.Vfs.Fs.ino
+        | None -> true
+      in
+      if stale then (
+        match Y.Yanc_fs.read_flow t.yfs ~cred ~switch flow_name with
+        | Error msg ->
+          fs_checked t ~what:"flow error file"
+            (Y.Flowdir.set_error (fs t) ~cred dir (Some msg))
+        | Ok flow ->
+          fs_checked t ~what:"flow error file"
+            (Y.Flowdir.set_error (fs t) ~cred dir None);
+          (* Rule identity changed: the old hardware entry must go. *)
+          (match cached with
+          | Some { flow = old; _ }
+            when not
+                   (OF.Of_match.equal old.of_match flow.of_match
+                   && old.priority = flow.priority) ->
+            delete_entry t ~deletes flow_name (old.of_match, old.priority)
+          | Some _ | None -> ());
+          adds := (flow_name, dir, flow) :: !adds))
+
+let install t ~switch flow_name dir (flow : Y.Flowdir.t) =
+  let tracer = Telemetry.tracer t.telemetry in
+  ignore
+    (Telemetry.Tracer.resume tracer
+       (Y.Layout.trace_key_flow ~switch flow_name));
+  let add_xid = fresh_xid t in
+  Telemetry.Tracer.span tracer ~stage:"driver.flow_mod"
+    (fun () -> send t ~xid:add_xid (flow_add flow));
+  (* The agent resumes by xid when it installs the entry. *)
+  Telemetry.Tracer.stamp tracer (Netsim.Of_agent.trace_key_xid add_xid);
+  Telemetry.Tracer.clear tracer;
+  (* The buffer reference is one-shot. *)
+  (if flow.buffer_id <> None then
+     let bpath = Vfs.Path.child dir "buffer_id" in
+     fs_checked t ~what:"buffer_id unlink" (Vfs.Fs.unlink (fs t) ~cred bpath));
+  let ino =
+    match Vfs.Fs.stat (fs t) ~cred dir with
+    | Ok st -> st.Vfs.Fs.ino
+    | Error _ -> -1
+  in
+  cache_set t flow_name ~ino { flow with buffer_id = None }
+
+let send_plan t ~switch ~deletes ~adds =
+  let deleted = Id_tbl.create 8 in
+  List.iter
+    (fun (of_match, priority) ->
+      if not (Id_tbl.mem deleted (of_match, priority)) then begin
+        Id_tbl.replace deleted (of_match, priority) ();
+        send t (flow_delete_strict ~priority of_match);
+        Telemetry.Registry.incr t.m_commit_deletes
+      end)
+    (List.rev !deletes);
+  (* An identity we just deleted may still be claimed by a surviving
+     flow file (nothing stops two directories committing the same
+     match and priority). Reinstall the survivor's config before the
+     regular adds, so a newer config installed for the same identity
+     in this very batch still wins. *)
+  Id_tbl.iter
+    (fun id () ->
+      match claimant t id with
+      | None -> ()
+      | Some survivor -> (
+        match Hashtbl.find_opt t.cache survivor with
+        | Some { flow; _ } ->
+          install t ~switch survivor
+            (Y.Layout.flow ~root:(root t) ~switch survivor)
+            flow;
+          Telemetry.Registry.incr t.m_commit_adds
+        | None -> ()))
+    deleted;
+  List.iter
+    (fun (flow_name, dir, flow) ->
+      install t ~switch flow_name dir flow;
+      Telemetry.Registry.incr t.m_commit_adds)
+    (List.rev !adds)
+
+(* The retained O(flows) path: cold handshake, notify overflow. Every
+   other commit goes through [flush_commits] below. *)
+let reconcile_flows t =
+  match t.switch_name with
+  | None -> ()
+  | Some name ->
+    Telemetry.Registry.incr t.m_commit_sweeps;
+    let live = Y.Yanc_fs.flow_name_set t.yfs ~cred name in
+    let deletes = ref [] and adds = ref [] in
+    Hashtbl.fold
+      (fun flow_name _ acc ->
+        if Y.Yanc_fs.Name_set.mem flow_name live then acc
+        else flow_name :: acc)
+      t.cache []
+    |> List.iter (fun flow_name ->
+           match Hashtbl.find_opt t.cache flow_name with
+           | Some { flow; _ } ->
+             cache_remove t flow_name;
+             delete_entry t ~deletes flow_name (flow.of_match, flow.priority)
+           | None -> ());
+    Y.Yanc_fs.Name_set.iter
+      (fun flow_name ->
+        resolve_key t ~switch:name ~deletes ~adds flow_name)
+      live;
+    send_plan t ~switch:name ~deletes ~adds
+
+(* Bounded flush: one batch of dirty keys per step, so a flow-mod
+   storm spreads over successive steps instead of monopolizing one. *)
+let commit_batch = 1024
+
+let flush_commits t =
+  match t.switch_name with
+  | None -> ()
+  | Some name ->
+    if not (Commit_queue.is_empty t.commits) then begin
+      let t0 = Unix.gettimeofday () in
+      let batch = Commit_queue.take ~max:commit_batch t.commits in
+      let deletes = ref [] and adds = ref [] in
+      List.iter (resolve_key t ~switch:name ~deletes ~adds) batch;
+      send_plan t ~switch:name ~deletes ~adds;
+      Telemetry.Registry.incr t.m_commit_batches;
+      Telemetry.Registry.add t.m_commit_keys (List.length batch);
+      Telemetry.Registry.observe t.m_commit_latency
+        (Unix.gettimeofday () -. t0)
+    end
+
+let reconcile_ports t =
+  match t.switch_name with
+  | None -> ()
+  | Some name ->
+    List.iter
+      (fun port_no ->
+        match Y.Yanc_fs.read_port t.yfs ~cred ~switch:name port_no with
+        | Error _ -> ()
+        | Ok info ->
+          let pushed = Hashtbl.find_opt t.pushed_admin port_no in
+          if pushed <> Some info.admin_down then begin
+            Hashtbl.replace t.pushed_admin port_no info.admin_down;
+            send t (Msg.Port_mod { port_no; admin_down = info.admin_down })
+          end)
+      (Y.Yanc_fs.port_numbers t.yfs ~cred name)
+
+let drain_spool t =
+  match t.switch_name with
+  | None -> ()
+  | Some name ->
+    List.iter
+      (fun (req : Y.Outdir.request) ->
+        send t
+          (Msg.Packet_out
+             { buffer_id = req.buffer_id; in_port = req.in_port;
+               actions = req.actions; data = req.data }))
+      (Y.Outdir.consume (fs t) ~root:(root t) ~switch:name
+         ~on_error:(fun e -> fs_checked t ~what:"packet-out rmdir" (Error e)))
+
+(* Bounded drain: a flow-mod storm is spread over successive steps
+   instead of monopolizing one; dirty state persists, and events
+   left queued re-trigger classification next step. *)
+let event_batch = 4096
+
+let classify_fs_events t =
+  match t.switch_name with
+  | None -> ignore (Fsnotify.Notifier.read_events ~max:event_batch t.notifier)
+  | Some name ->
+    let flows = Y.Layout.flows_dir ~root:(root t) name in
+    let ports = Y.Layout.ports_dir ~root:(root t) name in
+    let spool = Y.Layout.packet_out_dir ~root:(root t) name in
+    List.iter
+      (fun (ev : Fsnotify.Event.t) ->
+        (* A queue overflow means events were lost: rescan everything,
+           as inotify consumers must on IN_Q_OVERFLOW. *)
+        if ev.kind = Fsnotify.Event.Overflow then begin
+          Commit_queue.mark_sweep t.commits;
+          t.ports_dirty <- true;
+          t.spool_dirty <- true
+        end
+        else
+          match Vfs.Path.strip_prefix ~prefix:flows ev.path with
+          | Some rest -> (
+            (* Events carry the changed object's full path, so the
+               first component under flows/ names the dirty flow. *)
+            match Vfs.Path.components rest with
+            | flow :: inner -> (
+              match inner with
+              | "counters" :: _ -> () (* driver's own writeback *)
+              | [ base ] when base = Y.Layout.error_file -> ()
+              | _ ->
+                if not (Commit_queue.mark t.commits flow) then
+                  Telemetry.Registry.incr t.m_commit_coalesced)
+            | [] ->
+              (* The flows directory itself changed (created, moved):
+                 no per-key trail to follow — sweep. *)
+              Commit_queue.mark_sweep t.commits)
+          | None ->
+            if Vfs.Path.is_prefix spool ev.path then t.spool_dirty <- true
+            else if Vfs.Path.is_prefix ports ev.path then begin
+              match Vfs.Path.basename ev.path with
+              | Some base when base = Y.Layout.config_port_down ->
+                t.ports_dirty <- true
+              | _ -> ()
+            end)
+      (Fsnotify.Notifier.read_events ~max:event_batch t.notifier)
+
+(* The survival half of the state machine: handshake retries with
+   backoff while Handshaking/Reconnecting, echo keepalives and the
+   liveness verdict while Connected/Degraded. Runs once per step,
+   after received traffic has been processed. *)
+let liveness t ~now =
+  match t.status with
+  | Driver_intf.Dead -> ()
+  | Driver_intf.Handshaking | Driver_intf.Reconnecting ->
+    if t.next_attempt = neg_infinity then
+      t.next_attempt <- now +. Backoff.next t.backoff
+    else if now >= t.next_attempt then
+      if t.episode_retries >= t.tuning.Driver_intf.max_retries then
+        set_status t Driver_intf.Dead
+      else begin
+        t.episode_retries <- t.episode_retries + 1;
+        (* Bounce the transport even when it still looks connected: a
+           soft failure may have desynchronized the peer's framer, and
+           only a generation bump makes both sides reset. *)
+        if Netsim.Control_channel.connected t.endpoint then
+          Netsim.Control_channel.disconnect t.endpoint;
+        let up = Netsim.Control_channel.reconnect t.endpoint in
+        if up then send_handshake t
+        else begin
+          (* The transport refused us; the attempt still consumed a
+             slot in the schedule. *)
+          t.c_retries <- t.c_retries + 1;
+          Telemetry.Registry.incr t.m_retries
+        end;
+        t.next_attempt <- now +. Backoff.next t.backoff
+      end
+  | Driver_intf.Connected | Driver_intf.Degraded ->
+    if t.last_rx = neg_infinity then t.last_rx <- now;
+    (* The peer-is-gone verdict. A hard transport loss shows up
+       immediately; a silent one only through the xid-tracked echo:
+       the outstanding probe's age can grow past the timeout only if
+       replies have genuinely stopped, so coarse simulation ticks
+       (where [now] jumps by more than the timeout between steps)
+       never produce a false positive the way a last-byte-seen clock
+       would. *)
+    let declare_gone () =
+      t.connected <- false;
+      t.c_disconnects <- t.c_disconnects + 1;
+      Telemetry.Registry.incr t.m_disconnects;
       Telemetry.Blackbox.fault
         (Telemetry.blackbox t.telemetry)
-        ~at:(bb_now t) ~who:(bb_who t)
-        ~what:(Printf.sprintf "fs write failed (%s): %s" what
-                 (Vfs.Errno.message e));
-      Logs.warn (fun m ->
-          m "driver[%s]: fs write failed (%s): %s" P.name what
-            (Vfs.Errno.message e))
-
-  (* Every control-channel transition lands in the flight recorder —
-     the status history is exactly what a takeover post-mortem reads. *)
-  let set_status t status =
-    if t.status <> status then begin
-      let prev = t.status in
-      t.status <- status;
-      Telemetry.Blackbox.status
-        (Telemetry.blackbox t.telemetry)
-        ~at:(bb_now t) ~who:(bb_who t)
-        ~from_:(Driver_intf.status_to_string prev)
-        ~to_:(Driver_intf.status_to_string status);
-      match t.switch_name with
-      | Some name ->
-        fs_checked t ~what:"switch status"
-          (Y.Yanc_fs.set_switch_status t.yfs ~switch:name
-             (Driver_intf.status_to_string status))
-      | None -> ()
-    end
-
-  let idx_add t id flow_name =
-    let others =
-      match Id_tbl.find_opt t.by_match id with
-      | Some names -> List.filter (fun n -> not (String.equal n flow_name)) names
-      | None -> []
+        ~at:(bb_now t) ~who:(bb_who t) ~what:"peer declared gone";
+      t.echo_outstanding <- None;
+      t.resyncing <- false;
+      t.next_keepalive <- neg_infinity;
+      Backoff.reset t.backoff;
+      t.episode_retries <- 0;
+      t.next_attempt <- now;
+      set_status t Driver_intf.Reconnecting
     in
-    Id_tbl.replace t.by_match id (flow_name :: others)
-
-  let idx_remove t id flow_name =
-    match Id_tbl.find_opt t.by_match id with
-    | None -> ()
-    | Some names -> (
-      match List.filter (fun n -> not (String.equal n flow_name)) names with
-      | [] -> Id_tbl.remove t.by_match id
-      | rest -> Id_tbl.replace t.by_match id rest)
-
-  (* The name whose hardware entry [id] currently is (or should be). *)
-  let claimant t id =
-    match Id_tbl.find_opt t.by_match id with
-    | Some (name :: _) -> Some name
-    | Some [] | None -> None
-
-  let cache_set t flow_name ~ino (flow : Y.Flowdir.t) =
-    (match Hashtbl.find_opt t.cache flow_name with
-    | Some { flow = old; _ } ->
-      idx_remove t (old.of_match, old.priority) flow_name
-    | None -> ());
-    Hashtbl.replace t.cache flow_name { flow; ino };
-    idx_add t (flow.of_match, flow.priority) flow_name
-
-  let cache_remove t flow_name =
-    match Hashtbl.find_opt t.cache flow_name with
-    | None -> ()
-    | Some { flow; _ } ->
-      Hashtbl.remove t.cache flow_name;
-      idx_remove t (flow.of_match, flow.priority) flow_name
-
-  let send_handshake t =
-    OF.Framing.reset t.framing;
-    t.seen_generation <- Netsim.Control_channel.generation t.endpoint;
-    send t (P.hello ~xid:(xid t));
-    send t (P.features_request ~xid:(xid t));
-    if t.handshakes > 0 then begin
-      t.c_retries <- t.c_retries + 1;
-      Telemetry.Registry.incr t.m_retries
-    end;
-    t.handshakes <- t.handshakes + 1
-
-  let create ?wake ?stats_interval ?(tuning = Driver_intf.default_tuning)
-      ?(seed = 0x5EED) ~yfs ~endpoint () =
-    let stats_interval =
-      match stats_interval with
-      | Some s -> s
-      | None -> tuning.Driver_intf.stats_interval
-    in
-    let telemetry = Y.Yanc_fs.telemetry yfs in
-    let reg = Telemetry.registry telemetry in
-    let prng = Netsim.Prng.create ~seed in
-    let t =
-      { yfs; telemetry; endpoint;
-        framing = OF.Framing.create ();
-        notifier = Fsnotify.Notifier.create (Y.Yanc_fs.fs yfs);
-        stats_interval; tuning;
-        backoff =
-          Backoff.create ~base:tuning.Driver_intf.backoff_base
-            ~cap:tuning.Driver_intf.backoff_cap
-            ~jitter:tuning.Driver_intf.backoff_jitter ~prng ();
-        next_xid = 1l; switch_name = None; connected = false;
-        commits = Commit_queue.create ();
-        ports_dirty = false; spool_dirty = false;
-        last_stats = 0.;
-        eventdir_subs = false; steps = 0; subs_checked_step = -1;
-        status = Driver_intf.Handshaking; last_rx = neg_infinity;
-        next_keepalive = neg_infinity; echo_outstanding = None;
-        seen_generation = Netsim.Control_channel.generation endpoint;
-        next_attempt = neg_infinity; episode_retries = 0; handshakes = 0;
-        resyncing = false; resync_sent = neg_infinity; was_connected = false;
-        c_disconnects = 0; c_retries = 0; c_resyncs = 0;
-        c_resync_installs = 0; c_resync_deletes = 0; c_keepalives = 0;
-        m_disconnects = Telemetry.Registry.counter reg "driver.disconnects";
-        m_retries = Telemetry.Registry.counter reg "driver.retries";
-        m_resyncs = Telemetry.Registry.counter reg "driver.resyncs";
-        m_resync_installs =
-          Telemetry.Registry.counter reg "driver.resync_installs";
-        m_resync_deletes =
-          Telemetry.Registry.counter reg "driver.resync_deletes";
-        m_keepalives = Telemetry.Registry.counter reg "driver.keepalives_sent";
-        m_fs_errors = Telemetry.Registry.counter reg "driver.fs_errors";
-        m_commit_batches = Telemetry.Registry.counter reg "driver.commit.batches";
-        m_commit_keys = Telemetry.Registry.counter reg "driver.commit.keys";
-        m_commit_coalesced =
-          Telemetry.Registry.counter reg "driver.commit.coalesced";
-        m_commit_adds = Telemetry.Registry.counter reg "driver.commit.adds";
-        m_commit_deletes = Telemetry.Registry.counter reg "driver.commit.deletes";
-        m_commit_sweeps = Telemetry.Registry.counter reg "driver.commit.sweeps";
-        m_commit_latency =
-          Telemetry.Registry.histogram reg "driver.commit.latency";
-        cache = Hashtbl.create 64;
-        by_match = Id_tbl.create 64;
-        pushed_admin = Hashtbl.create 8 }
-    in
-    (* File-system activity (app flow writes, spool entries, admin port
-       flips) must un-park a sleeping driver just like channel bytes
-       do. *)
-    (match wake with
-    | Some f -> Fsnotify.Notifier.set_wakeup t.notifier f
-    | None -> ());
-    send_handshake t;
-    t
-
-  let switch_name t = t.switch_name
-
-  let connected t = t.connected
-
-  let status t = t.status
-
-  let link_counters t =
-    { Driver_intf.disconnects = t.c_disconnects; retries = t.c_retries;
-      resyncs = t.c_resyncs; resync_installs = t.c_resync_installs;
-      resync_deletes = t.c_resync_deletes; keepalives_sent = t.c_keepalives }
-
-  let root t = Y.Yanc_fs.root t.yfs
-
-  let fs t = Y.Yanc_fs.fs t.yfs
-
-  let cred = Vfs.Cred.root
-
-  (* --- switch-to-controller events ---------------------------------------- *)
-
-  let on_features t ~now (dpid, n_buffers, n_tables, capabilities, ports) =
-    let name = Y.Yanc_fs.switch_name_of_dpid dpid in
-    t.switch_name <- Some name;
-    fs_checked t ~what:"switch dir"
-      (Y.Yanc_fs.add_switch t.yfs ~name ~dpid ~protocol:P.name ~n_buffers
-         ~n_tables
-         ~capabilities:(OF.Of_types.Capabilities.to_list capabilities)
-         ~actions:
-           [ "output"; "set_dl_src"; "set_dl_dst"; "set_vlan"; "set_vlan_pcp";
-             "strip_vlan"; "set_nw_src"; "set_nw_dst"; "set_nw_tos";
-             "set_tp_src"; "set_tp_dst" ]);
-    (match ports with
-    | Some ports ->
-      List.iter
-        (fun p ->
-          fs_checked t ~what:"port dir" (Y.Yanc_fs.set_port t.yfs ~switch:name p))
-        ports
-    | None -> (
-      match P.port_desc_request with
-      | Some req -> send t (req ~xid:(xid t))
-      | None -> ()));
-    if not t.was_connected then begin
-      (* Watch the parts of the switch directory the driver reacts to.
-         Watches survive reconnects; adding them again on every
-         re-handshake would double-deliver each event. *)
-      let watch path =
-        ignore
-          (Fsnotify.Notifier.add_watch ~recursive:true t.notifier path
-             Fsnotify.Notifier.all)
-      in
-      watch (Y.Layout.flows_dir ~root:(root t) name);
-      watch (Y.Layout.ports_dir ~root:(root t) name);
-      watch (Y.Layout.packet_out_dir ~root:(root t) name);
-      Fsnotify.Notifier.register_metrics t.notifier
-        ~prefix:(Printf.sprintf "driver.%s" name)
-        (Telemetry.registry t.telemetry);
-      Telemetry.Registry.gauge
-        (Telemetry.registry t.telemetry)
-        (Printf.sprintf "driver.%s.status" name)
-        (fun () ->
-          match t.status with
-          | Driver_intf.Handshaking -> 0.
-          | Driver_intf.Connected -> 1.
-          | Driver_intf.Degraded -> 2.
-          | Driver_intf.Reconnecting -> 3.
-          | Driver_intf.Dead -> 4.);
-      Telemetry.Registry.gauge
-        (Telemetry.registry t.telemetry)
-        (Printf.sprintf "driver.%s.commit.pending" name)
-        (fun () -> float_of_int (Commit_queue.pending t.commits))
-    end;
-    t.connected <- true;
-    set_status t Driver_intf.Connected;
-    Backoff.reset t.backoff;
-    t.episode_retries <- 0;
-    t.next_attempt <- neg_infinity;
-    t.next_keepalive <- neg_infinity;
-    t.echo_outstanding <- None;
-    t.last_rx <- now;
-    if t.was_connected then begin
-      (* Re-handshake after an outage: the switch kept its table while
-         we were gone (fail secure) and the file system kept changing.
-         Ask the switch what it actually holds, then diff in resync. *)
-      t.resyncing <- true;
-      t.resync_sent <- now;
-      send t (P.flow_stats_request ~xid:(xid t))
-    end;
-    t.was_connected <- true;
-    (* Pick up anything written before the handshake finished. The cold
-       pickup has no per-key trail to replay, so it is a sweep — the
-       last full-scan path besides resync. *)
-    Commit_queue.mark_sweep t.commits;
-    t.ports_dirty <- true;
-    t.spool_dirty <- true
-
-  let find_flow_by_match t of_match priority =
-    claimant t (of_match, priority)
-
-  (* After a re-handshake the switch's table and the file system may
-     have drifted apart: flows committed during the outage were never
-     installed, and rules the switch still carries may have been
-     deleted from the tree. The switch's own report (the first
-     flow_stats reply after reconnect) is diffed against the committed
-     flow directories — strays are removed with strict deletes so a
-     same-match rule at another priority survives, gaps re-installed.
-     Buffer references are dropped on re-install: they name packets in
-     a buffer pool that did not survive the outage. *)
-  let resync t ~name (stats : OF.Of_types.Flow_stats.t list) =
-    t.resyncing <- false;
-    t.c_resyncs <- t.c_resyncs + 1;
-    Telemetry.Registry.incr t.m_resyncs;
-    let fs_flows =
-      List.filter_map
-        (fun flow_name ->
-          match Y.Yanc_fs.read_flow t.yfs ~cred ~switch:name flow_name with
-          | Ok (flow : Y.Flowdir.t) ->
-            Some (flow_name, { flow with buffer_id = None })
-          | Error _ -> None)
-        (Y.Yanc_fs.flow_names t.yfs ~cred name)
-    in
-    let committed (s : OF.Of_types.Flow_stats.t) =
-      List.exists
-        (fun (_, (f : Y.Flowdir.t)) ->
-          OF.Of_match.equal f.of_match s.of_match && f.priority = s.priority)
-        fs_flows
-    in
-    List.iter
-      (fun (s : OF.Of_types.Flow_stats.t) ->
-        if not (committed s) then begin
-          send t
-            (P.flow_delete_strict ~xid:(xid t) ~priority:s.priority s.of_match);
-          t.c_resync_deletes <- t.c_resync_deletes + 1;
-          Telemetry.Registry.incr t.m_resync_deletes
-        end)
-      stats;
-    let on_switch (f : Y.Flowdir.t) =
-      List.exists
-        (fun (s : OF.Of_types.Flow_stats.t) ->
-          OF.Of_match.equal s.of_match f.of_match && s.priority = f.priority)
-        stats
-    in
-    List.iter
-      (fun (flow_name, (flow : Y.Flowdir.t)) ->
-        if not (on_switch flow) then begin
-          send t (P.flow_add ~xid:(xid t) flow);
-          t.c_resync_installs <- t.c_resync_installs + 1;
-          Telemetry.Registry.incr t.m_resync_installs
-        end;
-        let dir = Y.Layout.flow ~root:(root t) ~switch:name flow_name in
-        let ino =
-          match Vfs.Fs.stat (fs t) ~cred dir with
-          | Ok st -> st.Vfs.Fs.ino
-          | Error _ -> -1
-        in
-        cache_set t flow_name ~ino flow)
-      fs_flows
-
-  let on_event t ~now ev =
-    match (ev : Driver_intf.event) with
-    | Driver_intf.Ev_hello | Driver_intf.Ev_other -> ()
-    | Driver_intf.Ev_error e -> Logs.warn (fun m -> m "driver[%s]: %s" P.name e)
-    | Driver_intf.Ev_echo_request { xid; data } -> send t (P.echo_reply ~xid ~data)
-    | Driver_intf.Ev_echo_reply _ ->
-      (* Any reply proves the peer is processing our requests. *)
-      t.echo_outstanding <- None
-    | Driver_intf.Ev_features { dpid; n_buffers; n_tables; capabilities; ports } ->
-      on_features t ~now (dpid, n_buffers, n_tables, capabilities, ports)
-    | Driver_intf.Ev_ports ports -> (
-      match t.switch_name with
-      | None -> ()
-      | Some name ->
-        List.iter
-          (fun p ->
-            fs_checked t ~what:"port dir"
-              (Y.Yanc_fs.set_port t.yfs ~switch:name p))
-          ports)
-    | Driver_intf.Ev_packet_in { buffer_id; total_len; in_port; reason; data } -> (
-      match t.switch_name with
-      | None -> ()
-      | Some name ->
-        (* The packet-in is where a request enters the controller: mint
-           its trace here, publish under a span, and let consumers pick
-           the trace up by sequence number. The pooled ring is always
-           fed (it is free when nobody subscribed); the per-event file
-           directories are only written when some application actually
-           reads them — rechecked at most once a step while negative,
-           so a storm with ring-only consumers never pays the eventdir
-           fan-out, and a late [Eventdir.subscribe] is noticed on the
-           next step. *)
-        if (not t.eventdir_subs) && t.subs_checked_step <> t.steps then begin
-          t.subs_checked_step <- t.steps;
-          t.eventdir_subs <-
-            Y.Eventdir.subscribers (fs t) ~root:(root t) ~switch:name <> []
-        end;
-        let tracer = Telemetry.tracer t.telemetry in
-        ignore (Telemetry.Tracer.fresh tracer);
-        Telemetry.Tracer.span tracer ~stage:"driver.packet_in" (fun () ->
-            ignore
-              (Y.Pktin.publish (Y.Yanc_fs.pktin t.yfs) ~switch:name ~in_port
-                 ~reason ~buffer_id ~total_len ~data ~at:now);
-            if t.eventdir_subs then
-              let written =
-                Y.Eventdir.publish ~telemetry:t.telemetry (fs t) ~root:(root t)
-                  ~switch:name ~in_port ~reason ~buffer_id ~total_len ~data
-              in
-              (* All subscribers gone: stop paying for the readdir until
-                 someone shows up again. *)
-              if written = 0 then t.eventdir_subs <- false);
-        Telemetry.Tracer.clear tracer)
-    | Driver_intf.Ev_port_status (reason, port) -> (
-      match t.switch_name with
-      | None -> ()
-      | Some name -> (
-        match reason with
-        | OF.Of_types.Port_delete ->
-          fs_checked t ~what:"port removal"
-            (Y.Yanc_fs.remove_port t.yfs ~switch:name port.port_no)
-        | OF.Of_types.Port_add | OF.Of_types.Port_modify ->
-          fs_checked t ~what:"port dir"
-            (Y.Yanc_fs.set_port t.yfs ~switch:name port)))
-    | Driver_intf.Ev_flow_removed { of_match; priority; _ } -> (
-      match t.switch_name with
-      | None -> ()
-      | Some name -> (
-        match find_flow_by_match t of_match priority with
-        | None -> ()
-        | Some flow_name ->
-          cache_remove t flow_name;
-          fs_checked t ~what:"flow dir removal"
-            (Y.Yanc_fs.delete_flow t.yfs ~cred ~switch:name flow_name)))
-    | Driver_intf.Ev_flow_stats stats -> (
-      match t.switch_name with
-      | None -> ()
-      | Some name ->
-        if t.resyncing then resync t ~name stats;
-        List.iter
-          (fun (s : OF.Of_types.Flow_stats.t) ->
-            match find_flow_by_match t s.of_match s.priority with
-            | None -> ()
-            | Some flow_name ->
-              fs_checked t ~what:"flow counters"
-                (Y.Flowdir.write_counters (fs t) ~cred
-                   (Y.Layout.flow ~root:(root t) ~switch:name flow_name)
-                   ~packets:s.packets ~bytes:s.bytes ~duration_s:s.duration_s))
-          stats)
-    | Driver_intf.Ev_port_stats stats -> (
-      match t.switch_name with
-      | None -> ()
-      | Some name ->
-        List.iter
-          (fun (s : OF.Of_types.Port_stats.t) ->
-            fs_checked t ~what:"port counters"
-              (Y.Yanc_fs.write_port_counters t.yfs ~switch:name
-                 ~port:s.port_no s))
-          stats)
-
-  (* --- file system to switch ------------------------------------------------ *)
-
-  (* Resolve one dirty flow key against the commit cache, appending the
-     required hardware work to [deletes]/[adds]. Pure bookkeeping plus
-     directory reads; the wire traffic happens in [send_plan], which
-     orders every delete before any add — a renamed flow directory is a
-     deletion plus an addition of the same rule, and deleting by match
-     after the re-add would wipe the new entry. *)
-  (* Retire [flow_name]'s claim on hardware identity [id] and schedule
-     the strict delete. Whether another file still claims the identity
-     is decided in [send_plan], after the whole batch has resolved. *)
-  let delete_entry t ~deletes flow_name id =
-    idx_remove t id flow_name;
-    deletes := id :: !deletes
-
-  let resolve_key t ~switch ~deletes ~adds flow_name =
-    let dir = Y.Layout.flow ~root:(root t) ~switch flow_name in
-    match Vfs.Fs.stat (fs t) ~cred dir with
-    | Error _ -> (
-      (* Directory gone: delete the hardware entry we committed for it
-         (an uncommitted or unknown name needs nothing). *)
-      match Hashtbl.find_opt t.cache flow_name with
-      | Some { flow; _ } ->
-        cache_remove t flow_name;
-        delete_entry t ~deletes flow_name (flow.of_match, flow.priority)
-      | None -> ())
-    | Ok st -> (
-      match Y.Flowdir.read_version (fs t) ~cred dir with
-      | None -> () (* not committed yet *)
-      | Some version ->
-        let cached = Hashtbl.find_opt t.cache flow_name in
-        (* The version file alone can lie: delete + re-create inside one
-           tick restarts the chain below the cached counter. The inode
-           disambiguates — a re-created directory is a new object, and
-           whatever it commits is news regardless of the number. *)
-        let stale =
-          match cached with
-          | Some { flow; ino } -> flow.version < version || ino <> st.Vfs.Fs.ino
-          | None -> true
-        in
-        if stale then (
-          match Y.Yanc_fs.read_flow t.yfs ~cred ~switch flow_name with
-          | Error msg ->
-            fs_checked t ~what:"flow error file"
-              (Y.Flowdir.set_error (fs t) ~cred dir (Some msg))
-          | Ok flow ->
-            fs_checked t ~what:"flow error file"
-              (Y.Flowdir.set_error (fs t) ~cred dir None);
-            (* Rule identity changed: the old hardware entry must go. *)
-            (match cached with
-            | Some { flow = old; _ }
-              when not
-                     (OF.Of_match.equal old.of_match flow.of_match
-                     && old.priority = flow.priority) ->
-              delete_entry t ~deletes flow_name (old.of_match, old.priority)
-            | Some _ | None -> ());
-            adds := (flow_name, dir, flow) :: !adds))
-
-  let install t ~switch flow_name dir (flow : Y.Flowdir.t) =
-    let tracer = Telemetry.tracer t.telemetry in
-    ignore
-      (Telemetry.Tracer.resume tracer
-         (Y.Layout.trace_key_flow ~switch flow_name));
-    let add_xid = xid t in
-    Telemetry.Tracer.span tracer ~stage:"driver.flow_mod"
-      (fun () -> send t (P.flow_add ~xid:add_xid flow));
-    (* The agent resumes by xid when it installs the entry. *)
-    Telemetry.Tracer.stamp tracer (Netsim.Of_agent.trace_key_xid add_xid);
-    Telemetry.Tracer.clear tracer;
-    (* The buffer reference is one-shot. *)
-    (if flow.buffer_id <> None then
-       let bpath = Vfs.Path.child dir "buffer_id" in
-       fs_checked t ~what:"buffer_id unlink" (Vfs.Fs.unlink (fs t) ~cred bpath));
-    let ino =
-      match Vfs.Fs.stat (fs t) ~cred dir with
-      | Ok st -> st.Vfs.Fs.ino
-      | Error _ -> -1
-    in
-    cache_set t flow_name ~ino { flow with buffer_id = None }
-
-  let send_plan t ~switch ~deletes ~adds =
-    (* Strict deletes: a rule's identity is (match, priority), and a
-       wildcard delete would take out siblings sharing the match. *)
-    let deleted = Id_tbl.create 8 in
-    List.iter
-      (fun (of_match, priority) ->
-        if not (Id_tbl.mem deleted (of_match, priority)) then begin
-          Id_tbl.replace deleted (of_match, priority) ();
-          send t (P.flow_delete_strict ~xid:(xid t) ~priority of_match);
-          Telemetry.Registry.incr t.m_commit_deletes
-        end)
-      (List.rev !deletes);
-    (* An identity we just deleted may still be claimed by a surviving
-       flow file (nothing stops two directories committing the same
-       match and priority). Reinstall the survivor's config before the
-       regular adds, so a newer config installed for the same identity
-       in this very batch still wins. *)
-    Id_tbl.iter
-      (fun id () ->
-        match claimant t id with
-        | None -> ()
-        | Some survivor -> (
-          match Hashtbl.find_opt t.cache survivor with
-          | Some { flow; _ } ->
-            install t ~switch survivor
-              (Y.Layout.flow ~root:(root t) ~switch survivor)
-              flow;
-            Telemetry.Registry.incr t.m_commit_adds
-          | None -> ()))
-      deleted;
-    List.iter
-      (fun (flow_name, dir, flow) ->
-        install t ~switch flow_name dir flow;
-        Telemetry.Registry.incr t.m_commit_adds)
-      (List.rev !adds)
-
-  (* The retained O(flows) path: cold handshake, notify overflow. Every
-     other commit goes through [flush_commits] below. *)
-  let reconcile_flows t =
-    match t.switch_name with
-    | None -> ()
-    | Some name ->
-      Telemetry.Registry.incr t.m_commit_sweeps;
-      let live = Y.Yanc_fs.flow_name_set t.yfs ~cred name in
-      let deletes = ref [] and adds = ref [] in
-      Hashtbl.fold
-        (fun flow_name _ acc ->
-          if Y.Yanc_fs.Name_set.mem flow_name live then acc
-          else flow_name :: acc)
-        t.cache []
-      |> List.iter (fun flow_name ->
-             match Hashtbl.find_opt t.cache flow_name with
-             | Some { flow; _ } ->
-               cache_remove t flow_name;
-               delete_entry t ~deletes flow_name (flow.of_match, flow.priority)
-             | None -> ());
-      Y.Yanc_fs.Name_set.iter
-        (fun flow_name ->
-          resolve_key t ~switch:name ~deletes ~adds flow_name)
-        live;
-      send_plan t ~switch:name ~deletes ~adds
-
-  (* Bounded flush: one batch of dirty keys per step, so a flow-mod
-     storm spreads over successive steps instead of monopolizing one. *)
-  let commit_batch = 1024
-
-  let flush_commits t =
-    match t.switch_name with
-    | None -> ()
-    | Some name ->
-      if not (Commit_queue.is_empty t.commits) then begin
-        let t0 = Unix.gettimeofday () in
-        let batch = Commit_queue.take ~max:commit_batch t.commits in
-        let deletes = ref [] and adds = ref [] in
-        List.iter (resolve_key t ~switch:name ~deletes ~adds) batch;
-        send_plan t ~switch:name ~deletes ~adds;
-        Telemetry.Registry.incr t.m_commit_batches;
-        Telemetry.Registry.add t.m_commit_keys (List.length batch);
-        Telemetry.Registry.observe t.m_commit_latency
-          (Unix.gettimeofday () -. t0)
-      end
-
-  let reconcile_ports t =
-    match t.switch_name with
-    | None -> ()
-    | Some name ->
-      List.iter
-        (fun port_no ->
-          match Y.Yanc_fs.read_port t.yfs ~cred ~switch:name port_no with
-          | Error _ -> ()
-          | Ok info ->
-            let pushed = Hashtbl.find_opt t.pushed_admin port_no in
-            if pushed <> Some info.admin_down then begin
-              Hashtbl.replace t.pushed_admin port_no info.admin_down;
-              send t (P.port_mod ~xid:(xid t) ~port_no ~admin_down:info.admin_down)
-            end)
-        (Y.Yanc_fs.port_numbers t.yfs ~cred name)
-
-  let drain_spool t =
-    match t.switch_name with
-    | None -> ()
-    | Some name ->
-      List.iter
-        (fun (req : Y.Outdir.request) ->
-          send t
-            (P.packet_out ~xid:(xid t) ~buffer_id:req.buffer_id
-               ~in_port:req.in_port ~actions:req.actions ~data:req.data))
-        (Y.Outdir.consume (fs t) ~root:(root t) ~switch:name
-           ~on_error:(fun e -> fs_checked t ~what:"packet-out rmdir" (Error e)))
-
-  (* Bounded drain: a flow-mod storm is spread over successive steps
-     instead of monopolizing one; dirty state persists, and events
-     left queued re-trigger classification next step. *)
-  let event_batch = 4096
-
-  let classify_fs_events t =
-    match t.switch_name with
-    | None -> ignore (Fsnotify.Notifier.read_events ~max:event_batch t.notifier)
-    | Some name ->
-      let flows = Y.Layout.flows_dir ~root:(root t) name in
-      let ports = Y.Layout.ports_dir ~root:(root t) name in
-      let spool = Y.Layout.packet_out_dir ~root:(root t) name in
-      List.iter
-        (fun (ev : Fsnotify.Event.t) ->
-          (* A queue overflow means events were lost: rescan everything,
-             as inotify consumers must on IN_Q_OVERFLOW. *)
-          if ev.kind = Fsnotify.Event.Overflow then begin
-            Commit_queue.mark_sweep t.commits;
-            t.ports_dirty <- true;
-            t.spool_dirty <- true
-          end
-          else
-            match Vfs.Path.strip_prefix ~prefix:flows ev.path with
-            | Some rest -> (
-              (* Events carry the changed object's full path, so the
-                 first component under flows/ names the dirty flow. *)
-              match Vfs.Path.components rest with
-              | flow :: inner -> (
-                match inner with
-                | "counters" :: _ -> () (* driver's own writeback *)
-                | [ base ] when base = Y.Layout.error_file -> ()
-                | _ ->
-                  if not (Commit_queue.mark t.commits flow) then
-                    Telemetry.Registry.incr t.m_commit_coalesced)
-              | [] ->
-                (* The flows directory itself changed (created, moved):
-                   no per-key trail to follow — sweep. *)
-                Commit_queue.mark_sweep t.commits)
-            | None ->
-              if Vfs.Path.is_prefix spool ev.path then t.spool_dirty <- true
-              else if Vfs.Path.is_prefix ports ev.path then begin
-                match Vfs.Path.basename ev.path with
-                | Some base when base = Y.Layout.config_port_down ->
-                  t.ports_dirty <- true
-                | _ -> ()
-              end)
-        (Fsnotify.Notifier.read_events ~max:event_batch t.notifier)
-
-  (* The survival half of the state machine: handshake retries with
-     backoff while Handshaking/Reconnecting, echo keepalives and the
-     liveness verdict while Connected/Degraded. Runs once per step,
-     after received traffic has been processed. *)
-  let liveness t ~now =
-    match t.status with
-    | Driver_intf.Dead -> ()
-    | Driver_intf.Handshaking | Driver_intf.Reconnecting ->
-      if t.next_attempt = neg_infinity then
-        t.next_attempt <- now +. Backoff.next t.backoff
-      else if now >= t.next_attempt then
-        if t.episode_retries >= t.tuning.Driver_intf.max_retries then
-          set_status t Driver_intf.Dead
-        else begin
-          t.episode_retries <- t.episode_retries + 1;
-          (* Bounce the transport even when it still looks connected: a
-             soft failure may have desynchronized the peer's framer, and
-             only a generation bump makes both sides reset. *)
-          if Netsim.Control_channel.connected t.endpoint then
-            Netsim.Control_channel.disconnect t.endpoint;
-          let up = Netsim.Control_channel.reconnect t.endpoint in
-          if up then send_handshake t
-          else begin
-            (* The transport refused us; the attempt still consumed a
-               slot in the schedule. *)
-            t.c_retries <- t.c_retries + 1;
-            Telemetry.Registry.incr t.m_retries
-          end;
-          t.next_attempt <- now +. Backoff.next t.backoff
-        end
-    | Driver_intf.Connected | Driver_intf.Degraded ->
-      if t.last_rx = neg_infinity then t.last_rx <- now;
-      (* The peer-is-gone verdict. A hard transport loss shows up
-         immediately; a silent one only through the xid-tracked echo:
-         the outstanding probe's age can grow past the timeout only if
-         replies have genuinely stopped, so coarse simulation ticks
-         (where [now] jumps by more than the timeout between steps)
-         never produce a false positive the way a last-byte-seen clock
-         would. *)
-      let declare_gone () =
-        t.connected <- false;
-        t.c_disconnects <- t.c_disconnects + 1;
-        Telemetry.Registry.incr t.m_disconnects;
-        Telemetry.Blackbox.fault
-          (Telemetry.blackbox t.telemetry)
-          ~at:(bb_now t) ~who:(bb_who t) ~what:"peer declared gone";
-        t.echo_outstanding <- None;
-        t.resyncing <- false;
-        t.next_keepalive <- neg_infinity;
-        Backoff.reset t.backoff;
-        t.episode_retries <- 0;
-        t.next_attempt <- now;
-        set_status t Driver_intf.Reconnecting
-      in
-      if not (Netsim.Control_channel.connected t.endpoint) then declare_gone ()
-      else begin
-        (if t.resyncing
-            && now -. t.resync_sent > t.tuning.Driver_intf.liveness_timeout
-         then begin
-           (* The resync stats request (or its reply) was lost. *)
-           t.resync_sent <- now;
-           t.c_retries <- t.c_retries + 1;
-           Telemetry.Registry.incr t.m_retries;
-           send t (P.flow_stats_request ~xid:(xid t))
-         end);
-        let iv = t.tuning.Driver_intf.keepalive_interval in
-        if iv > 0. then begin
-          if t.next_keepalive = neg_infinity then t.next_keepalive <- now +. iv
-          else if now >= t.next_keepalive then begin
-            let x = xid t in
-            send t (P.echo_request ~xid:x ~data:"yanc-ka");
-            if t.echo_outstanding = None then
-              t.echo_outstanding <- Some (x, now);
-            t.c_keepalives <- t.c_keepalives + 1;
-            Telemetry.Registry.incr t.m_keepalives;
-            t.next_keepalive <- now +. iv
-          end;
-          match t.echo_outstanding with
-          | Some (_, sent_at)
-            when now -. sent_at > t.tuning.Driver_intf.liveness_timeout ->
-            declare_gone ()
-          | Some (_, sent_at) when now -. sent_at > iv ->
-            set_status t Driver_intf.Degraded
-          | Some _ | None -> ()
-        end
-      end
-
-  let step t ~now =
-    t.steps <- t.steps + 1;
-    Netsim.Control_channel.poll t.endpoint;
-    let gen = Netsim.Control_channel.generation t.endpoint in
-    if gen <> t.seen_generation then begin
-      (* The transport was torn down and reconnected underneath us:
-         whatever partial frame we held belongs to the old byte
-         stream. *)
-      t.seen_generation <- gen;
-      OF.Framing.reset t.framing
-    end;
-    let chunks = Netsim.Control_channel.recv_all t.endpoint in
-    if chunks <> [] then begin
-      t.last_rx <- now;
-      if t.status = Driver_intf.Degraded then set_status t Driver_intf.Connected;
-      if t.status = Driver_intf.Dead then begin
-        (* A link written off as dead that speaks again has earned a
-           fresh reconnect episode. *)
-        Backoff.reset t.backoff;
-        t.episode_retries <- 0;
-        t.next_attempt <- now;
-        set_status t Driver_intf.Reconnecting
-      end
-    end;
-    List.iter (OF.Framing.push t.framing) chunks;
-    List.iter
-      (fun raw -> on_event t ~now (P.decode_event raw))
-      (OF.Framing.pop_all t.framing);
-    liveness t ~now;
-    if t.connected then begin
-      classify_fs_events t;
-      if Commit_queue.take_sweep t.commits then begin
-        (* The sweep visits every flow, so pending keys are subsumed. *)
-        reconcile_flows t;
-        Commit_queue.clear t.commits
-      end
-      else flush_commits t;
-      if t.ports_dirty then begin
-        t.ports_dirty <- false;
-        reconcile_ports t
-      end;
-      if t.spool_dirty then begin
-        t.spool_dirty <- false;
-        drain_spool t
-      end;
-      if t.stats_interval > 0. && now -. t.last_stats >= t.stats_interval then begin
-        t.last_stats <- now;
-        send t (P.flow_stats_request ~xid:(xid t));
-        send t (P.port_stats_request ~xid:(xid t))
-      end
-    end
-
-  let detach t = Fsnotify.Notifier.close t.notifier
-
-  (* Work already queued that the next step would act on — the "step me
-     now regardless of timers" predicate. *)
-  let pending t =
-    Fsnotify.Notifier.pending t.notifier > 0
-    || t.connected
-       && ((not (Commit_queue.is_empty t.commits))
-          || Commit_queue.sweep_pending t.commits
-          || t.ports_dirty || t.spool_dirty)
-
-  (* The earliest sim time at which [step] would do something on its
-     own: mirrors the timer arms of [liveness] plus the stats pacer.
-     Sentinel [neg_infinity] timers are armed on the next step, so they
-     read as due now. Spurious earliness is harmless (one no-op step);
-     lateness would stall the state machine, so every timed arm above
-     must be represented here. *)
-  let next_due t ~now =
-    match t.status with
-    | Driver_intf.Dead ->
-      (* Terminal until bytes arrive — and bytes wake us via the
-         channel, not a timer. *)
-      infinity
-    | Driver_intf.Handshaking | Driver_intf.Reconnecting ->
-      if t.next_attempt = neg_infinity then now else t.next_attempt
-    | Driver_intf.Connected | Driver_intf.Degraded ->
-      let due = ref infinity in
-      let arm at = if at < !due then due := at in
+    if not (Netsim.Control_channel.connected t.endpoint) then declare_gone ()
+    else begin
+      (if t.resyncing
+          && now -. t.resync_sent > t.tuning.Driver_intf.liveness_timeout
+       then begin
+         (* The resync stats request (or its reply) was lost. *)
+         t.resync_sent <- now;
+         t.c_retries <- t.c_retries + 1;
+         Telemetry.Registry.incr t.m_retries;
+         send t flow_stats_request
+       end);
       let iv = t.tuning.Driver_intf.keepalive_interval in
       if iv > 0. then begin
-        arm (if t.next_keepalive = neg_infinity then now else t.next_keepalive);
+        if t.next_keepalive = neg_infinity then t.next_keepalive <- now +. iv
+        else if now >= t.next_keepalive then begin
+          let x = fresh_xid t in
+          send t ~xid:x (Msg.Echo_request "yanc-ka");
+          if t.echo_outstanding = None then
+            t.echo_outstanding <- Some (x, now);
+          t.c_keepalives <- t.c_keepalives + 1;
+          Telemetry.Registry.incr t.m_keepalives;
+          t.next_keepalive <- now +. iv
+        end;
         match t.echo_outstanding with
-        | Some (_, sent_at) ->
-          (* Degraded verdict, then the peer-is-gone verdict. *)
-          arm (sent_at +. iv);
-          arm (sent_at +. t.tuning.Driver_intf.liveness_timeout)
-        | None -> ()
-      end;
-      if t.resyncing then
-        arm (t.resync_sent +. t.tuning.Driver_intf.liveness_timeout);
-      if t.stats_interval > 0. then arm (t.last_stats +. t.stats_interval);
-      !due
+        | Some (_, sent_at)
+          when now -. sent_at > t.tuning.Driver_intf.liveness_timeout ->
+          declare_gone ()
+        | Some (_, sent_at) when now -. sent_at > iv ->
+          set_status t Driver_intf.Degraded
+        | Some _ | None -> ()
+      end
+    end
 
-  let instance t =
-    { Driver_intf.step = (fun ~now -> step t ~now);
-      switch_name = (fun () -> switch_name t);
-      protocol = P.name;
-      status = (fun () -> status t);
-      link = (fun () -> link_counters t);
-      next_due = (fun ~now -> next_due t ~now);
-      pending = (fun () -> pending t);
-      detach = (fun () -> detach t) }
-end
+let step t ~now =
+  t.steps <- t.steps + 1;
+  Netsim.Control_channel.poll t.endpoint;
+  let gen = Netsim.Control_channel.generation t.endpoint in
+  if gen <> t.seen_generation then begin
+    (* The transport was torn down and reconnected underneath us:
+       whatever partial frame we held belongs to the old byte
+       stream. *)
+    t.seen_generation <- gen;
+    OF.Framing.reset t.framing
+  end;
+  let chunks = Netsim.Control_channel.recv_all t.endpoint in
+  if chunks <> [] then begin
+    t.last_rx <- now;
+    if t.status = Driver_intf.Degraded then set_status t Driver_intf.Connected;
+    if t.status = Driver_intf.Dead then begin
+      (* A link written off as dead that speaks again has earned a
+         fresh reconnect episode. *)
+      Backoff.reset t.backoff;
+      t.episode_retries <- 0;
+      t.next_attempt <- now;
+      set_status t Driver_intf.Reconnecting
+    end
+  end;
+  List.iter (OF.Framing.push t.framing) chunks;
+  List.iter
+    (fun raw ->
+      match OF.Dialect.decode t.dialect raw with
+      | Ok (xid, msg) -> on_message t ~now ~xid msg
+      | Error e -> Logs.warn (fun m -> m "driver[%s]: %s" (protocol t) e.data))
+    (OF.Framing.pop_all t.framing);
+  liveness t ~now;
+  if t.connected then begin
+    classify_fs_events t;
+    if Commit_queue.take_sweep t.commits then begin
+      (* The sweep visits every flow, so pending keys are subsumed. *)
+      reconcile_flows t;
+      Commit_queue.clear t.commits
+    end
+    else flush_commits t;
+    if t.ports_dirty then begin
+      t.ports_dirty <- false;
+      reconcile_ports t
+    end;
+    if t.spool_dirty then begin
+      t.spool_dirty <- false;
+      drain_spool t
+    end;
+    let iv = t.tuning.Driver_intf.stats_interval in
+    if iv > 0. && now -. t.last_stats >= iv then begin
+      t.last_stats <- now;
+      send t flow_stats_request;
+      send t (Msg.Stats_request (Msg.Port_stats_req None))
+    end
+  end
+
+let detach t = Fsnotify.Notifier.close t.notifier
+
+(* Work already queued that the next step would act on — the "step me
+   now regardless of timers" predicate. *)
+let pending t =
+  Fsnotify.Notifier.pending t.notifier > 0
+  || t.connected
+     && ((not (Commit_queue.is_empty t.commits))
+        || Commit_queue.sweep_pending t.commits
+        || t.ports_dirty || t.spool_dirty)
+
+(* The earliest sim time at which [step] would do something on its
+   own: mirrors the timer arms of [liveness] plus the stats pacer.
+   Sentinel [neg_infinity] timers are armed on the next step, so they
+   read as due now. Spurious earliness is harmless (one no-op step);
+   lateness would stall the state machine, so every timed arm above
+   must be represented here. *)
+let next_due t ~now =
+  match t.status with
+  | Driver_intf.Dead ->
+    (* Terminal until bytes arrive — and bytes wake us via the
+       channel, not a timer. *)
+    infinity
+  | Driver_intf.Handshaking | Driver_intf.Reconnecting ->
+    if t.next_attempt = neg_infinity then now else t.next_attempt
+  | Driver_intf.Connected | Driver_intf.Degraded ->
+    let due = ref infinity in
+    let arm at = if at < !due then due := at in
+    let iv = t.tuning.Driver_intf.keepalive_interval in
+    if iv > 0. then begin
+      arm (if t.next_keepalive = neg_infinity then now else t.next_keepalive);
+      match t.echo_outstanding with
+      | Some (_, sent_at) ->
+        (* Degraded verdict, then the peer-is-gone verdict. *)
+        arm (sent_at +. iv);
+        arm (sent_at +. t.tuning.Driver_intf.liveness_timeout)
+      | None -> ()
+    end;
+    if t.resyncing then
+      arm (t.resync_sent +. t.tuning.Driver_intf.liveness_timeout);
+    let stats_iv = t.tuning.Driver_intf.stats_interval in
+    if stats_iv > 0. then arm (t.last_stats +. stats_iv);
+    !due

@@ -1,5 +1,6 @@
-(** The generic controller-side driver: wire protocol on one side, the
-    yanc file system on the other (paper §4.1).
+(** The controller-side driver: {!Openflow.Msg.t} on one side, encoded
+    in the switch's dialect, the yanc file system on the other (paper
+    §4.1). One driver serves every wire version.
 
     Translation, in both directions:
     - handshake → the switch's directory, attribute files and ports
@@ -13,8 +14,9 @@
       diff.
     - [config.port_down] writes → port-mod
     - [packet_out/] spool entries → packet-out
-    - packet-ins → {!Yancfs.Eventdir.publish} into every subscribed
-      application buffer
+    - packet-ins → always the {!Yancfs.Pktin} ring, and
+      {!Yancfs.Eventdir.publish} into each subscribed application's
+      buffer only while subscribers exist
     - port-status → port files; flow-removed (timeouts) → flow
       directory removal; periodic stats → [counters/] files
 
@@ -27,37 +29,44 @@
     reconnecting, and a flow-table resynchronization (stats-reply diff
     against the committed flow directories) after every re-handshake. *)
 
-module Make (P : Driver_intf.PROTOCOL) : sig
-  type t
+type t
 
-  val create :
-    ?wake:(unit -> unit) -> ?stats_interval:float ->
-    ?tuning:Driver_intf.tuning -> ?seed:int ->
-    yfs:Yancfs.Yanc_fs.t ->
-    endpoint:Netsim.Control_channel.endpoint -> unit -> t
-  (** Sends hello + features-request immediately. [wake] is fired
-      whenever the driver's fsnotify queue gains an event — a parked
-      driver must be re-stepped to see it ({!Manager} wires this into
-      its runnable set). [stats_interval] (default
-      [tuning.stats_interval], 0 to disable) paces counter refresh.
-      [tuning] sets the
-      keepalive/backoff policy; [seed] drives the backoff jitter PRNG —
-      the same seed reproduces the same retry schedule. *)
+val create :
+  ?wake:(unit -> unit) -> ?tuning:Driver_intf.tuning -> ?seed:int ->
+  dialect:Openflow.Dialect.t -> yfs:Yancfs.Yanc_fs.t ->
+  endpoint:Netsim.Control_channel.endpoint -> unit -> t
+(** Sends hello + features-request immediately, encoded in [dialect].
+    [wake] is fired whenever the driver's fsnotify queue gains an event
+    — a parked driver must be re-stepped to see it ({!Manager} wires
+    this into its runnable set). [tuning] sets the keepalive/backoff
+    policy and the stats poll ([stats_interval], 0 to disable); [seed]
+    drives the backoff jitter PRNG — the same seed reproduces the same
+    retry schedule. *)
 
-  val step : t -> now:float -> unit
-  (** Drain the control channel and the fsnotify queue, run the
-      keepalive/reconnect state machine, then reconcile. *)
+val step : t -> now:float -> unit
+(** Drain the control channel and the fsnotify queue, run the
+    keepalive/reconnect state machine, then reconcile. *)
 
-  val switch_name : t -> string option
-  val connected : t -> bool
+val protocol : t -> string
+(** The dialect's name, as recorded in the switch's [protocol] file. *)
 
-  val status : t -> Driver_intf.status
-  (** Mirrored into the switch's [status] file on every transition. *)
+val switch_name : t -> string option
+(** Set once the handshake completes. *)
 
-  val link_counters : t -> Driver_intf.link_counters
+val connected : t -> bool
 
-  val detach : t -> unit
-  (** Stop watching the file system (the switch directory stays). *)
+val status : t -> Driver_intf.status
+(** Mirrored into the switch's [status] file on every transition. *)
 
-  val instance : t -> Driver_intf.instance
-end
+val link_counters : t -> Driver_intf.link_counters
+
+val next_due : t -> now:float -> float
+(** Earliest sim time a step would act on its own (timers); [infinity]
+    = fully event-driven, woken through the channel or the file system. *)
+
+val pending : t -> bool
+(** Queued work a step would process right now (fsnotify events, dirty
+    flows/ports/spool). *)
+
+val detach : t -> unit
+(** Stop watching the file system (the switch directory stays). *)

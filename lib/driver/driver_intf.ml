@@ -1,16 +1,14 @@
-(** The protocol abstraction a yanc driver is written against.
+(** The driver's connection state and policy, shared by {!Core},
+    {!Manager} and everything that reports on them.
 
     "A device driver is the implementation of a control plane protocol,
     or even a specific version of a protocol. Drivers translate network
     activity for a subset of nodes to the common API supported by the
     network operating system" (paper §4.1). Here the common API is the
-    file system; the per-version modules ({!Of10_adapter},
-    {!Of13_adapter}) reduce their wire dialect to this signature and
-    {!Core.Make} supplies the translation to files. Supporting a new
-    protocol means writing one new adapter — the core and every
-    application are untouched. *)
-
-module OT = Openflow.Of_types
+    file system and the protocol is {!Openflow.Msg.t}: {!Core} is the
+    one driver, and the switch's {!Openflow.Dialect.t} only picks the
+    codec. Supporting a new wire version means writing one codec — the
+    driver and every application are untouched. *)
 
 (** The driver's connection state machine (surfaced through the
     switch's [status] file, [/yanc/.proc] and [yancctl]):
@@ -61,93 +59,4 @@ type link_counters = {
   resync_installs : int;   (** missing-on-switch entries re-installed *)
   resync_deletes : int;    (** stray switch entries deleted *)
   keepalives_sent : int;
-}
-
-(** Protocol-independent rendering of switch-to-controller traffic. *)
-type event =
-  | Ev_hello
-  | Ev_features of {
-      dpid : int64;
-      n_buffers : int;
-      n_tables : int;
-      capabilities : OT.Capabilities.t;
-      ports : OT.Port_info.t list option;
-          (** [None]: the dialect reports ports separately (OF 1.3
-              port-desc) *)
-    }
-  | Ev_ports of OT.Port_info.t list
-  | Ev_packet_in of {
-      buffer_id : int32 option;
-      total_len : int;
-      in_port : int;
-      reason : OT.packet_in_reason;
-      data : string;
-    }
-  | Ev_port_status of OT.port_status_reason * OT.Port_info.t
-  | Ev_flow_removed of {
-      of_match : Openflow.Of_match.t;
-      priority : int;
-      reason : OT.flow_removed_reason;
-      duration_s : int;
-      packets : int64;
-      bytes : int64;
-    }
-  | Ev_flow_stats of OT.Flow_stats.t list
-  | Ev_port_stats of OT.Port_stats.t list
-  | Ev_echo_request of { xid : int32; data : string }
-  | Ev_echo_reply of { xid : int32 }
-  | Ev_error of string
-  | Ev_other
-
-module type PROTOCOL = sig
-  val name : string
-  (** e.g. ["openflow10"] — recorded in the switch's [protocol] file. *)
-
-  val hello : xid:int32 -> string
-
-  val features_request : xid:int32 -> string
-
-  val port_desc_request : (xid:int32 -> string) option
-  (** Present for dialects whose features-reply omits ports. *)
-
-  val echo_reply : xid:int32 -> data:string -> string
-
-  val echo_request : xid:int32 -> data:string -> string
-  (** The driver-side keepalive probe. *)
-
-  val flow_add : xid:int32 -> Yancfs.Flowdir.t -> string
-
-  val flow_delete : xid:int32 -> Openflow.Of_match.t -> string
-
-  val flow_delete_strict : xid:int32 -> priority:int -> Openflow.Of_match.t -> string
-  (** DELETE_STRICT — used by resync to remove exactly one stray rule
-      without touching a same-match entry at another priority. *)
-
-  val packet_out :
-    xid:int32 -> buffer_id:int32 option -> in_port:int option ->
-    actions:Openflow.Action.t list -> data:string -> string
-
-  val port_mod : xid:int32 -> port_no:int -> admin_down:bool -> string
-
-  val flow_stats_request : xid:int32 -> string
-
-  val port_stats_request : xid:int32 -> string
-
-  val decode_event : string -> event
-end
-
-(** The uniform handle the {!Manager} holds, whatever the protocol. *)
-type instance = {
-  step : now:float -> unit;
-  switch_name : unit -> string option;  (** set once the handshake completes *)
-  protocol : string;
-  status : unit -> status;
-  link : unit -> link_counters;
-  next_due : now:float -> float;
-      (** earliest sim time a step would act on its own (timers);
-          [infinity] = fully event-driven, wake me via channel/fs *)
-  pending : unit -> bool;
-      (** queued work a step would process right now (fsnotify events,
-          dirty flows/ports/spool) *)
-  detach : unit -> unit;  (** drop watches and hooks *)
 }

@@ -1,10 +1,7 @@
-type version = V10 | V13
-
-module Of10_driver = Core.Make (Of10_adapter)
-module Of13_driver = Core.Make (Of13_adapter)
+type version = Openflow.Dialect.t = V10 | V13
 
 type attachment = {
-  instance : Driver_intf.instance;
+  driver : Core.t;
   agent : Netsim.Of_agent.t;
   sw_end : Netsim.Control_channel.endpoint;
   ctl_end : Netsim.Control_channel.endpoint;
@@ -53,7 +50,7 @@ let detach t ~dpid =
   match Hashtbl.find_opt t.attachments dpid with
   | None -> ()
   | Some a ->
-    a.instance.Driver_intf.detach ();
+    Core.detach a.driver;
     Hashtbl.remove t.attachments dpid;
     Hashtbl.remove t.runnable dpid
 
@@ -77,27 +74,16 @@ let attach t ~dpid ~version =
     let wake () = Hashtbl.replace t.runnable dpid () in
     Netsim.Control_channel.set_wakeup sw_end wake;
     Netsim.Control_channel.set_wakeup ctl_end wake;
-    let agent_version =
-      match version with V10 -> Netsim.Of_agent.V10 | V13 -> Netsim.Of_agent.V13
-    in
     let agent =
       Netsim.Of_agent.create ~telemetry:(Yancfs.Yanc_fs.telemetry t.yfs)
         ~keepalive_interval:t.tuning.Driver_intf.keepalive_interval
-        ~version:agent_version ~switch:sw ~endpoint:sw_end ~network:t.net ()
+        ~dialect:version ~switch:sw ~endpoint:sw_end ~network:t.net ()
     in
-    let seed = driver_seed t dpid in
-    let instance =
-      match version with
-      | V10 ->
-        Of10_driver.instance
-          (Of10_driver.create ~wake ~tuning:t.tuning ~seed ~yfs:t.yfs
-             ~endpoint:ctl_end ())
-      | V13 ->
-        Of13_driver.instance
-          (Of13_driver.create ~wake ~tuning:t.tuning ~seed ~yfs:t.yfs
-             ~endpoint:ctl_end ())
+    let driver =
+      Core.create ~wake ~tuning:t.tuning ~seed:(driver_seed t dpid)
+        ~dialect:version ~yfs:t.yfs ~endpoint:ctl_end ()
     in
-    Hashtbl.replace t.attachments dpid { instance; agent; sw_end; ctl_end };
+    Hashtbl.replace t.attachments dpid { driver; agent; sw_end; ctl_end };
     wake ()
 
 let upgrade = attach
@@ -110,7 +96,7 @@ let ordered t =
    wake: driver timers, agent timers, and delivery/fault-script gates on
    both channel endpoints. *)
 let due_of a ~now =
-  let d = a.instance.Driver_intf.next_due ~now in
+  let d = Core.next_due a.driver ~now in
   let d = min d (Netsim.Of_agent.next_due a.agent ~now) in
   let d = min d (Netsim.Control_channel.next_activity a.sw_end) in
   min d (Netsim.Control_channel.next_activity a.ctl_end)
@@ -155,10 +141,10 @@ let step t ~now =
   List.iter
     (fun (_, a) ->
       Telemetry.Registry.incr t.c_stepped;
-      a.instance.Driver_intf.step ~now)
+      Core.step a.driver ~now)
     work;
   List.iter (fun (_, a) -> Netsim.Of_agent.step a.agent ~now) work;
-  List.iter (fun (_, a) -> a.instance.Driver_intf.step ~now) work;
+  List.iter (fun (_, a) -> Core.step a.driver ~now) work;
   (* Park each stepped switch: keep it runnable if it was re-woken or
      still holds queued work, otherwise arm a timer for its next due
      instant (none: fully event-driven, a wake will find it). *)
@@ -166,7 +152,7 @@ let step t ~now =
     (fun (dpid, a) ->
       if Hashtbl.mem t.attachments dpid && not (Hashtbl.mem t.runnable dpid)
       then
-        if a.instance.Driver_intf.pending () then
+        if Core.pending a.driver then
           Hashtbl.replace t.runnable dpid ()
         else begin
           let due = due_of a ~now in
@@ -181,13 +167,11 @@ let run_control ?(rounds = 4) t ~now =
   done
 
 let driver_protocol t ~dpid =
-  Option.map
-    (fun a -> a.instance.Driver_intf.protocol)
-    (Hashtbl.find_opt t.attachments dpid)
+  Option.map (fun a -> Core.protocol a.driver) (Hashtbl.find_opt t.attachments dpid)
 
 let switch_name t ~dpid =
   Option.bind (Hashtbl.find_opt t.attachments dpid) (fun a ->
-      a.instance.Driver_intf.switch_name ())
+      Core.switch_name a.driver)
 
 let attached t = List.map fst (ordered t)
 
@@ -197,17 +181,15 @@ let channel t ~dpid =
     (Hashtbl.find_opt t.attachments dpid)
 
 let switch_status t ~dpid =
-  Option.map
-    (fun a -> a.instance.Driver_intf.status ())
-    (Hashtbl.find_opt t.attachments dpid)
+  Option.map (fun a -> Core.status a.driver) (Hashtbl.find_opt t.attachments dpid)
 
 let link_counters t ~dpid =
   Option.map
-    (fun a -> a.instance.Driver_intf.link ())
+    (fun a -> Core.link_counters a.driver)
     (Hashtbl.find_opt t.attachments dpid)
 
 let statuses t =
-  List.map (fun (dpid, a) -> dpid, a.instance.Driver_intf.status ()) (ordered t)
+  List.map (fun (dpid, a) -> dpid, Core.status a.driver) (ordered t)
 
 let any_dead t =
   List.exists (fun (_, s) -> s = Driver_intf.Dead) (statuses t)

@@ -7,7 +7,8 @@
     file system holds the authoritative network state, the new driver
     re-reads it and reprograms the switch — applications never notice. *)
 
-type version = V10 | V13
+type version = Openflow.Dialect.t = V10 | V13
+(** Re-exported so callers name it without reaching into the codecs. *)
 
 type t
 

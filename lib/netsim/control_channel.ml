@@ -68,6 +68,7 @@ type endpoint = {
   mutable sent : int;
   mutable faults : Faults.t option;
   mutable on_wake : (unit -> unit) option;
+  mutable tap : (string -> unit) option;
   shared : shared;
 }
 
@@ -80,7 +81,7 @@ let create () =
   in
   let ep () =
     { inbox = { front = []; back = [] }; peer = None; sent = 0; faults = None;
-      on_wake = None; shared }
+      on_wake = None; tap = None; shared }
   in
   let a = ep () and b = ep () in
   a.peer <- Some b;
@@ -94,6 +95,8 @@ let wake ep = match ep.on_wake with Some f -> f () | None -> ()
 let wake_peer ep = match ep.peer with Some p -> wake p | None -> ()
 
 let set_wakeup ep f = ep.on_wake <- Some f
+
+let set_tap ep f = ep.tap <- Some f
 
 let set_faults ep f =
   ep.faults <- f;
@@ -218,6 +221,7 @@ let faulted_send ep (f : Faults.t) peer data =
 
 let send ep data =
   ep.sent <- ep.sent + String.length data;
+  Option.iter (fun f -> f data) ep.tap;
   match ep.peer with
   | None -> ()
   | Some peer -> (

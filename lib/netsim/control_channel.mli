@@ -92,6 +92,11 @@ val set_wakeup : endpoint -> (unit -> unit) -> unit
     traffic — a spurious wake costs one no-op step, so the hook errs on
     the side of firing. *)
 
+val set_tap : endpoint -> (string -> unit) -> unit
+(** Observe every chunk this endpoint sends, as {!send} is called:
+    before faults apply and whether or not the channel is up. A capture
+    point, like a packet trace on the switch's control port. *)
+
 val next_activity : endpoint -> float
 (** The earliest sim time at which stepping this endpoint could observe
     something new without further external input: the head of its own

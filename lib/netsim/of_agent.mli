@@ -8,15 +8,14 @@
     The agent answers hello/features/echo/barrier, applies flow-mods and
     port-mods, serves stats, forwards packet-outs to the data path, and
     pushes packet-ins, port-status and flow-removed notifications to the
-    controller. *)
-
-type version = V10 | V13
+    controller. It handles {!Openflow.Msg.t}; the dialect only picks
+    the codec. *)
 
 type t
 
 val create :
   ?telemetry:Telemetry.t -> ?keepalive_interval:float ->
-  version:version -> switch:Sim_switch.t ->
+  dialect:Openflow.Dialect.t -> switch:Sim_switch.t ->
   endpoint:Control_channel.endpoint -> network:Network.t -> unit -> t
 (** Registers the agent as the switch's controller sink in [network] and
     subscribes to port-change notifications. With [telemetry], each
@@ -32,8 +31,6 @@ val trace_key_xid : int32 -> string
 (** ["xid:<n>"] — the correlation key the controller-side driver stamps
     when it encodes a flow-mod, shared here because netsim cannot see
     the driver library. *)
-
-val version : t -> version
 
 val step : t -> now:float -> unit
 (** Process all buffered controller messages and run flow-timeout

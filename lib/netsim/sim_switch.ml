@@ -205,11 +205,13 @@ let flow_add t ?(table_id = 0) ~now ~of_match ~priority ~actions ?cookie
         ?idle_timeout ?hard_timeout ?notify_removal ())
     (check_table t table_id)
 
-let flow_modify t ?(table_id = 0) ~now ~of_match ~actions () =
+let flow_modify t ?(table_id = 0) ~now ~of_match ~priority ~actions ?cookie
+    ?idle_timeout ?hard_timeout ?notify_removal () =
   Result.map
     (fun table ->
       if Flow_table.modify table ~of_match ~actions = 0 then
-        Flow_table.add table ~now ~of_match ~priority:0x8000 ~actions ())
+        Flow_table.add table ~now ~of_match ~priority ~actions ?cookie
+          ?idle_timeout ?hard_timeout ?notify_removal ())
     (check_table t table_id)
 
 let flow_delete t ?table_id ?strict ?priority ~of_match () =
@@ -225,7 +227,7 @@ let flow_delete t ?table_id ?strict ?priority ~of_match () =
 let flow_stats t ?table_id ?now ~of_match () =
   let with_id =
     match table_id with
-    | Some id -> [ id ]
+    | Some id -> if Result.is_ok (check_table t id) then [ id ] else []
     | None -> List.init (Array.length t.tables) Fun.id
   in
   List.concat_map
@@ -398,15 +400,11 @@ let table_miss t ~now:_ ~in_port frame =
           data = String.sub data 0 t.miss_send_len; total_len } ]
   end
 
-(* Run the multi-table pipeline from [table_id]. Goto-table is encoded
-   in our logical actions as... it is not: goto lives only in OF 1.3
-   instructions, which the agent flattens into per-table entries here.
-   The simulator stores per-entry actions plus an optional goto in the
-   cookie's high bits — instead of that hack we give entries whose
-   actions end in a special marker? No: we model the pipeline directly:
-   OF 1.3 agents install entries into table N with plain actions, and
-   encode Goto_table by installing the continuation in the next table.
-   Lookup therefore walks tables in order until a match is found. *)
+(* Run the pipeline from [table_id]: the first table holding a match
+   applies its actions; on a miss, lookup falls through to the next
+   table in order, and past the last one the packet goes to the
+   controller. Goto-table is not modelled (the OF 1.3 codec refuses
+   it). *)
 let rec pipeline t ~now ~in_port frame table_id =
   if table_id >= Array.length t.tables then table_miss t ~now ~in_port frame
   else begin

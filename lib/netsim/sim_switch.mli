@@ -91,9 +91,14 @@ val flow_add :
   ?notify_removal:bool -> unit -> (unit, string) result
 
 val flow_modify :
-  t -> ?table_id:int ->  now:float -> of_match:Openflow.Of_match.t ->
-  actions:Openflow.Action.t list -> unit -> (unit, string) result
-(** Modify-or-add, per OpenFlow MODIFY semantics. *)
+  t -> ?table_id:int -> now:float ->
+  of_match:Openflow.Of_match.t -> priority:int ->
+  actions:Openflow.Action.t list ->
+  ?cookie:int64 -> ?idle_timeout:int -> ?hard_timeout:int ->
+  ?notify_removal:bool -> unit -> (unit, string) result
+(** Modify-or-add, per OpenFlow MODIFY semantics: replace the actions of
+    every entry whose match equals [of_match], or, when there is none, add an
+    entry exactly as {!flow_add} would. *)
 
 val flow_delete :
   t -> ?table_id:int -> ?strict:bool -> ?priority:int ->
@@ -124,10 +129,11 @@ val has_timed_flows : t -> bool
 (** {1 The data path} *)
 
 val receive_frame : t -> now:float -> in_port:int -> Packet.Eth.t -> effect_ list
-(** Run one frame through the table pipeline: match in table 0, apply
-    actions, follow goto-table instructions; on a table miss, buffer the
-    frame and emit [Deliver_to_controller] (packet-in). Frames arriving
-    on down ports are dropped. *)
+(** Run one frame through the table pipeline: the first table, in
+    order, holding a match applies its actions (goto-table is not
+    modelled); on a miss in every table, buffer the frame and emit
+    [Deliver_to_controller] (packet-in). Frames arriving on down ports
+    are dropped. *)
 
 val inject :
   t -> now:float -> buffer_id:int32 option -> data:string ->

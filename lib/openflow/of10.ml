@@ -4,70 +4,7 @@ module R = P.Wire.R
 
 let version = 0x01
 
-type features = {
-  datapath_id : int64;
-  n_buffers : int;
-  n_tables : int;
-  capabilities : Of_types.Capabilities.t;
-  ports : Of_types.Port_info.t list;
-}
-
-type flow_mod_command = Add | Modify | Delete | Delete_strict
-
-type flow_mod = {
-  of_match : Of_match.t;
-  cookie : int64;
-  command : flow_mod_command;
-  idle_timeout : int;
-  hard_timeout : int;
-  priority : int;
-  buffer_id : int32 option;
-  notify_removal : bool;
-  actions : Action.t list;
-}
-
-type stats_request = Flow_stats_req of Of_match.t | Port_stats_req of int option
-
-type stats_reply =
-  | Flow_stats_rep of Of_types.Flow_stats.t list
-  | Port_stats_rep of Of_types.Port_stats.t list
-
-type msg =
-  | Hello
-  | Error_msg of { ty : int; code : int; data : string }
-  | Echo_request of string
-  | Echo_reply of string
-  | Features_request
-  | Features_reply of features
-  | Packet_in of {
-      buffer_id : int32 option;
-      total_len : int;
-      in_port : int;
-      reason : Of_types.packet_in_reason;
-      data : string;
-    }
-  | Packet_out of {
-      buffer_id : int32 option;
-      in_port : int option;
-      actions : Action.t list;
-      data : string;
-    }
-  | Flow_mod of flow_mod
-  | Flow_removed of {
-      of_match : Of_match.t;
-      cookie : int64;
-      priority : int;
-      reason : Of_types.flow_removed_reason;
-      duration_s : int;
-      packets : int64;
-      bytes : int64;
-    }
-  | Port_status of Of_types.port_status_reason * Of_types.Port_info.t
-  | Port_mod of { port_no : int; admin_down : bool }
-  | Stats_request of stats_request
-  | Stats_reply of stats_reply
-  | Barrier_request
-  | Barrier_reply
+open Msg
 
 (* --- message type numbers (OF 1.0 spec) ---------------------------------- *)
 
@@ -89,6 +26,26 @@ and t_barrier_req = 18
 and t_barrier_rep = 19
 
 let no_buffer = 0xffffffffl
+
+(* OFPET_* error types. OF 1.0 has no instructions: the nearest class
+   for a rejected one is OFPET_BAD_REQUEST. *)
+let error_type_to_wire = function
+  | Hello_failed -> 0
+  | Bad_instruction -> 1
+  | Flow_mod_failed -> 3
+  | Other_error n -> n
+
+let error_type_of_wire = function
+  | 0 -> Hello_failed
+  | 3 -> Flow_mod_failed
+  | n -> Other_error n
+
+(* A message this codec cannot decode. *)
+let malformed fmt =
+  Printf.ksprintf (fun data -> Error { ty = Hello_failed; code = 0; data }) fmt
+
+let not_in_of10 what =
+  invalid_arg (Printf.sprintf "Of10.encode: OF 1.0 has no %s" what)
 
 (* --- pseudo port numbers -------------------------------------------------- *)
 
@@ -330,7 +287,7 @@ let decode_action r =
     R.skip r 6;
     let queue_id = Int32.to_int (R.u32 r) in
     Ok (Action.Enqueue { port; queue_id })
-  | _ -> Error (Printf.sprintf "unknown action type %d (len %d)" ty len)
+  | _ -> malformed "unknown action type %d (len %d)" ty len
 
 let decode_actions r ~len =
   let stop = R.pos r + len in
@@ -367,7 +324,7 @@ let body_and_type = function
   | Hello -> t_hello, ""
   | Error_msg { ty; code; data } ->
     let w = W.create () in
-    W.u16 w ty;
+    W.u16 w (error_type_to_wire ty);
     W.u16 w code;
     W.string w data;
     t_error, W.contents w
@@ -382,7 +339,7 @@ let body_and_type = function
     W.zeros w 3;
     W.u32 w (caps_to_wire f.capabilities);
     W.u32 w 0xfffl; (* supported actions: all of ours *)
-    List.iter (encode_port w) f.ports;
+    List.iter (encode_port w) (Option.value f.ports ~default:[]);
     t_features_rep, W.contents w
   | Packet_in { buffer_id; total_len; in_port; reason; data } ->
     let w = W.create () in
@@ -419,7 +376,7 @@ let body_and_type = function
     W.u16 w (if fm.notify_removal then 1 else 0);
     encode_actions w fm.actions;
     t_flow_mod, W.contents w
-  | Flow_removed { of_match; cookie; priority; reason; duration_s; packets; bytes } ->
+  | Flow_removed { of_match; cookie; priority; reason; duration_s; packets; bytes; _ } ->
     let w = W.create () in
     encode_match w of_match;
     W.u64 w cookie;
@@ -459,18 +416,19 @@ let body_and_type = function
   | Stats_request req ->
     let w = W.create () in
     (match req with
-    | Flow_stats_req m ->
+    | Flow_stats_req { table_id; of_match } ->
       W.u16 w 1;
       W.u16 w 0;
-      encode_match w m;
-      W.u8 w 0xff; (* all tables *)
+      encode_match w of_match;
+      W.u8 w (Option.value table_id ~default:0xff);
       W.u8 w 0;
       W.u16 w p_none
     | Port_stats_req port ->
       W.u16 w 4;
       W.u16 w 0;
       W.u16 w (Option.value port ~default:p_none);
-      W.zeros w 6);
+      W.zeros w 6
+    | Port_desc_req -> not_in_of10 "port-desc request");
     t_stats_req, W.contents w
   | Stats_reply rep ->
     let w = W.create () in
@@ -479,10 +437,10 @@ let body_and_type = function
       W.u16 w 1;
       W.u16 w 0;
       List.iter
-        (fun (s : Of_types.Flow_stats.t) ->
+        (fun (table_id, (s : Of_types.Flow_stats.t)) ->
           let alen = actions_wire_len s.actions in
           W.u16 w (88 + alen);
-          W.u8 w 0;
+          W.u8 w table_id;
           W.u8 w 0;
           encode_match w s.of_match;
           W.u32 w (Int32.of_int s.duration_s);
@@ -510,7 +468,8 @@ let body_and_type = function
           W.u64 w s.rx_dropped;
           W.u64 w s.tx_dropped;
           W.zeros w 48 (* error counters: unused *))
-        ports);
+        ports
+    | Port_desc_rep _ -> not_in_of10 "port-desc reply");
     t_stats_rep, W.contents w
   | Barrier_request -> t_barrier_req, ""
   | Barrier_reply -> t_barrier_rep, ""
@@ -533,7 +492,7 @@ let decode_body ty r =
   | ty when ty = t_error ->
     let ety = R.u16 r in
     let code = R.u16 r in
-    Ok (Error_msg { ty = ety; code; data = R.rest r })
+    Ok (Error_msg { ty = error_type_of_wire ety; code; data = R.rest r })
   | ty when ty = t_echo_req -> Ok (Echo_request (R.rest r))
   | ty when ty = t_echo_rep -> Ok (Echo_reply (R.rest r))
   | ty when ty = t_features_req -> Ok Features_request
@@ -550,7 +509,8 @@ let decode_body ty r =
     in
     Ok
       (Features_reply
-         { datapath_id; n_buffers; n_tables; capabilities; ports = ports [] })
+         { datapath_id; n_buffers; n_tables; capabilities;
+           ports = Some (ports []) })
   | ty when ty = t_packet_in ->
     let buffer_id = buffer_id_of_wire (R.u32 r) in
     let total_len = R.u16 r in
@@ -587,13 +547,14 @@ let decode_body ty r =
       | 1 | 2 -> Ok Modify
       | 3 -> Ok Delete
       | 4 -> Ok Delete_strict
-      | n -> Error (Printf.sprintf "unknown flow_mod command %d" n)
+      | n -> malformed "unknown flow_mod command %d" n
     in
     Result.bind command (fun command ->
         Result.bind (decode_actions r ~len:(R.remaining r)) (fun actions ->
             Ok
               (Flow_mod
-                 { of_match; cookie; command; idle_timeout; hard_timeout;
+                 { table_id = 0; of_match; cookie; command; idle_timeout;
+                   hard_timeout;
                    priority; buffer_id; notify_removal = flags land 1 <> 0;
                    actions })))
   | ty when ty = t_flow_removed ->
@@ -614,7 +575,10 @@ let decode_body ty r =
       | 1 -> Of_types.Hard_timeout_hit
       | _ -> Of_types.Flow_deleted
     in
-    Ok (Flow_removed { of_match; cookie; priority; reason; duration_s; packets; bytes })
+    Ok
+      (Flow_removed
+         { table_id = 0; of_match; cookie; priority; reason; duration_s;
+           packets; bytes })
   | ty when ty = t_port_status ->
     let reason_raw = R.u8 r in
     R.skip r 7;
@@ -637,12 +601,13 @@ let decode_body ty r =
     let _flags = R.u16 r in
     (match sty with
     | 1 ->
-      let m = decode_match r in
-      Ok (Stats_request (Flow_stats_req m))
+      (* The table byte is not read: a one-table switch serves them all. *)
+      let of_match = decode_match r in
+      Ok (Stats_request (Flow_stats_req { table_id = None; of_match }))
     | 4 ->
       let port = R.u16 r in
       Ok (Stats_request (Port_stats_req (if port = p_none then None else Some port)))
-    | n -> Error (Printf.sprintf "unknown stats request type %d" n))
+    | n -> malformed "unknown stats request type %d" n)
   | ty when ty = t_stats_rep ->
     let sty = R.u16 r in
     let _flags = R.u16 r in
@@ -652,7 +617,7 @@ let decode_body ty r =
         if R.remaining r < 88 then Ok (List.rev acc)
         else begin
           let entry_len = R.u16 r in
-          let _table = R.u8 r in
+          let table_id = R.u8 r in
           R.skip r 1;
           let of_match = decode_match r in
           let duration_s = Int32.to_int (R.u32 r) in
@@ -668,8 +633,9 @@ let decode_body ty r =
           | Error _ as e -> e
           | Ok actions ->
             entries
-              ({ Of_types.Flow_stats.of_match; priority; cookie; packets;
-                 bytes; duration_s; idle_timeout; hard_timeout; actions }
+              (( table_id,
+                 { Of_types.Flow_stats.of_match; priority; cookie; packets;
+                   bytes; duration_s; idle_timeout; hard_timeout; actions } )
               :: acc)
         end
       in
@@ -694,60 +660,22 @@ let decode_body ty r =
         end
       in
       Ok (Stats_reply (Port_stats_rep (entries [])))
-    | n -> Error (Printf.sprintf "unknown stats reply type %d" n))
+    | n -> malformed "unknown stats reply type %d" n)
   | ty when ty = t_barrier_req -> Ok Barrier_request
   | ty when ty = t_barrier_rep -> Ok Barrier_reply
-  | ty -> Error (Printf.sprintf "unknown OF1.0 message type %d" ty)
+  | ty -> malformed "unknown OF1.0 message type %d" ty
 
 let decode s =
   try
     let r = R.of_string s in
     let v = R.u8 r in
-    if v <> version then Error (Printf.sprintf "bad version %d (want 1)" v)
+    if v <> version then malformed "bad version %d (want 1)" v
     else begin
       let ty = R.u8 r in
       let len = R.u16 r in
       let xid = R.u32 r in
       if len <> String.length s then
-        Error
-          (Printf.sprintf "length mismatch: header %d, actual %d" len
-             (String.length s))
+        malformed "length mismatch: header %d, actual %d" len (String.length s)
       else Result.map (fun m -> xid, m) (decode_body ty r)
     end
-  with R.Truncated -> Error "truncated message"
-
-let msg_name = function
-  | Hello -> "hello"
-  | Error_msg _ -> "error"
-  | Echo_request _ -> "echo_request"
-  | Echo_reply _ -> "echo_reply"
-  | Features_request -> "features_request"
-  | Features_reply _ -> "features_reply"
-  | Packet_in _ -> "packet_in"
-  | Packet_out _ -> "packet_out"
-  | Flow_mod _ -> "flow_mod"
-  | Flow_removed _ -> "flow_removed"
-  | Port_status _ -> "port_status"
-  | Port_mod _ -> "port_mod"
-  | Stats_request _ -> "stats_request"
-  | Stats_reply _ -> "stats_reply"
-  | Barrier_request -> "barrier_request"
-  | Barrier_reply -> "barrier_reply"
-
-let pp ppf m =
-  match m with
-  | Flow_mod fm ->
-    Format.fprintf ppf "flow_mod[%s %a pri=%d -> %a]"
-      (match fm.command with
-      | Add -> "add"
-      | Modify -> "mod"
-      | Delete -> "del"
-      | Delete_strict -> "del-strict")
-      Of_match.pp fm.of_match fm.priority Action.pp_list fm.actions
-  | Packet_in { in_port; data; _ } ->
-    Format.fprintf ppf "packet_in[port=%d %dB]" in_port (String.length data)
-  | Packet_out { actions; data; _ } ->
-    Format.fprintf ppf "packet_out[%a %dB]" Action.pp_list actions
-      (String.length data)
-  | Port_status (_, p) -> Format.fprintf ppf "port_status[%a]" Of_types.Port_info.pp p
-  | m -> Format.pp_print_string ppf (msg_name m)
+  with R.Truncated -> malformed "truncated message"

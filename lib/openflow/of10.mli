@@ -1,85 +1,16 @@
 (** OpenFlow 1.0 message codec (wire format per the OF 1.0.0 spec:
     8-byte header, 40-byte [ofp_match], 48-byte [ofp_phy_port]).
 
-    This is the protocol the majority of the paper's switches speak; the
-    [Of10_driver] translates between these messages and the yanc file
-    system. Only the message types a controller/switch pair actually
-    exchanges are implemented; unknown types decode to [Error _]
-    results, never exceptions. *)
+    This is the protocol the majority of the paper's switches speak.
+    Only the message types a controller/switch pair actually exchanges
+    are implemented; unknown types decode to [Error _] results, never
+    exceptions. *)
 
-val version : int
-(** 0x01 *)
+val encode : xid:int32 -> Msg.t -> string
+(** The complete message, header included. [table_id] fields are not
+    encoded (OF 1.0 has one table). Raises [Invalid_argument] on
+    [Port_desc_req]/[Port_desc_rep], which OF 1.0 does not have: its
+    features reply carries the ports. *)
 
-type features = {
-  datapath_id : int64;
-  n_buffers : int;
-  n_tables : int;
-  capabilities : Of_types.Capabilities.t;
-  ports : Of_types.Port_info.t list;
-}
-
-type flow_mod_command = Add | Modify | Delete | Delete_strict
-
-type flow_mod = {
-  of_match : Of_match.t;
-  cookie : int64;
-  command : flow_mod_command;
-  idle_timeout : int;   (** seconds; 0 = permanent *)
-  hard_timeout : int;
-  priority : int;
-  buffer_id : int32 option;
-  notify_removal : bool;  (** OFPFF_SEND_FLOW_REM *)
-  actions : Action.t list;
-}
-
-type stats_request = Flow_stats_req of Of_match.t | Port_stats_req of int option
-
-type stats_reply =
-  | Flow_stats_rep of Of_types.Flow_stats.t list
-  | Port_stats_rep of Of_types.Port_stats.t list
-
-type msg =
-  | Hello
-  | Error_msg of { ty : int; code : int; data : string }
-  | Echo_request of string
-  | Echo_reply of string
-  | Features_request
-  | Features_reply of features
-  | Packet_in of {
-      buffer_id : int32 option;
-      total_len : int;
-      in_port : int;
-      reason : Of_types.packet_in_reason;
-      data : string;  (** the frame bytes (possibly truncated to max_len) *)
-    }
-  | Packet_out of {
-      buffer_id : int32 option;
-      in_port : int option;
-      actions : Action.t list;
-      data : string;
-    }
-  | Flow_mod of flow_mod
-  | Flow_removed of {
-      of_match : Of_match.t;
-      cookie : int64;
-      priority : int;
-      reason : Of_types.flow_removed_reason;
-      duration_s : int;
-      packets : int64;
-      bytes : int64;
-    }
-  | Port_status of Of_types.port_status_reason * Of_types.Port_info.t
-  | Port_mod of { port_no : int; admin_down : bool }
-  | Stats_request of stats_request
-  | Stats_reply of stats_reply
-  | Barrier_request
-  | Barrier_reply
-
-val encode : xid:int32 -> msg -> string
-(** The complete message, header included. *)
-
-val decode : string -> (int32 * msg, string) result
+val decode : string -> (int32 * Msg.t, Msg.error) result
 (** Decode one complete message (as delivered by {!Framing}). *)
-
-val msg_name : msg -> string
-val pp : Format.formatter -> msg -> unit

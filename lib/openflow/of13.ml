@@ -4,88 +4,7 @@ module R = P.Wire.R
 
 let version = 0x04
 
-type instruction =
-  | Apply_actions of Action.t list
-  | Clear_actions
-  | Goto_table of int
-
-type features = {
-  datapath_id : int64;
-  n_buffers : int;
-  n_tables : int;
-  capabilities : Of_types.Capabilities.t;
-}
-
-type flow_mod_command = Add | Modify | Delete | Delete_strict
-
-type flow_mod = {
-  table_id : int;
-  of_match : Of_match.t;
-  cookie : int64;
-  command : flow_mod_command;
-  idle_timeout : int;
-  hard_timeout : int;
-  priority : int;
-  buffer_id : int32 option;
-  notify_removal : bool;
-  instructions : instruction list;
-}
-
-type multipart_request =
-  | Port_desc_req
-  | Flow_stats_req of { table_id : int option; of_match : Of_match.t }
-  | Port_stats_req of int option
-
-type flow_stats_entry = {
-  table_id : int;
-  stats : Of_types.Flow_stats.t;
-  instructions : instruction list;
-}
-
-type multipart_reply =
-  | Port_desc_rep of Of_types.Port_info.t list
-  | Flow_stats_rep of flow_stats_entry list
-  | Port_stats_rep of Of_types.Port_stats.t list
-
-type msg =
-  | Hello
-  | Error_msg of { ty : int; code : int; data : string }
-  | Echo_request of string
-  | Echo_reply of string
-  | Features_request
-  | Features_reply of features
-  | Packet_in of {
-      buffer_id : int32 option;
-      total_len : int;
-      reason : Of_types.packet_in_reason;
-      table_id : int;
-      cookie : int64;
-      in_port : int;
-      data : string;
-    }
-  | Packet_out of {
-      buffer_id : int32 option;
-      in_port : int option;
-      actions : Action.t list;
-      data : string;
-    }
-  | Flow_mod of flow_mod
-  | Flow_removed of {
-      table_id : int;
-      of_match : Of_match.t;
-      cookie : int64;
-      priority : int;
-      reason : Of_types.flow_removed_reason;
-      duration_s : int;
-      packets : int64;
-      bytes : int64;
-    }
-  | Port_status of Of_types.port_status_reason * Of_types.Port_info.t
-  | Port_mod of { port_no : int; admin_down : bool }
-  | Multipart_request of multipart_request
-  | Multipart_reply of multipart_reply
-  | Barrier_request
-  | Barrier_reply
+open Msg
 
 let t_hello = 0
 and t_error = 1
@@ -105,6 +24,23 @@ and t_barrier_req = 20
 and t_barrier_rep = 21
 
 let no_buffer = 0xffffffffl
+
+(* OFPET_* error types. *)
+let error_type_to_wire = function
+  | Hello_failed -> 0
+  | Bad_instruction -> 3
+  | Flow_mod_failed -> 5
+  | Other_error n -> n
+
+let error_type_of_wire = function
+  | 0 -> Hello_failed
+  | 3 -> Bad_instruction
+  | 5 -> Flow_mod_failed
+  | n -> Other_error n
+
+(* A message this codec cannot decode. *)
+let malformed fmt =
+  Printf.ksprintf (fun data -> Error { ty = Hello_failed; code = 0; data }) fmt
 
 let p13_in_port = 0xfffffff8
 and p13_flood = 0xfffffffb
@@ -225,16 +161,15 @@ let encode_match w (m : Of_match.t) =
   let pad = (8 - (match_len mod 8)) mod 8 in
   W.zeros w pad
 
-let decode_match r : (Of_match.t, string) result =
+let decode_match r : (Of_match.t, error) result =
   let mty = R.u16 r in
   let match_len = R.u16 r in
-  if mty <> 1 then Error (Printf.sprintf "unsupported match type %d" mty)
+  if mty <> 1 then malformed "unsupported match type %d" mty
   else begin
     let oxm_len = match_len - 4 in
     let stop = R.pos r + oxm_len in
     let m = ref Of_match.any in
-    let err = ref None in
-    while R.pos r < stop && !err = None do
+    while R.pos r < stop do
       let cls = R.u16 r in
       let fh = R.u8 r in
       let len = R.u8 r in
@@ -288,7 +223,7 @@ let decode_match r : (Of_match.t, string) result =
     done;
     let pad = (8 - (match_len mod 8)) mod 8 in
     R.skip r pad;
-    match !err with None -> Ok !m | Some e -> Error e
+    Ok !m
   end
 
 (* --- actions ----------------------------------------------------------------- *)
@@ -395,14 +330,14 @@ let decode_action r =
         Ok (Action.Set_tp_src (R.u16 r))
       else if field = f_tcp_dst || field = f_udp_dst then
         Ok (Action.Set_tp_dst (R.u16 r))
-      else Error (Printf.sprintf "unsupported set_field oxm %d" field)
+      else malformed "unsupported set_field oxm %d" field
     in
     ignore flen;
     (* Skip padding up to the declared action length. *)
     let consumed = R.pos r - start in
     if len > consumed then R.skip r (len - consumed);
     Result.map (fun a -> Plain a) result
-  | _ -> Error (Printf.sprintf "unknown OF1.3 action type %d" ty)
+  | _ -> malformed "unknown OF1.3 action type %d" ty
 
 let decode_actions r ~len =
   let stop = R.pos r + len in
@@ -422,51 +357,35 @@ let decode_actions r ~len =
 
 (* --- instructions -------------------------------------------------------------- *)
 
-let encode_instruction w = function
-  | Goto_table table_id ->
-    W.u16 w 1;
-    W.u16 w 8;
-    W.u8 w table_id;
-    W.zeros w 3
-  | Clear_actions ->
-    W.u16 w 5;
-    W.u16 w 8;
-    W.zeros w 4
-  | Apply_actions actions ->
-    let body = encode_actions_to_string actions in
-    W.u16 w 4;
-    W.u16 w (8 + String.length body);
-    W.zeros w 4;
-    W.string w body
+(* A flow's actions ride in one OFPIT_APPLY_ACTIONS instruction. *)
+let encode_apply_actions w actions =
+  let body = encode_actions_to_string actions in
+  W.u16 w 4;
+  W.u16 w (8 + String.length body);
+  W.zeros w 4;
+  W.string w body
 
-let decode_instruction r =
-  let ty = R.u16 r in
-  let len = R.u16 r in
-  match ty with
-  | 1 ->
-    let table_id = R.u8 r in
-    R.skip r 3;
-    Ok (Goto_table table_id)
-  | 5 ->
-    R.skip r 4;
-    Ok Clear_actions
-  | 4 ->
-    R.skip r 4;
-    Result.map (fun a -> Apply_actions a) (decode_actions r ~len:(len - 8))
-  | _ -> Error (Printf.sprintf "unknown instruction type %d" ty)
-
-let decode_instructions r =
-  let rec go acc =
-    if R.remaining r < 4 then Ok (List.rev acc)
-    else
-      match decode_instruction r with
-      | Ok i -> go (i :: acc)
-      | Error _ as e -> e
+(* The instruction list up to [stop], as a single-table switch
+   understands it: none, or one apply-actions. Anything else
+   (goto-table, write/clear-actions, meters, a second instruction) is
+   refused with OFPBIC_UNSUP_INST rather than half-applied. *)
+let decode_instructions r ~stop =
+  let unsupported what =
+    Error { ty = Bad_instruction; code = 1; data = "unsupported " ^ what }
   in
-  go []
-
-let actions_of_instructions instrs =
-  List.concat_map (function Apply_actions a -> a | _ -> []) instrs
+  if R.pos r >= stop then Ok []
+  else begin
+    let ty = R.u16 r in
+    let len = R.u16 r in
+    if ty <> 4 then unsupported (Printf.sprintf "instruction type %d" ty)
+    else begin
+      R.skip r 4;
+      match decode_actions r ~len:(len - 8) with
+      | Error _ as e -> e
+      | Ok _ when R.pos r < stop -> unsupported "instruction list"
+      | Ok actions -> Ok actions
+    end
+  end
 
 (* --- ports (64 bytes) ------------------------------------------------------------ *)
 
@@ -532,7 +451,7 @@ let body_and_type = function
   | Hello -> t_hello, ""
   | Error_msg { ty; code; data } ->
     let w = W.create () in
-    W.u16 w ty;
+    W.u16 w (error_type_to_wire ty);
     W.u16 w code;
     W.string w data;
     t_error, W.contents w
@@ -549,13 +468,13 @@ let body_and_type = function
     W.u32 w (caps_to_wire f.capabilities);
     W.u32 w 0l; (* reserved *)
     t_features_rep, W.contents w
-  | Packet_in { buffer_id; total_len; reason; table_id; cookie; in_port; data } ->
+  | Packet_in { buffer_id; total_len; reason; in_port; data } ->
     let w = W.create () in
     W.u32 w (buffer_id_to_wire buffer_id);
     W.u16 w total_len;
     W.u8 w (match reason with Of_types.No_match -> 0 | Of_types.Action_explicit -> 1);
-    W.u8 w table_id;
-    W.u64 w cookie;
+    W.u8 w 0; (* table_id *)
+    W.u64 w 0L; (* cookie *)
     encode_match w { Of_match.any with in_port = Some in_port };
     W.zeros w 2;
     W.string w data;
@@ -590,7 +509,9 @@ let body_and_type = function
     W.u16 w (if fm.notify_removal then 1 else 0);
     W.zeros w 2;
     encode_match w fm.of_match;
-    List.iter (encode_instruction w) fm.instructions;
+    (match fm.command with
+    | Add | Modify -> encode_apply_actions w fm.actions
+    | Delete | Delete_strict -> ());
     t_flow_mod, W.contents w
   | Flow_removed { table_id; of_match; cookie; priority; reason; duration_s; packets; bytes } ->
     let w = W.create () in
@@ -631,7 +552,7 @@ let body_and_type = function
     W.u32 w 0l;
     W.zeros w 4;
     t_port_mod, W.contents w
-  | Multipart_request req ->
+  | Stats_request req ->
     let w = W.create () in
     (match req with
     | Port_desc_req ->
@@ -657,7 +578,7 @@ let body_and_type = function
       W.u32 w (Int32.of_int (Option.value port ~default:p13_any));
       W.zeros w 4);
     t_multipart_req, W.contents w
-  | Multipart_reply rep ->
+  | Stats_reply rep ->
     let w = W.create () in
     (match rep with
     | Port_desc_rep ports ->
@@ -670,22 +591,22 @@ let body_and_type = function
       W.u16 w 0;
       W.zeros w 4;
       List.iter
-        (fun e ->
+        (fun (table_id, (s : Of_types.Flow_stats.t)) ->
           let sub = W.create () in
-          W.u8 sub e.table_id;
+          W.u8 sub table_id;
           W.u8 sub 0;
-          W.u32 sub (Int32.of_int e.stats.Of_types.Flow_stats.duration_s);
+          W.u32 sub (Int32.of_int s.duration_s);
           W.u32 sub 0l;
-          W.u16 sub e.stats.priority;
-          W.u16 sub e.stats.idle_timeout;
-          W.u16 sub e.stats.hard_timeout;
+          W.u16 sub s.priority;
+          W.u16 sub s.idle_timeout;
+          W.u16 sub s.hard_timeout;
           W.u16 sub 0;
           W.zeros sub 4;
-          W.u64 sub e.stats.cookie;
-          W.u64 sub e.stats.packets;
-          W.u64 sub e.stats.bytes;
-          encode_match sub e.stats.of_match;
-          List.iter (encode_instruction sub) e.instructions;
+          W.u64 sub s.cookie;
+          W.u64 sub s.packets;
+          W.u64 sub s.bytes;
+          encode_match sub s.of_match;
+          encode_apply_actions sub s.actions;
           let body = W.contents sub in
           W.u16 w (2 + String.length body);
           W.string w body)
@@ -730,7 +651,7 @@ let decode_body ty r =
   | ty when ty = t_error ->
     let ety = R.u16 r in
     let code = R.u16 r in
-    Ok (Error_msg { ty = ety; code; data = R.rest r })
+    Ok (Error_msg { ty = error_type_of_wire ety; code; data = R.rest r })
   | ty when ty = t_echo_req -> Ok (Echo_request (R.rest r))
   | ty when ty = t_echo_rep -> Ok (Echo_reply (R.rest r))
   | ty when ty = t_features_req -> Ok Features_request
@@ -740,22 +661,21 @@ let decode_body ty r =
     let n_tables = R.u8 r in
     R.skip r 3;
     let capabilities = caps_of_wire (R.u32 r) in
-    Ok (Features_reply { datapath_id; n_buffers; n_tables; capabilities })
+    Ok
+      (Features_reply
+         { datapath_id; n_buffers; n_tables; capabilities; ports = None })
   | ty when ty = t_packet_in ->
     let buffer_id = buffer_id_of_wire (R.u32 r) in
     let total_len = R.u16 r in
     let reason =
       if R.u8 r = 0 then Of_types.No_match else Of_types.Action_explicit
     in
-    let table_id = R.u8 r in
-    let cookie = R.u64 r in
+    let _table_id = R.u8 r in
+    let _cookie = R.u64 r in
     let* m = decode_match r in
     R.skip r 2;
     let in_port = Option.value m.Of_match.in_port ~default:0 in
-    Ok
-      (Packet_in
-         { buffer_id; total_len; reason; table_id; cookie; in_port;
-           data = R.rest r })
+    Ok (Packet_in { buffer_id; total_len; reason; in_port; data = R.rest r })
   | ty when ty = t_packet_out ->
     let buffer_id = buffer_id_of_wire (R.u32 r) in
     let in_port_raw = Int32.to_int (R.u32 r) land 0xffffffff in
@@ -782,20 +702,20 @@ let decode_body ty r =
     let flags = R.u16 r in
     R.skip r 2;
     let* of_match = decode_match r in
-    let* instructions = decode_instructions r in
+    let* actions = decode_instructions r ~stop:(R.pos r + R.remaining r) in
     let* command =
       match cmd with
       | 0 -> Ok Add
       | 1 | 2 -> Ok Modify
       | 3 -> Ok Delete
       | 4 -> Ok Delete_strict
-      | n -> Error (Printf.sprintf "unknown flow_mod command %d" n)
+      | n -> malformed "unknown flow_mod command %d" n
     in
     Ok
       (Flow_mod
          { table_id; of_match; cookie; command; idle_timeout; hard_timeout;
            priority; buffer_id; notify_removal = flags land 1 <> 0;
-           instructions })
+           actions })
   | ty when ty = t_flow_removed ->
     let cookie = R.u64 r in
     let priority = R.u16 r in
@@ -841,7 +761,7 @@ let decode_body ty r =
     let _flags = R.u16 r in
     R.skip r 4;
     (match sty with
-    | 13 -> Ok (Multipart_request Port_desc_req)
+    | 13 -> Ok (Stats_request Port_desc_req)
     | 1 ->
       let table_raw = R.u8 r in
       R.skip r 3;
@@ -852,16 +772,16 @@ let decode_body ty r =
       let _cookie_mask = R.u64 r in
       let* of_match = decode_match r in
       Ok
-        (Multipart_request
+        (Stats_request
            (Flow_stats_req
               { table_id = (if table_raw = 0xff then None else Some table_raw);
                 of_match }))
     | 4 ->
       let port = Int32.to_int (R.u32 r) land 0xffffffff in
       Ok
-        (Multipart_request
+        (Stats_request
            (Port_stats_req (if port = p13_any then None else Some port)))
-    | n -> Error (Printf.sprintf "unknown multipart request type %d" n))
+    | n -> malformed "unknown multipart request type %d" n)
   | ty when ty = t_multipart_rep ->
     let sty = R.u16 r in
     let _flags = R.u16 r in
@@ -872,7 +792,7 @@ let decode_body ty r =
         if R.remaining r < 64 then List.rev acc
         else ports (decode_port r :: acc)
       in
-      Ok (Multipart_reply (Port_desc_rep (ports [])))
+      Ok (Stats_reply (Port_desc_rep (ports [])))
     | 1 ->
       let rec entries acc =
         if R.remaining r < 2 then Ok (List.rev acc)
@@ -890,28 +810,16 @@ let decode_body ty r =
           let cookie = R.u64 r in
           let packets = R.u64 r in
           let bytes = R.u64 r in
-          match decode_match r with
-          | Error _ as e -> e
-          | Ok of_match ->
-            let rec instrs acc =
-              if R.pos r >= stop then Ok (List.rev acc)
-              else
-                match decode_instruction r with
-                | Ok i -> instrs (i :: acc)
-                | Error _ as e -> e
-            in
-            (match instrs [] with
-            | Error _ as e -> e
-            | Ok instructions ->
-              let stats =
-                { Of_types.Flow_stats.of_match; priority; cookie; packets;
-                  bytes; duration_s; idle_timeout; hard_timeout;
-                  actions = actions_of_instructions instructions }
-              in
-              entries ({ table_id; stats; instructions } :: acc))
+          let* of_match = decode_match r in
+          let* actions = decode_instructions r ~stop in
+          entries
+            (( table_id,
+               { Of_types.Flow_stats.of_match; priority; cookie; packets;
+                 bytes; duration_s; idle_timeout; hard_timeout; actions } )
+            :: acc)
         end
       in
-      Result.map (fun l -> Multipart_reply (Flow_stats_rep l)) (entries [])
+      Result.map (fun l -> Stats_reply (Flow_stats_rep l)) (entries [])
     | 4 ->
       let rec entries acc =
         if R.remaining r < 112 then List.rev acc
@@ -931,59 +839,23 @@ let decode_body ty r =
             :: acc)
         end
       in
-      Ok (Multipart_reply (Port_stats_rep (entries [])))
-    | n -> Error (Printf.sprintf "unknown multipart reply type %d" n))
+      Ok (Stats_reply (Port_stats_rep (entries [])))
+    | n -> malformed "unknown multipart reply type %d" n)
   | ty when ty = t_barrier_req -> Ok Barrier_request
   | ty when ty = t_barrier_rep -> Ok Barrier_reply
-  | ty -> Error (Printf.sprintf "unknown OF1.3 message type %d" ty)
+  | ty -> malformed "unknown OF1.3 message type %d" ty
 
 let decode s =
   try
     let r = R.of_string s in
     let v = R.u8 r in
-    if v <> version then Error (Printf.sprintf "bad version %d (want 4)" v)
+    if v <> version then malformed "bad version %d (want 4)" v
     else begin
       let ty = R.u8 r in
       let len = R.u16 r in
       let xid = R.u32 r in
       if len <> String.length s then
-        Error
-          (Printf.sprintf "length mismatch: header %d, actual %d" len
-             (String.length s))
+        malformed "length mismatch: header %d, actual %d" len (String.length s)
       else Result.map (fun m -> xid, m) (decode_body ty r)
     end
-  with R.Truncated -> Error "truncated message"
-
-let msg_name = function
-  | Hello -> "hello"
-  | Error_msg _ -> "error"
-  | Echo_request _ -> "echo_request"
-  | Echo_reply _ -> "echo_reply"
-  | Features_request -> "features_request"
-  | Features_reply _ -> "features_reply"
-  | Packet_in _ -> "packet_in"
-  | Packet_out _ -> "packet_out"
-  | Flow_mod _ -> "flow_mod"
-  | Flow_removed _ -> "flow_removed"
-  | Port_status _ -> "port_status"
-  | Port_mod _ -> "port_mod"
-  | Multipart_request _ -> "multipart_request"
-  | Multipart_reply _ -> "multipart_reply"
-  | Barrier_request -> "barrier_request"
-  | Barrier_reply -> "barrier_reply"
-
-let pp ppf m =
-  match m with
-  | Flow_mod fm ->
-    Format.fprintf ppf "flow_mod13[%s t=%d %a pri=%d -> %a]"
-      (match fm.command with
-      | Add -> "add"
-      | Modify -> "mod"
-      | Delete -> "del"
-      | Delete_strict -> "del-strict")
-      fm.table_id Of_match.pp fm.of_match fm.priority Action.pp_list
-      (actions_of_instructions fm.instructions)
-  | Packet_in { in_port; data; table_id; _ } ->
-    Format.fprintf ppf "packet_in13[port=%d table=%d %dB]" in_port table_id
-      (String.length data)
-  | m -> Format.pp_print_string ppf (msg_name m)
+  with R.Truncated -> malformed "truncated message"

@@ -4,102 +4,16 @@
     with a separate OpenFlow 1.3 driver").
 
     Structural differences from 1.0 that this codec implements
-    faithfully: OXM TLV matches, instruction lists wrapping actions,
-    multiple tables ([table_id] + [Goto_table]), 64-byte ports delivered
-    through multipart port-desc instead of inside features-reply. *)
+    faithfully: OXM TLV matches, instructions wrapping actions, a
+    [table_id] on flow-mods and stats, 64-byte ports delivered through
+    multipart port-desc instead of inside features-reply. *)
 
-val version : int
-(** 0x04 *)
+val encode : xid:int32 -> Msg.t -> string
+(** Add and modify flow-mods, and flow-stats entries, carry their
+    actions as one apply-actions instruction; deletes carry none.
+    Packet-ins go out with [table_id = 0] and [cookie = 0]. The
+    features reply carries no ports: they come with port-desc. *)
 
-type instruction =
-  | Apply_actions of Action.t list
-  | Clear_actions
-  | Goto_table of int
-
-type features = {
-  datapath_id : int64;
-  n_buffers : int;
-  n_tables : int;
-  capabilities : Of_types.Capabilities.t;
-}
-
-type flow_mod_command = Add | Modify | Delete | Delete_strict
-
-type flow_mod = {
-  table_id : int;
-  of_match : Of_match.t;
-  cookie : int64;
-  command : flow_mod_command;
-  idle_timeout : int;
-  hard_timeout : int;
-  priority : int;
-  buffer_id : int32 option;
-  notify_removal : bool;
-  instructions : instruction list;
-}
-
-type multipart_request =
-  | Port_desc_req
-  | Flow_stats_req of { table_id : int option; of_match : Of_match.t }
-  | Port_stats_req of int option
-
-type flow_stats_entry = {
-  table_id : int;
-  stats : Of_types.Flow_stats.t;
-  instructions : instruction list;
-}
-
-type multipart_reply =
-  | Port_desc_rep of Of_types.Port_info.t list
-  | Flow_stats_rep of flow_stats_entry list
-  | Port_stats_rep of Of_types.Port_stats.t list
-
-type msg =
-  | Hello
-  | Error_msg of { ty : int; code : int; data : string }
-  | Echo_request of string
-  | Echo_reply of string
-  | Features_request
-  | Features_reply of features
-  | Packet_in of {
-      buffer_id : int32 option;
-      total_len : int;
-      reason : Of_types.packet_in_reason;
-      table_id : int;
-      cookie : int64;
-      in_port : int;   (** carried as an OXM match field, per the spec *)
-      data : string;
-    }
-  | Packet_out of {
-      buffer_id : int32 option;
-      in_port : int option;
-      actions : Action.t list;
-      data : string;
-    }
-  | Flow_mod of flow_mod
-  | Flow_removed of {
-      table_id : int;
-      of_match : Of_match.t;
-      cookie : int64;
-      priority : int;
-      reason : Of_types.flow_removed_reason;
-      duration_s : int;
-      packets : int64;
-      bytes : int64;
-    }
-  | Port_status of Of_types.port_status_reason * Of_types.Port_info.t
-  | Port_mod of { port_no : int; admin_down : bool }
-  | Multipart_request of multipart_request
-  | Multipart_reply of multipart_reply
-  | Barrier_request
-  | Barrier_reply
-
-val encode : xid:int32 -> msg -> string
-val decode : string -> (int32 * msg, string) result
-
-val actions_of_instructions : instruction list -> Action.t list
-(** The apply-actions content, for consumers that flatten the
-    single-table case. *)
-
-val msg_name : msg -> string
-val pp : Format.formatter -> msg -> unit
+val decode : string -> (int32 * Msg.t, Msg.error) result
+(** An instruction list other than none or one apply-actions is
+    refused with a [Bad_instruction] error. *)

@@ -1,4 +1,4 @@
-type version = V10 | V13
+type version = Openflow.Dialect.t = V10 | V13
 
 type t = {
   fs : Vfs.Fs.t;
@@ -85,10 +85,6 @@ let proc t = t.proc
 
 let scheduler t = t.scheduler
 
-let to_mgr_version = function
-  | V10 -> Driver.Manager.V10
-  | V13 -> Driver.Manager.V13
-
 let switch_stat t ~dpid () =
   let b = Buffer.create 128 in
   let put name v = Buffer.add_string b (Printf.sprintf "%s %s\n" name v) in
@@ -125,7 +121,7 @@ let switch_stat t ~dpid () =
   Buffer.contents b
 
 let attach t ~dpid ~version =
-  Driver.Manager.attach t.manager ~dpid ~version:(to_mgr_version version);
+  Driver.Manager.attach t.manager ~dpid ~version;
   Yancfs.Procdir.add_switch t.proc ~name:(Int64.to_string dpid)
     ~stat:(switch_stat t ~dpid)
 

@@ -9,7 +9,8 @@
     while advancing idle time, which drives cron jobs, LLDP probes and
     flow timeouts. *)
 
-type version = V10 | V13
+type version = Openflow.Dialect.t = V10 | V13
+(** Re-exported so callers name it without reaching into the codecs. *)
 
 type t
 

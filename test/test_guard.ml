@@ -12,7 +12,11 @@
 
    Over all of lib/:
    - Only lib/netsim and Yanc.Audit read a hardware flow table, so
-     "hardware ≡ file system" is judged in one place. *)
+     "hardware ≡ file system" is judged in one place.
+   - Only lib/openflow names the wire codecs (Of10, Of13); everything
+     else speaks Openflow.Msg through Openflow.Dialect, and
+     Openflow.Dialect.t is the one V10 | V13 type (others may re-export
+     it by type equation). *)
 
 let dirs = [ "../lib/apps"; "../lib/views" ]
 
@@ -42,17 +46,18 @@ let strip_comments src =
   go 0 0;
   Bytes.to_string b
 
-let rec ml_files dir =
+let rec ml_files ~suffixes dir =
   Sys.readdir dir |> Array.to_list |> List.sort compare
   |> List.concat_map (fun f ->
          let path = Filename.concat dir f in
-         if Sys.is_directory path then ml_files path
-         else if Filename.check_suffix f ".ml" then [ path ]
+         if Sys.is_directory path then ml_files ~suffixes path
+         else if List.exists (Filename.check_suffix f) suffixes then [ path ]
          else [])
 
-(* (path, source with comments blanked) of every .ml under [dirs]. *)
-let sources ?(dirs = dirs) () =
-  List.concat_map ml_files dirs
+(* (path, source with comments blanked) of every .ml (by default) under
+   [dirs]. *)
+let sources ?(dirs = dirs) ?(suffixes = [ ".ml" ]) () =
+  List.concat_map (ml_files ~suffixes) dirs
   |> List.map (fun path -> (path, strip_comments (read_file path)))
 
 let line_of src pos =
@@ -111,7 +116,7 @@ let ignored_call src pos =
 
 (* [allowed] sees the file's path and the enclosing top-level
    definition. *)
-let violations ?dirs ~matching ~allowed () =
+let violations ?dirs ?suffixes ~matching ~allowed () =
   List.concat_map
     (fun (path, src) ->
       List.filter_map
@@ -119,7 +124,7 @@ let violations ?dirs ~matching ~allowed () =
           if allowed path (enclosing_definition src pos) then None
           else Some (Printf.sprintf "%s:%d" path (line_of src pos)))
         (List.concat_map (occurrences src) matching))
-    (sources ?dirs ())
+    (sources ?dirs ?suffixes ())
 
 let is file path = Filename.basename path = file
 
@@ -184,11 +189,46 @@ let test_hardware_reads () =
   Alcotest.(check bool) "Audit reads the hardware" true
     (reads ~allowed:(fun path _ -> path <> audit) () <> [])
 
+let in_openflow path = String.starts_with ~prefix:"../lib/openflow/" path
+
+let test_codecs () =
+  let names =
+    violations ~dirs:[ "../lib" ] ~suffixes:[ ".ml"; ".mli" ]
+      ~matching:[ "Of10."; "Of13." ]
+  in
+  check_none "Of10/Of13 named outside lib/openflow"
+    (names ~allowed:(fun path _ -> in_openflow path) ());
+  (* The scan must see Dialect's dispatch, or it proves nothing. *)
+  Alcotest.(check bool) "Dialect names the codecs" true
+    (names ~allowed:(fun path _ -> not (in_openflow path)) () <> [])
+
+(* A [V10 | V13] constructor list is a definition unless it follows a
+   type equation to Dialect.t. *)
+let test_one_version_type () =
+  let equation = "Openflow.Dialect.t =" in
+  let definitions =
+    List.concat_map
+      (fun (path, src) ->
+        List.filter_map
+          (fun pos ->
+            let before = String.trim (String.sub src 0 pos) in
+            if String.ends_with ~suffix:equation before then None
+            else Some (Printf.sprintf "%s:%d" path (line_of src pos)))
+          (occurrences src "V10 | V13"))
+      (sources ~dirs:[ "../lib" ] ~suffixes:[ ".ml"; ".mli" ] ())
+  in
+  Alcotest.(check (list string)) "V10 | V13 defined only by Openflow.Dialect"
+    [ "../lib/openflow/dialect.ml:1"; "../lib/openflow/dialect.mli:5" ]
+    definitions
+
 let () =
   Alcotest.run "guard"
     [ ( "one mechanism",
         [ Alcotest.test_case "packet-in subscription" `Quick test_packet_in;
           Alcotest.test_case "flow upsert" `Quick test_flow_update ] );
+      ( "one wire protocol",
+        [ Alcotest.test_case "codecs only in lib/openflow" `Quick test_codecs;
+          Alcotest.test_case "one version type" `Quick test_one_version_type ] );
       ( "hardware reads",
         [ Alcotest.test_case "only netsim and Audit" `Quick
             test_hardware_reads ] );

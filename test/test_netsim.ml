@@ -660,13 +660,14 @@ let test_agent_stats_exclude_expired () =
   N.Network.add_switch net s;
   let sw_end, ctl_end = N.Control_channel.create () in
   let agent =
-    N.Of_agent.create ~version:N.Of_agent.V10 ~switch:s ~endpoint:sw_end
+    N.Of_agent.create ~dialect:OF.Dialect.V10 ~switch:s ~endpoint:sw_end
       ~network:net ()
   in
   let fm ~priority ~hard =
-    OF.Of10.Flow_mod
-      { of_match = { OF.Of_match.any with OF.Of_match.tp_dst = Some (priority + 1) };
-        cookie = 0L; command = OF.Of10.Add; idle_timeout = 0;
+    OF.Msg.Flow_mod
+      { table_id = 0;
+        of_match = { OF.Of_match.any with OF.Of_match.tp_dst = Some (priority + 1) };
+        cookie = 0L; command = OF.Msg.Add; idle_timeout = 0;
         hard_timeout = hard; priority; buffer_id = None;
         notify_removal = false; actions = [] }
   in
@@ -676,15 +677,16 @@ let test_agent_stats_exclude_expired () =
   ignore (N.Control_channel.recv_all ctl_end);
   N.Control_channel.send ctl_end
     (OF.Of10.encode ~xid:3l
-       (OF.Of10.Stats_request (OF.Of10.Flow_stats_req OF.Of_match.any)));
+       (OF.Msg.Stats_request
+          (OF.Msg.Flow_stats_req { table_id = None; of_match = OF.Of_match.any })));
   (* now:3 is past p9's hard timeout; the same step serves the reply *)
   N.Of_agent.step agent ~now:3.;
   let reported =
     List.concat_map
       (fun raw ->
         match OF.Of10.decode raw with
-        | Ok (3l, OF.Of10.Stats_reply (OF.Of10.Flow_stats_rep rows)) ->
-          List.map (fun (r : OF.Of_types.Flow_stats.t) -> r.priority) rows
+        | Ok (3l, OF.Msg.Stats_reply (OF.Msg.Flow_stats_rep rows)) ->
+          List.map (fun (_, (r : OF.Of_types.Flow_stats.t)) -> r.priority) rows
         | _ -> [])
       (N.Control_channel.recv_all ctl_end)
   in
@@ -991,11 +993,11 @@ let test_agent_handshake_v10 () =
   N.Network.add_switch net s;
   let sw_end, ctl_end = N.Control_channel.create () in
   let agent =
-    N.Of_agent.create ~version:N.Of_agent.V10 ~switch:s ~endpoint:sw_end
+    N.Of_agent.create ~dialect:OF.Dialect.V10 ~switch:s ~endpoint:sw_end
       ~network:net ()
   in
-  N.Control_channel.send ctl_end (OF.Of10.encode ~xid:1l OF.Of10.Hello);
-  N.Control_channel.send ctl_end (OF.Of10.encode ~xid:2l OF.Of10.Features_request);
+  N.Control_channel.send ctl_end (OF.Of10.encode ~xid:1l OF.Msg.Hello);
+  N.Control_channel.send ctl_end (OF.Of10.encode ~xid:2l OF.Msg.Features_request);
   N.Of_agent.step agent ~now:0.;
   let replies =
     List.filter_map
@@ -1003,10 +1005,11 @@ let test_agent_handshake_v10 () =
       (N.Control_channel.recv_all ctl_end)
   in
   match replies with
-  | [ (_, OF.Of10.Hello); (xid, OF.Of10.Features_reply f) ] ->
+  | [ (_, OF.Msg.Hello); (xid, OF.Msg.Features_reply f) ] ->
     Alcotest.(check int32) "xid echoed" 2l xid;
     Alcotest.(check int64) "dpid" 42L f.datapath_id;
-    Alcotest.(check int) "ports" 3 (List.length f.ports)
+    Alcotest.(check (option int)) "ports" (Some 3)
+      (Option.map List.length f.ports)
   | _ -> Alcotest.failf "unexpected replies (%d)" (List.length replies)
 
 let test_agent_flow_mod_and_echo () =
@@ -1015,18 +1018,19 @@ let test_agent_flow_mod_and_echo () =
   N.Network.add_switch net s;
   let sw_end, ctl_end = N.Control_channel.create () in
   let agent =
-    N.Of_agent.create ~version:N.Of_agent.V10 ~switch:s ~endpoint:sw_end
+    N.Of_agent.create ~dialect:OF.Dialect.V10 ~switch:s ~endpoint:sw_end
       ~network:net ()
   in
   let fm =
-    OF.Of10.Flow_mod
-      { of_match = OF.Of_match.any; cookie = 0L; command = OF.Of10.Add;
-        idle_timeout = 0; hard_timeout = 0; priority = 9; buffer_id = None;
+    OF.Msg.Flow_mod
+      { table_id = 0; of_match = OF.Of_match.any; cookie = 0L;
+        command = OF.Msg.Add; idle_timeout = 0; hard_timeout = 0; priority = 9;
+        buffer_id = None;
         notify_removal = false;
         actions = [ OF.Action.Output (OF.Action.Physical 2) ] }
   in
   N.Control_channel.send ctl_end (OF.Of10.encode ~xid:5l fm);
-  N.Control_channel.send ctl_end (OF.Of10.encode ~xid:6l (OF.Of10.Echo_request "x"));
+  N.Control_channel.send ctl_end (OF.Of10.encode ~xid:6l (OF.Msg.Echo_request "x"));
   N.Of_agent.step agent ~now:0.;
   Alcotest.(check int) "flow installed" 1
     (match N.Sim_switch.table s 0 with
@@ -1036,7 +1040,7 @@ let test_agent_flow_mod_and_echo () =
     List.exists
       (fun raw ->
         match OF.Of10.decode raw with
-        | Ok (6l, OF.Of10.Echo_reply "x") -> true
+        | Ok (6l, OF.Msg.Echo_reply "x") -> true
         | _ -> false)
       (N.Control_channel.recv_all ctl_end)
   in
@@ -1048,17 +1052,17 @@ let test_agent_v13_port_desc () =
   N.Network.add_switch net s;
   let sw_end, ctl_end = N.Control_channel.create () in
   let agent =
-    N.Of_agent.create ~version:N.Of_agent.V13 ~switch:s ~endpoint:sw_end
+    N.Of_agent.create ~dialect:OF.Dialect.V13 ~switch:s ~endpoint:sw_end
       ~network:net ()
   in
   N.Control_channel.send ctl_end
-    (OF.Of13.encode ~xid:1l (OF.Of13.Multipart_request OF.Of13.Port_desc_req));
+    (OF.Of13.encode ~xid:1l (OF.Msg.Stats_request OF.Msg.Port_desc_req));
   N.Of_agent.step agent ~now:0.;
   let got_ports =
     List.exists
       (fun raw ->
         match OF.Of13.decode raw with
-        | Ok (_, OF.Of13.Multipart_reply (OF.Of13.Port_desc_rep ports)) ->
+        | Ok (_, OF.Msg.Stats_reply (OF.Msg.Port_desc_rep ports)) ->
           List.length ports = 2
         | _ -> false)
       (N.Control_channel.recv_all ctl_end)
@@ -1071,12 +1075,12 @@ let test_agent_delete_strict () =
   N.Network.add_switch net s;
   let sw_end, ctl_end = N.Control_channel.create () in
   let agent =
-    N.Of_agent.create ~version:N.Of_agent.V10 ~switch:s ~endpoint:sw_end
+    N.Of_agent.create ~dialect:OF.Dialect.V10 ~switch:s ~endpoint:sw_end
       ~network:net ()
   in
   let fm ~priority command =
-    OF.Of10.Flow_mod
-      { of_match = { OF.Of_match.any with OF.Of_match.tp_dst = Some 80 };
+    OF.Msg.Flow_mod
+      { table_id = 0; of_match = { OF.Of_match.any with OF.Of_match.tp_dst = Some 80 };
         cookie = 0L; command; idle_timeout = 0; hard_timeout = 0; priority;
         buffer_id = None; notify_removal = false; actions = [] }
   in
@@ -1085,13 +1089,13 @@ let test_agent_delete_strict () =
     | Some t -> N.Flow_table.length t
     | None -> -1
   in
-  N.Control_channel.send ctl_end (OF.Of10.encode ~xid:1l (fm ~priority:9 OF.Of10.Add));
-  N.Control_channel.send ctl_end (OF.Of10.encode ~xid:2l (fm ~priority:10 OF.Of10.Add));
+  N.Control_channel.send ctl_end (OF.Of10.encode ~xid:1l (fm ~priority:9 OF.Msg.Add));
+  N.Control_channel.send ctl_end (OF.Of10.encode ~xid:2l (fm ~priority:10 OF.Msg.Add));
   N.Of_agent.step agent ~now:0.;
   Alcotest.(check int) "two installed" 2 (len ());
   (* DELETE_STRICT takes only the entry at the exact priority *)
   N.Control_channel.send ctl_end
-    (OF.Of10.encode ~xid:3l (fm ~priority:10 OF.Of10.Delete_strict));
+    (OF.Of10.encode ~xid:3l (fm ~priority:10 OF.Msg.Delete_strict));
   N.Of_agent.step agent ~now:0.;
   Alcotest.(check int) "strict removed one" 1 (len ());
   (match N.Sim_switch.table s 0 with
@@ -1102,9 +1106,115 @@ let test_agent_delete_strict () =
   | None -> Alcotest.fail "no table");
   (* plain DELETE ignores priority and sweeps the rest *)
   N.Control_channel.send ctl_end
-    (OF.Of10.encode ~xid:4l (fm ~priority:0 OF.Of10.Delete));
+    (OF.Of10.encode ~xid:4l (fm ~priority:0 OF.Msg.Delete));
   N.Of_agent.step agent ~now:0.;
   Alcotest.(check int) "non-strict removed rest" 0 (len ())
+
+(* A bare OF 1.3 agent on a one-table switch; [exchange] sends
+   messages and returns the decoded replies with the raw bytes. *)
+let agent13 () =
+  let net = N.Network.create () in
+  let s = N.Sim_switch.create ~n_ports:2 ~dpid:1L () in
+  N.Network.add_switch net s;
+  let sw_end, ctl_end = N.Control_channel.create () in
+  let agent =
+    N.Of_agent.create ~dialect:OF.Dialect.V13 ~switch:s ~endpoint:sw_end
+      ~network:net ()
+  in
+  let exchange raws =
+    List.iter (N.Control_channel.send ctl_end) raws;
+    N.Of_agent.step agent ~now:0.;
+    List.map
+      (fun raw -> raw, OF.Of13.decode raw)
+      (N.Control_channel.recv_all ctl_end)
+  in
+  s, exchange
+
+let table0 s =
+  match N.Sim_switch.table s 0 with
+  | Some t -> N.Flow_table.entries t
+  | None -> Alcotest.fail "no table 0"
+
+(* The OFPET_* number of an encoded error message. *)
+let wire_error_type raw = (Char.code raw.[8] lsl 8) lor Char.code raw.[9]
+
+let is_error ty = function
+  | _, Ok (_, OF.Msg.Error_msg e) -> e.ty = ty
+  | _ -> false
+
+(* MODIFY that matches nothing installs the flow-mod's own entry
+   (priority, cookie, timeouts, notify flag), not a default one; MODIFY
+   naming a missing table is answered with OFPET_FLOW_MOD_FAILED (5 in
+   OF 1.3), exactly as ADD is. *)
+let test_agent_modify () =
+  let s, exchange = agent13 () in
+  let fm ?(table_id = 0) command =
+    OF.Of13.encode ~xid:(if table_id = 0 then 1l else 2l)
+      (OF.Msg.Flow_mod
+         { table_id; of_match = { OF.Of_match.any with OF.Of_match.tp_dst = Some 80 };
+           cookie = 7L; command; idle_timeout = 5; hard_timeout = 0;
+           priority = 100; buffer_id = None; notify_removal = true;
+           actions = [ OF.Action.Output (OF.Action.Physical 2) ] })
+  in
+  Alcotest.(check int) "no reply to a good modify" 0
+    (List.length (exchange [ fm OF.Msg.Modify ]));
+  (match table0 s with
+  | [ e ] ->
+    Alcotest.(check int) "priority" 100 e.N.Flow_table.priority;
+    Alcotest.(check int64) "cookie" 7L e.N.Flow_table.cookie;
+    Alcotest.(check int) "idle timeout" 5 e.N.Flow_table.idle_timeout;
+    Alcotest.(check bool) "notify" true e.N.Flow_table.notify_removal
+  | l -> Alcotest.failf "expected 1 entry, got %d" (List.length l));
+  List.iter
+    (fun command ->
+      match exchange [ fm ~table_id:9 command ] with
+      | [ reply ] ->
+        Alcotest.(check bool) "flow_mod_failed" true
+          (is_error OF.Msg.Flow_mod_failed reply);
+        Alcotest.(check (option int32)) "answers the request's xid" (Some 2l)
+          (Result.to_option (Result.map fst (snd reply)));
+        Alcotest.(check int) "OFPET_FLOW_MOD_FAILED" 5 (wire_error_type (fst reply))
+      | l -> Alcotest.failf "expected 1 error, got %d replies" (List.length l))
+    [ OF.Msg.Modify; OF.Msg.Add ];
+  Alcotest.(check int) "nothing more installed" 1 (List.length (table0 s))
+
+(* A flow-mod whose apply-actions is followed by a goto-table is
+   refused with OFPET_BAD_INSTRUCTION (3): the switch models no goto,
+   so installing the actions alone would silently change the rule. *)
+let test_agent_refuses_goto () =
+  let s, exchange = agent13 () in
+  let raw =
+    OF.Of13.encode ~xid:4l
+      (OF.Msg.Flow_mod
+         { table_id = 0; of_match = OF.Of_match.any; cookie = 0L;
+           command = OF.Msg.Add; idle_timeout = 0; hard_timeout = 0;
+           priority = 1; buffer_id = None; notify_removal = false;
+           actions = [ OF.Action.Output (OF.Action.Physical 2) ] })
+  in
+  (* OFPIT_GOTO_TABLE 3, appended to the body; header length fixed. *)
+  let b = Bytes.of_string (raw ^ "\000\001\000\008\003\000\000\000") in
+  Bytes.set_uint16_be b 2 (Bytes.length b);
+  match exchange [ Bytes.to_string b ] with
+  | [ reply ] ->
+    Alcotest.(check bool) "bad_instruction" true
+      (is_error OF.Msg.Bad_instruction reply);
+    Alcotest.(check int) "OFPET_BAD_INSTRUCTION" 3 (wire_error_type (fst reply));
+    Alcotest.(check int) "nothing installed" 0 (List.length (table0 s))
+  | l -> Alcotest.failf "expected 1 error, got %d replies" (List.length l)
+
+(* A stats request naming a table the switch lacks gets an empty reply;
+   it used to index past the table array. *)
+let test_agent_stats_missing_table () =
+  let _, exchange = agent13 () in
+  match
+    exchange
+      [ OF.Of13.encode ~xid:5l
+          (OF.Msg.Stats_request
+             (OF.Msg.Flow_stats_req { table_id = Some 9; of_match = OF.Of_match.any }))
+      ]
+  with
+  | [ (_, Ok (5l, OF.Msg.Stats_reply (OF.Msg.Flow_stats_rep []))) ] -> ()
+  | l -> Alcotest.failf "expected one empty reply, got %d replies" (List.length l)
 
 let test_agent_flow_removed_notification () =
   let net = N.Network.create () in
@@ -1112,12 +1222,12 @@ let test_agent_flow_removed_notification () =
   N.Network.add_switch net s;
   let sw_end, ctl_end = N.Control_channel.create () in
   let agent =
-    N.Of_agent.create ~version:N.Of_agent.V10 ~switch:s ~endpoint:sw_end
+    N.Of_agent.create ~dialect:OF.Dialect.V10 ~switch:s ~endpoint:sw_end
       ~network:net ()
   in
   let fm =
-    OF.Of10.Flow_mod
-      { of_match = OF.Of_match.any; cookie = 77L; command = OF.Of10.Add;
+    OF.Msg.Flow_mod
+      { table_id = 0; of_match = OF.Of_match.any; cookie = 77L; command = OF.Msg.Add;
         idle_timeout = 0; hard_timeout = 2; priority = 9; buffer_id = None;
         notify_removal = true; actions = [] }
   in
@@ -1132,7 +1242,7 @@ let test_agent_flow_removed_notification () =
     List.exists
       (fun raw ->
         match OF.Of10.decode raw with
-        | Ok (_, OF.Of10.Flow_removed fr) ->
+        | Ok (_, OF.Msg.Flow_removed fr) ->
           fr.cookie = 77L && fr.reason = OF.Of_types.Hard_timeout_hit
         | _ -> false)
       (N.Control_channel.recv_all ctl_end)
@@ -1234,5 +1344,9 @@ let () =
           Alcotest.test_case "delete strict" `Quick test_agent_delete_strict;
           Alcotest.test_case "stats exclude expired" `Quick
             test_agent_stats_exclude_expired;
-          Alcotest.test_case "flow_removed" `Quick test_agent_flow_removed_notification ] );
+          Alcotest.test_case "flow_removed" `Quick test_agent_flow_removed_notification;
+          Alcotest.test_case "modify adds or fails like add" `Quick test_agent_modify;
+          Alcotest.test_case "v13 goto refused" `Quick test_agent_refuses_goto;
+          Alcotest.test_case "stats for a missing table" `Quick
+            test_agent_stats_missing_table ] );
       "properties", qcheck_cases ]

@@ -18,6 +18,16 @@ let tcp_frame ?(dst_port = 22) () =
     ~dst_mac:(m "02:00:00:00:00:02") ~src_ip:(a "10.0.0.1")
     ~dst_ip:(a "10.1.2.3") ~src_port:4000 ~dst_port
 
+module Msg = OF.Msg
+
+(* A flow-mod with neutral defaults; each test sets what it exercises. *)
+let flow_mod ?(table_id = 0) ?(command = Msg.Add) ?(of_match = OF.Of_match.any)
+    actions =
+  Msg.Flow_mod
+    { table_id; of_match; cookie = 0L; command; idle_timeout = 0;
+      hard_timeout = 0; priority = 1; buffer_id = None; notify_removal = false;
+      actions }
+
 (* --- Of_match ----------------------------------------------------------------- *)
 
 let test_match_any () =
@@ -169,36 +179,24 @@ let test_action_enqueue () =
   Alcotest.(check bool) "bad enqueue" true
     (Result.is_error (OF.Action.parse_one ~kind:"enqueue" "3"));
   (* OF 1.0 wire: native OFPAT_ENQUEUE *)
-  let fm actions =
-    OF.Of10.Flow_mod
-      { of_match = OF.Of_match.any; cookie = 0L; command = OF.Of10.Add;
-        idle_timeout = 0; hard_timeout = 0; priority = 1; buffer_id = None;
-        notify_removal = false; actions }
-  in
   (match
      OF.Of10.decode
-       (OF.Of10.encode ~xid:0l (fm [ OF.Action.Enqueue { port = 2; queue_id = 7 } ]))
+       (OF.Of10.encode ~xid:0l
+          (flow_mod [ OF.Action.Enqueue { port = 2; queue_id = 7 } ]))
    with
-  | Ok (_, OF.Of10.Flow_mod { actions = [ OF.Action.Enqueue { port = 2; queue_id = 7 } ]; _ })
+  | Ok (_, Msg.Flow_mod { actions = [ OF.Action.Enqueue { port = 2; queue_id = 7 } ]; _ })
     -> ()
   | _ -> Alcotest.fail "of10 enqueue roundtrip");
   (* OF 1.3 wire: SET_QUEUE + OUTPUT pair, merged back on decode *)
-  let fm13 actions =
-    OF.Of13.Flow_mod
-      { table_id = 0; of_match = OF.Of_match.any; cookie = 0L;
-        command = OF.Of13.Add; idle_timeout = 0; hard_timeout = 0; priority = 1;
-        buffer_id = None; notify_removal = false;
-        instructions = [ OF.Of13.Apply_actions actions ] }
-  in
   match
     OF.Of13.decode
       (OF.Of13.encode ~xid:0l
-         (fm13
+         (flow_mod
             [ OF.Action.Set_vlan 5;
               OF.Action.Enqueue { port = 4; queue_id = 2 };
               OF.Action.Output OF.Action.Flood ]))
   with
-  | Ok (_, OF.Of13.Flow_mod { instructions = [ OF.Of13.Apply_actions acts ]; _ }) ->
+  | Ok (_, Msg.Flow_mod { actions = acts; _ }) ->
     Alcotest.(check bool) "of13 enqueue reconstructed" true
       (acts
       = [ OF.Action.Set_vlan 5;
@@ -238,7 +236,7 @@ let roundtrip10 msg =
   | Ok (xid, back) ->
     Alcotest.(check int32) "xid" 42l xid;
     back
-  | Error e -> Alcotest.failf "of10 %s: %s" (OF.Of10.msg_name msg) e
+  | Error e -> Alcotest.failf "of10 %s: %s" (Msg.msg_name msg) e.Msg.data
 
 let some_match =
   { OF.Of_match.any with
@@ -252,11 +250,11 @@ let test_of10_simple_messages () =
   List.iter
     (fun msg ->
       let back = roundtrip10 msg in
-      Alcotest.(check string) "same message" (OF.Of10.msg_name msg)
-        (OF.Of10.msg_name back))
-    [ OF.Of10.Hello; OF.Of10.Features_request; OF.Of10.Barrier_request;
-      OF.Of10.Barrier_reply; OF.Of10.Echo_request "ping";
-      OF.Of10.Echo_reply "pong" ]
+      Alcotest.(check string) "same message" (Msg.msg_name msg)
+        (Msg.msg_name back))
+    [ Msg.Hello; Msg.Features_request; Msg.Barrier_request;
+      Msg.Barrier_reply; Msg.Echo_request "ping";
+      Msg.Echo_reply "pong" ]
 
 let test_of10_features () =
   let ports =
@@ -265,16 +263,16 @@ let test_of10_features () =
         ~hw_addr:(m "02:00:00:00:01:02") () ]
   in
   let msg =
-    OF.Of10.Features_reply
+    Msg.Features_reply
       { datapath_id = 0xabcdefL; n_buffers = 256; n_tables = 1;
-        capabilities = OF.Of_types.Capabilities.default; ports }
+        capabilities = OF.Of_types.Capabilities.default; ports = Some ports }
   in
   match roundtrip10 msg with
-  | OF.Of10.Features_reply f ->
-    Alcotest.(check int64) "dpid" 0xabcdefL f.datapath_id;
-    Alcotest.(check int) "buffers" 256 f.n_buffers;
-    Alcotest.(check int) "ports" 2 (List.length f.ports);
-    let p2 = List.nth f.ports 1 in
+  | Msg.Features_reply { datapath_id; n_buffers; ports = Some ports; _ } ->
+    Alcotest.(check int64) "dpid" 0xabcdefL datapath_id;
+    Alcotest.(check int) "buffers" 256 n_buffers;
+    Alcotest.(check int) "ports" 2 (List.length ports);
+    let p2 = List.nth ports 1 in
     Alcotest.(check bool) "admin_down survived" true
       p2.OF.Of_types.Port_info.admin_down;
     Alcotest.(check string) "port name" "port_2" p2.OF.Of_types.Port_info.name
@@ -282,8 +280,8 @@ let test_of10_features () =
 
 let test_of10_flow_mod () =
   let msg =
-    OF.Of10.Flow_mod
-      { of_match = some_match; cookie = 7L; command = OF.Of10.Add;
+    Msg.Flow_mod
+      { table_id = 0; of_match = some_match; cookie = 7L; command = Msg.Add;
         idle_timeout = 30; hard_timeout = 300; priority = 0x8000;
         buffer_id = Some 55l; notify_removal = true;
         actions =
@@ -292,7 +290,7 @@ let test_of10_flow_mod () =
             OF.Action.Output (OF.Action.Physical 2) ] }
   in
   match roundtrip10 msg with
-  | OF.Of10.Flow_mod fm ->
+  | Msg.Flow_mod fm ->
     Alcotest.check of_match "match" some_match fm.of_match;
     Alcotest.(check int) "idle" 30 fm.idle_timeout;
     Alcotest.(check bool) "notify flag" true fm.notify_removal;
@@ -304,42 +302,42 @@ let test_of10_packet_in_out () =
   let data = P.Eth.to_wire (tcp_frame ()) in
   (match
      roundtrip10
-       (OF.Of10.Packet_in
+       (Msg.Packet_in
           { buffer_id = None; total_len = String.length data; in_port = 4;
             reason = OF.Of_types.No_match; data })
    with
-  | OF.Of10.Packet_in pi ->
+  | Msg.Packet_in pi ->
     Alcotest.(check int) "in_port" 4 pi.in_port;
     Alcotest.(check string) "payload intact" data pi.data;
     Alcotest.(check bool) "reason" true (pi.reason = OF.Of_types.No_match)
   | _ -> Alcotest.fail "wrong message");
   match
     roundtrip10
-      (OF.Of10.Packet_out
+      (Msg.Packet_out
          { buffer_id = Some 9l; in_port = Some 1;
            actions = [ OF.Action.Output OF.Action.Flood ]; data = "" })
   with
-  | OF.Of10.Packet_out po ->
+  | Msg.Packet_out po ->
     Alcotest.(check (option int32)) "buffer" (Some 9l) po.buffer_id;
     Alcotest.(check (option int)) "in_port" (Some 1) po.in_port
   | _ -> Alcotest.fail "wrong message"
 
 let test_of10_stats () =
   let stats =
-    [ { OF.Of_types.Flow_stats.of_match = some_match; priority = 10; cookie = 3L;
-        packets = 100L; bytes = 6400L; duration_s = 5; idle_timeout = 0;
-        hard_timeout = 0; actions = [ OF.Action.Output (OF.Action.Physical 1) ] } ]
+    { OF.Of_types.Flow_stats.of_match = some_match; priority = 10; cookie = 3L;
+      packets = 100L; bytes = 6400L; duration_s = 5; idle_timeout = 0;
+      hard_timeout = 0; actions = [ OF.Action.Output (OF.Action.Physical 1) ] }
   in
-  (match roundtrip10 (OF.Of10.Stats_reply (OF.Of10.Flow_stats_rep stats)) with
-  | OF.Of10.Stats_reply (OF.Of10.Flow_stats_rep [ s ]) ->
+  (match roundtrip10 (Msg.Stats_reply (Msg.Flow_stats_rep [ (0, stats) ])) with
+  | Msg.Stats_reply (Msg.Flow_stats_rep [ (0, s) ]) ->
     Alcotest.(check int64) "packets" 100L s.packets;
     Alcotest.check of_match "match" some_match s.of_match
   | _ -> Alcotest.fail "wrong reply");
   let pstats =
     [ { (OF.Of_types.Port_stats.zero 3) with OF.Of_types.Port_stats.rx_packets = 42L } ]
   in
-  match roundtrip10 (OF.Of10.Stats_reply (OF.Of10.Port_stats_rep pstats)) with
-  | OF.Of10.Stats_reply (OF.Of10.Port_stats_rep [ s ]) ->
+  match roundtrip10 (Msg.Stats_reply (Msg.Port_stats_rep pstats)) with
+  | Msg.Stats_reply (Msg.Port_stats_rep [ s ]) ->
     Alcotest.(check int) "port" 3 s.port_no;
     Alcotest.(check int64) "rx" 42L s.rx_packets
   | _ -> Alcotest.fail "wrong reply"
@@ -347,25 +345,24 @@ let test_of10_stats () =
 let test_flow_mod_commands_roundtrip () =
   List.iter
     (fun command ->
-      let msg =
-        OF.Of10.Flow_mod
-          { of_match = some_match; cookie = 0L; command; idle_timeout = 0;
-            hard_timeout = 0; priority = 7; buffer_id = None;
-            notify_removal = false; actions = [] }
-      in
-      match roundtrip10 msg with
-      | OF.Of10.Flow_mod fm ->
+      match roundtrip10 (flow_mod ~command ~of_match:some_match []) with
+      | Msg.Flow_mod fm ->
         Alcotest.(check bool) "of10 command preserved" true (fm.command = command)
       | _ -> Alcotest.fail "wrong message")
-    [ OF.Of10.Add; OF.Of10.Modify; OF.Of10.Delete; OF.Of10.Delete_strict ]
+    [ Msg.Add; Msg.Modify; Msg.Delete; Msg.Delete_strict ]
 
 let test_of10_errors () =
   Alcotest.(check bool) "garbage rejected" true
     (Result.is_error (OF.Of10.decode "junk"));
   Alcotest.(check bool) "wrong version" true
-    (Result.is_error (OF.Of10.decode (OF.Of13.encode ~xid:1l OF.Of13.Hello)));
-  let truncated = String.sub (OF.Of10.encode ~xid:1l OF.Of10.Hello) 0 4 in
-  Alcotest.(check bool) "truncated" true (Result.is_error (OF.Of10.decode truncated))
+    (Result.is_error (OF.Of10.decode (OF.Of13.encode ~xid:1l Msg.Hello)));
+  let truncated = String.sub (OF.Of10.encode ~xid:1l Msg.Hello) 0 4 in
+  Alcotest.(check bool) "truncated" true (Result.is_error (OF.Of10.decode truncated));
+  (* OF 1.0 has no port-desc: its features reply carries the ports. *)
+  Alcotest.(check bool) "no port-desc in 1.0" true
+    (match OF.Of10.encode ~xid:1l (Msg.Stats_request Msg.Port_desc_req) with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 (* --- OF 1.3 codec ------------------------------------------------------------------- *)
 
@@ -374,34 +371,67 @@ let roundtrip13 msg =
   | Ok (xid, back) ->
     Alcotest.(check int32) "xid" 7l xid;
     back
-  | Error e -> Alcotest.failf "of13 %s: %s" (OF.Of13.msg_name msg) e
+  | Error e -> Alcotest.failf "of13 %s: %s" (Msg.msg_name msg) e.Msg.data
+
+(* An encoded message with raw bytes appended to its body, the header's
+   length fixed up. *)
+let append_body raw extra =
+  let b = Bytes.of_string (raw ^ extra) in
+  Bytes.set_uint16_be b 2 (Bytes.length b);
+  Bytes.to_string b
+
+(* OFPIT_GOTO_TABLE to table [n]. *)
+let goto_table n =
+  let w = P.Wire.W.create () in
+  P.Wire.W.u16 w 1;
+  P.Wire.W.u16 w 8;
+  P.Wire.W.u8 w n;
+  P.Wire.W.zeros w 3;
+  P.Wire.W.contents w
+
+let refused raw =
+  match OF.Of13.decode raw with
+  | Error { Msg.ty = Msg.Bad_instruction; _ } -> true
+  | Ok _ | Error _ -> false
 
 let test_of13_flow_mod () =
+  let actions = [ OF.Action.Set_vlan 5; OF.Action.Output (OF.Action.Physical 1) ] in
   let msg =
-    OF.Of13.Flow_mod
-      { table_id = 2; of_match = some_match; cookie = 9L; command = OF.Of13.Add;
+    Msg.Flow_mod
+      { table_id = 2; of_match = some_match; cookie = 9L; command = Msg.Add;
         idle_timeout = 10; hard_timeout = 0; priority = 100; buffer_id = None;
-        notify_removal = false;
-        instructions =
-          [ OF.Of13.Apply_actions
-              [ OF.Action.Set_vlan 5; OF.Action.Output (OF.Action.Physical 1) ];
-            OF.Of13.Goto_table 3 ] }
+        notify_removal = false; actions }
   in
-  match roundtrip13 msg with
-  | OF.Of13.Flow_mod fm ->
+  (match roundtrip13 msg with
+  | Msg.Flow_mod fm ->
     Alcotest.(check int) "table" 2 fm.table_id;
     Alcotest.check of_match "oxm match" some_match fm.of_match;
-    (match fm.instructions with
-    | [ OF.Of13.Apply_actions acts; OF.Of13.Goto_table 3 ] ->
-      Alcotest.(check int) "actions kept" 2 (List.length acts)
-    | _ -> Alcotest.fail "instructions mangled")
-  | _ -> Alcotest.fail "wrong message"
+    Alcotest.(check bool) "actions kept" true (fm.actions = actions)
+  | _ -> Alcotest.fail "wrong message");
+  (* The switch models no goto: apply-actions followed by a goto is
+     refused whole, not installed with the goto dropped. So is a lone
+     goto, and so is a second apply-actions. *)
+  Alcotest.(check bool) "apply-actions + goto refused" true
+    (refused (append_body (OF.Of13.encode ~xid:7l msg) (goto_table 3)));
+  Alcotest.(check bool) "lone goto refused" true
+    (refused
+       (append_body
+          (OF.Of13.encode ~xid:7l (flow_mod ~command:Msg.Delete []))
+          (goto_table 3)));
+  let apply_only =
+    let raw = OF.Of13.encode ~xid:7l (flow_mod [ OF.Action.Strip_vlan ]) in
+    (* the last 16 bytes: instruction header + POP_VLAN *)
+    String.sub raw (String.length raw - 16) 16
+  in
+  Alcotest.(check bool) "two apply-actions refused" true
+    (refused (append_body (OF.Of13.encode ~xid:7l msg) apply_only));
+  (* Adds carry one apply-actions instruction (8 bytes when empty),
+     deletes none. *)
+  let size command = String.length (OF.Of13.encode ~xid:0l (flow_mod ~command [])) in
+  Alcotest.(check int) "add = delete + one empty apply-actions"
+    (size Msg.Delete + 8) (size Msg.Add)
 
-let flow_mod13 mm =
-  OF.Of13.Flow_mod
-    { table_id = 0; of_match = mm; cookie = 0L; command = OF.Of13.Add;
-      idle_timeout = 0; hard_timeout = 0; priority = 1; buffer_id = None;
-      notify_removal = false; instructions = [] }
+let flow_mod13 mm = flow_mod ~of_match:mm []
 
 let test_of13_oxm_prefix () =
   let matches =
@@ -412,7 +442,7 @@ let test_of13_oxm_prefix () =
   List.iter
     (fun mm ->
       match roundtrip13 (flow_mod13 mm) with
-      | OF.Of13.Flow_mod fm -> Alcotest.check of_match "oxm roundtrip" mm fm.of_match
+      | Msg.Flow_mod fm -> Alcotest.check of_match "oxm roundtrip" mm fm.of_match
       | _ -> Alcotest.fail "wrong message")
     matches
 
@@ -422,34 +452,27 @@ let test_of13_udp_ports () =
       OF.Of_match.dl_type = Some 0x0800; nw_proto = Some 17; tp_dst = Some 53 }
   in
   match roundtrip13 (flow_mod13 mm) with
-  | OF.Of13.Flow_mod fm -> Alcotest.check of_match "udp oxm" mm fm.of_match
+  | Msg.Flow_mod fm -> Alcotest.check of_match "udp oxm" mm fm.of_match
   | _ -> Alcotest.fail "wrong message"
 
 let test_of13_commands_roundtrip () =
   List.iter
     (fun command ->
-      let msg =
-        OF.Of13.Flow_mod
-          { table_id = 1; of_match = some_match; cookie = 0L; command;
-            idle_timeout = 0; hard_timeout = 0; priority = 7; buffer_id = None;
-            notify_removal = false; instructions = [] }
-      in
-      match roundtrip13 msg with
-      | OF.Of13.Flow_mod fm ->
+      match roundtrip13 (flow_mod ~table_id:1 ~command ~of_match:some_match []) with
+      | Msg.Flow_mod fm ->
         Alcotest.(check bool) "of13 command preserved" true (fm.command = command)
       | _ -> Alcotest.fail "wrong message")
-    [ OF.Of13.Add; OF.Of13.Modify; OF.Of13.Delete; OF.Of13.Delete_strict ]
+    [ Msg.Add; Msg.Modify; Msg.Delete; Msg.Delete_strict ]
 
 let test_of13_packet_in () =
   let data = P.Eth.to_wire (tcp_frame ()) in
   match
     roundtrip13
-      (OF.Of13.Packet_in
+      (Msg.Packet_in
          { buffer_id = Some 77l; total_len = String.length data;
-           reason = OF.Of_types.No_match; table_id = 0; cookie = 0L;
-           in_port = 6; data })
+           reason = OF.Of_types.No_match; in_port = 6; data })
   with
-  | OF.Of13.Packet_in pi ->
+  | Msg.Packet_in pi ->
     Alcotest.(check int) "in_port via oxm" 6 pi.in_port;
     Alcotest.(check string) "data" data pi.data
   | _ -> Alcotest.fail "wrong message"
@@ -459,15 +482,15 @@ let test_of13_port_desc () =
     [ OF.Of_types.Port_info.make ~speed_mbps:10000 ~port_no:1
         ~hw_addr:(m "02:00:00:00:02:01") () ]
   in
-  match roundtrip13 (OF.Of13.Multipart_reply (OF.Of13.Port_desc_rep ports)) with
-  | OF.Of13.Multipart_reply (OF.Of13.Port_desc_rep [ back ]) ->
+  match roundtrip13 (Msg.Stats_reply (Msg.Port_desc_rep ports)) with
+  | Msg.Stats_reply (Msg.Port_desc_rep [ back ]) ->
     Alcotest.(check int) "speed preserved" 10000
       back.OF.Of_types.Port_info.speed_mbps
   | _ -> Alcotest.fail "wrong message"
 
 let test_of13_set_field_actions () =
   let msg =
-    OF.Of13.Packet_out
+    Msg.Packet_out
       { buffer_id = None; in_port = Some 3;
         actions =
           [ OF.Action.Set_nw_src (a "1.2.3.4");
@@ -477,7 +500,7 @@ let test_of13_set_field_actions () =
         data = "payload" }
   in
   match roundtrip13 msg with
-  | OF.Of13.Packet_out po ->
+  | Msg.Packet_out po ->
     Alcotest.(check int) "4 actions" 4 (List.length po.actions);
     Alcotest.(check string) "data" "payload" po.data;
     Alcotest.(check bool) "controller maxlen" true
@@ -486,12 +509,34 @@ let test_of13_set_field_actions () =
          po.actions)
   | _ -> Alcotest.fail "wrong message"
 
+(* Error classes are numbered per dialect. A failed flow-mod is
+   OFPET_FLOW_MOD_FAILED: 3 in OF 1.0, 5 in OF 1.3 (where 4 is
+   OFPET_BAD_MATCH). *)
+let test_error_types () =
+  let wire_type encode ty =
+    let raw = encode ~xid:1l (Msg.Error_msg { ty; code = 0; data = "x" }) in
+    (Char.code raw.[8] lsl 8) lor Char.code raw.[9]
+  in
+  Alcotest.(check int) "1.0 flow_mod_failed" 3
+    (wire_type OF.Of10.encode Msg.Flow_mod_failed);
+  Alcotest.(check int) "1.3 flow_mod_failed" 5
+    (wire_type OF.Of13.encode Msg.Flow_mod_failed);
+  Alcotest.(check int) "1.3 bad_instruction" 3
+    (wire_type OF.Of13.encode Msg.Bad_instruction);
+  Alcotest.(check int) "hello_failed" 0 (wire_type OF.Of13.encode Msg.Hello_failed);
+  List.iter
+    (fun ty ->
+      match roundtrip13 (Msg.Error_msg { ty; code = 1; data = "x" }) with
+      | Msg.Error_msg e -> Alcotest.(check bool) "error type kept" true (e.ty = ty)
+      | _ -> Alcotest.fail "wrong message")
+    [ Msg.Hello_failed; Msg.Bad_instruction; Msg.Flow_mod_failed; Msg.Other_error 4 ]
+
 (* --- framing ------------------------------------------------------------------------- *)
 
 let test_framing () =
   let f = OF.Framing.create () in
-  let m1 = OF.Of10.encode ~xid:1l OF.Of10.Hello in
-  let m2 = OF.Of10.encode ~xid:2l (OF.Of10.Echo_request "abc") in
+  let m1 = OF.Of10.encode ~xid:1l Msg.Hello in
+  let m2 = OF.Of10.encode ~xid:2l (Msg.Echo_request "abc") in
   let joined = m1 ^ m2 in
   OF.Framing.push f (String.sub joined 0 3);
   Alcotest.(check bool) "incomplete" true (OF.Framing.pop f = None);
@@ -507,8 +552,8 @@ let test_framing () =
 
 let test_framing_interleaved_versions () =
   let f = OF.Framing.create () in
-  OF.Framing.push f (OF.Of13.encode ~xid:9l OF.Of13.Hello);
-  OF.Framing.push f (OF.Of10.encode ~xid:10l OF.Of10.Hello);
+  OF.Framing.push f (OF.Of13.encode ~xid:9l Msg.Hello);
+  OF.Framing.push f (OF.Of10.encode ~xid:10l Msg.Hello);
   match OF.Framing.pop_all f with
   | [ x; y ] ->
     Alcotest.(check (option int)) "v4 first" (Some 4) (OF.Framing.peek_version x);
@@ -550,21 +595,15 @@ let match_gen =
 let prop_match10_roundtrip =
   QCheck.Test.make ~name:"OF1.0 match wire roundtrip" ~count:300
     (QCheck.make match_gen) (fun mm ->
-      let msg =
-        OF.Of10.Flow_mod
-          { of_match = mm; cookie = 0L; command = OF.Of10.Add; idle_timeout = 0;
-            hard_timeout = 0; priority = 1; buffer_id = None;
-            notify_removal = false; actions = [] }
-      in
-      match OF.Of10.decode (OF.Of10.encode ~xid:0l msg) with
-      | Ok (_, OF.Of10.Flow_mod fm) -> OF.Of_match.equal mm fm.of_match
+      match OF.Of10.decode (OF.Of10.encode ~xid:0l (flow_mod ~of_match:mm [])) with
+      | Ok (_, Msg.Flow_mod fm) -> OF.Of_match.equal mm fm.of_match
       | _ -> false)
 
 let prop_match13_roundtrip =
   QCheck.Test.make ~name:"OF1.3 OXM wire roundtrip" ~count:300
     (QCheck.make match_gen) (fun mm ->
       match OF.Of13.decode (OF.Of13.encode ~xid:0l (flow_mod13 mm)) with
-      | Ok (_, OF.Of13.Flow_mod fm) -> OF.Of_match.equal mm fm.of_match
+      | Ok (_, Msg.Flow_mod fm) -> OF.Of_match.equal mm fm.of_match
       | _ -> false)
 
 (* Header generator with variety in every packed field: macs, ips and
@@ -773,7 +812,8 @@ let () =
             test_of13_commands_roundtrip;
           Alcotest.test_case "packet_in" `Quick test_of13_packet_in;
           Alcotest.test_case "port desc" `Quick test_of13_port_desc;
-          Alcotest.test_case "set-field actions" `Quick test_of13_set_field_actions ] );
+          Alcotest.test_case "set-field actions" `Quick test_of13_set_field_actions;
+          Alcotest.test_case "error types" `Quick test_error_types ] );
       ( "framing",
         [ Alcotest.test_case "chunked" `Quick test_framing;
           Alcotest.test_case "mixed versions" `Quick test_framing_interleaved_versions ] );

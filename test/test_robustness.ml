@@ -23,7 +23,7 @@ let test_agent_survives_garbage () =
   N.Network.add_switch net s;
   let sw_end, ctl_end = N.Control_channel.create () in
   let agent =
-    N.Of_agent.create ~version:N.Of_agent.V10 ~switch:s ~endpoint:sw_end
+    N.Of_agent.create ~dialect:OF.Dialect.V10 ~switch:s ~endpoint:sw_end
       ~network:net ()
   in
   (* a correctly framed message with an unknown type byte *)
@@ -34,19 +34,19 @@ let test_agent_survives_garbage () =
     List.exists
       (fun raw ->
         match OF.Of10.decode raw with
-        | Ok (_, OF.Of10.Error_msg _) -> true
+        | Ok (_, OF.Msg.Error_msg _) -> true
         | _ -> false)
       (N.Control_channel.recv_all ctl_end)
   in
   Alcotest.(check bool) "agent answers garbage with an error" true got_error;
   (* and keeps working afterwards *)
-  N.Control_channel.send ctl_end (OF.Of10.encode ~xid:9l (OF.Of10.Echo_request "alive"));
+  N.Control_channel.send ctl_end (OF.Of10.encode ~xid:9l (OF.Msg.Echo_request "alive"));
   N.Of_agent.step agent ~now:0.;
   let alive =
     List.exists
       (fun raw ->
         match OF.Of10.decode raw with
-        | Ok (9l, OF.Of10.Echo_reply "alive") -> true
+        | Ok (9l, OF.Msg.Echo_reply "alive") -> true
         | _ -> false)
       (N.Control_channel.recv_all ctl_end)
   in
@@ -58,10 +58,10 @@ let test_driver_survives_garbage () =
   let yfs = Y.Yanc_fs.create fs in
   let sw = Option.get (N.Network.switch built.net 1L) in
   let sw_end, ctl_end = N.Control_channel.create () in
-  let module D = Driver.Core.Make (Driver.Of10_adapter) in
-  let d = D.create ~yfs ~endpoint:ctl_end () in
+  let module D = Driver.Core in
+  let d = D.create ~dialect:OF.Dialect.V10 ~yfs ~endpoint:ctl_end () in
   let agent =
-    N.Of_agent.create ~version:N.Of_agent.V10 ~switch:sw ~endpoint:sw_end
+    N.Of_agent.create ~dialect:OF.Dialect.V10 ~switch:sw ~endpoint:sw_end
       ~network:built.net ()
   in
   (* poison the driver's inbox with a framed-but-bogus message, then let
