@@ -270,11 +270,12 @@ let e18_counter yfs name =
 (* Rewrite flow [i]'s action to output on [port], keeping its
    identity: one dirty mark for the commit queue. *)
 let e18_retarget yfs i ~port =
-  ignore
-    (Y.Flowdir.update (Y.Yanc_fs.fs yfs) ~cred
-       (Y.Layout.flow ~root:net_root ~switch:"sw1" (e18_name i))
-       (fun f ->
-         { f with Y.Flowdir.actions = [ OF.Action.Output (OF.Action.Physical port) ] }))
+  match Y.Yanc_fs.open_flow yfs ~cred ~switch:"sw1" (e18_name i) with
+  | Error _ -> ()
+  | Ok d ->
+    ignore
+      (Y.Flowdir.update (Y.Yanc_fs.fs yfs) ~cred d (fun f ->
+           { f with Y.Flowdir.actions = [ OF.Action.Output (OF.Action.Physical port) ] }))
 
 (* [rounds] x: touch [dirty] flows, one control-loop turn. Returns
    (crossings per round, wall seconds per round) — crossings are the

@@ -114,10 +114,9 @@ let e14_storm fs yfs ~switches ~rounds ~drain_every notifiers =
       ignore
         (Y.Yanc_fs.create_flow yfs ~cred ~switch:sw ~name (sample_flow (r + s)));
       ignore
-        (Y.Flowdir.write_counters fs ~cred
-           (Y.Layout.flow ~root:net_root ~switch:sw name)
-           ~packets:(Int64.of_int r) ~bytes:(Int64.of_int (r * 64))
-           ~duration_s:r);
+        (Result.bind (Y.Yanc_fs.open_flow yfs ~cred ~switch:sw name) (fun d ->
+             Y.Flowdir.write_counters fs ~cred d ~packets:(Int64.of_int r)
+               ~bytes:(Int64.of_int (r * 64)) ~duration_s:r));
       ignore
         (Y.Yanc_fs.set_port yfs ~switch:sw
            (OF.Of_types.Port_info.make ~port_no:1 ~hw_addr:(P.Mac.of_int s) ()))

@@ -208,10 +208,11 @@ let ablation_notify () =
     for i = 1 to noise do
       let flow = Printf.sprintf "f%d" ((i mod flows) + 1) in
       ignore
-        (Y.Flowdir.write_counters fs ~cred
-           (Y.Layout.flow ~root:net_root ~switch:"sw1" flow)
-           ~packets:(Int64.of_int i) ~bytes:(Int64.of_int (i * 64))
-           ~duration_s:i)
+        (Result.bind
+           (Vfs.Fs.opendir fs ~cred (Y.Layout.flow ~root:net_root ~switch:"sw1" flow))
+           (fun d ->
+             Y.Flowdir.write_counters fs ~cred d ~packets:(Int64.of_int i)
+               ~bytes:(Int64.of_int (i * 64)) ~duration_s:i))
     done
   in
   make_noise fs1;

@@ -219,11 +219,18 @@ let commit_queue () =
 (* E19: a k=4 fat-tree storm through the ECMP ring path must sustain an
    installs/sec floor, and the pooled packet-in records must stop
    allocating once the working set is warm (allocated flat while reused
-   grows) — the fixed seeds make the pool counters deterministic. Then
-   the delivery path alone: the pooled ring must beat the per-event file
-   directories by >= 2x on the same packet-in stream. *)
+   grows) — the fixed seeds make the pool counters deterministic. Flow
+   I/O is gated by two counts per install: path components walked (one
+   walk per flow directory, not one per file) and fsnotify events
+   queued (the rig's only notifiers are the drivers', whose flows/
+   watches hear only commits and flow directories). Then the delivery
+   path alone: the pooled ring must beat the per-event file directories
+   by >= 2x on the same packet-in stream. *)
 let storm () =
   let rig, ctl = Rig.controller ~k:4 () in
+  let components0 = ctl_count ctl "vfs.components" in
+  let events0 = ctl_count ctl "fsnotify.events_dispatched" in
+  let installs0 = ctl_count ctl "driver.commit.adds" in
   let t0 = Sys.time () in
   let warm =
     Rig.drive rig (Rig.workload rig ~rate:2000. ~seed:0x57CA1E) ~arrivals:600
@@ -238,6 +245,12 @@ let storm () =
   in
   let wall = Sys.time () -. t0 in
   let installs = ctl_count ctl "driver.commit.adds" in
+  let per_install name base =
+    float_of_int (ctl_count ctl name - base)
+    /. float_of_int (max 1 (installs - installs0))
+  in
+  let components = per_install "vfs.components" components0 in
+  let events = per_install "fsnotify.events_dispatched" events0 in
   let alloc_delta = N.Pool.allocated pool - alloc_warm in
   let reused_delta = N.Pool.reused pool - reused_warm in
   Printf.printf
@@ -259,7 +272,16 @@ let storm () =
     "steady-state packet-in records should be pool-served (allocated flat, \
      reused growing)";
   Printf.printf
-    "bench-smoke: ok (storm floor holds, pool steady state allocates zero)\n";
+    "bench-smoke: k=4 storm flow I/O: %.1f path components, %.2f fsnotify \
+     events per install\n"
+    components events;
+  gate (components <= 120.)
+    "a storm install should walk <= 120 path components (%.1f)" components;
+  gate (events <= 8.)
+    "a storm install should queue <= 8 fsnotify events (%.2f)" events;
+  Printf.printf
+    "bench-smoke: ok (storm floor holds, pool steady state allocates zero, \
+     flow I/O counts hold)\n";
   let ring_eps, ed_eps, ring_x, ed_x = E19.delivery ~events:4000 () in
   Printf.printf
     "bench-smoke: delivery: ring %.0f events/s (%.2f crossings/event), \

@@ -35,24 +35,30 @@ let audit yfs ~cred =
          add (finding `Error "switch %s: missing or invalid id file" switch));
       (* Flows parse? Collect the parseable ones for conflict analysis. *)
       let parsed = ref [] in
-      List.iter
-        (fun flow ->
-          let dir = Y.Layout.flow ~root ~switch flow in
-          (match Y.Flowdir.read_version fs ~cred dir with
-          | None -> add (finding `Warning "flow %s/%s: never committed (no version)" switch flow)
-          | Some _ -> (
-            match Y.Yanc_fs.read_flow yfs ~cred ~switch flow with
-            | Ok f -> parsed := (flow, f) :: !parsed
-            | Error e -> add (finding `Error "flow %s/%s: %s" switch flow e)));
-          match Fs.kind_of fs ~cred (Vfs.Path.child dir Y.Layout.error_file) with
-          | Ok _ ->
-            add (finding `Error "flow %s/%s: driver reported an error" switch flow)
-          | Error Vfs.Errno.EACCES ->
-            add
-              (finding `Warning "flow %s/%s: error file not readable (permission denied)"
-                 switch flow)
-          | Error _ -> ())
-        (Y.Yanc_fs.flow_names yfs ~cred switch);
+      (* The version and error probes go through one handle on flows/;
+         a committed flow is opened to be parsed. *)
+      (match Y.Yanc_fs.open_flows yfs ~cred switch with
+      | Error _ -> () (* reported with the switch's layout above *)
+      | Ok flows ->
+        List.iter
+          (fun flow ->
+            (match Y.Flowdir.read_version ~flow fs ~cred flows with
+            | None ->
+              add (finding `Warning "flow %s/%s: never committed (no version)" switch flow)
+            | Some _ -> (
+              match Y.Yanc_fs.read_flow yfs ~cred ~switch flow with
+              | Ok f -> parsed := (flow, f) :: !parsed
+              | Error e -> add (finding `Error "flow %s/%s: %s" switch flow e)));
+            match Y.Flowdir.read_error ~flow fs ~cred flows with
+            | Ok (Some _) ->
+              add (finding `Error "flow %s/%s: driver reported an error" switch flow)
+            | Error Vfs.Errno.EACCES ->
+              add
+                (finding `Warning
+                   "flow %s/%s: error file not readable (permission denied)"
+                   switch flow)
+            | Ok None | Error _ -> ())
+          (Y.Yanc_fs.flow_names yfs ~cred switch));
       (* Conflicts: two committed flows at the same priority whose
          matches overlap but whose actions differ — which one a packet
          hits is undefined (OpenFlow leaves overlapping-priority

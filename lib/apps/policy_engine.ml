@@ -252,10 +252,13 @@ let write_rule t ~switch ~state (r : Policy.Compile.flow_rule) ~priority =
   | Error e -> fs_failed t.m_fs_errors (switch ^ "/" ^ r.name) e
 
 let reprioritize t ~switch ~state (r : Policy.Compile.flow_rule) ~priority =
-  let dir = Y.Layout.flow ~root:(Y.Yanc_fs.root t.yfs) ~switch r.name in
   match
-    Y.Flowdir.update t.fs ~cred:t.cred dir (fun old ->
-        { old with Y.Flowdir.priority = priority })
+    Result.bind
+      (Result.map_error Vfs.Errno.message
+         (Y.Yanc_fs.open_flow t.yfs ~cred:t.cred ~switch r.name))
+      (fun d ->
+        Y.Flowdir.update t.fs ~cred:t.cred d (fun old ->
+            { old with Y.Flowdir.priority = priority }))
   with
   | Ok _ ->
       Hashtbl.replace state r.name priority;

@@ -88,41 +88,50 @@ type t = {
 let tracer_of t i =
   match t.trace_tracer with None -> None | Some f -> f i
 
-let apply ?(emit = true) ?trace t target op =
+(* Run [f], a replica's replay work, with [applying] set (so its
+   re-emitted ops are not forwarded again) and its CPU time charged to
+   [target]'s replay account. *)
+let replaying t target f =
   t.applying <- true;
   let t0 = Sys.time () in
   Fun.protect
     ~finally:(fun () ->
       t.applying <- false;
       t.replay_busy.(target) <- t.replay_busy.(target) +. (Sys.time () -. t0))
-    (fun () ->
-      Reg.incr t.ops_replicated;
-      if not emit then Reg.incr t.emits_elided;
-      let replay () = ignore (Fs.replay ~emit t.replicas.(target) op) in
-      match trace with
-      | None -> replay ()
-      | Some (id, origin, origin_round) -> (
-        match tracer_of t target with
-        | Some tr when Telemetry.Tracer.enabled tr ->
-          (* The op arrived carrying its originating trace: adopt it so
-             the replay's span joins the cross-node trace, and re-stamp
-             the correlation key so this replica's driver resumes it at
-             install time (dfs.forward → dfs.apply → driver.flow_mod). *)
-          Telemetry.Tracer.adopt tr ~trace:id ~origin ~origin_round;
-          (match t.trace_key_of with
-          | Some key_of -> (
-            match key_of op with
-            | Some key -> Telemetry.Tracer.stamp tr key
-            | None -> ())
-          | None -> ());
-          let first = t.last_apply.(target) <> id in
-          if first then t.last_apply.(target) <- id;
-          Fun.protect
-            ~finally:(fun () -> Telemetry.Tracer.clear tr)
-            (fun () ->
-              if first then Telemetry.Tracer.span tr ~stage:"dfs.apply" replay
-              else replay ())
-        | _ -> replay ()))
+    f
+
+(* Replay one op on [target]; inside [replaying]. *)
+let apply_op ?(emit = true) ?trace ?cursor t target op =
+  Reg.incr t.ops_replicated;
+  if not emit then Reg.incr t.emits_elided;
+  let replay () = ignore (Fs.replay ~emit ?cursor t.replicas.(target) op) in
+  match trace with
+  | None -> replay ()
+  | Some (id, origin, origin_round) -> (
+    match tracer_of t target with
+    | Some tr when Telemetry.Tracer.enabled tr ->
+      (* The op arrived carrying its originating trace: adopt it so
+         the replay's span joins the cross-node trace, and re-stamp
+         the correlation key so this replica's driver resumes it at
+         install time (dfs.forward → dfs.apply → driver.flow_mod). *)
+      Telemetry.Tracer.adopt tr ~trace:id ~origin ~origin_round;
+      (match t.trace_key_of with
+      | Some key_of -> (
+        match key_of op with
+        | Some key -> Telemetry.Tracer.stamp tr key
+        | None -> ())
+      | None -> ());
+      let first = t.last_apply.(target) <> id in
+      if first then t.last_apply.(target) <- id;
+      Fun.protect
+        ~finally:(fun () -> Telemetry.Tracer.clear tr)
+        (fun () ->
+          if first then Telemetry.Tracer.span tr ~stage:"dfs.apply" replay
+          else replay ())
+    | _ -> replay ())
+
+let apply ?emit ?trace t target op =
+  replaying t target (fun () -> apply_op ?emit ?trace t target op)
 
 let stash_op t p =
   p.state <- Stashed;
@@ -136,12 +145,12 @@ let stash_op t p =
    state, O(dirty) for the replica instead of O(writes). Structural ops
    close the window conservatively: a rename/unlink/create boundary
    means earlier content may end up at another path, so nothing queued
-   before it is ever coalesced across it. *)
-let coalesce_into t (p : pending_op) =
+   before it is ever coalesced across it. [key] is the op's path as a
+   string, built once per forwarded op. *)
+let coalesce_into t ~key (p : pending_op) =
   let cands = t.candidates.(p.target) in
   match p.op with
-  | Vfs.Op.Truncate { path; size = 0 } ->
-    let key = Vfs.Path.to_string path in
+  | Vfs.Op.Truncate { size = 0; _ } ->
     let prior = Option.value ~default:[] (Hashtbl.find_opt cands key) in
     List.iter
       (fun q ->
@@ -152,8 +161,7 @@ let coalesce_into t (p : pending_op) =
         end)
       prior;
     Hashtbl.replace cands key [ p ]
-  | Vfs.Op.Write { path; off; _ } ->
-    let key = Vfs.Path.to_string path in
+  | Vfs.Op.Write { off; _ } ->
     (* A whole-file write makes a still-queued default-mode [Create]
        of the same file redundant: replaying the [Write] creates it. *)
     if off = 0 then begin
@@ -167,22 +175,21 @@ let coalesce_into t (p : pending_op) =
     end;
     let prior = Option.value ~default:[] (Hashtbl.find_opt cands key) in
     Hashtbl.replace cands key (p :: prior)
-  | Vfs.Op.Truncate { path; _ } ->
-    let key = Vfs.Path.to_string path in
+  | Vfs.Op.Truncate _ ->
     let prior = Option.value ~default:[] (Hashtbl.find_opt cands key) in
     Hashtbl.replace cands key (p :: prior)
-  | Vfs.Op.Create { path; mode } when mode land 0o7777 = 0o644 ->
+  | Vfs.Op.Create { mode; _ } when mode land 0o7777 = 0o644 ->
     Hashtbl.reset cands;
-    Hashtbl.replace t.creates.(p.target) (Vfs.Path.to_string path) p
+    Hashtbl.replace t.creates.(p.target) key p
   | op when Vfs.Op.is_structural op ->
     Hashtbl.reset cands;
     Hashtbl.reset t.creates.(p.target)
   | _ -> ()
 
-let enqueue t p =
+let enqueue t ~key p =
   if t.partitioned.(p.target) then stash_op t p
   else begin
-    coalesce_into t p;
+    coalesce_into t ~key p;
     Queue.push p t.queue;
     t.queued_live <- t.queued_live + 1;
     t.max_queue <- max t.max_queue t.queued_live
@@ -193,14 +200,12 @@ let consistency_xattr = "user.consistency"
 (* The nearest [user.consistency] annotation on the path or an ancestor
    overrides the cluster-wide model (paper §5.1); a registered path
    prefix does the same without touching the file system — the form the
-   sharded controller uses so the per-op check is one string compare. *)
-let effective_consistency t ~origin path =
-  let s = Vfs.Path.to_string path in
+   sharded controller uses so the per-op check is one string compare.
+   [key] is [path] as a string. *)
+let consistency_of t ~origin ~key path =
   let by_prefix =
     List.find_opt
-      (fun (prefix, _) ->
-        String.length s >= String.length prefix
-        && String.sub s 0 (String.length prefix) = prefix)
+      (fun (prefix, _) -> String.starts_with ~prefix key)
       t.prefix_consistency
   in
   match by_prefix with
@@ -226,22 +231,25 @@ let effective_consistency t ~origin path =
       probe (Some path)
     end
 
+let effective_consistency t ~origin path =
+  consistency_of t ~origin ~key:(Vfs.Path.to_string path) path
+
 (* The replicas an op travels to: everyone but the origin, unless a
    routing policy narrows it (sharded subtrees go only to their
    replica set). *)
-let targets_of t ~origin op =
+let iter_targets t ~origin op f =
+  let everyone () =
+    Array.iteri (fun target _ -> if target <> origin then f target) t.replicas
+  in
   match t.route with
-  | None -> None
+  | None -> everyone ()
   | Some route -> (
     match route op ~origin with
-    | None -> None
-    | Some l -> Some (List.filter (fun i -> i <> origin && i >= 0 && i < Array.length t.replicas) l))
-
-let iter_targets t ~origin op f =
-  match targets_of t ~origin op with
-  | None ->
-    Array.iteri (fun target _ -> if target <> origin then f target) t.replicas
-  | Some l -> List.iter f l
+    | None -> everyone ()
+    | Some l ->
+      List.iter
+        (fun i -> if i <> origin && i >= 0 && i < Array.length t.replicas then f i)
+        l)
 
 let on_origin_op t origin op =
   if not t.applying then begin
@@ -261,7 +269,9 @@ let on_origin_op t origin op =
               { due = t.clock; origin; target; op; trace; state = Stashed }
               :: t.stash.(origin))
       else begin
-        let consistency = effective_consistency t ~origin (Vfs.Op.path op) in
+        let path = Vfs.Op.path op in
+        let key = Vfs.Path.to_string path in
+        let consistency = consistency_of t ~origin ~key path in
         match consistency with
         | Consistency.Sequential ->
           (* Synchronous round: the writer stalls for a full RTT per
@@ -278,7 +288,7 @@ let on_origin_op t origin op =
         | Consistency.Close_to_open _ | Consistency.Eventual _ ->
           let due = t.clock +. Consistency.visibility_delay consistency in
           iter_targets t ~origin op (fun target ->
-              enqueue t { due; origin; target; op; trace; state = Queued })
+              enqueue t ~key { due; origin; target; op; trace; state = Queued })
       end
     in
     match (trace, tracer_of t origin) with
@@ -360,28 +370,36 @@ let drain t ~all =
     | Queued -> Queue.push p t.queue
     | Stashed | Done -> () (* unreachable: such ops left the queue *)
   done;
-  (* Replay the due ops in arrival order. A consecutive run with the
-     same target and the same emit class — a flow directory's burst of
-     field writes landing on one replica — notifies only on its last
-     op: the watchers' dirty-marking is per class, so one event covers
-     the run and the replica skips the per-op hook fan-out. *)
+  (* Replay the due ops in arrival order, one consecutive run with the
+     same target at a time: the run is timed once and shares one replay
+     cursor, so a flow directory's burst of field writes walks its path
+     once. Within the run, a stretch with the same emit class notifies
+     only on its last op: the watchers' dirty-marking is per class, so
+     one event covers the stretch and the replica skips the per-op hook
+     fan-out. *)
   let due = Array.of_list (List.rev !due) in
   let m = Array.length due in
   let class_of p =
     match t.emit_class with None -> None | Some f -> f p.op
   in
-  Array.iteri
-    (fun i p ->
-      let emit =
-        i = m - 1
-        || due.(i + 1).target <> p.target
-        ||
-        match class_of p with
-        | None -> true
-        | Some c -> class_of due.(i + 1) <> Some c
-      in
-      apply ~emit ?trace:p.trace t p.target p.op)
-    due
+  let last_of_run i = i = m - 1 || due.(i + 1).target <> due.(i).target in
+  let rec run cursor i =
+    let p = due.(i) in
+    let emit =
+      last_of_run i
+      ||
+      match class_of p with
+      | None -> true
+      | Some c -> class_of due.(i + 1) <> Some c
+    in
+    apply_op ~emit ?trace:p.trace ~cursor t p.target p.op;
+    if last_of_run i then i + 1 else run cursor (i + 1)
+  in
+  let i = ref 0 in
+  while !i < m do
+    let start = !i in
+    replaying t due.(start).target (fun () -> i := run (Fs.cursor ()) start)
+  done
 
 let advance t dt =
   t.clock <- t.clock +. dt;

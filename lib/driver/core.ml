@@ -321,13 +321,16 @@ let on_features t ~now (f : Msg.features) =
   if not t.was_connected then begin
     (* Watch the parts of the switch directory the driver reacts to.
        Watches survive reconnects; adding them again on every
-       re-handshake would double-deliver each event. *)
-    let watch path =
+       re-handshake would double-deliver each event. Below a flow
+       directory only the commit file matters: the notifier drops the
+       field writes, counter and error writebacks before they are
+       queued. *)
+    let watch ?leaves path =
       ignore
-        (Fsnotify.Notifier.add_watch ~recursive:true t.notifier path
+        (Fsnotify.Notifier.add_watch ~recursive:true ?leaves t.notifier path
            Fsnotify.Notifier.all)
     in
-    watch (Y.Layout.flows_dir ~root:(root t) name);
+    watch ~leaves:[ Y.Flowdir.commit_file ] (Y.Layout.flows_dir ~root:(root t) name);
     watch (Y.Layout.ports_dir ~root:(root t) name);
     watch (Y.Layout.packet_out_dir ~root:(root t) name);
     Fsnotify.Notifier.register_metrics t.notifier
@@ -391,16 +394,19 @@ let resync t ~name (stats : OF.Of_types.Flow_stats.t list) =
   let fs_flows =
     List.filter_map
       (fun flow_name ->
-        match Y.Yanc_fs.read_flow t.yfs ~cred ~switch:name flow_name with
-        | Ok (flow : Y.Flowdir.t) ->
-          Some (flow_name, { flow with buffer_id = None })
-        | Error _ -> None)
+        match Y.Yanc_fs.open_flow t.yfs ~cred ~switch:name flow_name with
+        | Error _ -> None
+        | Ok d -> (
+          match Y.Flowdir.read (fs t) ~cred d with
+          | Ok (flow : Y.Flowdir.t) ->
+            Some (flow_name, Vfs.Fs.dir_ino d, { flow with buffer_id = None })
+          | Error _ -> None))
       (Y.Yanc_fs.flow_names t.yfs ~cred name)
   in
   (* Both sides keyed once by rule identity: O(stats + flows). *)
   let committed = Id_tbl.create 64 and on_switch = Id_tbl.create 64 in
   List.iter
-    (fun (_, (f : Y.Flowdir.t)) ->
+    (fun (_, _, (f : Y.Flowdir.t)) ->
       Id_tbl.replace committed (f.of_match, f.priority) ())
     fs_flows;
   List.iter
@@ -416,18 +422,12 @@ let resync t ~name (stats : OF.Of_types.Flow_stats.t list) =
       end)
     stats;
   List.iter
-    (fun (flow_name, (flow : Y.Flowdir.t)) ->
+    (fun (flow_name, ino, (flow : Y.Flowdir.t)) ->
       if not (Id_tbl.mem on_switch (flow.of_match, flow.priority)) then begin
         send t (flow_add flow);
         t.c_resync_installs <- t.c_resync_installs + 1;
         Telemetry.Registry.incr t.m_resync_installs
       end;
-      let dir = Y.Layout.flow ~root:(root t) ~switch:name flow_name in
-      let ino =
-        match Vfs.Fs.stat (fs t) ~cred dir with
-        | Ok st -> st.Vfs.Fs.ino
-        | Error _ -> -1
-      in
       cache_set t flow_name ~ino flow)
     fs_flows
 
@@ -504,15 +504,17 @@ let on_message t ~now ~xid (msg : Msg.t) =
     | Some name ->
       let stats = List.map snd entries in
       if t.resyncing then resync t ~name stats;
+      (* One handle on flows/ for the whole reply, opened on first use. *)
+      let flows = lazy (Y.Yanc_fs.open_flows t.yfs ~cred name) in
       List.iter
         (fun (s : OF.Of_types.Flow_stats.t) ->
           match find_flow_by_match t s.of_match s.priority with
           | None -> ()
           | Some flow_name ->
             fs_checked t ~what:"flow counters"
-              (Y.Flowdir.write_counters (fs t) ~cred
-                 (Y.Layout.flow ~root:(root t) ~switch:name flow_name)
-                 ~packets:s.packets ~bytes:s.bytes ~duration_s:s.duration_s))
+              (Result.bind (Lazy.force flows) (fun d ->
+                   Y.Flowdir.write_counters ~flow:flow_name (fs t) ~cred d
+                     ~packets:s.packets ~bytes:s.bytes ~duration_s:s.duration_s)))
         stats)
   | Msg.Stats_reply (Msg.Port_stats_rep stats) -> (
     match t.switch_name with
@@ -544,8 +546,7 @@ let delete_entry t ~deletes flow_name id =
   deletes := id :: !deletes
 
 let resolve_key t ~switch ~deletes ~adds flow_name =
-  let dir = Y.Layout.flow ~root:(root t) ~switch flow_name in
-  match Vfs.Fs.stat (fs t) ~cred dir with
+  match Y.Yanc_fs.open_flow t.yfs ~cred ~switch flow_name with
   | Error _ -> (
     (* Directory gone: delete the hardware entry we committed for it
        (an uncommitted or unknown name needs nothing). *)
@@ -554,8 +555,8 @@ let resolve_key t ~switch ~deletes ~adds flow_name =
       cache_remove t flow_name;
       delete_entry t ~deletes flow_name (flow.of_match, flow.priority)
     | None -> ())
-  | Ok st -> (
-    match Y.Flowdir.read_version (fs t) ~cred dir with
+  | Ok d -> (
+    match Y.Flowdir.read_version (fs t) ~cred d with
     | None -> () (* not committed yet *)
     | Some version ->
       let cached = Hashtbl.find_opt t.cache flow_name in
@@ -565,17 +566,15 @@ let resolve_key t ~switch ~deletes ~adds flow_name =
          whatever it commits is news regardless of the number. *)
       let stale =
         match cached with
-        | Some { flow; ino } -> flow.version < version || ino <> st.Vfs.Fs.ino
+        | Some { flow; ino } -> flow.version < version || ino <> Vfs.Fs.dir_ino d
         | None -> true
       in
       if stale then (
-        match Y.Yanc_fs.read_flow t.yfs ~cred ~switch flow_name with
-        | Error msg ->
-          fs_checked t ~what:"flow error file"
-            (Y.Flowdir.set_error (fs t) ~cred dir (Some msg))
+        let verdict, report = Y.Flowdir.read_reporting (fs t) ~cred d Result.ok in
+        fs_checked t ~what:"flow error file" report;
+        match verdict with
+        | Error _ -> ()
         | Ok flow ->
-          fs_checked t ~what:"flow error file"
-            (Y.Flowdir.set_error (fs t) ~cred dir None);
           (* Rule identity changed: the old hardware entry must go. *)
           (match cached with
           | Some { flow = old; _ }
@@ -584,9 +583,12 @@ let resolve_key t ~switch ~deletes ~adds flow_name =
                    && old.priority = flow.priority) ->
             delete_entry t ~deletes flow_name (old.of_match, old.priority)
           | Some _ | None -> ());
-          adds := (flow_name, dir, flow) :: !adds))
+          adds := (flow_name, d, flow) :: !adds))
 
-let install t ~switch flow_name dir (flow : Y.Flowdir.t) =
+(* [dir]: the handle [resolve_key] read the flow through, which spends
+   its one-shot buffer reference; a survivor reinstalled from the cache
+   carries none. [ino] is the directory's inode for the cache. *)
+let install t ~switch flow_name ~ino ?dir (flow : Y.Flowdir.t) =
   let tracer = Telemetry.tracer t.telemetry in
   ignore
     (Telemetry.Tracer.resume tracer
@@ -597,15 +599,10 @@ let install t ~switch flow_name dir (flow : Y.Flowdir.t) =
   (* The agent resumes by xid when it installs the entry. *)
   Telemetry.Tracer.stamp tracer (Netsim.Of_agent.trace_key_xid add_xid);
   Telemetry.Tracer.clear tracer;
-  (* The buffer reference is one-shot. *)
-  (if flow.buffer_id <> None then
-     let bpath = Vfs.Path.child dir "buffer_id" in
-     fs_checked t ~what:"buffer_id unlink" (Vfs.Fs.unlink (fs t) ~cred bpath));
-  let ino =
-    match Vfs.Fs.stat (fs t) ~cred dir with
-    | Ok st -> st.Vfs.Fs.ino
-    | Error _ -> -1
-  in
+  (match dir with
+  | Some d when flow.buffer_id <> None ->
+    fs_checked t ~what:"buffer_id unlink" (Y.Flowdir.clear_buffer_id (fs t) ~cred d)
+  | Some _ | None -> ());
   cache_set t flow_name ~ino { flow with buffer_id = None }
 
 let send_plan t ~switch ~deletes ~adds =
@@ -629,16 +626,14 @@ let send_plan t ~switch ~deletes ~adds =
       | None -> ()
       | Some survivor -> (
         match Hashtbl.find_opt t.cache survivor with
-        | Some { flow; _ } ->
-          install t ~switch survivor
-            (Y.Layout.flow ~root:(root t) ~switch survivor)
-            flow;
+        | Some { flow; ino } ->
+          install t ~switch survivor ~ino flow;
           Telemetry.Registry.incr t.m_commit_adds
         | None -> ()))
     deleted;
   List.iter
-    (fun (flow_name, dir, flow) ->
-      install t ~switch flow_name dir flow;
+    (fun (flow_name, d, flow) ->
+      install t ~switch flow_name ~ino:(Vfs.Fs.dir_ino d) ~dir:d flow;
       Telemetry.Registry.incr t.m_commit_adds)
     (List.rev !adds)
 
@@ -744,13 +739,9 @@ let classify_fs_events t =
             (* Events carry the changed object's full path, so the
                first component under flows/ names the dirty flow. *)
             match Vfs.Path.components rest with
-            | flow :: inner -> (
-              match inner with
-              | "counters" :: _ -> () (* driver's own writeback *)
-              | [ base ] when base = Y.Layout.error_file -> ()
-              | _ ->
-                if not (Commit_queue.mark t.commits flow) then
-                  Telemetry.Registry.incr t.m_commit_coalesced)
+            | flow :: _ ->
+              if not (Commit_queue.mark t.commits flow) then
+                Telemetry.Registry.incr t.m_commit_coalesced
             | [] ->
               (* The flows directory itself changed (created, moved):
                  no per-key trail to follow — sweep. *)

@@ -92,6 +92,23 @@ let enqueue t (ev : Event.t) =
     match t.on_wake with Some f -> f () | None -> ()
   end
 
+(* [path] is one component below [anchor]. *)
+let rec direct_child anchor path =
+  match anchor, path with
+  | [], [ _ ] -> true
+  | a :: anchor, p :: path -> String.equal a p && direct_child anchor path
+  | _ -> false
+
+(* A child event on [path] (named [name]) passes a watch's leaf filter:
+   the watch's direct children always do, deeper objects when named. *)
+let admits (w : _ Routing.watch) path name =
+  match w.leaves, name with
+  | None, _ -> true
+  | Some leaves, Some name ->
+    direct_child (Path.components w.path) (Path.components path)
+    || List.mem name leaves
+  | Some _, None -> false
+
 (* The events one mutation raises, as (notifier, phase, event) triples:
    a rename raises its Moved_from (phase 0) before its Moved_to (1).
    [route] finds the candidate watches of a path, of any owner; the
@@ -120,7 +137,7 @@ let route_op visited ~route (op : Vfs.Op.t) =
       if kind <> Event.Created then
         List.iter (fun w -> add w self_kind None) selfs;
       let name = Path.basename path in
-      List.iter (fun w -> add w kind name) childs
+      List.iter (fun w -> if admits w path name then add w kind name) childs
     end
   in
   (match op with
@@ -230,10 +247,10 @@ let close t =
   | Detached -> ());
   t.source <- Detached
 
-let add_watch ?(recursive = false) t path mask =
+let add_watch ?(recursive = false) ?leaves t path mask =
   let wd = t.next_wd in
   t.next_wd <- wd + 1;
-  let w = { Routing.wd; path; mask; recursive; owner = t } in
+  let w = { Routing.wd; path; mask; recursive; leaves; owner = t } in
   (match t.source with
   | Shared (d, by_wd) ->
     Hashtbl.replace by_wd wd w;

@@ -73,11 +73,22 @@ val close : t -> unit
     dispatcher or for a [Linear] one, its file-system hook. Pending
     events remain readable; watches added afterwards never fire. *)
 
-val add_watch : ?recursive:bool -> t -> Vfs.Path.t -> mask -> int
+val add_watch :
+  ?recursive:bool -> ?leaves:string list -> t -> Vfs.Path.t -> mask -> int
 (** Returns a watch descriptor. The path need not exist yet: a watch on
     a not-yet-created directory becomes live when the directory
     appears (this differs from inotify and is convenient for watching
-    e.g. a switch directory that a driver will create). *)
+    e.g. a switch directory that a driver will create).
+
+    [leaves] filters a recursive watch by name, as fanotify marks
+    filter before anything is queued: events on the watched path
+    itself and on its direct children are delivered as usual, and
+    deeper only events on objects whose name is in [leaves]. A driver
+    watching [flows/] with [~leaves:["version"]] hears flow directories
+    come, go and move, and each commit, but no field write. Overflow
+    sentinels are unaffected. The filter is applied where events are
+    built, so both backends honour it identically; dropped events are
+    neither queued nor counted. *)
 
 val rm_watch : t -> int -> unit
 

@@ -26,6 +26,7 @@ type 'a watch = {
   path : Path.t;
   mask : int;
   recursive : bool;
+  leaves : string list option;
   owner : 'a;
 }
 

@@ -17,6 +17,8 @@ type 'a watch = {
   path : Vfs.Path.t;
   mask : int;          (** bitset over {!Event.bit} *)
   recursive : bool;
+  leaves : string list option;
+      (** the notifier's leaf-name filter; routing ignores it *)
   owner : 'a;          (** the notifier whose queue the watch feeds *)
 }
 

@@ -75,14 +75,16 @@ let read_flow_counters t ~switch =
       let* flows =
         Vfs.Fs.readdir fs ~cred:t.cred (Y.Layout.flows_dir ~root switch)
       in
+      (* The slow path: open flows/ once, read two files per flow. *)
+      let* d = Y.Yanc_fs.open_flows t.yfs ~cred:t.cred switch in
+      t.saved <- t.saved + 1;
       Ok
         (List.filter_map
            (fun flow ->
              t.saved <- t.saved + 2;
              Option.map
                (fun (p, b) -> flow, p, b)
-               (Y.Flowdir.read_counters fs ~cred:t.cred
-                  (Y.Layout.flow ~root ~switch flow)))
+               (Y.Flowdir.read_counters ~flow fs ~cred:t.cred d))
            flows))
 
 let crossings_saved t = t.saved

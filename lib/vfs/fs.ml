@@ -26,6 +26,7 @@ type node = {
   mutable xattrs : (string * string) list;
   mutable acl : Acl.t;
   mutable payload : payload;
+  mutable dead : bool; (* unlinked: a held directory handle answers ENOENT *)
 }
 
 and payload =
@@ -53,6 +54,7 @@ type t = {
   mutable suspended : int; (* depth of [suspended] nesting *)
   mutable now : float;
   mutable readonly : bool;
+  mutable renames : int; (* renames so far: a replay cursor's validity *)
   mutable next_ino : int;
   mutable next_fd : int;
   mutable next_hook : int;
@@ -76,7 +78,7 @@ let fresh_node t ~mode ~uid ~gid payload =
   t.next_ino <- ino + 1;
   t.objects <- t.objects + 1;
   { ino; mode; uid; gid; atime = t.now; mtime = t.now; ctime = t.now;
-    xattrs = []; acl = Acl.empty; payload }
+    xattrs = []; acl = Acl.empty; payload; dead = false }
 
 let next_id = ref 0
 
@@ -85,7 +87,7 @@ let create () =
   let root =
     { ino = 1; mode = 0o755; uid = 0; gid = 0; atime = 0.; mtime = 0.;
       ctime = 0.; xattrs = []; acl = Acl.empty;
-      payload = P_dir (Hashtbl.create 16) }
+      payload = P_dir (Hashtbl.create 16); dead = false }
   in
   incr next_id;
   let t =
@@ -93,7 +95,7 @@ let create () =
       crossings = Reg.counter registry "vfs.crossings";
       components = Reg.counter registry "vfs.components";
       suspended = 0; now = 0.;
-      readonly = false; next_ino = 2; next_fd = 3;
+      readonly = false; renames = 0; next_ino = 2; next_fd = 3;
       next_hook = 0; fds = Hashtbl.create 16; hooks = [];
       rmdir_policy = (fun _ -> false);
       symlink_policy = (fun _ ~target:_ -> true);
@@ -113,7 +115,14 @@ let syscall t = if t.suspended = 0 then Reg.incr t.crossings
 
 let suspended t f =
   t.suspended <- t.suspended + 1;
-  Fun.protect ~finally:(fun () -> t.suspended <- t.suspended - 1) f
+  match f () with
+  | v ->
+    t.suspended <- t.suspended - 1;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    t.suspended <- t.suspended - 1;
+    Printexc.raise_with_backtrace e bt
 
 let id t = t.id
 
@@ -175,70 +184,96 @@ let rev_prefix n comps =
   in
   go [] n comps
 
+(* The canonical path of a walk over [path]: [path] itself until a
+   symlink was crossed, else the reversed components accumulated. *)
+let canonical path = function
+  | None -> path
+  | Some rev -> Path.of_components (List.rev rev)
+
 (* Walk from the root, following symlinks and requiring +x on every
    traversed directory: per component, one probe of the directory's
    (name -> node) table and one permission check. Returns the node
-   together with its canonical (symlink-free) path.
+   together with its canonical (symlink-free) path. With [entry], the
+   walk stops at the directory holding the last component, which is
+   neither looked up nor followed, and returns that directory with the
+   canonical path of the entry in it.
 
    Until the walk crosses a symlink the canonical path is the queried
    path itself, so it is returned as is and nothing is accumulated:
    [canon_rev] stays [None] and [depth] counts the components walked.
    The first symlink builds the canonical prefix, and from there each
-   component is consed onto it. *)
-let resolve t cred ~follow_last path =
-  let rec walk node canon_rev depth comps budget =
-    match comps with
-    | [] -> (
-      match canon_rev with
-      | None -> Ok (node, path)
-      | Some rev -> Ok (node, Path.of_components (List.rev rev)))
-    | name :: rest -> (
-      match node.payload with
-      | P_file _ | P_symlink _ -> Error Errno.ENOTDIR
-      | P_dir children -> (
-        Reg.incr t.components;
-        if not (node_allows node cred Perm.x_ok) then Error Errno.EACCES
-        else
-          match Hashtbl.find_opt children name with
-          | None -> Error Errno.ENOENT
-          | Some child -> (
-            match child.payload with
-            | P_symlink target when follow_last || rest <> [] ->
-              if budget = 0 then Error Errno.ELOOP
-              else
-                let* tpath = Path.of_string target in
-                let comps = Path.components tpath @ rest in
-                if target.[0] = '/' then walk t.root (Some []) 0 comps (budget - 1)
-                else
-                  let here =
-                    match canon_rev with
-                    | Some rev -> rev
-                    | None -> rev_prefix depth (Path.components path)
-                  in
-                  walk node (Some here) 0 comps (budget - 1)
-            | _ ->
-              let canon_rev =
-                match canon_rev with
-                | None -> None
-                | Some rev -> Some (name :: rev)
-              in
-              walk child canon_rev (depth + 1) rest budget)))
-  in
-  walk t.root None 0 (Path.components path) max_symlinks
+   component is consed onto it.
 
-(* Resolve the parent directory of [path] (following symlinks throughout,
-   including a final symlink-to-directory in the parent position) and
-   return it with the final component name. *)
-let resolve_parent t cred path =
-  match Path.parent path, Path.basename path with
-  | None, _ | _, None -> Error Errno.EINVAL (* the root itself *)
-  | Some parent, Some name ->
+   The walk starts at [node], a directory whose canonical path has
+   [depth] components, and walks [comps]; [path] is that canonical path
+   followed by [comps]. A path walk starts at the root; a handle's walk
+   at the held directory. *)
+let rec walk_from t cred ~follow_last ~entry path node canon_rev depth comps
+    budget =
+  match comps with
+  | [] -> Ok (node, canonical path canon_rev)
+  | [ name ] when entry -> (
+    match node.payload with
+    | P_file _ | P_symlink _ -> Error Errno.ENOTDIR
+    | P_dir _ -> Ok (node, canonical path (Option.map (List.cons name) canon_rev)))
+  | name :: rest -> (
+    match node.payload with
+    | P_file _ | P_symlink _ -> Error Errno.ENOTDIR
+    | P_dir children -> (
+      Reg.incr t.components;
+      if not (node_allows node cred Perm.x_ok) then Error Errno.EACCES
+      else
+        match Hashtbl.find_opt children name with
+        | None -> Error Errno.ENOENT
+        | Some child -> (
+          match child.payload with
+          | P_symlink target when follow_last || rest <> [] ->
+            if budget = 0 then Error Errno.ELOOP
+            else
+              let* tpath = Path.of_string target in
+              let comps = Path.components tpath @ rest in
+              if target.[0] = '/' then
+                walk_from t cred ~follow_last ~entry path t.root (Some []) 0 comps
+                  (budget - 1)
+              else
+                let here =
+                  match canon_rev with
+                  | Some rev -> rev
+                  | None -> rev_prefix depth (Path.components path)
+                in
+                walk_from t cred ~follow_last ~entry path node (Some here) 0 comps
+                  (budget - 1)
+          | _ ->
+            let canon_rev =
+              match canon_rev with
+              | None -> None
+              | Some rev -> Some (name :: rev)
+            in
+            walk_from t cred ~follow_last ~entry path child canon_rev (depth + 1)
+              rest budget)))
+
+let resolve t cred ~follow_last path =
+  walk_from t cred ~follow_last ~entry:false path t.root None 0
+    (Path.components path) max_symlinks
+
+(* The directory holding the last component of [comps] (following
+   symlinks throughout, including a symlink-to-directory in the parent
+   position), the canonical path of the entry, and its name. *)
+let parent_from t cred ~start ~depth path comps =
+  match Path.basename path with
+  | None -> Error Errno.EINVAL (* the root itself *)
+  | Some name ->
     if not (Path.valid_name name) then Error Errno.EINVAL
     else
-      let* pnode, pcanon = resolve t cred ~follow_last:true parent in
-      (match pnode.payload with
-      | P_dir _ -> Ok (pnode, pcanon, name)
-      | P_file _ | P_symlink _ -> Error Errno.ENOTDIR)
+      match
+        walk_from t cred ~follow_last:true ~entry:true path start None depth
+          comps max_symlinks
+      with
+      | Ok (pnode, canon) -> Ok (pnode, canon, name)
+      | Error _ as e -> e
+
+let resolve_parent t cred path =
+  parent_from t cred ~start:t.root ~depth:0 path (Path.components path)
 
 let dir_children node =
   match node.payload with
@@ -271,9 +306,10 @@ let stat_of_node node =
 
 (* --- mutations ------------------------------------------------------------ *)
 
-let mkdir_raw ?(mode = 0o755) t ~cred path ~emit_op =
-  let* () = require_rw t in
-  let* pnode, pcanon, name = resolve_parent t cred path in
+(* The entry-level halves of mkdir, create, unlink: [pnode] is the
+   resolved parent directory (by a walk or a held handle) and [canon]
+   the canonical path of [name] in it, journalled on success. *)
+let mkdir_in ~mode t ~cred pnode name canon ~emit_op =
   let* () = require pnode cred Perm.x_ok in
   let* children = dir_children pnode in
   (* Lookup precedes the write check, as on Linux: an existing entry is
@@ -288,10 +324,14 @@ let mkdir_raw ?(mode = 0o755) t ~cred path ~emit_op =
     in
     Hashtbl.replace children name node;
     pnode.mtime <- t.now;
-    let canon = Path.child pcanon name in
     if emit_op then emit t (Op.Mkdir { path = canon; mode });
     Ok ()
   end
+
+let mkdir_raw ?(mode = 0o755) t ~cred path ~emit_op =
+  let* () = require_rw t in
+  let* pnode, canon, name = resolve_parent t cred path in
+  mkdir_in ~mode t ~cred pnode name canon ~emit_op
 
 let mkdir ?mode t ~cred path =
   syscall t;
@@ -309,25 +349,31 @@ let mkdir_p ?mode t ~cred path =
   in
   go Path.root (Path.components path)
 
-let create_file_raw ?(mode = 0o644) t ~cred path ~emit_op =
-  let* () = require_rw t in
-  let* pnode, pcanon, name = resolve_parent t cred path in
+(* A fresh empty file [name] in the directory [pnode]; the caller has
+   found the name free and checked +x on [pnode]. *)
+let add_file ~mode t ~cred pnode children name canon ~emit_op =
+  let* () = require pnode cred Perm.w_ok in
+  let node =
+    fresh_node t ~mode ~uid:cred.Cred.uid ~gid:cred.Cred.gid
+      (P_file { bytes = Bytes.create 0; len = 0 })
+  in
+  Hashtbl.replace children name node;
+  pnode.mtime <- t.now;
+  if emit_op then emit t (Op.Create { path = canon; mode });
+  Ok node
+
+let create_in ~mode t ~cred pnode name canon ~emit_op =
   let* () = require pnode cred Perm.x_ok in
   let* children = dir_children pnode in
   if Hashtbl.mem children name then Error Errno.EEXIST
   else
-    let* () = require pnode cred Perm.w_ok in
-    begin
-    let node =
-      fresh_node t ~mode ~uid:cred.Cred.uid ~gid:cred.Cred.gid
-        (P_file { bytes = Bytes.create 0; len = 0 })
-    in
-    Hashtbl.replace children name node;
-    pnode.mtime <- t.now;
-    let canon = Path.child pcanon name in
-    if emit_op then emit t (Op.Create { path = canon; mode });
+    let* node = add_file ~mode t ~cred pnode children name canon ~emit_op in
     Ok (node, canon)
-  end
+
+let create_file_raw ?(mode = 0o644) t ~cred path ~emit_op =
+  let* () = require_rw t in
+  let* pnode, canon, name = resolve_parent t cred path in
+  create_in ~mode t ~cred pnode name canon ~emit_op
 
 let create_file ?mode t ~cred path =
   syscall t;
@@ -340,9 +386,7 @@ let file_data node =
   | P_dir _ -> Error Errno.EISDIR
   | P_symlink _ -> Error Errno.EINVAL
 
-let read_file t ~cred path =
-  syscall t;
-  let* node, _ = resolve t cred ~follow_last:true path in
+let read_node t ~cred node =
   let* () = require node cred Perm.r_ok in
   match Hashtbl.find_opt t.generators node.ino with
   | Some gen ->
@@ -354,6 +398,11 @@ let read_file t ~cred path =
     let* f = file_data node in
     node.atime <- t.now;
     Ok (Bytes.sub_string f.bytes 0 f.len)
+
+let read_file t ~cred path =
+  syscall t;
+  let* node, _ = resolve t cred ~follow_last:true path in
+  read_node t ~cred node
 
 let set_generator t path gen =
   match resolve t Cred.root ~follow_last:true path with
@@ -383,21 +432,50 @@ let write_at t node f ~off data =
   f.len <- new_len;
   node.mtime <- t.now
 
-let write_file_raw t ~cred path data ~emit_op =
-  let* () = require_rw t in
-  let* existing =
-    match resolve t cred ~follow_last:true path with
-    | Ok (node, canon) ->
-      let* () = require node cred Perm.w_ok in
-      let* f = file_data node in
-      Ok (node, canon, f, true)
-    | Error Errno.ENOENT ->
-      let* node, canon = create_file_raw t ~cred path ~emit_op in
-      let* f = file_data node in
-      Ok (node, canon, f, false)
-    | Error _ as e -> e
+(* Open [name] in the resolved directory [pnode] for writing, creating
+   it when missing: one lookup in [pnode], so a new file costs one walk.
+   [canon] is the entry's canonical path. A symlinked entry is followed
+   by a full walk from [canon]; a dangling one is EEXIST, as creating
+   over the link would be. Returns the file with its canonical path and
+   whether it existed. *)
+let open_or_create_in t ~cred pnode name ~canon ~emit_op =
+  let existing node canon =
+    let* () = require node cred Perm.w_ok in
+    let* f = file_data node in
+    Ok (node, canon, f, true)
   in
-  let node, canon, f, existed = existing in
+  let* children = dir_children pnode in
+  Reg.incr t.components;
+  if not (node_allows pnode cred Perm.x_ok) then Error Errno.EACCES
+  else
+    match Hashtbl.find_opt children name with
+    | Some { payload = P_symlink _; _ } -> (
+      match resolve t cred ~follow_last:true canon with
+      | Ok (node, canon) -> existing node canon
+      | Error Errno.ENOENT -> Error Errno.EEXIST
+      | Error _ as e -> e)
+    | Some node -> existing node canon
+    | None ->
+      if not (Path.valid_name name) then Error Errno.EINVAL
+      else
+        let* () = require_rw t in
+        let* node = add_file ~mode:0o644 t ~cred pnode children name canon ~emit_op in
+        let* f = file_data node in
+        Ok (node, canon, f, false)
+
+(* [open_or_create_in] for a path: the parent is walked once. *)
+let open_or_create t ~cred path ~emit_op =
+  match resolve_parent t cred path with
+  | Error Errno.EINVAL when Path.basename path = None ->
+    (* the root: a directory *)
+    let* () = require t.root cred Perm.w_ok in
+    Error Errno.EISDIR
+  | Error _ as e -> e
+  | Ok (pnode, canon, name) -> open_or_create_in t ~cred pnode name ~canon ~emit_op
+
+(* Replace the whole content: a truncate (of an existing file) and one
+   write in the journal. *)
+let write_whole t (node, canon, f, existed) data ~emit_op =
   t.bytes_used <- t.bytes_used - f.len;
   f.len <- 0;
   write_at t node f ~off:0 data;
@@ -408,6 +486,11 @@ let write_file_raw t ~cred path data ~emit_op =
   end;
   Ok ()
 
+let write_file_raw t ~cred path data ~emit_op =
+  let* () = require_rw t in
+  let* opened = open_or_create t ~cred path ~emit_op in
+  write_whole t opened data ~emit_op
+
 let write_file t ~cred path data =
   syscall t;
   write_file_raw t ~cred path data ~emit_op:true
@@ -415,18 +498,7 @@ let write_file t ~cred path data =
 let append_file t ~cred path data =
   syscall t;
   let* () = require_rw t in
-  let* node, canon, f =
-    match resolve t cred ~follow_last:true path with
-    | Ok (node, canon) ->
-      let* () = require node cred Perm.w_ok in
-      let* f = file_data node in
-      Ok (node, canon, f)
-    | Error Errno.ENOENT ->
-      let* node, canon = create_file_raw t ~cred path ~emit_op:true in
-      let* f = file_data node in
-      Ok (node, canon, f)
-    | Error _ as e -> e
-  in
+  let* node, canon, f, _ = open_or_create t ~cred path ~emit_op:true in
   let off = f.len in
   write_at t node f ~off data;
   emit t (Op.Write { path = canon; off; data });
@@ -456,13 +528,12 @@ let truncate t ~cred path size =
 
 let drop_node t node =
   t.objects <- t.objects - 1;
+  node.dead <- true;
   match node.payload with
   | P_file f -> t.bytes_used <- t.bytes_used - f.len
   | P_dir _ | P_symlink _ -> ()
 
-let unlink_raw t ~cred path ~emit_op =
-  let* () = require_rw t in
-  let* pnode, pcanon, name = resolve_parent t cred path in
+let unlink_in t ~cred pnode name canon ~emit_op =
   let* () = require pnode cred Perm.w_ok in
   let* () = require pnode cred Perm.x_ok in
   let* children = dir_children pnode in
@@ -475,9 +546,13 @@ let unlink_raw t ~cred path ~emit_op =
       Hashtbl.remove children name;
       drop_node t node;
       pnode.mtime <- t.now;
-      let canon = Path.child pcanon name in
       if emit_op then emit t (Op.Unlink { path = canon });
       Ok ())
+
+let unlink_raw t ~cred path ~emit_op =
+  let* () = require_rw t in
+  let* pnode, canon, name = resolve_parent t cred path in
+  unlink_in t ~cred pnode name canon ~emit_op
 
 let unlink t ~cred path =
   syscall t;
@@ -512,7 +587,7 @@ let rec remove_tree t ~cred canon node ~emit_op =
 
 let rmdir_raw ?(recursive = false) t ~cred path ~emit_op =
   let* () = require_rw t in
-  let* pnode, pcanon, name = resolve_parent t cred path in
+  let* pnode, canon, name = resolve_parent t cred path in
   let* () = require pnode cred Perm.w_ok in
   let* () = require pnode cred Perm.x_ok in
   let* children = dir_children pnode in
@@ -522,7 +597,6 @@ let rmdir_raw ?(recursive = false) t ~cred path ~emit_op =
     match node.payload with
     | P_file _ | P_symlink _ -> Error Errno.ENOTDIR
     | P_dir sub ->
-      let canon = Path.child pcanon name in
       if Hashtbl.length sub = 0 then begin
         Hashtbl.remove children name;
         drop_node t node;
@@ -542,24 +616,104 @@ let rmdir ?recursive t ~cred path =
   syscall t;
   rmdir_raw ?recursive t ~cred path ~emit_op:true
 
-let readdir t ~cred path =
-  syscall t;
-  let* node, _ = resolve t cred ~follow_last:true path in
+let list_node t ~cred node =
   let* () = require node cred Perm.r_ok in
   let* children = dir_children node in
   node.atime <- t.now;
   Ok (Hashtbl.fold (fun name _ acc -> name :: acc) children []
       |> List.sort String.compare)
 
+let readdir t ~cred path =
+  syscall t;
+  let* node, _ = resolve t cred ~follow_last:true path in
+  list_node t ~cred node
+
+(* --- directory handles ([openat]-style) ------------------------------------ *)
+
+type dir = { dnode : node; dcanon : Path.t; depth : int }
+
+let opendir t ~cred path =
+  syscall t;
+  let* node, canon = resolve t cred ~follow_last:true path in
+  match node.payload with
+  | P_dir _ ->
+    Ok { dnode = node; dcanon = canon; depth = List.length (Path.components canon) }
+  | P_file _ | P_symlink _ -> Error Errno.ENOTDIR
+
+let dir_ino d = d.dnode.ino
+
+let live d = if d.dnode.dead then Error Errno.ENOENT else Ok ()
+
+(* [rel] below a handle: a name, or several separated by '/'. *)
+let rel_components rel =
+  if String.contains rel '/' then String.split_on_char '/' rel else [ rel ]
+
+(* [resolve] and [resolve_parent] from the held directory: the same
+   walk, so a symlink on the way is followed and the canonical path
+   comes out as from the root. *)
+let resolve_at t cred ~follow_last d rel =
+  let comps = rel_components rel in
+  if not (List.for_all Path.valid_name comps) then Error Errno.EINVAL
+  else
+    walk_from t cred ~follow_last ~entry:false
+      (List.fold_left Path.child d.dcanon comps)
+      d.dnode None d.depth comps max_symlinks
+
+let resolve_parent_at t cred d rel =
+  if not (String.contains rel '/') then
+    (* an entry of the held directory: nothing to walk *)
+    if Path.valid_name rel then Ok (d.dnode, Path.child d.dcanon rel, rel)
+    else Error Errno.EINVAL
+  else
+    let comps = String.split_on_char '/' rel in
+    if not (List.for_all Path.valid_name comps) then Error Errno.EINVAL
+    else
+      parent_from t cred ~start:d.dnode ~depth:d.depth
+        (List.fold_left Path.child d.dcanon comps)
+        comps
+
+let readdir_at t ~cred d =
+  syscall t;
+  let* () = live d in
+  list_node t ~cred d.dnode
+
+let read_file_at t ~cred d rel =
+  syscall t;
+  let* () = live d in
+  let* node, _ = resolve_at t cred ~follow_last:true d rel in
+  read_node t ~cred node
+
+let write_file_at t ~cred d rel data =
+  syscall t;
+  let* () = require_rw t in
+  let* () = live d in
+  let* pnode, canon, name = resolve_parent_at t cred d rel in
+  let* opened = open_or_create_in t ~cred pnode name ~canon ~emit_op:true in
+  write_whole t opened data ~emit_op:true
+
+let unlink_at t ~cred d rel =
+  syscall t;
+  let* () = require_rw t in
+  let* () = live d in
+  let* pnode, canon, name = resolve_parent_at t cred d rel in
+  unlink_in t ~cred pnode name canon ~emit_op:true
+
+let mkdir_at t ~cred d rel =
+  syscall t;
+  let* () = require_rw t in
+  let* () = live d in
+  let* pnode, canon, name = resolve_parent_at t cred d rel in
+  mkdir_in ~mode:0o755 t ~cred pnode name canon ~emit_op:true
+
 let symlink_raw t ~cred ~target path ~emit_op =
   let* () = require_rw t in
   if target = "" then Error Errno.EINVAL
   else
-    let* pnode, pcanon, name = resolve_parent t cred path in
+    let* pnode, canon, name = resolve_parent t cred path in
     let* () = require pnode cred Perm.x_ok in
     let* children = dir_children pnode in
     if Hashtbl.mem children name then Error Errno.EEXIST
-    else if not (t.symlink_policy (Path.child pcanon name) ~target) then
+    else if not (t.symlink_policy canon ~target) then
       Error Errno.EINVAL
     else
       let* () = require pnode cred Perm.w_ok in
@@ -570,7 +724,6 @@ let symlink_raw t ~cred ~target path ~emit_op =
       in
       Hashtbl.replace children name node;
       pnode.mtime <- t.now;
-      let canon = Path.child pcanon name in
       if emit_op then emit t (Op.Symlink { path = canon; target });
       Ok ()
     end
@@ -588,19 +741,17 @@ let readlink t ~cred path =
 
 let rename_raw t ~cred ~src ~dst ~emit_op =
   let* () = require_rw t in
-  let* spnode, spcanon, sname = resolve_parent t cred src in
+  let* spnode, scanon, sname = resolve_parent t cred src in
   let* () = require spnode cred Perm.w_ok in
   let* () = require spnode cred Perm.x_ok in
   let* schildren = dir_children spnode in
   match Hashtbl.find_opt schildren sname with
   | None -> Error Errno.ENOENT
   | Some node ->
-    let scanon = Path.child spcanon sname in
-    let* dpnode, dpcanon, dname = resolve_parent t cred dst in
+    let* dpnode, dcanon, dname = resolve_parent t cred dst in
     let* () = require dpnode cred Perm.w_ok in
     let* () = require dpnode cred Perm.x_ok in
     let* dchildren = dir_children dpnode in
-    let dcanon = Path.child dpcanon dname in
     if Path.equal scanon dcanon then Ok ()
     else if Path.is_prefix scanon dcanon then Error Errno.EINVAL
     else begin
@@ -627,6 +778,7 @@ let rename_raw t ~cred ~src ~dst ~emit_op =
       in
       Hashtbl.remove schildren sname;
       Hashtbl.replace dchildren dname node;
+      t.renames <- t.renames + 1;
       spnode.mtime <- t.now;
       dpnode.mtime <- t.now;
       node.ctime <- t.now;
@@ -857,30 +1009,65 @@ let get_acl t ~cred path =
 
 (* --- replay --------------------------------------------------------------- *)
 
-let replay_raw t op =
+(* A replay cursor: the directory the previous op of a run resolved
+   its entry in, so a run of ops into one directory (a replicated flow
+   commit) walks the path once, as a handle does. The next op reuses it
+   when its path differs from the previous one only in the last
+   component, the directory is live, no rename has happened since, and
+   the walk that found it crossed no symlink (so the path still names
+   it). *)
+type cursor = { mutable last : (Path.t * node * int) option }
+
+let cursor () = { last = None }
+
+let rec same_dir a b =
+  match a, b with
+  | [ _ ], [ _ ] -> true
+  | x :: a, y :: b -> String.equal x y && same_dir a b
+  | _ -> false
+
+(* [resolve_parent] as root, through [cursor] when it holds. *)
+let replay_parent t cursor path =
+  match cursor with
+  | None -> resolve_parent t Cred.root path
+  | Some c -> (
+    match c.last, Path.basename path with
+    | Some (prev, pnode, renames), Some name
+      when renames = t.renames && (not pnode.dead) && Path.valid_name name
+           && same_dir (Path.components prev) (Path.components path) ->
+      Ok (pnode, path, name)
+    | _ ->
+      let* pnode, canon, name = resolve_parent t Cred.root path in
+      c.last <- (if canon == path then Some (path, pnode, t.renames) else None);
+      Ok (pnode, canon, name))
+
+let replay_raw ?cursor t op =
   let cred = Cred.root in
   suspended t (fun () ->
       match (op : Op.t) with
       | Mkdir { path; mode } -> (
-        match mkdir_raw ~mode t ~cred path ~emit_op:false with
+        match
+          let* () = require_rw t in
+          let* pnode, canon, name = replay_parent t cursor path in
+          mkdir_in ~mode t ~cred pnode name canon ~emit_op:false
+        with
         | Ok () | Error Errno.EEXIST -> Ok ()
         | Error _ as e -> e)
       | Create { path; mode } -> (
-        match create_file_raw ~mode t ~cred path ~emit_op:false with
+        match
+          let* () = require_rw t in
+          let* pnode, canon, name = replay_parent t cursor path in
+          create_in ~mode t ~cred pnode name canon ~emit_op:false
+        with
         | Ok _ | Error Errno.EEXIST -> Ok ()
         | Error _ as e -> e)
-      | Write { path; off; data } -> (
-        let* node, _ =
-          match resolve t cred ~follow_last:true path with
-          | Ok v -> Ok v
-          | Error Errno.ENOENT -> create_file_raw t ~cred path ~emit_op:false
-          | Error _ as e -> e
+      | Write { path; off; data } ->
+        let* pnode, canon, name = replay_parent t cursor path in
+        let* node, _, f, _ =
+          open_or_create_in t ~cred pnode name ~canon ~emit_op:false
         in
-        match file_data node with
-        | Ok f ->
-          write_at t node f ~off data;
-          Ok ()
-        | Error _ as e -> e)
+        write_at t node f ~off data;
+        Ok ()
       | Truncate { path; size } -> (
         match resolve t cred ~follow_last:true path with
         | Error Errno.ENOENT -> Ok ()
@@ -901,7 +1088,11 @@ let replay_raw t op =
             node.mtime <- t.now;
             Ok ()))
       | Unlink { path } -> (
-        match unlink_raw t ~cred path ~emit_op:false with
+        match
+          let* () = require_rw t in
+          let* pnode, canon, name = replay_parent t cursor path in
+          unlink_in t ~cred pnode name canon ~emit_op:false
+        with
         | Ok () | Error Errno.ENOENT -> Ok ()
         | Error _ as e -> e)
       | Rmdir { path; _ } -> (
@@ -957,8 +1148,8 @@ let replay_raw t op =
 
 (* --- traversal ------------------------------------------------------------ *)
 
-let replay ?(emit = false) t op =
-  let result = replay_raw t op in
+let replay ?(emit = false) ?cursor t op =
+  let result = replay_raw ?cursor t op in
   if emit && Result.is_ok result then
     (match result with Ok () -> emit_op_to_hooks t op | Error _ -> ());
   result

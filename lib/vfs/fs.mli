@@ -132,7 +132,15 @@ val set_symlink_policy : t -> (Path.t -> target:string -> bool) -> unit
     symbolic link at anything other than a port" (§3.3). Default: allow
     all. *)
 
-val replay : ?emit:bool -> t -> Op.t -> (unit, Errno.t) result
+type cursor
+(** Where the previous op of a replayed run resolved: a run of ops into
+    one directory walks its path once. *)
+
+val cursor : unit -> cursor
+(** A fresh cursor, for one run of {!replay} calls. *)
+
+val replay :
+  ?emit:bool -> ?cursor:cursor -> t -> Op.t -> (unit, Errno.t) result
 (** Apply a journalled op with root credentials, without charging a
     kernel crossing. This is the replication primitive of the
     distributed-FS layer. Replay is idempotent for structural ops
@@ -141,7 +149,13 @@ val replay : ?emit:bool -> t -> Op.t -> (unit, Errno.t) result
     partitions. With [emit:true] (default false) the op is re-emitted to
     this file system's subscribers after applying — that is how fsnotify
     watchers on a replica observe remote changes; the caller must guard
-    against replication echo. *)
+    against replication echo. With [cursor], an entry op
+    ([Mkdir]/[Create]/[Write]/[Unlink]) in the directory the
+    cursor's previous op resolved reuses that directory instead of
+    walking from the root — the {!opendir} of a replicated commit. The
+    cursor is trusted only while that directory is live, no rename has
+    happened and its walk crossed no symlink; keep one per run of ops
+    and drop it. *)
 
 (** {1 Directories} *)
 
@@ -177,13 +191,74 @@ val set_generator :
 
 val write_file : t -> cred:Cred.t -> Path.t -> string -> (unit, Errno.t) result
 (** The [echo data > file] equivalent: create the file if missing,
-    truncate, write. *)
+    truncate, write. The path is walked once, also for a new file. *)
 
 val append_file : t -> cred:Cred.t -> Path.t -> string -> (unit, Errno.t) result
 
 val truncate : t -> cred:Cred.t -> Path.t -> int -> (unit, Errno.t) result
 
 val unlink : t -> cred:Cred.t -> Path.t -> (unit, Errno.t) result
+
+(** {1 Directory handles ([openat]-style)}
+
+    POSIX [openat(2)] and the rest of the [*at] family exist to resolve
+    a directory once and then act relative to it. A {!dir} is that
+    resolved directory: its node plus its canonical path. A caller
+    making several calls into one directory (a flow directory's dozen
+    field files) walks the path once in {!opendir} instead of once per
+    call.
+
+    The contract:
+    - {b Lifetime.} A handle serves one caller's run of calls — at
+      most one driver flush — and is then dropped; it is not kept
+      across runs. It names the directory by its canonical path at
+      {!opendir}, as a descriptor does ({!fd_path}), and journals under
+      that path: it must not outlive a rename of the directory or of an
+      ancestor, after which its calls would act at the new place but
+      journal the old one.
+    - {b Crossings.} {!opendir} and every [*_at] call each charge one
+      kernel crossing, like the path-based call they replace, so the
+      §8.1 cost model is unchanged; only the components walked
+      ([vfs.components]) drop.
+    - {b Permissions.} Each [*_at] call checks the held directory: +x
+      to look an entry up, +r to list it, +w to add or remove an entry,
+      and [EROFS] on a read-only file system. The ancestors' +x was
+      checked by {!opendir}.
+    - {b Names.} [rel] is one entry name, or several separated by ['/']
+      to reach below a subdirectory (["counters/packets"]); an empty,
+      ["."] or [".."] component is [EINVAL]. The walk from the handle is
+      the path walk started at the held directory, so a symlink on the
+      way is followed as from the root.
+    - {b Journal.} Mutations journal the canonical path, so fsnotify and
+      the distributed-FS layer see exactly the {!Op.t} stream the
+      path-based call would have produced.
+    - {b Removal.} Once the directory is removed, every [*_at] call on
+      a handle to it fails with [ENOENT]. *)
+
+type dir
+
+val opendir : t -> cred:Cred.t -> Path.t -> (dir, Errno.t) result
+(** Resolve a directory (following symlinks, +x on every ancestor);
+    [ENOTDIR] if the path names anything else. One crossing. *)
+
+val dir_ino : dir -> int
+(** The directory's inode number: a re-created directory at the same
+    path is a different inode. *)
+
+val readdir_at : t -> cred:Cred.t -> dir -> (string list, Errno.t) result
+(** {!readdir} of the held directory. *)
+
+val read_file_at : t -> cred:Cred.t -> dir -> string -> (string, Errno.t) result
+
+val write_file_at :
+  t -> cred:Cred.t -> dir -> string -> string -> (unit, Errno.t) result
+(** {!write_file} relative to the handle: create if missing, truncate,
+    write. *)
+
+val unlink_at : t -> cred:Cred.t -> dir -> string -> (unit, Errno.t) result
+
+val mkdir_at : t -> cred:Cred.t -> dir -> string -> (unit, Errno.t) result
+(** {!mkdir} (mode [0o755]) relative to the handle. *)
 
 (** {1 File descriptors} *)
 

@@ -54,8 +54,10 @@ let parent = function
     in
     Some (drop_last comps)
 
-let basename p =
-  match List.rev p with [] -> None | last :: _ -> Some last
+let rec basename = function
+  | [] -> None
+  | [ last ] -> Some last
+  | _ :: rest -> basename rest
 
 let append a b = a @ b
 

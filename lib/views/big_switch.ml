@@ -116,9 +116,8 @@ let remove_installed t installed =
       | r -> checked t (switch ^ "/" ^ name) r)
     installed
 
-let compile_flow t vname (flow : Y.Flowdir.t) =
+let compile_flow t vdir vname (flow : Y.Flowdir.t) =
   let vfs = Y.Yanc_fs.fs t.view_fs in
-  let vdir = Y.Layout.flow ~root:(Y.Yanc_fs.root t.view_fs) ~switch:t.switch_name vname in
   let fail msg =
     checked t (vname ^ " error")
       (Y.Flowdir.set_error vfs ~cred:t.cred vdir (Some msg));
@@ -224,39 +223,47 @@ let compile_flow t vname (flow : Y.Flowdir.t) =
     | _ :: _ :: _, _ ->
       fail "multiple virtual output ports are not supported by this virtualizer")
 
+(* Every version is read through one handle on the view's flows/
+   directory; a flow is opened only when stale. *)
 let sync_flows_down t =
   let vfs = Y.Yanc_fs.fs t.view_fs in
   let live = Y.Yanc_fs.flow_names t.view_fs ~cred:t.cred t.switch_name in
-  List.iter
-    (fun vname ->
-      let vdir =
-        Y.Layout.flow ~root:(Y.Yanc_fs.root t.view_fs) ~switch:t.switch_name vname
-      in
-      match Y.Flowdir.read_version vfs ~cred:t.cred vdir with
-      | None -> ()
-      | Some version ->
-        let stale =
-          match Hashtbl.find_opt t.synced vname with
-          | Some c -> c.version < version
-          | None -> true
-        in
-        if stale then begin
+  let stale_dir vflows vname =
+    match Y.Flowdir.read_version ~flow:vname vfs ~cred:t.cred vflows with
+    | None -> None
+    | Some version -> (
+      match Hashtbl.find_opt t.synced vname with
+      | Some c when c.version >= version -> None
+      | Some _ | None ->
+        Result.to_option
+          (Result.map
+             (fun vdir -> (vdir, version))
+             (Y.Yanc_fs.open_flow t.view_fs ~cred:t.cred ~switch:t.switch_name
+                vname)))
+  in
+  (match Y.Yanc_fs.open_flows t.view_fs ~cred:t.cred t.switch_name with
+  | Error _ -> ()
+  | Ok vflows ->
+    List.iter
+      (fun vname ->
+        match stale_dir vflows vname with
+        | None -> ()
+        | Some (vdir, version) ->
           (match Hashtbl.find_opt t.synced vname with
           | Some c -> remove_installed t c.installed
           | None -> ());
-          match Y.Yanc_fs.read_flow t.view_fs ~cred:t.cred ~switch:t.switch_name vname with
-          | Error msg ->
-            checked t (vname ^ " error")
-              (Y.Flowdir.set_error vfs ~cred:t.cred vdir (Some msg));
-            Hashtbl.replace t.synced vname { version; installed = [] }
-          | Ok flow ->
-            checked t (vname ^ " error")
-              (Y.Flowdir.set_error vfs ~cred:t.cred vdir None);
-            let installed = compile_flow t vname flow in
-            if installed <> [] then t.compiled_count <- t.compiled_count + 1;
-            Hashtbl.replace t.synced vname { version; installed }
-        end)
-    live;
+          let verdict, report =
+            Y.Flowdir.read_reporting vfs ~cred:t.cred vdir Result.ok
+          in
+          checked t (vname ^ " error") report;
+          let installed =
+            match verdict with
+            | Error _ -> []
+            | Ok flow -> compile_flow t vdir vname flow
+          in
+          if installed <> [] then t.compiled_count <- t.compiled_count + 1;
+          Hashtbl.replace t.synced vname { version; installed })
+      live);
   (* Deletions. *)
   let gone =
     Hashtbl.fold
@@ -312,25 +319,36 @@ let sync_packet_out t =
 
 (* Every packet of a virtual flow crosses its egress hop exactly once,
    so the egress-switch rule carries the true counters. *)
+(* Each flows/ directory involved — an egress switch's, the view's —
+   is opened once per sync, on first use. *)
 let sync_counters_up t =
   let mfs = Y.Yanc_fs.fs t.master in
-  let vroot = Y.Yanc_fs.root t.view_fs in
+  let egress = Hashtbl.create 8 in
+  let mflows sw =
+    match Hashtbl.find_opt egress sw with
+    | Some d -> d
+    | None ->
+      let d = Y.Yanc_fs.open_flows t.master ~cred:t.cred sw in
+      Hashtbl.replace egress sw d;
+      d
+  in
+  let vflows = lazy (Y.Yanc_fs.open_flows t.view_fs ~cred:t.cred t.switch_name) in
   Hashtbl.iter
     (fun vname c ->
       match List.rev c.installed with
       | [] -> ()
       | (egress_sw, mname) :: _ -> (
         match
-          Y.Flowdir.read_counters mfs ~cred:t.cred
-            (Y.Layout.flow ~root:(Y.Yanc_fs.root t.master) ~switch:egress_sw
-               mname)
+          Result.map
+            (Y.Flowdir.read_counters ~flow:mname mfs ~cred:t.cred)
+            (mflows egress_sw)
         with
-        | Some (packets, bytes) ->
+        | Ok (Some (packets, bytes)) ->
           checked t (vname ^ " counters")
-            (Y.Flowdir.write_counters (Y.Yanc_fs.fs t.view_fs) ~cred:t.cred
-               (Y.Layout.flow ~root:vroot ~switch:t.switch_name vname)
-               ~packets ~bytes ~duration_s:0)
-        | None -> ()))
+            (Result.bind (Lazy.force vflows) (fun vflows ->
+                 Y.Flowdir.write_counters ~flow:vname (Y.Yanc_fs.fs t.view_fs)
+                   ~cred:t.cred vflows ~packets ~bytes ~duration_s:0))
+        | Ok None | Error _ -> ()))
     t.synced
 
 let run t ~now:_ =

@@ -122,56 +122,54 @@ let translate_actions t switch actions =
   in
   go [] actions
 
-let sync_flow_down t switch view_flow =
-  let vdir = Y.Layout.flow ~root:(Y.Yanc_fs.root t.view_fs) ~switch view_flow in
+(* [vflows]: the handle on the view switch's flows/ directory the poll
+   reads every version through; a flow is opened only when stale. *)
+let sync_flow_down t switch vflows view_flow =
   let vfs = Y.Yanc_fs.fs t.view_fs in
-  match Y.Flowdir.read_version vfs ~cred:t.cred vdir with
+  match Y.Flowdir.read_version ~flow:view_flow vfs ~cred:t.cred vflows with
   | None -> ()
-  | Some version ->
+  | Some version -> (
     let key = switch, view_flow in
     let stale =
       match Hashtbl.find_opt t.synced key with
       | Some v -> v < version
       | None -> true
     in
-    if stale then begin
-      Hashtbl.replace t.synced key version;
-      let set_error msg =
-        checked t (switch ^ "/" ^ view_flow ^ " error")
-          (Y.Flowdir.set_error vfs ~cred:t.cred vdir msg)
-      in
-      let reject msg =
-        t.rejected <- t.rejected + 1;
-        set_error (Some msg)
-      in
-      match Y.Yanc_fs.read_flow t.view_fs ~cred:t.cred ~switch view_flow with
-      | Error msg -> reject msg
-      | Ok flow -> (
-        let enforced = OF.Of_match.intersect flow.of_match t.config.flowspace in
-        let actions = translate_actions t switch flow.actions in
-        match enforced, actions with
-        | None, _ -> reject "match outside the slice flowspace"
-        | _, Error e -> reject e
-        | Some of_match, Ok actions ->
-          set_error None;
+    if stale then
+      match Y.Yanc_fs.open_flow t.view_fs ~cred:t.cred ~switch view_flow with
+      | Error _ -> ()
+      | Ok vdir -> (
+        Hashtbl.replace t.synced key version;
+        let confine (flow : Y.Flowdir.t) =
+          let enforced = OF.Of_match.intersect flow.of_match t.config.flowspace in
+          match enforced, translate_actions t switch flow.actions with
+          | None, _ -> Error "match outside the slice flowspace"
+          | _, Error e -> Error e
+          | Some of_match, Ok actions ->
+            Ok
+              { flow with
+                Y.Flowdir.of_match;
+                actions;
+                priority = min flow.priority t.config.priority_cap;
+                version = 0;
+                buffer_id = None }
+        in
+        let verdict, report =
+          Y.Flowdir.read_reporting vfs ~cred:t.cred vdir confine
+        in
+        checked t (switch ^ "/" ^ view_flow ^ " error") report;
+        match verdict with
+        | Error _ -> t.rejected <- t.rejected + 1
+        | Ok mflow -> (
           t.accepted <- t.accepted + 1;
           let target = master_flow_name t view_flow in
-          let mflow =
-            { flow with
-              Y.Flowdir.of_match;
-              actions;
-              priority = min flow.priority t.config.priority_cap;
-              version = 0;
-              buffer_id = None }
-          in
           match
             Y.Yanc_fs.upsert_flow t.master ~cred:t.cred ~switch ~name:target
               mflow
           with
           | Ok () -> ()
           | Error e ->
-            App_intf.fs_failed t.fs_errors (who t) (switch ^ "/" ^ target) e)
-    end
+            App_intf.fs_failed t.fs_errors (who t) (switch ^ "/" ^ target) e)))
 
 let sync_deletions t switch =
   let live = Y.Yanc_fs.flow_names t.view_fs ~cred:t.cred switch in
@@ -207,24 +205,28 @@ let sync_events_up t switch =
                  ~data:ev.data)
       end)
 
+(* Each side's flows/ directory is opened once, on the first synced
+   flow of [switch], and every counter file read or written through it. *)
 let sync_counters_up t switch =
-  let mroot = Y.Yanc_fs.root t.master in
-  let vroot = Y.Yanc_fs.root t.view_fs in
   let mfs = Y.Yanc_fs.fs t.master in
   let vfs = Y.Yanc_fs.fs t.view_fs in
+  let mflows = lazy (Y.Yanc_fs.open_flows t.master ~cred:t.cred switch) in
+  let vflows = lazy (Y.Yanc_fs.open_flows t.view_fs ~cred:t.cred switch) in
   Hashtbl.iter
     (fun (sw, name) _ ->
       if sw = switch then
         match
-          Y.Flowdir.read_counters mfs ~cred:t.cred
-            (Y.Layout.flow ~root:mroot ~switch (master_flow_name t name))
+          Result.map
+            (Y.Flowdir.read_counters ~flow:(master_flow_name t name) mfs
+               ~cred:t.cred)
+            (Lazy.force mflows)
         with
-        | Some (packets, bytes) ->
+        | Ok (Some (packets, bytes)) ->
           checked t (switch ^ "/" ^ name ^ " counters")
-            (Y.Flowdir.write_counters vfs ~cred:t.cred
-               (Y.Layout.flow ~root:vroot ~switch name)
-               ~packets ~bytes ~duration_s:0)
-        | None -> ())
+            (Result.bind (Lazy.force vflows) (fun vflows ->
+                 Y.Flowdir.write_counters ~flow:name vfs ~cred:t.cred vflows
+                   ~packets ~bytes ~duration_s:0))
+        | Ok None | Error _ -> ())
     t.synced
 
 let sync_packet_out t switch =
@@ -245,8 +247,11 @@ let run t ~now:_ =
   mirror_topology t;
   List.iter
     (fun switch ->
-      List.iter (sync_flow_down t switch)
-        (Y.Yanc_fs.flow_names t.view_fs ~cred:t.cred switch);
+      (match Y.Yanc_fs.open_flows t.view_fs ~cred:t.cred switch with
+      | Ok vflows ->
+        List.iter (sync_flow_down t switch vflows)
+          (Y.Yanc_fs.flow_names t.view_fs ~cred:t.cred switch)
+      | Error _ -> ());
       sync_deletions t switch;
       sync_events_up t switch;
       sync_counters_up t switch;

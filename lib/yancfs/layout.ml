@@ -59,7 +59,9 @@ let event ~root ~switch ~app n =
 
 let trace_key_event seq = Printf.sprintf "ev:%d" seq
 
-let trace_key_flow ~switch name = Printf.sprintf "flow:%s/%s" switch name
+(* Built per flow commit, and per replicated op of one on a traced
+   cluster replica: a concatenation, not a format. *)
+let trace_key_flow ~switch name = String.concat "" [ "flow:"; switch; "/"; name ]
 
 (* --- /yanc/cluster (sharded multi-node control, see Yanc.Cluster) ------------ *)
 

@@ -139,13 +139,12 @@ let attach fs ~root =
   (* The hook's own FS calls are kernel-internal: they must not count as
      application syscalls in the §8.1 cost model. *)
   Fs.subscribe fs (fun op ->
-      Fs.suspended fs @@ fun () ->
       match op with
       | Vfs.Op.Mkdir { path; _ } ->
-        let kind = classify ~root path in
-        (match auto_children kind with
+        (match auto_children (classify ~root path) with
         | [] -> ()
         | children ->
+          Fs.suspended fs @@ fun () ->
           (* Children belong to whoever created the typed directory, so
              e.g. a tenant creating a switch in its view can populate
              the flows/ that appeared under it. *)

@@ -190,12 +190,19 @@ let peer_of t ~cred ~switch ~port =
 
 (* --- flows -------------------------------------------------------------------- *)
 
+let open_flow t ~cred ~switch name =
+  Fs.opendir t.fs ~cred (Layout.flow ~root:t.root ~switch name)
+
+let open_flows t ~cred switch =
+  Fs.opendir t.fs ~cred (Layout.flows_dir ~root:t.root switch)
+
 let create_flow t ~cred ~switch ~name flow =
   let tracer = Telemetry.tracer t.telemetry in
   Telemetry.Tracer.span tracer ~stage:"yancfs.flow_write" (fun () ->
       let dir = Layout.flow ~root:t.root ~switch name in
       let* () = Fs.mkdir t.fs ~cred dir in
-      let* () = Flowdir.write t.fs ~cred dir flow in
+      let* d = Fs.opendir t.fs ~cred dir in
+      let* () = Flowdir.write t.fs ~cred d flow in
       (* Hand the trace to whichever driver reconciles this directory. *)
       Telemetry.Tracer.stamp tracer (Layout.trace_key_flow ~switch name);
       Ok ())
@@ -203,11 +210,14 @@ let create_flow t ~cred ~switch ~name flow =
 let upsert_flow t ~cred ~switch ~name flow =
   match create_flow t ~cred ~switch ~name flow with
   | Ok () -> Ok ()
-  | Error Vfs.Errno.EEXIST ->
+  | Error Vfs.Errno.EEXIST -> (
     (* Update in place, preserving the version chain. *)
-    Result.map ignore
-      (Flowdir.update t.fs ~cred (Layout.flow ~root:t.root ~switch name)
-         (fun old -> { flow with Flowdir.version = old.Flowdir.version }))
+    match open_flow t ~cred ~switch name with
+    | Error e -> Error (Vfs.Errno.message e)
+    | Ok d ->
+      Result.map ignore
+        (Flowdir.update t.fs ~cred d (fun old ->
+             { flow with Flowdir.version = old.Flowdir.version })))
   | Error e -> Error (Vfs.Errno.message e)
 
 let flow_names t ~cred switch =
@@ -223,7 +233,9 @@ let flow_name_set t ~cred switch =
   | Error _ -> Name_set.empty
 
 let read_flow t ~cred ~switch name =
-  Flowdir.read t.fs ~cred (Layout.flow ~root:t.root ~switch name)
+  match open_flow t ~cred ~switch name with
+  | Ok d -> Flowdir.read t.fs ~cred d
+  | Error e -> Error (Vfs.Errno.message e)
 
 let delete_flow t ~cred ~switch name =
   Fs.rmdir ~recursive:true t.fs ~cred (Layout.flow ~root:t.root ~switch name)

@@ -95,10 +95,22 @@ val peer_of :
 
 (** {1 Flows} *)
 
+val open_flow :
+  t -> cred:Vfs.Cred.t -> switch:string -> string -> (Vfs.Fs.dir, Vfs.Errno.t) result
+(** {!Vfs.Fs.opendir} of the flow directory: the handle every
+    {!Flowdir} call takes. Open it once per run of calls and drop it. *)
+
+val open_flows :
+  t -> cred:Vfs.Cred.t -> string -> (Vfs.Fs.dir, Vfs.Errno.t) result
+(** {!Vfs.Fs.opendir} of a switch's [flows/] directory, for the
+    {!Flowdir} probes' [?flow]: one open serves a poll of every flow. *)
+
 val create_flow :
   t -> cred:Vfs.Cred.t -> switch:string -> name:string -> Flowdir.t ->
   (unit, Vfs.Errno.t) result
-(** mkdir the flow directory and commit the fields ({!Flowdir.write}). *)
+(** mkdir the flow directory, open it, and commit the fields
+    ({!Flowdir.write}: a directory just made holds no stale files, so
+    the open costs the crossing a listing would). *)
 
 val upsert_flow :
   t -> cred:Vfs.Cred.t -> switch:string -> name:string -> Flowdir.t ->

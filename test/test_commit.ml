@@ -61,18 +61,24 @@ let flow ?(tp_dst = 80) ?(priority = 100) () =
 
 let flow_dir r name = Y.Layout.flow ~root:(Y.Yanc_fs.root r.yfs) ~switch:"sw1" name
 
+let open_flow r name = ok (Y.Yanc_fs.open_flow r.yfs ~cred ~switch:"sw1" name)
+
 (* N version bumps to one flow inside one tick cost exactly one
-   flow_mod: the marks coalesce on the queue and the flush reads the
-   directory's final state. *)
+   flow_mod: the marks coalesce — in the notifier, whose leaf filter
+   leaves back-to-back commits of one flow, or on the queue — and the
+   flush reads the directory's final state. *)
 let test_burst_coalesces_to_one_flow_mod () =
   let r = rig () in
   ok (Y.Yanc_fs.create_flow r.yfs ~cred ~switch:"sw1" ~name:"f" (flow ()));
   step r;
   let adds0 = counter r "driver.commit.adds" in
-  let coalesced0 = counter r "driver.commit.coalesced" in
+  let coalesced () =
+    counter r "driver.commit.coalesced" + counter r "fsnotify.events_coalesced"
+  in
+  let coalesced0 = coalesced () and keys0 = counter r "driver.commit.keys" in
   for i = 1 to 8 do
     match
-      Y.Flowdir.update (Y.Yanc_fs.fs r.yfs) ~cred (flow_dir r "f")
+      Y.Flowdir.update (Y.Yanc_fs.fs r.yfs) ~cred (open_flow r "f")
         (fun old -> { old with Y.Flowdir.priority = 100 + i })
     with
     | Ok _ -> ()
@@ -81,8 +87,9 @@ let test_burst_coalesces_to_one_flow_mod () =
   step r;
   Alcotest.(check int) "one flow_mod for eight writes" 1
     (counter r "driver.commit.adds" - adds0);
-  Alcotest.(check bool) "marks coalesced" true
-    (counter r "driver.commit.coalesced" > coalesced0);
+  Alcotest.(check bool) "marks coalesced" true (coalesced () > coalesced0);
+  Alcotest.(check int) "the flush took one key" 1
+    (counter r "driver.commit.keys" - keys0);
   match hardware r with
   | [ e ] -> Alcotest.(check int) "last write wins" 108 e.N.Flow_table.priority
   | l -> Alcotest.failf "expected 1 hardware rule, got %d" (List.length l)
@@ -141,7 +148,7 @@ let test_match_takeover_in_one_batch () =
        (flow ~tp_dst:1 ~priority:10 ()));
   step r;
   (match
-     Y.Flowdir.update (Y.Yanc_fs.fs r.yfs) ~cred (flow_dir r "a")
+     Y.Flowdir.update (Y.Yanc_fs.fs r.yfs) ~cred (open_flow r "a")
        (fun old ->
          { old with
            Y.Flowdir.of_match =
@@ -248,7 +255,7 @@ let apply_op r = function
     | Ok () -> ()
     | Error Vfs.Errno.EEXIST ->
       (match
-         Y.Flowdir.update (Y.Yanc_fs.fs r.yfs) ~cred (flow_dir r name)
+         Y.Flowdir.update (Y.Yanc_fs.fs r.yfs) ~cred (open_flow r name)
            (fun old -> { f with Y.Flowdir.version = old.Y.Flowdir.version })
        with
       | Ok _ -> ()

@@ -107,6 +107,38 @@ let test_recursive_watch () =
        (fun (e : E.t) -> Path.to_string e.path = "/deep/a/b/f")
        evs)
 
+(* A leaf filter on a recursive watch: the anchor's direct children
+   come, go and move as usual; deeper, only the named files are heard —
+   the driver's view of flows/. Filtered events are never queued, so
+   the commits of one flow sit back to back and merge. *)
+let test_leaf_filter () =
+  let fs, n = setup () in
+  ok (Fs.mkdir_p fs ~cred (p "/flows"));
+  let dispatched0 = counter fs "fsnotify.events_dispatched" in
+  ignore (N.add_watch ~recursive:true ~leaves:[ "version" ] n (p "/flows") N.all);
+  ok (Fs.mkdir fs ~cred (p "/flows/f"));
+  ok (Fs.mkdir fs ~cred (p "/flows/f/counters"));
+  ok (Fs.write_file fs ~cred (p "/flows/f/priority") "1");
+  ok (Fs.write_file fs ~cred (p "/flows/f/version") "1");
+  ok (Fs.write_file fs ~cred (p "/flows/f/counters/packets") "0");
+  ok (Fs.write_file fs ~cred (p "/flows/f/version") "2");
+  ok (Fs.write_file fs ~cred (p "/flows/f/counters/version") "3");
+  ok (Fs.rename fs ~cred ~src:(p "/flows/f") ~dst:(p "/flows/g"));
+  ok (Fs.rmdir ~recursive:true fs ~cred (p "/flows/g"));
+  Alcotest.(check (list string)) "directories and commits only"
+    [ "[wd=1 created /flows/f name=f]";
+      "[wd=1 created /flows/f/version name=version]";
+      "[wd=1 modified /flows/f/version name=version]";
+      "[wd=1 created /flows/f/counters/version name=version]";
+      "[wd=1 modified /flows/f/counters/version name=version]";
+      "[wd=1 moved_from /flows/f name=f]"; "[wd=1 moved_to /flows/g name=g]";
+      "[wd=1 deleted /flows/g/counters/version name=version]";
+      "[wd=1 deleted /flows/g/version name=version]";
+      "[wd=1 deleted /flows/g name=g]" ]
+    (strings (N.read_events n));
+  Alcotest.(check int) "dropped events are not dispatched" 10
+    (counter fs "fsnotify.events_dispatched" - dispatched0)
+
 let test_attrib_events () =
   let fs, n = setup () in
   ok (Fs.write_file fs ~cred (p "/f") "x");
@@ -305,8 +337,8 @@ let test_indexed_visits_few_watches () =
    byte-identical event sequence to the retained linear reference for
    arbitrary workloads — creates/writes/renames/attribs/deletes under
    nested directories, mixed exact/parent/recursive watches with random
-   masks, watches added and removed mid-stream, bounded drains at random
-   points. *)
+   masks and random leaf filters, watches added and removed mid-stream,
+   bounded drains at random points. *)
 let test_randomized_equivalence () =
   let rng = Random.State.make [| 0xE14; 7 |] in
   let pick arr = arr.(Random.State.int rng (Array.length arr)) in
@@ -356,8 +388,16 @@ let test_randomized_equivalence () =
       let anchor = p (pick anchors) in
       let recursive = Random.State.bool rng in
       let mask = random_mask () in
-      let wd_l = N.add_watch ~recursive lin anchor mask in
-      let wd_i = N.add_watch ~recursive idx anchor mask in
+      let leaves =
+        if Random.State.bool rng then None
+        else
+          Some
+            (List.filter
+               (fun _ -> Random.State.bool rng)
+               [ "file"; "f1"; "f3"; "b"; "n"; "o" ])
+      in
+      let wd_l = N.add_watch ~recursive ?leaves lin anchor mask in
+      let wd_i = N.add_watch ~recursive ?leaves idx anchor mask in
       Alcotest.(check int) "same wd on both backends" wd_l wd_i;
       live_wds := wd_l :: !live_wds
     | 8 -> (
@@ -691,6 +731,7 @@ let () =
           Alcotest.test_case "mask filtering" `Quick test_mask_filtering;
           Alcotest.test_case "moves" `Quick test_move_events;
           Alcotest.test_case "recursive" `Quick test_recursive_watch;
+          Alcotest.test_case "leaf filter" `Quick test_leaf_filter;
           Alcotest.test_case "attrib" `Quick test_attrib_events;
           Alcotest.test_case "watch future path" `Quick test_watch_future_path ] );
       ( "lifecycle",

@@ -16,7 +16,9 @@
    - Only lib/openflow names the wire codecs (Of10, Of13); everything
      else speaks Openflow.Msg through Openflow.Dialect, and
      Openflow.Dialect.t is the one V10 | V13 type (others may re-export
-     it by type equation). *)
+     it by type equation).
+   - Only Flowdir reads or writes the files of a flow directory: it
+     alone names them and makes handle-relative file calls. *)
 
 let dirs = [ "../lib/apps"; "../lib/views" ]
 
@@ -221,6 +223,29 @@ let test_one_version_type () =
     [ "../lib/openflow/dialect.ml:1"; "../lib/openflow/dialect.mli:5" ]
     definitions
 
+(* A flow file's name, or a handle-relative file call. Event and
+   packet-out spools name a [buffer_id] file of their own. *)
+let test_flow_files () =
+  let flowdir = "../lib/yancfs/flowdir.ml" in
+  let names =
+    violations ~dirs:[ "../lib" ]
+      ~matching:
+        [ "version_file"; "error_file"; "priority_file"; "idle_timeout_file";
+          "hard_timeout_file"; "cookie_file"; "Layout.flow_attr";
+          "Layout.flow_counters"; "\"buffer_id\""; "read_file_at";
+          "write_file_at"; "unlink_at"; "mkdir_at"; "readdir_at" ]
+  in
+  check_none "flow files touched outside Flowdir"
+    (names
+       ~allowed:(fun path _ ->
+         path = flowdir
+         || List.exists (fun f -> is f path)
+              [ "layout.ml"; "fs.ml"; "eventdir.ml"; "outdir.ml" ])
+       ());
+  (* The scan must see Flowdir's own use, or it proves nothing. *)
+  Alcotest.(check bool) "Flowdir names the flow files" true
+    (names ~allowed:(fun path _ -> path <> flowdir) () <> [])
+
 let () =
   Alcotest.run "guard"
     [ ( "one mechanism",
@@ -229,6 +254,8 @@ let () =
       ( "one wire protocol",
         [ Alcotest.test_case "codecs only in lib/openflow" `Quick test_codecs;
           Alcotest.test_case "one version type" `Quick test_one_version_type ] );
+      ( "flow files",
+        [ Alcotest.test_case "only Flowdir" `Quick test_flow_files ] );
       ( "hardware reads",
         [ Alcotest.test_case "only netsim and Audit" `Quick
             test_hardware_reads ] );

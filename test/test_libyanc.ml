@@ -101,7 +101,7 @@ let test_fastpath_delete_and_read () =
   (* counters written by a driver *)
   ok
     (Y.Flowdir.write_counters fs ~cred
-       (Y.Layout.flow ~root:Y.Layout.default_root ~switch:"sw1" "a")
+       (ok (Y.Yanc_fs.open_flow yfs ~cred ~switch:"sw1" "a"))
        ~packets:5L ~bytes:500L ~duration_s:1);
   let c0 = crossings fs in
   let counters = ok (Libyanc.Fastpath.read_flow_counters fp ~switch:"sw1") in

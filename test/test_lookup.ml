@@ -359,6 +359,174 @@ let test_final_symlink_follow () =
   check_err "no follow past a file" Vfs.Errno.ENOTDIR
     (Fs.stat fs ~cred (p "/alias/lf/x"))
 
+(* --- directory handles ------------------------------------------------------ *)
+
+(* The [*_at] twins of the two cases above. A handle opened through a
+   symlinked parent names the directory canonically, and what is done
+   through it journals exactly the ops and events the path-based calls
+   journal. *)
+let test_symlinked_parent_journals_canonical_at () =
+  let fs = fresh () in
+  check_ok "mk" (Fs.mkdir_p fs ~cred (p "/net/switches/sw1/flows"));
+  check_ok "ln" (Fs.symlink fs ~cred ~target:"/net/switches/sw1" (p "/sw"));
+  check_ok "ln rel" (Fs.symlink fs ~cred ~target:"flows" (p "/net/switches/sw1/f"));
+  let n = Fsnotify.Notifier.create fs in
+  ignore
+    (Fsnotify.Notifier.add_watch ~recursive:true n (p "/net")
+       Fsnotify.Notifier.all);
+  let seen = ref [] in
+  let hook = Fs.subscribe fs (fun op -> seen := op :: !seen) in
+  let flows = check_ok "open via link" (Fs.opendir fs ~cred (p "/sw/flows")) in
+  check_ok "mkdir_at via link" (Fs.mkdir_at fs ~cred flows "g1");
+  let g1 = check_ok "open g1 via link" (Fs.opendir fs ~cred (p "/sw/flows/g1")) in
+  check_ok "write_at via link" (Fs.write_file_at fs ~cred g1 "priority" "7");
+  let g1' = check_ok "open via two links" (Fs.opendir fs ~cred (p "/sw/f/g1")) in
+  check_ok "write_at via two links" (Fs.write_file_at fs ~cred g1' "version" "1");
+  Fs.unsubscribe fs hook;
+  let ops =
+    List.rev_map
+      (function
+        | Vfs.Op.Mkdir { path; _ } -> "mkdir " ^ Path.to_string path
+        | Vfs.Op.Create { path; _ } -> "create " ^ Path.to_string path
+        | Vfs.Op.Write { path; _ } -> "write " ^ Path.to_string path
+        | _ -> "other")
+      !seen
+  in
+  Alcotest.(check (list string)) "hook sees canonical paths"
+    [ "mkdir /net/switches/sw1/flows/g1";
+      "create /net/switches/sw1/flows/g1/priority";
+      "write /net/switches/sw1/flows/g1/priority";
+      "create /net/switches/sw1/flows/g1/version";
+      "write /net/switches/sw1/flows/g1/version" ]
+    ops;
+  let events =
+    List.map
+      (fun (e : Fsnotify.Event.t) -> Path.to_string e.path)
+      (Fsnotify.Notifier.read_events n)
+  in
+  Alcotest.(check (list string)) "events carry canonical paths"
+    [ "/net/switches/sw1/flows/g1"; "/net/switches/sw1/flows/g1/priority";
+      "/net/switches/sw1/flows/g1/priority";
+      "/net/switches/sw1/flows/g1/version"; "/net/switches/sw1/flows/g1/version" ]
+    events;
+  Alcotest.(check string) "canonical read" "7"
+    (check_ok "read_at" (Fs.read_file_at fs ~cred g1 "priority"))
+
+(* A symlinked entry below a handle is followed by a full walk, for a
+   read and for a write, which journals the target's canonical path. *)
+let test_symlinked_entry_at () =
+  let fs = fresh () in
+  check_ok "mk" (Fs.mkdir_p fs ~cred (p "/real/sub"));
+  check_ok "w" (Fs.write_file fs ~cred (p "/real/sub/f") "1234");
+  check_ok "ln dir" (Fs.symlink fs ~cred ~target:"/real" (p "/alias"));
+  check_ok "ln file" (Fs.symlink fs ~cred ~target:"sub/f" (p "/real/lf"));
+  check_ok "ln sub" (Fs.symlink fs ~cred ~target:"sub" (p "/real/ls"));
+  let d = check_ok "open" (Fs.opendir fs ~cred (p "/alias")) in
+  List.iter
+    (fun rel ->
+      Alcotest.(check string) (rel ^ ": followed") "1234"
+        (check_ok "read_at" (Fs.read_file_at fs ~cred d rel)))
+    [ "lf"; "sub/f"; "ls/f" ];
+  let seen = ref [] in
+  let hook = Fs.subscribe fs (fun op -> seen := Vfs.Op.path op :: !seen) in
+  check_ok "write through the link" (Fs.write_file_at fs ~cred d "lf" "abcd");
+  check_ok "write below a linked dir" (Fs.write_file_at fs ~cred d "ls/g" "x");
+  Fs.unsubscribe fs hook;
+  Alcotest.(check (list string)) "journalled at the targets"
+    [ "/real/sub/f"; "/real/sub/f"; "/real/sub/g"; "/real/sub/g" ]
+    (List.rev_map Path.to_string !seen);
+  Alcotest.(check string) "target rewritten" "abcd"
+    (check_ok "read" (Fs.read_file fs ~cred (p "/real/sub/f")));
+  check_err "no follow past a file" Vfs.Errno.ENOTDIR
+    (Fs.read_file_at fs ~cred d "lf/x")
+
+(* A handle to a removed directory answers ENOENT, also once a new
+   directory (a new inode) stands at its path. *)
+let test_removed_dir_at () =
+  let fs = fresh () in
+  check_ok "mk" (Fs.mkdir_p fs ~cred (p "/d/sub"));
+  check_ok "w" (Fs.write_file fs ~cred (p "/d/f") "x");
+  let d = check_ok "open" (Fs.opendir fs ~cred (p "/d")) in
+  let ino = Fs.dir_ino d in
+  check_ok "rmdir -r" (Fs.rmdir ~recursive:true fs ~cred (p "/d"));
+  let gone what r = check_err what Vfs.Errno.ENOENT r in
+  gone "readdir_at" (Fs.readdir_at fs ~cred d);
+  gone "read_file_at" (Fs.read_file_at fs ~cred d "f");
+  gone "write_file_at" (Fs.write_file_at fs ~cred d "g" "y");
+  gone "unlink_at" (Fs.unlink_at fs ~cred d "f");
+  gone "mkdir_at" (Fs.mkdir_at fs ~cred d "e");
+  check_ok "re-create" (Fs.mkdir fs ~cred (p "/d"));
+  gone "still gone" (Fs.write_file_at fs ~cred d "g" "y");
+  let d' = check_ok "reopen" (Fs.opendir fs ~cred (p "/d")) in
+  Alcotest.(check bool) "a new inode" true (Fs.dir_ino d' <> ino);
+  check_ok "the new handle works" (Fs.write_file_at fs ~cred d' "g" "y");
+  check_err "a file is no directory" Vfs.Errno.ENOTDIR
+    (Fs.opendir fs ~cred (p "/d/g"))
+
+(* Permissions are checked on the held directory: +x to look up, +r to
+   list, +w to add or remove. *)
+let test_permissions_at () =
+  let fs = fresh () in
+  check_ok "mkdir" (Fs.mkdir fs ~cred:root (p "/priv"));
+  check_ok "write" (Fs.write_file fs ~cred:root (p "/priv/f") "secret");
+  let d = check_ok "alice opens" (Fs.opendir fs ~cred:alice (p "/priv")) in
+  Alcotest.(check string) "alice reads" "secret"
+    (check_ok "read_at" (Fs.read_file_at fs ~cred:alice d "f"));
+  check_err "no +w: no new file" Vfs.Errno.EACCES
+    (Fs.write_file_at fs ~cred:alice d "g" "x");
+  check_err "no +w: no unlink" Vfs.Errno.EACCES (Fs.unlink_at fs ~cred:alice d "f");
+  check_err "no +w: no mkdir" Vfs.Errno.EACCES (Fs.mkdir_at fs ~cred:alice d "e");
+  check_ok "close dir" (Fs.chmod fs ~cred:root (p "/priv") 0o700);
+  check_err "no +x: no lookup" Vfs.Errno.EACCES
+    (Fs.read_file_at fs ~cred:alice d "f");
+  check_err "no +r: no listing" Vfs.Errno.EACCES (Fs.readdir_at fs ~cred:alice d);
+  Alcotest.(check (list string)) "root lists" [ "f" ]
+    (check_ok "readdir_at" (Fs.readdir_at fs ~cred:root d))
+
+(* Every mutation through a handle is EROFS on a read-only file system;
+   reads still work. *)
+let test_readonly_at () =
+  let fs = fresh () in
+  check_ok "mk" (Fs.mkdir fs ~cred (p "/d"));
+  check_ok "w" (Fs.write_file fs ~cred (p "/d/f") "x");
+  let d = check_ok "open" (Fs.opendir fs ~cred (p "/d")) in
+  Fs.set_readonly fs true;
+  check_err "write_file_at" Vfs.Errno.EROFS (Fs.write_file_at fs ~cred d "f" "y");
+  check_err "unlink_at" Vfs.Errno.EROFS (Fs.unlink_at fs ~cred d "f");
+  check_err "mkdir_at" Vfs.Errno.EROFS (Fs.mkdir_at fs ~cred d "e");
+  Alcotest.(check string) "read_file_at" "x"
+    (check_ok "read_at" (Fs.read_file_at fs ~cred d "f"));
+  Fs.set_readonly fs false;
+  check_ok "write after flip back" (Fs.write_file_at fs ~cred d "f" "y")
+
+(* One crossing per call, path or handle; the handle walks no component
+   for an entry of the held directory, and a new file is one walk. *)
+let test_crossings_and_components_at () =
+  let fs = fresh () in
+  check_ok "mk" (Fs.mkdir_p fs ~cred (p "/a/b/c"));
+  let reg = Fs.registry fs in
+  let count name = Telemetry.Registry.value (Telemetry.Registry.counter reg name) in
+  let cost f =
+    let x0 = count "vfs.crossings" and c0 = count "vfs.components" in
+    f ();
+    (count "vfs.crossings" - x0, count "vfs.components" - c0)
+  in
+  let pair = Alcotest.(pair int int) in
+  Alcotest.check pair "write_file of a new file: one walk" (1, 4)
+    (cost (fun () -> check_ok "w" (Fs.write_file fs ~cred (p "/a/b/c/f") "1")));
+  Alcotest.check pair "rewrite: one walk" (1, 4)
+    (cost (fun () -> check_ok "w" (Fs.write_file fs ~cred (p "/a/b/c/f") "2")));
+  let d = ref None in
+  Alcotest.check pair "opendir" (1, 3)
+    (cost (fun () -> d := Some (check_ok "open" (Fs.opendir fs ~cred (p "/a/b/c")))));
+  let d = Option.get !d in
+  Alcotest.check pair "write_file_at" (1, 1)
+    (cost (fun () -> check_ok "w" (Fs.write_file_at fs ~cred d "g" "3")));
+  Alcotest.check pair "read_file_at" (1, 1)
+    (cost (fun () -> ignore (check_ok "r" (Fs.read_file_at fs ~cred d "g"))));
+  Alcotest.check pair "readdir_at" (1, 0)
+    (cost (fun () -> ignore (check_ok "ls" (Fs.readdir_at fs ~cred d))))
+
 let () =
   Alcotest.run "lookup"
     [ ( "symlink resolution",
@@ -366,6 +534,15 @@ let () =
             test_symlinked_parent_journals_canonical;
           Alcotest.test_case "final symlink follow" `Quick
             test_final_symlink_follow ] );
+      ( "directory handles",
+        [ Alcotest.test_case "symlinked parent journals canonical (at)" `Quick
+            test_symlinked_parent_journals_canonical_at;
+          Alcotest.test_case "symlinked entry (at)" `Quick test_symlinked_entry_at;
+          Alcotest.test_case "removed directory (at)" `Quick test_removed_dir_at;
+          Alcotest.test_case "permissions (at)" `Quick test_permissions_at;
+          Alcotest.test_case "readonly (at)" `Quick test_readonly_at;
+          Alcotest.test_case "crossings and components (at)" `Quick
+            test_crossings_and_components_at ] );
       ( "namespace invalidation",
         [ Alcotest.test_case "rename over cached prefix" `Quick
             test_rename_over_prefix;

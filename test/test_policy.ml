@@ -686,7 +686,10 @@ let test_fsck_policy_leg () =
   in
   Alcotest.(check bool) "at least three rules" true (List.length names >= 3);
   let yfs = Yanc.Controller.yfs r.ctl in
-  let dir = Yancfs.Layout.flow ~root:(Yancfs.Yanc_fs.root yfs) ~switch:"sw1" in
+  let dir name =
+    ok (Result.map_error Vfs.Errno.to_string
+          (Yancfs.Yanc_fs.open_flow yfs ~cred ~switch:"sw1" name))
+  in
   (* no step in between: the engine gets no chance to repair *)
   ok (Result.map_error Vfs.Errno.to_string
         (Yancfs.Yanc_fs.delete_flow yfs ~cred ~switch:"sw1" (List.hd names)));

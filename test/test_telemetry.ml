@@ -441,6 +441,55 @@ let storm_series () =
     > 0);
   metric_names (read_proc ctl "metrics")
 
+(* The journalled op stream of a toy storm episode, as one digest: a
+   k=4 ecmpd storm of 120 arrivals, then a tail past one stats poll so
+   the driver's counter writeback is in it too. Every op from the
+   first handshake on is rendered (a write with its bytes) and hashed;
+   the golden pins that flow I/O changes how paths are resolved, not
+   what is written where or in which order. *)
+let storm_op_stream () =
+  let built = N.Topo_gen.fat_tree ~k:4 () in
+  let net = built.N.Topo_gen.net in
+  let ctl = Yanc.Controller.create ~net () in
+  let fs = Yanc.Controller.fs ctl in
+  let buf = Buffer.create 4096 and ops = ref 0 in
+  let hook =
+    Fs.subscribe fs (fun op ->
+        incr ops;
+        Buffer.add_string buf (Format.asprintf "%a" Vfs.Op.pp op);
+        (match op with
+        | Vfs.Op.Write { data; _ } -> Buffer.add_string buf data
+        | _ -> ());
+        Buffer.add_char buf '\n')
+  in
+  Yanc.Controller.attach_switches ctl;
+  Yanc.Controller.run_for ctl 0.6;
+  let yfs = Yanc.Controller.yfs ctl in
+  golden_provision yfs net;
+  Yanc.Controller.add_app ctl
+    (Apps.Ecmp_router.app (Apps.Ecmp_router.create yfs));
+  let wl =
+    N.Workload.create ~start:(N.Network.now net) ~seed:0x0D16E57
+      ~hosts:(List.length built.N.Topo_gen.host_names) ()
+  in
+  let injected = ref 0 in
+  while !injected < 120 do
+    injected :=
+      !injected + N.Workload.inject_until wl ~net ~upto:(N.Network.now net);
+    Yanc.Controller.step ctl;
+    N.Network.run net;
+    if N.Network.pending_events net = 0 then N.Network.advance_idle net 0.005
+  done;
+  Yanc.Controller.run_for ~tick:0.05 ctl 5.5;
+  Fs.unsubscribe fs hook;
+  (!ops, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_storm_op_stream_golden () =
+  let ops, digest = storm_op_stream () in
+  Alcotest.(check int) "ops journalled" 26218 ops;
+  Alcotest.(check string) "op stream digest"
+    "21763339b540ea55dd5a992b67e63493" digest
+
 let cluster_series () =
   let built = N.Topo_gen.fat_tree ~k:4 () in
   let c = Yanc.Cluster.create ~n:2 ~net:built.N.Topo_gen.net () in
@@ -823,6 +872,8 @@ let () =
       ( "proc",
         [ Alcotest.test_case "packet-in traced end to end" `Quick
             test_packet_in_traced_end_to_end;
+          Alcotest.test_case "storm op-stream golden" `Quick
+            test_storm_op_stream_golden;
           Alcotest.test_case "metrics unifies the counters" `Quick
             test_proc_metrics_unifies_the_counters;
           Alcotest.test_case "dfs counters join the registry" `Quick

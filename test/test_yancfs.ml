@@ -255,13 +255,14 @@ let test_flowdir_version_readback () =
   ok (Fs.mkdir fs ~cred (p "/net/switches/sw1"));
   let dir = Y.Layout.flow ~root:net ~switch:"sw1" "f" in
   ok (Fs.mkdir fs ~cred dir);
+  let d = ok (Fs.opendir fs ~cred dir) in
   Alcotest.(check (option int)) "no version yet" None
-    (Y.Flowdir.read_version fs ~cred dir);
-  ok (Y.Flowdir.write fs ~cred dir sample_flow);
-  Alcotest.(check (option int)) "bumped" (Some 1) (Y.Flowdir.read_version fs ~cred dir);
-  ok (Y.Flowdir.write fs ~cred dir { sample_flow with Y.Flowdir.version = 1 });
+    (Y.Flowdir.read_version fs ~cred d);
+  ok (Y.Flowdir.write fs ~cred d sample_flow);
+  Alcotest.(check (option int)) "bumped" (Some 1) (Y.Flowdir.read_version fs ~cred d);
+  ok (Y.Flowdir.write fs ~cred d { sample_flow with Y.Flowdir.version = 1 });
   Alcotest.(check (option int)) "bumped again" (Some 2)
-    (Y.Flowdir.read_version fs ~cred dir)
+    (Y.Flowdir.read_version fs ~cred d)
 
 let test_flowdir_rewrite_removes_stale_fields () =
   let fs, yfs = setup () in
@@ -269,7 +270,8 @@ let test_flowdir_rewrite_removes_stale_fields () =
   ok (Fs.mkdir fs ~cred (p "/net/switches/sw1"));
   let dir = Y.Layout.flow ~root:net ~switch:"sw1" "f" in
   ok (Fs.mkdir fs ~cred dir);
-  ok (Y.Flowdir.write fs ~cred dir sample_flow);
+  let d = ok (Fs.opendir fs ~cred dir) in
+  ok (Y.Flowdir.write fs ~cred d sample_flow);
   (* rewrite with a narrower match: the old tp_dst file must go away *)
   let broader =
     { sample_flow with
@@ -277,7 +279,7 @@ let test_flowdir_rewrite_removes_stale_fields () =
       actions = [];
       version = 1 }
   in
-  ok (Y.Flowdir.write fs ~cred dir broader);
+  ignore (ok_s (Y.Flowdir.update fs ~cred d (fun _ -> broader)));
   Alcotest.(check bool) "stale match file gone" false
     (Fs.exists fs ~cred (Path.child dir "match.tp_dst"));
   Alcotest.(check bool) "stale action gone" false
@@ -285,24 +287,25 @@ let test_flowdir_rewrite_removes_stale_fields () =
 
 let test_flow_counters_and_error () =
   let fs, yfs = setup () in
-  ignore yfs;
   ok (Fs.mkdir fs ~cred (p "/net/switches/sw1"));
   let dir = Y.Layout.flow ~root:net ~switch:"sw1" "f" in
   ok (Fs.mkdir fs ~cred dir);
-  ok (Y.Flowdir.write_counters fs ~cred dir ~packets:10L ~bytes:640L ~duration_s:5);
+  let d = ok (Fs.opendir fs ~cred dir) in
+  ok (Y.Flowdir.write_counters fs ~cred d ~packets:10L ~bytes:640L ~duration_s:5);
   Alcotest.(check string) "packets file" "10"
     (String.trim (ok (Fs.read_file fs ~cred (Path.child (Path.child dir "counters") "packets"))));
   Alcotest.(check (option (pair int64 int64))) "read back" (Some (10L, 640L))
-    (Y.Flowdir.read_counters fs ~cred dir);
+    (Y.Flowdir.read_counters fs ~cred d);
   Alcotest.(check (option (pair int64 int64))) "not yet reported" None
-    (Y.Flowdir.read_counters fs ~cred (Y.Layout.flow ~root:net ~switch:"sw1" "g"));
-  ok (Y.Flowdir.set_error fs ~cred dir (Some "boom"));
+    (Y.Flowdir.read_counters ~flow:"g" fs ~cred
+       (ok (Y.Yanc_fs.open_flows yfs ~cred "sw1")));
+  ok (Y.Flowdir.set_error fs ~cred d (Some "boom"));
   Alcotest.(check string) "error file" "boom"
     (ok (Fs.read_file fs ~cred (Path.child dir "error")));
-  ok (Y.Flowdir.set_error fs ~cred dir None);
+  ok (Y.Flowdir.set_error fs ~cred d None);
   Alcotest.(check bool) "error cleared" false
     (Fs.exists fs ~cred (Path.child dir "error"));
-  ok (Y.Flowdir.set_error fs ~cred dir None)
+  ok (Y.Flowdir.set_error fs ~cred d None)
 
 (* upsert_flow over an existing flow continues its version chain, and
    the driver reprograms the rule from the committed update. *)
@@ -327,14 +330,16 @@ let test_upsert_flow () =
          (Y.Yanc_fs.read_flow yfs ~cred ~switch:"sw1" "f")
        = Ok (out port).actions
   in
-  let dir = Y.Layout.flow ~root:net ~switch:"sw1" "f" in
+  let version () =
+    Y.Flowdir.read_version fs ~cred (ok (Y.Yanc_fs.open_flow yfs ~cred ~switch:"sw1" "f"))
+  in
   ok_s (Y.Yanc_fs.upsert_flow yfs ~cred ~switch:"sw1" ~name:"f" (out 1));
   Driver.Manager.run_control mgr ~now:1.;
-  let created = Option.get (Y.Flowdir.read_version fs ~cred dir) in
+  let created = Option.get (version ()) in
   Alcotest.(check bool) "created rule installed" true (installed 1);
   ok_s (Y.Yanc_fs.upsert_flow yfs ~cred ~switch:"sw1" ~name:"f" (out 2));
   Alcotest.(check (option int)) "version continues from the old value"
-    (Some (created + 1)) (Y.Flowdir.read_version fs ~cred dir);
+    (Some (created + 1)) (version ());
   Driver.Manager.run_control mgr ~now:2.;
   Alcotest.(check bool) "update installed in place of the old rule" true
     (installed 2)
