@@ -109,6 +109,10 @@ let e3_commit () =
    zero-copy contrast (8.1). *)
 (* ================================================================== *)
 
+
+(* Benches consume as root: a failed event removal is a broken rig. *)
+let rmdir_failed e = failwith ("event rmdir: " ^ Vfs.Errno.to_string e)
+
 let e4_fanout () =
   section "E4   packet-in fan-out to K application buffers (paper 3.5)";
   let frame =
@@ -138,7 +142,7 @@ let e4_fanout () =
                 (fun i ->
                   ignore
                     (Y.Eventdir.consume fs ~cred ~root:net_root ~switch:"sw1"
-                       ~app:(Printf.sprintf "app%d" i)))
+                       ~app:(Printf.sprintf "app%d" i) ~on_error:rmdir_failed))
                 (List.init k (fun i -> i + 1))))
       [ 1; 2; 4; 8 ]
   in
@@ -158,7 +162,9 @@ let e4_fanout () =
                ~reason:OF.Of_types.No_match ~buffer_id:None
                ~total_len:(String.length frame) ~data:frame);
           if !n mod 32 = 0 then
-            ignore (Y.Eventdir.consume fs ~cred ~root:net_root ~switch:"sw1" ~app:"a"));
+            ignore
+              (Y.Eventdir.consume fs ~cred ~root:net_root ~switch:"sw1" ~app:"a"
+                 ~on_error:rmdir_failed));
       test "deliver/pktin_zero_copy" (fun () ->
           ignore
             (Y.Pktin.publish ring ~switch:"sw1" ~in_port:1

@@ -72,10 +72,13 @@ module Packet_in = struct
     end
 
   (* Apply [f] to each pending event of [switch], oldest first, removing
-     them from the buffer. *)
+     them from the buffer. A failed removal is counted, and its event
+     waits for a later drain. *)
   let drain t ~switch f =
     subscribe t ~switch;
     List.iter f
       (Y.Eventdir.consume (Y.Yanc_fs.fs t.yfs) ~cred:t.cred
-         ~root:(Y.Yanc_fs.root t.yfs) ~switch ~app:t.app)
+         ~root:(Y.Yanc_fs.root t.yfs) ~switch ~app:t.app
+         ~on_error:(fun e ->
+           checked t.fs_errors t.app ("event rmdir " ^ switch) (Error e)))
 end

@@ -42,13 +42,6 @@ type t = {
      partitioned-ownership optimisation. [None] from the policy means
      "everywhere" (metadata, unsharded paths). *)
   mutable route : (Vfs.Op.t -> origin:int -> int list option) option;
-  (* Notification batching: ops mapped to the same class by this
-     policy are interchangeable as far as watchers care (e.g. every
-     file of one flow directory marks the same flow dirty), so a drain
-     replays a consecutive same-(target, class) run with fsnotify
-     suppressed on all but the last op — inotify-style coalescing moved
-     to where the burst is visible. [None] means "always emit". *)
-  mutable emit_class : (Vfs.Op.t -> string option) option;
   (* Path-prefix consistency overrides, checked before any xattr probe:
      a cheap string compare on the hot path instead of an ancestor walk. *)
   mutable prefix_consistency : (string * Consistency.t) list;
@@ -78,7 +71,6 @@ type t = {
   ops_originated : Reg.counter;
   ops_replicated : Reg.counter;
   ops_coalesced : Reg.counter;
-  emits_elided : Reg.counter;
   ops_synced : Reg.counter;
   ops_dropped : Reg.counter;
   mutable writer_blocked_s : float;
@@ -103,7 +95,6 @@ let replaying t target f =
 (* Replay one op on [target]; inside [replaying]. *)
 let apply_op ?(emit = true) ?trace ?cursor t target op =
   Reg.incr t.ops_replicated;
-  if not emit then Reg.incr t.emits_elided;
   let replay () = ignore (Fs.replay ~emit ?cursor t.replicas.(target) op) in
   match trace with
   | None -> replay ()
@@ -312,7 +303,7 @@ let make ~consistency ~rtt replicas =
       stash = Array.make n [];
       candidates = Array.init n (fun _ -> Hashtbl.create 64);
       creates = Array.init n (fun _ -> Hashtbl.create 64);
-      applying = false; route = None; emit_class = None;
+      applying = false; route = None;
       prefix_consistency = [];
       trace_tracer = None; trace_key_of = None;
       last_fwd_trace = 0; last_apply = Array.make n 0;
@@ -320,7 +311,6 @@ let make ~consistency ~rtt replicas =
       ops_originated = counter "ops_originated";
       ops_replicated = counter "ops_replicated";
       ops_coalesced = counter "ops_coalesced";
-      emits_elided = counter "emits_elided";
       ops_synced = counter "ops_synced";
       ops_dropped = counter "ops_dropped";
       writer_blocked_s = 0.; max_queue = 0 }
@@ -373,26 +363,13 @@ let drain t ~all =
   (* Replay the due ops in arrival order, one consecutive run with the
      same target at a time: the run is timed once and shares one replay
      cursor, so a flow directory's burst of field writes walks its path
-     once. Within the run, a stretch with the same emit class notifies
-     only on its last op: the watchers' dirty-marking is per class, so
-     one event covers the stretch and the replica skips the per-op hook
-     fan-out. *)
+     once. *)
   let due = Array.of_list (List.rev !due) in
   let m = Array.length due in
-  let class_of p =
-    match t.emit_class with None -> None | Some f -> f p.op
-  in
   let last_of_run i = i = m - 1 || due.(i + 1).target <> due.(i).target in
   let rec run cursor i =
     let p = due.(i) in
-    let emit =
-      last_of_run i
-      ||
-      match class_of p with
-      | None -> true
-      | Some c -> class_of due.(i + 1) <> Some c
-    in
-    apply_op ~emit ?trace:p.trace ~cursor t p.target p.op;
+    apply_op ?trace:p.trace ~cursor t p.target p.op;
     if last_of_run i then i + 1 else run cursor (i + 1)
   in
   let i = ref 0 in
@@ -433,7 +410,6 @@ let set_partitioned t i cut =
 
 let set_route t route = t.route <- route
 
-let set_emit_class t f = t.emit_class <- f
 
 let set_tracing t hooks =
   match hooks with

@@ -23,9 +23,6 @@ type t
     - [dfs.ops_originated], [dfs.ops_replicated];
     - [dfs.ops_coalesced]: queued ops superseded by a later write to
       the same path before their visibility time (last-write-wins);
-    - [dfs.emits_elided]: replicated ops replayed with notification
-      suppressed because a later op of the same drain run covers them
-      (see {!set_emit_class});
     - [dfs.ops_synced] ({!sync_subtree}), [dfs.ops_dropped]
       ({!drop_origin_pending}).
 
@@ -97,14 +94,6 @@ val set_route : t -> (Vfs.Op.t -> origin:int -> int list option) option -> unit
 (** Install (or clear) the routing policy. The policy returns the
     replica indexes an op should reach ([None] = every peer, the
     default); the origin is always excluded. *)
-
-val set_emit_class : t -> (Vfs.Op.t -> string option) option -> unit
-(** Notification-batching policy: ops mapped to the same class [Some c]
-    are interchangeable to watchers (any one event dirty-marks the same
-    object — e.g. every field file of one flow directory), so a drain
-    suppresses fsnotify on all but the last op of a consecutive
-    same-(target, class) run. [None] from the policy (or no policy, the
-    default) means the op always notifies. *)
 
 val set_tracing :
   t ->

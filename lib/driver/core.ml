@@ -469,13 +469,15 @@ let on_message t ~now ~xid (msg : Msg.t) =
             (Y.Pktin.publish (Y.Yanc_fs.pktin t.yfs) ~switch:name ~in_port
                ~reason ~buffer_id ~total_len ~data ~at:now);
           if t.eventdir_subs then
-            let written =
+            match
               Y.Eventdir.publish ~telemetry:t.telemetry (fs t) ~root:(root t)
                 ~switch:name ~in_port ~reason ~buffer_id ~total_len ~data
-            in
-            (* All subscribers gone: stop paying for the readdir until
-               someone shows up again. *)
-            if written = 0 then t.eventdir_subs <- false);
+            with
+            | Ok 0 ->
+              (* All subscribers gone: stop paying for the readdir until
+                 someone shows up again. *)
+              t.eventdir_subs <- false
+            | r -> fs_checked t ~what:"packet-in event" r);
       Telemetry.Tracer.clear tracer)
   | Msg.Port_status (reason, port) -> (
     match t.switch_name with
@@ -560,13 +562,11 @@ let resolve_key t ~switch ~deletes ~adds flow_name =
     | None -> () (* not committed yet *)
     | Some version ->
       let cached = Hashtbl.find_opt t.cache flow_name in
-      (* The version file alone can lie: delete + re-create inside one
-         tick restarts the chain below the cached counter. The inode
-         disambiguates — a re-created directory is a new object, and
-         whatever it commits is news regardless of the number. *)
       let stale =
         match cached with
-        | Some { flow; ino } -> flow.version < version || ino <> Vfs.Fs.dir_ino d
+        | Some { flow; ino } ->
+          Y.Flowdir.is_news ~version ~ino:(Vfs.Fs.dir_ino d)
+            ~seen_version:flow.version ~seen_ino:ino
         | None -> true
       in
       if stale then (

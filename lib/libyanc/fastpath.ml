@@ -1,32 +1,18 @@
 module Y = Yancfs
 
-type t = {
-  yfs : Y.Yanc_fs.t;
-  cred : Vfs.Cred.t;
-  mutable saved : int;
-}
+type t = { yfs : Y.Yanc_fs.t; cred : Vfs.Cred.t }
 
-let create ?(cred = Vfs.Cred.root) yfs = { yfs; cred; saved = 0 }
+let create ?(cred = Vfs.Cred.root) yfs = { yfs; cred }
 
-(* One crossing for the whole thunk. [suspended] freezes the shared
-   counter, so the specific helpers below account their own savings
-   explicitly. *)
+(* One crossing for the whole thunk: [suspended] freezes the shared
+   counter around the work inside. *)
 let one_crossing t f =
   let fs = Y.Yanc_fs.fs t.yfs in
   Vfs.Fs.syscall fs;
   Vfs.Fs.suspended fs f
 
-let batch t f = one_crossing t (fun () -> f t.yfs)
-
 let create_flow t ~switch ~name flow =
   one_crossing t (fun () ->
-      (* Slow path: mkdir + one write per field file + version. *)
-      let field_count =
-        2 (* mkdir + version *)
-        + List.length (Openflow.Of_match.to_fields flow.Y.Flowdir.of_match)
-        + List.length flow.actions + 4 (* priority/timeouts/cookie *)
-      in
-      t.saved <- t.saved + field_count - 1;
       Y.Yanc_fs.create_flow t.yfs ~cred:t.cred ~switch ~name flow)
 
 let push_flows t triples =
@@ -36,13 +22,6 @@ let push_flows t triples =
           match acc with
           | Error _ as e -> e
           | Ok n -> (
-            let per_flow =
-              2
-              + List.length (Openflow.Of_match.to_fields flow.Y.Flowdir.of_match)
-              + List.length flow.Y.Flowdir.actions
-              + 4
-            in
-            t.saved <- t.saved + per_flow;
             match
               Y.Yanc_fs.create_flow t.yfs ~cred:t.cred ~switch ~name flow
             with
@@ -58,7 +37,6 @@ let delete_flows t pairs =
           match acc with
           | Error _ as e -> e
           | Ok () -> (
-            t.saved <- t.saved + 1;
             match Y.Yanc_fs.delete_flow t.yfs ~cred:t.cred ~switch name with
             | Ok () | Error Vfs.Errno.ENOENT -> Ok ()
             | Error _ as e -> e))
@@ -77,14 +55,10 @@ let read_flow_counters t ~switch =
       in
       (* The slow path: open flows/ once, read two files per flow. *)
       let* d = Y.Yanc_fs.open_flows t.yfs ~cred:t.cred switch in
-      t.saved <- t.saved + 1;
       Ok
         (List.filter_map
            (fun flow ->
-             t.saved <- t.saved + 2;
              Option.map
                (fun (p, b) -> flow, p, b)
                (Y.Flowdir.read_counters ~flow fs ~cred:t.cred d))
            flows))
-
-let crossings_saved t = t.saved

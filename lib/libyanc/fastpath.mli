@@ -34,11 +34,3 @@ val read_flow_counters :
     Errors from reaching the switch's flow directory ([ENOENT] for an
     unknown switch, [EACCES]…) are propagated like every sibling call;
     flows whose counter files have not been written yet are skipped. *)
-
-val batch : t -> (Yancfs.Yanc_fs.t -> 'a) -> 'a
-(** Run arbitrary file-system work as one crossing — the general form
-    the specific calls are built on. *)
-
-val crossings_saved : t -> int
-(** Crossings the slow path would have charged minus what this handle
-    actually charged (bench instrumentation). *)

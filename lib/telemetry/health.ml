@@ -38,6 +38,9 @@ let defaults =
     { name = "cluster_fs_errors"; series = "cluster.fs_errors";
       breach = Crit; limit = 0.;
       why = "a lease, shard claim or cluster record write failed" };
+    { name = "yancfs_fs_errors"; series = "yancfs.fs_errors"; breach = Crit;
+      limit = 0.;
+      why = "a schema, proc-tree or mount write of the yancfs layer failed" };
     { name = "unowned_shards"; series = "cluster.unowned_shards";
       breach = Crit; limit = 0.;
       why = "switches no live node attaches (orphaned by a death)" };

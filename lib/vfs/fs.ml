@@ -616,10 +616,16 @@ let rmdir ?recursive t ~cred path =
   syscall t;
   rmdir_raw ?recursive t ~cred path ~emit_op:true
 
-let list_node t ~cred node =
+(* What every listing checks and touches ([readdir], [readdir_ino_at]):
+   read permission, a directory, its atime. Its callers sort by name. *)
+let listable t ~cred node =
   let* () = require node cred Perm.r_ok in
-  let* children = dir_children node in
-  node.atime <- t.now;
+  match dir_children node with
+  | Ok _ as children -> node.atime <- t.now; children
+  | Error _ as e -> e
+
+let list_node t ~cred node =
+  let* children = listable t ~cred node in
   Ok (Hashtbl.fold (fun name _ acc -> name :: acc) children []
       |> List.sort String.compare)
 
@@ -676,6 +682,13 @@ let readdir_at t ~cred d =
   syscall t;
   let* () = live d in
   list_node t ~cred d.dnode
+
+let readdir_ino_at t ~cred d =
+  syscall t;
+  let* () = live d in
+  let* children = listable t ~cred d.dnode in
+  Ok (Hashtbl.fold (fun name node acc -> (name, node.ino) :: acc) children []
+      |> List.sort (fun (a, _) (b, _) -> String.compare a b))
 
 let read_file_at t ~cred d rel =
   syscall t;

@@ -248,6 +248,12 @@ val dir_ino : dir -> int
 val readdir_at : t -> cred:Cred.t -> dir -> (string list, Errno.t) result
 (** {!readdir} of the held directory. *)
 
+val readdir_ino_at :
+  t -> cred:Cred.t -> dir -> ((string * int) list, Errno.t) result
+(** {!readdir_at} with each entry's inode number, as POSIX [readdir]'s
+    [d_ino] gives it: one crossing tells every re-created entry from
+    the one listed before, with no [stat] per entry. *)
+
 val read_file_at : t -> cred:Cred.t -> dir -> string -> (string, Errno.t) result
 
 val write_file_at :

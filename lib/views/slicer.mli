@@ -2,21 +2,23 @@
     hardware and header space across one or more switches; the original
     topology is not changed."
 
-    A slice daemon maintains a live translation between the master tree
-    and a view tree:
+    The slicer is a translation run by {!View_sync}, which owns the
+    loop (poll, [error] files, deletion, counters, packet-ins and
+    packet-outs). What is the slicer's own:
 
-    - {b downward} — flows a tenant commits in the view are checked
-      against the slice's {e flowspace} (their match must stay inside
-      it: the enforced match is the intersection; a disjoint match gets
-      an [error] file and never reaches hardware), actions are checked
-      against the slice's port set, and the result is written to the
-      master switch under a slice-prefixed name. Tenant packet-out
-      requests are forwarded with the same port filter.
-    - {b upward} — switch attributes, the sliced ports and intra-slice
-      [peer] links are mirrored into the view; packet-ins whose headers
-      fall inside the flowspace (and whose ingress is a sliced port) are
-      republished to the view's subscribers; flow counters are copied
-      back onto the tenant's flow directories.
+    - {b flows} — a tenant flow's match is narrowed to the slice's
+      {e flowspace} (the intersection; a disjoint match is rejected),
+      its outputs must stay on the slice's ports ([Flood]/[All] become
+      explicit outputs on them), its priority is clamped below the
+      cap, and it lands on the same master switch as
+      [s.<view>.<flow>];
+    - {b packet-ins} — one on a sliced port whose headers fall inside
+      the flowspace shows up on the view switch, same port;
+    - {b packet-outs} — forwarded to the same master switch through the
+      port filter; one naming a port outside the slice is dropped;
+    - {b topology} — at create, switch attributes and the sliced ports
+      are mirrored into the view; each run mirrors intra-slice [peer]
+      links.
 
     Slices stack: the master handle may itself be a view. *)
 
@@ -33,13 +35,19 @@ type t
 val create :
   ?cred:Vfs.Cred.t -> master:Yancfs.Yanc_fs.t -> config ->
   (t, Vfs.Errno.t) result
-(** Create the view and mirror the sliced switches into it. *)
+(** Create the view, mirror the sliced switches into it and subscribe
+    to their packet-ins, so a packet-in that arrives before the first
+    {!run} still reaches the tenant. *)
 
 val view_fs : t -> Yancfs.Yanc_fs.t
 
 val run : t -> now:float -> unit
+(** One {!View_sync.run} of the slice. *)
 
 val app : t -> Apps.App_intf.t
 
 val flows_accepted : t -> int
+(** View flow commits confined and installed. *)
+
 val flows_rejected : t -> int
+(** View flow commits refused (outside the flowspace or the ports). *)

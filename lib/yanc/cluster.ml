@@ -178,23 +178,6 @@ let shard_reps t ~members dpid =
     in
     owner :: List.filteri (fun i _ -> i < t.factor - 1) rest
 
-(* Notification-batching classes for the DFS drain: every field file of
-   one flow directory dirty-marks the same flow in the owning driver's
-   commit queue, so a replicated flow-write burst (~20 ops per flow)
-   needs one fsnotify event, not one per field. Only content ops inside
-   a flow directory are classed — structural ops (a mkdir triggers the
-   schema's auto-children hook) and everything outside flows/ (port
-   config and the packet-out spool are matched by basename) must keep
-   notifying per op. *)
-let flow_emit_class op =
-  match op with
-  | Vfs.Op.Write _ | Vfs.Op.Truncate _ | Vfs.Op.Create _ -> (
-    match Vfs.Path.components (Vfs.Op.path op) with
-    | "net" :: "switches" :: sw :: "flows" :: flow :: _ :: _ ->
-      Some (sw ^ "/" ^ flow)
-    | _ -> None)
-  | _ -> None
-
 let recompute_routes t members =
   Hashtbl.reset t.shard_routes;
   Hashtbl.reset t.shard_owners;
@@ -502,7 +485,6 @@ let create ?(consistency = Dfs.Consistency.Eventual { propagation_s = 0.05 })
       booted = false; dead_expiry = Hashtbl.create 8 }
   in
   Dfs.Cluster.set_route dfs (Some (route t));
-  Dfs.Cluster.set_emit_class dfs (Some flow_emit_class);
   (* Cross-node tracing: give every node its own trace/span id slice
      (so ids stay cluster-unique when spans cross machines) and teach
      the DFS which tracer serves each replica and which correlation key

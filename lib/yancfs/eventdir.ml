@@ -25,6 +25,25 @@ let subscribers fs ~root ~switch =
   | Ok names -> names
   | Error _ -> []
 
+(* Each subscribed buffer with its owner: one crossing, as the listing
+   in [subscribers] costs. A symlink is not a buffer: [fold] does not
+   follow it, so its owner is whoever made the link, and publishing
+   through it would create root's event directory, and give it away,
+   wherever the link points. A file stays one, so that [mkdir] under it
+   fails and is reported. *)
+let buffers fs ~root ~switch =
+  let events = Layout.events_dir ~root switch in
+  match
+    Fs.fold fs ~cred:Vfs.Cred.root events ~init:[] (fun acc path (st : Fs.stat) ->
+        match Path.basename path with
+        | Some app when path <> events ->
+          let acc = if st.kind = Fs.Symlink then acc else (app, st) :: acc in
+          (acc, `Skip_subtree)
+        | Some _ | None -> (acc, `Continue))
+  with
+  | Ok buffers -> List.rev buffers
+  | Error _ -> []
+
 let reason_to_string = function
   | Openflow.Of_types.No_match -> "no_match"
   | Openflow.Of_types.Action_explicit -> "action"
@@ -36,7 +55,7 @@ let reason_of_string = function
 let publish ?telemetry fs ~root ~switch ~in_port ~reason ~buffer_id ~total_len
     ~data =
   let cred = Vfs.Cred.root in
-  let apps = subscribers fs ~root ~switch in
+  let apps = buffers fs ~root ~switch in
   incr next_seq;
   let seq = !next_seq in
   (* Consumers resume the publishing driver's trace by sequence number
@@ -46,11 +65,17 @@ let publish ?telemetry fs ~root ~switch ~in_port ~reason ~buffer_id ~total_len
       Telemetry.Tracer.stamp (Telemetry.tracer tele) (Layout.trace_key_event seq))
     telemetry;
   List.fold_left
-    (fun count app ->
+    (fun result (app, (owner : Fs.stat)) ->
       let dir = Layout.event ~root ~switch ~app seq in
-      let ok =
+      let written =
         let ( let* ) = Result.bind in
         let* () = Fs.mkdir fs ~cred dir in
+        (* The subscriber removes what it consumes: the event belongs to
+           the buffer's owner. *)
+        let* () =
+          if owner.uid = 0 && owner.gid = 0 then Ok ()
+          else Fs.chown fs ~cred dir ~uid:owner.uid ~gid:owner.gid
+        in
         let put name v = Fs.write_file fs ~cred (Path.child dir name) v in
         let* () = put "in_port" (string_of_int in_port) in
         let* () = put "reason" (reason_to_string reason) in
@@ -62,8 +87,11 @@ let publish ?telemetry fs ~root ~switch ~in_port ~reason ~buffer_id ~total_len
         let* () = put "total_len" (string_of_int total_len) in
         put "data" data
       in
-      match ok with Ok () -> count + 1 | Error _ -> count)
-    0 apps
+      match result, written with
+      | Ok n, Ok () -> Ok (n + 1)
+      | Ok _, (Error _ as e) -> e
+      | (Error _ as e), _ -> e)
+    (Ok 0) apps
 
 let read_event fs ~cred dir seq =
   let get name =
@@ -101,13 +129,17 @@ let poll fs ~cred ~root ~switch ~app =
       names
     |> List.sort (fun a b -> compare a.seq b.seq)
 
-let consume fs ~cred ~root ~switch ~app =
-  let events = poll fs ~cred ~root ~switch ~app in
-  List.iter
+(* An event is delivered only once its removal succeeds: one whose
+   rmdir fails stays in the buffer and is delivered by a later drain,
+   so no event is seen twice. *)
+let consume fs ~cred ~root ~switch ~app ~on_error =
+  List.filter
     (fun e ->
-      ignore
-        (Fs.rmdir ~recursive:true fs ~cred (Layout.event ~root ~switch ~app e.seq)))
-    events;
-  events
+      match
+        Fs.rmdir ~recursive:true fs ~cred (Layout.event ~root ~switch ~app e.seq)
+      with
+      | Ok () -> true
+      | Error err -> on_error err; false)
+    (poll fs ~cred ~root ~switch ~app)
 
 let frame_of e = Packet.Eth.of_wire e.data

@@ -28,9 +28,14 @@ val subscribers :
 val publish :
   ?telemetry:Telemetry.t -> Vfs.Fs.t -> root:Vfs.Path.t -> switch:string ->
   in_port:int -> reason:Openflow.Of_types.packet_in_reason ->
-  buffer_id:int32 option -> total_len:int -> data:string -> int
+  buffer_id:int32 option -> total_len:int -> data:string ->
+  (int, Vfs.Errno.t) result
 (** Deliver one packet-in to every subscribed buffer (driver-side, so it
-    runs as root); returns the number of buffers written. With
+    runs as root): [Ok n] when all [n] buffers were written, else the
+    first failure's errno (the other buffers are still written). The
+    event's directory belongs to the buffer's owner, so a non-root
+    subscriber can remove what it consumed. A symlink under [events/]
+    is not a buffer and is never written through. With
     [telemetry], the current trace is stamped under
     {!Layout.trace_key_event} of the assigned sequence number so
     consumers can resume it. *)
@@ -43,8 +48,11 @@ val poll :
 
 val consume :
   Vfs.Fs.t -> cred:Vfs.Cred.t -> root:Vfs.Path.t -> switch:string ->
-  app:string -> event list
-(** Read and remove all pending events. *)
+  app:string -> on_error:(Vfs.Errno.t -> unit) -> event list
+(** Read and remove all pending events, oldest first. An event whose
+    removal fails goes to [on_error] and is not returned; it stays in
+    the buffer and a later drain returns it once its removal
+    succeeds. *)
 
 val frame_of : event -> Packet.Eth.t option
 (** Decode the captured bytes (fails on truncated captures). *)

@@ -220,6 +220,9 @@ let write_counters ?flow fs ~cred d ~packets ~bytes ~duration_s =
   let* () = put "bytes" (Int64.to_string bytes) in
   put "duration" (string_of_int duration_s)
 
+let is_news ~version ~ino ~seen_version ~seen_ino =
+  version > seen_version || ino <> seen_ino
+
 let equal_config a b =
   Of_match.equal a.of_match b.of_match
   && List.equal Action.equal a.actions b.actions

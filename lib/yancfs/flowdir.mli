@@ -109,6 +109,17 @@ val clear_buffer_id :
 (** Remove [buffer_id]: the reference is one-shot, spent when the
     driver programs the flow. *)
 
+val is_news :
+  version:int -> ino:int -> seen_version:int -> seen_ino:int -> bool
+(** The commit-staleness rule, the one every consumer that programs
+    flows (the driver, the views' sync engine) applies: a flow
+    directory at inode [ino] committing [version] is news to a consumer
+    that last synced [seen_version] at [seen_ino] when the version rose
+    or the inode changed. The version file alone can lie: delete +
+    re-create between two reads restarts the chain below the number
+    already seen, and the inode tells the re-created directory from the
+    old one. *)
+
 val equal_config : t -> t -> bool
 (** Equality ignoring [version] — used by drivers to detect no-op
     commits. *)

@@ -5,25 +5,19 @@ type t = { fs : Fs.t; proc : Path.t; telemetry : Telemetry.t }
 
 let cred = Vfs.Cred.root
 
+let mkdir_p fs path = Checked.report fs "proc mkdir" path (Fs.mkdir_p fs ~cred path)
+
 let add_file_raw fs path gen =
   (match Fs.create_file fs ~cred path with
   | Ok () | Error Vfs.Errno.EEXIST -> ()
-  | Error e ->
-    Logs.warn (fun m ->
-        m "procdir: create %s: %s" (Path.to_string path) (Vfs.Errno.to_string e)));
-  match Fs.set_generator fs path gen with
-  | Ok () -> ()
-  | Error e ->
-    Logs.warn (fun m ->
-        m "procdir: generator %s: %s" (Path.to_string path)
-          (Vfs.Errno.to_string e))
+  | Error _ as e -> Checked.report fs "proc file" path e);
+  Checked.report fs "proc generator" path (Fs.set_generator fs path gen)
 
 let add_file t path gen = add_file_raw t.fs path gen
 
 let mount ?(proc = Layout.default_proc_root) ~fs ~telemetry () =
-  ignore (Fs.mkdir_p fs ~cred proc);
-  ignore (Fs.mkdir_p fs ~cred (Layout.proc_apps_dir ~proc));
-  ignore (Fs.mkdir_p fs ~cred (Layout.proc_switches_dir ~proc));
+  List.iter (mkdir_p fs)
+    [ proc; Layout.proc_apps_dir ~proc; Layout.proc_switches_dir ~proc ];
   let t = { fs; proc; telemetry } in
   add_file t (Layout.proc_metrics ~proc) (fun () ->
       Telemetry.Registry.render
@@ -43,9 +37,9 @@ let root t = t.proc
 let telemetry t = t.telemetry
 
 let add_app t ~name ~stat =
-  ignore (Fs.mkdir_p t.fs ~cred (Layout.proc_app ~proc:t.proc name));
+  mkdir_p t.fs (Layout.proc_app ~proc:t.proc name);
   add_file t (Layout.proc_app_stat ~proc:t.proc name) stat
 
 let add_switch t ~name ~stat =
-  ignore (Fs.mkdir_p t.fs ~cred (Layout.proc_switch ~proc:t.proc name));
+  mkdir_p t.fs (Layout.proc_switch ~proc:t.proc name);
   add_file t (Layout.proc_switch_stat ~proc:t.proc name) stat

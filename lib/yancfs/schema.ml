@@ -160,7 +160,8 @@ let attach fs ~root =
               | Ok () -> (
                 match owner with
                 | Some (uid, gid) ->
-                  ignore (Fs.chown fs ~cred:Vfs.Cred.root cpath ~uid ~gid)
+                  Checked.report fs "chown" cpath
+                    (Fs.chown fs ~cred:Vfs.Cred.root cpath ~uid ~gid)
                 | None -> ())
               | Error _ -> ()))
             children)

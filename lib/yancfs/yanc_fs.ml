@@ -35,12 +35,12 @@ let create ?(root = Layout.default_root) ?telemetry base =
     | Some t -> t
     | None -> Telemetry.create ~registry:(Fs.registry base) ~tracing:false ()
   in
-  ignore (Fs.mkdir_p base ~cred:Vfs.Cred.root root);
+  Checked.report base "mount" root (Fs.mkdir_p base ~cred:Vfs.Cred.root root);
   ignore (Schema.attach base ~root);
   (* The schema hook fires on mkdir; an already-existing root needs the
      top-level dirs ensured by hand. *)
   List.iter
-    (fun p -> ignore (ensure_dir base ~cred:Vfs.Cred.root p))
+    (fun p -> Checked.report base "mount" p (ensure_dir base ~cred:Vfs.Cred.root p))
     [ Layout.hosts_dir ~root; Layout.switches_dir ~root; Layout.views_dir ~root ];
   { fs = base; root; telemetry; pktin = Pktin.create ~telemetry () }
 

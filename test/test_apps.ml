@@ -654,7 +654,9 @@ let test_topology_set_peer_failure_counted () =
     (Y.Eventdir.publish fs ~root:net_root ~switch:"sw2" ~in_port:1
        ~reason:OF.Of_types.No_match ~buffer_id:None
        ~total_len:(String.length data) ~data);
-  Fs.set_readonly fs true;
+  (* The event is consumed (its removal succeeds); the peer symlink is
+     refused. *)
+  Fs.set_symlink_policy fs (fun _ ~target:_ -> false);
   app.run ~now:1.5;
   Alcotest.(check int) "failed peer write counted" 1
     (registry_counter ctl "app.fs_errors");

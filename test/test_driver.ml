@@ -278,7 +278,10 @@ let test_buffer_id_release () =
   N.Network.run r.net;
   step r;
   let ev =
-    match Y.Eventdir.consume r.fs ~cred ~root:net_root ~switch:"sw1" ~app:"me" with
+    match
+      Y.Eventdir.consume r.fs ~cred ~root:net_root ~switch:"sw1" ~app:"me"
+        ~on_error:(fun e -> Alcotest.failf "rmdir: %s" (Vfs.Errno.to_string e))
+    with
     | [ ev ] -> ev
     | l -> Alcotest.failf "expected 1 event, got %d" (List.length l)
   in

@@ -49,8 +49,18 @@ let test_fastpath_one_crossing_per_batch () =
   Alcotest.(check int) "100 flows, ONE crossing" 1 (crossings fs - c0);
   Alcotest.(check int) "all present" 100
     (List.length (Y.Yanc_fs.flow_names yfs ~cred "sw1"));
-  Alcotest.(check bool) "saved crossings accounted" true
-    (Libyanc.Fastpath.crossings_saved fp > 500)
+  (* The slow path, measured: the same 100 flows through the files. *)
+  let slow_fs, slow_yfs = setup () in
+  let s0 = crossings slow_fs in
+  for i = 0 to 99 do
+    ok
+      (Y.Yanc_fs.create_flow slow_yfs ~cred ~switch:"sw1"
+         ~name:(Printf.sprintf "f%d" i) (sample_flow i))
+  done;
+  let slow = crossings slow_fs - s0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "fast path (1) below the slow path (%d)" slow)
+    true (1 < slow)
 
 let test_fastpath_state_identical_to_slow_path () =
   (* Same flows via both paths -> byte-identical flow directories. *)

@@ -263,7 +263,10 @@ let prop_eventdir_exact_delivery =
       done;
       List.for_all
         (fun i ->
-          let got = Y.Eventdir.consume fs ~cred ~root ~switch:"sw1" ~app:(app i) in
+          let got =
+            Y.Eventdir.consume fs ~cred ~root ~switch:"sw1" ~app:(app i)
+              ~on_error:(fun e -> failwith (Vfs.Errno.to_string e))
+          in
           List.length got = events
           && List.for_all2
                (fun (ev : Y.Eventdir.event) e -> ev.in_port = e)

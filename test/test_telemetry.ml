@@ -581,7 +581,7 @@ let cluster_golden =
     "cluster.nodes"; "cluster.takeovers"; "cluster.unowned_shards";
     "datapath.entries_examined"; "datapath.invalidations"; "datapath.lookups";
     "datapath.microflow_hits"; "datapath.microflow_misses";
-    "datapath.subtables_visited"; "dfs.emits_elided"; "dfs.max_queue";
+    "datapath.subtables_visited"; "dfs.max_queue";
     "dfs.nodes"; "dfs.ops_coalesced"; "dfs.ops_dropped"; "dfs.ops_originated";
     "dfs.ops_replicated"; "dfs.ops_synced"; "dfs.pending";
     "dfs.writer_blocked_s"; "driver.attached_switches"; "driver.commit.adds";

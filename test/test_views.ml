@@ -9,6 +9,8 @@ module Fs = Vfs.Fs
 
 let cred = Vfs.Cred.root
 
+let rmdir_failed e = Alcotest.failf "event rmdir: %s" (Vfs.Errno.to_string e)
+
 let pfx s = Option.get (P.Ipv4_addr.Prefix.of_string s)
 
 let controller built =
@@ -166,7 +168,7 @@ let test_slice_event_filtering () =
   Yanc.Controller.run_for ctl 0.5;
   let events =
     Y.Eventdir.consume (Y.Yanc_fs.fs vy) ~cred ~root:(Y.Yanc_fs.root vy)
-      ~switch:"sw1" ~app:"tenant"
+      ~switch:"sw1" ~app:"tenant" ~on_error:rmdir_failed
   in
   Alcotest.(check int) "only the ssh packet" 1 (List.length events);
   match Y.Eventdir.frame_of (List.hd events) with
@@ -280,7 +282,7 @@ let test_bigswitch_packet_in_translation () =
   Yanc.Controller.run_for ctl 0.5;
   let events =
     Y.Eventdir.consume (Y.Yanc_fs.fs vy) ~cred ~root:(Y.Yanc_fs.root vy)
-      ~switch:"big0" ~app:"tenant"
+      ~switch:"big0" ~app:"tenant" ~on_error:rmdir_failed
   in
   Alcotest.(check bool) "event surfaced" true (events <> []);
   let vport = (List.hd events).Y.Eventdir.in_port in
@@ -389,6 +391,374 @@ let test_stacked_views () =
          String.length n > 2 && String.sub n 0 2 = "v.")
        all_master_flows)
 
+(* --- the view sync loop, pinned for both views ------------------------------------ *)
+
+(* Hardware ≡ file system on every master switch, read the way an
+   operator does: `cat /yanc/.proc/fsck`. *)
+let check_fsck ctl =
+  let path = Y.Layout.proc_fsck ~proc:(Y.Procdir.root (Yanc.Controller.proc ctl)) in
+  match Fs.read_file (Yanc.Controller.fs ctl) ~cred path with
+  | Error e -> Alcotest.failf "fsck: %s" (Vfs.Errno.to_string e)
+  | Ok report ->
+    if not (String.starts_with ~prefix:"status ok\n" report) then
+      Alcotest.failf "fsck diverged:\n%s" report
+
+let out p = [ OF.Action.Output (OF.Action.Physical p) ]
+
+let commit yfs ~switch ~name ?(of_match = OF.Of_match.any) actions =
+  match
+    Y.Yanc_fs.upsert_flow yfs ~cred ~switch ~name
+      { Y.Flowdir.default with Y.Flowdir.of_match; actions; priority = 100 }
+  with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "commit %s: %s" name e
+
+let delete yfs ~switch name =
+  match Y.Yanc_fs.delete_flow yfs ~cred ~switch name with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "delete %s: %s" name (Vfs.Errno.to_string e)
+
+let actions_of yfs ~switch name =
+  match Y.Yanc_fs.read_flow yfs ~cred ~switch name with
+  | Ok flow -> Some flow.Y.Flowdir.actions
+  | Error _ -> None
+
+let actions = Alcotest.testable (Fmt.Dump.list OF.Action.pp) ( = )
+
+let flows_of yfs ~prefix =
+  List.concat_map
+    (fun sw ->
+      List.filter_map
+        (fun n -> if String.starts_with ~prefix n then Some (sw, n) else None)
+        (Y.Yanc_fs.flow_names yfs ~cred sw))
+    (Y.Yanc_fs.switch_names yfs)
+
+let put_counters yfs ~switch name =
+  match Y.Yanc_fs.open_flows yfs ~cred switch with
+  | Error e -> Alcotest.failf "open flows: %s" (Vfs.Errno.to_string e)
+  | Ok d -> (
+    match
+      Y.Flowdir.write_counters ~flow:name (Y.Yanc_fs.fs yfs) ~cred d
+        ~packets:7L ~bytes:700L ~duration_s:1
+    with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "counters: %s" (Vfs.Errno.to_string e))
+
+let counters_of yfs ~switch name =
+  match Y.Yanc_fs.open_flows yfs ~cred switch with
+  | Error _ -> None
+  | Ok d -> Y.Flowdir.read_counters ~flow:name (Y.Yanc_fs.fs yfs) ~cred d
+
+(* Every packet-out request queued on a master switch, drained. *)
+let packet_outs yfs switch =
+  Y.Outdir.consume (Y.Yanc_fs.fs yfs) ~root:(Y.Yanc_fs.root yfs) ~switch
+    ~on_error:(fun e -> Alcotest.failf "rmdir: %s" (Vfs.Errno.to_string e))
+  |> List.map (fun (r : Y.Outdir.request) -> r.actions)
+
+let submit yfs ~switch acts =
+  match
+    Y.Outdir.submit (Y.Yanc_fs.fs yfs) ~cred ~root:(Y.Yanc_fs.root yfs) ~switch
+      ~actions:acts ~data:"frame" ()
+  with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "submit: %s" (Vfs.Errno.to_string e)
+
+(* A slice of all of sw1 (ports 1, 2), flowspace any, or of [ports]. *)
+let plain_slice ?(ports = []) () =
+  let built = N.Topo_gen.linear ~hosts_per_switch:2 1 in
+  let ctl = controller built in
+  Yanc.Controller.run_for ctl 0.3;
+  let slicer =
+    Result.get_ok
+      (Views.Slicer.create ~master:(Yanc.Controller.yfs ctl)
+         { Views.Slicer.view = "v"; switches = [ "sw1", ports ];
+           flowspace = OF.Of_match.any; priority_cap = 30000 })
+  in
+  Yanc.Controller.add_app ctl (Views.Slicer.app slicer);
+  Yanc.Controller.run_for ctl 0.3;
+  ctl, Yanc.Controller.yfs ctl, Views.Slicer.view_fs slicer, slicer
+
+let test_slice_delete () =
+  let ctl, master, vy, _ = plain_slice () in
+  commit vy ~switch:"sw1" ~name:"f" (out 2);
+  Yanc.Controller.run_for ctl 0.3;
+  Alcotest.(check (list (pair string string))) "installed"
+    [ "sw1", "s.v.f" ] (flows_of master ~prefix:"s.v.");
+  check_fsck ctl;
+  delete vy ~switch:"sw1" "f";
+  Yanc.Controller.run_for ctl 0.3;
+  Alcotest.(check (list (pair string string))) "removed" []
+    (flows_of master ~prefix:"s.v.");
+  check_fsck ctl
+
+let test_slice_counters () =
+  let ctl, master, vy, _ = plain_slice () in
+  commit vy ~switch:"sw1" ~name:"f" (out 2);
+  Yanc.Controller.run_for ctl 0.3;
+  put_counters master ~switch:"sw1" "s.v.f";
+  Yanc.Controller.run_for ctl 0.3;
+  Alcotest.(check (option (pair int64 int64))) "counters up" (Some (7L, 700L))
+    (counters_of vy ~switch:"sw1" "f");
+  check_fsck ctl
+
+let test_slice_packet_out () =
+  let ctl, master, vy, slicer = plain_slice ~ports:[ 1 ] () in
+  submit vy ~switch:"sw1" (out 1);
+  submit vy ~switch:"sw1" (out 2);
+  Views.Slicer.run slicer ~now:(Yanc.Controller.now ctl);
+  Alcotest.(check (list actions)) "in-slice port forwarded, other dropped"
+    [ out 1 ] (packet_outs master "sw1");
+  Alcotest.(check int) "view spool drained" 0
+    (Y.Outdir.pending (Y.Yanc_fs.fs vy) ~root:(Y.Yanc_fs.root vy) ~switch:"sw1");
+  check_fsck ctl
+
+let test_slice_recommit () =
+  let ctl, master, vy, _ = plain_slice () in
+  commit vy ~switch:"sw1" ~name:"f" (out 2);
+  Yanc.Controller.run_for ctl 0.3;
+  commit vy ~switch:"sw1" ~name:"f" (out 1);
+  Yanc.Controller.run_for ctl 0.3;
+  Alcotest.(check (option actions)) "replaced" (Some (out 1))
+    (actions_of master ~switch:"sw1" "s.v.f");
+  check_fsck ctl
+
+(* A rejected re-commit leaves nothing of the earlier version on the
+   master: hardware lacks an invalid flow. *)
+let test_slice_rejected_recommit () =
+  let ctl, master, vy, _ = plain_slice () in
+  commit vy ~switch:"sw1" ~name:"f" (out 2);
+  Yanc.Controller.run_for ctl 0.3;
+  commit vy ~switch:"sw1" ~name:"f" (out 9);
+  Yanc.Controller.run_for ctl 0.3;
+  Alcotest.(check (list (pair string string))) "removed" []
+    (flows_of master ~prefix:"s.v.");
+  Alcotest.(check bool) "error file" true
+    (Fs.exists (Y.Yanc_fs.fs vy) ~cred
+       (Vfs.Path.child (Y.Layout.flow ~root:(Y.Yanc_fs.root vy) ~switch:"sw1" "f")
+          "error"));
+  check_fsck ctl
+
+(* Delete + re-create between two polls restarts the view flow's
+   version chain below the number already synced. *)
+let test_slice_recreated () =
+  let ctl, master, vy, _ = plain_slice () in
+  commit vy ~switch:"sw1" ~name:"f" (out 2);
+  commit vy ~switch:"sw1" ~name:"f" (out 2);
+  Yanc.Controller.run_for ctl 0.3;
+  delete vy ~switch:"sw1" "f";
+  commit vy ~switch:"sw1" ~name:"f" (out 1);
+  Yanc.Controller.run_for ctl 0.3;
+  Yanc.Controller.run_for ctl 0.3;
+  Alcotest.(check (option actions)) "re-created flow synced" (Some (out 1))
+    (actions_of master ~switch:"sw1" "s.v.f");
+  check_fsck ctl
+
+(* One tcp syn from h1 to h2 on a linear:1 rig with 2 hosts: a table
+   miss on sw1, so one packet-in on the master. *)
+let syn built =
+  N.Network.send_from_host built.N.Topo_gen.net "h1"
+    [ P.Builder.tcp_syn ~src_mac:(N.Topo_gen.host_mac 1)
+        ~dst_mac:(N.Topo_gen.host_mac 2) ~src_ip:(N.Topo_gen.host_ip 1)
+        ~dst_ip:(N.Topo_gen.host_ip 2) ~src_port:5555 ~dst_port:22 ]
+
+let drain_view vy ~cred ~app =
+  Y.Eventdir.consume (Y.Yanc_fs.fs vy) ~cred ~root:(Y.Yanc_fs.root vy)
+    ~switch:"sw1" ~app ~on_error:rmdir_failed
+
+(* A packet-in that reaches the master between the slicer's create and
+   its first run still reaches the tenant. *)
+let test_slice_packet_in_before_run () =
+  let built = N.Topo_gen.linear ~hosts_per_switch:2 1 in
+  let ctl = controller built in
+  Yanc.Controller.run_for ctl 0.3;
+  let slicer =
+    Result.get_ok
+      (Views.Slicer.create ~master:(Yanc.Controller.yfs ctl)
+         { Views.Slicer.view = "v"; switches = [ "sw1", [] ];
+           flowspace = OF.Of_match.any; priority_cap = 30000 })
+  in
+  let vy = Views.Slicer.view_fs slicer in
+  ignore
+    (Y.Eventdir.subscribe (Y.Yanc_fs.fs vy) ~cred ~root:(Y.Yanc_fs.root vy)
+       ~switch:"sw1" ~app:"tenant");
+  syn built;
+  Yanc.Controller.run_for ctl 0.5;
+  Views.Slicer.run slicer ~now:(Yanc.Controller.now ctl);
+  Alcotest.(check int) "delivered" 1 (List.length (drain_view vy ~cred ~app:"tenant"))
+
+(* A view owner who plants a symlink in its events/ gets nothing made
+   or given away where the link points when a packet-in is republished
+   into the view. *)
+let test_slice_events_symlink () =
+  let built = N.Topo_gen.linear ~hosts_per_switch:2 1 in
+  let ctl = controller built in
+  Yanc.Controller.run_for ctl 0.3;
+  let master = Yanc.Controller.yfs ctl in
+  let slicer =
+    Result.get_ok
+      (Views.Slicer.create ~master
+         { Views.Slicer.view = "v"; switches = [ "sw1", [] ];
+           flowspace = OF.Of_match.any; priority_cap = 30000 })
+  in
+  Yanc.Controller.add_app ctl (Views.Slicer.app slicer);
+  let tenant = Vfs.Cred.make ~uid:1000 ~gid:1000 () in
+  let vy = Result.get_ok (Views.Namespace.provision master ~view:"v" ~owner:tenant) in
+  let events = Y.Layout.events_dir ~root:(Y.Yanc_fs.root vy) "sw1" in
+  let master_flows = Y.Layout.flows_dir ~root:(Y.Yanc_fs.root master) "sw1" in
+  (match
+     Y.Eventdir.subscribe (Y.Yanc_fs.fs vy) ~cred:tenant ~root:(Y.Yanc_fs.root vy)
+       ~switch:"sw1" ~app:"tenant"
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "subscribe: %s" (Vfs.Errno.to_string e));
+  (match
+     Fs.symlink (Y.Yanc_fs.fs vy) ~cred:tenant
+       ~target:(Vfs.Path.to_string master_flows) (Vfs.Path.child events "x")
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "symlink: %s" (Vfs.Errno.to_string e));
+  let before = Y.Yanc_fs.flow_names master ~cred "sw1" in
+  syn built;
+  Yanc.Controller.run_for ctl 0.5;
+  Alcotest.(check int) "tenant's buffer served" 1
+    (List.length (drain_view vy ~cred:tenant ~app:"tenant"));
+  Alcotest.(check (list string)) "nothing made behind the link" before
+    (Y.Yanc_fs.flow_names master ~cred "sw1");
+  check_fsck ctl
+
+let real bigsw v = List.assoc v (Views.Big_switch.port_map bigsw)
+
+let test_bigswitch_delete () =
+  let _, ctl, bigsw = bigsw_rig () in
+  let master = Yanc.Controller.yfs ctl in
+  let vy = Views.Big_switch.view_fs bigsw in
+  commit vy ~switch:"big0" ~name:"f" (out 3);
+  Yanc.Controller.run_for ctl 0.3;
+  Alcotest.(check int) "one rule per switch" 3
+    (List.length (flows_of master ~prefix:"v.one-big.f."));
+  check_fsck ctl;
+  delete vy ~switch:"big0" "f";
+  Yanc.Controller.run_for ctl 0.3;
+  Alcotest.(check (list (pair string string))) "all removed" []
+    (flows_of master ~prefix:"v.one-big.");
+  check_fsck ctl
+
+let test_bigswitch_counters () =
+  let _, ctl, bigsw = bigsw_rig () in
+  let master = Yanc.Controller.yfs ctl in
+  let vy = Views.Big_switch.view_fs bigsw in
+  commit vy ~switch:"big0" ~name:"f" (out 3);
+  Yanc.Controller.run_for ctl 0.3;
+  let egress, _ = real bigsw 3 in
+  put_counters master ~switch:egress ("v.one-big.f." ^ egress);
+  Yanc.Controller.run_for ctl 0.3;
+  Alcotest.(check (option (pair int64 int64))) "egress counters up"
+    (Some (7L, 700L)) (counters_of vy ~switch:"big0" "f");
+  check_fsck ctl
+
+let test_bigswitch_packet_out () =
+  let _, ctl, bigsw = bigsw_rig () in
+  let master = Yanc.Controller.yfs ctl in
+  let vy = Views.Big_switch.view_fs bigsw in
+  submit vy ~switch:"big0" (out 3);
+  Views.Big_switch.run bigsw ~now:(Yanc.Controller.now ctl);
+  let sw, port = real bigsw 3 in
+  List.iter
+    (fun s ->
+      Alcotest.(check (list actions)) ("packet-out on " ^ s)
+        (if s = sw then [ out port ] else [])
+        (packet_outs master s))
+    (Y.Yanc_fs.switch_names master);
+  check_fsck ctl
+
+let test_bigswitch_recommit () =
+  let _, ctl, bigsw = bigsw_rig () in
+  let master = Yanc.Controller.yfs ctl in
+  let vy = Views.Big_switch.view_fs bigsw in
+  commit vy ~switch:"big0" ~name:"f" (out 3);
+  Yanc.Controller.run_for ctl 0.3;
+  commit vy ~switch:"big0" ~name:"f" (out 1);
+  Yanc.Controller.run_for ctl 0.3;
+  let sw1, p1 = real bigsw 1 and sw3, p3 = real bigsw 3 in
+  Alcotest.(check (option actions)) "new egress" (Some (out p1))
+    (actions_of master ~switch:sw1 ("v.one-big.f." ^ sw1));
+  Alcotest.(check bool) "old egress rule gone" false
+    (actions_of master ~switch:sw3 ("v.one-big.f." ^ sw3) = Some (out p3));
+  check_fsck ctl
+
+let test_bigswitch_recreated () =
+  let _, ctl, bigsw = bigsw_rig () in
+  let master = Yanc.Controller.yfs ctl in
+  let vy = Views.Big_switch.view_fs bigsw in
+  commit vy ~switch:"big0" ~name:"f" (out 3);
+  commit vy ~switch:"big0" ~name:"f" (out 3);
+  Yanc.Controller.run_for ctl 0.3;
+  delete vy ~switch:"big0" "f";
+  commit vy ~switch:"big0" ~name:"f" (out 1);
+  Yanc.Controller.run_for ctl 0.3;
+  Yanc.Controller.run_for ctl 0.3;
+  let sw1, p1 = real bigsw 1 in
+  Alcotest.(check (option actions)) "re-created flow synced" (Some (out p1))
+    (actions_of master ~switch:sw1 ("v.one-big.f." ^ sw1));
+  check_fsck ctl
+
+(* The steady-state poll: linear:2 with 2 hosts per switch, 50
+   committed view flows nobody changes, one run of the view. *)
+let crossings ctl =
+  Telemetry.Registry.value
+    (Telemetry.Registry.counter (Fs.registry (Yanc.Controller.fs ctl))
+       "vfs.crossings")
+
+let poll_rig () =
+  let built = N.Topo_gen.linear ~hosts_per_switch:2 2 in
+  let ctl = controller built in
+  let topo = Apps.Topology.create (Yanc.Controller.yfs ctl) in
+  Yanc.Controller.add_app ctl (Apps.Topology.app topo);
+  Yanc.Controller.run_for ctl 3.0;
+  ctl
+
+let fifty vy ~switch ~port =
+  for i = 0 to 49 do
+    commit vy ~switch ~name:(Printf.sprintf "f%d" i)
+      ~of_match:{ OF.Of_match.any with OF.Of_match.dl_type = Some 0x0800;
+                  nw_proto = Some 6; tp_dst = Some (1000 + i) }
+      (out (port i))
+  done
+
+let one_run ctl run =
+  let c0 = crossings ctl in
+  run ~now:(Yanc.Controller.now ctl);
+  crossings ctl - c0
+
+let test_slice_poll_cost () =
+  let ctl = poll_rig () in
+  let slicer =
+    Result.get_ok
+      (Views.Slicer.create ~master:(Yanc.Controller.yfs ctl)
+         { Views.Slicer.view = "v"; switches = [ "sw1", [] ];
+           flowspace = OF.Of_match.any; priority_cap = 30000 })
+  in
+  Yanc.Controller.add_app ctl (Views.Slicer.app slicer);
+  fifty (Views.Slicer.view_fs slicer) ~switch:"sw1" ~port:(fun i -> 1 + (i mod 2));
+  Yanc.Controller.run_for ctl 0.5;
+  Alcotest.(check int) "all accepted" 50 (Views.Slicer.flows_accepted slicer);
+  let cost = one_run ctl (Views.Slicer.run slicer) in
+  Alcotest.(check bool) (Printf.sprintf "%d crossings <= 163" cost) true (cost <= 163)
+
+let test_bigswitch_poll_cost () =
+  let ctl = poll_rig () in
+  let bigsw =
+    Result.get_ok
+      (Views.Big_switch.create ~master:(Yanc.Controller.yfs ctl) ~view:"big" ())
+  in
+  Yanc.Controller.add_app ctl (Views.Big_switch.app bigsw);
+  Yanc.Controller.run_for ctl 0.3;
+  fifty (Views.Big_switch.view_fs bigsw) ~switch:"big0" ~port:(fun i -> 1 + (i mod 4));
+  Yanc.Controller.run_for ctl 0.5;
+  Alcotest.(check int) "all compiled" 50 (Views.Big_switch.flows_compiled bigsw);
+  let cost = one_run ctl (Views.Big_switch.run bigsw) in
+  Alcotest.(check bool) (Printf.sprintf "%d crossings <= 206" cost) true (cost <= 206)
+
 let () =
   Alcotest.run "views"
     [ ( "slicer",
@@ -411,4 +781,23 @@ let () =
       ( "isolation",
         [ Alcotest.test_case "namespaces" `Quick test_namespace_isolation;
           Alcotest.test_case "chmod a switch" `Quick test_switch_protected_by_chmod ] );
-      "stacking", [ Alcotest.test_case "slice on big switch" `Quick test_stacked_views ] ]
+      "stacking", [ Alcotest.test_case "slice on big switch" `Quick test_stacked_views ];
+      ( "sync loop",
+        [ Alcotest.test_case "slicer delete" `Quick test_slice_delete;
+          Alcotest.test_case "slicer counters" `Quick test_slice_counters;
+          Alcotest.test_case "slicer packet-out" `Quick test_slice_packet_out;
+          Alcotest.test_case "slicer re-commit" `Quick test_slice_recommit;
+          Alcotest.test_case "slicer rejected re-commit" `Quick
+            test_slice_rejected_recommit;
+          Alcotest.test_case "slicer re-created flow" `Quick test_slice_recreated;
+          Alcotest.test_case "slicer poll cost" `Quick test_slice_poll_cost;
+          Alcotest.test_case "slicer packet-in before first run" `Quick
+            test_slice_packet_in_before_run;
+          Alcotest.test_case "slicer events symlink" `Quick test_slice_events_symlink;
+          Alcotest.test_case "big switch delete" `Quick test_bigswitch_delete;
+          Alcotest.test_case "big switch counters" `Quick test_bigswitch_counters;
+          Alcotest.test_case "big switch packet-out" `Quick test_bigswitch_packet_out;
+          Alcotest.test_case "big switch re-commit" `Quick test_bigswitch_recommit;
+          Alcotest.test_case "big switch re-created flow" `Quick
+            test_bigswitch_recreated;
+          Alcotest.test_case "big switch poll cost" `Quick test_bigswitch_poll_cost ] ) ]

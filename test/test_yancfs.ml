@@ -497,6 +497,8 @@ let prop_pktin_matches_queue =
 
 (* --- event buffers (paper §3.5) --------------------------------------------------------- *)
 
+let rmdir_failed e = Alcotest.failf "event rmdir: %s" (Vfs.Errno.to_string e)
+
 let publish fs ~switch data =
   Y.Eventdir.publish fs ~root:net ~switch ~in_port:3
     ~reason:Openflow.Of_types.No_match ~buffer_id:(Some 9l)
@@ -509,7 +511,8 @@ let test_eventdir_fanout () =
   (* two interested applications, one uninterested switch *)
   ok (Y.Eventdir.subscribe fs ~cred ~root:net ~switch:"sw1" ~app:"router");
   ok (Y.Eventdir.subscribe fs ~cred ~root:net ~switch:"sw1" ~app:"monitor");
-  Alcotest.(check int) "delivered to both" 2 (publish fs ~switch:"sw1" "frame-bytes");
+  Alcotest.(check (result int reject)) "delivered to both" (Ok 2)
+    (publish fs ~switch:"sw1" "frame-bytes");
   let router_events = Y.Eventdir.poll fs ~cred ~root:net ~switch:"sw1" ~app:"router" in
   let monitor_events = Y.Eventdir.poll fs ~cred ~root:net ~switch:"sw1" ~app:"monitor" in
   Alcotest.(check int) "router sees one" 1 (List.length router_events);
@@ -519,7 +522,9 @@ let test_eventdir_fanout () =
   Alcotest.(check (option int32)) "buffer id" (Some 9l) ev.Y.Eventdir.buffer_id;
   Alcotest.(check string) "data" "frame-bytes" ev.Y.Eventdir.data;
   (* consuming is private: router's consume leaves monitor's copy *)
-  ignore (Y.Eventdir.consume fs ~cred ~root:net ~switch:"sw1" ~app:"router");
+  ignore
+    (Y.Eventdir.consume fs ~cred ~root:net ~switch:"sw1" ~app:"router"
+       ~on_error:rmdir_failed);
   Alcotest.(check int) "router drained" 0
     (List.length (Y.Eventdir.poll fs ~cred ~root:net ~switch:"sw1" ~app:"router"));
   Alcotest.(check int) "monitor unaffected" 1
@@ -536,7 +541,8 @@ let test_eventdir_ordering () =
   let datas =
     List.map
       (fun e -> e.Y.Eventdir.data)
-      (Y.Eventdir.consume fs ~cred ~root:net ~switch:"sw1" ~app:"a")
+      (Y.Eventdir.consume fs ~cred ~root:net ~switch:"sw1" ~app:"a"
+         ~on_error:rmdir_failed)
   in
   Alcotest.(check (list string)) "fifo" [ "first"; "second"; "third" ] datas
 
@@ -544,7 +550,79 @@ let test_eventdir_no_subscribers () =
   let fs, yfs = setup () in
   ignore yfs;
   ok (Fs.mkdir fs ~cred (p "/net/switches/sw1"));
-  Alcotest.(check int) "published nowhere" 0 (publish fs ~switch:"sw1" "x")
+  Alcotest.(check (result int reject)) "published nowhere" (Ok 0)
+    (publish fs ~switch:"sw1" "x")
+
+(* A non-root subscriber (here: on a switch whose events/ it owns)
+   removes what it consumed, so each event is delivered exactly once. *)
+let test_eventdir_non_root_subscriber () =
+  let fs, _ = setup () in
+  ok (Fs.mkdir fs ~cred (p "/net/switches/sw1"));
+  ok (Fs.chown fs ~cred (p "/net/switches/sw1/events") ~uid:1000 ~gid:1000);
+  let app = Vfs.Cred.make ~uid:1000 ~gid:1000 () in
+  ok (Y.Eventdir.subscribe fs ~cred:app ~root:net ~switch:"sw1" ~app:"tenant");
+  Alcotest.(check (result int reject)) "published" (Ok 1) (publish fs ~switch:"sw1" "x");
+  let drain () =
+    List.length
+      (Y.Eventdir.consume fs ~cred:app ~root:net ~switch:"sw1" ~app:"tenant"
+         ~on_error:rmdir_failed)
+  in
+  let first = drain () in
+  let second = drain () in
+  let third = drain () in
+  Alcotest.(check (list int)) "delivered once" [ 1; 0; 0 ] [ first; second; third ]
+
+(* A drain whose removal fails counts it and delivers nothing; the event
+   waits for the next drain. *)
+let test_eventdir_failed_removal () =
+  let fs, yfs = setup () in
+  ok (Fs.mkdir fs ~cred (p "/net/switches/sw1"));
+  let events = Apps.App_intf.Packet_in.create yfs ~cred ~app:"a" in
+  let errors = Apps.App_intf.fs_errors yfs in
+  let delivered = ref 0 in
+  let drain () =
+    Apps.App_intf.Packet_in.drain events ~switch:"sw1" (fun _ -> incr delivered)
+  in
+  drain ();
+  ignore (ok (publish fs ~switch:"sw1" "x"));
+  Fs.set_readonly fs true;
+  drain ();
+  Alcotest.(check (pair int int)) "counted, not delivered" (1, 0)
+    (Telemetry.Registry.value errors, !delivered);
+  Fs.set_readonly fs false;
+  drain ();
+  drain ();
+  Alcotest.(check (pair int int)) "delivered once after" (1, 1)
+    (Telemetry.Registry.value errors, !delivered)
+
+(* A buffer publish cannot write is reported, and the others are still
+   written. *)
+let test_eventdir_unwritable_buffer () =
+  let fs, _ = setup () in
+  ok (Fs.mkdir fs ~cred (p "/net/switches/sw1"));
+  ok (Fs.create_file fs ~cred (p "/net/switches/sw1/events/broken"));
+  ok (Y.Eventdir.subscribe fs ~cred ~root:net ~switch:"sw1" ~app:"ok");
+  Alcotest.(check bool) "reported" true
+    (publish fs ~switch:"sw1" "x" = Error Vfs.Errno.ENOTDIR);
+  Alcotest.(check int) "others written" 1
+    (List.length (Y.Eventdir.poll fs ~cred ~root:net ~switch:"sw1" ~app:"ok"))
+
+(* A symlink a subscriber plants in events/ is no buffer: publish
+   creates nothing where it points and gives nothing away. *)
+let test_eventdir_symlink_not_buffer () =
+  let fs, _ = setup () in
+  ok (Fs.mkdir fs ~cred (p "/net/switches/sw1"));
+  ok (Fs.mkdir fs ~cred (p "/net/switches/sw2"));
+  ok (Fs.chown fs ~cred (p "/net/switches/sw1/events") ~uid:1000 ~gid:1000);
+  let app = Vfs.Cred.make ~uid:1000 ~gid:1000 () in
+  ok (Y.Eventdir.subscribe fs ~cred:app ~root:net ~switch:"sw1" ~app:"tenant");
+  ok
+    (Fs.symlink fs ~cred:app ~target:"/net/switches/sw2/flows"
+       (p "/net/switches/sw1/events/x"));
+  Alcotest.(check (result int reject)) "only the real buffer" (Ok 1)
+    (publish fs ~switch:"sw1" "x");
+  Alcotest.(check (result (list string) reject)) "nothing behind the link" (Ok [])
+    (Fs.readdir fs ~cred (p "/net/switches/sw2/flows"))
 
 (* --- packet-out spool -------------------------------------------------------------------- *)
 
@@ -715,6 +793,14 @@ let () =
         [ Alcotest.test_case "fan-out to private buffers" `Quick test_eventdir_fanout;
           Alcotest.test_case "fifo ordering" `Quick test_eventdir_ordering;
           Alcotest.test_case "no subscribers" `Quick test_eventdir_no_subscribers;
+          Alcotest.test_case "non-root subscriber drains once" `Quick
+            test_eventdir_non_root_subscriber;
+          Alcotest.test_case "failed removal counted" `Quick
+            test_eventdir_failed_removal;
+          Alcotest.test_case "unwritable buffer reported" `Quick
+            test_eventdir_unwritable_buffer;
+          Alcotest.test_case "symlink is not a buffer" `Quick
+            test_eventdir_symlink_not_buffer;
           Alcotest.test_case "packet-out spool" `Quick test_outdir_roundtrip ] );
       ( "views-hosts",
         [ Alcotest.test_case "view is a full root" `Quick test_in_view_is_full_root;
