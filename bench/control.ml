@@ -217,8 +217,8 @@ let e17_recovery () =
 (* E18 — the dirty-flow commit queue: per-commit driver cost vs table
    size. The claim: a flow-dir mutation costs O(dirty) work at the
    driver — read and program only the touched entries — with the
-   full-reconcile scan reserved for cold handshakes and notify
-   overflow. So latency and kernel crossings per commit must stay flat
+   full-reconcile scan reserved for the handshake's flow-stats reply
+   and notify overflow. So latency and kernel crossings per commit must stay flat
    as the committed table grows 1k -> 100k, and a burst of writes to
    one flow must coalesce into a single flow_mod. Supersedes E3's
    honest cost (commit latency grew with table size there). *)

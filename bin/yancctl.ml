@@ -87,7 +87,7 @@ let build ~topo ~of13 ~apps =
       | "auditor" ->
         (* change-gated: quiet periods cost an event drain, not a walk *)
         Yanc.Controller.add_app ctl
-          (Apps.Auditor.watched_app yfs ~cred
+          (Apps.Auditor.app yfs ~cred
              ~out:(Vfs.Path.of_string_exn "/var/log/audit") ~period:5.)
       | "flow-watcher" ->
         Yanc.Controller.add_app ctl

@@ -134,12 +134,6 @@ let run_to_file yfs ~cred ~out =
   Ok (List.length (List.filter (fun f -> f.severity <> `Info) findings))
 
 let app yfs ~cred ~out ~period =
-  let fs_errors = App_intf.fs_errors yfs in
-  App_intf.cron ~name:"auditor" ~period (fun ~now:_ ->
-      App_intf.checked fs_errors "auditor" (Vfs.Path.to_string out)
-        (run_to_file yfs ~cred ~out))
-
-let watched_app yfs ~cred ~out ~period =
   (* A full audit walks the whole tree; gate the cron behind one
      recursive watch so quiet periods cost a (coalesced, batched) event
      drain instead of a tree walk. *)

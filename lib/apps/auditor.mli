@@ -20,10 +20,7 @@ val run_to_file :
 (** Audit and write the report; returns the number of warnings +
     errors. *)
 
-val app : Yancfs.Yanc_fs.t -> cred:Vfs.Cred.t -> out:Vfs.Path.t -> period:float -> App_intf.t
-(** Unconditional cron: audits every [period]. *)
-
-val watched_app :
+val app :
   Yancfs.Yanc_fs.t -> cred:Vfs.Cred.t -> out:Vfs.Path.t -> period:float -> App_intf.t
 (** Change-gated cron: one recursive watch on the switches tree; a
     period in which no events arrived skips the audit walk entirely.

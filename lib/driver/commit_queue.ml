@@ -78,7 +78,8 @@ let take ?max t =
 
 let clear t =
   Queue.clear t.order;
-  Hashtbl.reset t.pending
+  Hashtbl.reset t.pending;
+  t.sweep <- false
 
 let stats t =
   { marked = t.n_marked; coalesced = t.n_coalesced; batches = t.n_batches;

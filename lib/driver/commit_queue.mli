@@ -13,9 +13,9 @@
       the flush reads the directory's {e current} state, so N writes to
       one flow in a tick cost one flow_mod);
     - keys flush in first-marked order, bounded per batch;
-    - a {e sweep} request (queue overflow, cold handshake) subsumes the
-      per-key state: the consumer runs one full reconcile instead and
-      {!clear}s the queue.
+    - a {e sweep} request (queue overflow) subsumes the per-key state:
+      the consumer runs one full reconcile instead and {!clear}s the
+      queue.
 
     Single-threaded like the rest of the simulator; no locking. *)
 
@@ -36,8 +36,7 @@ val mark : t -> string -> bool
     pending (the mark coalesced), [true] when it was newly enqueued. *)
 
 val mark_sweep : t -> unit
-(** Request a full reconcile: events were lost (overflow) or the
-    consumer has no baseline (cold handshake). *)
+(** Request a full reconcile: events were lost (overflow). *)
 
 val take_sweep : t -> bool
 (** Consume the sweep request, if any. *)
@@ -56,6 +55,7 @@ val is_empty : t -> bool
 (** No pending keys — says nothing about a pending sweep. *)
 
 val clear : t -> unit
-(** Drop all pending keys (after a sweep reconciled everything). *)
+(** Drop all pending keys and any sweep request (after a sweep
+    reconciled everything). *)
 
 val stats : t -> stats

@@ -61,9 +61,10 @@ type t = {
   mutable next_attempt : float;     (* next handshake (re)send *)
   mutable episode_retries : int;    (* attempts in the current outage *)
   mutable handshakes : int;         (* hello+features sends, ever *)
+  (* A flow-stats request is out whose reply reconciles the table. *)
   mutable resyncing : bool;
   mutable resync_sent : float;
-  mutable was_connected : bool;     (* completed a handshake before *)
+  mutable handshakes_done : int;    (* features replies, ever *)
   mutable c_disconnects : int;
   mutable c_retries : int;
   mutable c_resyncs : int;
@@ -243,7 +244,7 @@ let create ?wake ?(tuning = Driver_intf.default_tuning) ?(seed = 0x5EED)
       next_keepalive = neg_infinity; echo_outstanding = None;
       seen_generation = Netsim.Control_channel.generation endpoint;
       next_attempt = neg_infinity; episode_retries = 0; handshakes = 0;
-      resyncing = false; resync_sent = neg_infinity; was_connected = false;
+      resyncing = false; resync_sent = neg_infinity; handshakes_done = 0;
       c_disconnects = 0; c_retries = 0; c_resyncs = 0;
       c_resync_installs = 0; c_resync_deletes = 0; c_keepalives = 0;
       m_disconnects = Telemetry.Registry.counter reg "driver.disconnects";
@@ -318,7 +319,7 @@ let on_features t ~now (f : Msg.features) =
   (match f.ports with
   | Some ports -> set_ports t ~name ports
   | None -> send t (Msg.Stats_request Msg.Port_desc_req));
-  if not t.was_connected then begin
+  if t.handshakes_done = 0 then begin
     (* Watch the parts of the switch directory the driver reacts to.
        Watches survive reconnects; adding them again on every
        re-handshake would double-deliver each event. Below a flow
@@ -359,178 +360,18 @@ let on_features t ~now (f : Msg.features) =
   t.next_keepalive <- neg_infinity;
   t.echo_outstanding <- None;
   t.last_rx <- now;
-  if t.was_connected then begin
-    (* Re-handshake after an outage: the switch kept its table while
-       we were gone (fail secure) and the file system kept changing.
-       Ask the switch what it actually holds, then diff in resync. *)
-    t.resyncing <- true;
-    t.resync_sent <- now;
-    send t flow_stats_request
-  end;
-  t.was_connected <- true;
-  (* Pick up anything written before the handshake finished. The cold
-     pickup has no per-key trail to replay, so it is a sweep — the
-     last full-scan path besides resync. *)
-  Commit_queue.mark_sweep t.commits;
+  t.handshakes_done <- t.handshakes_done + 1;
+  (* The switch may hold rules this driver never sent (a previous
+     driver's, or ours from before an outage: fail secure keeps the
+     table), and the file system may have changed meanwhile. Ask the
+     switch what it holds; the reply runs the reconcile, and commits
+     wait for it. It also stands in for this period's stats poll. *)
+  t.resyncing <- true;
+  t.resync_sent <- now;
+  t.last_stats <- now;
+  send t flow_stats_request;
   t.ports_dirty <- true;
   t.spool_dirty <- true
-
-let find_flow_by_match t of_match priority =
-  claimant t (of_match, priority)
-
-(* After a re-handshake the switch's table and the file system may
-   have drifted apart: flows committed during the outage were never
-   installed, and rules the switch still carries may have been
-   deleted from the tree. The switch's own report (the first
-   flow_stats reply after reconnect) is diffed against the committed
-   flow directories — strays are removed with strict deletes so a
-   same-match rule at another priority survives, gaps re-installed.
-   Buffer references are dropped on re-install: they name packets in
-   a buffer pool that did not survive the outage. *)
-let resync t ~name (stats : OF.Of_types.Flow_stats.t list) =
-  t.resyncing <- false;
-  t.c_resyncs <- t.c_resyncs + 1;
-  Telemetry.Registry.incr t.m_resyncs;
-  let fs_flows =
-    List.filter_map
-      (fun flow_name ->
-        match Y.Yanc_fs.open_flow t.yfs ~cred ~switch:name flow_name with
-        | Error _ -> None
-        | Ok d -> (
-          match Y.Flowdir.read (fs t) ~cred d with
-          | Ok (flow : Y.Flowdir.t) ->
-            Some (flow_name, Vfs.Fs.dir_ino d, { flow with buffer_id = None })
-          | Error _ -> None))
-      (Y.Yanc_fs.flow_names t.yfs ~cred name)
-  in
-  (* Both sides keyed once by rule identity: O(stats + flows). *)
-  let committed = Id_tbl.create 64 and on_switch = Id_tbl.create 64 in
-  List.iter
-    (fun (_, _, (f : Y.Flowdir.t)) ->
-      Id_tbl.replace committed (f.of_match, f.priority) ())
-    fs_flows;
-  List.iter
-    (fun (s : OF.Of_types.Flow_stats.t) ->
-      Id_tbl.replace on_switch (s.of_match, s.priority) ())
-    stats;
-  List.iter
-    (fun (s : OF.Of_types.Flow_stats.t) ->
-      if not (Id_tbl.mem committed (s.of_match, s.priority)) then begin
-        send t (flow_delete_strict ~priority:s.priority s.of_match);
-        t.c_resync_deletes <- t.c_resync_deletes + 1;
-        Telemetry.Registry.incr t.m_resync_deletes
-      end)
-    stats;
-  List.iter
-    (fun (flow_name, ino, (flow : Y.Flowdir.t)) ->
-      if not (Id_tbl.mem on_switch (flow.of_match, flow.priority)) then begin
-        send t (flow_add flow);
-        t.c_resync_installs <- t.c_resync_installs + 1;
-        Telemetry.Registry.incr t.m_resync_installs
-      end;
-      cache_set t flow_name ~ino flow)
-    fs_flows
-
-let on_message t ~now ~xid (msg : Msg.t) =
-  match msg with
-  | Msg.Error_msg _ ->
-    Logs.warn (fun m -> m "driver[%s]: switch %a" (protocol t) Msg.pp msg)
-  | Msg.Echo_request data -> send t ~xid (Msg.Echo_reply data)
-  | Msg.Echo_reply _ ->
-    (* Any reply proves the peer is processing our requests. *)
-    t.echo_outstanding <- None
-  | Msg.Features_reply f -> on_features t ~now f
-  | Msg.Stats_reply (Msg.Port_desc_rep ports) -> (
-    match t.switch_name with
-    | None -> ()
-    | Some name -> set_ports t ~name ports)
-  | Msg.Packet_in { buffer_id; total_len; in_port; reason; data } -> (
-    match t.switch_name with
-    | None -> ()
-    | Some name ->
-      (* The packet-in is where a request enters the controller: mint
-         its trace here, publish under a span, and let consumers pick
-         the trace up by sequence number. The pooled ring is always
-         fed (it is free when nobody subscribed); the per-event file
-         directories are only written when some application actually
-         reads them — rechecked at most once a step while negative,
-         so a storm with ring-only consumers never pays the eventdir
-         fan-out, and a late [Eventdir.subscribe] is noticed on the
-         next step. *)
-      if (not t.eventdir_subs) && t.subs_checked_step <> t.steps then begin
-        t.subs_checked_step <- t.steps;
-        t.eventdir_subs <-
-          Y.Eventdir.subscribers (fs t) ~root:(root t) ~switch:name <> []
-      end;
-      let tracer = Telemetry.tracer t.telemetry in
-      ignore (Telemetry.Tracer.fresh tracer);
-      Telemetry.Tracer.span tracer ~stage:"driver.packet_in" (fun () ->
-          ignore
-            (Y.Pktin.publish (Y.Yanc_fs.pktin t.yfs) ~switch:name ~in_port
-               ~reason ~buffer_id ~total_len ~data ~at:now);
-          if t.eventdir_subs then
-            match
-              Y.Eventdir.publish ~telemetry:t.telemetry (fs t) ~root:(root t)
-                ~switch:name ~in_port ~reason ~buffer_id ~total_len ~data
-            with
-            | Ok 0 ->
-              (* All subscribers gone: stop paying for the readdir until
-                 someone shows up again. *)
-              t.eventdir_subs <- false
-            | r -> fs_checked t ~what:"packet-in event" r);
-      Telemetry.Tracer.clear tracer)
-  | Msg.Port_status (reason, port) -> (
-    match t.switch_name with
-    | None -> ()
-    | Some name -> (
-      match reason with
-      | OF.Of_types.Port_delete ->
-        fs_checked t ~what:"port removal"
-          (Y.Yanc_fs.remove_port t.yfs ~switch:name port.port_no)
-      | OF.Of_types.Port_add | OF.Of_types.Port_modify ->
-        fs_checked t ~what:"port dir"
-          (Y.Yanc_fs.set_port t.yfs ~switch:name port)))
-  | Msg.Flow_removed { of_match; priority; _ } -> (
-    match t.switch_name with
-    | None -> ()
-    | Some name -> (
-      match find_flow_by_match t of_match priority with
-      | None -> ()
-      | Some flow_name ->
-        cache_remove t flow_name;
-        fs_checked t ~what:"flow dir removal"
-          (Y.Yanc_fs.delete_flow t.yfs ~cred ~switch:name flow_name)))
-  | Msg.Stats_reply (Msg.Flow_stats_rep entries) -> (
-    match t.switch_name with
-    | None -> ()
-    | Some name ->
-      let stats = List.map snd entries in
-      if t.resyncing then resync t ~name stats;
-      (* One handle on flows/ for the whole reply, opened on first use. *)
-      let flows = lazy (Y.Yanc_fs.open_flows t.yfs ~cred name) in
-      List.iter
-        (fun (s : OF.Of_types.Flow_stats.t) ->
-          match find_flow_by_match t s.of_match s.priority with
-          | None -> ()
-          | Some flow_name ->
-            fs_checked t ~what:"flow counters"
-              (Result.bind (Lazy.force flows) (fun d ->
-                   Y.Flowdir.write_counters ~flow:flow_name (fs t) ~cred d
-                     ~packets:s.packets ~bytes:s.bytes ~duration_s:s.duration_s)))
-        stats)
-  | Msg.Stats_reply (Msg.Port_stats_rep stats) -> (
-    match t.switch_name with
-    | None -> ()
-    | Some name ->
-      List.iter
-        (fun (s : OF.Of_types.Port_stats.t) ->
-          fs_checked t ~what:"port counters"
-            (Y.Yanc_fs.write_port_counters t.yfs ~switch:name
-               ~port:s.port_no s))
-        stats)
-  | Msg.Hello | Msg.Features_request | Msg.Flow_mod _ | Msg.Packet_out _
-  | Msg.Port_mod _ | Msg.Stats_request _ | Msg.Barrier_request
-  | Msg.Barrier_reply -> ()
 
 (* --- file system to switch ------------------------------------------------ *)
 
@@ -585,10 +426,9 @@ let resolve_key t ~switch ~deletes ~adds flow_name =
           | Some _ | None -> ());
           adds := (flow_name, d, flow) :: !adds))
 
-(* [dir]: the handle [resolve_key] read the flow through, which spends
-   its one-shot buffer reference; a survivor reinstalled from the cache
-   carries none. [ino] is the directory's inode for the cache. *)
-let install t ~switch flow_name ~ino ?dir (flow : Y.Flowdir.t) =
+(* The one exit for flow adds. [ino] is the directory's inode for the
+   cache. *)
+let install t ~switch flow_name ~ino (flow : Y.Flowdir.t) =
   let tracer = Telemetry.tracer t.telemetry in
   ignore
     (Telemetry.Tracer.resume tracer
@@ -599,20 +439,20 @@ let install t ~switch flow_name ~ino ?dir (flow : Y.Flowdir.t) =
   (* The agent resumes by xid when it installs the entry. *)
   Telemetry.Tracer.stamp tracer (Netsim.Of_agent.trace_key_xid add_xid);
   Telemetry.Tracer.clear tracer;
-  (match dir with
-  | Some d when flow.buffer_id <> None ->
-    fs_checked t ~what:"buffer_id unlink" (Y.Flowdir.clear_buffer_id (fs t) ~cred d)
-  | Some _ | None -> ());
   cache_set t flow_name ~ino { flow with buffer_id = None }
 
-let send_plan t ~switch ~deletes ~adds =
+(* Send one resolved plan, every delete before any add, and return the
+   (deletes, adds) it sent. Each add was read through its directory
+   handle [d], which spends the one-shot buffer reference; with
+   [~buffers:false] the reference is dropped rather than sent — it
+   names a packet in a buffer pool that did not survive the outage. *)
+let send_plan ?(buffers = true) t ~switch ~deletes ~adds =
   let deleted = Id_tbl.create 8 in
   List.iter
     (fun (of_match, priority) ->
       if not (Id_tbl.mem deleted (of_match, priority)) then begin
         Id_tbl.replace deleted (of_match, priority) ();
-        send t (flow_delete_strict ~priority of_match);
-        Telemetry.Registry.incr t.m_commit_deletes
+        send t (flow_delete_strict ~priority of_match)
       end)
     (List.rev !deletes);
   (* An identity we just deleted may still be claimed by a surviving
@@ -620,48 +460,55 @@ let send_plan t ~switch ~deletes ~adds =
      match and priority). Reinstall the survivor's config before the
      regular adds, so a newer config installed for the same identity
      in this very batch still wins. *)
-  Id_tbl.iter
-    (fun id () ->
-      match claimant t id with
-      | None -> ()
-      | Some survivor -> (
-        match Hashtbl.find_opt t.cache survivor with
-        | Some { flow; ino } ->
-          install t ~switch survivor ~ino flow;
-          Telemetry.Registry.incr t.m_commit_adds
-        | None -> ()))
-    deleted;
+  let survivors =
+    Id_tbl.fold
+      (fun id () n ->
+        match claimant t id with
+        | None -> n
+        | Some survivor -> (
+          match Hashtbl.find_opt t.cache survivor with
+          | Some { flow; ino } ->
+            install t ~switch survivor ~ino flow;
+            n + 1
+          | None -> n))
+      deleted 0
+  in
   List.iter
-    (fun (flow_name, d, flow) ->
-      install t ~switch flow_name ~ino:(Vfs.Fs.dir_ino d) ~dir:d flow;
-      Telemetry.Registry.incr t.m_commit_adds)
-    (List.rev !adds)
+    (fun (flow_name, d, (flow : Y.Flowdir.t)) ->
+      install t ~switch flow_name ~ino:(Vfs.Fs.dir_ino d)
+        (if buffers then flow else { flow with buffer_id = None });
+      if flow.buffer_id <> None then
+        fs_checked t ~what:"buffer_id unlink"
+          (Y.Flowdir.clear_buffer_id (fs t) ~cred d))
+    (List.rev !adds);
+  (Id_tbl.length deleted, survivors + List.length !adds)
 
-(* The retained O(flows) path: cold handshake, notify overflow. Every
-   other commit goes through [flush_commits] below. *)
+let count_commits t (deletes, adds) =
+  Telemetry.Registry.add t.m_commit_deletes deletes;
+  Telemetry.Registry.add t.m_commit_adds adds
+
+(* The one O(flows) routine: resolve every listed flow directory and
+   every cached name against the cache — a cached name whose directory
+   is gone resolves to its delete. Visiting every flow, it subsumes
+   the queued commits. *)
+let sweep t ~switch ~deletes ~adds =
+  Telemetry.Registry.incr t.m_commit_sweeps;
+  Hashtbl.fold
+    (fun flow_name _ names -> Y.Yanc_fs.Name_set.add flow_name names)
+    t.cache
+    (Y.Yanc_fs.flow_name_set t.yfs ~cred switch)
+  |> Y.Yanc_fs.Name_set.iter (resolve_key t ~switch ~deletes ~adds);
+  Commit_queue.clear t.commits
+
+(* Notify overflow: file-system events were lost, but the hardware is
+   what the cache says, so the sweep runs against the cache. *)
 let reconcile_flows t =
   match t.switch_name with
   | None -> ()
   | Some name ->
-    Telemetry.Registry.incr t.m_commit_sweeps;
-    let live = Y.Yanc_fs.flow_name_set t.yfs ~cred name in
     let deletes = ref [] and adds = ref [] in
-    Hashtbl.fold
-      (fun flow_name _ acc ->
-        if Y.Yanc_fs.Name_set.mem flow_name live then acc
-        else flow_name :: acc)
-      t.cache []
-    |> List.iter (fun flow_name ->
-           match Hashtbl.find_opt t.cache flow_name with
-           | Some { flow; _ } ->
-             cache_remove t flow_name;
-             delete_entry t ~deletes flow_name (flow.of_match, flow.priority)
-           | None -> ());
-    Y.Yanc_fs.Name_set.iter
-      (fun flow_name ->
-        resolve_key t ~switch:name ~deletes ~adds flow_name)
-      live;
-    send_plan t ~switch:name ~deletes ~adds
+    sweep t ~switch:name ~deletes ~adds;
+    count_commits t (send_plan t ~switch:name ~deletes ~adds)
 
 (* Bounded flush: one batch of dirty keys per step, so a flow-mod
    storm spreads over successive steps instead of monopolizing one. *)
@@ -676,7 +523,7 @@ let flush_commits t =
       let batch = Commit_queue.take ~max:commit_batch t.commits in
       let deletes = ref [] and adds = ref [] in
       List.iter (resolve_key t ~switch:name ~deletes ~adds) batch;
-      send_plan t ~switch:name ~deletes ~adds;
+      count_commits t (send_plan t ~switch:name ~deletes ~adds);
       Telemetry.Registry.incr t.m_commit_batches;
       Telemetry.Registry.add t.m_commit_keys (List.length batch);
       Telemetry.Registry.observe t.m_commit_latency
@@ -755,6 +602,164 @@ let classify_fs_events t =
               | _ -> ()
             end)
       (Fsnotify.Notifier.read_events ~max:event_batch t.notifier)
+
+(* --- switch-to-controller messages ---------------------------------------- *)
+
+(* Reconcile the switch's own report (the flow-stats reply that every
+   handshake asks for) through the commit path. What the switch lost
+   or holds stale, the cache forgets, so the sweep sees it as news and
+   re-adds it; whatever the switch holds that no committed flow claims
+   is a stray and is strictly deleted, so a same-match rule at another
+   priority survives. After a re-handshake this is a resync and is
+   counted as one. *)
+let resync t ~name (stats : OF.Of_types.Flow_stats.t list) =
+  t.resyncing <- false;
+  let on_switch = Id_tbl.create 64 in
+  List.iter
+    (fun (s : OF.Of_types.Flow_stats.t) ->
+      Id_tbl.replace on_switch (s.of_match, s.priority) s)
+    stats;
+  (* The switch holds a cached flow when it reports the flow's identity
+     and, if the rule there is this flow's (its claimant), this flow's
+     config: a lost modify leaves old actions under the same identity. *)
+  let holds flow_name (f : Y.Flowdir.t) =
+    let id = (f.of_match, f.priority) in
+    match Id_tbl.find_opt on_switch id with
+    | None -> false
+    | Some (s : OF.Of_types.Flow_stats.t) ->
+      claimant t id <> Some flow_name
+      || (s.actions, s.cookie, s.idle_timeout, s.hard_timeout)
+         = (f.actions, f.cookie, f.idle_timeout, f.hard_timeout)
+  in
+  Hashtbl.fold
+    (fun flow_name { flow; _ } acc ->
+      if holds flow_name flow then acc else flow_name :: acc)
+    t.cache []
+  |> List.iter (cache_remove t);
+  let deletes = ref [] and adds = ref [] in
+  sweep t ~switch:name ~deletes ~adds;
+  (* An add claims its identity only once installed: strike the adds
+     off, and what stays unclaimed is a stray. *)
+  List.iter
+    (fun (_, _, (f : Y.Flowdir.t)) ->
+      Id_tbl.remove on_switch (f.of_match, f.priority))
+    !adds;
+  Id_tbl.iter
+    (fun id _ -> if claimant t id = None then deletes := id :: !deletes)
+    on_switch;
+  let ((strays, installs) as sent) =
+    send_plan ~buffers:false t ~switch:name ~deletes ~adds
+  in
+  if t.handshakes_done > 1 then begin
+    t.c_resyncs <- t.c_resyncs + 1;
+    t.c_resync_installs <- t.c_resync_installs + installs;
+    t.c_resync_deletes <- t.c_resync_deletes + strays;
+    Telemetry.Registry.incr t.m_resyncs;
+    Telemetry.Registry.add t.m_resync_installs installs;
+    Telemetry.Registry.add t.m_resync_deletes strays
+  end
+  else count_commits t sent
+
+let on_message t ~now ~xid (msg : Msg.t) =
+  match msg with
+  | Msg.Error_msg _ ->
+    Logs.warn (fun m -> m "driver[%s]: switch %a" (protocol t) Msg.pp msg)
+  | Msg.Echo_request data -> send t ~xid (Msg.Echo_reply data)
+  | Msg.Echo_reply _ ->
+    (* Any reply proves the peer is processing our requests. *)
+    t.echo_outstanding <- None
+  | Msg.Features_reply f -> on_features t ~now f
+  | Msg.Stats_reply (Msg.Port_desc_rep ports) -> (
+    match t.switch_name with
+    | None -> ()
+    | Some name -> set_ports t ~name ports)
+  | Msg.Packet_in { buffer_id; total_len; in_port; reason; data } -> (
+    match t.switch_name with
+    | None -> ()
+    | Some name ->
+      (* The packet-in is where a request enters the controller: mint
+         its trace here, publish under a span, and let consumers pick
+         the trace up by sequence number. The pooled ring is always
+         fed (it is free when nobody subscribed); the per-event file
+         directories are only written when some application actually
+         reads them — rechecked at most once a step while negative,
+         so a storm with ring-only consumers never pays the eventdir
+         fan-out, and a late [Eventdir.subscribe] is noticed on the
+         next step. *)
+      if (not t.eventdir_subs) && t.subs_checked_step <> t.steps then begin
+        t.subs_checked_step <- t.steps;
+        t.eventdir_subs <-
+          Y.Eventdir.subscribers (fs t) ~root:(root t) ~switch:name <> []
+      end;
+      let tracer = Telemetry.tracer t.telemetry in
+      ignore (Telemetry.Tracer.fresh tracer);
+      Telemetry.Tracer.span tracer ~stage:"driver.packet_in" (fun () ->
+          ignore
+            (Y.Pktin.publish (Y.Yanc_fs.pktin t.yfs) ~switch:name ~in_port
+               ~reason ~buffer_id ~total_len ~data ~at:now);
+          if t.eventdir_subs then
+            match
+              Y.Eventdir.publish ~telemetry:t.telemetry (fs t) ~root:(root t)
+                ~switch:name ~in_port ~reason ~buffer_id ~total_len ~data
+            with
+            | Ok 0 ->
+              (* All subscribers gone: stop paying for the readdir until
+                 someone shows up again. *)
+              t.eventdir_subs <- false
+            | r -> fs_checked t ~what:"packet-in event" r);
+      Telemetry.Tracer.clear tracer)
+  | Msg.Port_status (reason, port) -> (
+    match t.switch_name with
+    | None -> ()
+    | Some name -> (
+      match reason with
+      | OF.Of_types.Port_delete ->
+        fs_checked t ~what:"port removal"
+          (Y.Yanc_fs.remove_port t.yfs ~switch:name port.port_no)
+      | OF.Of_types.Port_add | OF.Of_types.Port_modify ->
+        fs_checked t ~what:"port dir"
+          (Y.Yanc_fs.set_port t.yfs ~switch:name port)))
+  | Msg.Flow_removed { of_match; priority; _ } -> (
+    match t.switch_name with
+    | None -> ()
+    | Some name -> (
+      match claimant t (of_match, priority) with
+      | None -> ()
+      | Some flow_name ->
+        cache_remove t flow_name;
+        fs_checked t ~what:"flow dir removal"
+          (Y.Yanc_fs.delete_flow t.yfs ~cred ~switch:name flow_name)))
+  | Msg.Stats_reply (Msg.Flow_stats_rep entries) -> (
+    match t.switch_name with
+    | None -> ()
+    | Some name ->
+      let stats = List.map snd entries in
+      if t.resyncing then resync t ~name stats;
+      (* One handle on flows/ for the whole reply, opened on first use. *)
+      let flows = lazy (Y.Yanc_fs.open_flows t.yfs ~cred name) in
+      List.iter
+        (fun (s : OF.Of_types.Flow_stats.t) ->
+          match claimant t (s.of_match, s.priority) with
+          | None -> ()
+          | Some flow_name ->
+            fs_checked t ~what:"flow counters"
+              (Result.bind (Lazy.force flows) (fun d ->
+                   Y.Flowdir.write_counters ~flow:flow_name (fs t) ~cred d
+                     ~packets:s.packets ~bytes:s.bytes ~duration_s:s.duration_s)))
+        stats)
+  | Msg.Stats_reply (Msg.Port_stats_rep stats) -> (
+    match t.switch_name with
+    | None -> ()
+    | Some name ->
+      List.iter
+        (fun (s : OF.Of_types.Port_stats.t) ->
+          fs_checked t ~what:"port counters"
+            (Y.Yanc_fs.write_port_counters t.yfs ~switch:name
+               ~port:s.port_no s))
+        stats)
+  | Msg.Hello | Msg.Features_request | Msg.Flow_mod _ | Msg.Packet_out _
+  | Msg.Port_mod _ | Msg.Stats_request _ | Msg.Barrier_request
+  | Msg.Barrier_reply -> ()
 
 (* The survival half of the state machine: handshake retries with
    backoff while Handshaking/Reconnecting, echo keepalives and the
@@ -877,11 +882,10 @@ let step t ~now =
   liveness t ~now;
   if t.connected then begin
     classify_fs_events t;
-    if Commit_queue.take_sweep t.commits then begin
-      (* The sweep visits every flow, so pending keys are subsumed. *)
-      reconcile_flows t;
-      Commit_queue.clear t.commits
-    end
+    (* While a resync is outstanding, commits wait: its sweep subsumes
+       them. *)
+    if t.resyncing then ()
+    else if Commit_queue.take_sweep t.commits then reconcile_flows t
     else flush_commits t;
     if t.ports_dirty then begin
       t.ports_dirty <- false;
@@ -906,8 +910,9 @@ let detach t = Fsnotify.Notifier.close t.notifier
 let pending t =
   Fsnotify.Notifier.pending t.notifier > 0
   || t.connected
-     && ((not (Commit_queue.is_empty t.commits))
-        || Commit_queue.sweep_pending t.commits
+     && ((not t.resyncing)
+         && ((not (Commit_queue.is_empty t.commits))
+            || Commit_queue.sweep_pending t.commits)
         || t.ports_dirty || t.spool_dirty)
 
 (* The earliest sim time at which [step] would do something on its

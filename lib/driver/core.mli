@@ -9,9 +9,9 @@
       the flow's [error] file. Changes are tracked per flow key in a
       {!Commit_queue} (fsnotify events name the flow that changed) and
       flushed one batch per step, deletions before adds — O(dirty)
-      per tick. The full O(flows) reconcile survives only for the
-      cold handshake, notify overflow, and the post-reconnect resync
-      diff.
+      per tick. One O(flows) sweep remains, for notify overflow (run
+      against the driver's cache) and for the flow-stats reply every
+      handshake asks for (run against the switch's own table).
     - [config.port_down] writes → port-mod
     - [packet_out/] spool entries → packet-out
     - packet-ins → always the {!Yancfs.Pktin} ring, and
@@ -26,8 +26,12 @@
     The driver also owns the connection's survival
     ({!Driver_intf.status}): echo keepalives with a liveness timeout
     while connected, handshake retries under exponential backoff while
-    reconnecting, and a flow-table resynchronization (stats-reply diff
-    against the committed flow directories) after every re-handshake. *)
+    reconnecting, and a flow-table reconcile after every handshake,
+    first or not: the switch reports its table, flows it lacks or holds
+    with another config are re-added and strays strictly deleted, all
+    through the commit path (one exit per flow_mod kind). Commits wait
+    until the report is in. After a re-handshake the reconcile is
+    counted as a resync ({!Driver_intf.link_counters}). *)
 
 type t
 

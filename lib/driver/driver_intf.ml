@@ -55,8 +55,8 @@ let default_tuning =
 type link_counters = {
   disconnects : int;       (** liveness timeouts declared *)
   retries : int;           (** handshake (re)transmissions after the first *)
-  resyncs : int;           (** completed flow-table resynchronizations *)
-  resync_installs : int;   (** missing-on-switch entries re-installed *)
-  resync_deletes : int;    (** stray switch entries deleted *)
+  resyncs : int;           (** flow-table reconciles after a re-handshake *)
+  resync_installs : int;   (** adds made by a resync's sweep *)
+  resync_deletes : int;    (** stray switch entries a resync deleted *)
   keepalives_sent : int;
 }

@@ -28,7 +28,10 @@ val attach : t -> dpid:int64 -> version:version -> unit
 val detach : t -> dpid:int64 -> unit
 
 val upgrade : t -> dpid:int64 -> version:version -> unit
-(** Alias of {!attach} with intent: live protocol upgrade. *)
+(** Alias of {!attach} with intent: live protocol upgrade. The fresh
+    driver's handshake asks the switch for its table and reconciles it
+    with the file system, so the old driver's rules stay, and any rule
+    no flow directory commits (a stray) is deleted. *)
 
 val step : t -> now:float -> unit
 (** One control-plane round over the {e runnable} switches only: step

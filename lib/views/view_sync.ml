@@ -15,8 +15,14 @@ type 'v translation = {
 }
 
 (* What the last sync of one view flow saw and installed: its commit
-   stamp and the master (switch, flow) pairs, the counting one first. *)
-type entry = { version : int; ino : int; installed : (string * string) list }
+   stamp and the master (switch, flow) pairs, the counting one first;
+   [copied] is the (packets, bytes) last written onto the view flow. *)
+type entry = {
+  version : int;
+  ino : int;
+  installed : (string * string) list;
+  mutable copied : (int64 * int64) option;
+}
 
 type t = {
   master : Y.Yanc_fs.t;
@@ -101,10 +107,11 @@ let sync_flow t tr v ~switch tbl vflows (name, ino) =
           (fun e ->
             remove t (List.filter (fun m -> not (List.mem m installed)) e.installed))
           seen;
-        Hashtbl.replace tbl name { version; ino; installed })
+        Hashtbl.replace tbl name { version; ino; installed; copied = None })
 
-(* Each counting flow's counters onto its view flow; each master
-   switch's flows/ is opened once, on first use. *)
+(* Each counting flow's counters onto its view flow, written only when
+   they differ from the last copy; each master switch's flows/ is
+   opened once, on first use. *)
 let counters_up t ~switch tbl vflows =
   let mflows = Hashtbl.create 4 in
   let open_master sw =
@@ -125,11 +132,14 @@ let counters_up t ~switch tbl vflows =
             (Y.Flowdir.read_counters ~flow:mname (Y.Yanc_fs.fs t.master) ~cred:t.cred)
             (open_master msw)
         with
-        | Ok (Some (packets, bytes)) ->
-          checked t (switch ^ "/" ^ name ^ " counters")
-            (Y.Flowdir.write_counters ~flow:name (Y.Yanc_fs.fs t.view_fs)
-               ~cred:t.cred vflows ~packets ~bytes ~duration_s:0)
-        | Ok None | Error _ -> ()))
+        | Ok (Some (packets, bytes) as read) when read <> e.copied ->
+          let r =
+            Y.Flowdir.write_counters ~flow:name (Y.Yanc_fs.fs t.view_fs)
+              ~cred:t.cred vflows ~packets ~bytes ~duration_s:0
+          in
+          if Result.is_ok r then e.copied <- read;
+          checked t (switch ^ "/" ^ name ^ " counters") r
+        | Ok _ | Error _ -> ()))
     tbl
 
 let packet_outs_down t tr v ~switch =

@@ -22,8 +22,8 @@
    lease stops renewing, survivors observe the expiry, the shard map
    re-awards its switches to their runner-ups (which, being in the
    replica set, already hold the flow state), and the attach-time
-   handshake's resync-by-diff reconciles hardware against the new
-   owner's replica. *)
+   handshake's reconcile of the switch's own table brings hardware to
+   the new owner's replica. *)
 
 module Shard_map = Dfs.Shard_map
 
@@ -219,7 +219,10 @@ let attached_set node =
 (* Claim a shard: bring this replica (and any newly promoted
    secondaries) up to date, record the claim, attach the driver. The
    anti-entropy sync is what makes a promotion safe when the claimant
-   or a new secondary was outside the previous replica set.
+   or a new secondary was outside the previous replica set. The fresh
+   driver's handshake then reconciles the switch's own table with this
+   replica: rules the replica lacks are re-added, and rules the dead
+   owner installed but never replicated are strays and are deleted.
 
    Post-boot claims are takeover work: the claim runs as a
    [cluster.takeover.reown] span (resuming the trace the detect phase

@@ -18,7 +18,8 @@
     tail and cuts its replica off. Its lease expires, survivors
     recompute the shard map, the runner-up claims each orphaned switch
     (state already on its replica), and the attach-time handshake's
-    resync-by-diff reconciles hardware with the new owner's replica —
+    reconcile of the switch's own table brings hardware to the new
+    owner's replica, strays included —
     takeover is lease expiry + reconcile beat + resync, all on the sim
     clock. *)
 

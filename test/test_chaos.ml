@@ -178,6 +178,17 @@ let test_disconnect_recovery () =
     "status file back to connected" (Some "connected")
     (Y.Yanc_fs.switch_status yfs swname)
 
+(* A rule put straight into the switch table, behind the controller's
+   back; by default one the file system never committed (a stray). *)
+let put_rule ?(tp_dst = 6666) ?(priority = 999) ?(out = 1) ctl dpid =
+  let sw = Option.get (N.Network.switch (Yanc.Controller.net ctl) dpid) in
+  ignore
+    (N.Sim_switch.flow_add sw ~now:(Yanc.Controller.now ctl)
+       ~of_match:{ OF.Of_match.any with OF.Of_match.tp_dst = Some tp_dst }
+       ~priority
+       ~actions:[ OF.Action.Output (OF.Action.Physical out) ]
+       ())
+
 (* Resync must also repair silent divergence: rules that exist only on
    the switch (installed behind the controller's back) are strays and
    get DELETE_STRICTed. *)
@@ -189,13 +200,7 @@ let test_resync_deletes_strays () =
        (mk_flow ~tp_dst:80 ~priority:50));
   Yanc.Controller.run_for ~tick:0.02 ctl 0.3;
   (* a rule the file system never committed appears on the switch *)
-  let sw = Option.get (N.Network.switch (Yanc.Controller.net ctl) dpid) in
-  ignore
-    (N.Sim_switch.flow_add sw ~now:(Yanc.Controller.now ctl)
-       ~of_match:{ OF.Of_match.any with OF.Of_match.tp_dst = Some 6666 }
-       ~priority:999
-       ~actions:[ OF.Action.Output (OF.Action.Physical 1) ]
-       ());
+  put_rule ctl dpid;
   Alcotest.(check int) "stray present" 1 (List.length (fsck ctl).hw_only);
   let _sw_end, ctl_end = Option.get (D.Manager.channel mgr ~dpid) in
   CC.disconnect ctl_end;
@@ -210,6 +215,91 @@ let test_resync_deletes_strays () =
     (Yanc.Audit.ok (fsck ctl), (fsck ctl).hw_rules);
   Alcotest.(check bool) "stray delete counted" true
     ((counters mgr dpid).D.Driver_intf.resync_deletes >= 1)
+
+(* A modify the switch never got (a dropped flow_mod) leaves the old
+   actions under the same identity: the resync compares the reported
+   config, not just the identity, and re-adds the committed one. *)
+let test_resync_repairs_stale_actions () =
+  let ctl, mgr, dpid, swname = rig () in
+  let yfs = Yanc.Controller.yfs ctl in
+  ignore
+    (Y.Yanc_fs.create_flow yfs ~cred ~switch:swname ~name:"legit"
+       (mk_flow ~tp_dst:80 ~priority:50));
+  Yanc.Controller.run_for ~tick:0.02 ctl 0.3;
+  put_rule ~tp_dst:80 ~priority:50 ~out:7 ctl dpid;
+  Alcotest.(check (pair int int)) "stale actions on hardware" (1, 1)
+    (List.length (fsck ctl).fs_only, List.length (fsck ctl).hw_only);
+  let _sw_end, ctl_end = Option.get (D.Manager.channel mgr ~dpid) in
+  CC.disconnect ctl_end;
+  let recovered =
+    Yanc.Controller.run_until ~tick:0.02 ~timeout:10. ctl (fun () ->
+        D.Manager.switch_status mgr ~dpid = Some D.Driver_intf.Connected
+        && (counters mgr dpid).D.Driver_intf.resyncs >= 1)
+  in
+  Alcotest.(check bool) "driver recovered" true recovered;
+  Yanc.Controller.run_for ~tick:0.02 ctl 0.3;
+  Alcotest.(check (pair bool int)) "committed actions back" (true, 1)
+    (Yanc.Audit.ok (fsck ctl), (fsck ctl).hw_rules)
+
+(* A live upgrade is a fresh driver: its first handshake reconciles the
+   switch's own table, so a stray goes exactly as after an outage. *)
+let test_upgrade_deletes_stray () =
+  let ctl, mgr, dpid, swname = rig () in
+  let yfs = Yanc.Controller.yfs ctl in
+  ignore
+    (Y.Yanc_fs.create_flow yfs ~cred ~switch:swname ~name:"legit"
+       (mk_flow ~tp_dst:80 ~priority:50));
+  Yanc.Controller.run_for ~tick:0.02 ctl 0.3;
+  put_rule ctl dpid;
+  Alcotest.(check int) "stray present" 1 (List.length (fsck ctl).hw_only);
+  D.Manager.upgrade mgr ~dpid ~version:D.Manager.V13;
+  Yanc.Controller.run_for ~tick:0.02 ctl 2.0;
+  Alcotest.(check (option string)) "upgraded driver connected"
+    (Some "connected") (Y.Yanc_fs.switch_status yfs swname);
+  let report = fsck ctl in
+  Alcotest.(check (triple bool int int)) "stray deleted, legit kept"
+    (true, 0, 1)
+    (Yanc.Audit.ok report, List.length report.hw_only, report.hw_rules)
+
+(* A flow committed while the channel is down reaches the switch as one
+   ADD, made by the resync, and without the buffer reference it was
+   committed with: the buffer pool did not survive the outage. *)
+let test_outage_commit_installed_once () =
+  let ctl, mgr, dpid, swname = rig () in
+  let yfs = Yanc.Controller.yfs ctl in
+  let reg = Telemetry.registry (Yanc.Controller.telemetry ctl) in
+  let value n = Telemetry.Registry.value (Telemetry.Registry.counter reg n) in
+  let installs () = value "driver.commit.adds" + value "driver.resync_installs" in
+  let _sw_end, ctl_end = Option.get (D.Manager.channel mgr ~dpid) in
+  let framing = OF.Framing.create () in
+  CC.set_tap ctl_end (OF.Framing.push framing);
+  CC.disconnect ctl_end;
+  let installs0 = installs () in
+  Alcotest.(check bool) "commit while down" true
+    (Y.Yanc_fs.create_flow yfs ~cred ~switch:swname ~name:"outage"
+       { (mk_flow ~tp_dst:8080 ~priority:70) with Y.Flowdir.buffer_id = Some 42l }
+    = Ok ());
+  let recovered =
+    Yanc.Controller.run_until ~tick:0.02 ~timeout:10. ctl (fun () ->
+        D.Manager.switch_status mgr ~dpid = Some D.Driver_intf.Connected
+        && (counters mgr dpid).D.Driver_intf.resyncs >= 1)
+  in
+  Alcotest.(check bool) "driver recovered" true recovered;
+  Yanc.Controller.run_for ~tick:0.02 ctl 0.3;
+  Alcotest.(check int) "one install" 1 (installs () - installs0);
+  let adds =
+    List.filter_map
+      (fun raw ->
+        match OF.Dialect.decode OF.Dialect.V10 raw with
+        | Ok (_, OF.Msg.Flow_mod ({ command = OF.Msg.Add; _ } as fm)) ->
+          Some fm.buffer_id
+        | Ok _ | Error _ -> None)
+      (OF.Framing.pop_all framing)
+  in
+  Alcotest.(check (list (option int32))) "one ADD, no buffer" [ None ] adds;
+  let report = fsck ctl in
+  Alcotest.(check (pair bool int)) "on hardware" (true, 1)
+    (Yanc.Audit.ok report, report.hw_rules)
 
 (* A channel that can never be re-established exhausts the retry budget
    and the driver surfaces [dead] — yancctl exits nonzero on this. *)
@@ -241,6 +331,11 @@ let test_dead_after_retry_budget () =
 (* --- soak matrix (satellite d) ----------------------------------------------- *)
 
 let soak_seeds = [ 11; 23; 37 ]
+
+(* Seeds that once diverged, each with the profile it failed under.
+   drop seed=175: a dropped modify left a rule's old actions under its
+   identity, which an identity-only resync took for in sync. *)
+let regression_seeds = [ (Chaos.drop_profile, 175) ]
 
 let soak_case profile seed =
   Alcotest.test_case
@@ -315,6 +410,12 @@ let () =
             test_disconnect_recovery;
           Alcotest.test_case "resync deletes strays" `Quick
             test_resync_deletes_strays;
+          Alcotest.test_case "resync repairs stale actions" `Quick
+            test_resync_repairs_stale_actions;
+          Alcotest.test_case "live upgrade deletes a stray" `Quick
+            test_upgrade_deletes_stray;
+          Alcotest.test_case "outage commit installed once" `Quick
+            test_outage_commit_installed_once;
           Alcotest.test_case "dead after retry budget" `Quick
             test_dead_after_retry_budget
         ] );
@@ -323,4 +424,5 @@ let () =
         :: List.concat_map
              (fun p -> List.map (soak_case p) soak_seeds)
              Chaos.profiles
+        @ List.map (fun (p, seed) -> soak_case p seed) regression_seeds
         @ List.map soak_policy_case Chaos.profiles ) ]

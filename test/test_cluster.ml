@@ -277,6 +277,52 @@ let test_kill_one_of_two_takeover () =
   Alcotest.(check bool) "survivor recorded takeovers" true
     (Yanc.Cluster.takeovers c 0 >= List.length orphaned)
 
+(* A rule the dying owner put on hardware before replication carried
+   it: the survivor's replica never held it, so it is a stray, and the
+   takeover handshake's reconcile must delete it. *)
+let test_takeover_deletes_unreplicated_stray () =
+  let built, c = boot () in
+  ignore (Yanc.Cluster.run_until ~tick:0.02 c (fun () -> Yanc.Cluster.converged c));
+  let victim = 1 in
+  let dpid =
+    List.find
+      (fun d -> Yanc.Cluster.owner_index c d = Some victim)
+      built.N.Topo_gen.dpids
+  in
+  let swname = Y.Yanc_fs.switch_name_of_dpid dpid in
+  let report () =
+    List.find_map
+      (function
+        | Yanc.Audit.Owned (_, r) when r.Yanc.Audit.switch = swname -> Some r
+        | Yanc.Audit.Owned _ | Yanc.Audit.Unowned _ -> None)
+      (Yanc.Cluster.shards c)
+  in
+  let yfs1 = Yanc.Controller.yfs (Yanc.Cluster.controller c victim) in
+  let flow =
+    { Y.Flowdir.default with
+      Y.Flowdir.of_match =
+        { Openflow.Of_match.any with Openflow.Of_match.in_port = Some 1 };
+      actions = [ Openflow.Action.Output (Openflow.Action.Physical 2) ];
+      priority = 77 }
+  in
+  (match Y.Yanc_fs.create_flow yfs1 ~cred ~switch:swname ~name:"lost" flow with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "create_flow: %s" (Vfs.Errno.to_string e));
+  (* one 5 ms step: installed, not yet replicated (0.05 s) *)
+  Yanc.Cluster.step c;
+  Alcotest.(check (option int)) "the rule is on hardware" (Some 1)
+    (Option.map (fun (r : Yanc.Audit.report) -> r.hw_rules) (report ()));
+  Yanc.Cluster.kill c victim;
+  Alcotest.(check bool) "converged after takeover" true
+    (Yanc.Cluster.run_until ~tick:0.02 ~timeout:10. c (fun () ->
+         Yanc.Cluster.converged c));
+  match report () with
+  | None -> Alcotest.fail "switch not owned after takeover"
+  | Some r ->
+    Alcotest.(check (pair (option int) int)) "survivor owns it, no hw_only"
+      (Some 0, 0)
+      (Yanc.Cluster.owner_index c dpid, List.length r.hw_only)
+
 (* A coordination write that fails is counted, not dropped: with node
    1's replica read-only its next lease renewal fails, bumps its
    cluster.fs_errors counter, and the fleet health report goes crit. *)
@@ -576,6 +622,8 @@ let () =
             test_cross_node_flow_reaches_owner_hardware;
           Alcotest.test_case "kill one of two: takeover converges" `Quick
             test_kill_one_of_two_takeover;
+          Alcotest.test_case "takeover deletes an unreplicated stray" `Quick
+            test_takeover_deletes_unreplicated_stray;
           Alcotest.test_case "sync_subtree anti-entropy" `Quick
             test_sync_subtree_antientropy;
           Alcotest.test_case "failed lease write is counted" `Quick

@@ -22,7 +22,10 @@
      Openflow.Dialect.t is the one V10 | V13 type (others may re-export
      it by type equation).
    - Only Flowdir reads or writes the files of a flow directory: it
-     alone names them and makes handle-relative file calls. *)
+     alone names them and makes handle-relative file calls.
+   - In the driver, every flow_mod leaves through the commit path:
+     [flow_add] is applied only in [install], [flow_delete_strict] only
+     in [send_plan]. *)
 
 let dirs = [ "../lib/apps"; "../lib/views" ]
 
@@ -251,6 +254,27 @@ let test_flow_files () =
   Alcotest.(check bool) "Flowdir names the flow files" true
     (names ~allowed:(fun path _ -> path <> flowdir) () <> [])
 
+(* The top-level definitions applying [name] (a whole word), one per
+   use, [name]'s own definition aside. *)
+let applying src name =
+  List.filter_map
+    (fun pos ->
+      let after = pos + String.length name in
+      let whole =
+        (pos = 0 || not (is_ident_char src.[pos - 1]))
+        && (after >= String.length src || not (is_ident_char src.[after]))
+      in
+      let def = enclosing_definition src pos in
+      if whole && def <> name then Some def else None)
+    (occurrences src name)
+
+let test_driver_flow_mods () =
+  let src = strip_comments (read_file "../lib/driver/core.ml") in
+  Alcotest.(check (list string)) "flow_add applied only in install"
+    [ "install" ] (applying src "flow_add");
+  Alcotest.(check (list string)) "flow_delete_strict applied only in send_plan"
+    [ "send_plan" ] (applying src "flow_delete_strict")
+
 let () =
   Alcotest.run "guard"
     [ ( "one mechanism",
@@ -259,6 +283,9 @@ let () =
       ( "one wire protocol",
         [ Alcotest.test_case "codecs only in lib/openflow" `Quick test_codecs;
           Alcotest.test_case "one version type" `Quick test_one_version_type ] );
+      ( "driver",
+        [ Alcotest.test_case "one exit for flow_mods" `Quick
+            test_driver_flow_mods ] );
       ( "flow files",
         [ Alcotest.test_case "only Flowdir" `Quick test_flow_files ] );
       ( "hardware reads",

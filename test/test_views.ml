@@ -433,13 +433,13 @@ let flows_of yfs ~prefix =
         (Y.Yanc_fs.flow_names yfs ~cred sw))
     (Y.Yanc_fs.switch_names yfs)
 
-let put_counters yfs ~switch name =
+let put_counters ?(packets = 7L) ?(bytes = 700L) yfs ~switch name =
   match Y.Yanc_fs.open_flows yfs ~cred switch with
   | Error e -> Alcotest.failf "open flows: %s" (Vfs.Errno.to_string e)
   | Ok d -> (
     match
       Y.Flowdir.write_counters ~flow:name (Y.Yanc_fs.fs yfs) ~cred d
-        ~packets:7L ~bytes:700L ~duration_s:1
+        ~packets ~bytes ~duration_s:1
     with
     | Ok () -> ()
     | Error e -> Alcotest.failf "counters: %s" (Vfs.Errno.to_string e))
@@ -743,7 +743,27 @@ let test_slice_poll_cost () =
   Yanc.Controller.run_for ctl 0.5;
   Alcotest.(check int) "all accepted" 50 (Views.Slicer.flows_accepted slicer);
   let cost = one_run ctl (Views.Slicer.run slicer) in
-  Alcotest.(check bool) (Printf.sprintf "%d crossings <= 163" cost) true (cost <= 163)
+  Alcotest.(check bool) (Printf.sprintf "%d crossings <= 163" cost) true (cost <= 163);
+  (* Reported counters are copied once; unchanged ones cost no writes. *)
+  let master = Yanc.Controller.yfs ctl in
+  for i = 0 to 49 do
+    put_counters master ~switch:"sw1" (Printf.sprintf "s.v.f%d" i)
+  done;
+  ignore (one_run ctl (Views.Slicer.run slicer));
+  let cost = one_run ctl (Views.Slicer.run slicer) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d crossings <= 163 with counters copied" cost)
+    true (cost <= 163);
+  put_counters ~packets:9L ~bytes:900L master ~switch:"sw1" "s.v.f7";
+  let cost = one_run ctl (Views.Slicer.run slicer) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d crossings <= 166 for one changed flow" cost)
+    true (cost <= 166);
+  let vy = Views.Slicer.view_fs slicer in
+  Alcotest.(check (option (pair int64 int64))) "changed counters up"
+    (Some (9L, 900L)) (counters_of vy ~switch:"sw1" "f7");
+  Alcotest.(check (option (pair int64 int64))) "unchanged counters kept"
+    (Some (7L, 700L)) (counters_of vy ~switch:"sw1" "f8")
 
 let test_bigswitch_poll_cost () =
   let ctl = poll_rig () in
