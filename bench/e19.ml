@@ -1,13 +1,12 @@
 (* E19 — datacenter-scale packet-in storms: fat-tree fleets, a seeded
-   heavy-tailed workload, ECMP routing, and the pooled ring fast path
-   against the event-directory baseline (paper §8.1 at fleet scale).
-   Writes BENCH_scale.json. *)
+   heavy-tailed workload, ECMP routing over the pooled ring fast path,
+   and that delivery path alone against the event-directory baseline
+   (paper §8.1 at fleet scale). Writes BENCH_scale.json. *)
 
 open Harness
 
 type out = {
   k : int;
-  delivery : string;
   switches : int;
   hosts : int;
   arrivals : int;
@@ -34,8 +33,8 @@ let seed = 0xD47ACE
 
 let tick = 0.005
 
-let storm ?(delivery = Apps.Ecmp_router.Ring) ~rate ~arrivals ~k () =
-  let rig, ctl = Rig.controller ~delivery ~k () in
+let storm ~rate ~arrivals ~k () =
+  let rig, ctl = Rig.controller ~k () in
   let wl = Rig.workload rig ~rate ~seed in
   let reg = Telemetry.registry (Yanc.Controller.telemetry ctl) in
   let install_h = Telemetry.Registry.histogram reg "trace.switch.install" in
@@ -50,10 +49,6 @@ let storm ?(delivery = Apps.Ecmp_router.Ring) ~rate ~arrivals ~k () =
   let ring = Y.Yanc_fs.pktin (Yanc.Controller.yfs ctl) in
   let pool = Y.Pktin.pool ring in
   { k;
-    delivery =
-      (match delivery with
-      | Apps.Ecmp_router.Ring -> "ring"
-      | Apps.Ecmp_router.Eventdir -> "eventdir");
     switches = List.length rig.built.N.Topo_gen.dpids;
     hosts = rig.hosts;
     arrivals = injected;
@@ -80,8 +75,8 @@ let rates r =
 
 let print_row r =
   let per_sim, per_wall = rates r in
-  row "  %4d | %-8s | %8d | %6d | %8d | %8d | %8d | %7.2f | %11.0f | %12.0f | %8.2f | %8.2f | %7.0f | %7.0f\n"
-    r.k r.delivery r.switches r.hosts r.arrivals r.pktins
+  row "  %4d | %8d | %6d | %8d | %8d | %8d | %7.2f | %11.0f | %12.0f | %8.2f | %8.2f | %7.0f | %7.0f\n"
+    r.k r.switches r.hosts r.arrivals r.pktins
     r.installs r.wall_s per_sim per_wall (r.p50 *. 1000.)
     (r.p99 *. 1000.) r.p50_rounds r.p99_rounds
 
@@ -89,8 +84,8 @@ let print_row r =
    stream handed to one application through the pooled ring vs through
    the per-event file directories, on a k=8 fleet's switch set. The
    end-to-end storm above is dominated by path installation (5 flow
-   writes per arrival), which both modes share; this measures only the
-   delivery mechanism the ring replaces. Returns
+   writes per arrival), which either delivery would share; this
+   measures only the delivery mechanism the ring replaces. Returns
    (ring events/s, eventdir events/s, ring crossings, ed crossings). *)
 let delivery ?(events = 10_000) ?(switches = 80) () =
   let payload = String.make 64 '\x2a' in
@@ -154,7 +149,7 @@ let json_of_out r =
   let per_sim, per_wall = rates r in
   Json.(
     Obj
-      [ "k", Int r.k; "delivery", String r.delivery;
+      [ "k", Int r.k;
         "switches", Int r.switches; "hosts", Int r.hosts;
         "arrivals", Int r.arrivals; "packet_ins", Int r.pktins;
         "installs", Int r.installs;
@@ -175,8 +170,8 @@ let json_of_out r =
 let run () =
   section
     "E19  datacenter storm: fat-tree fleet, ECMP, pooled ring vs eventdir";
-  row "  %4s | %-8s | %8s | %6s | %8s | %8s | %8s | %7s | %11s | %12s | %8s | %8s | %7s | %7s\n"
-    "k" "delivery" "switches" "hosts" "arrivals" "pktins" "installs" "wall s"
+  row "  %4s | %8s | %6s | %8s | %8s | %8s | %7s | %11s | %12s | %8s | %8s | %7s | %7s\n"
+    "k" "switches" "hosts" "arrivals" "pktins" "installs" "wall s"
     "inst/sim s" "inst/wall s" "p50 ms" "p99 ms" "p50 rnd" "p99 rnd";
   (* arrivals and rate scale with k so every fleet faces a storm
      proportional to its size (375*k arrivals at 500*k flows/s). *)
@@ -189,15 +184,6 @@ let run () =
       [ 4; 8; 16 ]
   in
   let at k = List.find (fun r -> r.k = k) series in
-  (* the §8.1 comparison: same k=8 storm through per-event files *)
-  let ed8 =
-    storm ~delivery:Apps.Ecmp_router.Eventdir ~rate:4000. ~arrivals:3000 ~k:8 ()
-  in
-  print_row ed8;
-  let _, ring_rate = rates (at 8) in
-  let _, ed_rate = rates ed8 in
-  row "  ring vs eventdir @k=8: %.0f vs %.0f installs/wall s (%.1fx)\n"
-    ring_rate ed_rate (ring_rate /. ed_rate);
   let _, lo_rate = rates (at 4) and _, hi_rate = rates (at 16) in
   row "  degradation: %dx the switches costs %.1fx the wall throughput\n"
     ((at 16).switches / (at 4).switches)
@@ -213,11 +199,6 @@ let run () =
         "generated_by", String "dune exec bench/main.exe -- artifacts";
         "seed", Int seed; "tick_s", Float (3, tick);
         "series", List (List.map json_of_out series);
-        "baseline_k8",
-        Obj
-          [ "ring_installs_per_wall_s", Float (1, ring_rate);
-            "eventdir_installs_per_wall_s", Float (1, ed_rate);
-            "speedup", Float (2, ring_rate /. ed_rate) ];
         "delivery_k8",
         Obj
           [ "ring_events_per_s", Float (0, ring_eps);

@@ -54,7 +54,7 @@ let make built round =
   { built; net = built.N.Topo_gen.net;
     hosts = List.length built.N.Topo_gen.host_names; round }
 
-let controller ?(delivery = Apps.Ecmp_router.Ring) ~k () =
+let controller ~k () =
   let built = N.Topo_gen.fat_tree ~k () in
   let net = built.N.Topo_gen.net in
   let ctl = Yanc.Controller.create ~tuning ~net () in
@@ -64,7 +64,7 @@ let controller ?(delivery = Apps.Ecmp_router.Ring) ~k () =
   let yfs = Yanc.Controller.yfs ctl in
   provision yfs built;
   Yanc.Controller.add_app ctl
-    (Apps.Ecmp_router.app (Apps.Ecmp_router.create ~delivery yfs));
+    (Apps.Ecmp_router.app (Apps.Ecmp_router.create yfs));
   let round ~tick =
     Yanc.Controller.step ctl;
     N.Network.run net;

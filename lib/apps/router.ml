@@ -4,15 +4,12 @@ module OF = Openflow
 
 let app_name = "routerd"
 
-type location = Path_install.location = { switch : string; port : int }
-
 type t = {
   yfs : Y.Yanc_fs.t;
   cred : Vfs.Cred.t;
   idle_timeout : int;
   priority : int;
-  hosts : (P.Mac.t, location) Hashtbl.t;
-  ips : (P.Ipv4_addr.t, P.Mac.t) Hashtbl.t;
+  topo : Topo_view.t;
   events : App_intf.Packet_in.t;
   mutable paths : int;
   mutable flow_seq : int;
@@ -20,67 +17,30 @@ type t = {
 }
 
 let create ?(cred = Vfs.Cred.root) ?(idle_timeout = 30) ?(priority = 200) yfs =
-  { yfs; cred; idle_timeout; priority; hosts = Hashtbl.create 64;
-    ips = Hashtbl.create 64;
+  { yfs; cred; idle_timeout; priority; topo = Topo_view.create ~cred yfs;
     events = App_intf.Packet_in.create yfs ~cred ~app:app_name; paths = 0;
     flow_seq = 0; fs_errors = App_intf.fs_errors yfs }
 
-let fs t = Y.Yanc_fs.fs t.yfs
-
-let root t = Y.Yanc_fs.root t.yfs
-
-let edge_ports t switch =
-  List.filter
-    (fun port ->
-      Y.Yanc_fs.peer_of t.yfs ~cred:t.cred ~switch ~port = None
-      &&
-      match Y.Yanc_fs.read_port t.yfs ~cred:t.cred ~switch port with
-      | Ok info -> not (info.admin_down || info.link_down)
-      | Error _ -> false)
-    (Y.Yanc_fs.port_numbers t.yfs ~cred:t.cred switch)
-
-(* A shortest path over the peer symlinks, as the hops leaving each
-   switch on the way: the lowest-port next hop at every switch. *)
-let path t ~from_sw ~to_sw =
-  if from_sw = to_sw then Some []
-  else begin
-    let table =
-      Path_install.next_hops (Path_install.adjacency t.yfs ~cred:t.cred)
-        ~dst_sw:to_sw
-    in
-    let rec walk sw acc =
-      if sw = to_sw then Some (List.rev acc)
-      else
-        match Hashtbl.find_opt table sw with
-        | None | Some [||] -> None
-        | Some hops -> walk hops.(0).Path_install.peer (hops.(0) :: acc)
-    in
-    walk from_sw []
-  end
-
+(* Publish a host seen on an edge port under hosts/ when the view has
+   it elsewhere (or not at all), or when the frame names its address;
+   the view reads it back. *)
 let learn t ~switch ~in_port frame =
-  (* Only edge ports host endpoints. *)
-  if Y.Yanc_fs.peer_of t.yfs ~cred:t.cred ~switch ~port:in_port = None then begin
-    let mac = frame.P.Eth.src in
-    if not (P.Mac.is_multicast mac) then begin
-      let known = Hashtbl.find_opt t.hosts mac in
-      Hashtbl.replace t.hosts mac { switch; port = in_port };
-      let ip =
-        match frame.P.Eth.payload with
-        | P.Eth.Arp arp -> Some arp.P.Arp.spa
-        | P.Eth.Ipv4 ip when not (P.Ipv4_addr.equal ip.P.Ipv4.src P.Ipv4_addr.any)
-          -> Some ip.P.Ipv4.src
-        | _ -> None
-      in
-      Option.iter (fun addr -> Hashtbl.replace t.ips addr mac) ip;
-      if known = None || ip <> None then begin
-        let name =
-          Printf.sprintf "host-%012x" (P.Mac.to_int mac)
-        in
-        App_intf.checked t.fs_errors name "host"
-          (Y.Yanc_fs.upsert_host t.yfs ~cred:t.cred ~name ~mac ~ip
-             ~attached_to:(switch, in_port) ())
-      end
+  let mac = frame.P.Eth.src in
+  if Topo_view.is_edge t.topo ~switch ~port:in_port && not (P.Mac.is_multicast mac)
+  then begin
+    let ip =
+      match frame.P.Eth.payload with
+      | P.Eth.Arp arp -> Some arp.P.Arp.spa
+      | P.Eth.Ipv4 ip when not (P.Ipv4_addr.equal ip.P.Ipv4.src P.Ipv4_addr.any) ->
+        Some ip.P.Ipv4.src
+      | _ -> None
+    in
+    if Topo_view.(host t.topo mac <> Some { switch; port = in_port }) || ip <> None
+    then begin
+      let name = Printf.sprintf "host-%012x" (P.Mac.to_int mac) in
+      App_intf.checked t.fs_errors name "host"
+        (Y.Yanc_fs.upsert_host t.yfs ~cred:t.cred ~name ~mac ~ip
+           ~attached_to:(switch, in_port) ())
     end
   end
 
@@ -91,8 +51,10 @@ let broadcast t ~ingress ~data ~buffer_id =
     (fun switch ->
       let ports =
         List.filter
-          (fun port -> ingress <> Some { switch; port })
-          (edge_ports t switch)
+          (fun port ->
+            ingress <> Some Topo_view.{ switch; port }
+            && Topo_view.port_up t.topo ~switch ~port)
+          (Topo_view.edge_ports t.topo switch)
       in
       if ports <> [] then begin
         let actions =
@@ -101,19 +63,24 @@ let broadcast t ~ingress ~data ~buffer_id =
         (* The ingress switch may hold the frame in a buffer. *)
         let buffer_id =
           match ingress, buffer_id with
-          | Some { switch = isw; _ }, Some id when isw = switch -> Some id
+          | Some Topo_view.{ switch = isw; _ }, Some id when isw = switch -> Some id
           | _ -> None
         in
         App_intf.checked t.fs_errors switch "packet-out"
-          (Y.Outdir.submit (fs t) ~cred:t.cred ~root:(root t) ~switch
+          (Y.Outdir.submit (Y.Yanc_fs.fs t.yfs) ~cred:t.cred
+             ~root:(Y.Yanc_fs.root t.yfs) ~switch
              ?buffer_id ~actions
              ~data:(if buffer_id = None then data else "")
              ())
       end)
-    (Y.Yanc_fs.switch_names t.yfs)
+    (Topo_view.switches t.topo)
 
-let install_path t ~headers ~ingress ~dst_loc ~buffer_id ~data =
-  match path t ~from_sw:ingress.switch ~to_sw:dst_loc.switch with
+let install_path t ~headers ~(ingress : Topo_view.location)
+    ~(dst_loc : Topo_view.location) ~buffer_id ~data =
+  match
+    Topo_view.path t.topo ~pick:(fun _ hops -> hops.(0)) ~from_sw:ingress.switch
+      ~dst_sw:dst_loc.switch
+  with
   | None ->
     (* Fabric not discovered yet: fall back to broadcast delivery. *)
     broadcast t ~ingress:(Some ingress) ~data ~buffer_id
@@ -135,12 +102,12 @@ let handle_frame t ~switch (ev : Y.Eventdir.event) =
     | P.Eth.Lldp _ -> ()
     | _ ->
       learn t ~switch ~in_port:ev.in_port frame;
-      let ingress = { switch; port = ev.in_port } in
+      let ingress = Topo_view.{ switch; port = ev.in_port } in
       let dst = frame.P.Eth.dst in
       if P.Mac.is_multicast dst then
         broadcast t ~ingress:(Some ingress) ~data:ev.data ~buffer_id:ev.buffer_id
       else
-        match Hashtbl.find_opt t.hosts dst with
+        match Topo_view.host t.topo dst with
         | Some dst_loc ->
           let headers = P.Headers.of_eth ~in_port:ev.in_port frame in
           install_path t ~headers ~ingress ~dst_loc ~buffer_id:ev.buffer_id
@@ -159,10 +126,10 @@ let handle t ~switch (ev : Y.Eventdir.event) =
 let run t ~now:_ =
   List.iter
     (fun switch -> App_intf.Packet_in.drain t.events ~switch (handle t ~switch))
-    (Y.Yanc_fs.switch_names t.yfs)
+    (Topo_view.switches t.topo)
 
 let app t = App_intf.daemon ~name:app_name (fun ~now -> run t ~now)
 
 let paths_installed t = t.paths
 
-let hosts_tracked t = Hashtbl.length t.hosts
+let hosts_tracked t = List.length (Topo_view.hosts t.topo)

@@ -15,6 +15,7 @@ type t = {
   last_seen : (string * int, float * (string * int)) Hashtbl.t;
       (* (rx switch, rx port) -> (time, (tx switch, tx port)) *)
   fs_errors : Telemetry.Registry.counter;
+  view : Topo_view.t;
 }
 
 let create ?(probe_interval = 1.0) ?ttl ?(cred = Vfs.Cred.root) yfs =
@@ -22,7 +23,8 @@ let create ?(probe_interval = 1.0) ?ttl ?(cred = Vfs.Cred.root) yfs =
   { yfs; cred; probe_interval; ttl; last_probe = neg_infinity;
     prepared = Hashtbl.create 16;
     events = App_intf.Packet_in.create yfs ~cred ~app:app_name;
-    last_seen = Hashtbl.create 64; fs_errors = App_intf.fs_errors yfs }
+    last_seen = Hashtbl.create 64; fs_errors = App_intf.fs_errors yfs;
+    view = Topo_view.create ~cred yfs }
 
 let fs t = Y.Yanc_fs.fs t.yfs
 
@@ -107,9 +109,12 @@ let run t ~now =
 let app t = App_intf.daemon ~name:app_name (fun ~now -> run t ~now)
 
 let links t =
-  Hashtbl.fold
-    (fun switch (h : Path_install.hop) acc ->
-      let a = switch, h.out_port and b = h.peer, h.peer_in in
-      if a <= b then (a, b) :: acc else acc)
-    (Path_install.adjacency t.yfs ~cred:t.cred) []
+  List.concat_map
+    (fun switch ->
+      List.filter_map
+        (fun (h : Topo_view.hop) ->
+          let a = switch, h.out_port and b = h.peer, h.peer_in in
+          if a <= b then Some (a, b) else None)
+        (Topo_view.links t.view switch))
+    (Topo_view.switches t.view)
   |> List.sort compare

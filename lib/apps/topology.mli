@@ -21,14 +21,11 @@ val create :
   Yancfs.Yanc_fs.t -> t
 (** [probe_interval] defaults to 1s, [ttl] to 3 probe intervals. *)
 
-val run : t -> now:float -> unit
-(** One daemon iteration. *)
-
 val app : t -> App_intf.t
 
 val links : t -> ((string * int) * (string * int)) list
-(** Discovered links, from the symlinks, each direction once
-    (canonically smaller endpoint first). *)
+(** The live links of the daemon's {!Topo_view}, each once,
+    canonically smaller endpoint first. *)
 
 val app_name : string
 (** The buffer directory name this daemon subscribes under. *)

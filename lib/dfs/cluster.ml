@@ -73,6 +73,7 @@ type t = {
   ops_coalesced : Reg.counter;
   ops_synced : Reg.counter;
   ops_dropped : Reg.counter;
+  replay_failed : Reg.counter;
   mutable writer_blocked_s : float;
   mutable max_queue : int;
 }
@@ -95,7 +96,10 @@ let replaying t target f =
 (* Replay one op on [target]; inside [replaying]. *)
 let apply_op ?(emit = true) ?trace ?cursor t target op =
   Reg.incr t.ops_replicated;
-  let replay () = ignore (Fs.replay ~emit ?cursor t.replicas.(target) op) in
+  let replay () =
+    if Result.is_error (Fs.replay ~emit ?cursor t.replicas.(target) op) then
+      Reg.incr t.replay_failed
+  in
   match trace with
   | None -> replay ()
   | Some (id, origin, origin_round) -> (
@@ -313,6 +317,7 @@ let make ~consistency ~rtt replicas =
       ops_coalesced = counter "ops_coalesced";
       ops_synced = counter "ops_synced";
       ops_dropped = counter "ops_dropped";
+      replay_failed = counter "replay_failed";
       writer_blocked_s = 0.; max_queue = 0 }
   in
   Array.iteri (fun i fs -> ignore (Fs.subscribe fs (on_origin_op t i))) replicas;

@@ -24,7 +24,10 @@ type t
     - [dfs.ops_coalesced]: queued ops superseded by a later write to
       the same path before their visibility time (last-write-wins);
     - [dfs.ops_synced] ({!sync_subtree}), [dfs.ops_dropped]
-      ({!drop_origin_pending}).
+      ({!drop_origin_pending});
+    - [dfs.replay_failed]: replicated ops a replica refused
+      ({!Vfs.Fs.replay} returned an error, e.g. [EROFS] on a read-only
+      replica); the [dfs_replay_failed] health probe is [Crit] above 0.
 
     Gauges, sampled state: [dfs.writer_blocked_s] (total time writers
     stalled in Sequential rounds), [dfs.max_queue] (high-water mark of

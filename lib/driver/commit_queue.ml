@@ -2,45 +2,22 @@ type t = {
   order : string Queue.t;            (* first-marked order *)
   pending : (string, unit) Hashtbl.t;
   mutable sweep : bool;
-  mutable n_marked : int;
-  mutable n_coalesced : int;
-  mutable n_batches : int;
-  mutable n_flushed : int;
-  mutable n_sweeps : int;
-}
-
-type stats = {
-  marked : int;
-  coalesced : int;
-  batches : int;
-  flushed : int;
-  sweeps : int;
 }
 
 let create () =
   { order = Queue.create ();
     pending = Hashtbl.create 64;
-    sweep = false;
-    n_marked = 0; n_coalesced = 0; n_batches = 0; n_flushed = 0;
-    n_sweeps = 0 }
+    sweep = false }
 
 let mark t key =
-  t.n_marked <- t.n_marked + 1;
-  if Hashtbl.mem t.pending key then begin
-    t.n_coalesced <- t.n_coalesced + 1;
-    false
-  end
+  if Hashtbl.mem t.pending key then false
   else begin
     Hashtbl.replace t.pending key ();
     Queue.push key t.order;
     true
   end
 
-let mark_sweep t =
-  if not t.sweep then begin
-    t.sweep <- true;
-    t.n_sweeps <- t.n_sweeps + 1
-  end
+let mark_sweep t = t.sweep <- true
 
 let take_sweep t =
   let s = t.sweep in
@@ -68,19 +45,9 @@ let take ?max t =
       end
       else go n acc
   in
-  let batch = go limit [] in
-  (match batch with
-  | [] -> ()
-  | keys ->
-    t.n_batches <- t.n_batches + 1;
-    t.n_flushed <- t.n_flushed + List.length keys);
-  batch
+  go limit []
 
 let clear t =
   Queue.clear t.order;
   Hashtbl.reset t.pending;
   t.sweep <- false
-
-let stats t =
-  { marked = t.n_marked; coalesced = t.n_coalesced; batches = t.n_batches;
-    flushed = t.n_flushed; sweeps = t.n_sweeps }

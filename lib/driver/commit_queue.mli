@@ -21,14 +21,6 @@
 
 type t
 
-type stats = {
-  marked : int;      (** keys marked, including coalesced re-marks *)
-  coalesced : int;   (** marks absorbed by an already-pending key *)
-  batches : int;     (** non-empty [take]s *)
-  flushed : int;     (** keys handed out across all batches *)
-  sweeps : int;      (** full-reconcile requests *)
-}
-
 val create : unit -> t
 
 val mark : t -> string -> bool
@@ -57,5 +49,3 @@ val is_empty : t -> bool
 val clear : t -> unit
 (** Drop all pending keys and any sweep request (after a sweep
     reconciled everything). *)
-
-val stats : t -> stats

@@ -41,6 +41,9 @@ let defaults =
     { name = "yancfs_fs_errors"; series = "yancfs.fs_errors"; breach = Crit;
       limit = 0.;
       why = "a schema, proc-tree or mount write of the yancfs layer failed" };
+    { name = "dfs_replay_failed"; series = "dfs.replay_failed";
+      breach = Crit; limit = 0.;
+      why = "a replica refused a replicated op (it no longer matches its peers)" };
     { name = "unowned_shards"; series = "cluster.unowned_shards";
       breach = Crit; limit = 0.;
       why = "switches no live node attaches (orphaned by a death)" };

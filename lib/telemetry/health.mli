@@ -23,7 +23,8 @@ type verdict = { probe : probe; level : level; value : float option }
 
 val defaults : probe list
 (** The standing SLO table: dead switches, driver and policyd fs
-    errors, unowned shards and takeover-latency p99 over 5 s are [Crit];
+    errors, failed DFS replays, unowned shards and takeover-latency p99
+    over 5 s are [Crit];
     install-latency p99 over 256 rounds and trace-ring overruns are
     [Warn]. *)
 

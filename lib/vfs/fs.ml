@@ -646,6 +646,8 @@ let opendir t ~cred path =
     Ok { dnode = node; dcanon = canon; depth = List.length (Path.components canon) }
   | P_file _ | P_symlink _ -> Error Errno.ENOTDIR
 
+let dir_path d = d.dcanon
+
 let dir_ino d = d.dnode.ino
 
 let live d = if d.dnode.dead then Error Errno.ENOENT else Ok ()
@@ -1054,13 +1056,14 @@ let replay_parent t cursor path =
       c.last <- (if canon == path then Some (path, pnode, t.renames) else None);
       Ok (pnode, canon, name))
 
+(* A read-only replica refuses every op kind, before anything resolves. *)
 let replay_raw ?cursor t op =
   let cred = Cred.root in
+  let* () = require_rw t in
   suspended t (fun () ->
       match (op : Op.t) with
       | Mkdir { path; mode } -> (
         match
-          let* () = require_rw t in
           let* pnode, canon, name = replay_parent t cursor path in
           mkdir_in ~mode t ~cred pnode name canon ~emit_op:false
         with
@@ -1068,7 +1071,6 @@ let replay_raw ?cursor t op =
         | Error _ as e -> e)
       | Create { path; mode } -> (
         match
-          let* () = require_rw t in
           let* pnode, canon, name = replay_parent t cursor path in
           create_in ~mode t ~cred pnode name canon ~emit_op:false
         with
@@ -1102,7 +1104,6 @@ let replay_raw ?cursor t op =
             Ok ()))
       | Unlink { path } -> (
         match
-          let* () = require_rw t in
           let* pnode, canon, name = replay_parent t cursor path in
           unlink_in t ~cred pnode name canon ~emit_op:false
         with

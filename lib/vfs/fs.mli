@@ -146,7 +146,8 @@ val replay :
     distributed-FS layer. Replay is idempotent for structural ops
     ([Mkdir]/[Create] of an existing object, [Unlink]/[Rmdir] of a
     missing one succeed silently), which lets replicas reconcile after
-    partitions. With [emit:true] (default false) the op is re-emitted to
+    partitions. A read-only file system ({!set_readonly}) refuses every
+    op kind with [EROFS]. With [emit:true] (default false) the op is re-emitted to
     this file system's subscribers after applying — that is how fsnotify
     watchers on a replica observe remote changes; the caller must guard
     against replication echo. With [cursor], an entry op
@@ -240,6 +241,10 @@ type dir
 val opendir : t -> cred:Cred.t -> Path.t -> (dir, Errno.t) result
 (** Resolve a directory (following symlinks, +x on every ancestor);
     [ENOTDIR] if the path names anything else. One crossing. *)
+
+val dir_path : dir -> Path.t
+(** The directory's canonical path as {!opendir} resolved it: every
+    symlink on the way followed. *)
 
 val dir_ino : dir -> int
 (** The directory's inode number: a re-created directory at the same

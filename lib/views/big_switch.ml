@@ -1,6 +1,6 @@
 module Y = Yancfs
 module OF = Openflow
-module Path_install = Apps.Path_install
+module Topo_view = Apps.Topo_view
 
 type t = {
   master : Y.Yanc_fs.t;
@@ -8,7 +8,8 @@ type t = {
   cred : Vfs.Cred.t;
   view : string;
   switch_name : string;
-  mutable switches : string list;  (* the master's, as this run's refresh listed *)
+  topo : Topo_view.t;
+  mutable written : int;  (* the topology version the virtual ports show *)
   mutable vports : (int * (string * int)) list;
   sync : View_sync.t;
 }
@@ -23,7 +24,8 @@ let create ?(cred = Vfs.Cred.root) ?(switch_name = "big0") ~master ~view () =
       ~capabilities:[ "virtual" ] ~actions:[]
   in
   Ok
-    { master; view_fs; cred; view; switch_name; switches = []; vports = [];
+    { master; view_fs; cred; view; switch_name;
+      topo = Topo_view.create ~cred master; written = 0; vports = [];
       sync = View_sync.create ~cred ~master ~view_fs ~name:("bigswitch-" ^ view) }
 
 let view_fs t = t.view_fs
@@ -32,47 +34,36 @@ let port_map t = t.vports
 
 (* --- underlay inspection --------------------------------------------------- *)
 
-let edge_ports t =
-  t.switches
-  |> List.concat_map (fun switch ->
-         Y.Yanc_fs.port_numbers t.master ~cred:t.cred switch
-         |> List.filter_map (fun port ->
-                if Y.Yanc_fs.peer_of t.master ~cred:t.cred ~switch ~port = None
-                then Some (switch, port)
-                else None))
-  |> List.sort compare
-
+(* Every edge port of the underlay as one virtual port, numbered in
+   (switch, port) order; rewritten only when the topology changed. *)
 let refresh_ports t =
-  t.switches <- Y.Yanc_fs.switch_names t.master;
-  t.vports <- List.mapi (fun i e -> i + 1, e) (edge_ports t);
-  List.iter
-    (fun (vport, (switch, port)) ->
-      match Y.Yanc_fs.read_port t.master ~cred:t.cred ~switch port with
-      | Ok info ->
-        View_sync.checked t.sync (Printf.sprintf "vport %d" vport)
-          (Y.Yanc_fs.set_port t.view_fs ~switch:t.switch_name
-             { info with
-               Openflow.Of_types.Port_info.port_no = vport;
-               name = Printf.sprintf "%s-%s-p%d" t.switch_name switch port })
-      | Error _ -> ())
-    t.vports
+  let version = Topo_view.version t.topo in
+  if version <> t.written then begin
+    t.written <- version;
+    t.vports <-
+      Topo_view.switches t.topo
+      |> List.concat_map (fun sw ->
+             List.map (fun port -> sw, port) (Topo_view.edge_ports t.topo sw))
+      |> List.sort compare
+      |> List.mapi (fun i e -> i + 1, e);
+    if View_sync.inside t.sync t.switch_name "ports" then
+      List.iter
+        (fun (vport, (switch, port)) ->
+          match Y.Yanc_fs.read_port t.master ~cred:t.cred ~switch port with
+          | Ok info ->
+            View_sync.checked t.sync (Printf.sprintf "vport %d" vport)
+              (Y.Yanc_fs.set_port t.view_fs ~switch:t.switch_name
+                 { info with
+                   Openflow.Of_types.Port_info.port_no = vport;
+                   name = Printf.sprintf "%s-%s-p%d" t.switch_name switch port })
+          | Error _ -> ())
+        t.vports
+  end
 
 let real_of_vport t vport = List.assoc_opt vport t.vports
 
 let vport_of_real t real =
   List.find_map (fun (v, r) -> if r = real then Some v else None) t.vports
-
-(* One next hop from every switch toward [target] over peer links: the
-   lowest-port one of the equal-cost candidates. *)
-let routes_to t target =
-  let table =
-    Path_install.next_hops (Path_install.adjacency t.master ~cred:t.cred)
-      ~dst_sw:target
-  in
-  fun sw ->
-    match Hashtbl.find_opt table sw with
-    | None | Some [||] -> None
-    | Some hops -> Some hops.(0)
 
 (* --- the translation ------------------------------------------------------------- *)
 
@@ -86,19 +77,24 @@ let split_actions actions =
     ([], [], []) actions
   |> fun (a, b, c) -> List.rev a, List.rev b, List.rev c
 
-(* The transit rules toward [egress]: on every switch when the ingress
-   is unknown, else along the route from the ingress. A switch with no
-   route toward [egress] gets no rule. *)
+(* The transit rules toward [egress], each over the lowest-port of the
+   switch's equal-cost next hops: on every switch when the ingress is
+   unknown, else along the route from the ingress. A switch with no
+   route toward [egress] (or [egress] itself) gets no rule. *)
 let transit t ~ingress ~egress =
-  let next_hop = routes_to t egress in
-  let hop sw = if sw = egress then None else next_hop sw in
-  let rule sw (h : Path_install.hop) =
+  let table = Topo_view.toward t.topo ~dst_sw:egress in
+  let hop sw =
+    match Hashtbl.find_opt table sw with
+    | None | Some [||] -> None
+    | Some hops -> Some hops.(0)
+  in
+  let rule sw (h : Topo_view.hop) =
     sw, [ OF.Action.Output (OF.Action.Physical h.out_port) ]
   in
   match ingress with
   | None ->
     List.filter_map (fun sw -> Option.map (rule sw) (hop sw))
-      (Y.Yanc_fs.switch_names t.master)
+      (Topo_view.switches t.topo)
   | Some (isw, _) ->
     let rec walk sw =
       match hop sw with None -> [] | Some h -> rule sw h :: walk h.peer
@@ -130,7 +126,7 @@ let compile t ~switch:_ vname (flow : Y.Flowdir.t) =
         (List.map (fun sw -> sw, other)
            (match ingress with
            | Some (sw, _) -> [ sw ]
-           | None -> Y.Yanc_fs.switch_names t.master))
+           | None -> Topo_view.switches t.topo))
     | [ vout ], rewrites, other -> (
       match real_of_vport t vout with
       | None -> Error (Printf.sprintf "virtual output port %d does not exist" vout)
@@ -180,7 +176,7 @@ let packet_out t ~switch:_ (req : Y.Outdir.request) =
 let translation =
   { View_sync.refresh = refresh_ports;
     view_switches = (fun t -> [ t.switch_name ]);
-    master_switches = (fun t -> t.switches);
+    master_switches = (fun t -> Topo_view.switches t.topo);
     flow_down = compile;
     packet_in;
     packet_out }

@@ -1,6 +1,7 @@
 module Y = Yancfs
 module P = Packet
 module OF = Openflow
+module Topo_view = Apps.Topo_view
 
 type config = {
   view : string;
@@ -14,6 +15,8 @@ type t = {
   view_fs : Y.Yanc_fs.t;
   cred : Vfs.Cred.t;
   config : config;
+  topo : Topo_view.t;  (* the master's *)
+  own : Topo_view.t;   (* the view's own peers *)
   sync : View_sync.t;
 }
 
@@ -21,36 +24,38 @@ let ( let* ) = Result.bind
 
 let allowed_ports t switch =
   match List.assoc_opt switch t.config.switches with
-  | Some [] | None ->
-    Y.Yanc_fs.port_numbers t.master ~cred:t.cred switch
+  | Some [] | None -> Topo_view.ports t.topo switch
   | Some ports -> ports
 
 let sliced_switches t = List.map fst t.config.switches
 
 let mirror_switch t switch ports =
-  (match Y.Yanc_fs.switch_dpid t.master switch with
-  | None -> ()
-  | Some dpid ->
-    View_sync.checked t.sync switch
-      (Y.Yanc_fs.add_switch t.view_fs ~name:switch ~dpid
-         ~protocol:
-           (Option.value (Y.Yanc_fs.switch_protocol t.master switch)
-              ~default:"unknown")
-         ~n_buffers:0 ~n_tables:1 ~capabilities:[ "sliced" ] ~actions:[]));
-  let ports = if ports = [] then allowed_ports t switch else ports in
-  List.iter
-    (fun port ->
-      match Y.Yanc_fs.read_port t.master ~cred:t.cred ~switch port with
-      | Ok info ->
-        View_sync.checked t.sync (switch ^ " port")
-          (Y.Yanc_fs.set_port t.view_fs ~switch info)
-      | Error _ -> ())
-    ports
+  if View_sync.inside t.sync switch "ports" then begin
+    (match Y.Yanc_fs.switch_dpid t.master switch with
+    | None -> ()
+    | Some dpid ->
+      View_sync.checked t.sync switch
+        (Y.Yanc_fs.add_switch t.view_fs ~name:switch ~dpid
+           ~protocol:
+             (Option.value (Y.Yanc_fs.switch_protocol t.master switch)
+                ~default:"unknown")
+           ~n_buffers:0 ~n_tables:1 ~capabilities:[ "sliced" ] ~actions:[]));
+    let ports = if ports = [] then allowed_ports t switch else ports in
+    List.iter
+      (fun port ->
+        match Y.Yanc_fs.read_port t.master ~cred:t.cred ~switch port with
+        | Ok info ->
+          View_sync.checked t.sync (switch ^ " port")
+            (Y.Yanc_fs.set_port t.view_fs ~switch info)
+        | Error _ -> ())
+      ports
+  end
 
 let create ?(cred = Vfs.Cred.root) ~master config =
   let* view_fs = Y.Yanc_fs.in_view master ~cred config.view in
   let t =
-    { master; view_fs; cred; config;
+    { master; view_fs; cred; config; topo = Topo_view.create ~cred master;
+      own = Topo_view.create ~cred view_fs;
       sync = View_sync.create ~cred ~master ~view_fs ~name:("slicer-" ^ config.view) }
   in
   List.iter (fun (sw, ports) -> mirror_switch t sw ports) config.switches;
@@ -72,14 +77,15 @@ let mirror_topology t =
       let ports = if ports = [] then allowed_ports t switch else ports in
       List.iter
         (fun port ->
-          let master_peer = Y.Yanc_fs.peer_of t.master ~cred:t.cred ~switch ~port in
-          let view_peer = Y.Yanc_fs.peer_of t.view_fs ~cred:t.cred ~switch ~port in
           let wanted =
-            match master_peer with
+            match Topo_view.peer t.topo ~switch ~port with
             | Some (psw, pport) when in_slice t psw pport -> Some (psw, pport)
             | Some _ | None -> None
           in
-          if wanted <> view_peer then
+          if
+            wanted <> Topo_view.peer t.own ~switch ~port
+            && View_sync.inside t.sync switch "ports"
+          then
             View_sync.checked t.sync (switch ^ " peer")
               (Y.Yanc_fs.set_peer t.view_fs ~cred:t.cred ~switch ~port
                  ~peer:wanted))

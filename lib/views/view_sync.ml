@@ -47,6 +47,23 @@ let subscribe t switches =
 
 let checked t what r = App_intf.checked t.fs_errors t.name what r
 
+let beneath t path = Vfs.Path.is_prefix (Y.Yanc_fs.root t.view_fs) path
+
+(* A path not made yet is judged by its nearest existing ancestor,
+   through which its creation would go. *)
+let rec within t path =
+  match Vfs.Fs.canonicalize (Y.Yanc_fs.fs t.view_fs) ~cred:t.cred path with
+  | Ok canon -> beneath t canon
+  | Error Vfs.Errno.ENOENT -> Option.fold ~none:false ~some:(within t) (Vfs.Path.parent path)
+  | Error _ -> true (* the call itself fails, and is counted *)
+
+(* An escape fails as openat2's RESOLVE_BENEATH does, with EXDEV. *)
+let escaped t path = checked t (Vfs.Path.to_string path) (Error Vfs.Errno.EXDEV)
+
+let inside t switch sub =
+  let path = Vfs.Path.child (Y.Layout.switch ~root:(Y.Yanc_fs.root t.view_fs) switch) sub in
+  within t path || (escaped t path; false)
+
 let accepted t = t.accepted
 
 let rejected t = t.rejected
@@ -143,17 +160,19 @@ let counters_up t ~switch tbl vflows =
     tbl
 
 let packet_outs_down t tr v ~switch =
-  List.iter
-    (fun req ->
-      List.iter
-        (fun (msw, (r : Y.Outdir.request)) ->
-          checked t (msw ^ " packet-out")
-            (Y.Outdir.submit (Y.Yanc_fs.fs t.master) ~cred:t.cred
-               ~root:(Y.Yanc_fs.root t.master) ~switch:msw ?in_port:r.in_port
-               ~actions:r.actions ~data:r.data ()))
-        (tr.packet_out v ~switch req))
-    (Y.Outdir.consume (Y.Yanc_fs.fs t.view_fs) ~root:(Y.Yanc_fs.root t.view_fs)
-       ~switch ~on_error:(fun e -> checked t (switch ^ " packet-out rmdir") (Error e)))
+  let vfs = Y.Yanc_fs.fs t.view_fs and root = Y.Yanc_fs.root t.view_fs in
+  if Y.Outdir.pending vfs ~root ~switch > 0 && inside t switch "packet_out" then
+    List.iter
+      (fun req ->
+        List.iter
+          (fun (msw, (r : Y.Outdir.request)) ->
+            checked t (msw ^ " packet-out")
+              (Y.Outdir.submit (Y.Yanc_fs.fs t.master) ~cred:t.cred
+                 ~root:(Y.Yanc_fs.root t.master) ~switch:msw ?in_port:r.in_port
+                 ~actions:r.actions ~data:r.data ()))
+          (tr.packet_out v ~switch req))
+      (Y.Outdir.consume vfs ~root ~switch
+         ~on_error:(fun e -> checked t (switch ^ " packet-out rmdir") (Error e)))
 
 (* Deletion: a view flow missing from [live] takes every master flow
    made from it along. *)
@@ -171,6 +190,8 @@ let poll t tr v switch =
   (match Y.Yanc_fs.open_flows t.view_fs ~cred:t.cred switch with
   | Error Vfs.Errno.ENOENT -> forget t tbl Y.Yanc_fs.Name_set.empty
   | Error _ -> ()
+  | Ok vflows when not (beneath t (Vfs.Fs.dir_path vflows)) ->
+    escaped t (Vfs.Fs.dir_path vflows)
   | Ok vflows -> (
     match Vfs.Fs.readdir_ino_at (Y.Yanc_fs.fs t.view_fs) ~cred:t.cred vflows with
     | Error _ -> ()
@@ -185,11 +206,12 @@ let events_up t tr v switch =
       match tr.packet_in v ~switch ev with
       | None -> ()
       | Some (vswitch, in_port) ->
-        checked t (vswitch ^ " packet-in")
-          (Y.Eventdir.publish (Y.Yanc_fs.fs t.view_fs)
-             ~root:(Y.Yanc_fs.root t.view_fs) ~switch:vswitch ~in_port
-             ~reason:ev.reason ~buffer_id:None ~total_len:ev.total_len
-             ~data:ev.data))
+        if inside t vswitch "events" then
+          checked t (vswitch ^ " packet-in")
+            (Y.Eventdir.publish (Y.Yanc_fs.fs t.view_fs)
+               ~root:(Y.Yanc_fs.root t.view_fs) ~switch:vswitch ~in_port
+               ~reason:ev.reason ~buffer_id:None ~total_len:ev.total_len
+               ~data:ev.data))
 
 let run t tr v =
   tr.refresh v;

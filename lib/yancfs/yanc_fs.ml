@@ -149,6 +149,13 @@ let read_port t ~cred ~switch n =
          ~port_no:n ~hw_addr ())
   | _ -> Error Vfs.Errno.EINVAL
 
+let port_up t ~cred ~switch n =
+  let set file =
+    Result.fold ~ok:parse_bool_file ~error:(fun _ -> true)
+      (Fs.read_file t.fs ~cred (Layout.port_attr ~root:t.root ~switch ~port:n file))
+  in
+  not (set Layout.config_port_down || set Layout.state_link_down)
+
 let write_port_counters t ~switch ~port (s : Port_stats.t) =
   let cred = Vfs.Cred.root in
   let dir = Layout.port_counters ~root:t.root ~switch port in
@@ -162,31 +169,36 @@ let write_port_counters t ~switch ~port (s : Port_stats.t) =
       "rx_bytes", s.rx_bytes; "tx_bytes", s.tx_bytes;
       "rx_dropped", s.rx_dropped; "tx_dropped", s.tx_dropped ]
 
-let set_peer t ~cred ~switch ~port ~peer =
-  let link = Layout.port_peer ~root:t.root ~switch port in
+(* Remove the symlink [link], then point it at [port]'s directory, if
+   any: a port's [peer] or a host's [attached_to]. *)
+let relink t ~cred link port =
   let* () =
     match Fs.lstat t.fs ~cred link with
     | Ok _ -> Fs.unlink t.fs ~cred link
     | Error Vfs.Errno.ENOENT -> Ok ()
     | Error _ as e -> Result.map (fun _ -> ()) e
   in
-  match peer with
+  match port with
   | None -> Ok ()
-  | Some (psw, pport) ->
-    let target = Path.to_string (Layout.port ~root:t.root ~switch:psw pport) in
-    Fs.symlink t.fs ~cred ~target link
+  | Some (switch, n) ->
+    Fs.symlink t.fs ~cred ~target:(Path.to_string (Layout.port ~root:t.root ~switch n)) link
+
+let set_peer t ~cred ~switch ~port ~peer =
+  relink t ~cred (Layout.port_peer ~root:t.root ~switch port) peer
+
+(* The (switch, port) a symlink at [link] points at, if it names a port
+   directory under this root: a [peer] or a host's [attached_to]. *)
+let port_at t ~cred link =
+  match Result.bind (Fs.readlink t.fs ~cred link) Path.of_string with
+  | Error _ -> None
+  | Ok p -> (
+    match Option.map Path.components (Path.strip_prefix ~prefix:t.root p) with
+    | Some [ "switches"; sw; "ports"; pname ] ->
+      Option.map (fun n -> sw, n) (Layout.port_no_of_name pname)
+    | Some _ | None -> None)
 
 let peer_of t ~cred ~switch ~port =
-  match Fs.readlink t.fs ~cred (Layout.port_peer ~root:t.root ~switch port) with
-  | Error _ -> None
-  | Ok target -> (
-    match Path.of_string target with
-    | Error _ -> None
-    | Ok p -> (
-      match Option.map Path.components (Path.strip_prefix ~prefix:t.root p) with
-      | Some [ "switches"; sw; "ports"; pname ] ->
-        Option.map (fun n -> sw, n) (Layout.port_no_of_name pname)
-      | Some _ | None -> None))
+  port_at t ~cred (Layout.port_peer ~root:t.root ~switch port)
 
 (* --- flows -------------------------------------------------------------------- *)
 
@@ -252,18 +264,8 @@ let upsert_host t ~cred ~name ~mac ~ip ?attached_to () =
     | Some addr -> put "ip" (Packet.Ipv4_addr.to_string addr)
     | None -> Ok ()
   in
-  match attached_to with
-  | Some (sw, port) ->
-    let link = Path.child dir "attached_to" in
-    let* () =
-      match Fs.lstat t.fs ~cred link with
-      | Ok _ -> Fs.unlink t.fs ~cred link
-      | Error _ -> Ok ()
-    in
-    Fs.symlink t.fs ~cred
-      ~target:(Path.to_string (Layout.port ~root:t.root ~switch:sw port))
-      link
-  | None -> Ok ()
+  if attached_to = None then Ok ()
+  else relink t ~cred (Path.child dir "attached_to") attached_to
 
 let host_names t ~cred =
   match Fs.readdir t.fs ~cred (Layout.hosts_dir ~root:t.root) with
@@ -281,16 +283,4 @@ let read_host t ~cred name =
       | Ok s -> Packet.Ipv4_addr.of_string (String.trim s)
       | Error _ -> None
     in
-    let attached =
-      match Fs.readlink t.fs ~cred (Path.child dir "attached_to") with
-      | Error _ -> None
-      | Ok target -> (
-        match Path.of_string target with
-        | Error _ -> None
-        | Ok p -> (
-          match Option.map Path.components (Path.strip_prefix ~prefix:t.root p) with
-          | Some [ "switches"; sw; "ports"; pname ] ->
-            Option.map (fun n -> sw, n) (Layout.port_no_of_name pname)
-          | Some _ | None -> None))
-    in
-    Ok (mac, ip, attached)
+    Ok (mac, ip, port_at t ~cred (Path.child dir "attached_to"))

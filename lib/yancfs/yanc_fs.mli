@@ -80,6 +80,10 @@ val read_port :
     comes from [config.port_down] (which an admin may have changed since
     the driver last wrote the directory). *)
 
+val port_up : t -> cred:Vfs.Cred.t -> switch:string -> int -> bool
+(** Neither [config.port_down] nor [state.link_down] is set, read with
+    two reads; an unreadable file counts as set. *)
+
 val write_port_counters :
   t -> switch:string -> port:int -> Openflow.Of_types.Port_stats.t ->
   (unit, Vfs.Errno.t) result

@@ -498,12 +498,12 @@ let ecmp_provision ctl built =
 
 (* Two leaves, [spines] equal-cost paths between them, two hosts per
    leaf — the minimal ECMP fabric. *)
-let ecmp_rig ?delivery ?cred ?(spines = 2) () =
+let ecmp_rig ?cred ?(spines = 2) () =
   let built = N.Topo_gen.clos ~spines ~leaves:2 ~hosts_per_leaf:2 () in
   let ctl = controller built in
   Yanc.Controller.run_for ctl 0.5;
   ecmp_provision ctl built;
-  let d = Apps.Ecmp_router.create ?delivery ?cred (Yanc.Controller.yfs ctl) in
+  let d = Apps.Ecmp_router.create ?cred (Yanc.Controller.yfs ctl) in
   Yanc.Controller.add_app ctl (Apps.Ecmp_router.app d);
   (built, ctl, d)
 
@@ -602,6 +602,59 @@ let test_ecmp_unknown_dst_drops () =
   Alcotest.(check bool) "unknown destination counted" true
     (registry_counter ctl "app.ecmpd.unknown_dst" >= 1)
 
+(* Spine sw1's fabric ports with their peers: (port, (peer, peer port)). *)
+let fabric_ports ctl switch =
+  let yfs = Yanc.Controller.yfs ctl in
+  List.filter_map
+    (fun port ->
+      Option.map (fun peer -> port, peer) (Y.Yanc_fs.peer_of yfs ~cred ~switch ~port))
+    (Y.Yanc_fs.port_numbers yfs ~cred switch)
+
+let must what = function
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: %s" what (Vfs.Errno.to_string e)
+
+(* One path in, then spine sw1 dies (by [kill]) and 32 new h1 -> h3
+   flows arrive: none may go through sw1, none may go unrouted. *)
+let ecmp_after_spine_loss kill =
+  let built, ctl, d = ecmp_rig ~spines:2 () in
+  let net = built.N.Topo_gen.net in
+  N.Network.send_from_host net "h1" [ ecmp_syn ~src:1 ~dst:3 ~sport:10001 () ];
+  Yanc.Controller.run_for ctl 0.5;
+  let on_sw1 = List.length (ecmp_flows ctl "sw1") in
+  let paths = Apps.Ecmp_router.paths_installed d in
+  let ports = fabric_ports ctl "sw1" in
+  Alcotest.(check int) "sw1 has two fabric links" 2 (List.length ports);
+  List.iter (kill ctl net) ports;
+  Yanc.Controller.run_for ctl 0.2;
+  N.Network.send_from_host net "h1"
+    (List.init 32 (fun i -> ecmp_syn ~src:1 ~dst:3 ~sport:(20000 + i) ()));
+  Yanc.Controller.run_for ctl 1.0;
+  Alcotest.(check int) "no new flow through the dead spine" on_sw1
+    (List.length (ecmp_flows ctl "sw1"));
+  Alcotest.(check bool) "all 32 routed" true
+    (Apps.Ecmp_router.paths_installed d - paths >= 32);
+  Alcotest.(check int) "no route failures" 0 (registry_counter ctl "app.ecmpd.no_route")
+
+(* The links go down in the network and the topology daemon's peer
+   symlinks go with them, both ends. *)
+let test_ecmp_unlinked_spine () =
+  ecmp_after_spine_loss (fun ctl net (port, (psw, pport)) ->
+      let yfs = Yanc.Controller.yfs ctl in
+      N.Network.set_link_up net (N.Network.Sw (1L, port)) false;
+      must "unlink" (Y.Yanc_fs.set_peer yfs ~cred ~switch:"sw1" ~port ~peer:None);
+      must "unlink back"
+        (Y.Yanc_fs.set_peer yfs ~cred ~switch:psw ~port:pport ~peer:None))
+
+(* An administrator shuts sw1's fabric ports; the peers stay. *)
+let test_ecmp_port_down_spine () =
+  ecmp_after_spine_loss (fun ctl _ (port, _) ->
+      must "port down"
+        (Fs.write_file (Yanc.Controller.fs ctl) ~cred
+           (Y.Layout.port_attr ~root:net_root ~switch:"sw1" ~port
+              Y.Layout.config_port_down)
+           "1"))
+
 (* A daemon whose credential cannot write the switches' flows/
    directories: every write of the path it routes fails, each failure
    is counted in app.fs_errors, and the health probes judge it Crit. *)
@@ -609,6 +662,13 @@ let test_ecmp_failed_writes_counted () =
   let user = Vfs.Cred.make ~uid:1000 ~gid:1000 () in
   let built, ctl, d = ecmp_rig ~cred:user () in
   let net = built.N.Topo_gen.net in
+  (* h1 unprovisioned, so ecmpd learns it and publishes its record *)
+  (match
+     Fs.rmdir ~recursive:true (Yanc.Controller.fs ctl) ~cred
+       (Y.Layout.host ~root:net_root "h1")
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "rmdir h1: %s" (Vfs.Errno.to_string e));
   N.Network.send_from_host net "h1" [ ecmp_syn ~src:1 ~dst:3 ~sport:10001 () ];
   Yanc.Controller.run_for ctl 0.5;
   Alcotest.(check bool) "a path was routed" true
@@ -671,8 +731,8 @@ let test_next_hops_fat_tree () =
   Yanc.Controller.run_for ctl 0.5;
   ecmp_provision ctl built;
   let yfs = Yanc.Controller.yfs ctl in
-  let adj = Apps.Path_install.adjacency yfs ~cred in
-  let switches = Y.Yanc_fs.switch_names yfs in
+  let view = Apps.Topo_view.create yfs in
+  let switches = Apps.Topo_view.switches view in
   Alcotest.(check int) "20 switches" 20 (List.length switches);
   let hop_counts src =
     let dist = Hashtbl.create 32 in
@@ -682,19 +742,19 @@ let test_next_hops_fat_tree () =
     while not (Queue.is_empty q) do
       let sw = Queue.pop q in
       List.iter
-        (fun (h : Apps.Path_install.hop) ->
+        (fun (h : Apps.Topo_view.hop) ->
           if not (Hashtbl.mem dist h.peer) then begin
             Hashtbl.replace dist h.peer (Hashtbl.find dist sw + 1);
             Queue.push h.peer q
           end)
-        (Hashtbl.find_all adj sw)
+        (Apps.Topo_view.links view sw)
     done;
     dist
   in
   let hops_from = List.map (fun src -> src, hop_counts src) switches in
   List.iter
     (fun dst ->
-      let table = Apps.Path_install.next_hops adj ~dst_sw:dst in
+      let table = Apps.Topo_view.toward view ~dst_sw:dst in
       List.iter
         (fun (src, dist) ->
           if src <> dst then
@@ -716,15 +776,136 @@ let test_next_hops_fat_tree () =
         hops_from)
     switches
 
-let test_ecmp_eventdir_mode () =
-  let built, ctl, d = ecmp_rig ~delivery:Apps.Ecmp_router.Eventdir () in
-  let net = built.N.Topo_gen.net in
-  N.Network.send_from_host net "h1" [ ecmp_syn ~src:1 ~dst:4 ~sport:30001 () ];
+(* --- the topology view ----------------------------------------------------------- *)
+
+(* Everything a view answers, as one comparable value. *)
+let view_state v =
+  let module V = Apps.Topo_view in
+  let switches = V.switches v in
+  let per_switch sw =
+    ( sw,
+      List.map
+        (fun port -> port, V.peer v ~switch:sw ~port, V.port_up v ~switch:sw ~port)
+        (V.ports v sw),
+      V.links v sw,
+      V.edge_ports v sw )
+  in
+  let toward dst =
+    Hashtbl.fold (fun sw hops acc -> (sw, Array.to_list hops) :: acc)
+      (V.toward v ~dst_sw:dst) []
+    |> List.sort compare
+  in
+  ( List.map per_switch switches,
+    List.map (fun dst -> dst, toward dst) switches,
+    List.map (fun (mac, loc) -> P.Mac.to_int mac, loc) (V.hosts v) )
+
+(* Seeded link flaps, port shutdowns and host arrivals, moves and
+   departures on a k=4 fat tree: after every event the long-lived view answers exactly
+   what a view built from scratch does. *)
+let test_view_matches_fresh () =
+  let built = N.Topo_gen.fat_tree ~k:4 () in
+  let ctl = controller built in
   Yanc.Controller.run_for ctl 0.5;
-  Alcotest.(check int) "path installed through the slow path" 1
-    (Apps.Ecmp_router.paths_installed d);
-  Alcotest.(check int) "destination leaf programmed" 1
-    (List.length (ecmp_flows ctl "sw4"))
+  ecmp_provision ctl built;
+  let yfs = Yanc.Controller.yfs ctl and fs = Yanc.Controller.fs ctl in
+  let view = Apps.Topo_view.create yfs in
+  let sw = Y.Yanc_fs.switch_name_of_dpid in
+  let fabric =
+    List.filter_map
+      (function
+        | N.Network.Sw (d1, p1), N.Network.Sw (d2, p2) -> Some ((sw d1, p1), (sw d2, p2))
+        | _ -> None)
+      (N.Network.link_endpoints built.N.Topo_gen.net)
+    |> Array.of_list
+  in
+  let switches = Array.of_list (Y.Yanc_fs.switch_names yfs) in
+  let rng = Random.State.make [| 0x70b0 |] in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let any_port () =
+    let s = pick switches in
+    s, pick (Array.of_list (Y.Yanc_fs.port_numbers yfs ~cred s))
+  in
+  let host_seq = ref 0 in
+  let place name mac =
+    let s, p = any_port () in
+    must "host"
+      (Y.Yanc_fs.upsert_host yfs ~cred ~name ~mac ~ip:None ~attached_to:(s, p) ())
+  in
+  let live () =
+    Array.fold_left (fun n s -> n + List.length (Apps.Topo_view.links view s)) 0 switches
+  in
+  let all_live = live () and fewest = ref max_int in
+  let events = ref 0 in
+  for i = 1 to 240 do
+    (match Random.State.int rng 7 with
+    | 0 ->
+      let (s, p), _ = pick fabric in
+      must "unlink" (Y.Yanc_fs.set_peer yfs ~cred ~switch:s ~port:p ~peer:None)
+    | 1 ->
+      let (s, p), b =
+        let a, b = pick fabric in
+        if Random.State.bool rng then a, b else b, a
+      in
+      must "relink" (Y.Yanc_fs.set_peer yfs ~cred ~switch:s ~port:p ~peer:(Some b))
+    | 2 ->
+      let s, p = any_port () in
+      must "port flip"
+        (Fs.write_file fs ~cred
+           (Y.Layout.port_attr ~root:net_root ~switch:s ~port:p
+              Y.Layout.config_port_down)
+           (if Random.State.bool rng then "1" else "0"))
+    | 3 ->
+      incr host_seq;
+      place (Printf.sprintf "x%d" !host_seq) (P.Mac.of_int (0x0a0000 + !host_seq))
+    | 4 ->
+      (* a move: a provisioned host, or one added above *)
+      let n = 1 + Random.State.int rng 16 in
+      place (Printf.sprintf "h%d" n) (N.Topo_gen.host_mac n)
+    | 5 ->
+      (* the same MAC under a second record *)
+      let n = 1 + Random.State.int rng 16 in
+      place (Printf.sprintf "y%d" n) (N.Topo_gen.host_mac n)
+    | _ -> (
+      (* a record goes *)
+      let name = pick [| "h"; "y" |] ^ string_of_int (1 + Random.State.int rng 16) in
+      match
+        Fs.rmdir ~recursive:true fs ~cred (Y.Layout.host ~root:net_root name)
+      with
+      | Ok () | Error Vfs.Errno.ENOENT -> ()
+      | Error e -> Alcotest.failf "rmdir %s: %s" name (Vfs.Errno.to_string e)));
+    incr events;
+    let fresh = Apps.Topo_view.create yfs in
+    let expected = view_state fresh in
+    Apps.Topo_view.close fresh;
+    if view_state view <> expected then
+      Alcotest.failf "view differs from a fresh build after event %d" i;
+    fewest := min !fewest (live ())
+  done;
+  Alcotest.(check bool) "at least 200 events" true (!events >= 200);
+  Alcotest.(check bool) "links were lost along the way" true (!fewest < all_live)
+
+(* A quiet topology costs no crossing. *)
+let test_view_quiet_is_free () =
+  let built = N.Topo_gen.fat_tree ~k:4 () in
+  let ctl = controller built in
+  Yanc.Controller.run_for ctl 0.5;
+  ecmp_provision ctl built;
+  let yfs = Yanc.Controller.yfs ctl in
+  let view = Apps.Topo_view.create yfs in
+  ignore (view_state view);
+  let crossings () =
+    Telemetry.Registry.value
+      (Telemetry.Registry.counter (Fs.registry (Yanc.Controller.fs ctl)) "vfs.crossings")
+  in
+  let c0 = crossings () in
+  ignore (view_state view);
+  Alcotest.(check int) "no crossing" 0 (crossings () - c0);
+  (* A flow commit is not a topology event. *)
+  must "flow"
+    (Y.Yanc_fs.create_flow yfs ~cred ~switch:"sw1" ~name:"f" Y.Flowdir.default);
+  let c1 = crossings () in
+  ignore (view_state view);
+  Alcotest.(check int) "still no crossing" 0 (crossings () - c1)
 
 (* --- the network fsck, served as a file --------------------------------------- *)
 
@@ -779,10 +960,14 @@ let () =
             test_ecmp_spreads_across_spines;
           Alcotest.test_case "unknown dst drops" `Quick
             test_ecmp_unknown_dst_drops;
-          Alcotest.test_case "eventdir delivery" `Quick
-            test_ecmp_eventdir_mode;
           Alcotest.test_case "failed writes counted" `Quick
-            test_ecmp_failed_writes_counted ] );
+            test_ecmp_failed_writes_counted;
+          Alcotest.test_case "dead spine unlinked" `Quick test_ecmp_unlinked_spine;
+          Alcotest.test_case "dead spine ports down" `Quick
+            test_ecmp_port_down_spine ] );
+      ( "topology view",
+        [ Alcotest.test_case "long-lived = fresh" `Quick test_view_matches_fresh;
+          Alcotest.test_case "quiet costs nothing" `Quick test_view_quiet_is_free ] );
       ( "fsck",
         [ Alcotest.test_case "proc file = library call" `Quick
             test_fsck_file_is_the_library_call ] );

@@ -370,6 +370,23 @@ let test_metrics () =
   Alcotest.(check int) "replicated to both peers" 10
     (dfs_count c "ops_replicated")
 
+(* A read-only replica refuses a replicated write like any other op,
+   and the refusal is counted. *)
+let test_readonly_replica_refuses () =
+  let c = Dfs.Cluster.create ~consistency:Dfs.Consistency.nfs ~n:2 () in
+  let remote = Dfs.Cluster.node c 1 in
+  ok (Fs.write_file (Dfs.Cluster.node c 0) ~cred (p "/f") "v1");
+  Dfs.Cluster.flush c;
+  Alcotest.(check (option string)) "replicated" (Some "v1") (read_on remote "/f");
+  Alcotest.(check int) "no failed replay" 0 (dfs_count c "replay_failed");
+  Fs.set_readonly remote true;
+  (* An append is one [Write] op. *)
+  ok (Fs.append_file (Dfs.Cluster.node c 0) ~cred (p "/f") "v2");
+  Dfs.Cluster.flush c;
+  Alcotest.(check (option string)) "read-only replica keeps its content"
+    (Some "v1") (read_on remote "/f");
+  Alcotest.(check int) "refused replay counted" 1 (dfs_count c "replay_failed")
+
 let test_fsnotify_fires_on_replica () =
   (* The property the distributed driver depends on: watchers on a
      replica see replicated ops. *)
@@ -432,6 +449,8 @@ let () =
           Alcotest.test_case "xattr relaxed override" `Quick
             test_xattr_consistency_relaxed;
           Alcotest.test_case "metrics" `Quick test_metrics;
+          Alcotest.test_case "read-only replica refuses" `Quick
+            test_readonly_replica_refuses;
           Alcotest.test_case "fsnotify on replica" `Quick test_fsnotify_fires_on_replica;
           Alcotest.test_case "replica reads see replayed state" `Quick
             test_replica_reads_see_replayed_state ] );

@@ -7,6 +7,9 @@
      Eventdir.consume.
    - Only policyd's reprioritize calls Flowdir.update; every other
      create-or-update goes through Yanc_fs.upsert_flow.
+   - One topology reader: only Topo_view reads [peer] symlinks
+     (Yanc_fs.peer_of) or builds adjacency and next-hop tables; the
+     auditor's peer-symmetry check is the one other peer_of.
 
    Over lib/apps, lib/views and lib/yancfs:
    - [ignore (...)] never wraps a packet-out, peer, host, flow, counter
@@ -157,6 +160,19 @@ let test_flow_update () =
     (violations ~matching:[ "Flowdir.update" ] ~allowed:(fun path def ->
          is "policy_engine.ml" path && def = "reprioritize") ())
 
+let test_topology_reader () =
+  let reads =
+    violations ~matching:[ "peer_of"; "adjacency"; "next_hops" ]
+  in
+  check_none "topology read outside Topo_view"
+    (reads
+       ~allowed:(fun path def ->
+         is "topo_view.ml" path || (is "auditor.ml" path && def = "audit"))
+       ());
+  (* The scan must see the view's own reads, or it proves nothing. *)
+  Alcotest.(check bool) "Topo_view reads the topology" true
+    (reads ~allowed:(fun path _ -> not (is "topo_view.ml" path)) () <> [])
+
 let unchecked_writes =
   [ "Outdir.submit"; "set_peer"; "upsert_host"; "delete_flow"; "set_error";
     "write_counters"; "create_flow"; "Eventdir.publish"; "rmdir"; "mkdir_p";
@@ -279,7 +295,8 @@ let () =
   Alcotest.run "guard"
     [ ( "one mechanism",
         [ Alcotest.test_case "packet-in subscription" `Quick test_packet_in;
-          Alcotest.test_case "flow upsert" `Quick test_flow_update ] );
+          Alcotest.test_case "flow upsert" `Quick test_flow_update;
+          Alcotest.test_case "one topology reader" `Quick test_topology_reader ] );
       ( "one wire protocol",
         [ Alcotest.test_case "codecs only in lib/openflow" `Quick test_codecs;
           Alcotest.test_case "one version type" `Quick test_one_version_type ] );
