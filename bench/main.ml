@@ -42,6 +42,7 @@ let all () =
 
 let subcommands =
   [ ("smoke", "the @bench-smoke gates", Smoke.run);
+    ("e7", "E7 DFS consistency trade-offs", Paper.e7_dfs);
     ("e18", "E18 commit queue", Control.e18_commit_queue);
     ("e19", "E19 fat-tree storms", (fun () -> ignore (E19.run ())));
     ("e20", "E20 sharded cluster", (fun () -> ignore (E20.run ())));

@@ -243,7 +243,11 @@ let e7_dfs () =
   List.iter
     (fun consistency ->
       let c = Dfs.Cluster.create ~consistency ~rtt:0.001 ~n:3 () in
-      let yfs0 = Y.Yanc_fs.create (Dfs.Cluster.node c 0) in
+      (* Every replica carries the schema's mkdir policy: a replayed
+         switch mkdir derives its flows/ and the other typed children. *)
+      let yfs0 =
+        List.hd (List.map Y.Yanc_fs.create (Dfs.Cluster.nodes c))
+      in
       ignore
         (Y.Yanc_fs.add_switch yfs0 ~name:"sw1" ~dpid:1L ~protocol:"openflow10"
            ~n_buffers:0 ~n_tables:1 ~capabilities:[] ~actions:[]);
@@ -274,6 +278,8 @@ let e7_dfs () =
       in
       let staleness = ref 0. in
       while not (visible ()) do
+        if !staleness > 60. then
+          failwith "E7: the last flow never reached replica 2";
         Dfs.Cluster.advance c 0.1;
         staleness := !staleness +. 0.1
       done;

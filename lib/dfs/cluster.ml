@@ -94,10 +94,10 @@ let replaying t target f =
     f
 
 (* Replay one op on [target]; inside [replaying]. *)
-let apply_op ?(emit = true) ?trace ?cursor t target op =
+let apply_op ?trace ?cursor t target op =
   Reg.incr t.ops_replicated;
   let replay () =
-    if Result.is_error (Fs.replay ~emit ?cursor t.replicas.(target) op) then
+    if Result.is_error (Fs.replay ?cursor t.replicas.(target) op) then
       Reg.incr t.replay_failed
   in
   match trace with
@@ -125,8 +125,8 @@ let apply_op ?(emit = true) ?trace ?cursor t target op =
           else replay ())
     | _ -> replay ())
 
-let apply ?emit ?trace t target op =
-  replaying t target (fun () -> apply_op ?emit ?trace t target op)
+let apply ?trace t target op =
+  replaying t target (fun () -> apply_op ?trace t target op)
 
 let stash_op t p =
   p.state <- Stashed;

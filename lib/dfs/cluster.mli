@@ -10,6 +10,14 @@
     idempotent, so partitioned nodes reconcile by draining their queue
     when the partition heals.
 
+    Replication carries ops, not policies: a directory's typed children
+    ({!Vfs.Fs.set_mkdir_policy}) are not in the op stream, and each
+    replica derives them when it replays the parent's [Mkdir]. Every
+    replica must therefore carry the same per-filesystem policies — for
+    a yanc tree, each node is mounted with [Yancfs.Yanc_fs.create]. A
+    replica without them diverges silently: it lacks the children, and
+    ops beneath them fail there and count in [dfs.replay_failed].
+
     The cluster has a clock ({!advance}) driving delayed visibility;
     under [Sequential] the ops apply inside the originating write. *)
 
@@ -36,10 +44,14 @@ type t
 val create :
   ?consistency:Consistency.t -> ?rtt:float -> n:int -> unit -> t
 (** [n] replicas (default consistency {!Consistency.nfs}, rtt 1 ms).
-    Each replica is a fresh file system with its own registry. *)
+    Each replica is a fresh file system with its own registry and no
+    policies; mount the same layer (e.g. [Yancfs.Yanc_fs.create]) on
+    every {!node} before writing through any of them. *)
 
 val of_replicas : ?consistency:Consistency.t -> ?rtt:float -> Vfs.Fs.t list -> t
-(** Wrap existing file systems (e.g. ones that already host /net). *)
+(** Wrap existing file systems (e.g. ones that already host /net). They
+    must carry the same per-filesystem policies, mounted before or
+    after this call. *)
 
 val node : t -> int -> Vfs.Fs.t
 val nodes : t -> Vfs.Fs.t list

@@ -686,11 +686,15 @@ let setfattr env ~args =
   | _ -> fail "usage: setfattr -n NAME -v VALUE PATH | -x NAME PATH\n"
 
 let tee env ~args ~stdin =
+  let err = Buffer.create 0 in
   List.iter
     (fun arg ->
-      ignore (Fs.write_file env.Env.fs ~cred:env.Env.cred (Env.resolve env arg) stdin))
+      match Fs.write_file env.Env.fs ~cred:env.Env.cred (Env.resolve env arg) stdin with
+      | Ok () -> ()
+      | Error e ->
+        Buffer.add_string err (Printf.sprintf "tee: %s: %s\n" arg (Vfs.Errno.message e)))
     args;
-  ok stdin
+  { code = (if Buffer.length err = 0 then 0 else 1); out = stdin; err = Buffer.contents err }
 
 (* --- dispatch ----------------------------------------------------------------------- *)
 

@@ -109,20 +109,22 @@ let run_pipeline env stages =
       in
       let argv = expand_operands env stage.argv in
       let r = Cmd.exec env ~argv ~stdin in
-      let out =
+      let r =
         match stage.redirect.stdout_to with
-        | Some (path, append) ->
-          let p = Env.resolve env path in
-          let write =
-            if append then Vfs.Fs.append_file else Vfs.Fs.write_file
-          in
-          ignore (write env.Env.fs ~cred:env.Env.cred p r.Cmd.out);
-          ""
-        | None -> r.Cmd.out
+        | None -> r
+        | Some (path, append) -> (
+          match
+            (if append then Vfs.Fs.append_file else Vfs.Fs.write_file)
+              env.Env.fs ~cred:env.Env.cred (Env.resolve env path) r.Cmd.out
+          with
+          | Ok () -> { r with Cmd.out = "" }
+          | Error e ->
+            { Cmd.code = 1; out = "";
+              err = r.Cmd.err ^ Printf.sprintf "yash: %s: %s\n" path (Vfs.Errno.message e) })
       in
-      if rest = [] then { code = r.Cmd.code; out; err = r.Cmd.err }
+      if rest = [] then { code = r.Cmd.code; out = r.Cmd.out; err = r.Cmd.err }
       else begin
-        let tail = go out rest in
+        let tail = go r.Cmd.out rest in
         { tail with err = r.Cmd.err ^ tail.err }
       end
   in

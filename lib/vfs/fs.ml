@@ -60,6 +60,7 @@ type t = {
   mutable next_hook : int;
   fds : (int, open_file) Hashtbl.t;
   mutable hooks : (int * (Op.t -> unit)) list; (* subscription order *)
+  mutable mkdir_policy : Path.t -> string list;
   mutable rmdir_policy : Path.t -> bool;
   mutable symlink_policy : Path.t -> target:string -> bool;
   mutable objects : int;
@@ -97,6 +98,7 @@ let create () =
       suspended = 0; now = 0.;
       readonly = false; renames = 0; next_ino = 2; next_fd = 3;
       next_hook = 0; fds = Hashtbl.create 16; hooks = [];
+      mkdir_policy = (fun _ -> []);
       rmdir_policy = (fun _ -> false);
       symlink_policy = (fun _ ~target:_ -> true);
       objects = 1; bytes_used = 0; generators = Hashtbl.create 8 }
@@ -145,15 +147,12 @@ let hooks t = List.length t.hooks
 let is_last_hook t id =
   match List.rev t.hooks with (i, _) :: _ -> i = id | [] -> false
 
-(* Hooks run in subscription order over a snapshot, so a hook may mutate
-   the file system (the yanc schema layer relies on this to auto-create
-   typed children), but must itself terminate. *)
+(* Hooks run in subscription order over a snapshot. *)
 let emit t op =
   let snapshot = t.hooks in
   List.iter (fun (_, f) -> f op) snapshot
 
-(* Alias for call sites where a parameter named [emit] is in scope. *)
-let emit_op_to_hooks = emit
+let set_mkdir_policy t f = t.mkdir_policy <- f
 
 let set_rmdir_policy t f = t.rmdir_policy <- f
 
@@ -317,16 +316,19 @@ let mkdir_in ~mode t ~cred pnode name canon ~emit_op =
   if Hashtbl.mem children name then Error Errno.EEXIST
   else
     let* () = require pnode cred Perm.w_ok in
-    begin
-    let node =
-      fresh_node t ~mode ~uid:cred.Cred.uid ~gid:cred.Cred.gid
-        (P_dir (Hashtbl.create 8))
-    in
-    Hashtbl.replace children name node;
+    let uid = cred.Cred.uid and gid = cred.Cred.gid in
+    let own = Hashtbl.create 8 in
+    Hashtbl.replace children name (fresh_node t ~mode ~uid ~gid (P_dir own));
+    (* The policy's children are part of the new directory: no walk, no
+       crossing and no op of their own. *)
+    List.iter
+      (fun n ->
+        Hashtbl.replace own n
+          (fresh_node t ~mode:0o755 ~uid ~gid (P_dir (Hashtbl.create 8))))
+      (t.mkdir_policy canon);
     pnode.mtime <- t.now;
     if emit_op then emit t (Op.Mkdir { path = canon; mode });
     Ok ()
-  end
 
 let mkdir_raw ?(mode = 0o755) t ~cred path ~emit_op =
   let* () = require_rw t in
@@ -1160,13 +1162,12 @@ let replay_raw ?cursor t op =
         | Error Errno.ENOENT -> Ok ()
         | Error _ as e -> Result.map (fun _ -> ()) e))
 
-(* --- traversal ------------------------------------------------------------ *)
-
-let replay ?(emit = false) ?cursor t op =
+let replay ?cursor t op =
   let result = replay_raw ?cursor t op in
-  if emit && Result.is_ok result then
-    (match result with Ok () -> emit_op_to_hooks t op | Error _ -> ());
+  if Result.is_ok result then emit t op;
   result
+
+(* --- traversal ------------------------------------------------------------ *)
 
 type fold_action = [ `Continue | `Skip_subtree | `Stop ]
 

@@ -102,10 +102,10 @@ type hook
 
 val subscribe : t -> (Op.t -> unit) -> hook
 (** Called after each successful mutation, in subscription order, with
-    the canonical (symlink-free) path of the affected object. A
-    subscriber may itself mutate the file system (the yanc schema layer
-    auto-creates typed children this way) but must terminate; hooks must
-    not subscribe or unsubscribe from within a callback. *)
+    the canonical (symlink-free) path of the affected object. Subscribers
+    are observers: they must not mutate this file system, subscribe or
+    unsubscribe from within a callback, so every subscriber sees the ops
+    in commit order, a directory's [Mkdir] before anything inside it. *)
 
 val unsubscribe : t -> hook -> unit
 
@@ -119,7 +119,17 @@ val is_last_hook : t -> hook -> bool
 (** {1 Per-filesystem policies}
 
     The interposition points a real VFS gives a filesystem
-    implementation, reduced to the two yanc needs. *)
+    implementation, reduced to the three yanc needs. *)
+
+val set_mkdir_policy : t -> (Path.t -> string list) -> unit
+(** Consulted on every directory creation, replay included, with the
+    new directory's canonical path: it is born holding one empty
+    directory per name the policy returns (mode [0o755], the new
+    directory's owner), as a cgroupfs or configfs directory is. The
+    children are part of the one [Mkdir] op, so no separate op, event
+    or crossing reports them, and a replica that applies the same
+    policy derives them from the parent's op. The policy is not
+    consulted for the children themselves. Default: no children. *)
 
 val set_rmdir_policy : t -> (Path.t -> bool) -> unit
 (** When the policy answers [true] for a non-empty directory, a plain
@@ -139,18 +149,18 @@ type cursor
 val cursor : unit -> cursor
 (** A fresh cursor, for one run of {!replay} calls. *)
 
-val replay :
-  ?emit:bool -> ?cursor:cursor -> t -> Op.t -> (unit, Errno.t) result
+val replay : ?cursor:cursor -> t -> Op.t -> (unit, Errno.t) result
 (** Apply a journalled op with root credentials, without charging a
     kernel crossing. This is the replication primitive of the
     distributed-FS layer. Replay is idempotent for structural ops
     ([Mkdir]/[Create] of an existing object, [Unlink]/[Rmdir] of a
     missing one succeed silently), which lets replicas reconcile after
     partitions. A read-only file system ({!set_readonly}) refuses every
-    op kind with [EROFS]. With [emit:true] (default false) the op is re-emitted to
-    this file system's subscribers after applying — that is how fsnotify
-    watchers on a replica observe remote changes; the caller must guard
-    against replication echo. With [cursor], an entry op
+    op kind with [EROFS]. An applied op is re-emitted to this file
+    system's subscribers — that is how fsnotify watchers on a replica
+    observe remote changes; the caller must guard against replication
+    echo. A replayed [Mkdir] goes through {!set_mkdir_policy} like a
+    local one. With [cursor], an entry op
     ([Mkdir]/[Create]/[Write]/[Unlink]) in the directory the
     cursor's previous op resolved reuses that directory instead of
     walking from the root — the {!opendir} of a replicated commit. The

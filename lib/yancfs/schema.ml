@@ -1,5 +1,4 @@
 module Path = Vfs.Path
-module Fs = Vfs.Fs
 
 type kind =
   | Root
@@ -133,36 +132,5 @@ let attach fs ~root =
       match Path.basename path, classify ~root path with
       | Some "peer", Port_attr -> peer_target_ok ~root ~link_path:path ~target
       | _ -> true);
-  (* Auto-create children of typed directories. The hook runs inside
-     emit; the nested mkdirs re-enter the hook but their classifications
-     yield no further children, so recursion terminates. *)
-  (* The hook's own FS calls are kernel-internal: they must not count as
-     application syscalls in the §8.1 cost model. *)
-  Fs.subscribe fs (fun op ->
-      match op with
-      | Vfs.Op.Mkdir { path; _ } ->
-        (match auto_children (classify ~root path) with
-        | [] -> ()
-        | children ->
-          Fs.suspended fs @@ fun () ->
-          (* Children belong to whoever created the typed directory, so
-             e.g. a tenant creating a switch in its view can populate
-             the flows/ that appeared under it. *)
-          let owner =
-            match Fs.stat fs ~cred:Vfs.Cred.root path with
-            | Ok st -> Some (st.Fs.uid, st.Fs.gid)
-            | Error _ -> None
-          in
-          List.iter
-            (fun child ->
-              let cpath = Path.child path child in
-              (match Fs.mkdir fs ~cred:Vfs.Cred.root cpath with
-              | Ok () -> (
-                match owner with
-                | Some (uid, gid) ->
-                  Checked.report fs "chown" cpath
-                    (Fs.chown fs ~cred:Vfs.Cred.root cpath ~uid ~gid)
-                | None -> ())
-              | Error _ -> ()))
-            children)
-      | _ -> ())
+  (* A typed directory is born with its children (paper §3.1). *)
+  Vfs.Fs.set_mkdir_policy fs (fun path -> auto_children (classify ~root path))

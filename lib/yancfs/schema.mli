@@ -6,9 +6,10 @@
 
     {!classify} maps a path to the kind of object it names, looking
     through arbitrarily nested views. {!attach} installs the yanc
-    semantics on a VFS: a mutation-stream hook that materializes the
-    auto-created children (a new view gets hosts/switches/views, a new
-    switch gets flows/ports/counters/events, a new flow or port gets
+    semantics on a VFS as three policies: a mkdir policy giving a typed
+    directory its children as it is created (a new view gets
+    hosts/switches/views, a new switch gets
+    counters/events/flows/packet_out/ports, a new flow or port gets
     counters), an rmdir policy making typed-object removal recursive,
     and a symlink policy restricting [peer] links to ports. *)
 
@@ -41,8 +42,7 @@ val classify : root:Vfs.Path.t -> Vfs.Path.t -> kind
 val enclosing_root : root:Vfs.Path.t -> Vfs.Path.t -> Vfs.Path.t option
 (** The innermost yanc root (master or view) containing the path. *)
 
-val attach : Vfs.Fs.t -> root:Vfs.Path.t -> Vfs.Fs.hook
-(** Install the semantics; the returned hook can be unsubscribed to
-    detach the auto-creation behaviour (policies stay). *)
+val attach : Vfs.Fs.t -> root:Vfs.Path.t -> unit
+(** Install the semantics. *)
 
 val kind_to_string : kind -> string

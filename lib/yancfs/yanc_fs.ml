@@ -36,9 +36,10 @@ let create ?(root = Layout.default_root) ?telemetry base =
     | None -> Telemetry.create ~registry:(Fs.registry base) ~tracing:false ()
   in
   Checked.report base "mount" root (Fs.mkdir_p base ~cred:Vfs.Cred.root root);
-  ignore (Schema.attach base ~root);
-  (* The schema hook fires on mkdir; an already-existing root needs the
-     top-level dirs ensured by hand. *)
+  Schema.attach base ~root;
+  (* The schema's mkdir policy gives new directories their children;
+     the root was made before it, or already existed, so its top-level
+     dirs are ensured by hand. *)
   List.iter
     (fun p -> Checked.report base "mount" p (ensure_dir base ~cred:Vfs.Cred.root p))
     [ Layout.hosts_dir ~root; Layout.switches_dir ~root; Layout.views_dir ~root ];

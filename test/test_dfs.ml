@@ -142,6 +142,120 @@ let test_visibility_delay_values () =
 
 (* --- the §6 proof of concept: a distributed yanc controller ------------------------- *)
 
+(* A path the schema's mkdir policy derives from its parent. *)
+let auto_child ~root path =
+  match Path.parent path, Path.basename path with
+  | Some parent, Some name -> (
+    match Y.Schema.classify ~root parent, name with
+    | Y.Schema.Switch, ("counters" | "events" | "flows" | "packet_out" | "ports")
+    | (Y.Schema.Flow | Y.Schema.Port), "counters" -> true
+    | _ -> false)
+  | _ -> false
+
+(* Every object as (path, kind, mode, uid, gid, bytes). *)
+let snapshot fs =
+  let bytes path (st : Fs.stat) =
+    match st.kind with
+    | Fs.File -> ok (Fs.read_file fs ~cred path)
+    | Fs.Symlink -> ok (Fs.readlink fs ~cred path)
+    | Fs.Dir -> ""
+  in
+  List.rev
+    (ok
+       (Fs.fold fs ~cred Path.root ~init:[] (fun acc path (st : Fs.stat) ->
+            ( (Path.to_string path, st.kind, st.mode, st.uid, st.gid, bytes path st)
+              :: acc,
+              `Continue ))))
+
+(* A switch's children come with its [Mkdir], in every consistency mode
+   and whichever of the schema and the cluster attached first: nothing
+   is originated for them, no replay fails, and the replica's tree is
+   the origin's. *)
+let test_replicas_derive_children () =
+  List.iter
+    (fun consistency ->
+      List.iter
+        (fun schema_first ->
+          let fs0 = Fs.create () and fs1 = Fs.create () in
+          let mount () = List.map Y.Yanc_fs.create [ fs0; fs1 ] in
+          let cluster () = Dfs.Cluster.of_replicas ~consistency [ fs0; fs1 ] in
+          let yfs, c =
+            if schema_first then
+              let yfs = mount () in
+              yfs, cluster ()
+            else
+              let c = cluster () in
+              mount (), c
+          in
+          Dfs.Cluster.flush c;
+          let yfs0 = List.hd yfs in
+          let root = Y.Yanc_fs.root yfs0 in
+          let case =
+            Printf.sprintf "%s, %s first"
+              (Dfs.Consistency.to_string consistency)
+              (if schema_first then "schema" else "cluster")
+          in
+          let journal = ref [] in
+          let hook = Fs.subscribe fs0 (fun op -> journal := op :: !journal) in
+          let originated = dfs_count c "ops_originated" in
+          for i = 1 to 4 do
+            ok
+              (Y.Yanc_fs.add_switch yfs0 ~name:(Printf.sprintf "sw%d" i)
+                 ~dpid:(Int64.of_int i) ~protocol:"openflow10" ~n_buffers:0
+                 ~n_tables:1 ~capabilities:[] ~actions:[])
+          done;
+          (match
+             Apps.Flow_pusher.push_config yfs0 ~cred
+               "sw1 name=flood priority=1 action.0.out=flood"
+           with
+          | Ok 1 -> ()
+          | Ok n -> Alcotest.failf "%s: pushed %d" case n
+          | Error e -> Alcotest.fail e);
+          Dfs.Cluster.flush c;
+          Fs.unsubscribe fs0 hook;
+          Alcotest.(check int) (case ^ ": no failed replay") 0
+            (dfs_count c "replay_failed");
+          Alcotest.(check int)
+            (case ^ ": the journal is what was originated")
+            (dfs_count c "ops_originated" - originated)
+            (List.length !journal);
+          Alcotest.(check (list string)) (case ^ ": no op on an auto-child") []
+            (List.filter_map
+               (fun op ->
+                 let path = Vfs.Op.path op in
+                 if auto_child ~root path then Some (Path.to_string path)
+                 else None)
+               !journal);
+          Alcotest.(check bool) (case ^ ": replica tree = origin tree") true
+            (snapshot fs0 = snapshot fs1))
+        [ true; false ])
+    [ Dfs.Consistency.Sequential; Dfs.Consistency.nfs;
+      Dfs.Consistency.Eventual { propagation_s = 0.5 } ]
+
+(* Policies do not replicate: a replica mounted without the schema never
+   gets a switch's flows/, so the flow under it cannot replay there. The
+   divergence shows in [dfs.replay_failed] (a Crit health probe). *)
+let test_replica_without_schema_counts_failures () =
+  let fs0 = Fs.create () and fs1 = Fs.create () in
+  let yfs0 = Y.Yanc_fs.create fs0 in
+  let c =
+    Dfs.Cluster.of_replicas ~consistency:Dfs.Consistency.Sequential [ fs0; fs1 ]
+  in
+  ok
+    (Y.Yanc_fs.add_switch yfs0 ~name:"sw1" ~dpid:1L ~protocol:"openflow10"
+       ~n_buffers:0 ~n_tables:1 ~capabilities:[] ~actions:[]);
+  (match
+     Apps.Flow_pusher.push_config yfs0 ~cred
+       "sw1 name=flood priority=1 action.0.out=flood"
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let flows = Path.child (Y.Layout.switch ~root:(Y.Yanc_fs.root yfs0) "sw1") "flows" in
+  Alcotest.(check bool) "the replica has no flows/" false
+    (Fs.exists fs1 ~cred flows);
+  Alcotest.(check bool) "failed replays are counted" true
+    (dfs_count c "replay_failed" > 0)
+
 let test_distributed_controller () =
   (* Node A hosts the driver (it owns the control channel to the
      switch); node B is a remote controller machine. A flow written on
@@ -402,9 +516,9 @@ let test_fsnotify_fires_on_replica () =
     (List.exists (fun (e : Fsnotify.Event.t) -> e.name = Some "f") events)
 
 let test_replica_reads_see_replayed_state () =
-  (* Replicated ops arrive via [Fs.replay ~emit:false]. Reads on the
-     replica before and after each replicated op must see the replayed
-     namespace and attributes. *)
+  (* Replicated ops arrive via [Fs.replay]. Reads on the replica before
+     and after each replicated op must see the replayed namespace and
+     attributes. *)
   let c = Dfs.Cluster.create ~consistency:Dfs.Consistency.Sequential ~n:2 () in
   let origin = Dfs.Cluster.node c 0 in
   let remote = Dfs.Cluster.node c 1 in
@@ -453,7 +567,11 @@ let () =
             test_readonly_replica_refuses;
           Alcotest.test_case "fsnotify on replica" `Quick test_fsnotify_fires_on_replica;
           Alcotest.test_case "replica reads see replayed state" `Quick
-            test_replica_reads_see_replayed_state ] );
+            test_replica_reads_see_replayed_state;
+          Alcotest.test_case "replicas derive a switch's children" `Quick
+            test_replicas_derive_children;
+          Alcotest.test_case "replica without the schema counts failures"
+            `Quick test_replica_without_schema_counts_failures ] );
       ( "distributed-controller",
         [ Alcotest.test_case "remote write reaches hardware" `Quick
             test_distributed_controller;

@@ -11,13 +11,14 @@
      (Yanc_fs.peer_of) or builds adjacency and next-hop tables; the
      auditor's peer-symmetry check is the one other peer_of.
 
-   Over lib/apps, lib/views and lib/yancfs:
+   Over all of lib/:
    - [ignore (...)] never wraps a packet-out, peer, host, flow, counter
      or event write, nor a file-system mutator (rmdir, mkdir_p, chown,
-     write_file, unlink); those results are returned, or counted and
-     logged.
-
-   Over all of lib/:
+     write_file, append_file, unlink); those results are returned, or
+     counted and logged.
+   - Only the two observers the VFS names, the fsnotify notifier and
+     the distributed-FS cluster, subscribe to a file system's mutation
+     stream: typed children are the schema's mkdir policy, not a hook.
    - Only lib/netsim and Yanc.Audit read a hardware flow table, so
      "hardware ≡ file system" is judged in one place.
    - Only lib/openflow names the wire codecs (Of10, Of13); everything
@@ -176,7 +177,7 @@ let test_topology_reader () =
 let unchecked_writes =
   [ "Outdir.submit"; "set_peer"; "upsert_host"; "delete_flow"; "set_error";
     "write_counters"; "create_flow"; "Eventdir.publish"; "rmdir"; "mkdir_p";
-    "chown"; "write_file"; "unlink" ]
+    "chown"; "write_file"; "append_file"; "unlink" ]
 
 let test_ignored_writes () =
   let found =
@@ -195,9 +196,23 @@ let test_ignored_writes () =
               Some (Printf.sprintf "%s:%d: ignore (%s" file (line_of src pos) call)
             | Some _ | None -> None)
           (occurrences src "ignore"))
-      (sources ~dirs:(dirs @ [ "../lib/yancfs" ]) ())
+      (sources ~dirs:[ "../lib" ] ())
   in
   check_none "write results dropped with ignore" found
+
+let test_subscribers () =
+  let observers = [ "../lib/fsnotify/notifier.ml"; "../lib/dfs/cluster.ml" ] in
+  let subscribes =
+    violations ~dirs:[ "../lib" ] ~matching:[ "Fs.subscribe" ]
+  in
+  check_none "Fs.subscribe outside the notifier and the cluster"
+    (subscribes ~allowed:(fun path _ -> List.mem path observers) ());
+  (* The scan must see both observers subscribe, or it proves nothing. *)
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) (f ^ " subscribes") true
+        (subscribes ~allowed:(fun path _ -> path <> f) () <> []))
+    observers
 
 let test_hardware_reads () =
   let audit = "../lib/yanc/audit.ml" in
@@ -295,6 +310,8 @@ let () =
   Alcotest.run "guard"
     [ ( "one mechanism",
         [ Alcotest.test_case "packet-in subscription" `Quick test_packet_in;
+          Alcotest.test_case "two mutation-stream observers" `Quick
+            test_subscribers;
           Alcotest.test_case "flow upsert" `Quick test_flow_update;
           Alcotest.test_case "one topology reader" `Quick test_topology_reader ] );
       ( "one wire protocol",

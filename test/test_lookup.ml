@@ -139,10 +139,9 @@ let test_replay_on_replica () =
   let primary = fresh () in
   let replica = fresh () in
   (* pipe the primary's op stream straight into the replica, the way the
-     DFS layer replicates, without re-emitting (~emit:false) *)
+     DFS layer replicates *)
   ignore
-    (Fs.subscribe primary (fun op ->
-         ignore (Fs.replay ~emit:false replica op)));
+    (Fs.subscribe primary (fun op -> ignore (Fs.replay replica op)));
   check_ok "mkdir" (Fs.mkdir primary ~cred:root (p "/a"));
   check_ok "write" (Fs.write_file primary ~cred:root (p "/a/f") "v1");
   (* look paths up on the replica first: positive, negative, alice *)
@@ -242,8 +241,7 @@ let run_trace_script fs =
   Fs.set_readonly fs false;
   record "rw-write" (Fs.write_file fs ~cred:root (p "/net/sw2/flows/f1") "c");
   record "replay"
-    (Fs.replay ~emit:true fs
-       (Vfs.Op.Chmod { path = p "/net/sw2/flows/f1"; mode = 0o600 }));
+    (Fs.replay fs (Vfs.Op.Chmod { path = p "/net/sw2/flows/f1"; mode = 0o600 }));
   record "alice-replayed-out" (u (Fs.read_file fs ~cred:alice (p "/net/sw2/flows/f1")));
   record "rmdir" (Fs.rmdir ~recursive:true fs ~cred:root (p "/net/sw2"));
   record "all-gone" (u (Fs.stat fs ~cred:root (p "/net/sw2/flows/f1")));
@@ -556,7 +554,7 @@ let () =
           Alcotest.test_case "chown" `Quick test_chown_access;
           Alcotest.test_case "set_acl" `Quick test_set_acl_access ] );
       ( "replication",
-        [ Alcotest.test_case "replay ~emit:false on a replica" `Quick
+        [ Alcotest.test_case "replay on a replica" `Quick
             test_replay_on_replica ] );
       ( "modes",
         [ Alcotest.test_case "readonly flips" `Quick test_readonly_flips ] );

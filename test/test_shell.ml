@@ -283,6 +283,25 @@ let test_permissions_respected () =
        err;
      !has)
 
+(* A write the credential may not make fails the command, as in bash:
+   [<cmd>: <path>: <errno>] on stderr and exit 1. [tee] still passes
+   its input through. *)
+let test_denied_writes () =
+  let e = env () in
+  ignore (out e "mkdir -p /ro");
+  e.Shell.Env.cred <- Vfs.Cred.make ~uid:1000 ~gid:1000 ();
+  let check line ~out ~err =
+    let r = run e line in
+    Alcotest.(check (triple int string string)) line (1, out, err)
+      (r.Shell.Pipeline.code, r.Shell.Pipeline.out, r.Shell.Pipeline.err)
+  in
+  check "echo x | tee /ro/f" ~out:"x\n" ~err:"tee: /ro/f: Permission denied\n";
+  check "echo x > /ro/f" ~out:"" ~err:"yash: /ro/f: Permission denied\n";
+  check "echo x >> /ro/f" ~out:"" ~err:"yash: /ro/f: Permission denied\n";
+  e.Shell.Env.cred <- cred;
+  Alcotest.(check bool) "nothing written" false
+    (Fs.exists e.Shell.Env.fs ~cred (p "/ro/f"))
+
 (* --- properties ----------------------------------------------------------- *)
 
 let word_gen =
@@ -346,6 +365,7 @@ let () =
           Alcotest.test_case "scripts" `Quick test_run_script ] );
       ( "security",
         [ Alcotest.test_case "permissions respected" `Quick test_permissions_respected;
+          Alcotest.test_case "denied tee and redirect" `Quick test_denied_writes;
           Alcotest.test_case "getfacl/setfacl" `Quick test_facl_commands;
           Alcotest.test_case "getfattr/setfattr" `Quick test_fattr_commands ] );
       "properties", qcheck_cases ]
