@@ -131,7 +131,7 @@ let delivery ?(events = 10_000) ?(switches = 80) () =
   let t1 = Sys.time () in
   for i = 0 to events - 1 do
     ignore
-      (Y.Eventdir.publish fs2 ~root:net_root ~switch:(sw i) ~in_port:1
+      (Y.Eventdir.publish fs2 ~cred:Vfs.Cred.root ~root:net_root ~switch:(sw i) ~in_port:1
          ~reason:OF.Of_types.No_match ~buffer_id:None ~total_len:64
          ~data:payload);
     if i mod 64 = 63 then consume_all ()

@@ -111,7 +111,7 @@ let fresh_yancfs ?(switches = 1) () =
   for i = 1 to switches do
     ignore
       (Y.Yanc_fs.add_switch yfs
-         ~name:(Y.Yanc_fs.switch_name_of_dpid (Int64.of_int i))
+         ~cred:Vfs.Cred.root ~name:(Y.Yanc_fs.switch_name_of_dpid (Int64.of_int i))
          ~dpid:(Int64.of_int i) ~protocol:"openflow10" ~n_buffers:256
          ~n_tables:1 ~capabilities:[] ~actions:[])
   done;

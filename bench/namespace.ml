@@ -118,7 +118,7 @@ let e14_storm fs yfs ~switches ~rounds ~drain_every notifiers =
              Y.Flowdir.write_counters fs ~cred d ~packets:(Int64.of_int r)
                ~bytes:(Int64.of_int (r * 64)) ~duration_s:r));
       ignore
-        (Y.Yanc_fs.set_port yfs ~switch:sw
+        (Y.Yanc_fs.set_port yfs ~cred:Vfs.Cred.root ~switch:sw
            (OF.Of_types.Port_info.make ~port_no:1 ~hw_addr:(P.Mac.of_int s) ()))
     done;
     if r mod drain_every = 0 then

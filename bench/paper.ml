@@ -17,7 +17,7 @@ let e1_figure () =
   section "E1   Figure 2/3: the yanc hierarchy (1 switch, 1 committed flow)";
   let _, yfs = fresh_yancfs () in
   ignore
-    (Y.Yanc_fs.set_port yfs ~switch:"sw1"
+    (Y.Yanc_fs.set_port yfs ~cred:Vfs.Cred.root ~switch:"sw1"
        (OF.Of_types.Port_info.make ~port_no:1 ~hw_addr:(P.Mac.of_int 0x02) ()));
   ignore
     (Y.Yanc_fs.create_flow yfs ~cred ~switch:"sw1" ~name:"arp_flow"
@@ -134,7 +134,7 @@ let e4_fanout () =
         test (Printf.sprintf "publish/apps=%d" k) (fun () ->
             incr published;
             ignore
-              (Y.Eventdir.publish fs ~root:net_root ~switch:"sw1" ~in_port:1
+              (Y.Eventdir.publish fs ~cred:Vfs.Cred.root ~root:net_root ~switch:"sw1" ~in_port:1
                  ~reason:OF.Of_types.No_match ~buffer_id:None
                  ~total_len:(String.length frame) ~data:frame);
             if !published mod 64 = 0 then
@@ -158,7 +158,7 @@ let e4_fanout () =
     [ test "deliver/eventdir_file_copy" (fun () ->
           incr n;
           ignore
-            (Y.Eventdir.publish fs ~root:net_root ~switch:"sw1" ~in_port:1
+            (Y.Eventdir.publish fs ~cred:Vfs.Cred.root ~root:net_root ~switch:"sw1" ~in_port:1
                ~reason:OF.Of_types.No_match ~buffer_id:None
                ~total_len:(String.length frame) ~data:frame);
           if !n mod 32 = 0 then
@@ -249,7 +249,7 @@ let e7_dfs () =
         List.hd (List.map Y.Yanc_fs.create (Dfs.Cluster.nodes c))
       in
       ignore
-        (Y.Yanc_fs.add_switch yfs0 ~name:"sw1" ~dpid:1L ~protocol:"openflow10"
+        (Y.Yanc_fs.add_switch yfs0 ~cred:Vfs.Cred.root ~name:"sw1" ~dpid:1L ~protocol:"openflow10"
            ~n_buffers:0 ~n_tables:1 ~capabilities:[] ~actions:[]);
       Dfs.Cluster.flush c;
       (* The replication stream reports into replica 0's registry. *)

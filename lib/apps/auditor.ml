@@ -43,9 +43,11 @@ let audit yfs ~cred =
         List.iter
           (fun flow ->
             (match Y.Flowdir.read_version ~flow fs ~cred flows with
-            | None ->
+            | Ok None ->
               add (finding `Warning "flow %s/%s: never committed (no version)" switch flow)
-            | Some _ -> (
+            | Error e ->
+              add (finding `Error "flow %s/%s: version: %s" switch flow (Vfs.Errno.message e))
+            | Ok (Some _) -> (
               match Y.Yanc_fs.read_flow yfs ~cred ~switch flow with
               | Ok f -> parsed := (flow, f) :: !parsed
               | Error e -> add (finding `Error "flow %s/%s: %s" switch flow e)));

@@ -157,8 +157,9 @@ let coalesce_into t ~key (p : pending_op) =
       prior;
     Hashtbl.replace cands key [ p ]
   | Vfs.Op.Write { off; _ } ->
-    (* A whole-file write makes a still-queued default-mode [Create]
-       of the same file redundant: replaying the [Write] creates it. *)
+    (* A whole-file write makes a still-queued [Create] of the same
+       file redundant when replaying the [Write] creates it the same:
+       root's, default mode. *)
     if off = 0 then begin
       match Hashtbl.find_opt t.creates.(p.target) key with
       | Some c when c.state = Queued ->
@@ -173,7 +174,7 @@ let coalesce_into t ~key (p : pending_op) =
   | Vfs.Op.Truncate _ ->
     let prior = Option.value ~default:[] (Hashtbl.find_opt cands key) in
     Hashtbl.replace cands key (p :: prior)
-  | Vfs.Op.Create { mode; _ } when mode land 0o7777 = 0o644 ->
+  | Vfs.Op.Create { mode; uid = 0; gid = 0; _ } when mode land 0o7777 = 0o644 ->
     Hashtbl.reset cands;
     Hashtbl.replace t.creates.(p.target) key p
   | op when Vfs.Op.is_structural op ->
@@ -445,12 +446,12 @@ let sync_subtree t ~from_ ~to_ path =
   in
   let copy p (st : Fs.stat) =
     match st.kind with
-    | Fs.Dir -> put (Vfs.Op.Mkdir { path = p; mode = st.mode })
+    | Fs.Dir -> put (Vfs.Op.Mkdir { path = p; mode = st.mode; uid = st.uid; gid = st.gid })
     | Fs.File -> (
       match Fs.suspended fs (fun () -> Fs.read_file fs ~cred p) with
       | Error _ -> ()
       | Ok data ->
-        put (Vfs.Op.Create { path = p; mode = st.mode });
+        put (Vfs.Op.Create { path = p; mode = st.mode; uid = st.uid; gid = st.gid });
         put (Vfs.Op.Truncate { path = p; size = 0 });
         if data <> "" then put (Vfs.Op.Write { path = p; off = 0; data }))
     | Fs.Symlink -> (

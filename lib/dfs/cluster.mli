@@ -136,7 +136,8 @@ val set_xattr_probing : t -> bool -> unit
 
 val sync_subtree : t -> from_:int -> to_:int -> Vfs.Path.t -> int
 (** Anti-entropy state transfer: materialise [from_]'s current state
-    under a path onto [to_] (dirs, file contents, symlinks), replayed
+    under a path onto [to_] (dirs and files with their owners, file
+    contents, symlinks), replayed
     through the normal apply path so watchers on the target fire.
     Returns the number of ops synthesised. *)
 

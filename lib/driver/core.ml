@@ -300,14 +300,14 @@ let cred = Vfs.Cred.root
 let set_ports t ~name ports =
   List.iter
     (fun p ->
-      fs_checked t ~what:"port dir" (Y.Yanc_fs.set_port t.yfs ~switch:name p))
+      fs_checked t ~what:"port dir" (Y.Yanc_fs.set_port t.yfs ~cred ~switch:name p))
     ports
 
 let on_features t ~now (f : Msg.features) =
   let name = Y.Yanc_fs.switch_name_of_dpid f.datapath_id in
   t.switch_name <- Some name;
   fs_checked t ~what:"switch dir"
-    (Y.Yanc_fs.add_switch t.yfs ~name ~dpid:f.datapath_id ~protocol:(protocol t)
+    (Y.Yanc_fs.add_switch t.yfs ~cred ~name ~dpid:f.datapath_id ~protocol:(protocol t)
        ~n_buffers:f.n_buffers ~n_tables:f.n_tables
        ~capabilities:(OF.Of_types.Capabilities.to_list f.capabilities)
        ~actions:
@@ -400,8 +400,9 @@ let resolve_key t ~switch ~deletes ~adds flow_name =
     | None -> ())
   | Ok d -> (
     match Y.Flowdir.read_version (fs t) ~cred d with
-    | None -> () (* not committed yet *)
-    | Some version ->
+    | Ok None -> () (* not committed yet *)
+    | Error _ as e -> fs_checked t ~what:"flow version" e
+    | Ok (Some version) ->
       let cached = Hashtbl.find_opt t.cache flow_name in
       let stale =
         match cached with
@@ -549,15 +550,21 @@ let reconcile_ports t =
 let drain_spool t =
   match t.switch_name with
   | None -> ()
-  | Some name ->
-    List.iter
-      (fun (req : Y.Outdir.request) ->
-        send t
-          (Msg.Packet_out
-             { buffer_id = req.buffer_id; in_port = req.in_port;
-               actions = req.actions; data = req.data }))
-      (Y.Outdir.consume (fs t) ~root:(root t) ~switch:name
-         ~on_error:(fun e -> fs_checked t ~what:"packet-out rmdir" (Error e)))
+  | Some name -> (
+    match
+      Y.Outdir.consume (fs t) ~cred ~root:(root t) ~switch:name
+        ~on_error:(fun e -> fs_checked t ~what:"packet-out rmdir" (Error e))
+    with
+    | Error Vfs.Errno.ENOENT -> () (* the switch directory is gone *)
+    | Error _ as e -> fs_checked t ~what:"packet-out spool" e
+    | Ok reqs ->
+      List.iter
+        (fun (req : Y.Outdir.request) ->
+          send t
+            (Msg.Packet_out
+               { buffer_id = req.buffer_id; in_port = req.in_port;
+                 actions = req.actions; data = req.data }))
+        reqs)
 
 (* Bounded drain: a flow-mod storm is spread over successive steps
    instead of monopolizing one; dirty state persists, and events
@@ -699,7 +706,7 @@ let on_message t ~now ~xid (msg : Msg.t) =
                ~reason ~buffer_id ~total_len ~data ~at:now);
           if t.eventdir_subs then
             match
-              Y.Eventdir.publish ~telemetry:t.telemetry (fs t) ~root:(root t)
+              Y.Eventdir.publish ~telemetry:t.telemetry (fs t) ~cred ~root:(root t)
                 ~switch:name ~in_port ~reason ~buffer_id ~total_len ~data
             with
             | Ok 0 ->
@@ -718,7 +725,7 @@ let on_message t ~now ~xid (msg : Msg.t) =
           (Y.Yanc_fs.remove_port t.yfs ~switch:name port.port_no)
       | OF.Of_types.Port_add | OF.Of_types.Port_modify ->
         fs_checked t ~what:"port dir"
-          (Y.Yanc_fs.set_port t.yfs ~switch:name port)))
+          (Y.Yanc_fs.set_port t.yfs ~cred ~switch:name port)))
   | Msg.Flow_removed { of_match; priority; _ } -> (
     match t.switch_name with
     | None -> ()

@@ -97,19 +97,13 @@ let run_pipeline env stages =
   let rec go stdin = function
     | [] -> { code = 0; out = stdin; err = "" }
     | stage :: rest ->
-      let stdin =
-        match stage.redirect.stdin_from with
-        | Some path -> (
-          match
-            Vfs.Fs.read_file env.Env.fs ~cred:env.Env.cred (Env.resolve env path)
-          with
-          | Ok data -> data
-          | Error _ -> "")
-        | None -> stdin
+      let failed ~err path e =
+        { Cmd.code = 1; out = "";
+          err = err ^ Printf.sprintf "yash: %s: %s\n" path (Vfs.Errno.message e) }
       in
-      let argv = expand_operands env stage.argv in
-      let r = Cmd.exec env ~argv ~stdin in
-      let r =
+      let run stdin =
+        let argv = expand_operands env stage.argv in
+        let r = Cmd.exec env ~argv ~stdin in
         match stage.redirect.stdout_to with
         | None -> r
         | Some (path, append) -> (
@@ -118,9 +112,18 @@ let run_pipeline env stages =
               env.Env.fs ~cred:env.Env.cred (Env.resolve env path) r.Cmd.out
           with
           | Ok () -> { r with Cmd.out = "" }
-          | Error e ->
-            { Cmd.code = 1; out = "";
-              err = r.Cmd.err ^ Printf.sprintf "yash: %s: %s\n" path (Vfs.Errno.message e) })
+          | Error e -> failed ~err:r.Cmd.err path e)
+      in
+      (* As in bash, a stdin redirect that fails skips the command. *)
+      let r =
+        match stage.redirect.stdin_from with
+        | None -> run stdin
+        | Some path -> (
+          match
+            Vfs.Fs.read_file env.Env.fs ~cred:env.Env.cred (Env.resolve env path)
+          with
+          | Ok data -> run data
+          | Error e -> failed ~err:"" path e)
       in
       if rest = [] then { code = r.Cmd.code; out = r.Cmd.out; err = r.Cmd.err }
       else begin

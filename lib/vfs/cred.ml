@@ -1,8 +1,10 @@
-type t = { uid : int; gid : int; groups : int list }
+type t = { uid : int; gid : int; groups : int list; floor : Path.t }
 
-let root = { uid = 0; gid = 0; groups = [] }
+let root = { uid = 0; gid = 0; groups = []; floor = Path.root }
 
-let make ?(groups = []) ~uid ~gid () = { uid; gid; groups }
+let make ?(groups = []) ~uid ~gid () = { uid; gid; groups; floor = Path.root }
+
+let beneath c floor = if Path.is_prefix c.floor floor then { c with floor } else c
 
 let is_root c = c.uid = 0
 

@@ -189,6 +189,34 @@ let canonical path = function
   | None -> path
   | Some rev -> Path.of_components (List.rev rev)
 
+(* Where a walk stands, as reversed canonical components. *)
+let position path canon_rev depth =
+  match canon_rev with
+  | Some rev -> rev
+  | None -> rev_prefix depth (Path.components path)
+
+(* The floor check: under a credential with a floor ([Cred.beneath])
+   every position a walk reaches lies beneath the floor, or the call
+   fails with EXDEV, as openat2's RESOLVE_BENEATH does. Without a floor
+   it is one branch. *)
+let floored cred = not (Path.equal cred.Cred.floor Path.root)
+
+let outside cred p = not (Path.is_prefix cred.Cred.floor p)
+
+(* An entry op acts in the entry's parent: the floor itself is not an
+   entry beneath the floor. *)
+let outside_entry cred p =
+  floored cred && (outside cred p || Path.equal cred.Cred.floor p)
+
+(* A symlink target's components, its ".." kept: [Path.of_string]
+   would resolve them lexically, right only where no symlink precedes
+   them, so the walk resolves them physically. *)
+let target_components target =
+  let comps = List.filter (fun c -> c <> "" && c <> ".") (String.split_on_char '/' target) in
+  if List.exists (fun c -> String.length c > 255) comps then Error Errno.ENAMETOOLONG
+  else if String.contains target '\000' then Error Errno.EINVAL
+  else Ok comps
+
 (* Walk from the root, following symlinks and requiring +x on every
    traversed directory: per component, one probe of the directory's
    (name -> node) table and one permission check. Returns the node
@@ -203,6 +231,13 @@ let canonical path = function
    The first symlink builds the canonical prefix, and from there each
    component is consed onto it.
 
+   A symlink target is resolved against the link's canonical
+   directory, its ".." as POSIX has it: the physical parent of where
+   the walk stands, found by walking that position's canonical path
+   again from the root (only a target with ".." pays that walk). Under
+   a floor, the target (its ".." resolved lexically) and every ".."
+   step must stay beneath it.
+
    The walk starts at [node], a directory whose canonical path has
    [depth] components, and walks [comps]; [path] is that canonical path
    followed by [comps]. A path walk starts at the root; a handle's walk
@@ -211,6 +246,22 @@ let rec walk_from t cred ~follow_last ~entry path node canon_rev depth comps
     budget =
   match comps with
   | [] -> Ok (node, canonical path canon_rev)
+  | ".." :: rest -> (
+    match node.payload with
+    | P_file _ | P_symlink _ -> Error Errno.ENOTDIR
+    | P_dir _ ->
+      Reg.incr t.components;
+      if not (node_allows node cred Perm.x_ok) then Error Errno.EACCES
+      else
+        let up = match position path canon_rev depth with [] -> [] | _ :: up -> up in
+        let above = List.rev up in
+        if floored cred && outside cred (Path.of_components above) then Error Errno.EXDEV
+        else
+          let* parent, _ =
+            walk_from t cred ~follow_last:true ~entry:false path t.root (Some []) 0 above
+              budget
+          in
+          walk_from t cred ~follow_last ~entry path parent (Some up) 0 rest budget)
   | [ name ] when entry -> (
     match node.payload with
     | P_file _ | P_symlink _ -> Error Errno.ENOTDIR
@@ -229,19 +280,17 @@ let rec walk_from t cred ~follow_last ~entry path node canon_rev depth comps
           | P_symlink target when follow_last || rest <> [] ->
             if budget = 0 then Error Errno.ELOOP
             else
-              let* tpath = Path.of_string target in
-              let comps = Path.components tpath @ rest in
-              if target.[0] = '/' then
-                walk_from t cred ~follow_last ~entry path t.root (Some []) 0 comps
-                  (budget - 1)
+              let* tcomps = target_components target in
+              let start, from =
+                if target.[0] = '/' then t.root, [] else node, position path canon_rev depth
+              in
+              if
+                floored cred
+                && outside cred (Path.of_components (List.rev_append from tcomps))
+              then Error Errno.EXDEV
               else
-                let here =
-                  match canon_rev with
-                  | Some rev -> rev
-                  | None -> rev_prefix depth (Path.components path)
-                in
-                walk_from t cred ~follow_last ~entry path node (Some here) 0 comps
-                  (budget - 1)
+                walk_from t cred ~follow_last ~entry path start (Some from) 0
+                  (tcomps @ rest) (budget - 1)
           | _ ->
             let canon_rev =
               match canon_rev with
@@ -252,8 +301,10 @@ let rec walk_from t cred ~follow_last ~entry path node canon_rev depth comps
               rest budget)))
 
 let resolve t cred ~follow_last path =
-  walk_from t cred ~follow_last ~entry:false path t.root None 0
-    (Path.components path) max_symlinks
+  if outside cred path then Error Errno.EXDEV
+  else
+    walk_from t cred ~follow_last ~entry:false path t.root None 0
+      (Path.components path) max_symlinks
 
 (* The directory holding the last component of [comps] (following
    symlinks throughout, including a symlink-to-directory in the parent
@@ -272,7 +323,8 @@ let parent_from t cred ~start ~depth path comps =
       | Error _ as e -> e
 
 let resolve_parent t cred path =
-  parent_from t cred ~start:t.root ~depth:0 path (Path.components path)
+  if outside_entry cred path then Error Errno.EXDEV
+  else parent_from t cred ~start:t.root ~depth:0 path (Path.components path)
 
 let dir_children node =
   match node.payload with
@@ -308,7 +360,7 @@ let stat_of_node node =
 (* The entry-level halves of mkdir, create, unlink: [pnode] is the
    resolved parent directory (by a walk or a held handle) and [canon]
    the canonical path of [name] in it, journalled on success. *)
-let mkdir_in ~mode t ~cred pnode name canon ~emit_op =
+let mkdir_in ~mode ~uid ~gid t ~cred pnode name canon ~emit_op =
   let* () = require pnode cred Perm.x_ok in
   let* children = dir_children pnode in
   (* Lookup precedes the write check, as on Linux: an existing entry is
@@ -316,7 +368,6 @@ let mkdir_in ~mode t ~cred pnode name canon ~emit_op =
   if Hashtbl.mem children name then Error Errno.EEXIST
   else
     let* () = require pnode cred Perm.w_ok in
-    let uid = cred.Cred.uid and gid = cred.Cred.gid in
     let own = Hashtbl.create 8 in
     Hashtbl.replace children name (fresh_node t ~mode ~uid ~gid (P_dir own));
     (* The policy's children are part of the new directory: no walk, no
@@ -327,13 +378,14 @@ let mkdir_in ~mode t ~cred pnode name canon ~emit_op =
           (fresh_node t ~mode:0o755 ~uid ~gid (P_dir (Hashtbl.create 8))))
       (t.mkdir_policy canon);
     pnode.mtime <- t.now;
-    if emit_op then emit t (Op.Mkdir { path = canon; mode });
+    if emit_op then emit t (Op.Mkdir { path = canon; mode; uid; gid });
     Ok ()
 
 let mkdir_raw ?(mode = 0o755) t ~cred path ~emit_op =
   let* () = require_rw t in
   let* pnode, canon, name = resolve_parent t cred path in
-  mkdir_in ~mode t ~cred pnode name canon ~emit_op
+  mkdir_in ~mode ~uid:cred.Cred.uid ~gid:cred.Cred.gid t ~cred pnode name canon
+    ~emit_op
 
 let mkdir ?mode t ~cred path =
   syscall t;
@@ -349,33 +401,34 @@ let mkdir_p ?mode t ~cred path =
       | Ok () | Error Errno.EEXIST -> go p rest
       | Error _ as e -> e)
   in
-  go Path.root (Path.components path)
+  (* Under a floor, the floor and its ancestors are not the caller's. *)
+  match Path.strip_prefix ~prefix:cred.Cred.floor path with
+  | Some below -> go cred.Cred.floor (Path.components below)
+  | None -> Error Errno.EXDEV
 
 (* A fresh empty file [name] in the directory [pnode]; the caller has
    found the name free and checked +x on [pnode]. *)
-let add_file ~mode t ~cred pnode children name canon ~emit_op =
+let add_file ~mode ~uid ~gid t ~cred pnode children name canon ~emit_op =
   let* () = require pnode cred Perm.w_ok in
-  let node =
-    fresh_node t ~mode ~uid:cred.Cred.uid ~gid:cred.Cred.gid
-      (P_file { bytes = Bytes.create 0; len = 0 })
-  in
+  let node = fresh_node t ~mode ~uid ~gid (P_file { bytes = Bytes.create 0; len = 0 }) in
   Hashtbl.replace children name node;
   pnode.mtime <- t.now;
-  if emit_op then emit t (Op.Create { path = canon; mode });
+  if emit_op then emit t (Op.Create { path = canon; mode; uid; gid });
   Ok node
 
-let create_in ~mode t ~cred pnode name canon ~emit_op =
+let create_in ~mode ~uid ~gid t ~cred pnode name canon ~emit_op =
   let* () = require pnode cred Perm.x_ok in
   let* children = dir_children pnode in
   if Hashtbl.mem children name then Error Errno.EEXIST
   else
-    let* node = add_file ~mode t ~cred pnode children name canon ~emit_op in
+    let* node = add_file ~mode ~uid ~gid t ~cred pnode children name canon ~emit_op in
     Ok (node, canon)
 
 let create_file_raw ?(mode = 0o644) t ~cred path ~emit_op =
   let* () = require_rw t in
   let* pnode, canon, name = resolve_parent t cred path in
-  create_in ~mode t ~cred pnode name canon ~emit_op
+  create_in ~mode ~uid:cred.Cred.uid ~gid:cred.Cred.gid t ~cred pnode name canon
+    ~emit_op
 
 let create_file ?mode t ~cred path =
   syscall t;
@@ -461,7 +514,10 @@ let open_or_create_in t ~cred pnode name ~canon ~emit_op =
       if not (Path.valid_name name) then Error Errno.EINVAL
       else
         let* () = require_rw t in
-        let* node = add_file ~mode:0o644 t ~cred pnode children name canon ~emit_op in
+        let* node =
+          add_file ~mode:0o644 ~uid:cred.Cred.uid ~gid:cred.Cred.gid t ~cred pnode
+            children name canon ~emit_op
+        in
         let* f = file_data node in
         Ok (node, canon, f, false)
 
@@ -648,11 +704,14 @@ let opendir t ~cred path =
     Ok { dnode = node; dcanon = canon; depth = List.length (Path.components canon) }
   | P_file _ | P_symlink _ -> Error Errno.ENOTDIR
 
-let dir_path d = d.dcanon
-
 let dir_ino d = d.dnode.ino
 
-let live d = if d.dnode.dead then Error Errno.ENOENT else Ok ()
+(* A handle call's entry check: the directory is live, and lies beneath
+   the credential's floor. *)
+let held cred d =
+  if d.dnode.dead then Error Errno.ENOENT
+  else if outside cred d.dcanon then Error Errno.EXDEV
+  else Ok ()
 
 (* [rel] below a handle: a name, or several separated by '/'. *)
 let rel_components rel =
@@ -684,26 +743,26 @@ let resolve_parent_at t cred d rel =
 
 let readdir_at t ~cred d =
   syscall t;
-  let* () = live d in
+  let* () = held cred d in
   list_node t ~cred d.dnode
 
 let readdir_ino_at t ~cred d =
   syscall t;
-  let* () = live d in
+  let* () = held cred d in
   let* children = listable t ~cred d.dnode in
   Ok (Hashtbl.fold (fun name node acc -> (name, node.ino) :: acc) children []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b))
 
 let read_file_at t ~cred d rel =
   syscall t;
-  let* () = live d in
+  let* () = held cred d in
   let* node, _ = resolve_at t cred ~follow_last:true d rel in
   read_node t ~cred node
 
 let write_file_at t ~cred d rel data =
   syscall t;
   let* () = require_rw t in
-  let* () = live d in
+  let* () = held cred d in
   let* pnode, canon, name = resolve_parent_at t cred d rel in
   let* opened = open_or_create_in t ~cred pnode name ~canon ~emit_op:true in
   write_whole t opened data ~emit_op:true
@@ -711,16 +770,17 @@ let write_file_at t ~cred d rel data =
 let unlink_at t ~cred d rel =
   syscall t;
   let* () = require_rw t in
-  let* () = live d in
+  let* () = held cred d in
   let* pnode, canon, name = resolve_parent_at t cred d rel in
   unlink_in t ~cred pnode name canon ~emit_op:true
 
 let mkdir_at t ~cred d rel =
   syscall t;
   let* () = require_rw t in
-  let* () = live d in
+  let* () = held cred d in
   let* pnode, canon, name = resolve_parent_at t cred d rel in
-  mkdir_in ~mode:0o755 t ~cred pnode name canon ~emit_op:true
+  mkdir_in ~mode:0o755 ~uid:cred.Cred.uid ~gid:cred.Cred.gid t ~cred pnode name
+    canon ~emit_op:true
 
 let symlink_raw t ~cred ~target path ~emit_op =
   let* () = require_rw t in
@@ -1064,17 +1124,17 @@ let replay_raw ?cursor t op =
   let* () = require_rw t in
   suspended t (fun () ->
       match (op : Op.t) with
-      | Mkdir { path; mode } -> (
+      | Mkdir { path; mode; uid; gid } -> (
         match
           let* pnode, canon, name = replay_parent t cursor path in
-          mkdir_in ~mode t ~cred pnode name canon ~emit_op:false
+          mkdir_in ~mode ~uid ~gid t ~cred pnode name canon ~emit_op:false
         with
         | Ok () | Error Errno.EEXIST -> Ok ()
         | Error _ as e -> e)
-      | Create { path; mode } -> (
+      | Create { path; mode; uid; gid } -> (
         match
           let* pnode, canon, name = replay_parent t cursor path in
-          create_in ~mode t ~cred pnode name canon ~emit_op:false
+          create_in ~mode ~uid ~gid t ~cred pnode name canon ~emit_op:false
         with
         | Ok _ | Error Errno.EEXIST -> Ok ()
         | Error _ as e -> e)

@@ -79,7 +79,29 @@ val id : t -> int
     in Linux; there is no full-path cache above them, so no mutation
     has anything to invalidate. A walk that crosses no symlink returns
     the queried path as the canonical one; ops and events carry
-    canonical paths. *)
+    canonical paths.
+
+    A symlink target is resolved against the link's canonical
+    directory, and its [..] as POSIX has it: the physical parent of
+    where the walk stands. So [/a/b/link -> ../c] names [/a/c], and a
+    [..] after a symlink in the target climbs from where that symlink
+    led, not from its name. Only a target with [..] pays for it, one
+    walk of the parent's canonical path per [..].
+
+    {b The credential floor.} A call made under a credential with a
+    floor ({!Cred.beneath}) fails with [EXDEV], the errno of openat2's
+    [RESOLVE_BENEATH], when it would reach outside the floor:
+    - the path it is given is not beneath the floor (for a call that
+      adds, removes or renames an entry, the entry's parent must be);
+    - the handle it is given holds a directory not beneath the floor;
+    - a symlink on the way has a target, absolute or relative with its
+      [..] resolved, outside the floor, or a [..] of a target climbs
+      out of it.
+    Beneath the floor the credential acts as it would without one, and
+    a handle opened under a floor stays confined, since every [*_at]
+    call checks the credential it is given. The check adds no crossing,
+    component or op; a call without a floor pays one branch at its
+    entry and one per symlink crossed. *)
 
 (** {1 Simulated time}
 
@@ -151,8 +173,9 @@ val cursor : unit -> cursor
 
 val replay : ?cursor:cursor -> t -> Op.t -> (unit, Errno.t) result
 (** Apply a journalled op with root credentials, without charging a
-    kernel crossing. This is the replication primitive of the
-    distributed-FS layer. Replay is idempotent for structural ops
+    kernel crossing; a [Mkdir] or [Create] makes its node with the op's
+    owner. This is the replication primitive of the distributed-FS
+    layer. Replay is idempotent for structural ops
     ([Mkdir]/[Create] of an existing object, [Unlink]/[Rmdir] of a
     missing one succeed silently), which lets replicas reconcile after
     partitions. A read-only file system ({!set_readonly}) refuses every
@@ -239,7 +262,7 @@ val unlink : t -> cred:Cred.t -> Path.t -> (unit, Errno.t) result
       to reach below a subdirectory (["counters/packets"]); an empty,
       ["."] or [".."] component is [EINVAL]. The walk from the handle is
       the path walk started at the held directory, so a symlink on the
-      way is followed as from the root.
+      way is followed as from the root, under the same floor check.
     - {b Journal.} Mutations journal the canonical path, so fsnotify and
       the distributed-FS layer see exactly the {!Op.t} stream the
       path-based call would have produced.
@@ -251,10 +274,6 @@ type dir
 val opendir : t -> cred:Cred.t -> Path.t -> (dir, Errno.t) result
 (** Resolve a directory (following symlinks, +x on every ancestor);
     [ENOTDIR] if the path names anything else. One crossing. *)
-
-val dir_path : dir -> Path.t
-(** The directory's canonical path as {!opendir} resolved it: every
-    symlink on the way followed. *)
 
 val dir_ino : dir -> int
 (** The directory's inode number: a re-created directory at the same

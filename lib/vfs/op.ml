@@ -1,6 +1,6 @@
 type t =
-  | Mkdir of { path : Path.t; mode : int }
-  | Create of { path : Path.t; mode : int }
+  | Mkdir of { path : Path.t; mode : int; uid : int; gid : int }
+  | Create of { path : Path.t; mode : int; uid : int; gid : int }
   | Write of { path : Path.t; off : int; data : string }
   | Truncate of { path : Path.t; size : int }
   | Unlink of { path : Path.t }
@@ -35,8 +35,8 @@ let is_structural = function
 
 let pp ppf op =
   match op with
-  | Mkdir { path; mode } -> Format.fprintf ppf "mkdir %a %o" Path.pp path mode
-  | Create { path; mode } -> Format.fprintf ppf "create %a %o" Path.pp path mode
+  | Mkdir { path; mode; _ } -> Format.fprintf ppf "mkdir %a %o" Path.pp path mode
+  | Create { path; mode; _ } -> Format.fprintf ppf "create %a %o" Path.pp path mode
   | Write { path; off; data } ->
     Format.fprintf ppf "write %a @%d (%d bytes)" Path.pp path off
       (String.length data)

@@ -8,11 +8,13 @@
       controller nodes (paper §6), giving a distributed controller with
       no yanc-specific code.
 
-    Ops carry enough information to be replayed verbatim on a replica. *)
+    Ops carry enough information to be replayed verbatim on a replica:
+    a [Mkdir] or [Create] names the new node's owner, so a replica's copy
+    is owned as the origin's is. {!pp} does not print the owner. *)
 
 type t =
-  | Mkdir of { path : Path.t; mode : int }
-  | Create of { path : Path.t; mode : int }
+  | Mkdir of { path : Path.t; mode : int; uid : int; gid : int }
+  | Create of { path : Path.t; mode : int; uid : int; gid : int }
   | Write of { path : Path.t; off : int; data : string }
   | Truncate of { path : Path.t; size : int }
   | Unlink of { path : Path.t }

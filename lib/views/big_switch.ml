@@ -18,15 +18,15 @@ let ( let* ) = Result.bind
 
 let create ?(cred = Vfs.Cred.root) ?(switch_name = "big0") ~master ~view () =
   let* view_fs = Y.Yanc_fs.in_view master ~cred view in
+  let sync = View_sync.create ~cred ~master ~view_fs ~name:("bigswitch-" ^ view) in
   let* () =
-    Y.Yanc_fs.add_switch view_fs ~name:switch_name ~dpid:0L
-      ~protocol:"virtual-big-switch" ~n_buffers:0 ~n_tables:1
+    Y.Yanc_fs.add_switch view_fs ~cred:(View_sync.view_cred sync) ~name:switch_name
+      ~dpid:0L ~protocol:"virtual-big-switch" ~n_buffers:0 ~n_tables:1
       ~capabilities:[ "virtual" ] ~actions:[]
   in
   Ok
     { master; view_fs; cred; view; switch_name;
-      topo = Topo_view.create ~cred master; written = 0; vports = [];
-      sync = View_sync.create ~cred ~master ~view_fs ~name:("bigswitch-" ^ view) }
+      topo = Topo_view.create ~cred master; written = 0; vports = []; sync }
 
 let view_fs t = t.view_fs
 
@@ -46,18 +46,18 @@ let refresh_ports t =
              List.map (fun port -> sw, port) (Topo_view.edge_ports t.topo sw))
       |> List.sort compare
       |> List.mapi (fun i e -> i + 1, e);
-    if View_sync.inside t.sync t.switch_name "ports" then
-      List.iter
-        (fun (vport, (switch, port)) ->
-          match Y.Yanc_fs.read_port t.master ~cred:t.cred ~switch port with
-          | Ok info ->
-            View_sync.checked t.sync (Printf.sprintf "vport %d" vport)
-              (Y.Yanc_fs.set_port t.view_fs ~switch:t.switch_name
-                 { info with
-                   Openflow.Of_types.Port_info.port_no = vport;
-                   name = Printf.sprintf "%s-%s-p%d" t.switch_name switch port })
-          | Error _ -> ())
-        t.vports
+    List.iter
+      (fun (vport, (switch, port)) ->
+        match Y.Yanc_fs.read_port t.master ~cred:t.cred ~switch port with
+        | Ok info ->
+          View_sync.checked t.sync (Printf.sprintf "vport %d" vport)
+            (Y.Yanc_fs.set_port t.view_fs ~cred:(View_sync.view_cred t.sync)
+               ~switch:t.switch_name
+               { info with
+                 Openflow.Of_types.Port_info.port_no = vport;
+                 name = Printf.sprintf "%s-%s-p%d" t.switch_name switch port })
+        | Error _ -> ())
+      t.vports
   end
 
 let real_of_vport t vport = List.assoc_opt vport t.vports

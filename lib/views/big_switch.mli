@@ -2,7 +2,7 @@
     virtualization provides any arbitrary transformation, such as
     combining multiple switches and forming a new topology".
 
-    The daemon presents, inside a view, one virtual switch ([big0] by
+    The daemon presents, in a view, one virtual switch ([big0] by
     default) whose ports are the {e edge} ports of the underlying
     network (ports without a [peer] link), numbered 1..n and refreshed
     each run. It is a translation run by {!View_sync}, which owns the

@@ -30,33 +30,32 @@ let allowed_ports t switch =
 let sliced_switches t = List.map fst t.config.switches
 
 let mirror_switch t switch ports =
-  if View_sync.inside t.sync switch "ports" then begin
-    (match Y.Yanc_fs.switch_dpid t.master switch with
-    | None -> ()
-    | Some dpid ->
-      View_sync.checked t.sync switch
-        (Y.Yanc_fs.add_switch t.view_fs ~name:switch ~dpid
-           ~protocol:
-             (Option.value (Y.Yanc_fs.switch_protocol t.master switch)
-                ~default:"unknown")
-           ~n_buffers:0 ~n_tables:1 ~capabilities:[ "sliced" ] ~actions:[]));
-    let ports = if ports = [] then allowed_ports t switch else ports in
-    List.iter
-      (fun port ->
-        match Y.Yanc_fs.read_port t.master ~cred:t.cred ~switch port with
-        | Ok info ->
-          View_sync.checked t.sync (switch ^ " port")
-            (Y.Yanc_fs.set_port t.view_fs ~switch info)
-        | Error _ -> ())
-      ports
-  end
+  let vcred = View_sync.view_cred t.sync in
+  (match Y.Yanc_fs.switch_dpid t.master switch with
+  | None -> ()
+  | Some dpid ->
+    View_sync.checked t.sync switch
+      (Y.Yanc_fs.add_switch t.view_fs ~cred:vcred ~name:switch ~dpid
+         ~protocol:
+           (Option.value (Y.Yanc_fs.switch_protocol t.master switch)
+              ~default:"unknown")
+         ~n_buffers:0 ~n_tables:1 ~capabilities:[ "sliced" ] ~actions:[]));
+  let ports = if ports = [] then allowed_ports t switch else ports in
+  List.iter
+    (fun port ->
+      match Y.Yanc_fs.read_port t.master ~cred:t.cred ~switch port with
+      | Ok info ->
+        View_sync.checked t.sync (switch ^ " port")
+          (Y.Yanc_fs.set_port t.view_fs ~cred:vcred ~switch info)
+      | Error _ -> ())
+    ports
 
 let create ?(cred = Vfs.Cred.root) ~master config =
   let* view_fs = Y.Yanc_fs.in_view master ~cred config.view in
+  let sync = View_sync.create ~cred ~master ~view_fs ~name:("slicer-" ^ config.view) in
   let t =
     { master; view_fs; cred; config; topo = Topo_view.create ~cred master;
-      own = Topo_view.create ~cred view_fs;
-      sync = View_sync.create ~cred ~master ~view_fs ~name:("slicer-" ^ config.view) }
+      own = Topo_view.create ~cred:(View_sync.view_cred sync) view_fs; sync }
   in
   List.iter (fun (sw, ports) -> mirror_switch t sw ports) config.switches;
   View_sync.subscribe t.sync (List.map fst config.switches);
@@ -82,13 +81,10 @@ let mirror_topology t =
             | Some (psw, pport) when in_slice t psw pport -> Some (psw, pport)
             | Some _ | None -> None
           in
-          if
-            wanted <> Topo_view.peer t.own ~switch ~port
-            && View_sync.inside t.sync switch "ports"
-          then
+          if wanted <> Topo_view.peer t.own ~switch ~port then
             View_sync.checked t.sync (switch ^ " peer")
-              (Y.Yanc_fs.set_peer t.view_fs ~cred:t.cred ~switch ~port
-                 ~peer:wanted))
+              (Y.Yanc_fs.set_peer t.view_fs ~cred:(View_sync.view_cred t.sync)
+                 ~switch ~port ~peer:wanted))
         ports)
     t.config.switches
 

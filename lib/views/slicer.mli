@@ -12,7 +12,7 @@
       explicit outputs on them), its priority is clamped below the
       cap, and it lands on the same master switch as
       [s.<view>.<flow>];
-    - {b packet-ins} — one on a sliced port whose headers fall inside
+    - {b packet-ins} — one on a sliced port whose headers fall in
       the flowspace shows up on the view switch, same port;
     - {b packet-outs} — forwarded to the same master switch through the
       port filter; one naming a port outside the slice is dropped;

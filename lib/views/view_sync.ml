@@ -28,6 +28,7 @@ type t = {
   master : Y.Yanc_fs.t;
   view_fs : Y.Yanc_fs.t;
   cred : Vfs.Cred.t;
+  vcred : Vfs.Cred.t;  (* [cred], floored at the view root *)
   name : string;
   synced : (string, (string, entry) Hashtbl.t) Hashtbl.t;
       (* view switch -> view flow -> entry *)
@@ -38,7 +39,8 @@ type t = {
 }
 
 let create ~cred ~master ~view_fs ~name =
-  { master; view_fs; cred; name; synced = Hashtbl.create 8;
+  { master; view_fs; cred; vcred = Vfs.Cred.beneath cred (Y.Yanc_fs.root view_fs);
+    name; synced = Hashtbl.create 8;
     events = App_intf.Packet_in.create master ~cred ~app:name;
     fs_errors = App_intf.fs_errors master; accepted = 0; rejected = 0 }
 
@@ -47,22 +49,14 @@ let subscribe t switches =
 
 let checked t what r = App_intf.checked t.fs_errors t.name what r
 
-let beneath t path = Vfs.Path.is_prefix (Y.Yanc_fs.root t.view_fs) path
+(* A view-side failure: a missing directory is the tenant's to make, so
+   only [ENOENT] goes uncounted. *)
+let found t what = function
+  | Error Vfs.Errno.ENOENT -> None
+  | Error _ as e -> checked t what e; None
+  | Ok v -> Some v
 
-(* A path not made yet is judged by its nearest existing ancestor,
-   through which its creation would go. *)
-let rec within t path =
-  match Vfs.Fs.canonicalize (Y.Yanc_fs.fs t.view_fs) ~cred:t.cred path with
-  | Ok canon -> beneath t canon
-  | Error Vfs.Errno.ENOENT -> Option.fold ~none:false ~some:(within t) (Vfs.Path.parent path)
-  | Error _ -> true (* the call itself fails, and is counted *)
-
-(* An escape fails as openat2's RESOLVE_BENEATH does, with EXDEV. *)
-let escaped t path = checked t (Vfs.Path.to_string path) (Error Vfs.Errno.EXDEV)
-
-let inside t switch sub =
-  let path = Vfs.Path.child (Y.Layout.switch ~root:(Y.Yanc_fs.root t.view_fs) switch) sub in
-  within t path || (escaped t path; false)
+let view_cred t = t.vcred
 
 let accepted t = t.accepted
 
@@ -97,9 +91,10 @@ let install t { switch; name; flow } =
    now compiles to, then remove what it no longer does. *)
 let sync_flow t tr v ~switch tbl vflows (name, ino) =
   let vfs = Y.Yanc_fs.fs t.view_fs in
-  match Y.Flowdir.read_version ~flow:name vfs ~cred:t.cred vflows with
-  | None -> () (* not committed yet *)
-  | Some version -> (
+  match Y.Flowdir.read_version ~flow:name vfs ~cred:t.vcred vflows with
+  | Ok None -> () (* not committed yet *)
+  | Error _ as e -> checked t (switch ^ "/" ^ name ^ " version") e
+  | Ok (Some version) -> (
     let seen = Hashtbl.find_opt tbl name in
     let news =
       match seen with
@@ -108,11 +103,11 @@ let sync_flow t tr v ~switch tbl vflows (name, ino) =
       | None -> true
     in
     if news then
-      match Y.Yanc_fs.open_flow t.view_fs ~cred:t.cred ~switch name with
-      | Error _ -> ()
+      match Y.Yanc_fs.open_flow t.view_fs ~cred:t.vcred ~switch name with
+      | Error _ as e -> checked t (switch ^ "/" ^ name) e
       | Ok vdir ->
         let verdict, report =
-          Y.Flowdir.read_reporting vfs ~cred:t.cred vdir (tr.flow_down v ~switch name)
+          Y.Flowdir.read_reporting vfs ~cred:t.vcred vdir (tr.flow_down v ~switch name)
         in
         checked t (switch ^ "/" ^ name ^ " error") report;
         let installed =
@@ -152,7 +147,7 @@ let counters_up t ~switch tbl vflows =
         | Ok (Some (packets, bytes) as read) when read <> e.copied ->
           let r =
             Y.Flowdir.write_counters ~flow:name (Y.Yanc_fs.fs t.view_fs)
-              ~cred:t.cred vflows ~packets ~bytes ~duration_s:0
+              ~cred:t.vcred vflows ~packets ~bytes ~duration_s:0
           in
           if Result.is_ok r then e.copied <- read;
           checked t (switch ^ "/" ^ name ^ " counters") r
@@ -160,19 +155,21 @@ let counters_up t ~switch tbl vflows =
     tbl
 
 let packet_outs_down t tr v ~switch =
-  let vfs = Y.Yanc_fs.fs t.view_fs and root = Y.Yanc_fs.root t.view_fs in
-  if Y.Outdir.pending vfs ~root ~switch > 0 && inside t switch "packet_out" then
-    List.iter
-      (fun req ->
-        List.iter
-          (fun (msw, (r : Y.Outdir.request)) ->
-            checked t (msw ^ " packet-out")
-              (Y.Outdir.submit (Y.Yanc_fs.fs t.master) ~cred:t.cred
-                 ~root:(Y.Yanc_fs.root t.master) ~switch:msw ?in_port:r.in_port
-                 ~actions:r.actions ~data:r.data ()))
-          (tr.packet_out v ~switch req))
-      (Y.Outdir.consume vfs ~root ~switch
-         ~on_error:(fun e -> checked t (switch ^ " packet-out rmdir") (Error e)))
+  let requests =
+    Y.Outdir.consume (Y.Yanc_fs.fs t.view_fs) ~cred:t.vcred
+      ~root:(Y.Yanc_fs.root t.view_fs) ~switch
+      ~on_error:(fun e -> checked t (switch ^ " packet-out rmdir") (Error e))
+  in
+  List.iter
+    (fun req ->
+      List.iter
+        (fun (msw, (r : Y.Outdir.request)) ->
+          checked t (msw ^ " packet-out")
+            (Y.Outdir.submit (Y.Yanc_fs.fs t.master) ~cred:t.cred
+               ~root:(Y.Yanc_fs.root t.master) ~switch:msw ?in_port:r.in_port
+               ~actions:r.actions ~data:r.data ()))
+        (tr.packet_out v ~switch req))
+    (Option.value ~default:[] (found t (switch ^ " packet-out") requests))
 
 (* Deletion: a view flow missing from [live] takes every master flow
    made from it along. *)
@@ -187,15 +184,16 @@ let forget t tbl live =
    probe and the counter writes. *)
 let poll t tr v switch =
   let tbl = table t switch in
-  (match Y.Yanc_fs.open_flows t.view_fs ~cred:t.cred switch with
+  (match Y.Yanc_fs.open_flows t.view_fs ~cred:t.vcred switch with
   | Error Vfs.Errno.ENOENT -> forget t tbl Y.Yanc_fs.Name_set.empty
-  | Error _ -> ()
-  | Ok vflows when not (beneath t (Vfs.Fs.dir_path vflows)) ->
-    escaped t (Vfs.Fs.dir_path vflows)
+  | Error _ as e -> checked t (switch ^ " flows") e
   | Ok vflows -> (
-    match Vfs.Fs.readdir_ino_at (Y.Yanc_fs.fs t.view_fs) ~cred:t.cred vflows with
-    | Error _ -> ()
-    | Ok listed ->
+    match
+      found t (switch ^ " flows")
+        (Vfs.Fs.readdir_ino_at (Y.Yanc_fs.fs t.view_fs) ~cred:t.vcred vflows)
+    with
+    | None -> ()
+    | Some listed ->
       List.iter (sync_flow t tr v ~switch tbl vflows) listed;
       forget t tbl (Y.Yanc_fs.Name_set.of_list (List.map fst listed));
       counters_up t ~switch tbl vflows));
@@ -206,12 +204,11 @@ let events_up t tr v switch =
       match tr.packet_in v ~switch ev with
       | None -> ()
       | Some (vswitch, in_port) ->
-        if inside t vswitch "events" then
-          checked t (vswitch ^ " packet-in")
-            (Y.Eventdir.publish (Y.Yanc_fs.fs t.view_fs)
-               ~root:(Y.Yanc_fs.root t.view_fs) ~switch:vswitch ~in_port
-               ~reason:ev.reason ~buffer_id:None ~total_len:ev.total_len
-               ~data:ev.data))
+        checked t (vswitch ^ " packet-in")
+          (Y.Eventdir.publish (Y.Yanc_fs.fs t.view_fs) ~cred:t.vcred
+             ~root:(Y.Yanc_fs.root t.view_fs) ~switch:vswitch ~in_port
+             ~reason:ev.reason ~buffer_id:None ~total_len:ev.total_len
+             ~data:ev.data))
 
 let run t tr v =
   tr.refresh v;

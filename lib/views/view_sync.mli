@@ -44,14 +44,15 @@
     view flow of a view switch that is gone, takes every master flow
     made from it along ([ENOENT] on the master is not a fault).
 
-    {b Containment.} The view's owner may replace any directory of its
-    tree with a symlink. A view switch's [flows/] whose handle resolved
-    outside the view root, or its [packet_out/] or [events/] that
-    resolves outside it when there is something to move, is skipped:
-    nothing is read from or written through it, and the skip is
-    counted in [app.fs_errors]. The [flows/] check reads the handle
-    the poll opens anyway; the others cost one crossing each, only
-    when a packet-out or packet-in is to be moved.
+    {b Containment.} The view's owner may replace any directory or file
+    of its tree with a symlink. Every view-side call is made under
+    {!view_cred}, the engine's credential floored at the view root
+    ({!Vfs.Cred.beneath}), so a walk that a symlink would take out of
+    the view fails with [EXDEV] in the VFS and nothing is read or
+    written through it; the failure is counted in [app.fs_errors]. A
+    view switch's [flows/] that cannot be opened for any reason but
+    [ENOENT] keeps the master flows made from it. The floor costs no
+    crossing.
 
     Every failed write is counted in [app.fs_errors] and logged under
     the engine's name. *)
@@ -100,12 +101,10 @@ val run : t -> 'v translation -> 'v -> unit
 val checked : t -> string -> ('a, Vfs.Errno.t) result -> unit
 (** Count and log a failed write of the view's own (its [refresh]). *)
 
-val inside : t -> string -> string -> bool
-(** [inside t switch sub]: the view switch's directory [sub] resolves
-    inside the view root (when not made yet, by its nearest existing
-    ancestor); when not, the skip is counted and logged. The view's
-    own writes into a switch's [ports/] ask this first. One crossing
-    per level checked. *)
+val view_cred : t -> Vfs.Cred.t
+(** The credential of every view-side call, the translations' own
+    writes into the view included: [create]'s, floored at the view
+    root. *)
 
 val accepted : t -> int
 (** View flow commits [flow_down] translated. *)

@@ -26,23 +26,22 @@ let subscribers fs ~root ~switch =
   | Error _ -> []
 
 (* Each subscribed buffer with its owner: one crossing, as the listing
-   in [subscribers] costs. A symlink is not a buffer: [fold] does not
-   follow it, so its owner is whoever made the link, and publishing
+   in [subscribers] costs. [events/] itself is followed, as a listing
+   follows it; an entry that is a symlink is not a buffer: [fold] does
+   not follow it, so its owner is whoever made the link, and publishing
    through it would create root's event directory, and give it away,
    wherever the link points. A file stays one, so that [mkdir] under it
    fails and is reported. *)
-let buffers fs ~root ~switch =
-  let events = Layout.events_dir ~root switch in
-  match
-    Fs.fold fs ~cred:Vfs.Cred.root events ~init:[] (fun acc path (st : Fs.stat) ->
-        match Path.basename path with
-        | Some app when path <> events ->
-          let acc = if st.kind = Fs.Symlink then acc else (app, st) :: acc in
-          (acc, `Skip_subtree)
-        | Some _ | None -> (acc, `Continue))
-  with
-  | Ok buffers -> List.rev buffers
-  | Error _ -> []
+let buffers fs ~cred ~root ~switch =
+  Result.map
+    (fun (_, buffers) -> List.rev buffers)
+    (Fs.fold ~follow:true fs ~cred (Layout.events_dir ~root switch) ~init:(true, [])
+       (fun (start, acc) path (st : Fs.stat) ->
+         match Path.basename path with
+         | Some app when not start ->
+           let acc = if st.kind = Fs.Symlink then acc else (app, st) :: acc in
+           ((false, acc), `Skip_subtree)
+         | Some _ | None -> ((false, acc), `Continue)))
 
 let reason_to_string = function
   | Openflow.Of_types.No_match -> "no_match"
@@ -52,10 +51,10 @@ let reason_of_string = function
   | "action" -> Openflow.Of_types.Action_explicit
   | _ -> Openflow.Of_types.No_match
 
-let publish ?telemetry fs ~root ~switch ~in_port ~reason ~buffer_id ~total_len
-    ~data =
-  let cred = Vfs.Cred.root in
-  let apps = buffers fs ~root ~switch in
+let publish ?telemetry fs ~cred ~root ~switch ~in_port ~reason ~buffer_id
+    ~total_len ~data =
+  let ( let* ) = Result.bind in
+  let* apps = buffers fs ~cred ~root ~switch in
   incr next_seq;
   let seq = !next_seq in
   (* Consumers resume the publishing driver's trace by sequence number
@@ -68,7 +67,6 @@ let publish ?telemetry fs ~root ~switch ~in_port ~reason ~buffer_id ~total_len
     (fun result (app, (owner : Fs.stat)) ->
       let dir = Layout.event ~root ~switch ~app seq in
       let written =
-        let ( let* ) = Result.bind in
         let* () = Fs.mkdir fs ~cred dir in
         (* The subscriber removes what it consumes: the event belongs to
            the buffer's owner. *)

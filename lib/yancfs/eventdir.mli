@@ -26,16 +26,19 @@ val subscribers :
   Vfs.Fs.t -> root:Vfs.Path.t -> switch:string -> string list
 
 val publish :
-  ?telemetry:Telemetry.t -> Vfs.Fs.t -> root:Vfs.Path.t -> switch:string ->
-  in_port:int -> reason:Openflow.Of_types.packet_in_reason ->
+  ?telemetry:Telemetry.t -> Vfs.Fs.t -> cred:Vfs.Cred.t -> root:Vfs.Path.t ->
+  switch:string -> in_port:int -> reason:Openflow.Of_types.packet_in_reason ->
   buffer_id:int32 option -> total_len:int -> data:string ->
   (int, Vfs.Errno.t) result
-(** Deliver one packet-in to every subscribed buffer (driver-side, so it
-    runs as root): [Ok n] when all [n] buffers were written, else the
-    first failure's errno (the other buffers are still written). The
+(** Deliver one packet-in to every subscribed buffer (the driver
+    publishes as root): [Ok n] when all [n] buffers were written, else
+    the first failure's errno (the other buffers are still written); a
+    failed listing of [events/] is its errno, with nothing written. The
     event's directory belongs to the buffer's owner, so a non-root
-    subscriber can remove what it consumed. A symlink under [events/]
-    is not a buffer and is never written through. With
+    subscriber can remove what it consumed. [events/] is followed if it
+    is a symlink, as a listing follows it (under [cred]'s floor); a
+    symlink under [events/] is not a buffer and is never written
+    through. With
     [telemetry], the current trace is stamped under
     {!Layout.trace_key_event} of the assigned sequence number so
     consumers can resume it. *)

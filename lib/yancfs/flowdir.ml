@@ -187,8 +187,9 @@ let read_error ?flow fs ~cred d =
 
 let read_version ?flow fs ~cred d =
   match Fs.read_file_at fs ~cred d (file ?flow commit_file) with
-  | Ok v -> int_of_string_opt (String.trim v)
-  | Error _ -> None
+  | Ok v -> Ok (int_of_string_opt (String.trim v))
+  | Error Vfs.Errno.ENOENT -> Ok None
+  | Error _ as e -> e
 
 let clear_buffer_id fs ~cred d = Fs.unlink_at fs ~cred d buffer_id_file
 

@@ -79,9 +79,12 @@ val read_reporting :
     the verdict and the error file's write result. *)
 
 val read_version :
-  ?flow:string -> Vfs.Fs.t -> cred:Vfs.Cred.t -> Vfs.Fs.dir -> int option
-(** Fast path for a change scan: just the version file ([None] when
-    absent/invalid — i.e. not yet committed). *)
+  ?flow:string -> Vfs.Fs.t -> cred:Vfs.Cred.t -> Vfs.Fs.dir ->
+  (int option, Vfs.Errno.t) result
+(** Fast path for a change scan: just the version file ([Ok None] when
+    absent/invalid — i.e. not yet committed; [Error] when it cannot be
+    read, e.g. [EXDEV] through a symlink out of a floored credential's
+    reach). *)
 
 val read_counters :
   ?flow:string -> Vfs.Fs.t -> cred:Vfs.Cred.t -> Vfs.Fs.dir ->

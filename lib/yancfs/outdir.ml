@@ -69,24 +69,21 @@ let read_request fs ~cred dir seq =
 (* A request goes out only once its removal succeeds: one whose rmdir
    fails stays in the spool and is retried whole on a later drain, so
    no drainer, old or new, can send it twice. *)
-let consume fs ~root ~switch ~on_error =
-  let cred = Vfs.Cred.root in
-  match Fs.readdir fs ~cred (Layout.packet_out_dir ~root switch) with
-  | Error _ -> []
-  | Ok names ->
-    let seqs = List.filter_map int_of_string_opt names |> List.sort compare in
-    List.filter_map
-      (fun seq ->
-        let dir = Layout.packet_out ~root ~switch seq in
-        let req = read_request fs ~cred dir seq in
-        match Fs.rmdir ~recursive:true fs ~cred dir with
-        | Ok () -> req
-        | Error e -> on_error e; None)
-      seqs
+let consume fs ~cred ~root ~switch ~on_error =
+  Result.map
+    (fun names ->
+      let seqs = List.filter_map int_of_string_opt names |> List.sort compare in
+      List.filter_map
+        (fun seq ->
+          let dir = Layout.packet_out ~root ~switch seq in
+          let req = read_request fs ~cred dir seq in
+          match Fs.rmdir ~recursive:true fs ~cred dir with
+          | Ok () -> req
+          | Error e -> on_error e; None)
+        seqs)
+    (Fs.readdir fs ~cred (Layout.packet_out_dir ~root switch))
 
-let pending fs ~root ~switch =
-  match
-    Fs.readdir fs ~cred:Vfs.Cred.root (Layout.packet_out_dir ~root switch)
-  with
-  | Ok names -> List.length (List.filter_map int_of_string_opt names)
-  | Error _ -> 0
+let pending fs ~cred ~root ~switch =
+  Result.map
+    (fun names -> List.length (List.filter_map int_of_string_opt names))
+    (Fs.readdir fs ~cred (Layout.packet_out_dir ~root switch))

@@ -19,11 +19,16 @@ val submit :
 (** Queue a packet-out; returns its sequence number. *)
 
 val consume :
-  Vfs.Fs.t -> root:Vfs.Path.t -> switch:string ->
-  on_error:(Vfs.Errno.t -> unit) -> request list
-(** Driver-side: drain all pending requests (removing them), oldest
-    first. Malformed requests are removed and skipped. A request whose
-    removal fails goes to [on_error] and is not returned; it stays in
-    the spool and a later drain returns it once its removal succeeds. *)
+  Vfs.Fs.t -> cred:Vfs.Cred.t -> root:Vfs.Path.t -> switch:string ->
+  on_error:(Vfs.Errno.t -> unit) -> (request list, Vfs.Errno.t) result
+(** Drain all pending requests (removing them), oldest first; the
+    driver drains as root. Malformed requests are removed and skipped.
+    A request whose removal fails goes to [on_error] and is not
+    returned; it stays in the spool and a later drain returns it once
+    its removal succeeds. A spool that cannot be listed is the
+    listing's error. *)
 
-val pending : Vfs.Fs.t -> root:Vfs.Path.t -> switch:string -> int
+val pending :
+  Vfs.Fs.t -> cred:Vfs.Cred.t -> root:Vfs.Path.t -> switch:string ->
+  (int, Vfs.Errno.t) result
+(** Requests queued, or the spool listing's error. *)

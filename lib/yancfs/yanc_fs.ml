@@ -63,9 +63,8 @@ let tree t =
 
 let switch_name_of_dpid dpid = Printf.sprintf "sw%Ld" dpid
 
-let add_switch t ~name ~dpid ~protocol ~n_buffers ~n_tables ~capabilities
+let add_switch t ~cred ~name ~dpid ~protocol ~n_buffers ~n_tables ~capabilities
     ~actions =
-  let cred = Vfs.Cred.root in
   let dir = Layout.switch ~root:t.root name in
   let* () = ensure_dir t.fs ~cred dir in
   let attr file v = Fs.write_file t.fs ~cred (Layout.switch_attr ~root:t.root name file) v in
@@ -112,8 +111,7 @@ let parse_bool_file s =
   | "1" | "true" | "yes" -> true
   | _ -> false
 
-let set_port t ~switch (info : Port_info.t) =
-  let cred = Vfs.Cred.root in
+let set_port t ~cred ~switch (info : Port_info.t) =
   let dir = Layout.port ~root:t.root ~switch info.port_no in
   let existed = Fs.exists t.fs ~cred dir in
   let* () = ensure_dir t.fs ~cred dir in

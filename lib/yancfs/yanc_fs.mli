@@ -40,7 +40,7 @@ val switch_name_of_dpid : int64 -> string
 (** ["sw<dpid>"] — the paper's naming. *)
 
 val add_switch :
-  t -> name:string -> dpid:int64 -> protocol:string -> n_buffers:int ->
+  t -> cred:Vfs.Cred.t -> name:string -> dpid:int64 -> protocol:string -> n_buffers:int ->
   n_tables:int -> capabilities:string list -> actions:string list ->
   (unit, Vfs.Errno.t) result
 
@@ -63,7 +63,8 @@ val switch_status : t -> string -> string option
 (** {1 Ports} *)
 
 val set_port :
-  t -> switch:string -> Openflow.Of_types.Port_info.t -> (unit, Vfs.Errno.t) result
+  t -> cred:Vfs.Cred.t -> switch:string -> Openflow.Of_types.Port_info.t ->
+  (unit, Vfs.Errno.t) result
 (** Create or refresh the port directory from a port description. The
     [config.port_down] file is only initialized on creation — afterwards
     it belongs to administrators (writing it is how ports are shut:

@@ -200,7 +200,7 @@ let test_replicas_derive_children () =
           let originated = dfs_count c "ops_originated" in
           for i = 1 to 4 do
             ok
-              (Y.Yanc_fs.add_switch yfs0 ~name:(Printf.sprintf "sw%d" i)
+              (Y.Yanc_fs.add_switch yfs0 ~cred:Vfs.Cred.root ~name:(Printf.sprintf "sw%d" i)
                  ~dpid:(Int64.of_int i) ~protocol:"openflow10" ~n_buffers:0
                  ~n_tables:1 ~capabilities:[] ~actions:[])
           done;
@@ -242,7 +242,7 @@ let test_replica_without_schema_counts_failures () =
     Dfs.Cluster.of_replicas ~consistency:Dfs.Consistency.Sequential [ fs0; fs1 ]
   in
   ok
-    (Y.Yanc_fs.add_switch yfs0 ~name:"sw1" ~dpid:1L ~protocol:"openflow10"
+    (Y.Yanc_fs.add_switch yfs0 ~cred:Vfs.Cred.root ~name:"sw1" ~dpid:1L ~protocol:"openflow10"
        ~n_buffers:0 ~n_tables:1 ~capabilities:[] ~actions:[]);
   (match
      Apps.Flow_pusher.push_config yfs0 ~cred
@@ -543,6 +543,38 @@ let test_replica_reads_see_replayed_state () =
   Alcotest.(check (option string)) "new prefix live" (Some "v1")
     (read_on remote "/e/f")
 
+(* A replica's copy of a directory or file is owned as the origin's
+   is: by replay (Sequential, and a queued create that a whole-file
+   write did not make redundant under close-to-open), and by
+   anti-entropy. *)
+let test_replicas_keep_owners () =
+  let alice = Vfs.Cred.make ~uid:100 ~gid:100 () in
+  let owner fs path = (ok (Fs.stat fs ~cred (p path))).Fs.uid in
+  let shared fs =
+    ok (Fs.mkdir fs ~cred (p "/t"));
+    ok (Fs.chmod fs ~cred (p "/t") 0o777)
+  in
+  List.iter
+    (fun consistency ->
+      let c = Dfs.Cluster.create ~consistency ~n:2 () in
+      let a = Dfs.Cluster.node c 0 and b = Dfs.Cluster.node c 1 in
+      shared a;
+      ok (Fs.mkdir a ~cred:alice (p "/t/d"));
+      ok (Fs.write_file a ~cred:alice (p "/t/d/f") "x");
+      Dfs.Cluster.flush c;
+      Alcotest.(check int) "directory on the origin" 100 (owner a "/t/d");
+      Alcotest.(check int) "directory on the replica" 100 (owner b "/t/d");
+      Alcotest.(check int) "file on the replica" 100 (owner b "/t/d/f"))
+    [ Dfs.Consistency.Sequential; Dfs.Consistency.nfs ];
+  let fs0 = Fs.create () and fs1 = Fs.create () in
+  shared fs0;
+  ok (Fs.mkdir fs0 ~cred:alice (p "/t/d"));
+  ok (Fs.write_file fs0 ~cred:alice (p "/t/d/f") "x");
+  let c = Dfs.Cluster.of_replicas ~consistency:Dfs.Consistency.Sequential [ fs0; fs1 ] in
+  ignore (Dfs.Cluster.sync_subtree c ~from_:0 ~to_:1 (p "/t"));
+  Alcotest.(check int) "directory synced" 100 (owner fs1 "/t/d");
+  Alcotest.(check int) "file synced" 100 (owner fs1 "/t/d/f")
+
 let () =
   Alcotest.run "dfs"
     [ ( "consistency",
@@ -571,7 +603,8 @@ let () =
           Alcotest.test_case "replicas derive a switch's children" `Quick
             test_replicas_derive_children;
           Alcotest.test_case "replica without the schema counts failures"
-            `Quick test_replica_without_schema_counts_failures ] );
+            `Quick test_replica_without_schema_counts_failures;
+          Alcotest.test_case "replicas keep owners" `Quick test_replicas_keep_owners ] );
       ( "distributed-controller",
         [ Alcotest.test_case "remote write reaches hardware" `Quick
             test_distributed_controller;

@@ -218,7 +218,7 @@ let test_packet_out_sent_once () =
   submit_packet_out r "next";
   Alcotest.(check (list string)) "each frame arrives once" [ "once"; "next" ] (drain r);
   Alcotest.(check int) "spool drained" 0
-    (Y.Outdir.pending r.fs ~root:net_root ~switch:"sw1")
+    (ok (Y.Outdir.pending r.fs ~cred ~root:net_root ~switch:"sw1"))
 
 let test_counters_synced () =
   let r = rig () in

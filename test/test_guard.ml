@@ -19,6 +19,9 @@
    - Only the two observers the VFS names, the fsnotify notifier and
      the distributed-FS cluster, subscribe to a file system's mutation
      stream: typed children are the schema's mkdir policy, not a hook.
+   - Only lib/vfs calls [canonicalize]: containment is the
+     credential's floor, checked in the walk that acts, not a
+     canonicalize-then-use check beside it.
    - Only lib/netsim and Yanc.Audit read a hardware flow table, so
      "hardware ≡ file system" is judged in one place.
    - Only lib/openflow names the wire codecs (Of10, Of13); everything
@@ -214,6 +217,17 @@ let test_subscribers () =
         (subscribes ~allowed:(fun path _ -> path <> f) () <> []))
     observers
 
+(* Containment is the credential's floor, checked in the VFS walk: a
+   caller that canonicalizes a path and then uses it checks one walk and
+   acts through another. *)
+let test_canonicalize () =
+  let in_vfs path = String.starts_with ~prefix:"../lib/vfs/" path in
+  let calls = violations ~dirs:[ "../lib" ] ~matching:[ "canonicalize" ] in
+  check_none "canonicalize outside lib/vfs" (calls ~allowed:(fun path _ -> in_vfs path) ());
+  (* The scan must see the VFS define it, or it proves nothing. *)
+  Alcotest.(check bool) "Fs defines canonicalize" true
+    (calls ~allowed:(fun path _ -> not (in_vfs path)) () <> [])
+
 let test_hardware_reads () =
   let audit = "../lib/yanc/audit.ml" in
   let reads =
@@ -313,7 +327,8 @@ let () =
           Alcotest.test_case "two mutation-stream observers" `Quick
             test_subscribers;
           Alcotest.test_case "flow upsert" `Quick test_flow_update;
-          Alcotest.test_case "one topology reader" `Quick test_topology_reader ] );
+          Alcotest.test_case "one topology reader" `Quick test_topology_reader;
+          Alcotest.test_case "containment in the VFS walk" `Quick test_canonicalize ] );
       ( "one wire protocol",
         [ Alcotest.test_case "codecs only in lib/openflow" `Quick test_codecs;
           Alcotest.test_case "one version type" `Quick test_one_version_type ] );

@@ -357,6 +357,81 @@ let test_final_symlink_follow () =
   check_err "no follow past a file" Vfs.Errno.ENOTDIR
     (Fs.stat fs ~cred (p "/alias/lf/x"))
 
+(* A symlink target's ".." is resolved as POSIX has it: against the
+   link's own directory, and after a symlink in the target, against
+   where that symlink led. Lexical resolution would read the decoys. *)
+let test_symlink_dotdot () =
+  let fs = fresh () in
+  List.iter (fun d -> check_ok "mk" (Fs.mkdir_p fs ~cred (p d))) [ "/a/b/c"; "/a/c"; "/p/q/c" ];
+  check_ok "w" (Fs.write_file fs ~cred (p "/a/c/f") "right");
+  check_ok "w" (Fs.write_file fs ~cred (p "/a/b/c/f") "decoy");
+  check_ok "w" (Fs.write_file fs ~cred (p "/p/q/c/f") "decoy");
+  check_ok "ln" (Fs.symlink fs ~cred ~target:"../c" (p "/a/b/link"));
+  check_ok "ln" (Fs.symlink fs ~cred ~target:"/a/b" (p "/p/q/s"));
+  check_ok "ln" (Fs.symlink fs ~cred ~target:"s/../c" (p "/p/q/t"));
+  List.iter
+    (fun path ->
+      Alcotest.(check string) (path ^ ": read") "right"
+        (check_ok "read" (Fs.read_file fs ~cred (p (path ^ "/f"))));
+      Alcotest.(check string) (path ^ ": canonical") "/a/c"
+        (Path.to_string (check_ok "canon" (Fs.canonicalize fs ~cred (p path)))))
+    [ "/a/b/link"; "/p/q/t" ];
+  check_ok "ln" (Fs.symlink fs ~cred ~target:"../../../.." (p "/a/b/up"));
+  Alcotest.(check string) ".. stops at the root" "/"
+    (Path.to_string (check_ok "canon" (Fs.canonicalize fs ~cred (p "/a/b/up"))))
+
+(* --- credential floor ------------------------------------------------------- *)
+
+(* Root floored at /v: the path given, a handle held and every symlink
+   crossed must stay beneath /v, else EXDEV; inside, it is root. *)
+let floor_rig () =
+  let fs = fresh () in
+  List.iter (fun d -> check_ok "mk" (Fs.mkdir_p fs ~cred (p d))) [ "/v/d"; "/out" ];
+  check_ok "w" (Fs.write_file fs ~cred (p "/out/f") "master");
+  check_ok "w" (Fs.write_file fs ~cred (p "/v/d/f") "view");
+  List.iter
+    (fun (target, link) -> check_ok "ln" (Fs.symlink fs ~cred ~target (p link)))
+    [ "/out", "/v/abs"; "../out", "/v/rel"; "/v", "/v/self"; "self/../out", "/v/dots";
+      "/out/f", "/v/d/error"; "/v/d", "/v/in_abs"; "d", "/v/in_rel" ];
+  fs, Cred.beneath root (p "/v")
+
+let test_floor_escapes () =
+  let fs, floored = floor_rig () in
+  let exdev what r = check_err what Vfs.Errno.EXDEV r in
+  exdev "path outside" (Fs.read_file fs ~cred:floored (p "/out/f"));
+  exdev "absolute link out" (Fs.read_file fs ~cred:floored (p "/v/abs/f"));
+  exdev "relative link out" (Fs.read_file fs ~cred:floored (p "/v/rel/f"));
+  exdev ".. past the floor" (Fs.read_file fs ~cred:floored (p "/v/dots/f"));
+  exdev "write through a link" (Fs.write_file fs ~cred:floored (p "/v/d/error") "x");
+  exdev "mkdir through a link" (Fs.mkdir fs ~cred:floored (p "/v/abs/x"));
+  exdev "the floor's own entry" (Fs.rmdir fs ~cred:floored (p "/v"));
+  let out = check_ok "opendir" (Fs.opendir fs ~cred (p "/out")) in
+  exdev "handle outside" (Fs.readdir_at fs ~cred:floored out);
+  exdev "write through a handle" (Fs.write_file_at fs ~cred:floored out "g" "x");
+  let d = check_ok "opendir" (Fs.opendir fs ~cred:floored (p "/v/d")) in
+  exdev "link below a handle" (Fs.write_file_at fs ~cred:floored d "error" "x");
+  Alcotest.(check string) "master untouched" "master"
+    (check_ok "read" (Fs.read_file fs ~cred (p "/out/f")));
+  Alcotest.(check bool) "nothing made" false (Fs.exists fs ~cred (p "/out/x"))
+
+let test_floor_inside () =
+  let fs, floored = floor_rig () in
+  List.iter
+    (fun path ->
+      Alcotest.(check string) path "view"
+        (check_ok "read" (Fs.read_file fs ~cred:floored (p (path ^ "/f")))))
+    [ "/v/d"; "/v/in_abs"; "/v/in_rel"; "/v/self/d" ];
+  check_ok "write inside" (Fs.write_file fs ~cred:floored (p "/v/in_rel/g") "x");
+  check_ok "mkdir -p beneath" (Fs.mkdir_p fs ~cred:floored (p "/v/d/e/f"));
+  check_ok "list the floor" (Result.map ignore (Fs.readdir fs ~cred:floored (p "/v")));
+  (* Without a floor the same calls reach where the links point. *)
+  Alcotest.(check string) "unfloored" "master"
+    (check_ok "read" (Fs.read_file fs ~cred (p "/v/dots/f")));
+  let twice = Cred.beneath floored (p "/out") in
+  check_err "a floor only narrows" Vfs.Errno.EXDEV (Fs.read_file fs ~cred:twice (p "/out/f"));
+  Alcotest.(check string) "a deeper floor" "view"
+    (check_ok "read" (Fs.read_file fs ~cred:(Cred.beneath floored (p "/v/d")) (p "/v/d/f")))
+
 (* --- directory handles ------------------------------------------------------ *)
 
 (* The [*_at] twins of the two cases above. A handle opened through a
@@ -531,7 +606,11 @@ let () =
         [ Alcotest.test_case "symlinked parent journals canonical" `Quick
             test_symlinked_parent_journals_canonical;
           Alcotest.test_case "final symlink follow" `Quick
-            test_final_symlink_follow ] );
+            test_final_symlink_follow;
+          Alcotest.test_case "symlink .. is physical" `Quick test_symlink_dotdot ] );
+      ( "credential floor",
+        [ Alcotest.test_case "escapes are EXDEV" `Quick test_floor_escapes;
+          Alcotest.test_case "inside is unchanged" `Quick test_floor_inside ] );
       ( "directory handles",
         [ Alcotest.test_case "symlinked parent journals canonical (at)" `Quick
             test_symlinked_parent_journals_canonical_at;

@@ -663,7 +663,7 @@ let test_engine_late_switch () =
   ok
     (Result.map_error Vfs.Errno.to_string
        (Yancfs.Yanc_fs.add_switch yfs
-          ~name:(Yancfs.Yanc_fs.switch_name_of_dpid 77L) ~dpid:77L
+          ~cred:Vfs.Cred.root ~name:(Yancfs.Yanc_fs.switch_name_of_dpid 77L) ~dpid:77L
           ~protocol:"sim" ~n_buffers:256 ~n_tables:1 ~capabilities:[]
           ~actions:[]));
   Yanc.Controller.run_for r.ctl 0.5;

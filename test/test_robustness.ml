@@ -258,7 +258,7 @@ let prop_eventdir_exact_delivery =
       done;
       for e = 1 to events do
         ignore
-          (Y.Eventdir.publish fs ~root ~switch:"sw1" ~in_port:e
+          (Y.Eventdir.publish fs ~cred:Vfs.Cred.root ~root ~switch:"sw1" ~in_port:e
              ~reason:OF.Of_types.No_match ~buffer_id:None ~total_len:0 ~data:"")
       done;
       List.for_all

@@ -57,6 +57,18 @@ let test_echo_redirect_cat () =
   Alcotest.(check string) "append" "hello world\nmore\n" (out e "cat /d/f");
   Alcotest.(check string) "echo -n" "flat" (out e "echo -n flat")
 
+(* A stdin redirect that fails skips its command, as in bash. *)
+let test_failed_stdin_redirect () =
+  let e = env () in
+  ignore (out e "mkdir /d");
+  let r = run e "cat < /nope" in
+  Alcotest.(check int) "exit 1" 1 r.Shell.Pipeline.code;
+  Alcotest.(check string) "no output" "" r.Shell.Pipeline.out;
+  Alcotest.(check string) "error" "yash: /nope: No such file or directory\n"
+    r.Shell.Pipeline.err;
+  ignore (run e "tee /d/t < /nope");
+  Alcotest.(check bool) "command not run" false (Fs.exists e.Shell.Env.fs ~cred (p "/d/t"))
+
 let test_ls () =
   let e = env () in
   ignore (out e "mkdir -p /net/switches/sw1");
@@ -347,6 +359,7 @@ let () =
           Alcotest.test_case "glob matching" `Quick test_glob_matching ] );
       ( "commands",
         [ Alcotest.test_case "echo/redirect/cat" `Quick test_echo_redirect_cat;
+          Alcotest.test_case "failed stdin redirect" `Quick test_failed_stdin_redirect;
           Alcotest.test_case "ls" `Quick test_ls;
           Alcotest.test_case "mkdir/rm" `Quick test_mkdir_rm;
           Alcotest.test_case "cp/mv" `Quick test_cp_mv;

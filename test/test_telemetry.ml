@@ -338,7 +338,7 @@ let test_bare_yancfs_reports_vfs_series () =
   let fs = Fs.create () in
   let yfs = Yancfs.Yanc_fs.create fs in
   ignore
-    (Yancfs.Yanc_fs.add_switch yfs ~name:"sw1" ~dpid:1L ~protocol:"openflow10"
+    (Yancfs.Yanc_fs.add_switch yfs ~cred:Vfs.Cred.root ~name:"sw1" ~dpid:1L ~protocol:"openflow10"
        ~n_buffers:0 ~n_tables:1 ~capabilities:[] ~actions:[]);
   let snap = T.Registry.snapshot (T.registry (Yancfs.Yanc_fs.telemetry yfs)) in
   let fs_snap = T.Registry.snapshot (Fs.registry fs) in

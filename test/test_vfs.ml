@@ -441,7 +441,7 @@ let test_replay_replicates () =
 
 let test_replay_idempotent () =
   let fs = fresh () in
-  let op = Vfs.Op.Mkdir { path = p "/d"; mode = 0o755 } in
+  let op = Vfs.Op.Mkdir { path = p "/d"; mode = 0o755; uid = 0; gid = 0 } in
   check_ok "first" (Fs.replay fs op);
   check_ok "second" (Fs.replay fs op);
   check_ok "unlink missing ok" (Fs.replay fs (Vfs.Op.Unlink { path = p "/nope" }))

@@ -451,8 +451,9 @@ let counters_of yfs ~switch name =
 
 (* Every packet-out request queued on a master switch, drained. *)
 let packet_outs yfs switch =
-  Y.Outdir.consume (Y.Yanc_fs.fs yfs) ~root:(Y.Yanc_fs.root yfs) ~switch
+  Y.Outdir.consume (Y.Yanc_fs.fs yfs) ~cred ~root:(Y.Yanc_fs.root yfs) ~switch
     ~on_error:(fun e -> Alcotest.failf "rmdir: %s" (Vfs.Errno.to_string e))
+  |> Result.get_ok
   |> List.map (fun (r : Y.Outdir.request) -> r.actions)
 
 let submit yfs ~switch acts =
@@ -509,7 +510,8 @@ let test_slice_packet_out () =
   Alcotest.(check (list actions)) "in-slice port forwarded, other dropped"
     [ out 1 ] (packet_outs master "sw1");
   Alcotest.(check int) "view spool drained" 0
-    (Y.Outdir.pending (Y.Yanc_fs.fs vy) ~root:(Y.Yanc_fs.root vy) ~switch:"sw1");
+    (Result.get_ok
+       (Y.Outdir.pending (Y.Yanc_fs.fs vy) ~cred ~root:(Y.Yanc_fs.root vy) ~switch:"sw1"));
   check_fsck ctl
 
 let test_slice_recommit () =
@@ -675,6 +677,331 @@ let test_slice_switch_symlink () =
   Alcotest.(check int) "master flows flat" before
     (List.length (Y.Yanc_fs.flow_names master ~cred "sw1"));
   Alcotest.(check bool) "skips counted" true (app_fs_errors ctl > errors0)
+
+(* --- containment ---------------------------------------------------------------- *)
+
+let tenant = Vfs.Cred.make ~uid:1000 ~gid:1000 ()
+
+let must what = function
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%s: %s" what (Vfs.Errno.to_string e)
+
+(* Every object under [path], without following symlinks, as (path,
+   kind, mode, owner, bytes): what a byte-identical compare needs. *)
+let snapshot ?(keep = fun _ -> true) fs path =
+  must "fold"
+    (Fs.fold fs ~cred path ~init:[] (fun acc p (st : Fs.stat) ->
+         if not (keep p) then (acc, `Skip_subtree)
+         else
+           let bytes =
+             if st.kind = Fs.File then Result.value (Fs.read_file fs ~cred p) ~default:"?"
+             else ""
+           in
+           ((Vfs.Path.to_string p, st.kind = Fs.Dir, st.mode, st.uid, st.gid, bytes) :: acc,
+            `Continue)))
+
+let web =
+  { OF.Of_match.any with
+    OF.Of_match.dl_type = Some 0x0800; nw_proto = Some 6; tp_dst = Some 80 }
+
+(* The ssh slice of sw1, its view provisioned to [tenant], and a master
+   flow [base] outside the slice's flowspace. *)
+let tenant_slice () =
+  let built = N.Topo_gen.linear ~hosts_per_switch:2 1 in
+  let ctl = controller built in
+  Yanc.Controller.run_for ctl 0.3;
+  let master = Yanc.Controller.yfs ctl in
+  let slicer =
+    Result.get_ok
+      (Views.Slicer.create ~master
+         { Views.Slicer.view = "v"; switches = [ "sw1", [] ];
+           flowspace = ssh_flowspace; priority_cap = 30000 })
+  in
+  Yanc.Controller.add_app ctl (Views.Slicer.app slicer);
+  let vy = Result.get_ok (Views.Namespace.provision master ~view:"v" ~owner:tenant) in
+  commit master ~switch:"sw1" ~name:"base" ~of_match:web (out 2);
+  Yanc.Controller.run_for ctl 0.3;
+  built, ctl, master, vy, Y.Layout.flow ~root:(Y.Yanc_fs.root master) ~switch:"sw1" "base"
+
+(* The engine's run under [ctl] leaves the master's [base] as it was,
+   counts what it refused, and hardware still matches. *)
+let base_kept ctl master base =
+  let mfs = Y.Yanc_fs.fs master in
+  let before = snapshot mfs base and errors0 = app_fs_errors ctl in
+  Yanc.Controller.run_for ctl 0.5;
+  Alcotest.(check bool) "master base byte-identical" true (snapshot mfs base = before);
+  Alcotest.(check bool) "EXDEV counted" true (app_fs_errors ctl > errors0);
+  check_fsck ctl
+
+(* A tenant's view flow whose error file is a symlink to a master flow
+   file: the rejection the engine reports is not written through it. *)
+let test_error_file_symlink () =
+  let _, ctl, master, vy, base = tenant_slice () in
+  (match
+     Y.Yanc_fs.upsert_flow vy ~cred:tenant ~switch:"sw1" ~name:"f"
+       { Y.Flowdir.default with Y.Flowdir.of_match = web; actions = out 1; priority = 100 }
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "commit: %s" e);
+  must "symlink"
+    (Fs.symlink (Y.Yanc_fs.fs vy) ~cred:tenant
+       ~target:(Vfs.Path.to_string (Vfs.Path.child base "priority"))
+       (Vfs.Path.child (Y.Layout.flow ~root:(Y.Yanc_fs.root vy) ~switch:"sw1" "f") "error"));
+  base_kept ctl master base
+
+(* A tenant's view flow directory that is a symlink to a master flow:
+   nothing is read from it, and no error file is written into it. *)
+let test_flow_dir_symlink () =
+  let _, ctl, master, vy, base = tenant_slice () in
+  must "symlink"
+    (Fs.symlink (Y.Yanc_fs.fs vy) ~cred:tenant ~target:(Vfs.Path.to_string base)
+       (Y.Layout.flow ~root:(Y.Yanc_fs.root vy) ~switch:"sw1" "x"));
+  base_kept ctl master base
+
+(* A tenant that moves its events/ elsewhere in the view and links it
+   back still gets its packet-ins: the link stays beneath the view. *)
+let test_events_dir_symlink () =
+  let built, ctl, _, vy, _ = tenant_slice () in
+  let vfs = Y.Yanc_fs.fs vy and vroot = Y.Yanc_fs.root vy in
+  let events = Y.Layout.events_dir ~root:vroot "sw1" and moved = Vfs.Path.child vroot "moved" in
+  must "subscribe" (Y.Eventdir.subscribe vfs ~cred:tenant ~root:vroot ~switch:"sw1" ~app:"tenant");
+  must "rename" (Fs.rename vfs ~cred:tenant ~src:events ~dst:moved);
+  must "symlink" (Fs.symlink vfs ~cred:tenant ~target:(Vfs.Path.to_string moved) events);
+  syn built;
+  Yanc.Controller.run_for ctl 0.5;
+  Alcotest.(check int) "delivered through the link" 1
+    (List.length (drain_view vy ~cred:tenant ~app:"tenant"))
+
+(* Provisioning a view again does not give away what a symlink the
+   owner left in it points at. *)
+let test_reprovision_symlink () =
+  let _, ctl, master, vy, _ = tenant_slice () in
+  let msw = Y.Layout.switch ~root:(Y.Yanc_fs.root master) "sw1" in
+  must "symlink"
+    (Fs.symlink (Y.Yanc_fs.fs vy) ~cred:tenant ~target:(Vfs.Path.to_string msw)
+       (Vfs.Path.child (Y.Yanc_fs.root vy) "x"));
+  let errors0 = app_fs_errors ctl in
+  ignore (must "provision" (Views.Namespace.provision master ~view:"v" ~owner:tenant));
+  Alcotest.(check int) "master switch still root's" 0
+    (must "stat" (Fs.stat (Y.Yanc_fs.fs master) ~cred msw)).Fs.uid;
+  Alcotest.(check bool) "refusal counted" true (app_fs_errors ctl > errors0)
+
+(* The seeded adversary. Between engine runs the tenant commits flows,
+   queues a packet-out, subscribes to its events, and replaces one or
+   two directories or files of its view with symlinks: to master paths,
+   to another view, by relative ".." chains, or by a chain that stays
+   inside the view lexically and leaves it physically. During each
+   engine run every op journalled on the file system must lie under the
+   view root, under a master flow the engine names, under a master
+   packet_out/, or in the engine's own packet-in buffer on the master,
+   which its drain consumes; every other master flow stays
+   byte-identical, and the network fsck holds at the end. *)
+type adversary = {
+  ctl : Yanc.Controller.t;
+  built : N.Topo_gen.built;
+  master : Y.Yanc_fs.t;
+  vy : Y.Yanc_fs.t;
+  run : unit -> unit;
+  engine : string;  (* its packet-in buffer on the master *)
+  named : string;  (* the prefix of the master flows it installs *)
+  ports : int;  (* view ports 1..ports are valid outputs *)
+}
+
+let adversary_rig ~big =
+  let built = N.Topo_gen.linear ~hosts_per_switch:2 2 in
+  let ctl = controller built in
+  let master = Yanc.Controller.yfs ctl in
+  let topo = Apps.Topology.create master in
+  Yanc.Controller.add_app ctl (Apps.Topology.app topo);
+  Yanc.Controller.run_for ctl 1.5;
+  List.iter
+    (fun sw -> commit master ~switch:sw ~name:"base" ~of_match:web (out 1))
+    (Y.Yanc_fs.switch_names master);
+  let other = Result.get_ok (Y.Yanc_fs.in_view master ~cred "other") in
+  must "other view"
+    (Y.Yanc_fs.add_switch other ~cred ~name:"osw" ~dpid:9L ~protocol:"virtual"
+       ~n_buffers:0 ~n_tables:1 ~capabilities:[] ~actions:[]);
+  let now () = Yanc.Controller.now ctl in
+  let run, engine, named, ports =
+    if big then
+      let b = Result.get_ok (Views.Big_switch.create ~master ~view:"v" ()) in
+      (fun () -> Views.Big_switch.run b ~now:(now ())), "bigswitch-v", "v.v.", 4
+    else
+      let s =
+        Result.get_ok
+          (Views.Slicer.create ~master
+             { Views.Slicer.view = "v"; switches = [ "sw1", []; "sw2", [] ];
+               flowspace = { OF.Of_match.any with OF.Of_match.dl_type = Some 0x0800;
+                             nw_proto = Some 6 };
+               priority_cap = 30000 })
+      in
+      (fun () -> Views.Slicer.run s ~now:(now ())), "slicer-v", "s.v.", 3
+  in
+  run ();
+  let vy = Result.get_ok (Views.Namespace.provision master ~view:"v" ~owner:tenant) in
+  { ctl; built; master; vy; run; engine; named; ports }
+
+let rel_of ~root p =
+  Option.map Vfs.Path.components (Vfs.Path.strip_prefix ~prefix:root p)
+
+(* What the tenant may swap for a symlink: switch directories, their
+   flows/, packet_out/, events/ and ports/, flow directories, a flow's
+   error and counters/, port directories. *)
+let victims a =
+  let vroot = Y.Yanc_fs.root a.vy in
+  snapshot (Y.Yanc_fs.fs a.vy) vroot
+  |> List.filter_map (fun (path, _, _, _, _, _) ->
+         let path = Vfs.Path.of_string_exn path in
+         match rel_of ~root:vroot path with
+         | Some
+             ( [ "switches"; _ ]
+             | [ "switches"; _; ("flows" | "packet_out" | "events" | "ports") ]
+             | [ "switches"; _; "flows"; _ ]
+             | [ "switches"; _; "flows"; _; ("error" | "counters") ]
+             | [ "switches"; _; "ports"; _ ] ) ->
+           Some path
+         | Some _ | None -> None)
+
+let pick rng l = List.nth l (Random.State.int rng (List.length l))
+
+let targets a link =
+  let mroot = Y.Yanc_fs.root a.master and vroot = Y.Yanc_fs.root a.vy in
+  let up_from dir root =
+    String.concat "" (List.init (List.length (Vfs.Path.components dir)
+                                 - List.length (Vfs.Path.components root)) (fun _ -> "../"))
+  in
+  let dir = Option.get (Vfs.Path.parent link) in
+  let into_master =
+    [ "switches/sw1"; "switches/sw1/flows"; "switches/sw1/flows/base";
+      "switches/sw1/flows/base/priority"; "switches/sw2/packet_out"; "switches/sw2/events";
+      "views/other/switches/osw"; "views/other/switches/osw/flows" ]
+  in
+  List.map (fun r -> Vfs.Path.to_string mroot ^ "/" ^ r) into_master
+  @ List.map (fun r -> up_from dir mroot ^ r) into_master
+  @ List.map (fun r -> up_from dir vroot ^ "deep/s/../../" ^ r) into_master
+
+let tenant_round rng a =
+  let vfs = Y.Yanc_fs.fs a.vy and vroot = Y.Yanc_fs.root a.vy in
+  let switches = Y.Yanc_fs.switch_names a.vy in
+  if switches <> [] then begin
+    let switch = pick rng switches in
+    for i = 0 to 5 do
+      let flow =
+        { Y.Flowdir.default with
+          Y.Flowdir.of_match =
+            { OF.Of_match.any with OF.Of_match.dl_type = Some 0x0800;
+              nw_proto = Some (if Random.State.bool rng then 6 else 17);
+              tp_dst = Some (Random.State.int rng 1000) };
+          actions = out (1 + Random.State.int rng (a.ports + 2));
+          priority = 100 }
+      in
+      ignore (Y.Yanc_fs.upsert_flow a.vy ~cred:tenant ~switch ~name:(Printf.sprintf "f%d" i) flow)
+    done;
+    ignore
+      (Y.Outdir.submit vfs ~cred:tenant ~root:vroot ~switch
+         ~actions:(out (1 + Random.State.int rng a.ports)) ~data:"frame" ());
+    ignore (Y.Eventdir.subscribe vfs ~cred:tenant ~root:vroot ~switch ~app:"tenant")
+  end;
+  for _ = 1 to 1 + Random.State.int rng 2 do
+    match victims a with
+    | [] -> ()
+    | vs ->
+      let victim = pick rng vs in
+      let gone =
+        match Fs.lstat vfs ~cred:tenant victim with
+        | Ok { Fs.kind = Fs.Dir; _ } -> Fs.rmdir ~recursive:true vfs ~cred:tenant victim
+        | Ok _ -> Fs.unlink vfs ~cred:tenant victim
+        | Error _ as e -> Result.map ignore e
+      in
+      if Result.is_ok gone then
+        ignore (Fs.symlink vfs ~cred:tenant ~target:(pick rng (targets a victim)) victim)
+  done
+
+(* What the driver does between engine runs, forced: fresh counters on
+   every flow the engine installed, and a host port flipped, so the
+   engine copies counters and rewrites its ports on its next run. *)
+let network_round rng a round =
+  let mfs = Y.Yanc_fs.fs a.master and mroot = Y.Yanc_fs.root a.master in
+  List.iter
+    (fun (sw, name) ->
+      ignore
+        (Result.map
+           (fun d ->
+             Y.Flowdir.write_counters ~flow:name mfs ~cred d ~packets:(Int64.of_int round)
+               ~bytes:(Int64.of_int (100 * round)) ~duration_s:round)
+           (Y.Yanc_fs.open_flows a.master ~cred sw)))
+    (flows_of a.master ~prefix:a.named);
+  let sw = pick rng [ "sw1"; "sw2" ] and port = 1 + Random.State.int rng 2 in
+  let file = Y.Layout.port_attr ~root:mroot ~switch:sw ~port Y.Layout.config_port_down in
+  let down = Fs.read_file mfs ~cred file = Ok "1" in
+  must "port flip" (Fs.write_file mfs ~cred file (if down then "0" else "1"))
+
+let engine_round a ~journal =
+  let mroot = Y.Yanc_fs.root a.master and vroot = Y.Yanc_fs.root a.vy in
+  let switches = Y.Layout.switches_dir ~root:mroot in
+  let engines p =
+    match rel_of ~root:switches p with
+    | Some (_ :: "flows" :: name :: _) -> String.starts_with ~prefix:a.named name
+    | Some (_ :: "packet_out" :: _ :: _) -> true
+    | Some (_ :: "events" :: app :: _ :: _) -> app = a.engine
+    | Some _ | None -> false
+  in
+  let allowed p = Vfs.Path.is_prefix vroot p || engines p in
+  let others () =
+    snapshot (Y.Yanc_fs.fs a.master) switches ~keep:(fun p ->
+        match rel_of ~root:switches p with
+        | Some ([] | [ _ ] | [ _; "flows" ]) -> true
+        | Some (_ :: "flows" :: name :: _) -> not (String.starts_with ~prefix:a.named name)
+        | Some _ | None -> false)
+  in
+  let before = others () in
+  journal := [];
+  a.run ();
+  let ops = !journal in
+  journal := [];
+  List.iter
+    (fun op ->
+      let paths =
+        match (op : Vfs.Op.t) with
+        | Rename { src; dst } -> [ src; dst ]
+        | op -> [ Vfs.Op.path op ]
+      in
+      if not (List.for_all allowed paths) then
+        Alcotest.failf "engine op outside the view: %a" Vfs.Op.pp op)
+    (List.rev ops);
+  if others () <> before then Alcotest.fail "a master flow the engine does not name changed"
+
+let adversary ~big seed =
+  let a = adversary_rig ~big in
+  let rng = Random.State.make [| seed |] in
+  let journal = ref [] and on = ref false in
+  ignore (Fs.subscribe (Y.Yanc_fs.fs a.master) (fun op -> if !on then journal := op :: !journal));
+  let vfs = Y.Yanc_fs.fs a.vy and vroot = Y.Yanc_fs.root a.vy in
+  must "deep" (Fs.mkdir vfs ~cred:tenant (Vfs.Path.child vroot "deep"));
+  must "deep/s"
+    (Fs.symlink vfs ~cred:tenant ~target:(Vfs.Path.to_string vroot)
+       (Vfs.Path.of_components (Vfs.Path.components vroot @ [ "deep"; "s" ])));
+  let errors0 = app_fs_errors a.ctl in
+  for round = 1 to 3 do
+    tenant_round rng a;
+    syn a.built;
+    Yanc.Controller.run_for a.ctl 0.2;
+    network_round rng a round;
+    on := true;
+    engine_round a ~journal;
+    on := false;
+    Yanc.Controller.run_for a.ctl 0.2
+  done;
+  check_fsck a.ctl;
+  app_fs_errors a.ctl - errors0
+
+let adversary_seeds ~big () =
+  let refused = ref 0 in
+  for seed = 1 to 200 do
+    refused := !refused + adversary ~big seed
+  done;
+  (* The adversary must have been refused, or it proved nothing. *)
+  Alcotest.(check bool) "escapes refused and counted" true (!refused > 0)
 
 let real bigsw v = List.assoc v (Views.Big_switch.port_map bigsw)
 
@@ -871,4 +1198,13 @@ let () =
           Alcotest.test_case "big switch re-commit" `Quick test_bigswitch_recommit;
           Alcotest.test_case "big switch re-created flow" `Quick
             test_bigswitch_recreated;
-          Alcotest.test_case "big switch poll cost" `Quick test_bigswitch_poll_cost ] ) ]
+          Alcotest.test_case "big switch poll cost" `Quick test_bigswitch_poll_cost ] );
+      ( "containment",
+        [ Alcotest.test_case "error file symlink" `Quick test_error_file_symlink;
+          Alcotest.test_case "flow directory symlink" `Quick test_flow_dir_symlink;
+          Alcotest.test_case "re-provision symlink" `Quick test_reprovision_symlink;
+          Alcotest.test_case "events directory symlink" `Quick test_events_dir_symlink;
+          Alcotest.test_case "slicer adversary, 200 seeds" `Quick
+            (adversary_seeds ~big:false);
+          Alcotest.test_case "big switch adversary, 200 seeds" `Quick
+            (adversary_seeds ~big:true) ] ) ]

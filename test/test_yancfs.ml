@@ -173,9 +173,9 @@ let test_port_down_file () =
   let info =
     OF.Of_types.Port_info.make ~port_no:2 ~hw_addr:(Packet.Mac.of_int 0x020000000002) ()
   in
-  ok (Y.Yanc_fs.add_switch yfs ~name:"sw1" ~dpid:1L ~protocol:"openflow10"
+  ok (Y.Yanc_fs.add_switch yfs ~cred:Vfs.Cred.root ~name:"sw1" ~dpid:1L ~protocol:"openflow10"
         ~n_buffers:256 ~n_tables:1 ~capabilities:[] ~actions:[]);
-  ok (Y.Yanc_fs.set_port yfs ~switch:"sw1" info);
+  ok (Y.Yanc_fs.set_port yfs ~cred:Vfs.Cred.root ~switch:"sw1" info);
   (* echo 1 > port_2/config.port_down *)
   ok
     (Fs.write_file fs ~cred
@@ -183,7 +183,7 @@ let test_port_down_file () =
   let back = ok (Y.Yanc_fs.read_port yfs ~cred ~switch:"sw1" 2) in
   Alcotest.(check bool) "admin down read back" true back.OF.Of_types.Port_info.admin_down;
   (* the driver refreshing the port must NOT clobber the admin setting *)
-  ok (Y.Yanc_fs.set_port yfs ~switch:"sw1" info);
+  ok (Y.Yanc_fs.set_port yfs ~cred:Vfs.Cred.root ~switch:"sw1" info);
   let back2 = ok (Y.Yanc_fs.read_port yfs ~cred ~switch:"sw1" 2) in
   Alcotest.(check bool) "admin setting preserved" true
     back2.OF.Of_types.Port_info.admin_down
@@ -205,7 +205,7 @@ let sample_flow =
 
 let test_flowdir_roundtrip () =
   let fs, yfs = setup () in
-  ok (Y.Yanc_fs.add_switch yfs ~name:"sw1" ~dpid:1L ~protocol:"openflow10"
+  ok (Y.Yanc_fs.add_switch yfs ~cred:Vfs.Cred.root ~name:"sw1" ~dpid:1L ~protocol:"openflow10"
         ~n_buffers:256 ~n_tables:1 ~capabilities:[] ~actions:[]);
   ok (Y.Yanc_fs.create_flow yfs ~cred ~switch:"sw1" ~name:"ssh" sample_flow);
   let dir = Y.Layout.flow ~root:net ~switch:"sw1" "ssh" in
@@ -257,12 +257,12 @@ let test_flowdir_version_readback () =
   ok (Fs.mkdir fs ~cred dir);
   let d = ok (Fs.opendir fs ~cred dir) in
   Alcotest.(check (option int)) "no version yet" None
-    (Y.Flowdir.read_version fs ~cred d);
+    (ok (Y.Flowdir.read_version fs ~cred d));
   ok (Y.Flowdir.write fs ~cred d sample_flow);
-  Alcotest.(check (option int)) "bumped" (Some 1) (Y.Flowdir.read_version fs ~cred d);
+  Alcotest.(check (option int)) "bumped" (Some 1) (ok (Y.Flowdir.read_version fs ~cred d));
   ok (Y.Flowdir.write fs ~cred d { sample_flow with Y.Flowdir.version = 1 });
   Alcotest.(check (option int)) "bumped again" (Some 2)
-    (Y.Flowdir.read_version fs ~cred d)
+    (ok (Y.Flowdir.read_version fs ~cred d))
 
 let test_flowdir_rewrite_removes_stale_fields () =
   let fs, yfs = setup () in
@@ -331,7 +331,7 @@ let test_upsert_flow () =
        = Ok (out port).actions
   in
   let version () =
-    Y.Flowdir.read_version fs ~cred (ok (Y.Yanc_fs.open_flow yfs ~cred ~switch:"sw1" "f"))
+    ok (Y.Flowdir.read_version fs ~cred (ok (Y.Yanc_fs.open_flow yfs ~cred ~switch:"sw1" "f")))
   in
   ok_s (Y.Yanc_fs.upsert_flow yfs ~cred ~switch:"sw1" ~name:"f" (out 1));
   Driver.Manager.run_control mgr ~now:1.;
@@ -500,7 +500,7 @@ let prop_pktin_matches_queue =
 let rmdir_failed e = Alcotest.failf "event rmdir: %s" (Vfs.Errno.to_string e)
 
 let publish fs ~switch data =
-  Y.Eventdir.publish fs ~root:net ~switch ~in_port:3
+  Y.Eventdir.publish fs ~cred:Vfs.Cred.root ~root:net ~switch ~in_port:3
     ~reason:Openflow.Of_types.No_match ~buffer_id:(Some 9l)
     ~total_len:(String.length data) ~data
 
@@ -640,10 +640,11 @@ let test_outdir_roundtrip () =
       (Y.Outdir.submit fs ~cred ~root:net ~switch:"sw1" ~buffer_id:5l
          ~actions:[ OF.Action.Output (OF.Action.Physical 1) ] ~data:"" ())
   in
-  Alcotest.(check int) "pending" 2 (Y.Outdir.pending fs ~root:net ~switch:"sw1");
+  Alcotest.(check int) "pending" 2 (ok (Y.Outdir.pending fs ~cred ~root:net ~switch:"sw1"));
   (match
-     Y.Outdir.consume fs ~root:net ~switch:"sw1"
-       ~on_error:(fun e -> Alcotest.fail (Vfs.Errno.message e))
+     ok
+       (Y.Outdir.consume fs ~cred ~root:net ~switch:"sw1"
+          ~on_error:(fun e -> Alcotest.fail (Vfs.Errno.message e)))
    with
   | [ r1; r2 ] ->
     Alcotest.(check int) "order" seq1 r1.Y.Outdir.seq;
@@ -651,14 +652,14 @@ let test_outdir_roundtrip () =
     Alcotest.(check string) "data" "bytes" r1.Y.Outdir.data;
     Alcotest.(check (option int32)) "buffer" (Some 5l) r2.Y.Outdir.buffer_id
   | l -> Alcotest.failf "expected 2 requests, got %d" (List.length l));
-  Alcotest.(check int) "drained" 0 (Y.Outdir.pending fs ~root:net ~switch:"sw1")
+  Alcotest.(check int) "drained" 0 (ok (Y.Outdir.pending fs ~cred ~root:net ~switch:"sw1"))
 
 (* --- views ---------------------------------------------------------------------------------- *)
 
 let test_in_view_is_full_root () =
   let _, yfs = setup () in
   let vy = ok (Y.Yanc_fs.in_view yfs ~cred "tenant") in
-  ok (Y.Yanc_fs.add_switch vy ~name:"vsw" ~dpid:9L ~protocol:"virtual"
+  ok (Y.Yanc_fs.add_switch vy ~cred:Vfs.Cred.root ~name:"vsw" ~dpid:9L ~protocol:"virtual"
         ~n_buffers:0 ~n_tables:1 ~capabilities:[] ~actions:[]);
   Alcotest.(check (list string)) "switch in view" [ "vsw" ] (Y.Yanc_fs.switch_names vy);
   Alcotest.(check (list string)) "master unaffected" [] (Y.Yanc_fs.switch_names yfs);
@@ -673,10 +674,10 @@ let test_host_records () =
   let _, yfs = setup () in
   let mac = Packet.Mac.of_int 0x020000000001 in
   let ip = Packet.Ipv4_addr.of_string "10.0.0.1" in
-  ok (Y.Yanc_fs.add_switch yfs ~name:"sw1" ~dpid:1L ~protocol:"openflow10"
+  ok (Y.Yanc_fs.add_switch yfs ~cred:Vfs.Cred.root ~name:"sw1" ~dpid:1L ~protocol:"openflow10"
         ~n_buffers:0 ~n_tables:1 ~capabilities:[] ~actions:[]);
   ok
-    (Y.Yanc_fs.set_port yfs ~switch:"sw1"
+    (Y.Yanc_fs.set_port yfs ~cred:Vfs.Cred.root ~switch:"sw1"
        (OF.Of_types.Port_info.make ~port_no:1 ~hw_addr:mac ()));
   ok
     (Y.Yanc_fs.upsert_host yfs ~cred ~name:"h1" ~mac ~ip
@@ -690,10 +691,10 @@ let test_peer_roundtrip () =
   let _, yfs = setup () in
   List.iter
     (fun name ->
-      ok (Y.Yanc_fs.add_switch yfs ~name ~dpid:1L ~protocol:"openflow10"
+      ok (Y.Yanc_fs.add_switch yfs ~cred:Vfs.Cred.root ~name ~dpid:1L ~protocol:"openflow10"
             ~n_buffers:0 ~n_tables:1 ~capabilities:[] ~actions:[]);
       ok
-        (Y.Yanc_fs.set_port yfs ~switch:name
+        (Y.Yanc_fs.set_port yfs ~cred:Vfs.Cred.root ~switch:name
            (OF.Of_types.Port_info.make ~port_no:1
               ~hw_addr:(Packet.Mac.of_int 0x02) ())))
     [ "sw1"; "sw2" ];
