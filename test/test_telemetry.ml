@@ -441,6 +441,46 @@ let storm_series () =
     > 0);
   metric_names (read_proc ctl "metrics")
 
+(* A renderer that numbers each spool's records from the first one it
+   sees: the packet-out and event counters are process-wide, so the
+   tests before a golden move them. *)
+let rebased () =
+  let first = Hashtbl.create 2 in
+  let rebase spool n =
+    match int_of_string_opt n with
+    | None -> n
+    | Some n ->
+      if not (Hashtbl.mem first spool) then Hashtbl.replace first spool n;
+      string_of_int (n - Hashtbl.find first spool)
+  in
+  let rec go = function
+    | "packet_out" :: n :: rest -> "packet_out" :: rebase `Out n :: go rest
+    | "events" :: app :: n :: rest -> "events" :: app :: rebase `Event n :: go rest
+    | c :: rest -> c :: go rest
+    | [] -> []
+  in
+  fun line ->
+    String.split_on_char ' ' line
+    |> List.map (fun w -> String.concat "/" (go (String.split_on_char '/' w)))
+    |> String.concat " "
+
+(* The ops journalled on [fs] while [f] runs: their count and one
+   digest of them rendered, a write with its bytes. *)
+let op_stream ?(render = Fun.id) fs f =
+  let buf = Buffer.create 4096 and ops = ref 0 in
+  let hook =
+    Fs.subscribe fs (fun op ->
+        incr ops;
+        Buffer.add_string buf (render (Format.asprintf "%a" Vfs.Op.pp op));
+        (match op with
+        | Vfs.Op.Write { data; _ } -> Buffer.add_string buf data
+        | _ -> ());
+        Buffer.add_char buf '\n')
+  in
+  f ();
+  Fs.unsubscribe fs hook;
+  (!ops, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* The journalled op stream of a toy storm episode, as one digest: a
    k=4 ecmpd storm of 120 arrivals, then a tail past one stats poll so
    the driver's counter writeback is in it too. Every op from the
@@ -451,44 +491,64 @@ let storm_op_stream () =
   let built = N.Topo_gen.fat_tree ~k:4 () in
   let net = built.N.Topo_gen.net in
   let ctl = Yanc.Controller.create ~net () in
-  let fs = Yanc.Controller.fs ctl in
-  let buf = Buffer.create 4096 and ops = ref 0 in
-  let hook =
-    Fs.subscribe fs (fun op ->
-        incr ops;
-        Buffer.add_string buf (Format.asprintf "%a" Vfs.Op.pp op);
-        (match op with
-        | Vfs.Op.Write { data; _ } -> Buffer.add_string buf data
-        | _ -> ());
-        Buffer.add_char buf '\n')
-  in
-  Yanc.Controller.attach_switches ctl;
-  Yanc.Controller.run_for ctl 0.6;
-  let yfs = Yanc.Controller.yfs ctl in
-  golden_provision yfs net;
-  Yanc.Controller.add_app ctl
-    (Apps.Ecmp_router.app (Apps.Ecmp_router.create yfs));
-  let wl =
-    N.Workload.create ~start:(N.Network.now net) ~seed:0x0D16E57
-      ~hosts:(List.length built.N.Topo_gen.host_names) ()
-  in
-  let injected = ref 0 in
-  while !injected < 120 do
-    injected :=
-      !injected + N.Workload.inject_until wl ~net ~upto:(N.Network.now net);
-    Yanc.Controller.step ctl;
-    N.Network.run net;
-    if N.Network.pending_events net = 0 then N.Network.advance_idle net 0.005
-  done;
-  Yanc.Controller.run_for ~tick:0.05 ctl 5.5;
-  Fs.unsubscribe fs hook;
-  (!ops, Digest.to_hex (Digest.string (Buffer.contents buf)))
+  op_stream (Yanc.Controller.fs ctl) (fun () ->
+      Yanc.Controller.attach_switches ctl;
+      Yanc.Controller.run_for ctl 0.6;
+      let yfs = Yanc.Controller.yfs ctl in
+      golden_provision yfs net;
+      Yanc.Controller.add_app ctl
+        (Apps.Ecmp_router.app (Apps.Ecmp_router.create yfs));
+      let wl =
+        N.Workload.create ~start:(N.Network.now net) ~seed:0x0D16E57
+          ~hosts:(List.length built.N.Topo_gen.host_names) ()
+      in
+      let injected = ref 0 in
+      while !injected < 120 do
+        injected :=
+          !injected + N.Workload.inject_until wl ~net ~upto:(N.Network.now net);
+        Yanc.Controller.step ctl;
+        N.Network.run net;
+        if N.Network.pending_events net = 0 then N.Network.advance_idle net 0.005
+      done;
+      Yanc.Controller.run_for ~tick:0.05 ctl 5.5)
 
 let test_storm_op_stream_golden () =
   let ops, digest = storm_op_stream () in
   Alcotest.(check int) "ops journalled" 24772 ops;
   Alcotest.(check string) "op stream digest"
     "039ea479fee1aa932091eaab5d27d33e" digest
+
+(* The op stream of a network whose apps subscribe to packet-ins:
+   topologyd and arpd on linear:2 for 5 sim s, with one ARP request
+   from h1 for h2 on the way. Every LLDP probe and the ARP answer go
+   out through packet_out/, and every packet-in is published into both
+   apps' events/ buffers, so the digest pins what the two spools write,
+   where and in which order. *)
+let subscriber_op_stream () =
+  let built = N.Topo_gen.linear 2 in
+  let net = built.N.Topo_gen.net in
+  let ctl = Yanc.Controller.create ~net () in
+  op_stream ~render:(rebased ()) (Yanc.Controller.fs ctl) (fun () ->
+      Yanc.Controller.attach_switches ctl;
+      let yfs = Yanc.Controller.yfs ctl in
+      Yanc.Controller.add_app ctl (Apps.Topology.app (Apps.Topology.create yfs));
+      Yanc.Controller.add_app ctl (Apps.Arp_daemon.app (Apps.Arp_daemon.create yfs));
+      ignore
+        (Yancfs.Yanc_fs.upsert_host yfs ~cred ~name:"h2" ~mac:(N.Topo_gen.host_mac 2)
+           ~ip:(Some (N.Topo_gen.host_ip 2)) ());
+      Yanc.Controller.run_for ctl 2.0;
+      let h1 = Option.get (N.Network.host net "h1") in
+      N.Network.send_from_host net "h1"
+        [ N.Sim_host.arp_probe h1 ~target:(N.Topo_gen.host_ip 2) ];
+      Yanc.Controller.run_for ctl 3.0;
+      Alcotest.(check bool) "arpd answered" true
+        (List.mem_assoc (N.Topo_gen.host_ip 2) (N.Sim_host.arp_cache h1)))
+
+let test_subscriber_op_stream_golden () =
+  let ops, digest = subscriber_op_stream () in
+  Alcotest.(check int) "ops journalled" 599 ops;
+  Alcotest.(check string) "op stream digest"
+    "9184778c800994ab6513091429a00e38" digest
 
 let cluster_series () =
   let built = N.Topo_gen.fat_tree ~k:4 () in
@@ -885,5 +945,7 @@ let () =
           Alcotest.test_case "bare yancfs reports vfs series" `Quick
             test_bare_yancfs_reports_vfs_series;
           Alcotest.test_case "series-name goldens" `Quick
-            test_series_goldens ] );
+            test_series_goldens;
+          Alcotest.test_case "subscriber op-stream golden" `Quick
+            test_subscriber_op_stream_golden ] );
     ]
