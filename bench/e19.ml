@@ -123,9 +123,10 @@ let delivery ?(events = 10_000) ?(switches = 80) () =
       consumed :=
         !consumed
         + List.length
-            (Y.Eventdir.consume fs2 ~cred ~root:net_root
-               ~switch:(Printf.sprintf "sw%d" s) ~app:"bench"
-               ~on_error:(fun e -> failwith (Vfs.Errno.to_string e)))
+            (Result.fold ~ok:Fun.id ~error:(fun e -> failwith (Vfs.Errno.to_string e))
+               (Y.Eventdir.consume fs2 ~cred ~root:net_root
+                  ~switch:(Printf.sprintf "sw%d" s) ~app:"bench"
+                  ~on_error:(fun e -> failwith (Vfs.Errno.to_string e))))
     done
   in
   let t1 = Sys.time () in

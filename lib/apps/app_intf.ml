@@ -72,13 +72,20 @@ module Packet_in = struct
     end
 
   (* Apply [f] to each pending event of [switch], oldest first, removing
-     them from the buffer. A failed removal is counted, and its event
-     waits for a later drain. *)
+     them from the buffer. A failed removal or an event that does not
+     parse is counted, as is a buffer that cannot be listed; the buffer
+     is then subscribed again on the next drain, which makes it anew if
+     it went missing. *)
   let drain t ~switch f =
     subscribe t ~switch;
-    List.iter f
-      (Y.Eventdir.consume (Y.Yanc_fs.fs t.yfs) ~cred:t.cred
-         ~root:(Y.Yanc_fs.root t.yfs) ~switch ~app:t.app
-         ~on_error:(fun e ->
-           checked t.fs_errors t.app ("event rmdir " ^ switch) (Error e)))
+    if Hashtbl.mem t.subscribed switch then
+      match
+        Y.Eventdir.consume (Y.Yanc_fs.fs t.yfs) ~cred:t.cred
+          ~root:(Y.Yanc_fs.root t.yfs) ~switch ~app:t.app
+          ~on_error:(fun e -> checked t.fs_errors t.app ("event " ^ switch) (Error e))
+      with
+      | Ok events -> List.iter f events
+      | Error _ as e ->
+        Hashtbl.remove t.subscribed switch;
+        checked t.fs_errors t.app ("events " ^ switch) e
 end

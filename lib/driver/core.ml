@@ -553,7 +553,7 @@ let drain_spool t =
   | Some name -> (
     match
       Y.Outdir.consume (fs t) ~cred ~root:(root t) ~switch:name
-        ~on_error:(fun e -> fs_checked t ~what:"packet-out rmdir" (Error e))
+        ~on_error:(fun e -> fs_checked t ~what:"packet-out request" (Error e))
     with
     | Error Vfs.Errno.ENOENT -> () (* the switch directory is gone *)
     | Error _ as e -> fs_checked t ~what:"packet-out spool" e

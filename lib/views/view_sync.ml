@@ -34,6 +34,7 @@ type t = {
       (* view switch -> view flow -> entry *)
   events : App_intf.Packet_in.t;
   fs_errors : Telemetry.Registry.counter;
+  refused : Telemetry.Registry.counter;  (* views.refused: the floor's EXDEV *)
   mutable accepted : int;
   mutable rejected : int;
 }
@@ -42,12 +43,21 @@ let create ~cred ~master ~view_fs ~name =
   { master; view_fs; cred; vcred = Vfs.Cred.beneath cred (Y.Yanc_fs.root view_fs);
     name; synced = Hashtbl.create 8;
     events = App_intf.Packet_in.create master ~cred ~app:name;
-    fs_errors = App_intf.fs_errors master; accepted = 0; rejected = 0 }
+    fs_errors = App_intf.fs_errors master;
+    refused =
+      Telemetry.Registry.counter
+        (Telemetry.registry (Y.Yanc_fs.telemetry master)) "views.refused";
+    accepted = 0; rejected = 0 }
 
 let subscribe t switches =
   List.iter (fun switch -> App_intf.Packet_in.subscribe t.events ~switch) switches
 
-let checked t what r = App_intf.checked t.fs_errors t.name what r
+(* A walk the credential floor refused is the tenant's symlink, not a
+   fault of the controller: it is counted apart from app.fs_errors, so
+   a tenant cannot hold the controller's health at Crit. *)
+let checked t what = function
+  | Error Vfs.Errno.EXDEV as r -> App_intf.checked t.refused t.name what r
+  | r -> App_intf.checked t.fs_errors t.name what r
 
 (* A view-side failure: a missing directory is the tenant's to make, so
    only [ENOENT] goes uncounted. *)
@@ -158,7 +168,7 @@ let packet_outs_down t tr v ~switch =
   let requests =
     Y.Outdir.consume (Y.Yanc_fs.fs t.view_fs) ~cred:t.vcred
       ~root:(Y.Yanc_fs.root t.view_fs) ~switch
-      ~on_error:(fun e -> checked t (switch ^ " packet-out rmdir") (Error e))
+      ~on_error:(fun e -> checked t (switch ^ " packet-out request") (Error e))
   in
   List.iter
     (fun req ->

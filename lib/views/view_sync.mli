@@ -49,13 +49,14 @@
     {!view_cred}, the engine's credential floored at the view root
     ({!Vfs.Cred.beneath}), so a walk that a symlink would take out of
     the view fails with [EXDEV] in the VFS and nothing is read or
-    written through it; the failure is counted in [app.fs_errors]. A
+    written through it; the refusal is counted in [views.refused],
+    apart from [app.fs_errors], which the health probes judge Crit. A
     view switch's [flows/] that cannot be opened for any reason but
     [ENOENT] keeps the master flows made from it. The floor costs no
     crossing.
 
-    Every failed write is counted in [app.fs_errors] and logged under
-    the engine's name. *)
+    Every other failed write is counted in [app.fs_errors]; both are
+    logged under the engine's name. *)
 
 type master_flow = { switch : string; name : string; flow : Yancfs.Flowdir.t }
 (** A flow to install on master switch [switch] as [name]. *)
@@ -99,7 +100,8 @@ val subscribe : t -> string list -> unit
 val run : t -> 'v translation -> 'v -> unit
 
 val checked : t -> string -> ('a, Vfs.Errno.t) result -> unit
-(** Count and log a failed write of the view's own (its [refresh]). *)
+(** Count and log a failed write of the view's own (its [refresh]):
+    [EXDEV] in [views.refused], any other errno in [app.fs_errors]. *)
 
 val view_cred : t -> Vfs.Cred.t
 (** The credential of every view-side call, the translations' own

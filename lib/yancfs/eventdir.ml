@@ -63,81 +63,37 @@ let publish ?telemetry fs ~cred ~root ~switch ~in_port ~reason ~buffer_id
     (fun tele ->
       Telemetry.Tracer.stamp (Telemetry.tracer tele) (Layout.trace_key_event seq))
     telemetry;
+  let fields =
+    [ "in_port", string_of_int in_port; "reason", reason_to_string reason ]
+    @ Option.fold ~none:[] ~some:(fun id -> [ "buffer_id", Int32.to_string id ]) buffer_id
+    @ [ "total_len", string_of_int total_len; "data", data ]
+  in
   List.fold_left
-    (fun result (app, (owner : Fs.stat)) ->
-      let dir = Layout.event ~root ~switch ~app seq in
-      let written =
-        let* () = Fs.mkdir fs ~cred dir in
-        (* The subscriber removes what it consumes: the event belongs to
-           the buffer's owner. *)
-        let* () =
-          if owner.uid = 0 && owner.gid = 0 then Ok ()
-          else Fs.chown fs ~cred dir ~uid:owner.uid ~gid:owner.gid
-        in
-        let put name v = Fs.write_file fs ~cred (Path.child dir name) v in
-        let* () = put "in_port" (string_of_int in_port) in
-        let* () = put "reason" (reason_to_string reason) in
-        let* () =
-          match buffer_id with
-          | Some id -> put "buffer_id" (Int32.to_string id)
-          | None -> Ok ()
-        in
-        let* () = put "total_len" (string_of_int total_len) in
-        put "data" data
-      in
-      match result, written with
+    (fun result (app, (st : Fs.stat)) ->
+      (* The subscriber removes what it consumes: the event belongs to
+         the buffer's owner. *)
+      let owner = if st.uid = 0 && st.gid = 0 then None else Some (st.uid, st.gid) in
+      match
+        result,
+        Record.post fs ~cred (Layout.event_buffer ~root ~switch app) ~seq ?owner fields
+      with
       | Ok n, Ok () -> Ok (n + 1)
       | Ok _, (Error _ as e) -> e
       | (Error _ as e), _ -> e)
     (Ok 0) apps
 
-let read_event fs ~cred dir seq =
-  let get name =
-    Result.map String.trim (Fs.read_file fs ~cred (Path.child dir name))
-  in
-  match get "in_port", get "reason", get "total_len" with
-  | Ok in_port_s, Ok reason_s, Ok total_len_s -> (
-    match
-      ( int_of_string_opt in_port_s,
-        int_of_string_opt total_len_s,
-        Fs.read_file fs ~cred (Path.child dir "data") )
-    with
-    | Some in_port, Some total_len, Ok data ->
-      let buffer_id =
-        match get "buffer_id" with
-        | Ok s -> Int32.of_string_opt s
-        | Error _ -> None
-      in
-      Some
-        { seq; in_port; reason = reason_of_string reason_s; buffer_id;
-          total_len; data }
-    | _ -> None)
-  | _ -> None
+let parse ~seq fields =
+  let ( let* ) = Option.bind in
+  let* in_port = Record.required int_of_string_opt "in_port" fields in
+  let* reason = Record.required Option.some "reason" fields in
+  let* total_len = Record.required int_of_string_opt "total_len" fields in
+  let* buffer_id = Record.optional Int32.of_string_opt "buffer_id" fields in
+  let* data = List.assoc_opt "data" fields in
+  Some { seq; in_port; reason = reason_of_string reason; buffer_id; total_len; data }
 
-let poll fs ~cred ~root ~switch ~app =
-  let buffer = Layout.event_buffer ~root ~switch app in
-  match Fs.readdir fs ~cred buffer with
-  | Error _ -> []
-  | Ok names ->
-    List.filter_map
-      (fun name ->
-        match int_of_string_opt name with
-        | None -> None
-        | Some seq -> read_event fs ~cred (Path.child buffer name) seq)
-      names
-    |> List.sort (fun a b -> compare a.seq b.seq)
-
-(* An event is delivered only once its removal succeeds: one whose
-   rmdir fails stays in the buffer and is delivered by a later drain,
-   so no event is seen twice. *)
 let consume fs ~cred ~root ~switch ~app ~on_error =
-  List.filter
-    (fun e ->
-      match
-        Fs.rmdir ~recursive:true fs ~cred (Layout.event ~root ~switch ~app e.seq)
-      with
-      | Ok () -> true
-      | Error err -> on_error err; false)
-    (poll fs ~cred ~root ~switch ~app)
+  Record.take fs ~cred (Layout.event_buffer ~root ~switch app)
+    ~select:(fun n -> List.mem n [ "in_port"; "reason"; "buffer_id"; "total_len"; "data" ])
+    ~parse ~on_error
 
 let frame_of e = Packet.Eth.of_wire e.data

@@ -6,7 +6,10 @@
     numbered subdirectory holding [in_port], [reason], [buffer_id]
     (when the switch buffered the frame), [total_len] and [data] (the
     raw frame bytes). Applications consume events by reading and then
-    removing the directory. *)
+    removing the directory. This module is the event's codec over
+    {!Record}'s spool, plus the fan-out to every subscriber: an event
+    that does not parse is removed and counted, never skipped and read
+    again. *)
 
 type event = {
   seq : int;
@@ -43,19 +46,15 @@ val publish :
     {!Layout.trace_key_event} of the assigned sequence number so
     consumers can resume it. *)
 
-val poll :
-  Vfs.Fs.t -> cred:Vfs.Cred.t -> root:Vfs.Path.t -> switch:string ->
-  app:string -> event list
-(** Read all pending events in the app's buffer, oldest first, without
-    consuming them. *)
-
 val consume :
   Vfs.Fs.t -> cred:Vfs.Cred.t -> root:Vfs.Path.t -> switch:string ->
-  app:string -> on_error:(Vfs.Errno.t -> unit) -> event list
-(** Read and remove all pending events, oldest first. An event whose
+  app:string -> on_error:(Vfs.Errno.t -> unit) -> (event list, Vfs.Errno.t) result
+(** Read and remove all pending events, oldest first ({!Record.take}).
+    An event that does not parse, or cannot be read, is removed and its
+    error ([EINVAL] for a parse) goes to [on_error]. An event whose
     removal fails goes to [on_error] and is not returned; it stays in
-    the buffer and a later drain returns it once its removal
-    succeeds. *)
+    the buffer and a later drain returns it once its removal succeeds.
+    A buffer that cannot be listed is the listing's error. *)
 
 val frame_of : event -> Packet.Eth.t option
 (** Decode the captured bytes (fails on truncated captures). *)

@@ -23,22 +23,21 @@ let buffer_id_file = "buffer_id"
 
 let commit_file = Layout.version_file
 
-let is_field_file name =
-  (String.length name > 6 && String.sub name 0 6 = "match.")
-  || (String.length name > 7 && String.sub name 0 7 = "action.")
+let is_match name = String.length name > 6 && String.starts_with ~prefix:"match." name
+
+let is_action name = String.length name > 7 && String.starts_with ~prefix:"action." name
+
+let is_field_file name = is_match name || is_action name
 
 (* A file of the flow: [name] in the held flow directory or, with
    [flow], in the flow [flow] below a handle on its flows/ directory. *)
 let file ?flow name =
   match flow with None -> name | Some flow -> String.concat "/" [ flow; name ]
 
-let counters_file ?flow name = file ?flow ("counters/" ^ name)
-
 (* Write every field file, removing the stale match/action files of
    [existing] (the directory's listing) first so a narrower rewrite
    wins, then the incremented version: the commit point. *)
 let write_over fs ~cred d ~existing t =
-  let put name value = Fs.write_file_at fs ~cred d name value in
   let* () =
     List.fold_left
       (fun acc name ->
@@ -47,109 +46,96 @@ let write_over fs ~cred d ~existing t =
       (Ok ()) existing
   in
   let* () =
-    List.fold_left
-      (fun acc (field, value) ->
-        let* () = acc in
-        put ("match." ^ field) value)
-      (Ok ())
-      (Of_match.to_fields t.of_match)
+    Record.write fs ~cred d
+      (List.map (fun (field, value) -> ("match." ^ field, value)) (Of_match.to_fields t.of_match))
   in
-  let* () =
-    List.fold_left
-      (fun acc (name, value) ->
-        let* () = acc in
-        put name value)
-      (Ok ())
-      (Action.to_fields t.actions)
-  in
-  let* () = put Layout.priority_file (string_of_int t.priority) in
-  let* () = put Layout.idle_timeout_file (string_of_int t.idle_timeout) in
-  let* () = put Layout.hard_timeout_file (string_of_int t.hard_timeout) in
-  let* () = put Layout.cookie_file (Printf.sprintf "0x%Lx" t.cookie) in
-  let* () =
-    match t.buffer_id with
-    | Some id -> put buffer_id_file (Int32.to_string id)
-    | None -> Ok ()
-  in
-  put commit_file (string_of_int (t.version + 1))
+  let* () = Record.write fs ~cred d (Action.to_fields t.actions) in
+  let commit = [ commit_file, string_of_int (t.version + 1) ] in
+  Record.write fs ~cred d
+    ((Layout.priority_file, string_of_int t.priority)
+    :: (Layout.idle_timeout_file, string_of_int t.idle_timeout)
+    :: (Layout.hard_timeout_file, string_of_int t.hard_timeout)
+    :: (Layout.cookie_file, Printf.sprintf "0x%Lx" t.cookie)
+    :: Option.fold ~none:commit
+         ~some:(fun id -> (buffer_id_file, Int32.to_string id) :: commit)
+         t.buffer_id)
 
 let write fs ~cred d t = write_over fs ~cred d ~existing:[] t
 
-let parse_int_file name content =
-  match int_of_string_opt (String.trim content) with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "%s: invalid integer %S" name content)
+let scalar_files =
+  [ Layout.priority_file; Layout.idle_timeout_file; Layout.hard_timeout_file;
+    Layout.cookie_file; commit_file; buffer_id_file ]
 
-(* Parse the flow from the directory's listing [names]. *)
-let parse fs ~cred d names =
-  let get name =
-    match Fs.read_file_at fs ~cred d name with
-    | Ok v -> Ok (String.trim v)
-    | Error e -> Error (Printf.sprintf "%s: %s" name (Vfs.Errno.message e))
-  in
-  let rec go acc = function
-    | [] -> Ok acc
-    | name :: rest ->
-      let continue acc = go acc rest in
-      if name = "counters" || name = Layout.error_file then continue acc
-      else if String.length name > 6 && String.sub name 0 6 = "match." then
-        let field = String.sub name 6 (String.length name - 6) in
-        let* value = get name in
-        let* m = Of_match.set_field acc.of_match field value in
-        continue { acc with of_match = m }
-      else if String.length name > 7 && String.sub name 0 7 = "action." then
-        continue acc (* parsed together below, to honour sequencing *)
-      else if name = Layout.priority_file then
-        let* value = get name in
-        let* priority = parse_int_file name value in
-        continue { acc with priority }
-      else if name = Layout.idle_timeout_file then
-        let* value = get name in
-        let* idle_timeout = parse_int_file name value in
-        continue { acc with idle_timeout }
-      else if name = Layout.hard_timeout_file then
-        let* value = get name in
-        let* hard_timeout = parse_int_file name value in
-        continue { acc with hard_timeout }
-      else if name = Layout.cookie_file then
-        let* value = get name in
-        (match Int64.of_string_opt value with
-        | Some cookie -> continue { acc with cookie }
-        | None -> Error (Printf.sprintf "cookie: invalid value %S" value))
-      else if name = commit_file then
-        let* value = get name in
-        let* version = parse_int_file name value in
-        continue { acc with version }
-      else if name = buffer_id_file then
-        let* value = get name in
-        (match Int32.of_string_opt value with
-        | Some id -> continue { acc with buffer_id = Some id }
-        | None -> Error (Printf.sprintf "buffer_id: invalid value %S" value))
-      else Error (Printf.sprintf "unknown flow file %S" name)
-  in
-  (* Action files must be parsed together to get ordering right. *)
-  let* flat = go { default with actions = [] } names in
-  let action_files =
-    List.filter
-      (fun n -> String.length n > 7 && String.sub n 0 7 = "action.")
+let is_flow_file name = is_field_file name || List.mem name scalar_files
+
+let invalid name value = Error (Printf.sprintf "%s: invalid value %S" name value)
+
+(* One field file's value onto [acc]; action files are parsed together
+   in [parse], to honour their sequencing. *)
+let field acc (name, value) =
+  let value = String.trim value in
+  if is_match name then
+    match Of_match.set_field acc.of_match (String.sub name 6 (String.length name - 6)) value with
+    | Ok of_match -> Ok { acc with of_match }
+    | Error _ as e -> e
+  else if name = Layout.priority_file then
+    match int_of_string_opt value with
+    | Some priority -> Ok { acc with priority }
+    | None -> invalid name value
+  else if name = Layout.idle_timeout_file then
+    match int_of_string_opt value with
+    | Some idle_timeout -> Ok { acc with idle_timeout }
+    | None -> invalid name value
+  else if name = Layout.hard_timeout_file then
+    match int_of_string_opt value with
+    | Some hard_timeout -> Ok { acc with hard_timeout }
+    | None -> invalid name value
+  else if name = Layout.cookie_file then
+    match Int64.of_string_opt value with
+    | Some cookie -> Ok { acc with cookie }
+    | None -> invalid name value
+  else if name = commit_file then
+    match int_of_string_opt value with
+    | Some version -> Ok { acc with version }
+    | None -> invalid name value
+  else if name = buffer_id_file then
+    match Int32.of_string_opt value with
+    | Some id -> Ok { acc with buffer_id = Some id }
+    | None -> invalid name value
+  else Ok acc
+
+let rec fold_fields acc = function
+  | [] -> Ok acc
+  | f :: rest -> (
+    match field acc f with
+    | Ok acc -> fold_fields acc rest
+    | Error _ as e -> e)
+
+(* Parse the flow from the directory's listing [names] and the [fields]
+   read from it. *)
+let parse names fields =
+  match
+    List.find_opt
+      (fun n -> not (is_flow_file n || n = "counters" || n = Layout.error_file))
       names
-  in
-  let* action_fields =
-    List.fold_left
-      (fun acc name ->
-        let* acc = acc in
-        let* value = get name in
-        Ok ((name, value) :: acc))
-      (Ok []) action_files
-  in
-  let* actions = Action.of_fields (List.rev action_fields) in
-  Ok { flat with actions }
+  with
+  | Some name -> Error (Printf.sprintf "unknown flow file %S" name)
+  | None ->
+    let* flat = fold_fields default fields in
+    let* actions =
+      Action.of_fields
+        (List.filter_map
+           (fun (name, value) ->
+             if is_action name then Some (name, String.trim value) else None)
+           fields)
+    in
+    Ok { flat with actions }
 
 (* One listing, and the flow parsed from it. *)
 let read_listing fs ~cred d =
-  match Fs.readdir_at fs ~cred d with
+  match Record.read fs ~cred d ~select:is_flow_file with
   | Error e -> ([], Error (Vfs.Errno.message e))
-  | Ok names -> (names, parse fs ~cred d names)
+  | Ok (names, fields) -> (names, parse names fields)
 
 let read fs ~cred d = snd (read_listing fs ~cred d)
 
@@ -193,33 +179,35 @@ let read_version ?flow fs ~cred d =
 
 let clear_buffer_id fs ~cred d = Fs.unlink_at fs ~cred d buffer_id_file
 
+let counters_file ?flow name = file ?flow ("counters/" ^ name)
+
 let read_counters ?flow fs ~cred d =
-  let read name =
-    match Fs.read_file_at fs ~cred d (counters_file ?flow name) with
-    | Ok v -> Int64.of_string_opt (String.trim v)
-    | Error _ -> None
-  in
-  match read "packets", read "bytes" with
-  | Some packets, Some bytes -> Some (packets, bytes)
-  | _ -> None
+  let count name = Record.required Int64.of_string_opt (counters_file ?flow name) in
+  match Record.read_named fs ~cred d [ counters_file ?flow "packets"; counters_file ?flow "bytes" ] with
+  | Ok fields -> (
+    match count "packets" fields, count "bytes" fields with
+    | Some packets, Some bytes -> Some (packets, bytes)
+    | _ -> None)
+  | Error _ -> None
 
 let write_counters ?flow fs ~cred d ~packets ~bytes ~duration_s =
-  let put name v = Fs.write_file_at fs ~cred d (counters_file ?flow name) v in
+  let fields =
+    List.map
+      (fun (name, v) -> (counters_file ?flow name, v))
+      [ "packets", Int64.to_string packets; "bytes", Int64.to_string bytes;
+        "duration", string_of_int duration_s ]
+  in
   (* The schema gives every flow a counters/ directory; make it only
      when the first write finds it missing. *)
-  let* () =
-    match put "packets" (Int64.to_string packets) with
-    | Error Vfs.Errno.ENOENT ->
-      let* () =
-        match Fs.mkdir_at fs ~cred d (file ?flow "counters") with
-        | Ok () | Error Vfs.Errno.EEXIST -> Ok ()
-        | Error _ as e -> e
-      in
-      put "packets" (Int64.to_string packets)
-    | r -> r
-  in
-  let* () = put "bytes" (Int64.to_string bytes) in
-  put "duration" (string_of_int duration_s)
+  match Record.write fs ~cred d fields with
+  | Error Vfs.Errno.ENOENT ->
+    let* () =
+      match Fs.mkdir_at fs ~cred d (file ?flow "counters") with
+      | Ok () | Error Vfs.Errno.EEXIST -> Ok ()
+      | Error _ as e -> e
+    in
+    Record.write fs ~cred d fields
+  | r -> r
 
 let is_news ~version ~ino ~seen_version ~seen_ino =
   version > seen_version || ino <> seen_ino

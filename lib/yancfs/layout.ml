@@ -47,13 +47,7 @@ let events_dir ~root name = Path.child (switch ~root name) "events"
 
 let packet_out_dir ~root name = Path.child (switch ~root name) "packet_out"
 
-let packet_out ~root ~switch n =
-  Path.child (packet_out_dir ~root switch) (string_of_int n)
-
 let event_buffer ~root ~switch app = Path.child (events_dir ~root switch) app
-
-let event ~root ~switch ~app n =
-  Path.child (event_buffer ~root ~switch app) (string_of_int n)
 
 (* --- tracer correlation keys (see Telemetry.Tracer) -------------------------- *)
 

@@ -59,12 +59,9 @@ val packet_out_dir : root:Vfs.Path.t -> string -> Vfs.Path.t
     [events/] — applications create numbered directories describing
     packets to emit; the driver sends and removes them. *)
 
-val packet_out : root:Vfs.Path.t -> switch:string -> int -> Vfs.Path.t
 val event_buffer : root:Vfs.Path.t -> switch:string -> string -> Vfs.Path.t
 (** [event_buffer ~root ~switch app] — the app's private packet-in
     buffer. *)
-
-val event : root:Vfs.Path.t -> switch:string -> app:string -> int -> Vfs.Path.t
 
 (** {1 Tracer correlation keys}
 

@@ -2,7 +2,9 @@
     path for applications to emit packets (e.g. an ARP daemon answering
     a request it received as a packet-in). An application creates a
     numbered directory with the outgoing frame and actions; the driver
-    sends a protocol packet-out and removes the request. *)
+    sends a protocol packet-out and removes the request. This module is
+    the request's codec over {!Record}'s spool: a malformed request is
+    removed and counted, never sent or left behind. *)
 
 type request = {
   seq : int;
@@ -22,13 +24,10 @@ val consume :
   Vfs.Fs.t -> cred:Vfs.Cred.t -> root:Vfs.Path.t -> switch:string ->
   on_error:(Vfs.Errno.t -> unit) -> (request list, Vfs.Errno.t) result
 (** Drain all pending requests (removing them), oldest first; the
-    driver drains as root. Malformed requests are removed and skipped.
-    A request whose removal fails goes to [on_error] and is not
-    returned; it stays in the spool and a later drain returns it once
-    its removal succeeds. A spool that cannot be listed is the
-    listing's error. *)
-
-val pending :
-  Vfs.Fs.t -> cred:Vfs.Cred.t -> root:Vfs.Path.t -> switch:string ->
-  (int, Vfs.Errno.t) result
-(** Requests queued, or the spool listing's error. *)
+    driver drains as root ({!Record.take}). A malformed request — an
+    action, [buffer_id] or [in_port] file that does not parse, or a
+    field that cannot be read — is removed and its error ([EINVAL] for
+    a parse) goes to [on_error]. A request whose removal fails goes to
+    [on_error] and is not returned; it stays in the spool and a later
+    drain returns it once its removal succeeds. A spool that cannot be
+    listed is the listing's error. *)

@@ -63,17 +63,26 @@ let tree t =
 
 let switch_name_of_dpid dpid = Printf.sprintf "sw%Ld" dpid
 
+(* Make (or keep) the directory at [path], open it and write [fields]
+   into it, then [if_made] if the directory was just made: one walk,
+   then one call per field. *)
+let write_record t ~cred ?(if_made = []) path fields =
+  let* made =
+    match Fs.mkdir t.fs ~cred path with
+    | Ok () -> Ok true
+    | Error Vfs.Errno.EEXIST -> Ok false
+    | Error _ as e -> e
+  in
+  let* d = Fs.opendir t.fs ~cred path in
+  Record.write t.fs ~cred d (if made then fields @ if_made else fields)
+
 let add_switch t ~cred ~name ~dpid ~protocol ~n_buffers ~n_tables ~capabilities
     ~actions =
-  let dir = Layout.switch ~root:t.root name in
-  let* () = ensure_dir t.fs ~cred dir in
-  let attr file v = Fs.write_file t.fs ~cred (Layout.switch_attr ~root:t.root name file) v in
-  let* () = attr "id" (Printf.sprintf "%Ld" dpid) in
-  let* () = attr "protocol" protocol in
-  let* () = attr "num_buffers" (string_of_int n_buffers) in
-  let* () = attr "num_tables" (string_of_int n_tables) in
-  let* () = attr "capabilities" (String.concat "\n" capabilities) in
-  attr "actions" (String.concat "\n" actions)
+  write_record t ~cred (Layout.switch ~root:t.root name)
+    [ "id", Printf.sprintf "%Ld" dpid; "protocol", protocol;
+      "num_buffers", string_of_int n_buffers; "num_tables", string_of_int n_tables;
+      "capabilities", String.concat "\n" capabilities;
+      "actions", String.concat "\n" actions ]
 
 let remove_switch t name =
   Fs.rmdir ~recursive:true t.fs ~cred:Vfs.Cred.root
@@ -112,16 +121,11 @@ let parse_bool_file s =
   | _ -> false
 
 let set_port t ~cred ~switch (info : Port_info.t) =
-  let dir = Layout.port ~root:t.root ~switch info.port_no in
-  let existed = Fs.exists t.fs ~cred dir in
-  let* () = ensure_dir t.fs ~cred dir in
-  let put file v = Fs.write_file t.fs ~cred (Path.child dir file) v in
-  let* () = put "hw_addr" (Packet.Mac.to_string info.hw_addr) in
-  let* () = put "name" info.name in
-  let* () = put "speed" (string_of_int info.speed_mbps) in
-  let* () = put Layout.state_link_down (bool_file info.link_down) in
-  if not existed then put Layout.config_port_down (bool_file info.admin_down)
-  else Ok ()
+  write_record t ~cred (Layout.port ~root:t.root ~switch info.port_no)
+    [ "hw_addr", Packet.Mac.to_string info.hw_addr; "name", info.name;
+      "speed", string_of_int info.speed_mbps;
+      Layout.state_link_down, bool_file info.link_down ]
+    ~if_made:[ Layout.config_port_down, bool_file info.admin_down ]
 
 let remove_port t ~switch n =
   Fs.rmdir ~recursive:true t.fs ~cred:Vfs.Cred.root
@@ -133,19 +137,21 @@ let port_numbers t ~cred switch =
   | Ok names -> List.filter_map Layout.port_no_of_name names |> List.sort compare
 
 let read_port t ~cred ~switch n =
-  let dir = Layout.port ~root:t.root ~switch n in
-  let get file = Fs.read_file t.fs ~cred (Path.child dir file) in
-  let* hw = get "hw_addr" in
-  let* name = get "name" in
-  let* speed = get "speed" in
-  let* down = get Layout.config_port_down in
-  let* link = get Layout.state_link_down in
-  match Packet.Mac.of_string (String.trim hw), int_of_string_opt (String.trim speed) with
-  | Some hw_addr, Some speed_mbps ->
+  let* d = Fs.opendir t.fs ~cred (Layout.port ~root:t.root ~switch n) in
+  let* fields =
+    Record.read_named t.fs ~cred d
+      [ "hw_addr"; "name"; "speed"; Layout.config_port_down; Layout.state_link_down ]
+  in
+  let field name = Record.required Option.some name fields in
+  match
+    ( Record.required Packet.Mac.of_string "hw_addr" fields, field "name",
+      Record.required int_of_string_opt "speed" fields,
+      field Layout.config_port_down, field Layout.state_link_down )
+  with
+  | Some hw_addr, Some name, Some speed_mbps, Some down, Some link ->
     Ok
       (Port_info.make ~admin_down:(parse_bool_file down)
-         ~link_down:(parse_bool_file link) ~speed_mbps ~name:(String.trim name)
-         ~port_no:n ~hw_addr ())
+         ~link_down:(parse_bool_file link) ~speed_mbps ~name ~port_no:n ~hw_addr ())
   | _ -> Error Vfs.Errno.EINVAL
 
 let port_up t ~cred ~switch n =
@@ -156,17 +162,12 @@ let port_up t ~cred ~switch n =
   not (set Layout.config_port_down || set Layout.state_link_down)
 
 let write_port_counters t ~switch ~port (s : Port_stats.t) =
-  let cred = Vfs.Cred.root in
-  let dir = Layout.port_counters ~root:t.root ~switch port in
-  let* () = ensure_dir t.fs ~cred dir in
-  List.fold_left
-    (fun acc (name, v) ->
-      let* () = acc in
-      Fs.write_file t.fs ~cred (Path.child dir name) (Int64.to_string v))
-    (Ok ())
-    [ "rx_packets", s.rx_packets; "tx_packets", s.tx_packets;
-      "rx_bytes", s.rx_bytes; "tx_bytes", s.tx_bytes;
-      "rx_dropped", s.rx_dropped; "tx_dropped", s.tx_dropped ]
+  write_record t ~cred:Vfs.Cred.root (Layout.port_counters ~root:t.root ~switch port)
+    (List.map
+       (fun (name, v) -> (name, Int64.to_string v))
+       [ "rx_packets", s.rx_packets; "tx_packets", s.tx_packets;
+         "rx_bytes", s.rx_bytes; "tx_bytes", s.tx_bytes;
+         "rx_dropped", s.rx_dropped; "tx_dropped", s.tx_dropped ])
 
 (* Remove the symlink [link], then point it at [port]'s directory, if
    any: a port's [peer] or a host's [attached_to]. *)
@@ -255,13 +256,10 @@ let delete_flow t ~cred ~switch name =
 
 let upsert_host t ~cred ~name ~mac ~ip ?attached_to () =
   let dir = Layout.host ~root:t.root name in
-  let* () = ensure_dir t.fs ~cred dir in
-  let put file v = Fs.write_file t.fs ~cred (Path.child dir file) v in
-  let* () = put "mac" (Packet.Mac.to_string mac) in
   let* () =
-    match ip with
-    | Some addr -> put "ip" (Packet.Ipv4_addr.to_string addr)
-    | None -> Ok ()
+    write_record t ~cred dir
+      (("mac", Packet.Mac.to_string mac)
+      :: Option.fold ~none:[] ~some:(fun a -> [ "ip", Packet.Ipv4_addr.to_string a ]) ip)
   in
   if attached_to = None then Ok ()
   else relink t ~cred (Path.child dir "attached_to") attached_to
@@ -273,13 +271,10 @@ let host_names t ~cred =
 
 let read_host t ~cred name =
   let dir = Layout.host ~root:t.root name in
-  let* mac_s = Fs.read_file t.fs ~cred (Path.child dir "mac") in
-  match Packet.Mac.of_string (String.trim mac_s) with
+  let* d = Fs.opendir t.fs ~cred dir in
+  let* fields = Record.read_named t.fs ~cred d [ "mac"; "ip" ] in
+  match Record.required Packet.Mac.of_string "mac" fields with
   | None -> Error Vfs.Errno.EINVAL
   | Some mac ->
-    let ip =
-      match Fs.read_file t.fs ~cred (Path.child dir "ip") with
-      | Ok s -> Packet.Ipv4_addr.of_string (String.trim s)
-      | Error _ -> None
-    in
+    let ip = Option.join (Record.optional Packet.Ipv4_addr.of_string "ip" fields) in
     Ok (mac, ip, port_at t ~cred (Path.child dir "attached_to"))

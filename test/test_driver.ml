@@ -164,8 +164,12 @@ let test_packet_in_published_to_buffers () =
     (N.Sim_host.ping h1 ~now:0. ~dst:(N.Topo_gen.host_ip 2) ~seq:1);
   N.Network.run r.net;
   step r;
-  let ev1 = Y.Eventdir.poll r.fs ~cred ~root:net_root ~switch:"sw1" ~app:"app1" in
-  let ev2 = Y.Eventdir.poll r.fs ~cred ~root:net_root ~switch:"sw1" ~app:"app2" in
+  let consume app =
+    ok
+      (Y.Eventdir.consume r.fs ~cred ~root:net_root ~switch:"sw1" ~app
+         ~on_error:(fun e -> Alcotest.failf "rmdir: %s" (Vfs.Errno.to_string e)))
+  in
+  let ev1 = consume "app1" and ev2 = consume "app2" in
   Alcotest.(check int) "app1 got the miss" 1 (List.length ev1);
   Alcotest.(check int) "app2 got it too" 1 (List.length ev2);
   let ev = List.hd ev1 in
@@ -217,8 +221,28 @@ let test_packet_out_sent_once () =
   (* a second request dirties the spool: the next drain sends both *)
   submit_packet_out r "next";
   Alcotest.(check (list string)) "each frame arrives once" [ "once"; "next" ] (drain r);
-  Alcotest.(check int) "spool drained" 0
-    (ok (Y.Outdir.pending r.fs ~cred ~root:net_root ~switch:"sw1"))
+  Alcotest.(check (list string)) "spool drained" []
+    (ok (Fs.readdir r.fs ~cred (Y.Layout.packet_out_dir ~root:net_root "sw1")))
+
+(* A request the shell wrote with an action that does not parse is
+   removed and counted once: it is neither sent nor read again. *)
+let test_malformed_packet_out () =
+  let r = rig () in
+  let errors () =
+    Telemetry.Registry.value
+      (Telemetry.Registry.counter
+         (Telemetry.registry (Y.Yanc_fs.telemetry r.yfs)) "driver.fs_errors")
+  in
+  let spool = Y.Layout.packet_out_dir ~root:net_root "sw1" in
+  let errors0 = errors () in
+  ok (Fs.mkdir r.fs ~cred (Vfs.Path.child spool "7"));
+  ok (Fs.write_file r.fs ~cred (p "/net/switches/sw1/packet_out/7/action.0.out") "bogus");
+  Alcotest.(check (list string)) "nothing sent" [] (drain r);
+  Alcotest.(check (list string)) "removed" [] (ok (Fs.readdir r.fs ~cred spool));
+  Alcotest.(check int) "counted once" 1 (errors () - errors0);
+  submit_packet_out r "after";
+  Alcotest.(check (list string)) "the next request goes out" [ "after" ] (drain r);
+  Alcotest.(check int) "still counted once" 1 (errors () - errors0)
 
 let test_counters_synced () =
   let r = rig () in
@@ -282,8 +306,9 @@ let test_buffer_id_release () =
       Y.Eventdir.consume r.fs ~cred ~root:net_root ~switch:"sw1" ~app:"me"
         ~on_error:(fun e -> Alcotest.failf "rmdir: %s" (Vfs.Errno.to_string e))
     with
-    | [ ev ] -> ev
-    | l -> Alcotest.failf "expected 1 event, got %d" (List.length l)
+    | Ok [ ev ] -> ev
+    | Ok l -> Alcotest.failf "expected 1 event, got %d" (List.length l)
+    | Error e -> Alcotest.failf "consume: %s" (Vfs.Errno.to_string e)
   in
   Alcotest.(check bool) "buffered" true (ev.Y.Eventdir.buffer_id <> None);
   ok
@@ -479,6 +504,8 @@ let () =
           Alcotest.test_case "packet-out spool" `Quick test_packet_out_spool;
           Alcotest.test_case "packet-out sent once" `Quick
             test_packet_out_sent_once;
+          Alcotest.test_case "malformed packet-out counted once" `Quick
+            test_malformed_packet_out;
           Alcotest.test_case "counters" `Quick test_counters_synced ] );
       ( "lifecycle",
         [ Alcotest.test_case "live upgrade" `Quick test_live_upgrade_preserves_flows;

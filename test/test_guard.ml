@@ -30,6 +30,9 @@
      it by type equation).
    - Only Flowdir reads or writes the files of a flow directory: it
      alone names them and makes handle-relative file calls.
+   - In lib/yancfs, only Record reads and writes a record's files
+     ([Fs.read_file]/[Fs.write_file] and their [_at] forms), beside a
+     named list of one-file accessors.
    - In the driver, every flow_mod leaves through the commit path:
      [flow_add] is applied only in [install], [flow_delete_strict] only
      in [send_plan]. *)
@@ -277,7 +280,8 @@ let test_one_version_type () =
     definitions
 
 (* A flow file's name, or a handle-relative file call. Event and
-   packet-out spools name a [buffer_id] file of their own. *)
+   packet-out spools name a [buffer_id] file of their own; Record makes
+   every record's file calls. *)
 let test_flow_files () =
   let flowdir = "../lib/yancfs/flowdir.ml" in
   let names =
@@ -293,11 +297,37 @@ let test_flow_files () =
        ~allowed:(fun path _ ->
          path = flowdir
          || List.exists (fun f -> is f path)
-              [ "layout.ml"; "fs.ml"; "eventdir.ml"; "outdir.ml" ])
+              [ "layout.ml"; "fs.ml"; "record.ml"; "eventdir.ml"; "outdir.ml" ])
        ());
   (* The scan must see Flowdir's own use, or it proves nothing. *)
   Alcotest.(check bool) "Flowdir names the flow files" true
     (names ~allowed:(fun path _ -> path <> flowdir) () <> [])
+
+(* One record codec: in lib/yancfs, only Record reads and writes the
+   files of a record. The one-file accessors are the named exceptions:
+   a flow's [version] and [error] files, a switch's [status] and other
+   single attributes, a port's two state files. *)
+let test_record_codec () =
+  let record = "../lib/yancfs/record.ml" in
+  let one_file =
+    [ "flowdir.ml", [ "set_error"; "read_error"; "read_version" ];
+      "yanc_fs.ml", [ "read_attr"; "set_switch_status"; "port_up" ] ]
+  in
+  let calls =
+    violations ~dirs:[ "../lib/yancfs" ]
+      ~matching:[ "Fs.write_file"; "Fs.read_file" ]
+  in
+  check_none "record files read or written outside Record"
+    (calls
+       ~allowed:(fun path def ->
+         path = record
+         || List.exists
+              (fun (file, defs) -> is file path && List.mem def defs)
+              one_file)
+       ());
+  (* The scan must see Record's own calls, or it proves nothing. *)
+  Alcotest.(check bool) "Record reads and writes" true
+    (calls ~allowed:(fun path _ -> path <> record) () <> [])
 
 (* The top-level definitions applying [name] (a whole word), one per
    use, [name]'s own definition aside. *)
@@ -336,7 +366,8 @@ let () =
         [ Alcotest.test_case "one exit for flow_mods" `Quick
             test_driver_flow_mods ] );
       ( "flow files",
-        [ Alcotest.test_case "only Flowdir" `Quick test_flow_files ] );
+        [ Alcotest.test_case "only Flowdir" `Quick test_flow_files;
+          Alcotest.test_case "one record codec" `Quick test_record_codec ] );
       ( "hardware reads",
         [ Alcotest.test_case "only netsim and Audit" `Quick
             test_hardware_reads ] );

@@ -263,16 +263,18 @@ let prop_eventdir_exact_delivery =
       done;
       List.for_all
         (fun i ->
-          let got =
-            Y.Eventdir.consume fs ~cred ~root ~switch:"sw1" ~app:(app i)
-              ~on_error:(fun e -> failwith (Vfs.Errno.to_string e))
+          let consume () =
+            Result.get_ok
+              (Y.Eventdir.consume fs ~cred ~root ~switch:"sw1" ~app:(app i)
+                 ~on_error:(fun e -> failwith (Vfs.Errno.to_string e)))
           in
+          let got = consume () in
           List.length got = events
           && List.for_all2
                (fun (ev : Y.Eventdir.event) e -> ev.in_port = e)
                got
                (List.init events (fun k -> k + 1))
-          && Y.Eventdir.poll fs ~cred ~root ~switch:"sw1" ~app:(app i) = [])
+          && consume () = [])
         (List.init apps (fun i -> i + 1)))
 
 let prop_table_delete_complete =

@@ -167,8 +167,9 @@ let test_slice_event_filtering () =
   send 80;
   Yanc.Controller.run_for ctl 0.5;
   let events =
-    Y.Eventdir.consume (Y.Yanc_fs.fs vy) ~cred ~root:(Y.Yanc_fs.root vy)
-      ~switch:"sw1" ~app:"tenant" ~on_error:rmdir_failed
+    Result.get_ok
+      (Y.Eventdir.consume (Y.Yanc_fs.fs vy) ~cred ~root:(Y.Yanc_fs.root vy)
+         ~switch:"sw1" ~app:"tenant" ~on_error:rmdir_failed)
   in
   Alcotest.(check int) "only the ssh packet" 1 (List.length events);
   match Y.Eventdir.frame_of (List.hd events) with
@@ -281,8 +282,9 @@ let test_bigswitch_packet_in_translation () =
     [ N.Sim_host.arp_probe h2 ~target:(N.Topo_gen.host_ip 1) ];
   Yanc.Controller.run_for ctl 0.5;
   let events =
-    Y.Eventdir.consume (Y.Yanc_fs.fs vy) ~cred ~root:(Y.Yanc_fs.root vy)
-      ~switch:"big0" ~app:"tenant" ~on_error:rmdir_failed
+    Result.get_ok
+      (Y.Eventdir.consume (Y.Yanc_fs.fs vy) ~cred ~root:(Y.Yanc_fs.root vy)
+         ~switch:"big0" ~app:"tenant" ~on_error:rmdir_failed)
   in
   Alcotest.(check bool) "event surfaced" true (events <> []);
   let vport = (List.hd events).Y.Eventdir.in_port in
@@ -509,9 +511,9 @@ let test_slice_packet_out () =
   Views.Slicer.run slicer ~now:(Yanc.Controller.now ctl);
   Alcotest.(check (list actions)) "in-slice port forwarded, other dropped"
     [ out 1 ] (packet_outs master "sw1");
-  Alcotest.(check int) "view spool drained" 0
+  Alcotest.(check (list string)) "view spool drained" []
     (Result.get_ok
-       (Y.Outdir.pending (Y.Yanc_fs.fs vy) ~cred ~root:(Y.Yanc_fs.root vy) ~switch:"sw1"));
+       (Fs.readdir (Y.Yanc_fs.fs vy) ~cred (Y.Layout.packet_out_dir ~root:(Y.Yanc_fs.root vy) "sw1")));
   check_fsck ctl
 
 let test_slice_recommit () =
@@ -564,8 +566,9 @@ let syn built =
         ~dst_ip:(N.Topo_gen.host_ip 2) ~src_port:5555 ~dst_port:22 ]
 
 let drain_view vy ~cred ~app =
-  Y.Eventdir.consume (Y.Yanc_fs.fs vy) ~cred ~root:(Y.Yanc_fs.root vy)
-    ~switch:"sw1" ~app ~on_error:rmdir_failed
+  Result.get_ok
+    (Y.Eventdir.consume (Y.Yanc_fs.fs vy) ~cred ~root:(Y.Yanc_fs.root vy)
+       ~switch:"sw1" ~app ~on_error:rmdir_failed)
 
 (* A packet-in that reaches the master between the slicer's create and
    its first run still reaches the tenant. *)
@@ -633,6 +636,18 @@ let app_fs_errors ctl =
     (Telemetry.Registry.counter
        (Telemetry.registry (Yanc.Controller.telemetry ctl)) "app.fs_errors")
 
+(* Walks the credential floor refused, read from a snapshot so a
+   missing series fails instead of reading 0. *)
+let views_refused ctl =
+  let reg = Telemetry.registry (Yanc.Controller.telemetry ctl) in
+  match Telemetry.Registry.find (Telemetry.Registry.snapshot reg) "views.refused" with
+  | Some v -> int_of_float v
+  | None -> Alcotest.fail "no registry series views.refused"
+
+let health ctl =
+  let reg = Telemetry.registry (Yanc.Controller.telemetry ctl) in
+  Telemetry.Health.worst (Telemetry.Health.evaluate (Telemetry.Registry.snapshot reg))
+
 (* A view owner who swaps its switch directory for a symlink to the
    master's own gets the engine to read and write nothing through it:
    the master's flows (one of its own among them) stay as they are,
@@ -672,11 +687,11 @@ let test_slice_switch_symlink () =
   | Error e -> Alcotest.failf "symlink: %s" (Vfs.Errno.to_string e));
   commit master ~switch:"sw1" ~name:"base" (out 2);
   let before = List.length (Y.Yanc_fs.flow_names master ~cred "sw1") in
-  let errors0 = app_fs_errors ctl in
+  let refused0 = views_refused ctl in
   Yanc.Controller.run_for ctl 1.0;
   Alcotest.(check int) "master flows flat" before
     (List.length (Y.Yanc_fs.flow_names master ~cred "sw1"));
-  Alcotest.(check bool) "skips counted" true (app_fs_errors ctl > errors0)
+  Alcotest.(check bool) "skips counted" true (views_refused ctl > refused0)
 
 (* --- containment ---------------------------------------------------------------- *)
 
@@ -724,13 +739,17 @@ let tenant_slice () =
   built, ctl, master, vy, Y.Layout.flow ~root:(Y.Yanc_fs.root master) ~switch:"sw1" "base"
 
 (* The engine's run under [ctl] leaves the master's [base] as it was,
-   counts what it refused, and hardware still matches. *)
+   counts what it refused in views.refused and not as a fault, so the
+   controller's health is not Crit, and hardware still matches. *)
 let base_kept ctl master base =
   let mfs = Y.Yanc_fs.fs master in
-  let before = snapshot mfs base and errors0 = app_fs_errors ctl in
+  let before = snapshot mfs base in
+  let refused0 = views_refused ctl and errors0 = app_fs_errors ctl in
   Yanc.Controller.run_for ctl 0.5;
   Alcotest.(check bool) "master base byte-identical" true (snapshot mfs base = before);
-  Alcotest.(check bool) "EXDEV counted" true (app_fs_errors ctl > errors0);
+  Alcotest.(check bool) "EXDEV counted" true (views_refused ctl > refused0);
+  Alcotest.(check int) "no fault counted" errors0 (app_fs_errors ctl);
+  Alcotest.(check bool) "health not Crit" true (health ctl <> Telemetry.Health.Crit);
   check_fsck ctl
 
 (* A tenant's view flow whose error file is a symlink to a master flow
@@ -981,7 +1000,7 @@ let adversary ~big seed =
   must "deep/s"
     (Fs.symlink vfs ~cred:tenant ~target:(Vfs.Path.to_string vroot)
        (Vfs.Path.of_components (Vfs.Path.components vroot @ [ "deep"; "s" ])));
-  let errors0 = app_fs_errors a.ctl in
+  let refused0 = views_refused a.ctl in
   for round = 1 to 3 do
     tenant_round rng a;
     syn a.built;
@@ -993,7 +1012,7 @@ let adversary ~big seed =
     Yanc.Controller.run_for a.ctl 0.2
   done;
   check_fsck a.ctl;
-  app_fs_errors a.ctl - errors0
+  views_refused a.ctl - refused0
 
 let adversary_seeds ~big () =
   let refused = ref 0 in

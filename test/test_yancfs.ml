@@ -504,6 +504,10 @@ let publish fs ~switch data =
     ~reason:Openflow.Of_types.No_match ~buffer_id:(Some 9l)
     ~total_len:(String.length data) ~data
 
+(* The names in [app]'s buffer on sw1. *)
+let buffered fs app =
+  ok (Fs.readdir fs ~cred (Y.Layout.event_buffer ~root:net ~switch:"sw1" app))
+
 let test_eventdir_fanout () =
   let fs, yfs = setup () in
   ignore yfs;
@@ -513,22 +517,19 @@ let test_eventdir_fanout () =
   ok (Y.Eventdir.subscribe fs ~cred ~root:net ~switch:"sw1" ~app:"monitor");
   Alcotest.(check (result int reject)) "delivered to both" (Ok 2)
     (publish fs ~switch:"sw1" "frame-bytes");
-  let router_events = Y.Eventdir.poll fs ~cred ~root:net ~switch:"sw1" ~app:"router" in
-  let monitor_events = Y.Eventdir.poll fs ~cred ~root:net ~switch:"sw1" ~app:"monitor" in
+  let consume app =
+    ok (Y.Eventdir.consume fs ~cred ~root:net ~switch:"sw1" ~app ~on_error:rmdir_failed)
+  in
+  let router_events = consume "router" in
   Alcotest.(check int) "router sees one" 1 (List.length router_events);
-  Alcotest.(check int) "monitor sees one" 1 (List.length monitor_events);
   let ev = List.hd router_events in
   Alcotest.(check int) "in_port" 3 ev.Y.Eventdir.in_port;
   Alcotest.(check (option int32)) "buffer id" (Some 9l) ev.Y.Eventdir.buffer_id;
   Alcotest.(check string) "data" "frame-bytes" ev.Y.Eventdir.data;
   (* consuming is private: router's consume leaves monitor's copy *)
-  ignore
-    (Y.Eventdir.consume fs ~cred ~root:net ~switch:"sw1" ~app:"router"
-       ~on_error:rmdir_failed);
-  Alcotest.(check int) "router drained" 0
-    (List.length (Y.Eventdir.poll fs ~cred ~root:net ~switch:"sw1" ~app:"router"));
-  Alcotest.(check int) "monitor unaffected" 1
-    (List.length (Y.Eventdir.poll fs ~cred ~root:net ~switch:"sw1" ~app:"monitor"))
+  Alcotest.(check int) "router drained" 0 (List.length (buffered fs "router"));
+  Alcotest.(check int) "monitor unaffected" 1 (List.length (buffered fs "monitor"));
+  Alcotest.(check int) "monitor sees one" 1 (List.length (consume "monitor"))
 
 let test_eventdir_ordering () =
   let fs, yfs = setup () in
@@ -541,8 +542,9 @@ let test_eventdir_ordering () =
   let datas =
     List.map
       (fun e -> e.Y.Eventdir.data)
-      (Y.Eventdir.consume fs ~cred ~root:net ~switch:"sw1" ~app:"a"
-         ~on_error:rmdir_failed)
+      (ok
+         (Y.Eventdir.consume fs ~cred ~root:net ~switch:"sw1" ~app:"a"
+            ~on_error:rmdir_failed))
   in
   Alcotest.(check (list string)) "fifo" [ "first"; "second"; "third" ] datas
 
@@ -564,8 +566,9 @@ let test_eventdir_non_root_subscriber () =
   Alcotest.(check (result int reject)) "published" (Ok 1) (publish fs ~switch:"sw1" "x");
   let drain () =
     List.length
-      (Y.Eventdir.consume fs ~cred:app ~root:net ~switch:"sw1" ~app:"tenant"
-         ~on_error:rmdir_failed)
+      (ok
+         (Y.Eventdir.consume fs ~cred:app ~root:net ~switch:"sw1" ~app:"tenant"
+            ~on_error:rmdir_failed))
   in
   let first = drain () in
   let second = drain () in
@@ -595,6 +598,58 @@ let test_eventdir_failed_removal () =
   Alcotest.(check (pair int int)) "delivered once after" (1, 1)
     (Telemetry.Registry.value errors, !delivered)
 
+(* An event the drain cannot parse is removed and counted once: it is
+   neither delivered nor read again by later drains. *)
+let test_eventdir_unparseable () =
+  let fs, yfs = setup () in
+  ok (Fs.mkdir fs ~cred (p "/net/switches/sw1"));
+  let events = Apps.App_intf.Packet_in.create yfs ~cred ~app:"a" in
+  let errors = Apps.App_intf.fs_errors yfs in
+  let delivered = ref 0 in
+  let drain () =
+    Apps.App_intf.Packet_in.drain events ~switch:"sw1" (fun _ -> incr delivered)
+  in
+  drain ();
+  ok (Fs.mkdir fs ~cred (p "/net/switches/sw1/events/a/7"));
+  ok (Fs.write_file fs ~cred (p "/net/switches/sw1/events/a/7/in_port") "bogus");
+  drain ();
+  Alcotest.(check (list string)) "removed" [] (buffered fs "a");
+  drain ();
+  drain ();
+  Alcotest.(check (pair int int)) "counted once, not delivered" (1, 0)
+    (Telemetry.Registry.value errors, !delivered);
+  ignore (ok (publish fs ~switch:"sw1" "x"));
+  drain ();
+  Alcotest.(check (pair int int)) "the next event delivered" (1, 1)
+    (Telemetry.Registry.value errors, !delivered)
+
+(* A buffer its non-root owner cannot list (root took its permissions
+   away) is counted on every drain, not read as empty; once listable
+   again, its event is delivered. *)
+let test_eventdir_unlistable_buffer () =
+  let fs, yfs = setup () in
+  ok (Fs.mkdir fs ~cred (p "/net/switches/sw1"));
+  ok (Fs.chown fs ~cred (p "/net/switches/sw1/events") ~uid:1000 ~gid:1000);
+  let app = Vfs.Cred.make ~uid:1000 ~gid:1000 () in
+  let events = Apps.App_intf.Packet_in.create yfs ~cred:app ~app:"tenant" in
+  let errors = Apps.App_intf.fs_errors yfs in
+  let delivered = ref 0 in
+  let drain () =
+    Apps.App_intf.Packet_in.drain events ~switch:"sw1" (fun _ -> incr delivered)
+  in
+  drain ();
+  ignore (ok (publish fs ~switch:"sw1" "x"));
+  let buffer = p "/net/switches/sw1/events/tenant" in
+  ok (Fs.chmod fs ~cred buffer 0);
+  drain ();
+  drain ();
+  Alcotest.(check (pair int int)) "counted each drain, nothing delivered" (2, 0)
+    (Telemetry.Registry.value errors, !delivered);
+  ok (Fs.chmod fs ~cred buffer 0o755);
+  drain ();
+  Alcotest.(check (pair int int)) "delivered once listable" (2, 1)
+    (Telemetry.Registry.value errors, !delivered)
+
 (* A buffer publish cannot write is reported, and the others are still
    written. *)
 let test_eventdir_unwritable_buffer () =
@@ -604,8 +659,7 @@ let test_eventdir_unwritable_buffer () =
   ok (Y.Eventdir.subscribe fs ~cred ~root:net ~switch:"sw1" ~app:"ok");
   Alcotest.(check bool) "reported" true
     (publish fs ~switch:"sw1" "x" = Error Vfs.Errno.ENOTDIR);
-  Alcotest.(check int) "others written" 1
-    (List.length (Y.Eventdir.poll fs ~cred ~root:net ~switch:"sw1" ~app:"ok"))
+  Alcotest.(check int) "others written" 1 (List.length (buffered fs "ok"))
 
 (* A symlink a subscriber plants in events/ is no buffer: publish
    creates nothing where it points and gives nothing away. *)
@@ -640,7 +694,8 @@ let test_outdir_roundtrip () =
       (Y.Outdir.submit fs ~cred ~root:net ~switch:"sw1" ~buffer_id:5l
          ~actions:[ OF.Action.Output (OF.Action.Physical 1) ] ~data:"" ())
   in
-  Alcotest.(check int) "pending" 2 (ok (Y.Outdir.pending fs ~cred ~root:net ~switch:"sw1"));
+  let spool = Y.Layout.packet_out_dir ~root:net "sw1" in
+  Alcotest.(check int) "pending" 2 (List.length (ok (Fs.readdir fs ~cred spool)));
   (match
      ok
        (Y.Outdir.consume fs ~cred ~root:net ~switch:"sw1"
@@ -652,7 +707,7 @@ let test_outdir_roundtrip () =
     Alcotest.(check string) "data" "bytes" r1.Y.Outdir.data;
     Alcotest.(check (option int32)) "buffer" (Some 5l) r2.Y.Outdir.buffer_id
   | l -> Alcotest.failf "expected 2 requests, got %d" (List.length l));
-  Alcotest.(check int) "drained" 0 (ok (Y.Outdir.pending fs ~cred ~root:net ~switch:"sw1"))
+  Alcotest.(check (list string)) "drained" [] (ok (Fs.readdir fs ~cred spool))
 
 (* --- views ---------------------------------------------------------------------------------- *)
 
@@ -798,6 +853,10 @@ let () =
             test_eventdir_non_root_subscriber;
           Alcotest.test_case "failed removal counted" `Quick
             test_eventdir_failed_removal;
+          Alcotest.test_case "unparseable event counted once" `Quick
+            test_eventdir_unparseable;
+          Alcotest.test_case "unlistable buffer counted" `Quick
+            test_eventdir_unlistable_buffer;
           Alcotest.test_case "unwritable buffer reported" `Quick
             test_eventdir_unwritable_buffer;
           Alcotest.test_case "symlink is not a buffer" `Quick
