@@ -238,6 +238,41 @@ let tree_cmd topo datapath of13 =
   print_string (Yancfs.Yanc_fs.tree (Yanc.Controller.yfs ctl));
   0
 
+(* The declared tree, one directory kind a line with what the schema
+   says of it: a generated Figure 3. A record's attribute kinds (any
+   other name in it) are left out; its fields are listed. *)
+let schema_cmd () =
+  let module S = Yancfs.Schema in
+  let words label = function [] -> [] | l -> [ label ^ " " ^ String.concat " " l ] in
+  let line indent name notes =
+    Printf.printf "%-32s %s\n" (indent ^ name ^ "/") (String.concat "; " notes)
+  in
+  let rec print indent (n : S.node) =
+    let name =
+      if n == S.root then Vfs.Path.to_string Yancfs.Layout.default_root
+      else match n.naming with S.Numbered -> n.name ^ "<n>" | S.Fixed | S.Any -> n.name
+    in
+    line indent name
+      ((n.kind :: (if n.made then [ "made with its parent" ] else []))
+      @ (if not n.removable then []
+         else if n == S.root then [ "rmdir takes a view whole" ]
+         else [ "rmdir takes it whole" ])
+      @ words "fields" (List.map (fun f -> if S.is_family f then f ^ "*" else f) n.fields)
+      @ Option.fold ~none:[] ~some:(fun c -> [ "commit " ^ c ]) n.commit
+      @ words "state" n.state
+      @ words "links"
+          (List.map
+             (fun (l, t) -> l ^ " -> " ^ match t with S.Same -> n.kind | S.Kind k -> k.kind)
+             n.links));
+    if n.views then line (indent ^ "  ") S.root.name [ "a yanc root again, as above" ];
+    List.iter
+      (fun (c : S.node) ->
+        if not (c.naming = S.Any && c.children = []) then print (indent ^ "  ") c)
+      n.children
+  in
+  print "" S.root;
+  0
+
 let counters_cmd topo datapath of13 apps duration switch =
   setup_logs ();
   let ctl = build ~topo:(topo datapath) ~of13 ~apps in
@@ -860,6 +895,15 @@ let tree_t =
     (Cmd.info "tree" ~doc:"Print the /net hierarchy after discovery (Figure 2).")
     Term.(const tree_cmd $ topo_arg $ datapath_arg $ of13_arg)
 
+let schema_t =
+  Cmd.v
+    (Cmd.info "schema"
+       ~doc:
+         "Print the declared /net tree: each directory kind, the children a \
+          mkdir gives it, whether rmdir takes it whole, its symlinks and \
+          its record fields (a generated Figure 3).")
+    Term.(const schema_cmd $ const ())
+
 let script_arg =
   Arg.(
     value
@@ -1062,7 +1106,7 @@ let main =
   Cmd.group
     (Cmd.info "yancctl" ~version:"1.0.0"
        ~doc:"yanc: a file-system-centric SDN controller (simulated).")
-    [ run_t; tree_t; shell_t; counters_t; top_t; trace_t; cluster_t;
+    [ run_t; tree_t; schema_t; shell_t; counters_t; top_t; trace_t; cluster_t;
       health_t; blackbox_t; policy_t ]
 
 let () = exit (Cmd.eval' main)

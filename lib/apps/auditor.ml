@@ -14,7 +14,7 @@ let audit yfs ~cred =
   add (finding `Info "switches: %d" (List.length switches));
   List.iter
     (fun switch ->
-      (* Typed children present? *)
+      (* The children the schema gives every switch present? *)
       List.iter
         (fun child ->
           let p = Y.Layout.switch_attr ~root switch child in
@@ -30,7 +30,7 @@ let audit yfs ~cred =
                  switch child)
           | Error _ ->
             add (finding `Error "switch %s: missing %s/" switch child))
-        [ "flows"; "ports"; "counters"; "events" ];
+        Y.Schema.switch.makes;
       (if Y.Yanc_fs.switch_dpid yfs switch = None then
          add (finding `Error "switch %s: missing or invalid id file" switch));
       (* Flows parse? Collect the parseable ones for conflict analysis. *)

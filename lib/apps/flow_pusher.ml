@@ -1,5 +1,4 @@
 module Y = Yancfs
-module OF = Openflow
 
 type spec = { switch : string; name : string; flow : Y.Flowdir.t }
 
@@ -31,32 +30,13 @@ let parse_line line =
       | Some n -> Error (Printf.sprintf "invalid flow name %S" n)
       | None -> Error "missing name="
     in
+    (* The rest are the flow's files, as the flow directory would hold
+       them. *)
+    let files = List.filter (fun (k, _) -> k <> "name") pairs in
     let* flow =
-      List.fold_left
-        (fun acc (k, v) ->
-          let* (flow : Y.Flowdir.t) = acc in
-          if k = "name" then Ok flow
-          else if k = "priority" then
-            match int_of_string_opt v with
-            | Some priority -> Ok { flow with Y.Flowdir.priority }
-            | None -> Error (Printf.sprintf "priority: invalid value %S" v)
-          else if k = "idle_timeout" then
-            match int_of_string_opt v with
-            | Some idle_timeout -> Ok { flow with Y.Flowdir.idle_timeout }
-            | None -> Error (Printf.sprintf "idle_timeout: invalid value %S" v)
-          else if k = "hard_timeout" then
-            match int_of_string_opt v with
-            | Some hard_timeout -> Ok { flow with Y.Flowdir.hard_timeout }
-            | None -> Error (Printf.sprintf "hard_timeout: invalid value %S" v)
-          else if String.length k > 6 && String.sub k 0 6 = "match." then
-            let field = String.sub k 6 (String.length k - 6) in
-            let* of_match = OF.Of_match.set_field flow.Y.Flowdir.of_match field v in
-            Ok { flow with Y.Flowdir.of_match }
-          else if String.length k > 7 && String.sub k 0 7 = "action." then
-            let* actions = OF.Action.of_fields [ k, v ] in
-            Ok { flow with Y.Flowdir.actions = flow.Y.Flowdir.actions @ actions }
-          else Error (Printf.sprintf "unknown key %S" k))
-        (Ok Y.Flowdir.default) pairs
+      match List.find_opt (fun (k, _) -> not (Y.Flowdir.is_spec_file k)) files with
+      | Some (k, _) -> Error (Printf.sprintf "unknown key %S" k)
+      | None -> Y.Flowdir.of_fields files
     in
     Ok { switch; name; flow }
 

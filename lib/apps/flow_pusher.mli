@@ -7,7 +7,10 @@
 
     {v sw1 name=ssh-drop priority=40000 match.tp_dst=22 match.dl_type=0x0800 match.nw_proto=6 action.0.out=drop v}
 
-    A switch of [*] targets every switch present. *)
+    A switch of [*] targets every switch present. The keys after
+    [name] are the flow directory's files a spec may set
+    ({!Yancfs.Flowdir.is_spec_file}), parsed as {!Yancfs.Flowdir}
+    parses them; any other key is an error. *)
 
 type spec = {
   switch : string;   (** a name, or ["*"] *)

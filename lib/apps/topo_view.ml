@@ -28,7 +28,7 @@ let create ?(cred = Vfs.Cred.root) yfs =
   let hosts_dir = Y.Layout.hosts_dir ~root in
   ignore
     (Notifier.add_watch ~recursive:true notifier (Y.Layout.switches_dir ~root)
-       ~leaves:[ "peer"; Y.Layout.config_port_down; Y.Layout.state_link_down ]
+       ~leaves:[ Y.Schema.peer; Y.Schema.config_port_down; Y.Schema.state_link_down ]
        Notifier.all);
   ignore (Notifier.add_watch ~recursive:true notifier hosts_dir Notifier.all);
   { yfs; cred; notifier; hosts_dir; version = 0; switches = [];

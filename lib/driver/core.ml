@@ -604,7 +604,7 @@ let classify_fs_events t =
             if Vfs.Path.is_prefix spool ev.path then t.spool_dirty <- true
             else if Vfs.Path.is_prefix ports ev.path then begin
               match Vfs.Path.basename ev.path with
-              | Some base when base = Y.Layout.config_port_down ->
+              | Some base when base = Y.Schema.config_port_down ->
                 t.ports_dirty <- true
               | _ -> ()
             end)

@@ -152,16 +152,13 @@ let write_shard_record node dpid ~reps =
 
 (* --- shard-aware op routing --------------------------------------------------- *)
 
-(* An op belongs to a shard iff it lives under
-   /net/switches/sw<dpid>/flows — the hot-path volume. Everything else
-   (ports, peers, status, hosts, cluster metadata, proc trees)
-   replicates everywhere. *)
+(* An op belongs to a shard iff it lives under a switch's flows/ in the
+   master tree (the hot-path volume): the schema names the switch.
+   Everything else (ports, peers, status, hosts, a view's flows, cluster
+   metadata, proc trees) replicates everywhere. *)
 let dpid_of_op op =
-  match Vfs.Path.components (Vfs.Op.path op) with
-  | "net" :: "switches" :: sw :: "flows" :: _ ->
-    if String.length sw > 2 && String.sub sw 0 2 = "sw" then
-      Int64.of_string_opt (String.sub sw 2 (String.length sw - 2))
-    else None
+  match Yancfs.Schema.(walk_to ~root:Yancfs.Layout.default_root (Vfs.Op.path op) flows) with
+  | [ sw ] -> Int64.of_string_opt (Yancfs.Schema.(number switch) sw)
   | _ -> None
 
 (* Replica set under balanced ownership: the capped owner first, then
@@ -202,9 +199,8 @@ let route t op ~origin:_ =
    owning node's driver resumes the cross-node trace at install time
    without knowing the op ever crossed a machine boundary. *)
 let trace_key_of_op op =
-  match Vfs.Path.components (Vfs.Op.path op) with
-  | "net" :: "switches" :: sw :: "flows" :: flow :: _ ->
-    Some (Yancfs.Layout.trace_key_flow ~switch:sw flow)
+  match Yancfs.Schema.(walk_to ~root:Yancfs.Layout.default_root (Vfs.Op.path op) flow) with
+  | [ flow; sw ] -> Some (Yancfs.Layout.trace_key_flow ~switch:sw flow)
   | _ -> None
 
 (* --- ownership reconcile ------------------------------------------------------ *)

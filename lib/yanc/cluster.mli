@@ -108,6 +108,12 @@ val node_installs : t -> int -> int
 
 val installs : t -> int
 
+val dpid_of_op : Vfs.Op.t -> int64 option
+(** The shard an op routes to: the switch whose [flows/] it lies at or
+    below in the master tree [/net], as {!Yancfs.Schema} names it
+    ([sw<dpid>]). [None] replicates the op to every node: everything
+    else, a view's flows included. *)
+
 (** {1 Invariants} *)
 
 val owner_index : t -> int64 -> int option

@@ -64,9 +64,9 @@ let publish ?telemetry fs ~cred ~root ~switch ~in_port ~reason ~buffer_id
       Telemetry.Tracer.stamp (Telemetry.tracer tele) (Layout.trace_key_event seq))
     telemetry;
   let fields =
-    [ "in_port", string_of_int in_port; "reason", reason_to_string reason ]
-    @ Option.fold ~none:[] ~some:(fun id -> [ "buffer_id", Int32.to_string id ]) buffer_id
-    @ [ "total_len", string_of_int total_len; "data", data ]
+    [ Schema.in_port, string_of_int in_port; Schema.reason, reason_to_string reason ]
+    @ Option.fold ~none:[] ~some:(fun id -> [ Schema.buffer_id, Int32.to_string id ]) buffer_id
+    @ [ Schema.total_len, string_of_int total_len; Schema.data, data ]
   in
   List.fold_left
     (fun result (app, (st : Fs.stat)) ->
@@ -84,16 +84,18 @@ let publish ?telemetry fs ~cred ~root ~switch ~in_port ~reason ~buffer_id
 
 let parse ~seq fields =
   let ( let* ) = Option.bind in
-  let* in_port = Record.required int_of_string_opt "in_port" fields in
-  let* reason = Record.required Option.some "reason" fields in
-  let* total_len = Record.required int_of_string_opt "total_len" fields in
-  let* buffer_id = Record.optional Int32.of_string_opt "buffer_id" fields in
-  let* data = List.assoc_opt "data" fields in
+  let* in_port = Record.required int_of_string_opt Schema.in_port fields in
+  let* reason = Record.required Option.some Schema.reason fields in
+  let* total_len = Record.required int_of_string_opt Schema.total_len fields in
+  let* buffer_id = Record.optional Int32.of_string_opt Schema.buffer_id fields in
+  let* data = List.assoc_opt Schema.data fields in
   Some { seq; in_port; reason = reason_of_string reason; buffer_id; total_len; data }
+
+let is_field = Schema.is_field Schema.event
 
 let consume fs ~cred ~root ~switch ~app ~on_error =
   Record.take fs ~cred (Layout.event_buffer ~root ~switch app)
-    ~select:(fun n -> List.mem n [ "in_port"; "reason"; "buffer_id"; "total_len"; "data" ])
+    ~select:is_field
     ~parse ~on_error
 
 let frame_of e = Packet.Eth.of_wire e.data

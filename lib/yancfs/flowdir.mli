@@ -31,12 +31,26 @@ val default : t
 (** Wildcard match, no actions (drop), priority 0x8000, no timeouts,
     version 0. *)
 
+val of_fields : (string * string) list -> (t, string) result
+(** The flow that field files' [(name, value)] pairs describe, over
+    {!default}: a value that does not parse is the error, naming its
+    file; a name outside the flow's record ({!Schema.flow}) is ignored.
+    This is {!read}'s parser, for a flow written as text elsewhere
+    (a flow pusher's spec line). *)
+
+val is_spec_file : string -> bool
+(** The files a static flow spec may name: the [match.] and [action.]
+    families, [priority], [idle_timeout] and [hard_timeout]. A spec
+    names no [version] (the commit's), [buffer_id] (a packet one
+    switch holds) or [cookie]. *)
+
 (** {1 I/O through a directory handle}
 
     Every function acts on an opened flow directory ({!Vfs.Fs.opendir}
     of [<root>/switches/<sw>/flows/<name>], see {!Yanc_fs.open_flow}):
     the path is walked once per caller, and each file is one
-    handle-relative call. The flow files are named only here.
+    handle-relative call. The flow's files are read and written only
+    here; their names are {!Schema.flow}'s.
 
     The probes that touch one to three files ({!read_version},
     {!read_counters}, {!write_counters}, {!read_error}) also take

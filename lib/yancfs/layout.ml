@@ -2,50 +2,42 @@ module Path = Vfs.Path
 
 let default_root = Path.of_string_exn "/net"
 
-let hosts_dir ~root = Path.child root "hosts"
+let hosts_dir ~root = Path.child root Schema.hosts.name
 
-let switches_dir ~root = Path.child root "switches"
-
-let views_dir ~root = Path.child root "views"
+let switches_dir ~root = Path.child root Schema.switches.name
 
 let host ~root name = Path.child (hosts_dir ~root) name
 
-let view ~root name = Path.child (views_dir ~root) name
+let view ~root name = Path.child (Path.child root Schema.views.name) name
 
 let switch ~root name = Path.child (switches_dir ~root) name
 
 let switch_attr ~root name attr = Path.child (switch ~root name) attr
 
-let switch_status ~root name = switch_attr ~root name "status"
-
-let flows_dir ~root name = Path.child (switch ~root name) "flows"
+let flows_dir ~root name = Path.child (switch ~root name) Schema.flows.name
 
 let flow ~root ~switch:sw name = Path.child (flows_dir ~root sw) name
 
 let flow_attr ~root ~switch ~flow:f attr = Path.child (flow ~root ~switch f) attr
 
-let flow_counters ~root ~switch f = Path.child (flow ~root ~switch f) "counters"
+let flow_counters ~root ~switch f =
+  Path.child (flow ~root ~switch f) Schema.flow_counters.name
 
-let ports_dir ~root name = Path.child (switch ~root name) "ports"
+let ports_dir ~root name = Path.child (switch ~root name) Schema.ports.name
 
-let port_name n = Printf.sprintf "port_%d" n
+let port_no_of_name s = int_of_string_opt (Schema.number Schema.port s)
 
-let port_no_of_name s =
-  if String.length s > 5 && String.sub s 0 5 = "port_" then
-    int_of_string_opt (String.sub s 5 (String.length s - 5))
-  else None
-
-let port ~root ~switch:sw n = Path.child (ports_dir ~root sw) (port_name n)
+let port ~root ~switch:sw n =
+  Path.child (ports_dir ~root sw) (Schema.numbered Schema.port (string_of_int n))
 
 let port_attr ~root ~switch ~port:n attr = Path.child (port ~root ~switch n) attr
 
-let port_peer ~root ~switch n = port_attr ~root ~switch ~port:n "peer"
+let port_counters ~root ~switch n =
+  port_attr ~root ~switch ~port:n Schema.port_counters.name
 
-let port_counters ~root ~switch n = port_attr ~root ~switch ~port:n "counters"
+let events_dir ~root name = Path.child (switch ~root name) Schema.events.name
 
-let events_dir ~root name = Path.child (switch ~root name) "events"
-
-let packet_out_dir ~root name = Path.child (switch ~root name) "packet_out"
+let packet_out_dir ~root name = Path.child (switch ~root name) Schema.packet_out.name
 
 let event_buffer ~root ~switch app = Path.child (events_dir ~root switch) app
 
@@ -122,19 +114,3 @@ let proc_switches_dir ~proc = Path.child proc "switches"
 let proc_switch ~proc name = Path.child (proc_switches_dir ~proc) name
 
 let proc_switch_stat ~proc name = Path.child (proc_switch ~proc name) "stat"
-
-let version_file = "version"
-
-let priority_file = "priority"
-
-let idle_timeout_file = "idle_timeout"
-
-let hard_timeout_file = "hard_timeout"
-
-let cookie_file = "cookie"
-
-let error_file = "error"
-
-let config_port_down = "config.port_down"
-
-let state_link_down = "state.link_down"

@@ -5,27 +5,16 @@
     [<root>/views/<name>] — applications handed a view root use the
     identical code paths as applications on the master tree (paper §4.2).
 
-{v
-/net
-├── hosts
-├── switches
-│   └── sw1
-│       ├── actions  capabilities  id  num_buffers  num_tables  protocol
-│       ├── counters/
-│       ├── events/<app>/<seq>/{in_port,reason,buffer_id,total_len,data}
-│       ├── flows/<flow>/{match.*,action.*,priority,timeout,version,counters/}
-│       └── ports/<port_N>/{hw_addr,name,speed,config.port_down,
-│                           state.link_down,counters/,peer -> ../../..}
-└── views
-    └── <view>/{hosts,switches,views}
-v} *)
+    The tree itself (its names, the children a mkdir gives each node, its
+    records' fields) is declared once, in {!Schema}; these builders take
+    their names from it. [yancctl schema] prints it: a generated
+    Figure 3. *)
 
 val default_root : Vfs.Path.t
 (** [/net] *)
 
 val hosts_dir : root:Vfs.Path.t -> Vfs.Path.t
 val switches_dir : root:Vfs.Path.t -> Vfs.Path.t
-val views_dir : root:Vfs.Path.t -> Vfs.Path.t
 
 val host : root:Vfs.Path.t -> string -> Vfs.Path.t
 val view : root:Vfs.Path.t -> string -> Vfs.Path.t
@@ -34,10 +23,6 @@ val view : root:Vfs.Path.t -> string -> Vfs.Path.t
 val switch : root:Vfs.Path.t -> string -> Vfs.Path.t
 val switch_attr : root:Vfs.Path.t -> string -> string -> Vfs.Path.t
 (** e.g. [switch_attr ~root "sw1" "id"]. *)
-
-val switch_status : root:Vfs.Path.t -> string -> Vfs.Path.t
-(** The driver-owned connection state file:
-    [handshaking|connected|degraded|reconnecting|dead]. *)
 
 val flows_dir : root:Vfs.Path.t -> string -> Vfs.Path.t
 val flow : root:Vfs.Path.t -> switch:string -> string -> Vfs.Path.t
@@ -49,7 +34,6 @@ val port : root:Vfs.Path.t -> switch:string -> int -> Vfs.Path.t
 
 val port_no_of_name : string -> int option
 val port_attr : root:Vfs.Path.t -> switch:string -> port:int -> string -> Vfs.Path.t
-val port_peer : root:Vfs.Path.t -> switch:string -> int -> Vfs.Path.t
 val port_counters : root:Vfs.Path.t -> switch:string -> int -> Vfs.Path.t
 
 val events_dir : root:Vfs.Path.t -> string -> Vfs.Path.t
@@ -166,14 +150,3 @@ val proc_app_stat : proc:Vfs.Path.t -> string -> Vfs.Path.t
 val proc_switches_dir : proc:Vfs.Path.t -> Vfs.Path.t
 val proc_switch : proc:Vfs.Path.t -> string -> Vfs.Path.t
 val proc_switch_stat : proc:Vfs.Path.t -> string -> Vfs.Path.t
-
-(** {1 Well-known file names} *)
-
-val version_file : string
-val priority_file : string
-val idle_timeout_file : string
-val hard_timeout_file : string
-val cookie_file : string
-val error_file : string
-val config_port_down : string
-val state_link_down : string

@@ -15,28 +15,29 @@ let submit fs ~cred ~root ~switch ?buffer_id ?in_port ~actions ~data () =
   Result.map
     (fun () -> seq)
     (Record.post fs ~cred (Layout.packet_out_dir ~root switch) ~seq
-       (opt "buffer_id" Int32.to_string buffer_id
-       @ opt "in_port" string_of_int in_port
+       (opt Schema.buffer_id Int32.to_string buffer_id
+       @ opt Schema.in_port string_of_int in_port
        @ Openflow.Action.to_fields actions
-       @ if data <> "" then [ "data", data ] else []))
-
-let is_action name = String.starts_with ~prefix:"action." name
+       @ if data <> "" then [ Schema.data, data ] else []))
 
 let parse ~seq fields =
   let ( let* ) = Option.bind in
-  let* buffer_id = Record.optional Int32.of_string_opt "buffer_id" fields in
-  let* in_port = Record.optional int_of_string_opt "in_port" fields in
+  let* buffer_id = Record.optional Int32.of_string_opt Schema.buffer_id fields in
+  let* in_port = Record.optional int_of_string_opt Schema.in_port fields in
   let actions =
     List.filter_map
-      (fun (n, v) -> if is_action n then Some (n, String.trim v) else None)
+      (fun (n, v) ->
+        if Schema.in_family Schema.action_prefix n then Some (n, String.trim v) else None)
       fields
   in
   let* actions = Result.to_option (Openflow.Action.of_fields actions) in
   Some
     { seq; buffer_id; in_port; actions;
-      data = Option.value (List.assoc_opt "data" fields) ~default:"" }
+      data = Option.value (List.assoc_opt Schema.data fields) ~default:"" }
+
+let is_field = Schema.is_field Schema.request
 
 let consume fs ~cred ~root ~switch ~on_error =
   Record.take fs ~cred (Layout.packet_out_dir ~root switch)
-    ~select:(fun n -> is_action n || List.mem n [ "buffer_id"; "in_port"; "data" ])
+    ~select:is_field
     ~parse ~on_error

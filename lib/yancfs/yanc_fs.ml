@@ -26,6 +26,16 @@ let ensure_dir fs ~cred path =
   | Ok () | Error Vfs.Errno.EEXIST -> Ok ()
   | Error _ as e -> e
 
+(* The children the schema gives a yanc root. The mkdir policy makes
+   them with a new root; a root made before the policy was attached, or
+   that already existed, gets them here. *)
+let root_children fs ~cred root =
+  List.fold_left
+    (fun acc name ->
+      let* () = acc in
+      ensure_dir fs ~cred (Path.child root name))
+    (Ok ()) Schema.root.makes
+
 let create ?(root = Layout.default_root) ?telemetry base =
   let telemetry =
     (* A bare Yanc_fs (tests, benches) gets a quiet instance over its
@@ -37,21 +47,13 @@ let create ?(root = Layout.default_root) ?telemetry base =
   in
   Checked.report base "mount" root (Fs.mkdir_p base ~cred:Vfs.Cred.root root);
   Schema.attach base ~root;
-  (* The schema's mkdir policy gives new directories their children;
-     the root was made before it, or already existed, so its top-level
-     dirs are ensured by hand. *)
-  List.iter
-    (fun p -> Checked.report base "mount" p (ensure_dir base ~cred:Vfs.Cred.root p))
-    [ Layout.hosts_dir ~root; Layout.switches_dir ~root; Layout.views_dir ~root ];
+  Checked.report base "mount" root (root_children base ~cred:Vfs.Cred.root root);
   { fs = base; root; telemetry; pktin = Pktin.create ~telemetry () }
 
 let in_view t ~cred name =
   let vroot = Layout.view ~root:t.root name in
   let* () = ensure_dir t.fs ~cred vroot in
-  (* Auto-children may not exist if the view pre-dated schema attach. *)
-  let* () = ensure_dir t.fs ~cred (Layout.hosts_dir ~root:vroot) in
-  let* () = ensure_dir t.fs ~cred (Layout.switches_dir ~root:vroot) in
-  let* () = ensure_dir t.fs ~cred (Layout.views_dir ~root:vroot) in
+  let* () = root_children t.fs ~cred vroot in
   Ok { fs = t.fs; root = vroot; telemetry = t.telemetry; pktin = t.pktin }
 
 let tree t =
@@ -61,7 +63,7 @@ let tree t =
 
 (* --- switches --------------------------------------------------------------- *)
 
-let switch_name_of_dpid dpid = Printf.sprintf "sw%Ld" dpid
+let switch_name_of_dpid dpid = Schema.numbered Schema.switch (Int64.to_string dpid)
 
 (* Make (or keep) the directory at [path], open it and write [fields]
    into it, then [if_made] if the directory was just made: one walk,
@@ -79,21 +81,18 @@ let write_record t ~cred ?(if_made = []) path fields =
 let add_switch t ~cred ~name ~dpid ~protocol ~n_buffers ~n_tables ~capabilities
     ~actions =
   write_record t ~cred (Layout.switch ~root:t.root name)
-    [ "id", Printf.sprintf "%Ld" dpid; "protocol", protocol;
-      "num_buffers", string_of_int n_buffers; "num_tables", string_of_int n_tables;
-      "capabilities", String.concat "\n" capabilities;
-      "actions", String.concat "\n" actions ]
+    (List.combine Schema.switch.fields
+       [ Int64.to_string dpid; protocol; string_of_int n_buffers; string_of_int n_tables;
+         String.concat "\n" capabilities; String.concat "\n" actions ])
 
 let remove_switch t name =
   Fs.rmdir ~recursive:true t.fs ~cred:Vfs.Cred.root
     (Layout.switch ~root:t.root name)
 
-let switch_names t =
-  match
-    Fs.readdir t.fs ~cred:Vfs.Cred.root (Layout.switches_dir ~root:t.root)
-  with
-  | Ok names -> names
-  | Error _ -> []
+(* A typed directory's entries; none when it cannot be listed. *)
+let entries t ~cred dir = Result.value (Fs.readdir t.fs ~cred dir) ~default:[]
+
+let switch_names t = entries t ~cred:Vfs.Cred.root (Layout.switches_dir ~root:t.root)
 
 let read_attr t ~cred name file =
   match Fs.read_file t.fs ~cred (Layout.switch_attr ~root:t.root name file) with
@@ -101,15 +100,15 @@ let read_attr t ~cred name file =
   | Error _ -> None
 
 let switch_dpid t name =
-  Option.bind (read_attr t ~cred:Vfs.Cred.root name "id") Int64.of_string_opt
+  Option.bind (read_attr t ~cred:Vfs.Cred.root name Schema.id) Int64.of_string_opt
 
-let switch_protocol t name = read_attr t ~cred:Vfs.Cred.root name "protocol"
+let switch_protocol t name = read_attr t ~cred:Vfs.Cred.root name Schema.protocol
 
 let set_switch_status t ~switch status =
   Fs.write_file t.fs ~cred:Vfs.Cred.root
-    (Layout.switch_status ~root:t.root switch) status
+    (Layout.switch_attr ~root:t.root switch Schema.status) status
 
-let switch_status t name = read_attr t ~cred:Vfs.Cred.root name "status"
+let switch_status t name = read_attr t ~cred:Vfs.Cred.root name Schema.status
 
 (* --- ports ------------------------------------------------------------------- *)
 
@@ -122,31 +121,27 @@ let parse_bool_file s =
 
 let set_port t ~cred ~switch (info : Port_info.t) =
   write_record t ~cred (Layout.port ~root:t.root ~switch info.port_no)
-    [ "hw_addr", Packet.Mac.to_string info.hw_addr; "name", info.name;
-      "speed", string_of_int info.speed_mbps;
-      Layout.state_link_down, bool_file info.link_down ]
-    ~if_made:[ Layout.config_port_down, bool_file info.admin_down ]
+    [ Schema.hw_addr, Packet.Mac.to_string info.hw_addr; Schema.port_label, info.name;
+      Schema.speed, string_of_int info.speed_mbps;
+      Schema.state_link_down, bool_file info.link_down ]
+    ~if_made:[ Schema.config_port_down, bool_file info.admin_down ]
 
 let remove_port t ~switch n =
   Fs.rmdir ~recursive:true t.fs ~cred:Vfs.Cred.root
     (Layout.port ~root:t.root ~switch n)
 
 let port_numbers t ~cred switch =
-  match Fs.readdir t.fs ~cred (Layout.ports_dir ~root:t.root switch) with
-  | Error _ -> []
-  | Ok names -> List.filter_map Layout.port_no_of_name names |> List.sort compare
+  List.filter_map Layout.port_no_of_name (entries t ~cred (Layout.ports_dir ~root:t.root switch))
+  |> List.sort compare
 
 let read_port t ~cred ~switch n =
   let* d = Fs.opendir t.fs ~cred (Layout.port ~root:t.root ~switch n) in
-  let* fields =
-    Record.read_named t.fs ~cred d
-      [ "hw_addr"; "name"; "speed"; Layout.config_port_down; Layout.state_link_down ]
-  in
+  let* fields = Record.read_named t.fs ~cred d Schema.port.fields in
   let field name = Record.required Option.some name fields in
   match
-    ( Record.required Packet.Mac.of_string "hw_addr" fields, field "name",
-      Record.required int_of_string_opt "speed" fields,
-      field Layout.config_port_down, field Layout.state_link_down )
+    ( Record.required Packet.Mac.of_string Schema.hw_addr fields, field Schema.port_label,
+      Record.required int_of_string_opt Schema.speed fields,
+      field Schema.config_port_down, field Schema.state_link_down )
   with
   | Some hw_addr, Some name, Some speed_mbps, Some down, Some link ->
     Ok
@@ -159,15 +154,13 @@ let port_up t ~cred ~switch n =
     Result.fold ~ok:parse_bool_file ~error:(fun _ -> true)
       (Fs.read_file t.fs ~cred (Layout.port_attr ~root:t.root ~switch ~port:n file))
   in
-  not (set Layout.config_port_down || set Layout.state_link_down)
+  not (set Schema.config_port_down || set Schema.state_link_down)
 
 let write_port_counters t ~switch ~port (s : Port_stats.t) =
   write_record t ~cred:Vfs.Cred.root (Layout.port_counters ~root:t.root ~switch port)
-    (List.map
-       (fun (name, v) -> (name, Int64.to_string v))
-       [ "rx_packets", s.rx_packets; "tx_packets", s.tx_packets;
-         "rx_bytes", s.rx_bytes; "tx_bytes", s.tx_bytes;
-         "rx_dropped", s.rx_dropped; "tx_dropped", s.tx_dropped ])
+    (List.combine Schema.port_counters.fields
+       (List.map Int64.to_string
+          [ s.rx_packets; s.tx_packets; s.rx_bytes; s.tx_bytes; s.rx_dropped; s.tx_dropped ]))
 
 (* Remove the symlink [link], then point it at [port]'s directory, if
    any: a port's [peer] or a host's [attached_to]. *)
@@ -184,21 +177,21 @@ let relink t ~cred link port =
     Fs.symlink t.fs ~cred ~target:(Path.to_string (Layout.port ~root:t.root ~switch n)) link
 
 let set_peer t ~cred ~switch ~port ~peer =
-  relink t ~cred (Layout.port_peer ~root:t.root ~switch port) peer
+  relink t ~cred (Layout.port_attr ~root:t.root ~switch ~port Schema.peer) peer
 
 (* The (switch, port) a symlink at [link] points at, if it names a port
-   directory under this root: a [peer] or a host's [attached_to]. *)
+   of this root's own switches: a [peer] or a host's [attached_to]. The
+   schema's symlink rule made the target a port directory. *)
 let port_at t ~cred link =
   match Result.bind (Fs.readlink t.fs ~cred link) Path.of_string with
   | Error _ -> None
   | Ok p -> (
-    match Option.map Path.components (Path.strip_prefix ~prefix:t.root p) with
-    | Some [ "switches"; sw; "ports"; pname ] ->
-      Option.map (fun n -> sw, n) (Layout.port_no_of_name pname)
-    | Some _ | None -> None)
+    match Schema.walk_to ~root:t.root p Schema.port with
+    | [ pname; sw ] -> Option.map (fun n -> sw, n) (Layout.port_no_of_name pname)
+    | _ -> None)
 
 let peer_of t ~cred ~switch ~port =
-  port_at t ~cred (Layout.port_peer ~root:t.root ~switch port)
+  port_at t ~cred (Layout.port_attr ~root:t.root ~switch ~port Schema.peer)
 
 (* --- flows -------------------------------------------------------------------- *)
 
@@ -232,17 +225,11 @@ let upsert_flow t ~cred ~switch ~name flow =
              { flow with Flowdir.version = old.Flowdir.version })))
   | Error e -> Error (Vfs.Errno.message e)
 
-let flow_names t ~cred switch =
-  match Fs.readdir t.fs ~cred (Layout.flows_dir ~root:t.root switch) with
-  | Ok names -> names
-  | Error _ -> []
+let flow_names t ~cred switch = entries t ~cred (Layout.flows_dir ~root:t.root switch)
 
 module Name_set = Set.Make (String)
 
-let flow_name_set t ~cred switch =
-  match Fs.readdir t.fs ~cred (Layout.flows_dir ~root:t.root switch) with
-  | Ok names -> Name_set.of_list names
-  | Error _ -> Name_set.empty
+let flow_name_set t ~cred switch = Name_set.of_list (flow_names t ~cred switch)
 
 let read_flow t ~cred ~switch name =
   match open_flow t ~cred ~switch name with
@@ -258,23 +245,20 @@ let upsert_host t ~cred ~name ~mac ~ip ?attached_to () =
   let dir = Layout.host ~root:t.root name in
   let* () =
     write_record t ~cred dir
-      (("mac", Packet.Mac.to_string mac)
-      :: Option.fold ~none:[] ~some:(fun a -> [ "ip", Packet.Ipv4_addr.to_string a ]) ip)
+      ((Schema.mac, Packet.Mac.to_string mac)
+      :: Option.fold ~none:[] ~some:(fun a -> [ Schema.ip, Packet.Ipv4_addr.to_string a ]) ip)
   in
   if attached_to = None then Ok ()
-  else relink t ~cred (Path.child dir "attached_to") attached_to
+  else relink t ~cred (Path.child dir Schema.attached_to) attached_to
 
-let host_names t ~cred =
-  match Fs.readdir t.fs ~cred (Layout.hosts_dir ~root:t.root) with
-  | Ok names -> names
-  | Error _ -> []
+let host_names t ~cred = entries t ~cred (Layout.hosts_dir ~root:t.root)
 
 let read_host t ~cred name =
   let dir = Layout.host ~root:t.root name in
   let* d = Fs.opendir t.fs ~cred dir in
-  let* fields = Record.read_named t.fs ~cred d [ "mac"; "ip" ] in
-  match Record.required Packet.Mac.of_string "mac" fields with
+  let* fields = Record.read_named t.fs ~cred d Schema.host.fields in
+  match Record.required Packet.Mac.of_string Schema.mac fields with
   | None -> Error Vfs.Errno.EINVAL
   | Some mac ->
-    let ip = Option.join (Record.optional Packet.Ipv4_addr.of_string "ip" fields) in
-    Ok (mac, ip, port_at t ~cred (Path.child dir "attached_to"))
+    let ip = Option.join (Record.optional Packet.Ipv4_addr.of_string Schema.ip fields) in
+    Ok (mac, ip, port_at t ~cred (Path.child dir Schema.attached_to))

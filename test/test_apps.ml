@@ -91,6 +91,14 @@ let test_pusher_parse_errors () =
     (Result.is_error (Apps.Flow_pusher.parse "sw1 priority=1"));
   Alcotest.(check bool) "bad key" true
     (Result.is_error (Apps.Flow_pusher.parse "sw1 name=x nonsense=1"));
+  (* A flow's own files that are not a static spec's. *)
+  List.iter
+    (fun (key, value) ->
+      Alcotest.(check (result reject string)) key
+        (Error (Printf.sprintf "line 1: unknown key %S" key))
+        (Result.map ignore
+           (Apps.Flow_pusher.parse (Printf.sprintf "* name=x priority=1 %s=%s" key value))))
+    [ "version", "3"; "buffer_id", "7"; "cookie", "0x1" ];
   Alcotest.(check bool) "bad value with line number" true
     (match Apps.Flow_pusher.parse "\nsw1 name=x priority=banana" with
     | Error e -> String.length e > 6 && String.sub e 0 6 = "line 2"
@@ -299,6 +307,24 @@ let test_auditor () =
   | Ok problems -> Alcotest.(check bool) "problems counted" true (problems >= 2)
   | Error e -> Alcotest.failf "run_to_file: %s" (Vfs.Errno.to_string e));
   Alcotest.(check bool) "report exists" true (Fs.exists fs ~cred out)
+
+(* fsck checks every child the schema gives a switch: packet_out/ too,
+   which every app's Outdir.submit needs. *)
+let test_auditor_packet_out () =
+  let built = N.Topo_gen.linear 1 in
+  let ctl = controller built in
+  let yfs = Yanc.Controller.yfs ctl in
+  Yanc.Controller.run_for ctl 0.3;
+  let fs = Yanc.Controller.fs ctl in
+  (match Fs.rmdir fs ~cred (Y.Layout.packet_out_dir ~root:net_root "sw1") with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "rmdir packet_out: %s" (Vfs.Errno.to_string e));
+  Alcotest.(check bool) "missing packet_out/ flagged" true
+    (List.exists
+       (fun f ->
+         f.Apps.Auditor.severity = `Error
+         && f.Apps.Auditor.message = "switch sw1: missing packet_out/")
+       (Apps.Auditor.audit yfs ~cred))
 
 let test_accounting () =
   let built = N.Topo_gen.linear 2 in
@@ -652,7 +678,7 @@ let test_ecmp_port_down_spine () =
       must "port down"
         (Fs.write_file (Yanc.Controller.fs ctl) ~cred
            (Y.Layout.port_attr ~root:net_root ~switch:"sw1" ~port
-              Y.Layout.config_port_down)
+              Y.Schema.config_port_down)
            "1"))
 
 (* A daemon whose credential cannot write the switches' flows/
@@ -852,7 +878,7 @@ let test_view_matches_fresh () =
       must "port flip"
         (Fs.write_file fs ~cred
            (Y.Layout.port_attr ~root:net_root ~switch:s ~port:p
-              Y.Layout.config_port_down)
+              Y.Schema.config_port_down)
            (if Random.State.bool rng then "1" else "0"))
     | 3 ->
       incr host_seq;
@@ -976,6 +1002,7 @@ let () =
           Alcotest.test_case "dhcp" `Quick test_dhcp_daemon ] );
       ( "cron-apps",
         [ Alcotest.test_case "auditor" `Quick test_auditor;
+          Alcotest.test_case "auditor: missing packet_out/" `Quick test_auditor_packet_out;
           Alcotest.test_case "accounting" `Quick test_accounting ] );
       ( "switch-watcher",
         [ Alcotest.test_case "event-driven inventory" `Quick test_switch_watcher ] );

@@ -606,6 +606,26 @@ let test_rollup_matches_hand_merge () =
            | _ -> false)
          (String.split_on_char '\n' data))
 
+(* Shard routing, as the schema names an op's switch: an op at or below
+   a switch's flows/ in the master tree goes to that switch's shard; a
+   view's flow op, and every op that is not a master flow's, replicates
+   everywhere. *)
+let test_shard_routing () =
+  let route path =
+    Yanc.Cluster.dpid_of_op (Vfs.Op.Unlink { path = Vfs.Path.of_string_exn path })
+  in
+  let check path expected =
+    Alcotest.(check (option int64)) path expected (route path)
+  in
+  check "/net/switches/sw1/flows/f" (Some 1L);
+  check "/net/switches/sw1/flows/f/version" (Some 1L);
+  check "/net/switches/sw12/flows" (Some 12L);
+  check "/net/views/v/switches/sw1/flows/f" None;
+  check "/net/switches/sw1/ports/port_1/peer" None;
+  check "/net/switches/sw1" None;
+  check "/net/switches/s1/flows/f" None;
+  check "/yanc/cluster/shards/1" None
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_deterministic; prop_minimal_movement_leave;
@@ -617,7 +637,8 @@ let () =
   Alcotest.run "cluster"
     [ ("shard_map", qcheck_cases);
       ( "cluster",
-        [ Alcotest.test_case "boot ownership" `Quick test_boot_ownership;
+        [ Alcotest.test_case "shard routing" `Quick test_shard_routing;
+          Alcotest.test_case "boot ownership" `Quick test_boot_ownership;
           Alcotest.test_case "cross-node flow reaches owner hardware" `Quick
             test_cross_node_flow_reaches_owner_hardware;
           Alcotest.test_case "kill one of two: takeover converges" `Quick

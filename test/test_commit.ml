@@ -211,13 +211,13 @@ let test_fs_errors_surface () =
   let before = counter r "driver.fs_errors" in
   ok
     (Fs.mkdir (Y.Yanc_fs.fs r.yfs) ~cred
-       (Path.child (flow_dir r "f") Y.Layout.error_file));
+       (Path.child (flow_dir r "f") Y.Schema.error));
   ok
     (Fs.write_file (Y.Yanc_fs.fs r.yfs) ~cred
        (Path.child (flow_dir r "f") "priority") "not-a-number");
   ok
     (Fs.write_file (Y.Yanc_fs.fs r.yfs) ~cred
-       (Path.child (flow_dir r "f") Y.Layout.version_file) "2");
+       (Path.child (flow_dir r "f") Y.Schema.version) "2");
   step r;
   Alcotest.(check bool) "failure counted" true
     (counter r "driver.fs_errors" > before)

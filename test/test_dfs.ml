@@ -145,11 +145,7 @@ let test_visibility_delay_values () =
 (* A path the schema's mkdir policy derives from its parent. *)
 let auto_child ~root path =
   match Path.parent path, Path.basename path with
-  | Some parent, Some name -> (
-    match Y.Schema.classify ~root parent, name with
-    | Y.Schema.Switch, ("counters" | "events" | "flows" | "packet_out" | "ports")
-    | (Y.Schema.Flow | Y.Schema.Port), "counters" -> true
-    | _ -> false)
+  | Some parent, Some name -> List.mem name (Y.Schema.classify ~root parent).Y.Schema.makes
   | _ -> false
 
 (* Every object as (path, kind, mode, uid, gid, bytes). *)

@@ -35,7 +35,15 @@
      named list of one-file accessors.
    - In the driver, every flow_mod leaves through the commit path:
      [flow_add] is applied only in [install], [flow_delete_strict] only
-     in [send_plan]. *)
+     in [send_plan].
+   - A name of the /net tree (a directory, a record field, a state file,
+     a symlink, a name pattern's prefix) is spelled as a string literal
+     only in Yancfs.Schema, beside a named list of literals that are
+     something else: an OpenFlow or policy keyword, a log label, a
+     /yanc/.proc path.
+   - No top-level definition in lib/ makes process-wide mutable state
+     ([ref], [Hashtbl.create], [Atomic.make]) beyond a named list of
+     four counters. *)
 
 let dirs = [ "../lib/apps"; "../lib/views" ]
 
@@ -279,17 +287,18 @@ let test_one_version_type () =
     [ "../lib/openflow/dialect.ml:1"; "../lib/openflow/dialect.mli:5" ]
     definitions
 
-(* A flow file's name, or a handle-relative file call. Event and
-   packet-out spools name a [buffer_id] file of their own; Record makes
+(* A flow file's name (as Schema declares it), or a handle-relative
+   file call. Event and packet-out spools name a [buffer_id] file of
+   their own, so Eventdir and Outdir may name it too; Record makes
    every record's file calls. *)
 let test_flow_files () =
   let flowdir = "../lib/yancfs/flowdir.ml" in
   let names =
     violations ~dirs:[ "../lib" ]
       ~matching:
-        [ "version_file"; "error_file"; "priority_file"; "idle_timeout_file";
-          "hard_timeout_file"; "cookie_file"; "Layout.flow_attr";
-          "Layout.flow_counters"; "\"buffer_id\""; "read_file_at";
+        [ "Schema.version"; "Schema.error"; "Schema.priority"; "Schema.idle_timeout";
+          "Schema.hard_timeout"; "Schema.cookie"; "Schema.buffer_id"; "Schema.flow_counters";
+          "Layout.flow_attr"; "Layout.flow_counters"; "read_file_at";
           "write_file_at"; "unlink_at"; "mkdir_at"; "readdir_at" ]
   in
   check_none "flow files touched outside Flowdir"
@@ -350,6 +359,134 @@ let test_driver_flow_mods () =
   Alcotest.(check (list string)) "flow_delete_strict applied only in send_plan"
     [ "send_plan" ] (applying src "flow_delete_strict")
 
+(* Every name the schema declares: each fixed directory name, each
+   record's fields, state files and symlinks, and each non-empty
+   number prefix ([port_], [sw]). *)
+let schema_names =
+  let module S = Yancfs.Schema in
+  let rec names (n : S.node) =
+    (match n.naming with
+    | S.Fixed | S.Numbered when n.name <> "" -> [ n.name ]
+    | S.Fixed | S.Numbered | S.Any -> [])
+    @ n.fields @ n.state @ List.map fst n.links
+    @ List.concat_map names n.children
+  in
+  List.sort_uniq compare (names S.root)
+
+let schema_file = "../lib/yancfs/schema.ml"
+
+(* Literals in lib/ that spell a schema name but are not one, each
+   excused in the one definition that needs it, with why. *)
+let not_yanc_names =
+  [ "health.ml", "status_of_render", "status"; (* a health report's line key *)
+    "syntax.ml", "parse_policy", "id";        (* policy-language keywords *)
+    "syntax.ml", "pp_policy", "id";
+    "syntax.ml", "parse_policy", "in_port";
+    "of_match.ml", "to_fields", "in_port";    (* OpenFlow match field *)
+    "of_match.ml", "set_field", "in_port";
+    "action.ml", "port_to_string", "in_port"; (* OpenFlow output port *)
+    "action.ml", "port_of_string", "in_port";
+    "msg.ml", "msg_name", "error";            (* OpenFlow message names *)
+    "msg.ml", "msg_name", "packet_out";
+    "topology.ml", "set_peer", "peer";        (* a log label *)
+    "policy_engine.ml", "status", "error";    (* the engine's status word *)
+    "flow_pusher.ml", "parse_line", "name";   (* the flow spec's own key *)
+    "controller.ml", "switch_stat", "name";   (* /yanc/.proc switch stat keys *)
+    "controller.ml", "switch_stat", "protocol";
+    "controller.ml", "switch_stat", "status";
+    "config.ml", "parse", "protocol";         (* controller config keys *)
+    "config.ml", "parse", "duration";
+    "layout.ml", "proc_switches_dir", "switches" ] (* /yanc/.proc/switches *)
+
+(* Each site of a schema name as a string literal in lib/, outside
+   Schema and the named list. *)
+let yanc_literals () =
+  List.concat_map
+    (fun (path, src) ->
+      List.concat_map
+        (fun n ->
+          if path = schema_file then []
+          else
+            List.filter_map
+              (fun pos ->
+                let def = enclosing_definition src pos in
+                if List.exists (fun (file, d, m) -> is file path && d = def && m = n) not_yanc_names
+                then None
+                else Some (Printf.sprintf "%s:%d: %S" path (line_of src pos) n))
+              (occurrences src ("\"" ^ n ^ "\"")))
+        schema_names)
+    (sources ~dirs:[ "../lib" ] ())
+
+let test_yanc_names () =
+  check_none "a yanc name spelled outside Schema" (yanc_literals ());
+  (* The scan must see every name where the schema declares it, or it
+     proves nothing. *)
+  let src = strip_comments (read_file schema_file) in
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) ("Schema spells " ^ n) true
+        (occurrences src ("\"" ^ n ^ "\"") <> []))
+    schema_names
+
+(* Process-wide state: a top-level definition without parameters (a
+   [let] at column 0 binding a name, not a function) whose body makes a
+   ref, a hash table or an atomic. Every Fs, controller and test in the
+   process shares such a value, so what one run writes depends on what
+   ran before it. The four below are today's; a spool's number should
+   move into the spool, not into a fifth. *)
+let process_wide =
+  [ "outdir.ml", "next_seq"; "eventdir.ml", "next_seq"; "notifier.ml", "next_seq";
+    "fs.ml", "next_id" ]
+
+let top_level_state () =
+  let makers = [ "ref"; "Hashtbl.create"; "Atomic.make" ] in
+  List.concat_map
+    (fun (path, src) ->
+      let n = String.length src in
+      let rec skip i = if i < n && is_space src.[i] then skip (i + 1) else i in
+      let rec ident_end i = if i < n && is_ident_char src.[i] then ident_end (i + 1) else i in
+      (* The body runs to the next line that starts at column 0. *)
+      let rec body_end i =
+        if i + 1 >= n then n
+        else if src.[i] = '\n' && not (is_space src.[i + 1]) then i
+        else body_end (i + 1)
+      in
+      List.filter_map
+        (fun pos ->
+          let stop = ident_end (pos + 4) in
+          let name = String.sub src (pos + 4) (stop - pos - 4) in
+          let next = skip stop in
+          (* [let name =] or [let name : t =] at column 0: a value, not
+             a function ([let rec], [let ()] and operators bind none). *)
+          if
+            (pos > 0 && src.[pos - 1] <> '\n')
+            || name = "" || name = "rec" || next >= n
+            || (src.[next] <> '=' && src.[next] <> ':')
+          then None
+          else
+            let body = String.sub src next (body_end next - next) in
+            let whole w p =
+              let e = p + String.length w in
+              (p = 0 || not (is_ident_char body.[p - 1]))
+              && (e >= String.length body || not (is_ident_char body.[e]))
+            in
+            if List.exists (fun w -> List.exists (whole w) (occurrences body w)) makers
+            then Some (Filename.basename path, name)
+            else None)
+        (occurrences src "let "))
+    (sources ~dirs:[ "../lib" ] ())
+
+let test_process_state () =
+  let found = top_level_state () in
+  check_none "process-wide state beyond the named four"
+    (List.filter_map
+       (fun (file, name) ->
+         if List.mem (file, name) process_wide then None else Some (file ^ ": " ^ name))
+       found);
+  (* The scan must see the four, or it proves nothing. *)
+  Alcotest.(check (list (pair string string))) "the four are seen"
+    (List.sort compare process_wide) (List.sort compare found)
+
 let () =
   Alcotest.run "guard"
     [ ( "one mechanism",
@@ -367,7 +504,10 @@ let () =
             test_driver_flow_mods ] );
       ( "flow files",
         [ Alcotest.test_case "only Flowdir" `Quick test_flow_files;
+          Alcotest.test_case "yanc names only in Schema" `Quick test_yanc_names;
           Alcotest.test_case "one record codec" `Quick test_record_codec ] );
+      ( "process-wide state",
+        [ Alcotest.test_case "only the named four" `Quick test_process_state ] );
       ( "hardware reads",
         [ Alcotest.test_case "only netsim and Audit" `Quick
             test_hardware_reads ] );

@@ -951,7 +951,7 @@ let network_round rng a round =
            (Y.Yanc_fs.open_flows a.master ~cred sw)))
     (flows_of a.master ~prefix:a.named);
   let sw = pick rng [ "sw1"; "sw2" ] and port = 1 + Random.State.int rng 2 in
-  let file = Y.Layout.port_attr ~root:mroot ~switch:sw ~port Y.Layout.config_port_down in
+  let file = Y.Layout.port_attr ~root:mroot ~switch:sw ~port Y.Schema.config_port_down in
   let down = Fs.read_file mfs ~cred file = Ok "1" in
   must "port flip" (Fs.write_file mfs ~cred file (if down then "0" else "1"))
 

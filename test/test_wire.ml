@@ -111,7 +111,7 @@ let capture version =
     (Vfs.Fs.write_file fs ~cred
        (Vfs.Path.child
           (Y.Layout.port ~root:Y.Layout.default_root ~switch:"sw1" 2)
-          Y.Layout.config_port_down)
+          Y.Schema.config_port_down)
        "1");
   run 0.4;
   (* Keepalives both ways, stats polls and replies, f2's idle expiry. *)

@@ -51,35 +51,34 @@ let test_top_level_structure () =
 
 let test_classify () =
   let cases =
-    [ "/net", Y.Schema.Root;
-      "/net/hosts", Y.Schema.Hosts_dir;
-      "/net/hosts/h1", Y.Schema.Host;
-      "/net/hosts/h1/mac", Y.Schema.Host_attr;
-      "/net/switches", Y.Schema.Switches_dir;
-      "/net/switches/sw1", Y.Schema.Switch;
-      "/net/switches/sw1/id", Y.Schema.Switch_attr;
-      "/net/switches/sw1/counters", Y.Schema.Switch_counters;
-      "/net/switches/sw1/flows", Y.Schema.Flows_dir;
-      "/net/switches/sw1/flows/f1", Y.Schema.Flow;
-      "/net/switches/sw1/flows/f1/match.tp_dst", Y.Schema.Flow_attr;
-      "/net/switches/sw1/ports", Y.Schema.Ports_dir;
-      "/net/switches/sw1/ports/port_1", Y.Schema.Port;
-      "/net/switches/sw1/ports/port_1/peer", Y.Schema.Port_attr;
-      "/net/switches/sw1/events", Y.Schema.Events_dir;
-      "/net/switches/sw1/events/routerd", Y.Schema.Event_buffer;
-      "/net/switches/sw1/events/routerd/4", Y.Schema.Event;
-      "/net/switches/sw1/events/routerd/4/data", Y.Schema.Event_attr;
-      "/net/views", Y.Schema.Views_dir;
-      "/net/views/tenant", Y.Schema.Root;
-      "/net/views/tenant/switches/sw1", Y.Schema.Switch;
-      "/net/views/a/views/b/switches/s/flows/f", Y.Schema.Flow;
-      "/elsewhere", Y.Schema.Not_yanc ]
+    [ "/net", "root";
+      "/net/hosts", "hosts_dir";
+      "/net/hosts/h1", "host";
+      "/net/hosts/h1/mac", "host_attr";
+      "/net/switches", "switches_dir";
+      "/net/switches/sw1", "switch";
+      "/net/switches/sw1/id", "switch_attr";
+      "/net/switches/sw1/counters", "switch_counters";
+      "/net/switches/sw1/flows", "flows_dir";
+      "/net/switches/sw1/flows/f1", "flow";
+      "/net/switches/sw1/flows/f1/match.tp_dst", "flow_attr";
+      "/net/switches/sw1/ports", "ports_dir";
+      "/net/switches/sw1/ports/port_1", "port";
+      "/net/switches/sw1/ports/port_1/peer", "port_attr";
+      "/net/switches/sw1/events", "events_dir";
+      "/net/switches/sw1/events/routerd", "event_buffer";
+      "/net/switches/sw1/events/routerd/4", "event";
+      "/net/switches/sw1/events/routerd/4/data", "event_attr";
+      "/net/views", "views_dir";
+      "/net/views/tenant", "root";
+      "/net/views/tenant/switches/sw1", "switch";
+      "/net/views/a/views/b/switches/s/flows/f", "flow";
+      "/elsewhere", "not_yanc" ]
   in
   List.iter
     (fun (path, expected) ->
-      Alcotest.(check string) path
-        (Y.Schema.kind_to_string expected)
-        (Y.Schema.kind_to_string (Y.Schema.classify ~root:net (p path))))
+      Alcotest.(check string) path expected
+        (Y.Schema.classify ~root:net (p path)).Y.Schema.kind)
     cases
 
 let test_enclosing_root () =
@@ -802,6 +801,145 @@ let prop_flowdir_roundtrip =
           Y.Flowdir.equal_config { flow with Y.Flowdir.version = 0 }
             { back with Y.Flowdir.version = 0 }))
 
+(* The declared tree (what [yancctl schema] prints) against a
+   provisioned network: a k=4 fat tree under topologyd and arpd, a
+   host, a pushed flow, and a slice view of one switch. Every directory
+   of the live /net tree classifies to a declared directory kind (not
+   outside the tree, not a record's attribute) and holds every child the
+   schema makes with its kind. *)
+let test_schema_live_tree () =
+  let built = Netsim.Topo_gen.fat_tree ~k:4 () in
+  let ctl = Yanc.Controller.create ~net:built.Netsim.Topo_gen.net () in
+  Yanc.Controller.attach_switches ctl;
+  let yfs = Yanc.Controller.yfs ctl in
+  Yanc.Controller.add_app ctl (Apps.Topology.app (Apps.Topology.create yfs));
+  Yanc.Controller.add_app ctl (Apps.Arp_daemon.app (Apps.Arp_daemon.create yfs));
+  Yanc.Controller.run_for ctl 0.3;
+  let sw = List.hd (Y.Yanc_fs.switch_names yfs) in
+  ok
+    (Y.Yanc_fs.upsert_host yfs ~cred ~name:"h1" ~mac:(Netsim.Topo_gen.host_mac 1)
+       ~ip:(Some (Netsim.Topo_gen.host_ip 1)) ~attached_to:(sw, 1) ());
+  ignore (ok_s (Apps.Flow_pusher.push_config yfs ~cred "* name=flood priority=1 action.0.out=flood"));
+  let slicer =
+    match
+      Views.Slicer.create ~master:yfs
+        { Views.Slicer.view = "slice"; switches = [ sw, [] ]; flowspace = OF.Of_match.any;
+          priority_cap = 30000 }
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "slicer: %s" (Vfs.Errno.to_string e)
+  in
+  Yanc.Controller.add_app ctl (Views.Slicer.app slicer);
+  Yanc.Controller.run_for ctl 1.0;
+  ok_s
+    (Y.Yanc_fs.upsert_flow (Views.Slicer.view_fs slicer) ~cred ~switch:sw ~name:"tenant"
+       { Y.Flowdir.default with Y.Flowdir.actions = [ OF.Action.Output (OF.Action.Physical 2) ] });
+  Yanc.Controller.run_for ctl 7.0;
+  let fs = Y.Yanc_fs.fs yfs in
+  let dirs =
+    ok
+      (Fs.fold fs ~cred net ~init:[] (fun acc path (st : Fs.stat) ->
+           ((if st.kind = Fs.Dir then path :: acc else acc), `Continue)))
+  in
+  let kinds =
+    List.map
+      (fun path ->
+        let k = Y.Schema.classify ~root:net path in
+        let name = Path.to_string path in
+        Alcotest.(check bool) (name ^ " is a declared directory") true
+          (k != Y.Schema.not_yanc && not (k.naming = Y.Schema.Any && k.children = []));
+        List.iter
+          (fun child ->
+            Alcotest.(check bool) (name ^ " has " ^ child) true
+              (Fs.kind_of fs ~cred (Path.child path child) = Ok Fs.Dir))
+          k.makes;
+        k.kind)
+      dirs
+  in
+  (* The walk reached every kind the provisioning makes. *)
+  List.iter
+    (fun kind -> Alcotest.(check bool) ("a " ^ kind) true (List.mem kind kinds))
+    [ "root"; "host"; "switch"; "switch_counters"; "events_dir"; "event_buffer";
+      "flows_dir"; "flow"; "flow_attr"; "packet_out"; "ports_dir"; "port"; "port_attr";
+      "views_dir" ];
+  Alcotest.(check bool) "a view's flow" true
+    (List.exists
+       (fun path ->
+         Y.Schema.classify ~root:net path == Y.Schema.flow
+         && Y.Schema.enclosing_root ~root:net path <> Some net)
+       dirs)
+
+(* Every codec writes its record's declared fields, in the declared
+   order (a family's members where the family stands), and a record
+   written whole writes all of them: the files each write journals,
+   against the record's node. *)
+let test_codecs_follow_schema () =
+  let fs, yfs = setup () in
+  let written = ref [] in
+  let hook =
+    Fs.subscribe fs (function
+      | Vfs.Op.Write { path; _ } -> written := path :: !written
+      | _ -> ())
+  in
+  let check what (node : Y.Schema.node) ~whole f =
+    written := [];
+    f ();
+    let names = List.rev_map (fun p -> Option.get (Path.basename p)) !written in
+    let index name =
+      let rec go i = function
+        | [] -> Alcotest.failf "%s: %s is not a declared field" what name
+        | d :: rest -> if Y.Schema.is_field { node with fields = [ d ] } name then i else go (i + 1) rest
+      in
+      go 0 node.fields
+    in
+    let order = List.map index names in
+    Alcotest.(check (list int)) (what ^ ": declared order") (List.sort compare order) order;
+    if whole then
+      Alcotest.(check (list int)) (what ^ ": every field")
+        (List.init (List.length node.fields) Fun.id) (List.sort_uniq compare order)
+  in
+  let port =
+    OF.Of_types.Port_info.make ~port_no:1 ~name:"eth1" ~hw_addr:(Packet.Mac.of_int 1)
+      ~speed_mbps:1000 ~admin_down:false ~link_down:false ()
+  in
+  check "switch" Y.Schema.switch ~whole:true (fun () ->
+      ok
+        (Y.Yanc_fs.add_switch yfs ~cred ~name:"sw1" ~dpid:1L ~protocol:"of10" ~n_buffers:256
+           ~n_tables:1 ~capabilities:[ "flow_stats" ] ~actions:[ "output" ]));
+  check "port" Y.Schema.port ~whole:true (fun () ->
+      ok (Y.Yanc_fs.set_port yfs ~cred ~switch:"sw1" port));
+  check "port counters" Y.Schema.port_counters ~whole:true (fun () ->
+      ok
+        (Y.Yanc_fs.write_port_counters yfs ~switch:"sw1" ~port:1
+           { OF.Of_types.Port_stats.port_no = 1; rx_packets = 1L; tx_packets = 2L;
+             rx_bytes = 3L; tx_bytes = 4L; rx_dropped = 0L; tx_dropped = 0L }));
+  check "host" Y.Schema.host ~whole:true (fun () ->
+      ok
+        (Y.Yanc_fs.upsert_host yfs ~cred ~name:"h1" ~mac:(Packet.Mac.of_int 2)
+           ~ip:(Packet.Ipv4_addr.of_string "10.0.0.1") ()));
+  check "flow" Y.Schema.flow ~whole:true (fun () ->
+      ok
+        (Y.Yanc_fs.create_flow yfs ~cred ~switch:"sw1" ~name:"f"
+           { Y.Flowdir.default with
+             Y.Flowdir.of_match = { OF.Of_match.any with OF.Of_match.dl_type = Some 0x800 };
+             actions = [ OF.Action.Output (OF.Action.Physical 2) ];
+             buffer_id = Some 7l }));
+  check "flow counters" Y.Schema.flow_counters ~whole:true (fun () ->
+      let d = ok (Y.Yanc_fs.open_flow yfs ~cred ~switch:"sw1" "f") in
+      ok (Y.Flowdir.write_counters fs ~cred d ~packets:1L ~bytes:2L ~duration_s:3));
+  check "request" Y.Schema.request ~whole:true (fun () ->
+      ignore
+        (ok
+           (Y.Outdir.submit fs ~cred ~root:net ~switch:"sw1" ~buffer_id:3l ~in_port:1
+              ~actions:[ OF.Action.Output OF.Action.Flood ] ~data:"frame" ())));
+  ok (Y.Eventdir.subscribe fs ~cred ~root:net ~switch:"sw1" ~app:"a");
+  check "event" Y.Schema.event ~whole:true (fun () ->
+      ignore
+        (ok
+           (Y.Eventdir.publish fs ~cred ~root:net ~switch:"sw1" ~in_port:1
+              ~reason:OF.Of_types.No_match ~buffer_id:(Some 5l) ~total_len:5 ~data:"frame")));
+  Fs.unsubscribe fs hook
+
 let qcheck_cases = List.map QCheck_alcotest.to_alcotest [ prop_flowdir_roundtrip ]
 
 let () =
@@ -819,7 +957,11 @@ let () =
           Alcotest.test_case "ownership inheritance" `Quick
             test_semantic_mkdir_ownership;
           Alcotest.test_case "recursive switch rmdir" `Quick test_recursive_switch_rmdir;
-          Alcotest.test_case "peer symlink policy" `Quick test_peer_symlink_policy ] );
+          Alcotest.test_case "peer symlink policy" `Quick test_peer_symlink_policy;
+          Alcotest.test_case "declared tree vs a live network" `Quick
+            test_schema_live_tree;
+          Alcotest.test_case "codecs follow the declaration" `Quick
+            test_codecs_follow_schema ] );
       ( "ports",
         [ Alcotest.test_case "config.port_down" `Quick test_port_down_file;
           Alcotest.test_case "peer roundtrip" `Quick test_peer_roundtrip ] );
