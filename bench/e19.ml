@@ -93,7 +93,7 @@ let delivery ?(events = 10_000) ?(switches = 80) () =
   (* ring side: publish + batched drain *)
   let fs, yfs = fresh_yancfs ~switches () in
   let ring = Y.Yanc_fs.pktin yfs in
-  let consumer = Y.Pktin.subscribe ring ~name:"bench" in
+  let consumer = Y.Pktin.subscribe ring in
   let c0 = fs_count fs "vfs.crossings" in
   let handled = ref 0 in
   let t0 = Sys.time () in
@@ -110,7 +110,7 @@ let delivery ?(events = 10_000) ?(switches = 80) () =
   let ring_crossings = fs_count fs "vfs.crossings" - c0 in
   assert (!handled = events);
   (* eventdir side: the same stream through per-event files *)
-  let fs2, _yfs2 = fresh_yancfs ~switches () in
+  let fs2, yfs2 = fresh_yancfs ~switches () in
   for i = 1 to switches do
     ignore
       (Y.Eventdir.subscribe fs2 ~cred ~root:net_root
@@ -132,7 +132,7 @@ let delivery ?(events = 10_000) ?(switches = 80) () =
   let t1 = Sys.time () in
   for i = 0 to events - 1 do
     ignore
-      (Y.Eventdir.publish fs2 ~cred:Vfs.Cred.root ~root:net_root ~switch:(sw i) ~in_port:1
+      (Y.Eventdir.publish yfs2 ~cred:Vfs.Cred.root ~switch:(sw i) ~in_port:1
          ~reason:OF.Of_types.No_match ~buffer_id:None ~total_len:64
          ~data:payload);
     if i mod 64 = 63 then consume_all ()

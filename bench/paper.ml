@@ -123,7 +123,7 @@ let e4_fanout () =
   let tests =
     List.map
       (fun k ->
-        let fs, _ = fresh_yancfs () in
+        let fs, yfs = fresh_yancfs () in
         for i = 1 to k do
           ignore
             (Y.Eventdir.subscribe fs ~cred ~root:net_root ~switch:"sw1"
@@ -134,7 +134,7 @@ let e4_fanout () =
         test (Printf.sprintf "publish/apps=%d" k) (fun () ->
             incr published;
             ignore
-              (Y.Eventdir.publish fs ~cred:Vfs.Cred.root ~root:net_root ~switch:"sw1" ~in_port:1
+              (Y.Eventdir.publish yfs ~cred:Vfs.Cred.root ~switch:"sw1" ~in_port:1
                  ~reason:OF.Of_types.No_match ~buffer_id:None
                  ~total_len:(String.length frame) ~data:frame);
             if !published mod 64 = 0 then
@@ -150,15 +150,15 @@ let e4_fanout () =
   (* zero-copy contrast *)
   section "E4b  bulk data: event-directory copy vs the pktin ring (8.1)";
   let ring = Y.Pktin.create ~capacity:1024 ~telemetry:(Telemetry.create ()) () in
-  let consumer = Y.Pktin.subscribe ring ~name:"a" in
-  let fs, _ = fresh_yancfs () in
+  let consumer = Y.Pktin.subscribe ring in
+  let fs, yfs = fresh_yancfs () in
   ignore (Y.Eventdir.subscribe fs ~cred ~root:net_root ~switch:"sw1" ~app:"a");
   let n = ref 0 in
   print_benchmarks
     [ test "deliver/eventdir_file_copy" (fun () ->
           incr n;
           ignore
-            (Y.Eventdir.publish fs ~cred:Vfs.Cred.root ~root:net_root ~switch:"sw1" ~in_port:1
+            (Y.Eventdir.publish yfs ~cred:Vfs.Cred.root ~switch:"sw1" ~in_port:1
                ~reason:OF.Of_types.No_match ~buffer_id:None
                ~total_len:(String.length frame) ~data:frame);
           if !n mod 32 = 0 then

@@ -16,10 +16,6 @@ let create ?(cred = Vfs.Cred.root) yfs =
   { yfs; cred; events = App_intf.Packet_in.create yfs ~cred ~app:app_name;
     replies = 0; fs_errors = App_intf.fs_errors yfs }
 
-let fs t = Y.Yanc_fs.fs t.yfs
-
-let root t = Y.Yanc_fs.root t.yfs
-
 let lookup_ip t addr =
   List.find_map
     (fun name ->
@@ -40,7 +36,7 @@ let handle t ~switch (ev : Y.Eventdir.event) =
       | Some reply ->
         t.replies <- t.replies + 1;
         App_intf.checked t.fs_errors switch "packet-out"
-          (Y.Outdir.submit (fs t) ~cred:t.cred ~root:(root t) ~switch
+          (Y.Outdir.submit t.yfs ~cred:t.cred ~switch
              ~actions:[ OF.Action.Output (OF.Action.Physical ev.in_port) ]
              ~data:(P.Eth.to_wire reply) ())))
   | Some _ | None -> ()

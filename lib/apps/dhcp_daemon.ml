@@ -25,10 +25,6 @@ let create ?(cred = Vfs.Cred.root) ?(server_ip = default_ip)
     events = App_intf.Packet_in.create yfs ~cred ~app:app_name;
     fs_errors = App_intf.fs_errors yfs }
 
-let fs t = Y.Yanc_fs.fs t.yfs
-
-let root t = Y.Yanc_fs.root t.yfs
-
 let reply_frame t ~(dhcp : P.Dhcp.t) =
   P.Eth.make ~src:t.server_mac ~dst:dhcp.chaddr
     (P.Eth.Ipv4
@@ -62,7 +58,7 @@ let handle t ~switch (ev : Y.Eventdir.event) =
         _ } -> (
     let send reply =
       App_intf.checked t.fs_errors switch "packet-out"
-        (Y.Outdir.submit (fs t) ~cred:t.cred ~root:(root t) ~switch
+        (Y.Outdir.submit t.yfs ~cred:t.cred ~switch
            ~actions:[ OF.Action.Output (OF.Action.Physical ev.in_port) ]
            ~data:(P.Eth.to_wire (reply_frame t ~dhcp:reply)) ())
     in

@@ -125,7 +125,7 @@ let ring_consumer t =
   match t.ring with
   | Some c -> c
   | None ->
-    let c = Y.Pktin.subscribe (Y.Yanc_fs.pktin t.yfs) ~name:app_name in
+    let c = Y.Pktin.subscribe (Y.Yanc_fs.pktin t.yfs) in
     t.ring <- Some c;
     c
 

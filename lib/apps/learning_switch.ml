@@ -19,10 +19,6 @@ let create ?(cred = Vfs.Cred.root) ?(idle_timeout = 60) yfs =
     events = App_intf.Packet_in.create yfs ~cred ~app:app_name; flow_seq = 0;
     fs_errors = App_intf.fs_errors yfs }
 
-let fs t = Y.Yanc_fs.fs t.yfs
-
-let root t = Y.Yanc_fs.root t.yfs
-
 let table_for t switch =
   match Hashtbl.find_opt t.tables switch with
   | Some tbl -> tbl
@@ -65,13 +61,13 @@ let handle_frame t ~switch (ev : Y.Eventdir.event) =
           (* An unbuffered capture still needs the packet delivered. *)
           if ev.buffer_id = None then
             App_intf.checked t.fs_errors switch "packet-out"
-              (Y.Outdir.submit (fs t) ~cred:t.cred ~root:(root t) ~switch
+              (Y.Outdir.submit t.yfs ~cred:t.cred ~switch
                  ~in_port:ev.in_port
                  ~actions:[ OF.Action.Output (OF.Action.Physical out_port) ]
                  ~data:ev.data ())
         | Some _ | None ->
           App_intf.checked t.fs_errors switch "packet-out"
-            (Y.Outdir.submit (fs t) ~cred:t.cred ~root:(root t) ~switch
+            (Y.Outdir.submit t.yfs ~cred:t.cred ~switch
                ?buffer_id:ev.buffer_id ~in_port:ev.in_port
                ~actions:[ OF.Action.Output OF.Action.Flood ]
                ~data:(if ev.buffer_id = None then ev.data else "")

@@ -31,8 +31,7 @@ let install yfs ~cred ~fs_errors ~name ~priority ~idle_timeout ~headers
       (* Unbuffered ingress: push the original packet along too. *)
       if is_ingress_hop && buffer_id = None then
         App_intf.checked fs_errors sw "packet-out"
-          (Y.Outdir.submit (Y.Yanc_fs.fs yfs) ~cred ~root:(Y.Yanc_fs.root yfs)
-             ~switch:sw ~in_port
+          (Y.Outdir.submit yfs ~cred ~switch:sw ~in_port
              ~actions:[ OF.Action.Output (OF.Action.Physical out_port) ]
              ~data ()))
     (List.rev flows)

@@ -67,8 +67,7 @@ let broadcast t ~ingress ~data ~buffer_id =
           | _ -> None
         in
         App_intf.checked t.fs_errors switch "packet-out"
-          (Y.Outdir.submit (Y.Yanc_fs.fs t.yfs) ~cred:t.cred
-             ~root:(Y.Yanc_fs.root t.yfs) ~switch
+          (Y.Outdir.submit t.yfs ~cred:t.cred ~switch
              ?buffer_id ~actions
              ~data:(if buffer_id = None then data else "")
              ())

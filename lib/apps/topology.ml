@@ -26,10 +26,6 @@ let create ?(probe_interval = 1.0) ?ttl ?(cred = Vfs.Cred.root) yfs =
     last_seen = Hashtbl.create 64; fs_errors = App_intf.fs_errors yfs;
     view = Topo_view.create ~cred yfs }
 
-let fs t = Y.Yanc_fs.fs t.yfs
-
-let root t = Y.Yanc_fs.root t.yfs
-
 let lldp_flow =
   { Y.Flowdir.default with
     Y.Flowdir.of_match =
@@ -60,7 +56,7 @@ let probe t switch =
               P.Builder.lldp ~src_mac:info.hw_addr ~dpid ~port:port_no
             in
             App_intf.checked t.fs_errors switch "lldp probe"
-              (Y.Outdir.submit (fs t) ~cred:t.cred ~root:(root t) ~switch
+              (Y.Outdir.submit t.yfs ~cred:t.cred ~switch
                  ~actions:[ OF.Action.Output (OF.Action.Physical port_no) ]
                  ~data:(P.Eth.to_wire frame) ())
           end)

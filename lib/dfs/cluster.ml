@@ -194,38 +194,47 @@ let enqueue t ~key p =
 let consistency_xattr = "user.consistency"
 
 (* The nearest [user.consistency] annotation on the path or an ancestor
-   overrides the cluster-wide model (paper §5.1); a registered path
-   prefix does the same without touching the file system — the form the
-   sharded controller uses so the per-op check is one string compare.
-   [key] is [path] as a string. *)
+   overrides the cluster-wide model (paper §5.1). *)
+let annotated_consistency t ~origin path =
+  if not t.probe_xattrs then t.consistency
+  else begin
+    let fs = t.replicas.(origin) in
+    let rec probe = function
+      | None -> t.consistency
+      | Some p -> (
+        match
+          Fs.suspended fs (fun () ->
+              Fs.getxattr fs ~cred:Vfs.Cred.root p ~name:consistency_xattr)
+        with
+        | Ok v -> (
+          match String.trim v with
+          | "strict" -> Consistency.Sequential
+          | "relaxed" -> Consistency.Eventual { propagation_s = 1.0 }
+          | _ -> t.consistency)
+        | Error _ -> probe (Vfs.Path.parent p))
+    in
+    probe (Some path)
+  end
+
+(* [key] starts with [prefix]: plain recursion, as [Schema.in_family]
+   does ([String.starts_with] makes a closure per call). *)
+let rec same_from prefix key i =
+  i >= String.length prefix || (Char.equal prefix.[i] key.[i] && same_from prefix key (i + 1))
+
+let has_prefix prefix key =
+  String.length key >= String.length prefix && same_from prefix key 0
+
+(* A registered path prefix overrides the model without touching the
+   file system: the form the sharded controller uses, so the check on
+   every replicated op is a string compare, with no allocation. [key]
+   is [path] as a string. *)
+let rec consistency_in t ~origin ~key path = function
+  | (prefix, c) :: rest ->
+    if has_prefix prefix key then c else consistency_in t ~origin ~key path rest
+  | [] -> annotated_consistency t ~origin path
+
 let consistency_of t ~origin ~key path =
-  let by_prefix =
-    List.find_opt
-      (fun (prefix, _) -> String.starts_with ~prefix key)
-      t.prefix_consistency
-  in
-  match by_prefix with
-  | Some (_, c) -> c
-  | None ->
-    if not t.probe_xattrs then t.consistency
-    else begin
-      let fs = t.replicas.(origin) in
-      let rec probe = function
-        | None -> t.consistency
-        | Some p -> (
-          match
-            Fs.suspended fs (fun () ->
-                Fs.getxattr fs ~cred:Vfs.Cred.root p ~name:consistency_xattr)
-          with
-          | Ok v -> (
-            match String.trim v with
-            | "strict" -> Consistency.Sequential
-            | "relaxed" -> Consistency.Eventual { propagation_s = 1.0 }
-            | _ -> t.consistency)
-          | Error _ -> probe (Vfs.Path.parent p))
-      in
-      probe (Some path)
-    end
+  consistency_in t ~origin ~key path t.prefix_consistency
 
 let effective_consistency t ~origin path =
   consistency_of t ~origin ~key:(Vfs.Path.to_string path) path

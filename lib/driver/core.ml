@@ -706,8 +706,8 @@ let on_message t ~now ~xid (msg : Msg.t) =
                ~reason ~buffer_id ~total_len ~data ~at:now);
           if t.eventdir_subs then
             match
-              Y.Eventdir.publish ~telemetry:t.telemetry (fs t) ~cred ~root:(root t)
-                ~switch:name ~in_port ~reason ~buffer_id ~total_len ~data
+              Y.Eventdir.publish ~telemetry:t.telemetry t.yfs ~cred ~switch:name
+                ~in_port ~reason ~buffer_id ~total_len ~data
             with
             | Ok 0 ->
               (* All subscribers gone: stop paying for the readdir until

@@ -17,7 +17,7 @@ type backend = Indexed | Linear
 
 type t = {
   fs : Vfs.Fs.t;
-  seq : int; (* creation rank: notifiers are served in this order *)
+  seq : int; (* rank in its dispatcher: notifiers are served in this order *)
   queue_limit : int;
   queue : Event.t Queue.t;
   mutable source : source;
@@ -44,12 +44,15 @@ and source =
   | Detached
 
 (* One FS hook and one trie for the watches of every Indexed notifier
-   on a file system. *)
+   on a file system. The file system holds it, as the tag of its hook. *)
 and dispatcher = {
   index : t Routing.t;
-  hook : Vfs.Fs.hook;
+  mutable hook : Vfs.Fs.hook option; (* [None] only while subscribing *)
   mutable members : int;
+  mutable joined : int; (* notifiers that ever joined: the next one's [seq] *)
 }
+
+type Vfs.Fs.tag += Dispatcher of dispatcher
 
 let overflow_event =
   { Event.wd = -1; kind = Event.Overflow; path = Path.root; name = None }
@@ -171,55 +174,40 @@ let serve = function
 let watches_visited fs =
   Reg.counter (Vfs.Fs.registry fs) "fsnotify.watches_visited"
 
-(* The dispatcher new Indexed notifiers join, per file system. Weakly
-   keyed: an entry never keeps its file system alive. *)
-module By_fs = Ephemeron.K1.Make (struct
-  type t = Vfs.Fs.t
-
-  let equal = ( == )
-  let hash = Vfs.Fs.id
-end)
-
-let dispatchers : dispatcher By_fs.t = By_fs.create 16
-
+(* The dispatcher a new Indexed notifier joins: the file system's newest
+   hook when that is a dispatcher. *)
 let join fs =
   let d =
-    match By_fs.find_opt dispatchers fs with
-    | Some d when Vfs.Fs.is_last_hook fs d.hook -> d
+    match Vfs.Fs.last_tag fs with
+    | Some (Dispatcher d) -> d
     | _ ->
       (* No dispatcher yet, or another hook was subscribed after it:
          start one at the tail, so every notifier keeps its creation
          position among the file system's subscribers. *)
-      let index = Routing.create () and visited = watches_visited fs in
-      let hook =
-        Vfs.Fs.subscribe fs (fun op ->
-            if Routing.count index > 0 then
-              serve (route_op visited ~route:(Routing.route index) op))
-      in
-      let d = { index; hook; members = 0 } in
-      By_fs.replace dispatchers fs d;
+      let d = { index = Routing.create (); hook = None; members = 0; joined = 0 } in
+      let visited = watches_visited fs in
+      d.hook <-
+        Some
+          (Vfs.Fs.subscribe ~tag:(Dispatcher d) fs (fun op ->
+               if Routing.count d.index > 0 then
+                 serve (route_op visited ~route:(Routing.route d.index) op)));
       d
   in
   d.members <- d.members + 1;
+  d.joined <- d.joined + 1;
   d
 
 let leave fs d by_wd =
   Hashtbl.iter (fun _ w -> Routing.remove d.index w) by_wd;
   d.members <- d.members - 1;
-  if d.members = 0 then begin
-    Vfs.Fs.unsubscribe fs d.hook;
-    match By_fs.find_opt dispatchers fs with
-    | Some d' when d' == d -> By_fs.remove dispatchers fs
-    | _ -> ()
-  end
-
-let next_seq = ref 0
+  if d.members = 0 then Option.iter (Vfs.Fs.unsubscribe fs) d.hook
 
 let create ?(backend = Indexed) ?(queue_limit = 16384) fs =
-  incr next_seq;
+  let shared = match backend with Indexed -> Some (join fs) | Linear -> None in
   let reg = Vfs.Fs.registry fs in
   let t =
-    { fs; seq = !next_seq; queue_limit; queue = Queue.create ();
+    { fs; seq = (match shared with Some d -> d.joined | None -> 0);
+      queue_limit; queue = Queue.create ();
       source = Detached; next_wd = 1; last = None; overflowed = false;
       coalesced = 0; overflows = 0; on_wake = None;
       events_dispatched = Reg.counter reg "fsnotify.events_dispatched";
@@ -227,9 +215,9 @@ let create ?(backend = Indexed) ?(queue_limit = 16384) fs =
       overflows_dropped = Reg.counter reg "fsnotify.overflows" }
   in
   (t.source <-
-     match backend with
-     | Indexed -> Shared (join fs, Hashtbl.create 8)
-     | Linear ->
+     match shared with
+     | Some d -> Shared (d, Hashtbl.create 8)
+     | None ->
        let visited = watches_visited fs in
        Scan
          ( Vfs.Fs.subscribe fs (fun op ->

@@ -40,10 +40,11 @@ type fd = int
 
 type hook = int
 
+type tag = ..
+
 module Reg = Telemetry.Registry
 
 type t = {
-  id : int;
   root : node;
   registry : Reg.t;
   (* Every public call is one modelled kernel crossing (paper §8.1),
@@ -59,7 +60,7 @@ type t = {
   mutable next_fd : int;
   mutable next_hook : int;
   fds : (int, open_file) Hashtbl.t;
-  mutable hooks : (int * (Op.t -> unit)) list; (* subscription order *)
+  mutable hooks : (int * tag option * (Op.t -> unit)) list; (* subscription order *)
   mutable mkdir_policy : Path.t -> string list;
   mutable rmdir_policy : Path.t -> bool;
   mutable symlink_policy : Path.t -> target:string -> bool;
@@ -81,8 +82,6 @@ let fresh_node t ~mode ~uid ~gid payload =
   { ino; mode; uid; gid; atime = t.now; mtime = t.now; ctime = t.now;
     xattrs = []; acl = Acl.empty; payload; dead = false }
 
-let next_id = ref 0
-
 let create () =
   let registry = Reg.create () in
   let root =
@@ -90,9 +89,8 @@ let create () =
       ctime = 0.; xattrs = []; acl = Acl.empty;
       payload = P_dir (Hashtbl.create 16); dead = false }
   in
-  incr next_id;
   let t =
-    { id = !next_id; root; registry;
+    { root; registry;
       crossings = Reg.counter registry "vfs.crossings";
       components = Reg.counter registry "vfs.components";
       suspended = 0; now = 0.;
@@ -126,31 +124,28 @@ let suspended t f =
     t.suspended <- t.suspended - 1;
     Printexc.raise_with_backtrace e bt
 
-let id t = t.id
-
 let time t = t.now
 
 let set_time t f = t.now <- f
 
 let set_readonly t b = t.readonly <- b
 
-let subscribe t f =
+let subscribe ?tag t f =
   let id = t.next_hook in
   t.next_hook <- id + 1;
-  t.hooks <- t.hooks @ [ id, f ];
+  t.hooks <- t.hooks @ [ id, tag, f ];
   id
 
-let unsubscribe t id = t.hooks <- List.filter (fun (i, _) -> i <> id) t.hooks
+let unsubscribe t id = t.hooks <- List.filter (fun (i, _, _) -> i <> id) t.hooks
 
 let hooks t = List.length t.hooks
 
-let is_last_hook t id =
-  match List.rev t.hooks with (i, _) :: _ -> i = id | [] -> false
+let last_tag t = match List.rev t.hooks with (_, tag, _) :: _ -> tag | [] -> None
 
 (* Hooks run in subscription order over a snapshot. *)
 let emit t op =
   let snapshot = t.hooks in
-  List.iter (fun (_, f) -> f op) snapshot
+  List.iter (fun (_, _, f) -> f op) snapshot
 
 let set_mkdir_policy t f = t.mkdir_policy <- f
 

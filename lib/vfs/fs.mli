@@ -67,10 +67,6 @@ val suspended : t -> (unit -> 'a) -> 'a
     are still counted: they measure dentry walking and event routing,
     not crossings. *)
 
-val id : t -> int
-(** Unique per file system created in this process: a cheap hash key
-    for tables that must not hash (or pin) the file system itself. *)
-
 (** {1 Path resolution}
 
     Every path is resolved by one walk from the root: per component, a
@@ -122,7 +118,12 @@ val set_readonly : t -> bool -> unit
 
 type hook
 
-val subscribe : t -> (Op.t -> unit) -> hook
+type tag = ..
+(** What a subscriber says its hook is, so that it can find the hook
+    again on this file system ({!last_tag}) without a table of its own:
+    fsnotify's shared dispatcher is one. *)
+
+val subscribe : ?tag:tag -> t -> (Op.t -> unit) -> hook
 (** Called after each successful mutation, in subscription order, with
     the canonical (symlink-free) path of the affected object. Subscribers
     are observers: they must not mutate this file system, subscribe or
@@ -134,9 +135,10 @@ val unsubscribe : t -> hook -> unit
 val hooks : t -> int
 (** Live subscriptions: the number of callbacks every mutation runs. *)
 
-val is_last_hook : t -> hook -> bool
-(** No live hook was subscribed after this one, so anything served from
-    it still runs after every other subscriber. *)
+val last_tag : t -> tag option
+(** The tag of the newest live hook ([None] without one, or when it was
+    subscribed untagged): anything served from that hook still runs
+    after every other subscriber. *)
 
 (** {1 Per-filesystem policies}
 

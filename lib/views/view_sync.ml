@@ -175,8 +175,7 @@ let packet_outs_down t tr v ~switch =
       List.iter
         (fun (msw, (r : Y.Outdir.request)) ->
           checked t (msw ^ " packet-out")
-            (Y.Outdir.submit (Y.Yanc_fs.fs t.master) ~cred:t.cred
-               ~root:(Y.Yanc_fs.root t.master) ~switch:msw ?in_port:r.in_port
+            (Y.Outdir.submit t.master ~cred:t.cred ~switch:msw ?in_port:r.in_port
                ~actions:r.actions ~data:r.data ()))
         (tr.packet_out v ~switch req))
     (Option.value ~default:[] (found t (switch ^ " packet-out") requests))
@@ -215,8 +214,7 @@ let events_up t tr v switch =
       | None -> ()
       | Some (vswitch, in_port) ->
         checked t (vswitch ^ " packet-in")
-          (Y.Eventdir.publish (Y.Yanc_fs.fs t.view_fs) ~cred:t.vcred
-             ~root:(Y.Yanc_fs.root t.view_fs) ~switch:vswitch ~in_port
+          (Y.Eventdir.publish t.view_fs ~cred:t.vcred ~switch:vswitch ~in_port
              ~reason:ev.reason ~buffer_id:None ~total_len:ev.total_len
              ~data:ev.data))
 

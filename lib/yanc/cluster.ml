@@ -487,10 +487,14 @@ let create ?(consistency = Dfs.Consistency.Eventual { propagation_s = 0.05 })
   (* Cross-node tracing: give every node its own trace/span id slice
      (so ids stay cluster-unique when spans cross machines) and teach
      the DFS which tracer serves each replica and which correlation key
-     a replicated flow op should re-stamp on arrival. *)
+     a replicated flow op should re-stamp on arrival. The node's mount
+     numbers its spool records in the same slice: a packet-out or event
+     replicates to every node, so two nodes posting into one spool
+     never pick the same name. *)
   Array.iter
     (fun node ->
-      Telemetry.Tracer.set_id_base (node_tracer node) (node.index lsl 40))
+      Telemetry.Tracer.set_id_base (node_tracer node) (node.index lsl 40);
+      Yancfs.Yanc_fs.set_seq_base (Controller.yfs node.ctl) (node.index lsl 40))
     nodes;
   Dfs.Cluster.set_tracing dfs
     (Some

@@ -10,11 +10,6 @@ type event = {
   data : string;
 }
 
-(* Sequence numbers must be unique per buffer across publishes; a
-   per-(fs-independent) global counter is simplest and keeps ordering
-   obvious in listings. *)
-let next_seq = ref 0
-
 let subscribe fs ~cred ~root ~switch ~app =
   match Fs.mkdir fs ~cred (Layout.event_buffer ~root ~switch app) with
   | Ok () | Error Vfs.Errno.EEXIST -> Ok ()
@@ -51,12 +46,12 @@ let reason_of_string = function
   | "action" -> Openflow.Of_types.Action_explicit
   | _ -> Openflow.Of_types.No_match
 
-let publish ?telemetry fs ~cred ~root ~switch ~in_port ~reason ~buffer_id
-    ~total_len ~data =
+let publish ?telemetry yfs ~cred ~switch ~in_port ~reason ~buffer_id ~total_len
+    ~data =
   let ( let* ) = Result.bind in
+  let fs = Yanc_fs.fs yfs and root = Yanc_fs.root yfs in
   let* apps = buffers fs ~cred ~root ~switch in
-  incr next_seq;
-  let seq = !next_seq in
+  let seq = Yanc_fs.next_event yfs in
   (* Consumers resume the publishing driver's trace by sequence number
      (non-consuming: the same event fans out to many buffers). *)
   Option.iter

@@ -29,22 +29,24 @@ val subscribers :
   Vfs.Fs.t -> root:Vfs.Path.t -> switch:string -> string list
 
 val publish :
-  ?telemetry:Telemetry.t -> Vfs.Fs.t -> cred:Vfs.Cred.t -> root:Vfs.Path.t ->
+  ?telemetry:Telemetry.t -> Yanc_fs.t -> cred:Vfs.Cred.t ->
   switch:string -> in_port:int -> reason:Openflow.Of_types.packet_in_reason ->
   buffer_id:int32 option -> total_len:int -> data:string ->
   (int, Vfs.Errno.t) result
-(** Deliver one packet-in to every subscribed buffer (the driver
-    publishes as root): [Ok n] when all [n] buffers were written, else
-    the first failure's errno (the other buffers are still written); a
-    failed listing of [events/] is its errno, with nothing written. The
-    event's directory belongs to the buffer's owner, so a non-root
-    subscriber can remove what it consumed. [events/] is followed if it
-    is a symlink, as a listing follows it (under [cred]'s floor); a
-    symlink under [events/] is not a buffer and is never written
-    through. With
+(** Deliver one packet-in to every subscribed buffer of the mount's
+    [switch] (the driver publishes as root), numbered with the mount's
+    next event number ({!Yanc_fs.next_event}): [Ok n] when all [n]
+    buffers were written, else the first failure's errno (the other
+    buffers are still written); a failed listing of [events/] is its
+    errno, with nothing written and no number taken. The event's
+    directory belongs to the buffer's owner, so a non-root subscriber
+    can remove what it consumed. [events/] is followed if it is a
+    symlink, as a listing follows it (under [cred]'s floor); a symlink
+    under [events/] is not a buffer and is never written through. With
     [telemetry], the current trace is stamped under
-    {!Layout.trace_key_event} of the assigned sequence number so
-    consumers can resume it. *)
+    {!Layout.trace_key_event} of the assigned number so consumers can
+    resume it: the number is unique within the mount, and so within
+    the tracer of the controller that owns it. *)
 
 val consume :
   Vfs.Fs.t -> cred:Vfs.Cred.t -> root:Vfs.Path.t -> switch:string ->

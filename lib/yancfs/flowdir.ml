@@ -232,7 +232,3 @@ let equal_config a b =
   && a.idle_timeout = b.idle_timeout
   && a.hard_timeout = b.hard_timeout
   && Int64.equal a.cookie b.cookie
-
-let pp ppf t =
-  Format.fprintf ppf "flow[%a pri=%d v%d -> %a]" Of_match.pp t.of_match
-    t.priority t.version Action.pp_list t.actions

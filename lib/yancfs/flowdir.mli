@@ -140,5 +140,3 @@ val is_news :
 val equal_config : t -> t -> bool
 (** Equality ignoring [version] — used by drivers to detect no-op
     commits. *)
-
-val pp : Format.formatter -> t -> unit

@@ -6,15 +6,13 @@ type request = {
   data : string;
 }
 
-let next_seq = ref 0
-
-let submit fs ~cred ~root ~switch ?buffer_id ?in_port ~actions ~data () =
-  incr next_seq;
-  let seq = !next_seq in
+let submit yfs ~cred ~switch ?buffer_id ?in_port ~actions ~data () =
+  let seq = Yanc_fs.next_packet_out yfs in
   let opt name f = Option.fold ~none:[] ~some:(fun v -> [ name, f v ]) in
   Result.map
     (fun () -> seq)
-    (Record.post fs ~cred (Layout.packet_out_dir ~root switch) ~seq
+    (Record.post (Yanc_fs.fs yfs) ~cred
+       (Layout.packet_out_dir ~root:(Yanc_fs.root yfs) switch) ~seq
        (opt Schema.buffer_id Int32.to_string buffer_id
        @ opt Schema.in_port string_of_int in_port
        @ Openflow.Action.to_fields actions

@@ -15,10 +15,11 @@ type request = {
 }
 
 val submit :
-  Vfs.Fs.t -> cred:Vfs.Cred.t -> root:Vfs.Path.t -> switch:string ->
+  Yanc_fs.t -> cred:Vfs.Cred.t -> switch:string ->
   ?buffer_id:int32 -> ?in_port:int -> actions:Openflow.Action.t list ->
   data:string -> unit -> (int, Vfs.Errno.t) result
-(** Queue a packet-out; returns its sequence number. *)
+(** Queue a packet-out in the mount's [switch]; returns its sequence
+    number, the mount's next ({!Yanc_fs.next_packet_out}). *)
 
 val consume :
   Vfs.Fs.t -> cred:Vfs.Cred.t -> root:Vfs.Path.t -> switch:string ->

@@ -12,7 +12,6 @@ type record = {
 }
 
 type consumer = {
-  c_name : string;
   mutable cursor : int;    (* next seq this consumer will see *)
   mutable c_overruns : int;
 }
@@ -50,8 +49,8 @@ let create ?(capacity = 16384) ~telemetry () =
     m_drained = Telemetry.Registry.counter reg "driver.pktin.drained";
     m_batch = Telemetry.Registry.histogram reg "driver.pktin.batch" }
 
-let subscribe t ~name =
-  let c = { c_name = name; cursor = t.next; c_overruns = 0 } in
+let subscribe t =
+  let c = { cursor = t.next; c_overruns = 0 } in
   t.consumers <- c :: t.consumers;
   c
 
@@ -133,5 +132,3 @@ let published t = Telemetry.Registry.value t.m_published
 let dropped t = Telemetry.Registry.value t.m_dropped
 
 let pool t = t.pool
-
-let name c = c.c_name

@@ -40,7 +40,7 @@ type consumer
 val create : ?capacity:int -> telemetry:Telemetry.t -> unit -> t
 (** [capacity] (default 16384) bounds retained-but-undrained events. *)
 
-val subscribe : t -> name:string -> consumer
+val subscribe : t -> consumer
 (** Start consuming at the current tail (no replay of old events). *)
 
 val unsubscribe : t -> consumer -> unit
@@ -63,8 +63,6 @@ val pending : t -> consumer -> int
 
 val overruns : consumer -> int
 (** Events this consumer lost to ring overflow. *)
-
-val name : consumer -> string
 
 val trace_key : int -> string
 (** Correlation key ["pktin:<seq>"] for {!Telemetry.Tracer} resume —

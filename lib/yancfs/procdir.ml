@@ -1,7 +1,7 @@
 module Path = Vfs.Path
 module Fs = Vfs.Fs
 
-type t = { fs : Fs.t; proc : Path.t; telemetry : Telemetry.t }
+type t = { fs : Fs.t; proc : Path.t }
 
 let cred = Vfs.Cred.root
 
@@ -18,7 +18,7 @@ let add_file t path gen = add_file_raw t.fs path gen
 let mount ?(proc = Layout.default_proc_root) ~fs ~telemetry () =
   List.iter (mkdir_p fs)
     [ proc; Layout.proc_apps_dir ~proc; Layout.proc_switches_dir ~proc ];
-  let t = { fs; proc; telemetry } in
+  let t = { fs; proc } in
   add_file t (Layout.proc_metrics ~proc) (fun () ->
       Telemetry.Registry.render
         (Telemetry.Registry.snapshot (Telemetry.registry telemetry)));
@@ -33,8 +33,6 @@ let mount ?(proc = Layout.default_proc_root) ~fs ~telemetry () =
   t
 
 let root t = t.proc
-
-let telemetry t = t.telemetry
 
 let add_app t ~name ~stat =
   mkdir_p t.fs (Layout.proc_app ~proc:t.proc name);

@@ -31,8 +31,6 @@ val mount :
 
 val root : t -> Vfs.Path.t
 
-val telemetry : t -> Telemetry.t
-
 val add_app : t -> name:string -> stat:(unit -> string) -> unit
 (** Publish [apps/<name>/stat]; the closure renders at read time. *)
 

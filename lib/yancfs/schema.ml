@@ -261,16 +261,6 @@ let classify ~root:base path =
   | None -> not_yanc
   | Some rel -> walk root (Path.components rel)
 
-(* The innermost root: the master root, then every view entry below it. *)
-let enclosing_root ~root:base path =
-  let rec go acc = function
-    | v :: name :: rest when String.equal v views.name -> go (acc @ [ v; name ]) rest
-    | _ -> acc
-  in
-  Option.map
-    (fun rel -> Path.append base (Path.of_components (go [] (Path.components rel))))
-    (Path.strip_prefix ~prefix:base path)
-
 let rec bound_to target node bound comps =
   if node == target then bound
   else

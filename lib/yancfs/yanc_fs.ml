@@ -7,9 +7,14 @@ type t = {
   fs : Fs.t;
   root : Path.t;
   telemetry : Telemetry.t;
-  (* The packet-in fast path (one ring per mount, shared by views). *)
+  (* Shared by the mount's views: the packet-in fast path (one ring per
+     mount) and the spools' record numbers. *)
   pktin : Pktin.t;
+  seqs : seqs;
 }
+
+(* The number each kind of spool last gave a record. *)
+and seqs = { mutable packet_out : int; mutable event : int }
 
 let ( let* ) = Result.bind
 
@@ -20,6 +25,18 @@ let root t = t.root
 let telemetry t = t.telemetry
 
 let pktin t = t.pktin
+
+let next_packet_out { seqs = s; _ } =
+  s.packet_out <- s.packet_out + 1;
+  s.packet_out
+
+let next_event { seqs = s; _ } =
+  s.event <- s.event + 1;
+  s.event
+
+let set_seq_base { seqs = s; _ } base =
+  s.packet_out <- base;
+  s.event <- base
 
 let ensure_dir fs ~cred path =
   match Fs.mkdir fs ~cred path with
@@ -48,13 +65,14 @@ let create ?(root = Layout.default_root) ?telemetry base =
   Checked.report base "mount" root (Fs.mkdir_p base ~cred:Vfs.Cred.root root);
   Schema.attach base ~root;
   Checked.report base "mount" root (root_children base ~cred:Vfs.Cred.root root);
-  { fs = base; root; telemetry; pktin = Pktin.create ~telemetry () }
+  { fs = base; root; telemetry; pktin = Pktin.create ~telemetry ();
+    seqs = { packet_out = 0; event = 0 } }
 
 let in_view t ~cred name =
   let vroot = Layout.view ~root:t.root name in
   let* () = ensure_dir t.fs ~cred vroot in
   let* () = root_children t.fs ~cred vroot in
-  Ok { fs = t.fs; root = vroot; telemetry = t.telemetry; pktin = t.pktin }
+  Ok { t with root = vroot }
 
 let tree t =
   match Fs.tree t.fs ~cred:Vfs.Cred.root t.root with

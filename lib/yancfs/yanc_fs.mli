@@ -26,6 +26,21 @@ val pktin : t -> Pktin.t
     mount (views included) — drivers publish into it, applications
     subscribe and drain ({!Pktin}). *)
 
+val next_packet_out : t -> int
+val next_event : t -> int
+(** The number of the next record in one of the mount's packet-out
+    spools ({!Outdir}), or in one of its event buffers ({!Eventdir}):
+    1, 2, … on a fresh mount, one counter per kind, shared by every
+    handle over the mount (views included) as {!pktin} is. No two
+    records posted through the mount share a name; a second {!create}
+    over the same file system counts on its own, from 1. *)
+
+val set_seq_base : t -> int -> unit
+(** Number the mount's next records from [base + 1] on; call it before
+    the first. A cluster gives each node's mount its own slice, as it
+    gives each node's tracer one, so two nodes posting into one
+    replicated spool never pick the same name. *)
+
 val in_view : t -> cred:Vfs.Cred.t -> string -> (t, Vfs.Errno.t) result
 (** A handle rooted at [<root>/views/<name>], creating the view if
     needed — the schema populates its hosts/switches/views. The result

@@ -737,7 +737,7 @@ let test_topology_set_peer_failure_counted () =
   let lldp = P.Builder.lldp ~src_mac:(P.Mac.of_int 1) ~dpid:1L ~port:1 in
   let data = P.Eth.to_wire lldp in
   ignore
-    (Y.Eventdir.publish fs ~cred:Vfs.Cred.root ~root:net_root ~switch:"sw2" ~in_port:1
+    (Y.Eventdir.publish (Yanc.Controller.yfs ctl) ~cred:Vfs.Cred.root ~switch:"sw2" ~in_port:1
        ~reason:OF.Of_types.No_match ~buffer_id:None
        ~total_len:(String.length data) ~data);
   (* The event is consumed (its removal succeeds); the peer symlink is

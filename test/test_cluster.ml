@@ -230,6 +230,56 @@ let test_cross_node_flow_reaches_owner_hardware () =
         r.Shell.Pipeline.out)
     [ 0; 1 ]
 
+(* Two nodes each post a packet-out into the spool of a switch a third
+   node owns, within one replication window: each node's mount numbers
+   its records in its own slice, so the two names never collide on the
+   owner's replica, and the owner sends both frames to the switch's
+   host. *)
+let test_two_nodes_one_spool () =
+  let built, c = boot ~n:3 () in
+  ignore (Yanc.Cluster.run_until ~tick:0.02 c (fun () -> Yanc.Cluster.converged c));
+  let net = built.N.Topo_gen.net in
+  let dpid, port, host =
+    List.find_map
+      (function
+        | N.Network.Sw (d, p), N.Network.Hst h | N.Network.Hst h, N.Network.Sw (d, p)
+          when Yanc.Cluster.owner_index c d = Some 2 ->
+          Some (d, p, h)
+        | _ -> None)
+      (N.Network.link_endpoints net)
+    |> Option.get
+  in
+  let h = Option.get (N.Network.host net host) in
+  N.Sim_host.listen h 1234;
+  let swname = Y.Yanc_fs.switch_name_of_dpid dpid in
+  let submit i payload =
+    let frame =
+      Packet.Builder.udp ~src_mac:(Packet.Mac.of_int 0x02ffff) ~dst_mac:(N.Sim_host.mac h)
+        ~src_ip:(N.Topo_gen.host_ip 99) ~dst_ip:(Option.get (N.Sim_host.ip h))
+        ~src_port:9999 ~dst_port:1234 payload
+    in
+    match
+      Y.Outdir.submit (Yanc.Controller.yfs (Yanc.Cluster.controller c i)) ~cred
+        ~switch:swname ~actions:[ Openflow.Action.Output (Openflow.Action.Physical port) ]
+        ~data:(Packet.Eth.to_wire frame) ()
+    with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "submit on node %d: %s" i (Vfs.Errno.to_string e)
+  in
+  submit 0 "from-node0";
+  submit 1 "from-node1";
+  ignore (Yanc.Cluster.run_until ~tick:0.02 c (fun () -> Yanc.Cluster.converged c));
+  Yanc.Cluster.run_for ~tick:0.02 c 0.2;
+  Alcotest.(check (list string)) "the owner sent both" [ "from-node0"; "from-node1" ]
+    (List.sort compare (List.map snd (N.Sim_host.received_udp h)));
+  let count i name =
+    Telemetry.Registry.value
+      (Telemetry.Registry.counter
+         (Vfs.Fs.registry (Yanc.Controller.fs (Yanc.Cluster.controller c i))) name)
+  in
+  Alcotest.(check int) "no replay failed" 0 (count 0 "dfs.replay_failed");
+  Alcotest.(check int) "the owner's driver: no fs error" 0 (count 2 "driver.fs_errors")
+
 let test_kill_one_of_two_takeover () =
   let built, c = boot () in
   ignore (Yanc.Cluster.run_until ~tick:0.02 c (fun () -> Yanc.Cluster.converged c));
@@ -641,6 +691,8 @@ let () =
           Alcotest.test_case "boot ownership" `Quick test_boot_ownership;
           Alcotest.test_case "cross-node flow reaches owner hardware" `Quick
             test_cross_node_flow_reaches_owner_hardware;
+          Alcotest.test_case "two nodes post into one spool" `Quick
+            test_two_nodes_one_spool;
           Alcotest.test_case "kill one of two: takeover converges" `Quick
             test_kill_one_of_two_takeover;
           Alcotest.test_case "takeover deletes an unreplicated stray" `Quick

@@ -188,7 +188,7 @@ let submit_packet_out r payload =
   in
   ok
     (Result.map ignore
-       (Y.Outdir.submit r.fs ~cred ~root:net_root ~switch:"sw1"
+       (Y.Outdir.submit r.yfs ~cred ~switch:"sw1"
           ~actions:[ OF.Action.Output (OF.Action.Physical 2) ]
           ~data:(Packet.Eth.to_wire frame) ()))
 

@@ -41,9 +41,8 @@
      only in Yancfs.Schema, beside a named list of literals that are
      something else: an OpenFlow or policy keyword, a log label, a
      /yanc/.proc path.
-   - No top-level definition in lib/ makes process-wide mutable state
-     ([ref], [Hashtbl.create], [Atomic.make]) beyond a named list of
-     four counters. *)
+   - No top-level definition in lib/ makes process-wide mutable state:
+     no [ref], and no module's [create], [make] or [init]. *)
 
 let dirs = [ "../lib/apps"; "../lib/views" ]
 
@@ -428,18 +427,38 @@ let test_yanc_names () =
         (occurrences src ("\"" ^ n ^ "\"") <> []))
     schema_names
 
-(* Process-wide state: a top-level definition without parameters (a
-   [let] at column 0 binding a name, not a function) whose body makes a
-   ref, a hash table or an atomic. Every Fs, controller and test in the
-   process shares such a value, so what one run writes depends on what
-   ran before it. The four below are today's; a spool's number should
-   move into the spool, not into a fifth. *)
-let process_wide =
-  [ "outdir.ml", "next_seq"; "eventdir.ml", "next_seq"; "notifier.ml", "next_seq";
-    "fs.ml", "next_id" ]
+(* A dotted name that makes state: [ref], or a module's [create], [make]
+   or [init] ([Hashtbl.create], [Atomic.make], [Array.make], a table
+   from a functor). *)
+let is_maker name =
+  name = "ref"
+  ||
+  match List.rev (String.split_on_char '.' name) with
+  | f :: m :: _ ->
+    List.mem f [ "create"; "make"; "init" ]
+    && m <> "" && (match m.[0] with 'A' .. 'Z' -> true | _ -> false)
+  | _ -> false
 
-let top_level_state () =
-  let makers = [ "ref"; "Hashtbl.create"; "Atomic.make" ] in
+(* The dotted names in [src]. *)
+let names src =
+  let n = String.length src in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else if is_ident_char src.[i] && (i = 0 || not (is_ident_char src.[i - 1])) then begin
+      let j = ref i in
+      while !j < n && is_ident_char src.[!j] do incr j done;
+      go !j (String.sub src i (!j - i) :: acc)
+    end
+    else go (i + 1) acc
+  in
+  go 0 []
+
+(* Process-wide state, as (file, name): each top-level definition in
+   [sources] without parameters (a [let] at column 0 binding a name, not
+   a function) whose right-hand side makes mutable state. Every Fs,
+   controller and test in the process would share such a value, so what
+   one run writes would depend on what ran before it. *)
+let top_level_state sources =
   List.concat_map
     (fun (path, src) ->
       let n = String.length src in
@@ -465,27 +484,35 @@ let top_level_state () =
           then None
           else
             let body = String.sub src next (body_end next - next) in
-            let whole w p =
-              let e = p + String.length w in
-              (p = 0 || not (is_ident_char body.[p - 1]))
-              && (e >= String.length body || not (is_ident_char body.[e]))
+            let rhs =
+              match String.index_opt body '=' with
+              | Some i -> names (String.sub body (i + 1) (String.length body - i - 1))
+              | None -> []
             in
-            if List.exists (fun w -> List.exists (whole w) (occurrences body w)) makers
-            then Some (Filename.basename path, name)
-            else None)
+            match rhs with
+            | ("fun" | "function") :: _ -> None
+            | rhs when List.exists is_maker rhs -> Some (Filename.basename path, name)
+            | _ -> None)
         (occurrences src "let "))
-    (sources ~dirs:[ "../lib" ] ())
+    sources
 
 let test_process_state () =
-  let found = top_level_state () in
-  check_none "process-wide state beyond the named four"
-    (List.filter_map
-       (fun (file, name) ->
-         if List.mem (file, name) process_wide then None else Some (file ^ ": " ^ name))
-       found);
-  (* The scan must see the four, or it proves nothing. *)
-  Alcotest.(check (list (pair string string))) "the four are seen"
-    (List.sort compare process_wide) (List.sort compare found)
+  check_none "process-wide state in lib/"
+    (List.map
+       (fun (file, name) -> file ^ ": " ^ name)
+       (top_level_state (sources ~dirs:[ "../lib" ] ())));
+  (* The scan sees each kind of maker, or it proves nothing. *)
+  let fixture =
+    String.concat "\n"
+      [ "let a = ref 0"; "let b = Hashtbl.create 16"; "let c = Atomic.make 0";
+        "let d = By_fs.create 16"; "let e : int array =\n  Array.make 4 0";
+        "let f = Seq.Ring.init 8"; "let g x = ref x"; "let () = ignore (ref 0)";
+        "let h = t.create"; "let i = create_all ()"; "let j = function x -> ref x";
+        "" ]
+  in
+  Alcotest.(check (list string)) "the fixture's makers are seen"
+    [ "a"; "b"; "c"; "d"; "e"; "f" ]
+    (List.map snd (top_level_state [ "fixture.ml", fixture ]))
 
 let () =
   Alcotest.run "guard"
@@ -507,7 +534,7 @@ let () =
           Alcotest.test_case "yanc names only in Schema" `Quick test_yanc_names;
           Alcotest.test_case "one record codec" `Quick test_record_codec ] );
       ( "process-wide state",
-        [ Alcotest.test_case "only the named four" `Quick test_process_state ] );
+        [ Alcotest.test_case "none in lib" `Quick test_process_state ] );
       ( "hardware reads",
         [ Alcotest.test_case "only netsim and Audit" `Quick
             test_hardware_reads ] );

@@ -249,7 +249,6 @@ let prop_eventdir_exact_delivery =
     (fun (apps, events) ->
       let fs = Fs.create () in
       let yfs = Y.Yanc_fs.create fs in
-      ignore yfs;
       ignore (Fs.mkdir fs ~cred (Path.of_string_exn "/net/switches/sw1"));
       let root = Y.Layout.default_root in
       let app i = Printf.sprintf "a%d" i in
@@ -258,7 +257,7 @@ let prop_eventdir_exact_delivery =
       done;
       for e = 1 to events do
         ignore
-          (Y.Eventdir.publish fs ~cred:Vfs.Cred.root ~root ~switch:"sw1" ~in_port:e
+          (Y.Eventdir.publish yfs ~cred:Vfs.Cred.root ~switch:"sw1" ~in_port:e
              ~reason:OF.Of_types.No_match ~buffer_id:None ~total_len:0 ~data:"")
       done;
       List.for_all

@@ -460,7 +460,7 @@ let packet_outs yfs switch =
 
 let submit yfs ~switch acts =
   match
-    Y.Outdir.submit (Y.Yanc_fs.fs yfs) ~cred ~root:(Y.Yanc_fs.root yfs) ~switch
+    Y.Outdir.submit yfs ~cred ~switch
       ~actions:acts ~data:"frame" ()
   with
   | Ok _ -> ()
@@ -917,7 +917,7 @@ let tenant_round rng a =
       ignore (Y.Yanc_fs.upsert_flow a.vy ~cred:tenant ~switch ~name:(Printf.sprintf "f%d" i) flow)
     done;
     ignore
-      (Y.Outdir.submit vfs ~cred:tenant ~root:vroot ~switch
+      (Y.Outdir.submit a.vy ~cred:tenant ~switch
          ~actions:(out (1 + Random.State.int rng a.ports)) ~data:"frame" ());
     ignore (Y.Eventdir.subscribe vfs ~cred:tenant ~root:vroot ~switch ~app:"tenant")
   end;

@@ -102,7 +102,7 @@ let capture version =
   (* A packet-out through the spool. *)
   ignore
     (ok
-       (Y.Outdir.submit fs ~cred ~root:Y.Layout.default_root ~switch:"sw1"
+       (Y.Outdir.submit yfs ~cred ~switch:"sw1"
           ~in_port:1 ~actions:[ OF.Action.Output (OF.Action.Physical 2) ]
           ~data:"golden-payload" ()));
   run 0.3;

@@ -81,17 +81,6 @@ let test_classify () =
         (Y.Schema.classify ~root:net (p path)).Y.Schema.kind)
     cases
 
-let test_enclosing_root () =
-  Alcotest.(check (option string)) "master" (Some "/net")
-    (Option.map Path.to_string
-       (Y.Schema.enclosing_root ~root:net (p "/net/switches/sw1")));
-  Alcotest.(check (option string)) "view" (Some "/net/views/a")
-    (Option.map Path.to_string
-       (Y.Schema.enclosing_root ~root:net (p "/net/views/a/switches/sw1")));
-  Alcotest.(check (option string)) "nested view" (Some "/net/views/a/views/b")
-    (Option.map Path.to_string
-       (Y.Schema.enclosing_root ~root:net (p "/net/views/a/views/b/hosts")))
-
 (* --- semantic mkdir (paper §3.1) ---------------------------------------------------- *)
 
 let test_semantic_mkdir_view () =
@@ -354,7 +343,7 @@ let push ?(switch = "sw1") ?(data = "bytes") r =
 
 let test_pktin_roundtrip () =
   let r = ring () in
-  let c = Y.Pktin.subscribe r ~name:"app" in
+  let c = Y.Pktin.subscribe r in
   ignore (push ~data:"one" r);
   ignore (push ~data:"two" r);
   Alcotest.(check int) "pending" 2 (Y.Pktin.pending r c);
@@ -394,8 +383,8 @@ let test_pktin_no_subscribers () =
 
 let test_pktin_two_consumers_recycle () =
   let r = ring () in
-  let c1 = Y.Pktin.subscribe r ~name:"a" in
-  let c2 = Y.Pktin.subscribe r ~name:"b" in
+  let c1 = Y.Pktin.subscribe r in
+  let c2 = Y.Pktin.subscribe r in
   ignore (push ~data:"x" r);
   Alcotest.(check int) "a drains" 1 (Y.Pktin.drain r c1 ~max:8 (fun _ -> ()));
   (* the record recycles only once every consumer has passed it *)
@@ -415,7 +404,7 @@ let test_pktin_two_consumers_recycle () =
 
 let test_pktin_overflow () =
   let r = ring ~capacity:4 () in
-  let slow = Y.Pktin.subscribe r ~name:"slow" in
+  let slow = Y.Pktin.subscribe r in
   for i = 1 to 10 do ignore (push ~data:(string_of_int i) r) done;
   Alcotest.(check int) "lagging consumer lost the oldest" 6
     (Y.Pktin.overruns slow);
@@ -428,7 +417,7 @@ let test_pktin_overflow () =
 
 let test_pktin_pool_steady_state () =
   let r = ring () in
-  let c = Y.Pktin.subscribe r ~name:"app" in
+  let c = Y.Pktin.subscribe r in
   (* warm: a burst allocates its working set *)
   for _ = 1 to 8 do ignore (push r) done;
   ignore (Y.Pktin.drain r c ~max:16 (fun _ -> ()));
@@ -448,7 +437,7 @@ let test_pktin_pool_steady_state () =
    exact string. *)
 let test_pktin_zero_copy () =
   let r = ring () in
-  let c = Y.Pktin.subscribe r ~name:"app" in
+  let c = Y.Pktin.subscribe r in
   let frame = String.init 64 Char.chr in
   ignore (push ~data:frame r);
   let same = ref false in
@@ -463,7 +452,7 @@ let prop_pktin_matches_queue =
     (fun script ->
       let cap = 4 in
       let r = ring ~capacity:cap () in
-      let c = Y.Pktin.subscribe r ~name:"app" in
+      let c = Y.Pktin.subscribe r in
       let reference = Queue.create () in
       let lost = ref 0 in
       List.iteri
@@ -498,8 +487,8 @@ let prop_pktin_matches_queue =
 
 let rmdir_failed e = Alcotest.failf "event rmdir: %s" (Vfs.Errno.to_string e)
 
-let publish fs ~switch data =
-  Y.Eventdir.publish fs ~cred:Vfs.Cred.root ~root:net ~switch ~in_port:3
+let publish yfs ~switch data =
+  Y.Eventdir.publish yfs ~cred:Vfs.Cred.root ~switch ~in_port:3
     ~reason:Openflow.Of_types.No_match ~buffer_id:(Some 9l)
     ~total_len:(String.length data) ~data
 
@@ -509,13 +498,12 @@ let buffered fs app =
 
 let test_eventdir_fanout () =
   let fs, yfs = setup () in
-  ignore yfs;
   ok (Fs.mkdir fs ~cred (p "/net/switches/sw1"));
   (* two interested applications, one uninterested switch *)
   ok (Y.Eventdir.subscribe fs ~cred ~root:net ~switch:"sw1" ~app:"router");
   ok (Y.Eventdir.subscribe fs ~cred ~root:net ~switch:"sw1" ~app:"monitor");
   Alcotest.(check (result int reject)) "delivered to both" (Ok 2)
-    (publish fs ~switch:"sw1" "frame-bytes");
+    (publish yfs ~switch:"sw1" "frame-bytes");
   let consume app =
     ok (Y.Eventdir.consume fs ~cred ~root:net ~switch:"sw1" ~app ~on_error:rmdir_failed)
   in
@@ -532,12 +520,11 @@ let test_eventdir_fanout () =
 
 let test_eventdir_ordering () =
   let fs, yfs = setup () in
-  ignore yfs;
   ok (Fs.mkdir fs ~cred (p "/net/switches/sw1"));
   ok (Y.Eventdir.subscribe fs ~cred ~root:net ~switch:"sw1" ~app:"a");
-  ignore (publish fs ~switch:"sw1" "first");
-  ignore (publish fs ~switch:"sw1" "second");
-  ignore (publish fs ~switch:"sw1" "third");
+  ignore (publish yfs ~switch:"sw1" "first");
+  ignore (publish yfs ~switch:"sw1" "second");
+  ignore (publish yfs ~switch:"sw1" "third");
   let datas =
     List.map
       (fun e -> e.Y.Eventdir.data)
@@ -549,20 +536,19 @@ let test_eventdir_ordering () =
 
 let test_eventdir_no_subscribers () =
   let fs, yfs = setup () in
-  ignore yfs;
   ok (Fs.mkdir fs ~cred (p "/net/switches/sw1"));
   Alcotest.(check (result int reject)) "published nowhere" (Ok 0)
-    (publish fs ~switch:"sw1" "x")
+    (publish yfs ~switch:"sw1" "x")
 
 (* A non-root subscriber (here: on a switch whose events/ it owns)
    removes what it consumed, so each event is delivered exactly once. *)
 let test_eventdir_non_root_subscriber () =
-  let fs, _ = setup () in
+  let fs, yfs = setup () in
   ok (Fs.mkdir fs ~cred (p "/net/switches/sw1"));
   ok (Fs.chown fs ~cred (p "/net/switches/sw1/events") ~uid:1000 ~gid:1000);
   let app = Vfs.Cred.make ~uid:1000 ~gid:1000 () in
   ok (Y.Eventdir.subscribe fs ~cred:app ~root:net ~switch:"sw1" ~app:"tenant");
-  Alcotest.(check (result int reject)) "published" (Ok 1) (publish fs ~switch:"sw1" "x");
+  Alcotest.(check (result int reject)) "published" (Ok 1) (publish yfs ~switch:"sw1" "x");
   let drain () =
     List.length
       (ok
@@ -586,7 +572,7 @@ let test_eventdir_failed_removal () =
     Apps.App_intf.Packet_in.drain events ~switch:"sw1" (fun _ -> incr delivered)
   in
   drain ();
-  ignore (ok (publish fs ~switch:"sw1" "x"));
+  ignore (ok (publish yfs ~switch:"sw1" "x"));
   Fs.set_readonly fs true;
   drain ();
   Alcotest.(check (pair int int)) "counted, not delivered" (1, 0)
@@ -617,7 +603,7 @@ let test_eventdir_unparseable () =
   drain ();
   Alcotest.(check (pair int int)) "counted once, not delivered" (1, 0)
     (Telemetry.Registry.value errors, !delivered);
-  ignore (ok (publish fs ~switch:"sw1" "x"));
+  ignore (ok (publish yfs ~switch:"sw1" "x"));
   drain ();
   Alcotest.(check (pair int int)) "the next event delivered" (1, 1)
     (Telemetry.Registry.value errors, !delivered)
@@ -637,7 +623,7 @@ let test_eventdir_unlistable_buffer () =
     Apps.App_intf.Packet_in.drain events ~switch:"sw1" (fun _ -> incr delivered)
   in
   drain ();
-  ignore (ok (publish fs ~switch:"sw1" "x"));
+  ignore (ok (publish yfs ~switch:"sw1" "x"));
   let buffer = p "/net/switches/sw1/events/tenant" in
   ok (Fs.chmod fs ~cred buffer 0);
   drain ();
@@ -652,18 +638,18 @@ let test_eventdir_unlistable_buffer () =
 (* A buffer publish cannot write is reported, and the others are still
    written. *)
 let test_eventdir_unwritable_buffer () =
-  let fs, _ = setup () in
+  let fs, yfs = setup () in
   ok (Fs.mkdir fs ~cred (p "/net/switches/sw1"));
   ok (Fs.create_file fs ~cred (p "/net/switches/sw1/events/broken"));
   ok (Y.Eventdir.subscribe fs ~cred ~root:net ~switch:"sw1" ~app:"ok");
   Alcotest.(check bool) "reported" true
-    (publish fs ~switch:"sw1" "x" = Error Vfs.Errno.ENOTDIR);
+    (publish yfs ~switch:"sw1" "x" = Error Vfs.Errno.ENOTDIR);
   Alcotest.(check int) "others written" 1 (List.length (buffered fs "ok"))
 
 (* A symlink a subscriber plants in events/ is no buffer: publish
    creates nothing where it points and gives nothing away. *)
 let test_eventdir_symlink_not_buffer () =
-  let fs, _ = setup () in
+  let fs, yfs = setup () in
   ok (Fs.mkdir fs ~cred (p "/net/switches/sw1"));
   ok (Fs.mkdir fs ~cred (p "/net/switches/sw2"));
   ok (Fs.chown fs ~cred (p "/net/switches/sw1/events") ~uid:1000 ~gid:1000);
@@ -673,7 +659,7 @@ let test_eventdir_symlink_not_buffer () =
     (Fs.symlink fs ~cred:app ~target:"/net/switches/sw2/flows"
        (p "/net/switches/sw1/events/x"));
   Alcotest.(check (result int reject)) "only the real buffer" (Ok 1)
-    (publish fs ~switch:"sw1" "x");
+    (publish yfs ~switch:"sw1" "x");
   Alcotest.(check (result (list string) reject)) "nothing behind the link" (Ok [])
     (Fs.readdir fs ~cred (p "/net/switches/sw2/flows"))
 
@@ -681,16 +667,15 @@ let test_eventdir_symlink_not_buffer () =
 
 let test_outdir_roundtrip () =
   let fs, yfs = setup () in
-  ignore yfs;
   ok (Fs.mkdir fs ~cred (p "/net/switches/sw1"));
   let seq1 =
     ok
-      (Y.Outdir.submit fs ~cred ~root:net ~switch:"sw1" ~in_port:2
+      (Y.Outdir.submit yfs ~cred ~switch:"sw1" ~in_port:2
          ~actions:[ OF.Action.Output OF.Action.Flood ] ~data:"bytes" ())
   in
   let _seq2 =
     ok
-      (Y.Outdir.submit fs ~cred ~root:net ~switch:"sw1" ~buffer_id:5l
+      (Y.Outdir.submit yfs ~cred ~switch:"sw1" ~buffer_id:5l
          ~actions:[ OF.Action.Output (OF.Action.Physical 1) ] ~data:"" ())
   in
   let spool = Y.Layout.packet_out_dir ~root:net "sw1" in
@@ -707,6 +692,32 @@ let test_outdir_roundtrip () =
     Alcotest.(check (option int32)) "buffer" (Some 5l) r2.Y.Outdir.buffer_id
   | l -> Alcotest.failf "expected 2 requests, got %d" (List.length l));
   Alcotest.(check (list string)) "drained" [] (ok (Fs.readdir fs ~cred spool))
+
+(* Spool numbers belong to the mount: a second controller in the same
+   process numbers its first packet-out and its first event 1, whatever
+   the first one posted before it. *)
+let test_spool_numbers_per_controller () =
+  let controller () =
+    let ctl = Yanc.Controller.create ~net:(Netsim.Topo_gen.linear 1).Netsim.Topo_gen.net () in
+    let yfs = Yanc.Controller.yfs ctl in
+    ok (Fs.mkdir (Y.Yanc_fs.fs yfs) ~cred (p "/net/switches/sw9"));
+    ok (Y.Eventdir.subscribe (Y.Yanc_fs.fs yfs) ~cred ~root:net ~switch:"sw9" ~app:"a");
+    yfs
+  in
+  let post yfs =
+    let seq =
+      ok
+        (Y.Outdir.submit yfs ~cred ~switch:"sw9" ~actions:[ OF.Action.Output OF.Action.Flood ]
+           ~data:"x" ())
+    in
+    ignore (ok (publish yfs ~switch:"sw9" "x"));
+    ( seq,
+      ok (Fs.readdir (Y.Yanc_fs.fs yfs) ~cred (Y.Layout.event_buffer ~root:net ~switch:"sw9" "a")) )
+  in
+  let first = controller () in
+  for _ = 1 to 3 do ignore (post first) done;
+  Alcotest.(check (pair int (list string))) "the second controller's first records" (1, [ "1" ])
+    (post (controller ()))
 
 (* --- views ---------------------------------------------------------------------------------- *)
 
@@ -862,11 +873,11 @@ let test_schema_live_tree () =
     [ "root"; "host"; "switch"; "switch_counters"; "events_dir"; "event_buffer";
       "flows_dir"; "flow"; "flow_attr"; "packet_out"; "ports_dir"; "port"; "port_attr";
       "views_dir" ];
+  let tenant_flow = Y.Layout.flow ~root:(Y.Layout.view ~root:net "slice") ~switch:sw "tenant" in
   Alcotest.(check bool) "a view's flow" true
     (List.exists
        (fun path ->
-         Y.Schema.classify ~root:net path == Y.Schema.flow
-         && Y.Schema.enclosing_root ~root:net path <> Some net)
+         Path.equal path tenant_flow && Y.Schema.classify ~root:net path == Y.Schema.flow)
        dirs)
 
 (* Every codec writes its record's declared fields, in the declared
@@ -930,13 +941,13 @@ let test_codecs_follow_schema () =
   check "request" Y.Schema.request ~whole:true (fun () ->
       ignore
         (ok
-           (Y.Outdir.submit fs ~cred ~root:net ~switch:"sw1" ~buffer_id:3l ~in_port:1
+           (Y.Outdir.submit yfs ~cred ~switch:"sw1" ~buffer_id:3l ~in_port:1
               ~actions:[ OF.Action.Output OF.Action.Flood ] ~data:"frame" ())));
   ok (Y.Eventdir.subscribe fs ~cred ~root:net ~switch:"sw1" ~app:"a");
   check "event" Y.Schema.event ~whole:true (fun () ->
       ignore
         (ok
-           (Y.Eventdir.publish fs ~cred ~root:net ~switch:"sw1" ~in_port:1
+           (Y.Eventdir.publish yfs ~cred ~switch:"sw1" ~in_port:1
               ~reason:OF.Of_types.No_match ~buffer_id:(Some 5l) ~total_len:5 ~data:"frame")));
   Fs.unsubscribe fs hook
 
@@ -949,7 +960,6 @@ let () =
           Alcotest.test_case "top level" `Quick test_top_level_structure ] );
       ( "schema",
         [ Alcotest.test_case "classification" `Quick test_classify;
-          Alcotest.test_case "enclosing root" `Quick test_enclosing_root;
           Alcotest.test_case "semantic mkdir: view" `Quick test_semantic_mkdir_view;
           Alcotest.test_case "semantic mkdir: switch" `Quick test_semantic_mkdir_switch;
           Alcotest.test_case "semantic mkdir: flow/port" `Quick
@@ -1003,7 +1013,9 @@ let () =
             test_eventdir_unwritable_buffer;
           Alcotest.test_case "symlink is not a buffer" `Quick
             test_eventdir_symlink_not_buffer;
-          Alcotest.test_case "packet-out spool" `Quick test_outdir_roundtrip ] );
+          Alcotest.test_case "packet-out spool" `Quick test_outdir_roundtrip;
+          Alcotest.test_case "spool numbers per controller" `Quick
+            test_spool_numbers_per_controller ] );
       ( "views-hosts",
         [ Alcotest.test_case "view is a full root" `Quick test_in_view_is_full_root;
           Alcotest.test_case "host records" `Quick test_host_records ] );
